@@ -971,11 +971,10 @@ pub fn batch(args: &BatchArgs) -> Result<String, String> {
                 {
                     let t = Instant::now();
                     let answer = match session {
-                        Some(s) => s.query(q, args.rate),
-                        None => handle
-                            .submit(q, args.rate)
-                            .and_then(fedaqp_core::PendingAnswer::wait),
-                    };
+                        Some(s) => s.submit(q, args.rate),
+                        None => handle.submit(q, args.rate),
+                    }
+                    .and_then(fedaqp_core::PendingAnswer::wait);
                     let (line, ok) = match answer {
                         Ok(a) => (
                             format!(

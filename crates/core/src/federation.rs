@@ -213,21 +213,6 @@ impl Federation {
         self.run_with_budget(query, sampling_rate, &budget)
     }
 
-    /// Runs one query with provider phases executed on OS threads.
-    ///
-    /// Functionally identical to [`Federation::run`]; phase timings are the
-    /// wall-clock time of the parallel sections (thread-spawn overhead
-    /// included), so prefer `run` for *measuring* speed-ups at small scales
-    /// and `run_concurrent` for *throughput* on large partitions.
-    pub fn run_concurrent(
-        &mut self,
-        query: &RangeQuery,
-        sampling_rate: f64,
-    ) -> Result<QueryAnswer> {
-        let budget = self.default_budget()?;
-        self.run_query_inner(query, sampling_rate, &budget, true, true)
-    }
-
     /// Runs one query under an explicit per-query budget (the analyst's
     /// accountant charges `budget.cost()`; by parallel composition across
     /// providers that is the federation-wide cost, §5.4).
@@ -237,7 +222,7 @@ impl Federation {
         sampling_rate: f64,
         budget: &QueryBudget,
     ) -> Result<QueryAnswer> {
-        self.run_query_inner(query, sampling_rate, budget, false, true)
+        self.run_query_inner(query, sampling_rate, budget, true)
     }
 
     /// [`Federation::run_with_budget`] without the exact-answer oracle:
@@ -254,7 +239,7 @@ impl Federation {
         sampling_rate: f64,
         budget: &QueryBudget,
     ) -> Result<QueryAnswer> {
-        self.run_query_inner(query, sampling_rate, budget, false, false)
+        self.run_query_inner(query, sampling_rate, budget, false)
     }
 
     fn run_query_inner(
@@ -262,7 +247,6 @@ impl Federation {
         query: &RangeQuery,
         sampling_rate: f64,
         budget: &QueryBudget,
-        concurrent: bool,
         with_oracle: bool,
     ) -> Result<QueryAnswer> {
         if !(sampling_rate.is_finite() && 0.0 < sampling_rate && sampling_rate < 1.0) {
@@ -274,49 +258,20 @@ impl Federation {
         let eps_o = budget.eps_o;
 
         // ---- Steps 1–2: prepare + DP summaries ----
-        // Providers run on dedicated servers in parallel (§6.1). The
-        // default path executes them serially and charges the phase the
-        // slowest provider's time (measurement free of thread-spawn
-        // overhead at laptop scales); the concurrent path uses real
-        // threads and charges wall time.
+        // Providers run on dedicated servers in parallel (§6.1); this
+        // serial runtime executes them one after another and charges each
+        // phase the slowest provider's time (real threads are the
+        // engine's job).
         let mut summary_time = Duration::ZERO;
         let mut prepared = Vec::with_capacity(self.providers.len());
         let mut summaries = Vec::with_capacity(self.providers.len());
-        if concurrent {
+        for p in self.providers.iter_mut() {
             let t = Instant::now();
-            let results: Vec<Result<(crate::provider::PreparedQuery, _)>> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = self
-                        .providers
-                        .iter_mut()
-                        .map(|p| {
-                            scope.spawn(move || {
-                                let prep = p.prepare(query);
-                                let summary = p.summary(query, &prep, eps_o)?;
-                                Ok((prep, summary))
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("provider thread panicked"))
-                        .collect()
-                });
-            summary_time = t.elapsed();
-            for r in results {
-                let (prep, summary) = r?;
-                prepared.push(prep);
-                summaries.push(summary);
-            }
-        } else {
-            for p in self.providers.iter_mut() {
-                let t = Instant::now();
-                let prep = p.prepare(query);
-                let summary = p.summary(query, &prep, eps_o)?;
-                summary_time = summary_time.max(t.elapsed());
-                prepared.push(prep);
-                summaries.push(summary);
-            }
+            let prep = p.prepare(query);
+            let summary = p.summary(query, &prep, eps_o)?;
+            summary_time = summary_time.max(t.elapsed());
+            prepared.push(prep);
+            summaries.push(summary);
         }
 
         // ---- Step 3: allocation at the aggregator ----
@@ -333,37 +288,15 @@ impl Federation {
         let release_local = mode == ReleaseMode::LocalDp;
         let mut execution_time = Duration::ZERO;
         let mut outcomes: Vec<LocalOutcome> = Vec::with_capacity(self.providers.len());
-        if concurrent {
+        for (p, (prep, &alloc)) in self
+            .providers
+            .iter_mut()
+            .zip(prepared.iter().zip(&allocations))
+        {
             let t = Instant::now();
-            let results: Vec<Result<LocalOutcome>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .providers
-                    .iter_mut()
-                    .zip(prepared.iter().zip(&allocations))
-                    .map(|(p, (prep, &alloc))| {
-                        scope.spawn(move || p.execute(query, prep, alloc, budget, release_local))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("provider thread panicked"))
-                    .collect()
-            });
-            execution_time = t.elapsed();
-            for r in results {
-                outcomes.push(r?);
-            }
-        } else {
-            for (p, (prep, &alloc)) in self
-                .providers
-                .iter_mut()
-                .zip(prepared.iter().zip(&allocations))
-            {
-                let t = Instant::now();
-                let outcome = p.execute(query, prep, alloc, budget, release_local)?;
-                execution_time = execution_time.max(t.elapsed());
-                outcomes.push(outcome);
-            }
+            let outcome = p.execute(query, prep, alloc, budget, release_local)?;
+            execution_time = execution_time.max(t.elapsed());
+            outcomes.push(outcome);
         }
 
         // ---- Step 6/7: release ----
@@ -597,20 +530,6 @@ mod tests {
         let reports = fed.meta_space();
         assert_eq!(reports.len(), 4);
         assert!(reports.iter().all(|r| r.total_bytes > 0));
-    }
-
-    #[test]
-    fn concurrent_path_matches_serial_semantics() {
-        let q = count_query(100, 800);
-        let mut serial = Federation::build(config(50), schema(), partitions(2000, 4)).unwrap();
-        let mut threaded = Federation::build(config(50), schema(), partitions(2000, 4)).unwrap();
-        let a = serial.run(&q, 0.2).unwrap();
-        let b = threaded.run_concurrent(&q, 0.2).unwrap();
-        // Same seeds, same providers, same protocol: identical released
-        // values regardless of the execution strategy.
-        assert_eq!(a.value, b.value);
-        assert_eq!(a.allocations, b.allocations);
-        assert_eq!(a.exact, b.exact);
     }
 
     #[test]

@@ -66,14 +66,14 @@ pub use online::{combine_snapshots, run_online, OnlineAnswer, OnlineSnapshot};
 pub use optimizer::{MetaSnapshot, PlanExplanation, ProviderBounds, SubQueryExplanation};
 pub use plan::{
     ExtremeOutcome, PendingPlan, PlanAnswer, PlanBackend, PlanGroup, PlanResult, PlanSnapshot,
-    QueryPlan, SubOutcome,
+    QueryPlan, ShardedAnswer,
 };
 pub use protocol::{LocalOutcome, PhaseTimings, ProviderSummary};
 pub use provider::DataProvider;
-pub use session::{AnalystSession, ConcurrentSession, SessionPlan};
+pub use session::{AnalystSession, ConcurrentSession, Session, SessionPlan, ShardedSession};
 pub use shard::{
     ExtremeFragmentSpec, FragmentHandle, FragmentPartial, FragmentSpec, PartialRow, ShardBackend,
-    ShardedAnswer, ShardedFederation, ShardedPendingAnswer, ShardedSession, ShardedSub,
+    ShardedFederation, ShardedSub,
 };
 pub use stream::{IngestReport, LiveFederation, RefreshPolicy};
 

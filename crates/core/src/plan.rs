@@ -67,7 +67,7 @@ use fedaqp_obs as obs;
 
 use crate::config::FederationConfig;
 use crate::derived::DerivedStatistic;
-use crate::engine::{EngineHandle, PendingAnswer, PendingExtreme};
+use crate::engine::{EngineAnswer, EngineHandle, PendingAnswer, PendingExtreme};
 use crate::optimizer::{submission_order, MetaSnapshot, PlanExplanation, SubQueryExplanation};
 use crate::protocol::PhaseTimings;
 use crate::{CoreError, Result};
@@ -178,20 +178,50 @@ impl PlanAnswer {
     }
 }
 
-/// What one resolved scalar sub-query hands back to the plan compiler —
-/// the release, its confidence interval, and its latency accounting,
-/// stripped of backend-specific diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SubOutcome {
-    /// The DP-released value.
+/// The analyst-visible answer to one private scalar query: everything an
+/// analyst is allowed to see of an [`EngineAnswer`], and nothing else —
+/// the simulation-boundary diagnostics (`raw_estimate`, `smooth_ls`) have
+/// no field here: the [`From`] projection drops them, and a coordinator
+/// never receives them from its shards in the first place.
+///
+/// Every [`PlanBackend`] resolves a sub-query to this one type, so the
+/// plan compiler, the budget sessions and the wire's `Answer` frame read
+/// the same fields whether an engine or a coordinator ran the query (the
+/// name is the coordinator's, where the projection originated).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShardedAnswer {
+    /// The DP-released answer (byte-identical across deployments).
     pub value: f64,
+    /// The `(ε, δ)` charged.
+    pub cost: PrivacyCost,
+    /// Per-phase latency (maxima across shards, coordinator allocation).
+    pub timings: PhaseTimings,
     /// 95% sampling confidence half-width, when estimable.
     pub ci_halfwidth: Option<f64>,
-    /// Per-phase latency of this sub-query.
-    pub timings: PhaseTimings,
     /// Total clusters scanned across providers (public work proxy; what
     /// online snapshots report as their progress measure).
-    pub clusters_scanned: u64,
+    pub clusters_scanned: usize,
+    /// Total covering-set size across providers.
+    pub covering_total: usize,
+    /// How many providers took the approximate path.
+    pub approximated_providers: usize,
+    /// Per-provider sample-size allocations, in global provider order.
+    pub allocations: Vec<u64>,
+}
+
+impl From<EngineAnswer> for ShardedAnswer {
+    fn from(answer: EngineAnswer) -> Self {
+        Self {
+            value: answer.value,
+            cost: answer.cost,
+            timings: answer.timings,
+            ci_halfwidth: answer.ci_halfwidth,
+            clusters_scanned: answer.clusters_scanned,
+            covering_total: answer.covering_total,
+            approximated_providers: answer.approximated_providers,
+            allocations: answer.allocations,
+        }
+    }
 }
 
 /// What one resolved extreme selection hands back to the plan compiler.
@@ -236,7 +266,7 @@ pub trait PlanBackend: Clone {
     /// without resubmitting, re-noising, or re-charging.
     fn share_sub(&self, sub: &Self::Sub) -> Self::Sub;
     /// Blocks until the sub-query resolved.
-    fn wait_sub(&self, sub: Self::Sub) -> Result<SubOutcome>;
+    fn wait_sub(&self, sub: Self::Sub) -> Result<ShardedAnswer>;
 
     /// Submits one private MIN/MAX without waiting.
     fn submit_ext(&self, dim: usize, extreme: Extreme, epsilon: f64) -> Result<Self::Ext>;
@@ -268,6 +298,30 @@ pub trait PlanBackend: Clone {
             ));
         }
         Ok(())
+    }
+
+    /// Validates a plan without dispatching (or charging) anything:
+    /// schema, sampling rate, budget positivity, and the group-domain cap.
+    /// Stateless, so sessions can check a plan *before* charging its
+    /// [`QueryPlan::total_cost`].
+    fn validate_plan(&self, plan: &QueryPlan) -> Result<()> {
+        validate_plan_with(self, plan)
+    }
+
+    /// Compiles `plan` and submits **all** of its sub-queries before
+    /// returning — a group-by's per-group queries are in flight together
+    /// by the time the caller first waits. Validation happens up front
+    /// ([`Self::validate_plan`]), so a rejected plan touches no data.
+    fn submit_plan(&self, plan: &QueryPlan) -> Result<PendingPlan<Self>> {
+        self.validate_plan(plan)?;
+        submit_plan_with(self, plan)
+    }
+
+    /// `EXPLAIN`: the optimizer's decisions for `plan`, computed from the
+    /// plan and the public metadata snapshot alone — nothing is
+    /// dispatched, no data is touched, no budget is charged.
+    fn explain_plan(&self, plan: &QueryPlan) -> Result<PlanExplanation> {
+        explain_plan_with(self, plan)
     }
 }
 
@@ -317,14 +371,8 @@ impl PlanBackend for EngineHandle {
         sub.share()
     }
 
-    fn wait_sub(&self, sub: PendingAnswer) -> Result<SubOutcome> {
-        let answer = sub.wait()?;
-        Ok(SubOutcome {
-            value: answer.value,
-            ci_halfwidth: answer.ci_halfwidth,
-            timings: answer.timings,
-            clusters_scanned: answer.clusters_scanned as u64,
-        })
+    fn wait_sub(&self, sub: PendingAnswer) -> Result<ShardedAnswer> {
+        sub.wait().map(ShardedAnswer::from)
     }
 
     fn submit_ext(&self, dim: usize, extreme: Extreme, epsilon: f64) -> Result<PendingExtreme> {
@@ -479,7 +527,7 @@ impl<B: PlanBackend> PendingPlan<B> {
                         sample_fraction: round as f64 / rounds as f64,
                         value: outcome.value,
                         ci_halfwidth: outcome.ci_halfwidth,
-                        clusters_scanned: outcome.clusters_scanned,
+                        clusters_scanned: outcome.clusters_scanned as u64,
                     };
                     on_snapshot(&snapshot);
                     snapshots.push(snapshot);
@@ -636,7 +684,7 @@ fn group_keys<B: PlanBackend>(backend: &B, group_dim: usize) -> Result<Vec<Value
 /// anything: schema, sampling rate, budget positivity, and the
 /// group-domain cap. Stateless, so sessions can check a plan *before*
 /// charging its [`QueryPlan::total_cost`].
-pub(crate) fn validate_plan_with<B: PlanBackend>(backend: &B, plan: &QueryPlan) -> Result<()> {
+fn validate_plan_with<B: PlanBackend>(backend: &B, plan: &QueryPlan) -> Result<()> {
     let hyperparams = backend.config().hyperparams;
     match plan {
         QueryPlan::Scalar {
@@ -900,10 +948,7 @@ pub(crate) fn submit_plan_with<B: PlanBackend>(
 /// alone — nothing is dispatched, no data is touched, and (because the
 /// inputs are the analyst's own query plus already-public Algorithm 1
 /// metadata) no budget is charged.
-pub(crate) fn explain_plan_with<B: PlanBackend>(
-    backend: &B,
-    plan: &QueryPlan,
-) -> Result<PlanExplanation> {
+fn explain_plan_with<B: PlanBackend>(backend: &B, plan: &QueryPlan) -> Result<PlanExplanation> {
     validate_plan_with(backend, plan)?;
     let opt = backend.config().optimizer;
     let snap = backend.snapshot();
@@ -1022,7 +1067,7 @@ impl EngineHandle {
     /// Stateless, so sessions can check a plan *before* charging its
     /// [`QueryPlan::total_cost`].
     pub fn validate_plan(&self, plan: &QueryPlan) -> Result<()> {
-        validate_plan_with(self, plan)
+        PlanBackend::validate_plan(self, plan)
     }
 
     /// Compiles `plan` and submits **all** of its sub-queries to the
@@ -1033,16 +1078,7 @@ impl EngineHandle {
     /// Validation happens up front ([`Self::validate_plan`]), so a
     /// rejected plan touches no data and costs no budget.
     pub fn submit_plan(&self, plan: &QueryPlan) -> Result<PendingPlan> {
-        self.validate_plan(plan)?;
-        self.submit_plan_validated(plan)
-    }
-
-    /// [`Self::submit_plan`] minus the validation pass — for callers that
-    /// already ran [`Self::validate_plan`] on this exact plan (a session
-    /// validates, charges atomically, then submits; re-validating would
-    /// re-enumerate a group-by's domain for nothing).
-    pub(crate) fn submit_plan_validated(&self, plan: &QueryPlan) -> Result<PendingPlan> {
-        submit_plan_with(self, plan)
+        PlanBackend::submit_plan(self, plan)
     }
 
     /// Submits a plan and waits it out (submit + wait).
@@ -1086,7 +1122,7 @@ impl EngineHandle {
     /// exactly what [`Self::submit_plan`] would do under the current
     /// [`crate::config::OptimizerConfig`].
     pub fn explain_plan(&self, plan: &QueryPlan) -> Result<PlanExplanation> {
-        explain_plan_with(self, plan)
+        PlanBackend::explain_plan(self, plan)
     }
 }
 

@@ -16,9 +16,11 @@ use fedaqp_dp::{advanced_per_query, BudgetAccountant, PrivacyCost, QueryBudget, 
 use fedaqp_model::{QueryPlan, RangeQuery};
 
 use crate::derived::{run_derived, DerivedAnswer, DerivedStatistic};
-use crate::engine::{EngineAnswer, EngineHandle, PendingAnswer};
+use crate::engine::EngineHandle;
 use crate::federation::{Federation, QueryAnswer};
-use crate::plan::{PendingPlan, PlanAnswer};
+use crate::optimizer::PlanExplanation;
+use crate::plan::{submit_plan_with, PendingPlan, PlanAnswer, PlanBackend, ShardedAnswer};
+use crate::shard::ShardedFederation;
 use crate::{CoreError, Result};
 
 /// How the session stretches the analyst's `(ξ, ψ)`.
@@ -140,28 +142,40 @@ impl AnalystSession {
     }
 }
 
-/// An analyst session over a concurrent [`EngineHandle`]: the §5.4 budget
-/// semantics of [`AnalystSession`], safe to clone across analyst threads.
+/// An analyst session over any [`PlanBackend`] — the in-process
+/// [`EngineHandle`] ([`ConcurrentSession`]) or the scatter–gather
+/// coordinator ([`ShardedSession`]): the §5.4 budget semantics of
+/// [`AnalystSession`], safe to clone across analyst threads.
 ///
-/// The accountant sits behind a [`SharedAccountant`], so the affordability
-/// check and the charge are one atomic step: N racing queries can never
-/// jointly drive the session past its `(ξ, ψ)` — losers of the race are
-/// rejected *before* any provider touches data. A charge is kept even if
-/// the query subsequently fails inside the engine (fail-closed: the
-/// conservative direction for privacy).
+/// This is the one enforcement site of the budget discipline: validate →
+/// charge → submit. The accountant sits behind a [`SharedAccountant`], so
+/// the affordability check and the charge are one atomic step: N racing
+/// queries can never jointly drive the session past its `(ξ, ψ)` — losers
+/// of the race are rejected *before* any provider touches data. A charge
+/// is kept even if the query subsequently fails downstream (fail-closed,
+/// the conservative direction for privacy: a mid-plan shard failure must
+/// not refund, because released fragments may already have leaked their
+/// sub-answers' budget worth).
 #[derive(Debug, Clone)]
-pub struct ConcurrentSession {
-    handle: EngineHandle,
+pub struct Session<B: PlanBackend> {
+    backend: B,
     accountant: SharedAccountant,
     plan: SessionPlan,
     per_query: QueryBudget,
 }
 
-impl ConcurrentSession {
+/// A [`Session`] over the in-process concurrent engine.
+pub type ConcurrentSession = Session<EngineHandle>;
+
+/// A [`Session`] over the sharded coordinator — the single ξ authority of
+/// a sharded deployment (downstream shards run fragments budget-unchecked).
+pub type ShardedSession = Session<ShardedFederation>;
+
+impl<B: PlanBackend> Session<B> {
     /// Opens a session with total budget `(xi, psi)` under `plan`.
-    pub fn open(handle: EngineHandle, xi: f64, psi: f64, plan: SessionPlan) -> Result<Self> {
+    pub fn open(backend: B, xi: f64, psi: f64, plan: SessionPlan) -> Result<Self> {
         let accountant = SharedAccountant::new(xi, psi).map_err(CoreError::Dp)?;
-        Self::open_with_accountant(handle, accountant, plan)
+        Self::open_with_accountant(backend, accountant, plan)
     }
 
     /// Opens a session over an externally owned ledger.
@@ -172,22 +186,21 @@ impl ConcurrentSession {
     /// analyst's `(ξ, ψ)`: every session opened on the same accountant
     /// charges the same atomic ledger.
     pub fn open_with_accountant(
-        handle: EngineHandle,
+        backend: B,
         accountant: SharedAccountant,
         plan: SessionPlan,
     ) -> Result<Self> {
-        let config = handle.config();
-        let hp = config.hyperparams;
-        let total = accountant.total();
+        let config = backend.config();
         let per_query = match plan {
             SessionPlan::PayAsYouGo => config.query_budget()?,
             SessionPlan::AdvancedComposition { planned_queries } => {
+                let total = accountant.total();
                 let per = advanced_per_query(total.eps, total.delta, planned_queries)?;
-                QueryBudget::split(per.eps, per.delta, hp)?
+                QueryBudget::split(per.eps, per.delta, config.hyperparams)?
             }
         };
         Ok(Self {
-            handle,
+            backend,
             accountant,
             plan,
             per_query,
@@ -200,7 +213,7 @@ impl ConcurrentSession {
         self.plan
     }
 
-    /// The `(ε, δ)` each query costs under this session's plan.
+    /// The `(ε, δ)` each scalar query costs under this session's plan.
     pub fn per_query_cost(&self) -> PrivacyCost {
         self.per_query.cost()
     }
@@ -221,14 +234,15 @@ impl ConcurrentSession {
     }
 
     /// Whether another query of this session's cost still fits (advisory:
-    /// the authoritative gate is the atomic charge inside [`Self::query`]).
+    /// the authoritative gate is the atomic charge inside [`Self::submit`]).
     pub fn can_query(&self) -> bool {
         self.accountant.can_afford(self.per_query.cost())
     }
 
-    /// The engine handle this session queries through.
-    pub fn handle(&self) -> &EngineHandle {
-        &self.handle
+    /// The backend handle (engine or coordinator) this session queries
+    /// through.
+    pub fn handle(&self) -> &B {
+        &self.backend
     }
 
     /// The shared ledger this session charges.
@@ -237,29 +251,28 @@ impl ConcurrentSession {
     }
 
     /// Atomically charges the session budget, then submits the query to
-    /// the engine *without* waiting for the answer. Submitting a whole
+    /// the backend *without* waiting for the answer. Submitting a whole
     /// batch before the first wait lets the worker pool pipeline one
     /// analyst's queries.
     ///
-    /// A request the engine would reject up front (bad sampling rate,
+    /// A request the backend would reject up front (bad sampling rate,
     /// unknown dimension) is validated *before* the charge — it touches
     /// no data, so it must not cost budget. Once a query is dispatched,
-    /// the charge is kept even if it later fails inside the engine
-    /// (fail-closed: the conservative direction for privacy).
-    pub fn submit(&self, query: &RangeQuery, sampling_rate: f64) -> Result<PendingAnswer> {
-        self.handle
-            .validate(query, sampling_rate, &self.per_query)?;
+    /// the charge is kept even if it later fails downstream (fail-closed).
+    pub fn submit(&self, query: &RangeQuery, sampling_rate: f64) -> Result<B::Sub> {
+        self.backend
+            .validate_sub(query, sampling_rate, &self.per_query)?;
         self.accountant
             .charge(self.per_query.cost())
             .map_err(CoreError::Dp)?;
-        self.handle
-            .submit_with_budget(query, sampling_rate, &self.per_query)
+        self.backend
+            .submit_sub(query, sampling_rate, &self.per_query)
     }
 
     /// Answers one private query, atomically charging the session budget
     /// first.
-    pub fn query(&self, query: &RangeQuery, sampling_rate: f64) -> Result<EngineAnswer> {
-        self.submit(query, sampling_rate)?.wait()
+    pub fn query(&self, query: &RangeQuery, sampling_rate: f64) -> Result<ShardedAnswer> {
+        self.backend.wait_sub(self.submit(query, sampling_rate)?)
     }
 
     /// Atomically charges a plan's *entire* declared
@@ -269,10 +282,10 @@ impl ConcurrentSession {
     /// all of them (racing plans cannot jointly overspend `(ξ, ψ)`, and a
     /// plan can never be half-charged).
     ///
-    /// A plan the engine would reject is validated *before* the charge —
+    /// A plan the backend would reject is validated *before* the charge —
     /// it touches no data, so it must not cost budget. Once dispatched,
-    /// the whole charge is kept even if a sub-query later fails
-    /// (fail-closed: the conservative direction for privacy).
+    /// the whole charge is kept even if a sub-query later fails or a
+    /// shard drops mid-plan (fail-closed — pinned by tests).
     ///
     /// A plan always charges its *declared* cost: unlike [`Self::submit`],
     /// whose per-query `(ε, δ)` comes from the session's [`SessionPlan`]
@@ -281,13 +294,13 @@ impl ConcurrentSession {
     /// [`QueryPlan::total_cost`] regardless of the plan the session was
     /// opened with — the sequential-composition accounting, which is never
     /// an undercharge.
-    pub fn submit_plan(&self, plan: &QueryPlan) -> Result<PendingPlan> {
-        self.handle.validate_plan(plan)?;
+    pub fn submit_plan(&self, plan: &QueryPlan) -> Result<PendingPlan<B>> {
+        self.backend.validate_plan(plan)?;
         let (eps, delta) = plan.total_cost();
         self.accountant
             .charge(PrivacyCost { eps, delta })
             .map_err(CoreError::Dp)?;
-        self.handle.submit_plan_validated(plan)
+        submit_plan_with(&self.backend, plan)
     }
 
     /// Answers one plan, atomically charging its whole cost first.
@@ -301,8 +314,8 @@ impl ConcurrentSession {
     /// request that touches no data must not cost budget), so an analyst
     /// can inspect pruning/dedup/ordering decisions before committing
     /// their `(ξ, ψ)` to the plan itself.
-    pub fn explain_plan(&self, plan: &QueryPlan) -> Result<crate::optimizer::PlanExplanation> {
-        self.handle.explain_plan(plan)
+    pub fn explain_plan(&self, plan: &QueryPlan) -> Result<PlanExplanation> {
+        self.backend.explain_plan(plan)
     }
 }
 

@@ -75,7 +75,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use fedaqp_dp::{advanced_per_query, PrivacyCost, QueryBudget, SharedAccountant};
+use fedaqp_dp::{PrivacyCost, QueryBudget};
 use fedaqp_model::{Extreme, QueryPlan, RangeQuery, Row, Schema, Value};
 use fedaqp_obs as obs;
 
@@ -86,12 +86,8 @@ use crate::engine::{
 };
 use crate::federation::Federation;
 use crate::optimizer::{MetaSnapshot, PlanExplanation, ProviderBounds};
-use crate::plan::{
-    explain_plan_with, submit_plan_with, validate_plan_with, ExtremeOutcome, PendingPlan,
-    PlanAnswer, PlanBackend, SubOutcome,
-};
+use crate::plan::{ExtremeOutcome, PendingPlan, PlanAnswer, PlanBackend, ShardedAnswer};
 use crate::protocol::{combined_ci_halfwidth, query_bytes, LocalOutcome, PhaseTimings};
-use crate::session::SessionPlan;
 use crate::{CoreError, Result};
 
 /// One provider's slice of a fragment's mergeable partial answer: the
@@ -427,23 +423,13 @@ impl ShardedFederation {
     /// Validates a plan without dispatching (or charging) anything —
     /// the sharded twin of [`EngineHandle::validate_plan`].
     pub fn validate_plan(&self, plan: &QueryPlan) -> Result<()> {
-        validate_plan_with(self, plan)
+        PlanBackend::validate_plan(self, plan)
     }
 
     /// Compiles `plan` and scatters **all** of its sub-queries before
     /// returning — the sharded twin of [`EngineHandle::submit_plan`].
     pub fn submit_plan(&self, plan: &QueryPlan) -> Result<PendingPlan<ShardedFederation>> {
-        self.validate_plan(plan)?;
-        self.submit_plan_validated(plan)
-    }
-
-    /// [`Self::submit_plan`] minus the validation pass, for sessions
-    /// that validate, charge atomically, then submit.
-    pub(crate) fn submit_plan_validated(
-        &self,
-        plan: &QueryPlan,
-    ) -> Result<PendingPlan<ShardedFederation>> {
-        submit_plan_with(self, plan)
+        PlanBackend::submit_plan(self, plan)
     }
 
     /// Submits a plan and waits it out.
@@ -454,23 +440,7 @@ impl ShardedFederation {
     /// `EXPLAIN` on the coordinator: identical decisions to the 1-shard
     /// engine (same optimizer code over the same concatenated bounds).
     pub fn explain_plan(&self, plan: &QueryPlan) -> Result<PlanExplanation> {
-        explain_plan_with(self, plan)
-    }
-
-    /// Submits one private scalar query under an explicit budget (the
-    /// analyst-facing twin of [`EngineHandle::submit_with_budget`]).
-    pub fn submit_with_budget(
-        &self,
-        query: &RangeQuery,
-        sampling_rate: f64,
-        budget: &QueryBudget,
-    ) -> Result<ShardedPendingAnswer> {
-        let sub = self.scatter(query, sampling_rate, budget)?;
-        Ok(ShardedPendingAnswer {
-            federation: self.clone(),
-            sub,
-            cost: budget.cost(),
-        })
+        PlanBackend::explain_plan(self, plan)
     }
 
     /// Fetch-and-increment the occurrence counter for `key`.
@@ -596,27 +566,29 @@ impl ShardedFederation {
         obs::observe_duration(obs::names::SHARD_SCATTER, scatter_start.elapsed());
         Ok(ShardedSub {
             shared: Arc::new(SubShared {
-                state: Mutex::new(SubState::Scattered {
+                state: Mutex::new(SubState::Scattered(Scattered {
                     fragments,
                     summary_time,
                     allocation_time,
                     query_bytes: query_bytes(query),
                     allocations,
-                }),
+                    cost: budget.cost(),
+                })),
             }),
         })
     }
 
     /// The gather half: fetch every shard's partial, rebuild the global
     /// outcome rows, and re-run the 1-shard release fold.
-    fn gather(
-        &self,
-        mut fragments: Vec<Box<dyn FragmentHandle>>,
-        summary_time: Duration,
-        allocation_time: Duration,
-        query_bytes: u64,
-        allocations: Vec<u64>,
-    ) -> Result<SubResolved> {
+    fn gather(&self, scattered: Scattered) -> Result<ShardedAnswer> {
+        let Scattered {
+            mut fragments,
+            summary_time,
+            allocation_time,
+            query_bytes,
+            allocations,
+            cost,
+        } = scattered;
         let _span = obs::span("gather", "shard", obs::SpanId::NONE);
         let gather_start = Instant::now();
         let inner = &*self.inner;
@@ -661,64 +633,22 @@ impl ShardedFederation {
         let network =
             cm.round_time(query_bytes) + cm.round_time(16) + cm.round_time(8) + cm.round_time(16);
         obs::observe_duration(obs::names::SHARD_GATHER, gather_start.elapsed());
-        let clusters_scanned: usize = outcomes.iter().map(|o| o.clusters_scanned).sum();
-        Ok(SubResolved {
-            outcome: SubOutcome {
-                value,
-                ci_halfwidth: combined_ci_halfwidth(&outcomes),
-                timings: PhaseTimings {
-                    summary: summary_time,
-                    allocation: allocation_time,
-                    execution,
-                    release,
-                    network,
-                },
-                clusters_scanned: clusters_scanned as u64,
+        Ok(ShardedAnswer {
+            value,
+            cost,
+            timings: PhaseTimings {
+                summary: summary_time,
+                allocation: allocation_time,
+                execution,
+                release,
+                network,
             },
-            clusters_scanned,
+            ci_halfwidth: combined_ci_halfwidth(&outcomes),
+            clusters_scanned: outcomes.iter().map(|o| o.clusters_scanned).sum(),
             covering_total: outcomes.iter().map(|o| o.n_covering).sum(),
             approximated_providers: outcomes.iter().filter(|o| o.approximated).count(),
             allocations,
         })
-    }
-
-    /// Resolves a sharded sub-query, memoizing the merged outcome so
-    /// every sharer (the dedup pass) observes byte-identical answers
-    /// without re-gathering.
-    fn wait_sharded(&self, sub: ShardedSub) -> Result<SubResolved> {
-        let mut state = sub
-            .shared
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let SubState::Done(result) = &*state {
-            return result.clone();
-        }
-        let taken = std::mem::replace(
-            &mut *state,
-            SubState::Done(Err(CoreError::ProtocolViolation(
-                "sharded sub-query gather was interrupted",
-            ))),
-        );
-        let SubState::Scattered {
-            fragments,
-            summary_time,
-            allocation_time,
-            query_bytes,
-            allocations,
-        } = taken
-        else {
-            unreachable!("Done was returned above");
-        };
-        let result = self.gather(
-            fragments,
-            summary_time,
-            allocation_time,
-            query_bytes,
-            allocations,
-        );
-        *state = SubState::Done(result.clone());
-        result
     }
 }
 
@@ -786,25 +716,19 @@ struct SubShared {
 }
 
 enum SubState {
-    Scattered {
-        fragments: Vec<Box<dyn FragmentHandle>>,
-        summary_time: Duration,
-        allocation_time: Duration,
-        query_bytes: u64,
-        allocations: Vec<u64>,
-    },
-    Done(Result<SubResolved>),
+    Scattered(Scattered),
+    Done(Result<ShardedAnswer>),
 }
 
-/// A gathered sub-query: the released outcome plus the public scan
-/// diagnostics an [`crate::EngineAnswer`] also reports.
-#[derive(Clone)]
-struct SubResolved {
-    outcome: SubOutcome,
-    clusters_scanned: usize,
-    covering_total: usize,
-    approximated_providers: usize,
+/// A sub-query whose fragments hold their allocations: only the partials
+/// are left to gather.
+struct Scattered {
+    fragments: Vec<Box<dyn FragmentHandle>>,
+    summary_time: Duration,
+    allocation_time: Duration,
+    query_bytes: u64,
     allocations: Vec<u64>,
+    cost: PrivacyCost,
 }
 
 impl PlanBackend for ShardedFederation {
@@ -838,8 +762,30 @@ impl PlanBackend for ShardedFederation {
         }
     }
 
-    fn wait_sub(&self, sub: ShardedSub) -> Result<SubOutcome> {
-        self.wait_sharded(sub).map(|resolved| resolved.outcome)
+    /// Resolves a sharded sub-query, memoizing the merged outcome so
+    /// every sharer (the dedup pass) observes byte-identical answers
+    /// without re-gathering.
+    fn wait_sub(&self, sub: ShardedSub) -> Result<ShardedAnswer> {
+        let mut state = sub
+            .shared
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let SubState::Done(result) = &*state {
+            return result.clone();
+        }
+        let taken = std::mem::replace(
+            &mut *state,
+            SubState::Done(Err(CoreError::ProtocolViolation(
+                "sharded sub-query gather was interrupted",
+            ))),
+        );
+        let SubState::Scattered(scattered) = taken else {
+            unreachable!("Done was returned above");
+        };
+        let result = self.gather(scattered);
+        *state = SubState::Done(result.clone());
+        result
     }
 
     fn submit_ext(&self, dim: usize, extreme: Extreme, epsilon: f64) -> Result<ExtremeOutcome> {
@@ -879,194 +825,10 @@ impl PlanBackend for ShardedFederation {
     }
 }
 
-/// A scalar query in flight on the coordinator (the sharded twin of
-/// [`crate::PendingAnswer`], with the engine's simulation-boundary
-/// diagnostics stripped — they never leave the shards).
-pub struct ShardedPendingAnswer {
-    federation: ShardedFederation,
-    sub: ShardedSub,
-    cost: PrivacyCost,
-}
-
-impl ShardedPendingAnswer {
-    /// Blocks until every shard's partial landed and merges the release.
-    pub fn wait(self) -> Result<ShardedAnswer> {
-        let resolved = self.federation.wait_sharded(self.sub)?;
-        Ok(ShardedAnswer {
-            value: resolved.outcome.value,
-            cost: self.cost,
-            timings: resolved.outcome.timings,
-            ci_halfwidth: resolved.outcome.ci_halfwidth,
-            clusters_scanned: resolved.clusters_scanned,
-            covering_total: resolved.covering_total,
-            approximated_providers: resolved.approximated_providers,
-            allocations: resolved.allocations,
-        })
-    }
-}
-
-/// The coordinator's answer to one scalar query. Field-for-field the
-/// public face of [`crate::EngineAnswer`] — everything an analyst is
-/// allowed to see — minus the simulation-boundary diagnostics
-/// (`raw_estimate`, `smooth_ls`), which never leave the shards.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedAnswer {
-    /// The DP-released answer (byte-identical to the 1-shard release).
-    pub value: f64,
-    /// The `(ε, δ)` charged.
-    pub cost: PrivacyCost,
-    /// Per-phase latency (maxima across shards, coordinator allocation).
-    pub timings: PhaseTimings,
-    /// 95% sampling confidence half-width, when estimable.
-    pub ci_halfwidth: Option<f64>,
-    /// Total clusters scanned across all shards' providers.
-    pub clusters_scanned: usize,
-    /// Total covering-set size across all shards' providers.
-    pub covering_total: usize,
-    /// How many providers took the approximate path.
-    pub approximated_providers: usize,
-    /// Per-provider sample-size allocations, in global provider order.
-    pub allocations: Vec<u64>,
-}
-
-/// An analyst session over a [`ShardedFederation`]: the exact budget
-/// semantics of [`crate::ConcurrentSession`] — validate before charging,
-/// charge a plan's whole declared cost atomically before any fragment is
-/// scattered, keep the charge if anything downstream fails (fail-closed;
-/// a mid-plan shard failure must not refund, because released fragments
-/// may already have leaked their sub-answers' budget worth).
-#[derive(Debug, Clone)]
-pub struct ShardedSession {
-    federation: ShardedFederation,
-    accountant: SharedAccountant,
-    plan: SessionPlan,
-    per_query: QueryBudget,
-}
-
-impl ShardedSession {
-    /// Opens a session with total budget `(xi, psi)` under `plan`.
-    pub fn open(
-        federation: ShardedFederation,
-        xi: f64,
-        psi: f64,
-        plan: SessionPlan,
-    ) -> Result<Self> {
-        let accountant = SharedAccountant::new(xi, psi).map_err(CoreError::Dp)?;
-        Self::open_with_accountant(federation, accountant, plan)
-    }
-
-    /// Opens a session over an externally owned ledger (a serving
-    /// endpoint keys ledgers by analyst identity, exactly as with
-    /// [`crate::ConcurrentSession::open_with_accountant`]).
-    pub fn open_with_accountant(
-        federation: ShardedFederation,
-        accountant: SharedAccountant,
-        plan: SessionPlan,
-    ) -> Result<Self> {
-        let config = federation.config();
-        let hp = config.hyperparams;
-        let total = accountant.total();
-        let per_query = match plan {
-            SessionPlan::PayAsYouGo => config.query_budget()?,
-            SessionPlan::AdvancedComposition { planned_queries } => {
-                let per = advanced_per_query(total.eps, total.delta, planned_queries)?;
-                QueryBudget::split(per.eps, per.delta, hp)?
-            }
-        };
-        Ok(Self {
-            federation,
-            accountant,
-            plan,
-            per_query,
-        })
-    }
-
-    /// The session's budget plan.
-    #[inline]
-    pub fn plan(&self) -> SessionPlan {
-        self.plan
-    }
-
-    /// The `(ε, δ)` each scalar query costs under this session's plan.
-    pub fn per_query_cost(&self) -> PrivacyCost {
-        self.per_query.cost()
-    }
-
-    /// Remaining total budget.
-    pub fn remaining(&self) -> PrivacyCost {
-        self.accountant.remaining()
-    }
-
-    /// The budget consumed so far.
-    pub fn spent(&self) -> PrivacyCost {
-        self.accountant.spent()
-    }
-
-    /// Queries answered so far (successfully charged).
-    pub fn queries_answered(&self) -> u64 {
-        self.accountant.queries_answered()
-    }
-
-    /// Whether another scalar query still fits (advisory).
-    pub fn can_query(&self) -> bool {
-        self.accountant.can_afford(self.per_query.cost())
-    }
-
-    /// The coordinator this session queries through.
-    pub fn federation(&self) -> &ShardedFederation {
-        &self.federation
-    }
-
-    /// The shared ledger this session charges.
-    pub fn accountant(&self) -> &SharedAccountant {
-        &self.accountant
-    }
-
-    /// Atomically charges the session budget, then scatters the query.
-    /// Validation runs *before* the charge (a rejected request touches
-    /// no data and costs nothing); once scattered, the charge is kept
-    /// even if a shard later fails (fail-closed).
-    pub fn submit(&self, query: &RangeQuery, sampling_rate: f64) -> Result<ShardedPendingAnswer> {
-        self.federation
-            .validate_sub(query, sampling_rate, &self.per_query)?;
-        self.accountant
-            .charge(self.per_query.cost())
-            .map_err(CoreError::Dp)?;
-        self.federation
-            .submit_with_budget(query, sampling_rate, &self.per_query)
-    }
-
-    /// Answers one private query, atomically charging first.
-    pub fn query(&self, query: &RangeQuery, sampling_rate: f64) -> Result<ShardedAnswer> {
-        self.submit(query, sampling_rate)?.wait()
-    }
-
-    /// Atomically charges a plan's *entire* declared cost up front, then
-    /// scatters every sub-query. The whole charge is kept even if a
-    /// shard drops mid-plan (fail-closed — pinned by tests).
-    pub fn submit_plan(&self, plan: &QueryPlan) -> Result<PendingPlan<ShardedFederation>> {
-        self.federation.validate_plan(plan)?;
-        let (eps, delta) = plan.total_cost();
-        self.accountant
-            .charge(PrivacyCost { eps, delta })
-            .map_err(CoreError::Dp)?;
-        self.federation.submit_plan_validated(plan)
-    }
-
-    /// Answers one plan, atomically charging its whole cost first.
-    pub fn run_plan(&self, plan: &QueryPlan) -> Result<PlanAnswer> {
-        self.submit_plan(plan)?.wait()
-    }
-
-    /// `EXPLAIN` through a budgeted session — charges nothing.
-    pub fn explain_plan(&self, plan: &QueryPlan) -> Result<PlanExplanation> {
-        self.federation.explain_plan(plan)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{SessionPlan, ShardedSession};
     use fedaqp_model::{Aggregate, DerivedStatistic, Dimension, Domain, Range};
     use fedaqp_smc::CostModel;
 

@@ -9,11 +9,12 @@
 //!   (`Hello`/`Query`/`Batch`/`Answer`/`Error`/`BudgetStatus`), hand-rolled
 //!   in the defensive style of `fedaqp_storage::codec`: hard frame cap,
 //!   bounded declared lengths, strict trailing-byte rejection.
-//! * [`FederationServer`] — a thread-per-connection TCP server over an
-//!   [`fedaqp_core::EngineHandle`]. Per-analyst budgets are charged
-//!   through [`fedaqp_dp::BudgetDirectory`]-backed
-//!   [`fedaqp_core::ConcurrentSession`]s, so concurrent (or reconnecting)
-//!   remote analysts can never overspend their `(ξ, ψ)`.
+//! * [`FederationServer`] — a thread-per-connection TCP server running
+//!   one connection loop in four roles (engine, coordinator, live,
+//!   shard). Per-analyst budgets are charged through
+//!   [`fedaqp_dp::BudgetDirectory`]-backed [`fedaqp_core::Session`]s, so
+//!   concurrent (or reconnecting) remote analysts can never overspend
+//!   their `(ξ, ψ)`.
 //! * [`RemoteFederation`] — a blocking client mirroring the engine's
 //!   submit/wait API, so analyst code is indifferent to whether the
 //!   federation is in-process or across the network.

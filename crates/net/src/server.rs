@@ -1,70 +1,80 @@
-//! The TCP federation server: the engine's network face, in one of four
-//! roles.
+//! The TCP federation server: one connection loop, four roles.
 //!
-//! **Analyst server over an engine** ([`FederationServer::bind`]) wraps
-//! an [`EngineHandle`] — the analyst-facing handle of the concurrent
-//! worker pool — and serves it over real sockets, thread-per-connection:
-//! the accept loop runs on one background thread and every connection
-//! gets its own, so N remote analysts drive the engine exactly like N
-//! in-process analyst threads do. All protocol state (budget ledgers,
-//! in-flight jobs) lives in thread-safe structures the engine already
-//! provides; the server adds no locking of its own beyond the listener.
+//! A [`FederationServer`] is an accept thread plus one thread per
+//! connection, and every connection — whatever the listener serves — runs
+//! the same state machine, `serve_connection`:
 //!
-//! **Analyst server over a coordinator**
-//! ([`FederationServer::bind_coordinator`]) serves the identical analyst
-//! protocol from a [`ShardedFederation`] that scatters each sub-query to
-//! downstream shard servers. Analysts cannot tell the difference — same
-//! frames, same typed errors, and (by the coordinator's determinism
-//! contract) byte-identical answers to the 1-shard deployment.
+//! 1. **Handshake** (`handshake`): exactly one `Hello`, answered with a
+//!    `HelloAck` at `min(peer's header version, VERSION)` — the version
+//!    every later reply on the connection is encoded at, so a v1 client
+//!    sees byte-identical v1 frames. A wrong first frame, an unknown
+//!    header version and a `Hello` below the role's floor each get a typed
+//!    error frame *the peer can decode*, then the close.
+//! 2. **Gate** (`Gate::of`): each request frame is looked up in one static
+//!    table — which roles serve its kind, from which negotiated version,
+//!    under which metric name — *before* anything else runs. A frame the
+//!    role does not serve, then a frame the connection's version cannot
+//!    answer, is refused with a typed `bad-request` right there: one
+//!    place, role first, always before any ledger is touched. The
+//!    connection stays open.
+//! 3. **Dispatch**: the handler reaches the engine through the
+//!    `Backend` trait and writes its replies through the connection's
+//!    `Sink`. A malformed frame leaves the stream unsynchronized; it is
+//!    reported (typed, including version mismatches) and the connection
+//!    closed.
 //!
-//! **Live server** ([`FederationServer::bind_live`]) serves the same
-//! analyst protocol from a [`LiveFederation`] behind one reader–writer
-//! lock, plus the wire-v6 live surface: `Ingest` frames append rows to a
-//! provider under the write lock (answered with an `IngestAck` carrying
-//! the accepted count, the new epoch, and whether the staleness policy
-//! triggered a metadata refresh), and `OnlinePlan` frames stream each
-//! round's [`PlanSnapshot`] back as a server-push `OnlineSnapshot` frame
-//! the moment it resolves, closed by `OnlineDone`. Queries hold the read
-//! lock for their whole lifetime, so every answer conditions on exactly
-//! one epoch. The frozen modes refuse `Ingest` with a typed error, and
-//! pre-v6 clients get a typed bad-request before any charge.
+//! The four roles are four columns of the gate table over three backends
+//! (`docs/architecture.md` carries the full role × frame table):
 //!
-//! **Shard server** ([`FederationServer::bind_shard`]) serves only the
-//! v4 fragment frames to an upstream coordinator, one fragment lifecycle
-//! per connection, with *no* budget directory: fragments arrive already
-//! charged at the coordinator, the single ξ authority (see
-//! `docs/privacy-model.md`). The two analyst modes symmetrically refuse
-//! fragment frames — serving a fragment to an arbitrary analyst would
-//! bypass the budget ledger and hand out occurrence-differencing oracles.
+//! * **Engine** ([`FederationServer::bind`]) — the analyst protocol over a
+//!   long-lived [`EngineHandle`]: N remote analysts drive the worker pool
+//!   exactly like N in-process analyst threads do.
+//! * **Coordinator** ([`FederationServer::bind_coordinator`]) — the same
+//!   analyst protocol over a [`ShardedFederation`] that scatters each
+//!   sub-query to downstream shards. Analysts cannot tell the difference:
+//!   same frames, same typed errors, byte-identical answers.
+//! * **Live** ([`FederationServer::bind_live`]) — the analyst protocol
+//!   plus `Ingest`, over a [`LiveFederation`] behind one reader–writer
+//!   lock. A handler holds the read side (and a scoped engine) for its
+//!   whole call, so a query, a batch, or every round of an online plan
+//!   conditions on exactly one epoch; an accepted `Ingest` batch takes the
+//!   write side between handlers.
+//! * **Shard** ([`FederationServer::bind_shard`]) — only the v4 fragment
+//!   frames, to an upstream coordinator, one fragment lifecycle per
+//!   connection, with *no* budget directory: fragments arrive already
+//!   charged at the coordinator, the single ξ authority (see
+//!   `docs/privacy-model.md`). The analyst roles symmetrically refuse
+//!   fragment frames — serving a fragment to an arbitrary analyst would
+//!   bypass the budget ledger and hand out occurrence-differencing
+//!   oracles.
 //!
-//! Budget enforcement: with [`ServeOptions::with_budget`], every
-//! connection is wrapped in a [`ConcurrentSession`] whose ledger comes
-//! from a [`BudgetDirectory`] keyed by the analyst identity declared in
-//! the `Hello` frame. Reconnecting or opening parallel connections can
-//! therefore never reset or multiply an analyst's `(ξ, ψ)` — racing
-//! charges hit one atomic [`fedaqp_dp::SharedAccountant`]. An exhausted
-//! budget surfaces as a typed [`ErrorCode::BudgetExhausted`] error
-//! frame; the connection stays open. A whole [`QueryPlan`] is validated
-//! and charged atomically up front the same way.
+//! Budget enforcement: with [`ServeOptions::with_budget`], a connection's
+//! ledger is the [`SharedAccountant`] a [`BudgetDirectory`] keeps for the
+//! analyst identity declared in the `Hello`; each charged request opens a
+//! transient [`Session`] over it, which validates, charges atomically,
+//! then submits (a whole [`QueryPlan`] is charged up front the same way).
+//! Reconnecting or opening parallel connections can therefore never reset
+//! or multiply an analyst's `(ξ, ψ)`. An exhausted budget surfaces as a
+//! typed [`ErrorCode::BudgetExhausted`] error frame; the connection stays
+//! open.
 //!
 //! What never crosses the wire: providers' raw (pre-noise) estimates and
-//! smooth sensitivities. Those fields exist on [`EngineAnswer`] as
-//! simulation-boundary diagnostics; the answer projection deliberately
-//! drops them so a remote analyst sees only DP-released values. Transport
+//! smooth sensitivities. Every backend resolves a scalar query to a
+//! [`ShardedAnswer`] — the analyst-visible projection that has no such
+//! fields — so a remote analyst sees only DP-released values. Transport
 //! security (TLS, authn) is out of scope — see the README threat model.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::thread::JoinHandle;
 
 use fedaqp_core::{
-    ConcurrentSession, CoreError, EngineAnswer, EngineHandle, FederationConfig, LiveFederation,
-    PendingAnswer, PendingFragment, PendingPlan, PlanAnswer, PlanExplanation, PlanResult,
-    PlanSnapshot, QueryPlan, SessionPlan, ShardedAnswer, ShardedFederation, ShardedPendingAnswer,
-    ShardedSession,
+    CoreError, EngineHandle, FederationConfig, IngestReport, LiveFederation, PendingExtreme,
+    PendingFragment, PendingPlan, PlanAnswer, PlanBackend, PlanResult, PlanSnapshot, QueryPlan,
+    Session, SessionPlan, ShardedAnswer, ShardedFederation,
 };
-use fedaqp_dp::{BudgetDirectory, DpError, PrivacyCost, QueryBudget, SharedAccountant};
+use fedaqp_dp::{BudgetDirectory, DpError, QueryBudget, SharedAccountant};
 use fedaqp_model::{Row, Schema};
 use fedaqp_obs as obs;
 
@@ -74,7 +84,7 @@ use crate::wire::{
     FragmentSummariesFrame, Frame, HelloAck, IngestAckFrame, MetricsAnswerFrame, OnlineDoneFrame,
     OnlinePlanRequest, OnlineSnapshotFrame, PlanAnswerFrame, QueryRequest, ShardBoundsFrame,
     WireDimension, WireGroup, WireMetric, WirePartialRow, WirePlanResult, WireProviderBounds,
-    WireSummary, VERSION,
+    WireSummary, MIN_VERSION, VERSION,
 };
 use crate::{NetError, Result};
 
@@ -102,108 +112,220 @@ impl ServeOptions {
             per_analyst: Some((xi, psi)),
         }
     }
-}
 
-/// The analyst-facing engine behind a server: one in-process worker
-/// pool, or a sharded coordinator scattering to downstream shards. The
-/// analyst protocol is identical either way — that is the point.
-#[derive(Clone)]
-enum AnalystBackend {
-    Engine(EngineHandle),
-    Coordinator(ShardedFederation),
-}
-
-impl AnalystBackend {
-    fn config(&self) -> &FederationConfig {
-        match self {
-            AnalystBackend::Engine(h) => h.config(),
-            AnalystBackend::Coordinator(f) => f.config(),
-        }
-    }
-
-    fn schema(&self) -> &Schema {
-        match self {
-            AnalystBackend::Engine(h) => h.schema(),
-            AnalystBackend::Coordinator(f) => f.schema(),
-        }
-    }
-
-    fn explain_plan(&self, plan: &QueryPlan) -> fedaqp_core::Result<PlanExplanation> {
-        match self {
-            AnalystBackend::Engine(h) => h.explain_plan(plan),
-            AnalystBackend::Coordinator(f) => f.explain_plan(plan),
-        }
+    /// The per-identity ledger directory these options ask for.
+    fn directory(self) -> Result<Option<Arc<BudgetDirectory>>> {
+        self.per_analyst
+            .map(|(xi, psi)| {
+                BudgetDirectory::new(xi, psi)
+                    .map(Arc::new)
+                    .map_err(|e| NetError::BadServeConfig(e.to_string()))
+            })
+            .transpose()
     }
 }
 
-/// One analyst's budget session, matching its backend's flavor.
-enum AnalystSession {
-    Engine(ConcurrentSession),
-    Sharded(ShardedSession),
+/// Which of the four serving roles a listener plays — a column of the
+/// gate table ([`Gate::of`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// Analysts over a long-lived engine.
+    Engine,
+    /// Analysts over a scatter–gather coordinator.
+    Coordinator,
+    /// Analysts plus streaming ingest over a live federation.
+    Live,
+    /// An upstream coordinator's fragments over an engine.
+    Shard,
 }
 
-/// An in-flight scalar query on either backend.
-enum PendingQuery {
-    Engine(PendingAnswer),
-    Sharded(ShardedPendingAnswer),
-}
+const LIVE: u8 = Role::Live.bit();
+const SHARD: u8 = Role::Shard.bit();
+/// Every role that faces analysts.
+const ANALYST: u8 = Role::Engine.bit() | Role::Coordinator.bit() | LIVE;
 
-impl PendingQuery {
-    /// Blocks for the answer and projects it onto the wire at `index`.
-    fn wait(self, index: u32) -> fedaqp_core::Result<Frame> {
+impl Role {
+    /// The role's bit in a [`Gate::roles`] mask.
+    const fn bit(self) -> u8 {
+        1 << self as u8
+    }
+
+    /// The lowest `Hello` version the role shakes hands at. Every frame
+    /// the shard role serves exists only from v4; an older peer could
+    /// never speak to it, so it is refused at the handshake instead of
+    /// failing every later frame.
+    fn min_hello(self) -> u16 {
         match self {
-            PendingQuery::Engine(p) => p.wait().map(|a| answer_frame(index, &a)),
-            PendingQuery::Sharded(p) => p.wait().map(|a| sharded_answer_frame(index, &a)),
+            Role::Shard => 4,
+            _ => MIN_VERSION,
         }
     }
 }
 
-/// An in-flight plan on either backend (both wait to a [`PlanAnswer`]).
-enum PendingPlanEither {
-    Engine(PendingPlan),
-    Sharded(PendingPlan<ShardedFederation>),
+/// One row of the gate table.
+struct Gate {
+    /// Bitmask of the roles that serve the frame kind.
+    roles: u8,
+    /// The negotiated version the kind's *reply* frames exist from: a
+    /// request may decode from its own frame header, but the reply must
+    /// be encodable at the version negotiated at the handshake, so a
+    /// newer frame smuggled onto an older connection is refused at the
+    /// gate — before any budget is charged or any sub-query dispatched
+    /// (the reply encoding would otherwise fail and hang up after the
+    /// charge).
+    min_version: u16,
+    /// The kind's name in the version refusal.
+    noun: &'static str,
+    /// The kind's cell of the `fedaqp_server_frames_total.` family — a
+    /// static protocol kind, never request content.
+    metric: &'static str,
 }
 
-impl PendingPlanEither {
-    fn wait(self) -> fedaqp_core::Result<PlanAnswer> {
-        match self {
-            PendingPlanEither::Engine(p) => p.wait(),
-            PendingPlanEither::Sharded(p) => p.wait(),
-        }
-    }
+/// The cell counting frames no gate row names.
+const OTHER_FRAMES: &str = "fedaqp_server_frames_total.other";
 
-    /// [`Self::wait`] with the per-snapshot hook of an online plan — the
-    /// server's push loop writes one frame per invocation.
-    fn wait_streaming(
-        self,
-        on_snapshot: impl FnMut(&PlanSnapshot),
-    ) -> fedaqp_core::Result<PlanAnswer> {
-        match self {
-            PendingPlanEither::Engine(p) => p.wait_streaming(on_snapshot),
-            PendingPlanEither::Sharded(p) => p.wait_streaming(on_snapshot),
-        }
+impl Gate {
+    /// The gate table: every request-frame kind, who serves it, and from
+    /// which negotiated version. `None` is a second `Hello` or a
+    /// server-to-client frame, which no role serves. (The whole
+    /// coordinator → shard family is one lifecycle, so one row.)
+    #[rustfmt::skip]
+    fn of(frame: &Frame) -> Option<Gate> {
+        use Frame::*;
+        let (roles, min_version, noun, metric) = match frame {
+            Query(_)      => (ANALYST, 1, "query",       "fedaqp_server_frames_total.query"),
+            Batch(_)      => (ANALYST, 1, "batch",       "fedaqp_server_frames_total.batch"),
+            Plan(_)       => (ANALYST, 2, "plan",        "fedaqp_server_frames_total.plan"),
+            Explain(_)    => (ANALYST, 3, "explain",     "fedaqp_server_frames_total.explain"),
+            BudgetRequest => (ANALYST, 1, "budget",      "fedaqp_server_frames_total.budget"),
+            Metrics       => (ANALYST, 5, "metrics",     "fedaqp_server_frames_total.metrics"),
+            OnlinePlan(_) => (ANALYST, 6, "online-plan", "fedaqp_server_frames_total.online"),
+            Ingest(_)     => (LIVE,    6, "ingest",      "fedaqp_server_frames_total.ingest"),
+            Fragment(_) | FragmentSummariesRequest | FragmentAllocation(_)
+            | FragmentPartialRequest | FragmentAbort | ExtremeFragment(_)
+            | ShardBoundsRequest
+                          => (SHARD,   4, "fragment",    "fedaqp_server_frames_total.fragment"),
+            _ => return None,
+        };
+        Some(Gate { roles, min_version, noun, metric })
     }
 }
 
-/// What a bound server serves: analysts (over either backend) or an
-/// upstream coordinator (fragment frames only).
-#[derive(Clone)]
-enum ServerMode {
-    Analyst {
-        backend: AnalystBackend,
-        directory: Option<Arc<BudgetDirectory>>,
-    },
-    /// Live federation: the analyst protocol plus the v6 streaming-ingest
-    /// path, over a [`LiveFederation`] behind a reader–writer lock.
-    /// Queries hold the read side for their whole lifetime — pinning one
-    /// epoch, data version, and seed — while an accepted `Ingest` batch
-    /// takes the write side between queries, so no query ever observes a
-    /// half-applied batch.
-    Live {
-        live: Arc<RwLock<LiveFederation>>,
-        directory: Option<Arc<BudgetDirectory>>,
-    },
-    Shard(EngineHandle),
+/// The one place a frame is refused for its role or version: `Some`
+/// carries the `bad-request` message, `None` admits the frame to its
+/// handler. Role first — a frame the listener never serves is refused the
+/// same way at every version — then the version floor.
+fn refusal(role: Role, gate: Option<&Gate>, version: u16) -> Option<String> {
+    let served = gate.filter(|gate| gate.roles & role.bit() != 0);
+    let Some(gate) = served else {
+        let message = match (role, gate.map(|gate| gate.roles)) {
+            // Querying a shard directly would bypass the coordinator's
+            // single budget ledger.
+            (Role::Shard, _) => {
+                "analyst frames are not served in shard mode (connect to the coordinator)"
+            }
+            // Fragments arrive pre-charged from a coordinator and let the
+            // caller pick occurrence indices — an occurrence-differencing
+            // oracle in an analyst's hands.
+            (_, Some(SHARD)) => "fragment frames are served only by a shard-mode server",
+            // A frozen federation's metadata, epochs and seed never move;
+            // accepting rows would silently drop them from every answer.
+            (_, Some(LIVE)) => "ingest frames are served only by a live-mode server",
+            _ => "unexpected frame kind",
+        };
+        return Some(message.to_owned());
+    };
+    (version < gate.min_version).then(|| {
+        format!(
+            "{} frames need a v{v}-negotiated connection (reconnect with a v{v} Hello)",
+            gate.noun,
+            v = gate.min_version
+        )
+    })
+}
+
+/// How handlers reach the engine behind a listener. Three impls: the
+/// long-lived [`EngineHandle`] (engine and shard roles), the
+/// [`ShardedFederation`] coordinator, and the live federation's lock.
+trait Backend: Clone + Send + 'static {
+    /// The plan surface queries run on.
+    type Plans: PlanBackend;
+
+    /// The public configuration and schema a `HelloAck` advertises.
+    fn with_public<R>(&self, f: impl FnOnce(&FederationConfig, &Schema) -> R) -> R;
+
+    /// Runs `f` against the plan surface. A frozen backend is its own
+    /// surface; the live backend holds the lock's read side and a scoped
+    /// engine for the whole call, pinning one epoch, data version and
+    /// seed for everything `f` does.
+    fn with_plans<R>(&self, f: impl FnOnce(&Self::Plans) -> R) -> R;
+
+    /// Appends one ingest batch. Only a live federation moves; the gate
+    /// table keeps `Ingest` frames from every other backend.
+    fn ingest(&self, _provider: usize, _rows: Vec<Row>) -> fedaqp_core::Result<IngestReport> {
+        Err(CoreError::BadConfig("this server's federation is frozen"))
+    }
+
+    /// The worker pool fragment frames run on; only an engine has one.
+    fn fragment_engine(&self) -> Option<&EngineHandle> {
+        None
+    }
+}
+
+impl Backend for EngineHandle {
+    type Plans = EngineHandle;
+
+    fn with_public<R>(&self, f: impl FnOnce(&FederationConfig, &Schema) -> R) -> R {
+        f(self.config(), self.schema())
+    }
+
+    fn with_plans<R>(&self, f: impl FnOnce(&EngineHandle) -> R) -> R {
+        f(self)
+    }
+
+    fn fragment_engine(&self) -> Option<&EngineHandle> {
+        Some(self)
+    }
+}
+
+impl Backend for ShardedFederation {
+    type Plans = ShardedFederation;
+
+    fn with_public<R>(&self, f: impl FnOnce(&FederationConfig, &Schema) -> R) -> R {
+        f(self.config(), self.schema())
+    }
+
+    fn with_plans<R>(&self, f: impl FnOnce(&ShardedFederation) -> R) -> R {
+        f(self)
+    }
+}
+
+/// The live federation behind its reader–writer lock. Lock poisoning is
+/// survivable: the lock guards no invariant a panicked query could have
+/// broken (a query only *reads*; ingest applies its batch atomically
+/// before any unlock), so a poisoned lock is served rather than cascading
+/// the panic across every connection thread.
+impl Backend for Arc<RwLock<LiveFederation>> {
+    type Plans = EngineHandle;
+
+    fn with_public<R>(&self, f: impl FnOnce(&FederationConfig, &Schema) -> R) -> R {
+        let live = self.read().unwrap_or_else(PoisonError::into_inner);
+        f(live.federation().config(), live.federation().schema())
+    }
+
+    fn with_plans<R>(&self, f: impl FnOnce(&EngineHandle) -> R) -> R {
+        let live = self.read().unwrap_or_else(PoisonError::into_inner);
+        live.federation().with_engine(f)
+    }
+
+    /// Write side of the lock: waits out in-flight handlers, applies the
+    /// batch atomically (append + incremental metadata + epoch bump + seed
+    /// re-salt), and releases before the ack is written.
+    fn ingest(&self, provider: usize, rows: Vec<Row>) -> fedaqp_core::Result<IngestReport> {
+        self.write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .ingest(provider, rows)
+    }
 }
 
 /// A running federation server.
@@ -223,7 +345,7 @@ impl FederationServer {
     /// ephemeral port) and starts accepting analyst connections against
     /// `handle`'s engine.
     pub fn bind(addr: &str, handle: EngineHandle, options: ServeOptions) -> Result<Self> {
-        Self::bind_analyst(addr, AnalystBackend::Engine(handle), options)
+        Self::bind_role(addr, Role::Engine, handle, options.directory()?)
     }
 
     /// Binds `addr` and serves the analyst protocol from a sharded
@@ -235,7 +357,7 @@ impl FederationServer {
         federation: ShardedFederation,
         options: ServeOptions,
     ) -> Result<Self> {
-        Self::bind_analyst(addr, AnalystBackend::Coordinator(federation), options)
+        Self::bind_role(addr, Role::Coordinator, federation, options.directory()?)
     }
 
     /// Binds `addr` in live mode: the analyst protocol of [`Self::bind`]
@@ -246,20 +368,8 @@ impl FederationServer {
     /// seed (see [`LiveFederation`]). Non-live servers refuse `Ingest`
     /// frames with a typed error.
     pub fn bind_live(addr: &str, live: LiveFederation, options: ServeOptions) -> Result<Self> {
-        let directory = match options.per_analyst {
-            Some((xi, psi)) => Some(Arc::new(
-                BudgetDirectory::new(xi, psi)
-                    .map_err(|e| NetError::BadServeConfig(e.to_string()))?,
-            )),
-            None => None,
-        };
-        Self::bind_mode(
-            addr,
-            ServerMode::Live {
-                live: Arc::new(RwLock::new(live)),
-                directory,
-            },
-        )
+        let live = Arc::new(RwLock::new(live));
+        Self::bind_role(addr, Role::Live, live, options.directory()?)
     }
 
     /// Binds `addr` in shard mode: the server answers only v4 fragment
@@ -268,21 +378,15 @@ impl FederationServer {
     /// coordinator is the single ξ authority and charges before it
     /// scatters.
     pub fn bind_shard(addr: &str, handle: EngineHandle) -> Result<Self> {
-        Self::bind_mode(addr, ServerMode::Shard(handle))
+        Self::bind_role(addr, Role::Shard, handle, None)
     }
 
-    fn bind_analyst(addr: &str, backend: AnalystBackend, options: ServeOptions) -> Result<Self> {
-        let directory = match options.per_analyst {
-            Some((xi, psi)) => Some(Arc::new(
-                BudgetDirectory::new(xi, psi)
-                    .map_err(|e| NetError::BadServeConfig(e.to_string()))?,
-            )),
-            None => None,
-        };
-        Self::bind_mode(addr, ServerMode::Analyst { backend, directory })
-    }
-
-    fn bind_mode(addr: &str, mode: ServerMode) -> Result<Self> {
+    fn bind_role<B: Backend>(
+        addr: &str,
+        role: Role,
+        backend: B,
+        directory: Option<Arc<BudgetDirectory>>,
+    ) -> Result<Self> {
         let listener = TcpListener::bind(addr).map_err(|e| NetError::Bind {
             addr: addr.to_owned(),
             message: e.to_string(),
@@ -291,7 +395,7 @@ impl FederationServer {
         let stop = Arc::new(AtomicBool::new(false));
         let accept = {
             let stop = Arc::clone(&stop);
-            std::thread::spawn(move || accept_loop(listener, mode, stop))
+            std::thread::spawn(move || accept_loop(listener, role, backend, directory, stop))
         };
         Ok(Self {
             local_addr,
@@ -323,558 +427,472 @@ impl FederationServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, mode: ServerMode, stop: Arc<AtomicBool>) {
+fn accept_loop<B: Backend>(
+    listener: TcpListener,
+    role: Role,
+    backend: B,
+    directory: Option<Arc<BudgetDirectory>>,
+    stop: Arc<AtomicBool>,
+) {
     for stream in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
-        let mode = mode.clone();
+        let backend = backend.clone();
+        let directory = directory.clone();
         std::thread::spawn(move || {
             // Connection failures are the peer's problem to observe; the
             // server just moves on to other connections.
-            let _ = match mode {
-                ServerMode::Analyst { backend, directory } => {
-                    serve_connection(stream, backend, directory)
-                }
-                ServerMode::Live { live, directory } => {
-                    serve_live_connection(stream, live, directory)
-                }
-                ServerMode::Shard(handle) => serve_shard_connection(stream, handle),
-            };
+            let _ = serve_connection(stream, role, &backend, directory.as_deref());
         });
     }
 }
 
-/// Builds the typed reply to a frame whose header declared a version this
-/// server does not speak. The `index` field carries the server's maximum
-/// version (documented on [`ErrorCode::UnsupportedVersion`]) so the client
-/// can surface both sides of the failed negotiation.
-fn unsupported_version_reply(requested: u16) -> Frame {
-    Frame::Error(ErrorFrame {
-        index: VERSION as u32,
-        code: ErrorCode::UnsupportedVersion,
-        message: format!(
-            "server speaks wire-protocol versions {}..={}, frame declared {}",
-            crate::wire::MIN_VERSION,
-            VERSION,
-            requested
-        ),
-    })
+/// The connection's write half. Every reply and every server push goes
+/// through [`Sink::send`], encoded at the version negotiated at the
+/// handshake.
+struct Sink {
+    stream: TcpStream,
+    version: u16,
 }
 
-/// One analyst connection, served to completion.
-///
-/// The connection speaks the version negotiated at the handshake:
-/// `min(client's Hello header version, VERSION)`. Every reply is encoded
-/// at that version, so a v1 client sees byte-identical v1 frames while a
-/// v2 client may additionally submit plans and a v3 client may ask for
-/// plan explanations.
-fn serve_connection(
-    mut stream: TcpStream,
-    backend: AnalystBackend,
-    directory: Option<Arc<BudgetDirectory>>,
+impl Sink {
+    fn send(&mut self, frame: &Frame) -> Result<()> {
+        write_frame_at(&mut self.stream, frame, self.version)
+    }
+}
+
+/// Everything one connection remembers between frames.
+struct Connection {
+    sink: Sink,
+    /// The identity declared in the `Hello` (labels the ξ gauge).
+    analyst: String,
+    /// The analyst's durable ledger, when the listener caps budgets. The
+    /// sessions that charge it are opened per request; the ledger is not.
+    ledger: Option<SharedAccountant>,
+    /// Requests answered on this connection (what an uncapped
+    /// `BudgetStatus` reports).
+    answered: u64,
+    /// The shard role's fragment in flight: a connection carries at most
+    /// one lifecycle at a time. Dropping the connection mid-fragment
+    /// aborts it ([`PendingFragment`]'s drop unparks the workers), so a
+    /// vanished coordinator never wedges the shard.
+    fragment: Option<PendingFragment>,
+}
+
+/// One connection of any role, served to completion.
+fn serve_connection<B: Backend>(
+    stream: TcpStream,
+    role: Role,
+    backend: &B,
+    directory: Option<&BudgetDirectory>,
 ) -> Result<()> {
     obs::counter_add(obs::names::SERVER_CONNECTIONS, 1);
     // Frames are small and latency-sensitive; never batch them.
     stream.set_nodelay(true).ok();
-
-    // ---- Handshake: exactly one Hello, answered with HelloAck. ----
-    let (hello, version) = match read_frame_versioned(&mut stream) {
-        Ok((Frame::Hello(h), v)) => (h, v.min(VERSION)),
-        Ok(_) => {
-            let _ = write_frame_at(
-                &mut stream,
-                &error_reply(0, ErrorCode::BadRequest, "expected a Hello frame"),
-                VERSION,
-            );
-            return Err(NetError::Handshake("expected Hello"));
-        }
-        Err(NetError::Disconnected) => return Ok(()),
-        Err(e) => {
-            // An unknown header version gets the typed negotiation error
-            // (at v1, the most interoperable encoding) before the close —
-            // never a bare hangup.
-            let reply = match &e {
-                NetError::UnsupportedVersion { requested, .. } => {
-                    unsupported_version_reply(*requested)
-                }
-                _ => error_reply(0, ErrorCode::BadRequest, &e.to_string()),
-            };
-            let _ = write_frame_at(&mut stream, &reply, crate::wire::MIN_VERSION);
-            return Err(e);
-        }
+    let Some(mut conn) = handshake(stream, role, backend, directory)? else {
+        return Ok(());
     };
-    let session = match &directory {
-        Some(dir) => {
-            let accountant = dir.accountant(&hello.analyst);
-            let opened = match &backend {
-                AnalystBackend::Engine(h) => ConcurrentSession::open_with_accountant(
-                    h.clone(),
-                    accountant,
-                    SessionPlan::PayAsYouGo,
-                )
-                .map(AnalystSession::Engine),
-                AnalystBackend::Coordinator(f) => ShardedSession::open_with_accountant(
-                    f.clone(),
-                    accountant,
-                    SessionPlan::PayAsYouGo,
-                )
-                .map(AnalystSession::Sharded),
-            };
-            Some(opened.map_err(|e| {
-                let _ = write_frame_at(
-                    &mut stream,
-                    &error_reply(0, ErrorCode::Internal, &e.to_string()),
-                    version,
-                );
-                NetError::Handshake("session open failed")
-            })?)
-        }
-        None => None,
-    };
-    write_frame_at(
-        &mut stream,
-        &Frame::HelloAck(hello_ack(backend.config(), backend.schema(), &directory)),
-        version,
-    )?;
-
-    // ---- Request loop. ----
-    let mut answered: u64 = 0;
     loop {
-        match read_frame_versioned(&mut stream).map(|(frame, _)| frame) {
-            Ok(Frame::Query(spec)) => {
-                count_frame("query");
-                let reply = match submit(&backend, session.as_ref(), &spec).and_then(|p| p.wait(0))
-                {
-                    Ok(frame) => {
-                        answered += 1;
-                        obs::counter_add(obs::names::SERVER_QUERIES, 1);
-                        frame
-                    }
-                    Err(e) => core_error_reply(0, &e),
-                };
-                record_xi_spent(&hello.analyst, session.as_ref());
-                write_frame_at(&mut stream, &reply, version)?;
-            }
-            Ok(Frame::Batch(batch)) => {
-                count_frame("batch");
-                // Submit everything before waiting on anything: the worker
-                // pool pipelines the whole batch exactly as it does for an
-                // in-process `run_batch`.
-                let pending: Vec<_> = batch
-                    .specs
-                    .iter()
-                    .map(|spec| submit(&backend, session.as_ref(), spec))
-                    .collect();
-                for (i, p) in pending.into_iter().enumerate() {
-                    let reply = match p.and_then(|p| p.wait(i as u32)) {
-                        Ok(frame) => {
-                            answered += 1;
-                            obs::counter_add(obs::names::SERVER_QUERIES, 1);
-                            frame
-                        }
-                        Err(e) => core_error_reply(i as u32, &e),
-                    };
-                    write_frame_at(&mut stream, &reply, version)?;
-                }
-                record_xi_spent(&hello.analyst, session.as_ref());
-            }
-            Ok(Frame::Plan(request)) => {
-                count_frame("plan");
-                // Plan frames decode only from a v2 *frame header*, but the
-                // reply must be encodable at the version negotiated at the
-                // handshake — a v1-negotiated connection smuggling a v2
-                // plan frame gets a typed rejection BEFORE any budget is
-                // charged or any sub-query dispatched (the reply encoding
-                // would otherwise fail and hang up after the charge).
-                if version < 2 {
-                    write_frame_at(
-                        &mut stream,
-                        &error_reply(
-                            0,
-                            ErrorCode::BadRequest,
-                            "plan frames need a v2-negotiated connection (reconnect with a v2 Hello)",
-                        ),
-                        version,
-                    )?;
-                    continue;
-                }
-                // Every sub-query is submitted (and the whole plan charged)
-                // before the wait — the per-group fan-out pipelines on the
-                // worker pool exactly as in-process plans do.
-                let reply = match submit_plan(&backend, session.as_ref(), &request.plan)
-                    .and_then(PendingPlanEither::wait)
-                {
-                    Ok(answer) => {
-                        answered += 1;
-                        obs::counter_add(obs::names::SERVER_QUERIES, 1);
-                        plan_answer_frame(0, &answer)
-                    }
-                    Err(e) => core_error_reply(0, &e),
-                };
-                record_xi_spent(&hello.analyst, session.as_ref());
-                write_frame_at(&mut stream, &reply, version)?;
-            }
-            Ok(Frame::Explain(request)) => {
-                count_frame("explain");
-                // Same guard as plans: the reply frame exists only from
-                // v3, so a connection negotiated below that gets a typed
-                // rejection instead of an encode failure.
-                if version < 3 {
-                    write_frame_at(
-                        &mut stream,
-                        &error_reply(
-                            0,
-                            ErrorCode::BadRequest,
-                            "explain frames need a v3-negotiated connection (reconnect with a v3 Hello)",
-                        ),
-                        version,
-                    )?;
-                    continue;
-                }
-                // Explaining runs nothing and charges no budget — the
-                // explanation is a pure function of the plan and the
-                // public offline metadata, so it bypasses the session
-                // ledger entirely (and `answered` stays put).
-                let reply = match backend.explain_plan(&request.plan) {
-                    Ok(explanation) => Frame::ExplainAnswer(ExplainAnswerFrame {
-                        index: 0,
-                        explanation,
-                    }),
-                    Err(e) => core_error_reply(0, &e),
-                };
-                write_frame_at(&mut stream, &reply, version)?;
-            }
-            Ok(Frame::BudgetRequest) => {
-                count_frame("budget");
-                write_frame_at(
-                    &mut stream,
-                    &Frame::BudgetStatus(budget_status(
-                        session_charges(session.as_ref()),
-                        answered,
-                    )),
-                    version,
-                )?;
-            }
-            Ok(Frame::Metrics) => {
-                count_frame("metrics");
-                // Same guard as plans/explains: the reply frame exists
-                // only from v5, so a connection negotiated below that
-                // gets a typed rejection instead of an encode failure.
-                if version < 5 {
-                    write_frame_at(
-                        &mut stream,
-                        &error_reply(
-                            0,
-                            ErrorCode::BadRequest,
-                            "metrics frames need a v5-negotiated connection (reconnect with a v5 Hello)",
-                        ),
-                        version,
-                    )?;
-                    continue;
-                }
-                // The snapshot is public by construction: every sample in
-                // the registry passed the `ObsValue` provenance boundary
-                // (durations, counts, public metadata, released spend).
-                write_frame_at(&mut stream, &metrics_answer_frame(), version)?;
-            }
-            Ok(Frame::OnlinePlan(request)) => {
-                count_frame("online");
-                // Same guard as plans/explains/metrics: every push frame
-                // of the online conversation exists only from v6, so the
-                // typed rejection lands BEFORE any budget is charged.
-                if version < 6 {
-                    write_frame_at(
-                        &mut stream,
-                        &error_reply(
-                            0,
-                            ErrorCode::BadRequest,
-                            "online-plan frames need a v6-negotiated connection (reconnect with a v6 Hello)",
-                        ),
-                        version,
-                    )?;
-                    continue;
-                }
-                // The whole plan's (ε, δ) is validated and charged
-                // atomically before the first round dispatches
-                // (fail-closed); snapshots then push as rounds resolve.
-                match submit_plan(&backend, session.as_ref(), &online_plan(&request)) {
-                    Ok(pending) => {
-                        if stream_online_answer(&mut stream, version, pending)? {
-                            answered += 1;
-                            obs::counter_add(obs::names::SERVER_QUERIES, 1);
-                        }
-                    }
-                    Err(e) => write_frame_at(&mut stream, &core_error_reply(0, &e), version)?,
-                }
-                record_xi_spent(&hello.analyst, session.as_ref());
-            }
-            Ok(Frame::Ingest(_)) => {
-                count_frame("ingest");
-                // This server's federation is frozen — its metadata,
-                // epochs, and seed never move. Accepting rows here would
-                // silently drop them from every answer; refuse typed.
-                write_frame_at(
-                    &mut stream,
-                    &error_reply(
-                        0,
-                        ErrorCode::BadRequest,
-                        "ingest frames are served only by a live-mode server",
-                    ),
-                    version,
-                )?;
-            }
-            Ok(
-                Frame::Fragment(_)
-                | Frame::FragmentSummariesRequest
-                | Frame::FragmentAllocation(_)
-                | Frame::FragmentPartialRequest
-                | Frame::FragmentAbort
-                | Frame::ExtremeFragment(_)
-                | Frame::ShardBoundsRequest,
-            ) => {
-                count_frame("other");
-                // Fragment frames bypass the analyst budget ledger (they
-                // arrive pre-charged from a coordinator) and let a caller
-                // pick occurrence indices — an occurrence-differencing
-                // oracle. An analyst server therefore refuses them flat;
-                // only a shard-mode server serves fragments.
-                write_frame_at(
-                    &mut stream,
-                    &error_reply(
-                        0,
-                        ErrorCode::BadRequest,
-                        "fragment frames are served only by a shard-mode server",
-                    ),
-                    version,
-                )?;
-            }
-            Ok(_) => {
-                count_frame("other");
-                // Hello again, or a server-to-client frame: protocol
-                // misuse, answered but not fatal.
-                write_frame_at(
-                    &mut stream,
-                    &error_reply(0, ErrorCode::BadRequest, "unexpected frame kind"),
-                    version,
-                )?;
-            }
+        let frame = match read_frame_versioned(&mut conn.sink.stream) {
+            Ok((frame, _)) => frame,
             Err(NetError::Disconnected) => return Ok(()),
             Err(e) => {
                 // A malformed frame leaves the stream unsynchronized;
                 // report (typed, including version mismatches) and close.
-                let reply = match &e {
-                    NetError::UnsupportedVersion { requested, .. } => {
-                        unsupported_version_reply(*requested)
-                    }
-                    _ => error_reply(0, ErrorCode::BadRequest, &e.to_string()),
-                };
-                let _ = write_frame_at(&mut stream, &reply, version);
-                return Err(e);
-            }
-        }
-    }
-}
-
-/// One coordinator connection in shard mode, served to completion.
-///
-/// The connection carries at most one fragment lifecycle at a time:
-/// `Fragment` (summaries ⇒ allocation ⇒ partial) or the single-round
-/// `ExtremeFragment` / `ShardBoundsRequest`. Dropping the connection
-/// mid-fragment aborts it ([`PendingFragment`]'s drop unparks the
-/// workers), so a vanished coordinator never wedges the shard. No budget
-/// directory exists in this mode by construction: the upstream
-/// coordinator charged the whole plan before scattering.
-fn serve_shard_connection(mut stream: TcpStream, handle: EngineHandle) -> Result<()> {
-    obs::counter_add(obs::names::SERVER_CONNECTIONS, 1);
-    stream.set_nodelay(true).ok();
-    let version = match read_frame_versioned(&mut stream) {
-        Ok((Frame::Hello(_), v)) => v.min(VERSION),
-        Ok(_) => {
-            let _ = write_frame_at(
-                &mut stream,
-                &error_reply(0, ErrorCode::BadRequest, "expected a Hello frame"),
-                VERSION,
-            );
-            return Err(NetError::Handshake("expected Hello"));
-        }
-        Err(NetError::Disconnected) => return Ok(()),
-        Err(e) => {
-            let reply = match &e {
-                NetError::UnsupportedVersion { requested, .. } => {
-                    unsupported_version_reply(*requested)
-                }
-                _ => error_reply(0, ErrorCode::BadRequest, &e.to_string()),
-            };
-            let _ = write_frame_at(&mut stream, &reply, crate::wire::MIN_VERSION);
-            return Err(e);
-        }
-    };
-    // Every frame this mode serves exists only from v4; an older client
-    // could never speak to it, so refuse the handshake with a typed
-    // error instead of failing every later frame.
-    if version < 4 {
-        let _ = write_frame_at(
-            &mut stream,
-            &error_reply(
-                0,
-                ErrorCode::BadRequest,
-                "shard-mode connections need a v4 Hello",
-            ),
-            version,
-        );
-        return Err(NetError::Handshake("shard mode needs v4"));
-    }
-    write_frame_at(
-        &mut stream,
-        &Frame::HelloAck(hello_ack(handle.config(), handle.schema(), &None)),
-        version,
-    )?;
-
-    let mut fragment: Option<PendingFragment> = None;
-    loop {
-        let reply = match read_frame_versioned(&mut stream).map(|(frame, _)| frame) {
-            Ok(Frame::Fragment(req)) => {
-                if fragment.is_some() {
-                    error_reply(
-                        0,
-                        ErrorCode::BadRequest,
-                        "one shard connection carries one fragment at a time",
-                    )
-                } else {
-                    let budget = QueryBudget {
-                        eps_o: req.eps_o,
-                        eps_s: req.eps_s,
-                        eps_e: req.eps_e,
-                        delta: req.delta,
-                    };
-                    match handle.submit_fragment(
-                        &req.query,
-                        req.sampling_rate,
-                        &budget,
-                        req.occurrence,
-                    ) {
-                        Ok(pending) => {
-                            fragment = Some(pending);
-                            Frame::FragmentQueued
-                        }
-                        Err(e) => core_error_reply(0, &e),
-                    }
-                }
-            }
-            Ok(Frame::FragmentSummariesRequest) => match &fragment {
-                Some(pending) => match pending.summaries() {
-                    Ok((summaries, summary_time)) => {
-                        Frame::FragmentSummaries(FragmentSummariesFrame {
-                            summaries: summaries
-                                .iter()
-                                .map(|s| WireSummary {
-                                    noisy_n_q: s.noisy_n_q,
-                                    noisy_avg_r: s.noisy_avg_r,
-                                })
-                                .collect(),
-                            summary_us: summary_time.as_micros() as u64,
-                        })
-                    }
-                    Err(e) => core_error_reply(0, &e),
-                },
-                None => no_fragment_reply(),
-            },
-            Ok(Frame::FragmentAllocation(frame)) => match &fragment {
-                Some(pending) => match pending.provide_allocation(frame.allocations) {
-                    Ok(()) => Frame::FragmentAllocated,
-                    Err(e) => core_error_reply(0, &e),
-                },
-                None => no_fragment_reply(),
-            },
-            Ok(Frame::FragmentPartialRequest) => match &fragment {
-                Some(pending) => match pending.partial() {
-                    Ok(partial) => {
-                        let frame = Frame::FragmentPartial(FragmentPartialFrame {
-                            rows: partial
-                                .rows
-                                .iter()
-                                .map(|r| WirePartialRow {
-                                    released: r.released,
-                                    variance: r.variance,
-                                    approximated: r.approximated,
-                                    clusters_scanned: r.clusters_scanned,
-                                    n_covering: r.n_covering,
-                                })
-                                .collect(),
-                            execution_us: partial.execution.as_micros() as u64,
-                        });
-                        // The partial completes the lifecycle; the
-                        // connection is free for the next fragment.
-                        fragment = None;
-                        frame
-                    }
-                    Err(e) => core_error_reply(0, &e),
-                },
-                None => no_fragment_reply(),
-            },
-            Ok(Frame::FragmentAbort) => {
-                // Dropping the pending fragment unparks its workers.
-                fragment = None;
-                Frame::FragmentAborted
-            }
-            Ok(Frame::ExtremeFragment(req)) => {
-                match handle
-                    .submit_extreme_fragment(
-                        req.dim as usize,
-                        req.extreme,
-                        req.epsilon,
-                        req.occurrence,
-                    )
-                    .and_then(fedaqp_core::PendingExtreme::wait)
-                {
-                    Ok(answer) => Frame::ExtremePartial(ExtremePartialFrame {
-                        value: answer.value,
-                        execution_us: answer.execution.as_micros() as u64,
-                    }),
-                    Err(e) => core_error_reply(0, &e),
-                }
-            }
-            Ok(Frame::ShardBoundsRequest) => Frame::ShardBounds(ShardBoundsFrame {
-                providers: handle
-                    .meta_snapshot()
-                    .providers()
-                    .iter()
-                    .map(|b| WireProviderBounds {
-                        dims: b.dims().to_vec(),
-                        n_clusters: b.n_clusters() as u64,
-                    })
-                    .collect(),
-            }),
-            Ok(_) => error_reply(
-                0,
-                ErrorCode::BadRequest,
-                "analyst frames are not served in shard mode (connect to the coordinator)",
-            ),
-            Err(NetError::Disconnected) => return Ok(()),
-            Err(e) => {
-                let reply = match &e {
-                    NetError::UnsupportedVersion { requested, .. } => {
-                        unsupported_version_reply(*requested)
-                    }
-                    _ => error_reply(0, ErrorCode::BadRequest, &e.to_string()),
-                };
-                let _ = write_frame_at(&mut stream, &reply, version);
+                let _ = conn.sink.send(&malformed_reply(&e));
                 return Err(e);
             }
         };
-        write_frame_at(&mut stream, &reply, version)?;
+        let gate = Gate::of(&frame);
+        if obs::enabled() {
+            obs::counter_add(obs::names::SERVER_FRAMES, 1);
+            obs::counter_add(gate.as_ref().map_or(OTHER_FRAMES, |gate| gate.metric), 1);
+        }
+        match refusal(role, gate.as_ref(), conn.sink.version) {
+            // Protocol misuse is answered, not fatal.
+            Some(message) => conn
+                .sink
+                .send(&error_reply(0, ErrorCode::BadRequest, &message))?,
+            None => dispatch(&mut conn, backend, frame)?,
+        }
     }
 }
 
-/// The typed reply to a lifecycle frame with no fragment in flight.
-fn no_fragment_reply() -> Frame {
-    error_reply(
-        0,
-        ErrorCode::BadRequest,
-        "no fragment in flight on this connection",
-    )
+/// Exactly one `Hello`, answered with a `HelloAck`. `Ok(None)` is a peer
+/// that connected and left without a word.
+fn handshake<B: Backend>(
+    mut stream: TcpStream,
+    role: Role,
+    backend: &B,
+    directory: Option<&BudgetDirectory>,
+) -> Result<Option<Connection>> {
+    let (hello, version) = match read_frame_versioned(&mut stream) {
+        Ok((Frame::Hello(hello), v)) => (hello, v.min(VERSION)),
+        Ok((_, v)) => {
+            // Answered at the version the peer's header declared — the
+            // one encoding it is certain to decode.
+            let _ = write_frame_at(
+                &mut stream,
+                &error_reply(0, ErrorCode::BadRequest, "expected a Hello frame"),
+                v.min(VERSION),
+            );
+            return Err(NetError::Handshake("expected Hello"));
+        }
+        Err(NetError::Disconnected) => return Ok(None),
+        Err(e) => {
+            // No usable version was declared: answer at v1, the most
+            // interoperable encoding, before the close — never a bare
+            // hangup.
+            let _ = write_frame_at(&mut stream, &malformed_reply(&e), MIN_VERSION);
+            return Err(e);
+        }
+    };
+    let mut sink = Sink { stream, version };
+    let floor = role.min_hello();
+    if version < floor {
+        let message = format!("shard-mode connections need a v{floor} Hello");
+        let _ = sink.send(&error_reply(0, ErrorCode::BadRequest, &message));
+        return Err(NetError::Handshake("shard mode needs v4"));
+    }
+    let ack = backend.with_public(|config, schema| hello_ack(config, schema, directory));
+    sink.send(&Frame::HelloAck(ack))?;
+    Ok(Some(Connection {
+        sink,
+        ledger: directory.map(|directory| directory.accountant(&hello.analyst)),
+        analyst: hello.analyst,
+        answered: 0,
+        fragment: None,
+    }))
+}
+
+fn hello_ack(
+    config: &FederationConfig,
+    schema: &Schema,
+    directory: Option<&BudgetDirectory>,
+) -> HelloAck {
+    HelloAck {
+        dimensions: schema
+            .dimensions()
+            .iter()
+            .map(|d| WireDimension {
+                name: d.name().to_owned(),
+                min: d.domain().min(),
+                max: d.domain().max(),
+            })
+            .collect(),
+        n_providers: config.n_providers as u32,
+        epsilon: config.epsilon,
+        delta: config.delta,
+        calibration: calibration_code(config.estimator_calibration),
+        session_budget: directory.map(|directory| {
+            let per = directory.per_analyst();
+            (per.eps, per.delta)
+        }),
+        max_version: VERSION,
+    }
+}
+
+/// Answers one frame the gate table admitted.
+fn dispatch<B: Backend>(conn: &mut Connection, backend: &B, frame: Frame) -> Result<()> {
+    let ledger = conn.ledger.as_ref();
+    match frame {
+        Frame::Query(spec) => {
+            let reply = backend.with_plans(|plans| {
+                answer_reply(plans, 0, submit(plans, ledger, &spec), &mut conn.answered)
+            });
+            record_xi_spent(&conn.analyst, ledger);
+            conn.sink.send(&reply)
+        }
+        Frame::Batch(batch) => {
+            // Submit everything before waiting on anything — the worker
+            // pool pipelines the whole batch exactly as it does for an
+            // in-process `run_batch` — then write each reply as it
+            // resolves.
+            let sent = backend.with_plans(|plans| {
+                let pending: Vec<_> = batch
+                    .specs
+                    .iter()
+                    .map(|spec| submit(plans, ledger, spec))
+                    .collect();
+                for (i, sub) in pending.into_iter().enumerate() {
+                    let reply = answer_reply(plans, i as u32, sub, &mut conn.answered);
+                    conn.sink.send(&reply)?;
+                }
+                Ok(())
+            });
+            record_xi_spent(&conn.analyst, ledger);
+            sent
+        }
+        Frame::Plan(request) => {
+            // Every sub-query is submitted (and the whole plan charged)
+            // before the wait — the per-group fan-out pipelines on the
+            // worker pool exactly as in-process plans do.
+            let reply = backend.with_plans(|plans| {
+                match submit_plan(plans, ledger, &request.plan).and_then(PendingPlan::wait) {
+                    Ok(answer) => {
+                        count_answer(&mut conn.answered);
+                        plan_answer_frame(0, &answer)
+                    }
+                    Err(e) => core_error_reply(0, &e),
+                }
+            });
+            record_xi_spent(&conn.analyst, ledger);
+            conn.sink.send(&reply)
+        }
+        Frame::Explain(request) => {
+            // Explaining runs nothing and charges no budget — the
+            // explanation is a pure function of the plan and the current
+            // epoch's public offline metadata, so it bypasses the ledger
+            // entirely (and `answered` stays put).
+            let reply = match backend.with_plans(|plans| plans.explain_plan(&request.plan)) {
+                Ok(explanation) => Frame::ExplainAnswer(ExplainAnswerFrame {
+                    index: 0,
+                    explanation,
+                }),
+                Err(e) => core_error_reply(0, &e),
+            };
+            conn.sink.send(&reply)
+        }
+        Frame::BudgetRequest => {
+            let status = budget_status(ledger, conn.answered);
+            conn.sink.send(&Frame::BudgetStatus(status))
+        }
+        // The snapshot is public by construction: every sample in the
+        // registry passed the `ObsValue` provenance boundary (durations,
+        // counts, public metadata, released spend).
+        Frame::Metrics => conn.sink.send(&metrics_answer_frame()),
+        Frame::OnlinePlan(request) => {
+            // The whole plan's (ε, δ) is validated and charged atomically
+            // before the first round dispatches (fail-closed); snapshots
+            // then push as rounds resolve, all inside one `with_plans` —
+            // on a live server every snapshot of the plan is computed
+            // against one epoch, and a racing ingest lands after the
+            // `OnlineDone`.
+            let pushed = backend.with_plans(|plans| {
+                match submit_plan(plans, ledger, &online_plan(&request)) {
+                    Ok(pending) => stream_online_answer(&mut conn.sink, pending),
+                    Err(e) => conn.sink.send(&core_error_reply(0, &e)).map(|()| false),
+                }
+            });
+            record_xi_spent(&conn.analyst, ledger);
+            if pushed? {
+                count_answer(&mut conn.answered);
+            }
+            Ok(())
+        }
+        Frame::Ingest(request) => {
+            let rows = request
+                .rows
+                .iter()
+                .map(|r| Row::cell(r.values.clone(), r.measure))
+                .collect();
+            let reply = match backend.ingest(request.provider as usize, rows) {
+                Ok(report) => Frame::IngestAck(IngestAckFrame {
+                    accepted: report.accepted,
+                    epoch: report.epoch,
+                    refreshed: report.refreshed,
+                }),
+                Err(e) => core_error_reply(0, &e),
+            };
+            conn.sink.send(&reply)
+        }
+        // The gate admits nothing else but the fragment family, and that
+        // only on the shard role's engine.
+        frame => {
+            let reply = match backend.fragment_engine() {
+                Some(engine) => fragment_reply(engine, &mut conn.fragment, frame),
+                None => error_reply(0, ErrorCode::Internal, "this backend runs no fragments"),
+            };
+            conn.sink.send(&reply)
+        }
+    }
+}
+
+/// A transient [`Session`] over the analyst's durable ledger: the session
+/// object is per-request, the ledger it charges is not.
+fn session<P: PlanBackend>(
+    plans: &P,
+    ledger: &SharedAccountant,
+) -> fedaqp_core::Result<Session<P>> {
+    Session::open_with_accountant(plans.clone(), ledger.clone(), SessionPlan::PayAsYouGo)
+}
+
+/// Submits one scalar query — through the ledger's validate → charge →
+/// submit discipline when the listener caps budgets, under the
+/// federation's default per-query budget either way.
+fn submit<P: PlanBackend>(
+    plans: &P,
+    ledger: Option<&SharedAccountant>,
+    spec: &QueryRequest,
+) -> fedaqp_core::Result<P::Sub> {
+    match ledger {
+        Some(ledger) => session(plans, ledger)?.submit(&spec.query, spec.sampling_rate),
+        None => {
+            let budget = plans.config().query_budget()?;
+            plans.submit_sub(&spec.query, spec.sampling_rate, &budget)
+        }
+    }
+}
+
+/// Submits a whole plan: with a ledger, the plan's entire declared
+/// `(ε, δ)` is validated and charged atomically before any sub-query is
+/// dispatched (validate-before-charge, whole-plan ξ accounting).
+fn submit_plan<P: PlanBackend>(
+    plans: &P,
+    ledger: Option<&SharedAccountant>,
+    plan: &QueryPlan,
+) -> fedaqp_core::Result<PendingPlan<P>> {
+    match ledger {
+        Some(ledger) => session(plans, ledger)?.submit_plan(plan),
+        None => plans.submit_plan(plan),
+    }
+}
+
+/// Counts one answered request, on the connection and in telemetry.
+fn count_answer(answered: &mut u64) {
+    *answered += 1;
+    obs::counter_add(obs::names::SERVER_QUERIES, 1);
+}
+
+/// Blocks for a submitted scalar query and projects the outcome onto the
+/// wire at `index`.
+fn answer_reply<P: PlanBackend>(
+    plans: &P,
+    index: u32,
+    sub: fedaqp_core::Result<P::Sub>,
+    answered: &mut u64,
+) -> Frame {
+    match sub.and_then(|sub| plans.wait_sub(sub)) {
+        Ok(answer) => {
+            count_answer(answered);
+            answer_frame(index, answer)
+        }
+        Err(e) => core_error_reply(index, &e),
+    }
+}
+
+/// Serves one frame of the coordinator → shard family: `Fragment`
+/// (summaries ⇒ allocation ⇒ partial) or the single-round
+/// `ExtremeFragment` / `ShardBoundsRequest`. No budget is involved by
+/// construction: the upstream coordinator charged the whole plan before
+/// scattering.
+fn fragment_reply(
+    engine: &EngineHandle,
+    fragment: &mut Option<PendingFragment>,
+    frame: Frame,
+) -> Frame {
+    /// The typed reply to a lifecycle frame with no fragment in flight.
+    fn no_fragment() -> Frame {
+        error_reply(
+            0,
+            ErrorCode::BadRequest,
+            "no fragment in flight on this connection",
+        )
+    }
+    match frame {
+        Frame::Fragment(_) if fragment.is_some() => error_reply(
+            0,
+            ErrorCode::BadRequest,
+            "one shard connection carries one fragment at a time",
+        ),
+        Frame::Fragment(req) => {
+            let budget = QueryBudget {
+                eps_o: req.eps_o,
+                eps_s: req.eps_s,
+                eps_e: req.eps_e,
+                delta: req.delta,
+            };
+            match engine.submit_fragment(&req.query, req.sampling_rate, &budget, req.occurrence) {
+                Ok(pending) => {
+                    *fragment = Some(pending);
+                    Frame::FragmentQueued
+                }
+                Err(e) => core_error_reply(0, &e),
+            }
+        }
+        Frame::FragmentSummariesRequest => {
+            match fragment.as_ref().map(PendingFragment::summaries) {
+                Some(Ok((summaries, summary_time))) => {
+                    Frame::FragmentSummaries(FragmentSummariesFrame {
+                        summaries: summaries
+                            .iter()
+                            .map(|s| WireSummary {
+                                noisy_n_q: s.noisy_n_q,
+                                noisy_avg_r: s.noisy_avg_r,
+                            })
+                            .collect(),
+                        summary_us: summary_time.as_micros() as u64,
+                    })
+                }
+                Some(Err(e)) => core_error_reply(0, &e),
+                None => no_fragment(),
+            }
+        }
+        Frame::FragmentAllocation(frame) => {
+            match fragment
+                .as_ref()
+                .map(|pending| pending.provide_allocation(frame.allocations))
+            {
+                Some(Ok(())) => Frame::FragmentAllocated,
+                Some(Err(e)) => core_error_reply(0, &e),
+                None => no_fragment(),
+            }
+        }
+        Frame::FragmentPartialRequest => match fragment.as_ref().map(PendingFragment::partial) {
+            Some(Ok(partial)) => {
+                // The partial completes the lifecycle; the connection is
+                // free for the next fragment.
+                *fragment = None;
+                Frame::FragmentPartial(FragmentPartialFrame {
+                    rows: partial
+                        .rows
+                        .iter()
+                        .map(|r| WirePartialRow {
+                            released: r.released,
+                            variance: r.variance,
+                            approximated: r.approximated,
+                            clusters_scanned: r.clusters_scanned,
+                            n_covering: r.n_covering,
+                        })
+                        .collect(),
+                    execution_us: partial.execution.as_micros() as u64,
+                })
+            }
+            Some(Err(e)) => core_error_reply(0, &e),
+            None => no_fragment(),
+        },
+        Frame::FragmentAbort => {
+            // Dropping the pending fragment unparks its workers.
+            *fragment = None;
+            Frame::FragmentAborted
+        }
+        Frame::ExtremeFragment(req) => {
+            match engine
+                .submit_extreme_fragment(req.dim as usize, req.extreme, req.epsilon, req.occurrence)
+                .and_then(PendingExtreme::wait)
+            {
+                Ok(answer) => Frame::ExtremePartial(ExtremePartialFrame {
+                    value: answer.value,
+                    execution_us: answer.execution.as_micros() as u64,
+                }),
+                Err(e) => core_error_reply(0, &e),
+            }
+        }
+        Frame::ShardBoundsRequest => Frame::ShardBounds(ShardBoundsFrame {
+            providers: engine
+                .meta_snapshot()
+                .providers()
+                .iter()
+                .map(|b| WireProviderBounds {
+                    dims: b.dims().to_vec(),
+                    n_clusters: b.n_clusters() as u64,
+                })
+                .collect(),
+        }),
+        _ => error_reply(0, ErrorCode::BadRequest, "unexpected frame kind"),
+    }
 }
 
 /// The [`QueryPlan`] an [`OnlinePlanRequest`] compiles to — the same
@@ -896,13 +914,9 @@ fn online_plan(request: &OnlinePlanRequest) -> QueryPlan {
 /// a typed error frame (an engine failure mid-stream, returns `false` —
 /// the budget stays spent either way, fail-closed). Transport failures
 /// propagate as [`NetError`] and tear the connection down.
-fn stream_online_answer(
-    stream: &mut TcpStream,
-    version: u16,
-    pending: PendingPlanEither,
-) -> Result<bool> {
+fn stream_online_answer<P: PlanBackend>(sink: &mut Sink, pending: PendingPlan<P>) -> Result<bool> {
     let mut write_err: Option<NetError> = None;
-    let outcome = pending.wait_streaming(|snapshot| {
+    let outcome = pending.wait_streaming(|snapshot: &PlanSnapshot| {
         if write_err.is_some() {
             return;
         }
@@ -915,495 +929,39 @@ fn stream_online_answer(
             ci_halfwidth: snapshot.ci_halfwidth,
             clusters_scanned: snapshot.clusters_scanned,
         });
-        if let Err(e) = write_frame_at(stream, &frame, version) {
-            write_err = Some(e);
-        }
+        write_err = sink.send(&frame).err();
     });
     if let Some(e) = write_err {
         return Err(e);
     }
     match outcome {
         Ok(answer) => {
-            write_frame_at(
-                stream,
-                &Frame::OnlineDone(OnlineDoneFrame {
-                    index: 0,
-                    eps: answer.cost.eps,
-                    delta: answer.cost.delta,
-                    value: answer.value().unwrap_or(f64::NAN),
-                    summary_us: answer.timings.summary.as_micros() as u64,
-                    allocation_us: answer.timings.allocation.as_micros() as u64,
-                    execution_us: answer.timings.execution.as_micros() as u64,
-                    release_us: answer.timings.release.as_micros() as u64,
-                    network_us: answer.timings.network.as_micros() as u64,
-                }),
-                version,
-            )?;
+            sink.send(&Frame::OnlineDone(OnlineDoneFrame {
+                index: 0,
+                eps: answer.cost.eps,
+                delta: answer.cost.delta,
+                value: answer.value().unwrap_or(f64::NAN),
+                summary_us: answer.timings.summary.as_micros() as u64,
+                allocation_us: answer.timings.allocation.as_micros() as u64,
+                execution_us: answer.timings.execution.as_micros() as u64,
+                release_us: answer.timings.release.as_micros() as u64,
+                network_us: answer.timings.network.as_micros() as u64,
+            }))?;
             Ok(true)
         }
         Err(e) => {
-            write_frame_at(stream, &core_error_reply(0, &e), version)?;
+            sink.send(&core_error_reply(0, &e))?;
             Ok(false)
         }
     }
 }
 
-/// Read access to the live federation. Lock poisoning is survivable here:
-/// the lock guards no invariant a panicked query could have broken (a
-/// query only *reads*; ingest applies its batch atomically before any
-/// unlock), so a poisoned lock is served rather than cascading the panic
-/// across every connection thread.
-fn read_live(live: &RwLock<LiveFederation>) -> RwLockReadGuard<'_, LiveFederation> {
-    live.read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Write access to the live federation (see [`read_live`] on poisoning).
-fn write_live(live: &RwLock<LiveFederation>) -> RwLockWriteGuard<'_, LiveFederation> {
-    live.write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Submits one scalar query on a live connection's scoped engine. With a
-/// budget ledger, a transient [`ConcurrentSession`] over the analyst's
-/// durable [`SharedAccountant`] enforces exactly the charge-then-submit
-/// discipline of the frozen path — the session object is per-request, the
-/// ledger it charges is not.
-fn live_submit(
-    engine: &EngineHandle,
-    accountant: Option<&SharedAccountant>,
-    spec: &QueryRequest,
-) -> fedaqp_core::Result<PendingAnswer> {
-    match accountant {
-        Some(acc) => ConcurrentSession::open_with_accountant(
-            engine.clone(),
-            acc.clone(),
-            SessionPlan::PayAsYouGo,
-        )?
-        .submit(&spec.query, spec.sampling_rate),
-        None => engine.submit(&spec.query, spec.sampling_rate),
-    }
-}
-
-/// Submits one plan on a live connection's scoped engine (see
-/// [`live_submit`] on the transient-session pattern): validate, charge the
-/// whole declared cost atomically, then dispatch.
-fn live_submit_plan(
-    engine: &EngineHandle,
-    accountant: Option<&SharedAccountant>,
-    plan: &QueryPlan,
-) -> fedaqp_core::Result<PendingPlan> {
-    match accountant {
-        Some(acc) => ConcurrentSession::open_with_accountant(
-            engine.clone(),
-            acc.clone(),
-            SessionPlan::PayAsYouGo,
-        )?
-        .submit_plan(plan),
-        None => engine.submit_plan(plan),
-    }
-}
-
-/// [`record_xi_spent`] for live connections, whose ledger is the analyst's
-/// [`SharedAccountant`] directly (sessions there are per-request).
-fn record_xi_ledger(analyst: &str, accountant: Option<&SharedAccountant>) {
-    if !obs::enabled() {
-        return;
-    }
-    let Some(acc) = accountant else { return };
-    obs::gauge_set(
-        &format!("{}.{analyst}", obs::names::SERVER_XI_SPENT),
-        obs::ObsValue::from_released(acc.spent().eps),
-    );
-}
-
-/// One analyst connection against a live federation, served to completion.
-///
-/// The analyst protocol is [`serve_connection`]'s, with two differences:
-/// every query runs on a scoped engine under the federation lock's read
-/// side (pinning one epoch — a concurrently accepted ingest batch is
-/// observed by the *next* query, never mid-flight), and the v6
-/// [`Frame::Ingest`] path is served instead of refused. On a federation
-/// that never ingests, answers are byte-identical to [`serve_connection`]
-/// over the same providers and seed — the scoped engine runs the same
-/// worker-pool code.
-fn serve_live_connection(
-    mut stream: TcpStream,
-    live: Arc<RwLock<LiveFederation>>,
-    directory: Option<Arc<BudgetDirectory>>,
-) -> Result<()> {
-    obs::counter_add(obs::names::SERVER_CONNECTIONS, 1);
-    stream.set_nodelay(true).ok();
-
-    // ---- Handshake: exactly one Hello, answered with HelloAck. ----
-    let (hello, version) = match read_frame_versioned(&mut stream) {
-        Ok((Frame::Hello(h), v)) => (h, v.min(VERSION)),
-        Ok(_) => {
-            let _ = write_frame_at(
-                &mut stream,
-                &error_reply(0, ErrorCode::BadRequest, "expected a Hello frame"),
-                VERSION,
-            );
-            return Err(NetError::Handshake("expected Hello"));
-        }
-        Err(NetError::Disconnected) => return Ok(()),
-        Err(e) => {
-            let reply = match &e {
-                NetError::UnsupportedVersion { requested, .. } => {
-                    unsupported_version_reply(*requested)
-                }
-                _ => error_reply(0, ErrorCode::BadRequest, &e.to_string()),
-            };
-            let _ = write_frame_at(&mut stream, &reply, crate::wire::MIN_VERSION);
-            return Err(e);
-        }
-    };
-    // One durable ledger per analyst identity; the per-request sessions
-    // opened over it all charge this same atomic accountant.
-    let accountant = directory.as_ref().map(|dir| dir.accountant(&hello.analyst));
-    {
-        let fed = read_live(&live);
-        write_frame_at(
-            &mut stream,
-            &Frame::HelloAck(hello_ack(
-                fed.federation().config(),
-                fed.federation().schema(),
-                &directory,
-            )),
-            version,
-        )?;
-    }
-
-    // ---- Request loop. ----
-    let mut answered: u64 = 0;
-    loop {
-        match read_frame_versioned(&mut stream).map(|(frame, _)| frame) {
-            Ok(Frame::Query(spec)) => {
-                count_frame("query");
-                let fed = read_live(&live);
-                let reply = match fed.federation().with_engine(|e| {
-                    live_submit(e, accountant.as_ref(), &spec).and_then(|p| p.wait())
-                }) {
-                    Ok(answer) => {
-                        answered += 1;
-                        obs::counter_add(obs::names::SERVER_QUERIES, 1);
-                        answer_frame(0, &answer)
-                    }
-                    Err(e) => core_error_reply(0, &e),
-                };
-                drop(fed);
-                record_xi_ledger(&hello.analyst, accountant.as_ref());
-                write_frame_at(&mut stream, &reply, version)?;
-            }
-            Ok(Frame::Batch(batch)) => {
-                count_frame("batch");
-                // The whole batch runs under one read guard — one epoch,
-                // one seed — and submits everything before waiting on
-                // anything, pipelining across the pool as the frozen
-                // server's batches do.
-                let fed = read_live(&live);
-                let replies: Vec<Frame> = fed.federation().with_engine(|engine| {
-                    let pending: Vec<_> = batch
-                        .specs
-                        .iter()
-                        .map(|spec| live_submit(engine, accountant.as_ref(), spec))
-                        .collect();
-                    pending
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, p)| match p.and_then(|p| p.wait()) {
-                            Ok(answer) => {
-                                answered += 1;
-                                obs::counter_add(obs::names::SERVER_QUERIES, 1);
-                                answer_frame(i as u32, &answer)
-                            }
-                            Err(e) => core_error_reply(i as u32, &e),
-                        })
-                        .collect()
-                });
-                drop(fed);
-                record_xi_ledger(&hello.analyst, accountant.as_ref());
-                for reply in &replies {
-                    write_frame_at(&mut stream, reply, version)?;
-                }
-            }
-            Ok(Frame::Plan(request)) => {
-                count_frame("plan");
-                if version < 2 {
-                    write_frame_at(
-                        &mut stream,
-                        &error_reply(
-                            0,
-                            ErrorCode::BadRequest,
-                            "plan frames need a v2-negotiated connection (reconnect with a v2 Hello)",
-                        ),
-                        version,
-                    )?;
-                    continue;
-                }
-                let fed = read_live(&live);
-                let reply = match fed.federation().with_engine(|e| {
-                    live_submit_plan(e, accountant.as_ref(), &request.plan)
-                        .and_then(PendingPlan::wait)
-                }) {
-                    Ok(answer) => {
-                        answered += 1;
-                        obs::counter_add(obs::names::SERVER_QUERIES, 1);
-                        plan_answer_frame(0, &answer)
-                    }
-                    Err(e) => core_error_reply(0, &e),
-                };
-                drop(fed);
-                record_xi_ledger(&hello.analyst, accountant.as_ref());
-                write_frame_at(&mut stream, &reply, version)?;
-            }
-            Ok(Frame::Explain(request)) => {
-                count_frame("explain");
-                if version < 3 {
-                    write_frame_at(
-                        &mut stream,
-                        &error_reply(
-                            0,
-                            ErrorCode::BadRequest,
-                            "explain frames need a v3-negotiated connection (reconnect with a v3 Hello)",
-                        ),
-                        version,
-                    )?;
-                    continue;
-                }
-                // Free as on the frozen path — but computed against the
-                // *current* epoch's public metadata.
-                let fed = read_live(&live);
-                let reply = match fed
-                    .federation()
-                    .with_engine(|e| e.explain_plan(&request.plan))
-                {
-                    Ok(explanation) => Frame::ExplainAnswer(ExplainAnswerFrame {
-                        index: 0,
-                        explanation,
-                    }),
-                    Err(e) => core_error_reply(0, &e),
-                };
-                drop(fed);
-                write_frame_at(&mut stream, &reply, version)?;
-            }
-            Ok(Frame::BudgetRequest) => {
-                count_frame("budget");
-                let charged = accountant
-                    .as_ref()
-                    .map(|a| (a.total(), a.spent(), a.queries_answered()));
-                write_frame_at(
-                    &mut stream,
-                    &Frame::BudgetStatus(budget_status(charged, answered)),
-                    version,
-                )?;
-            }
-            Ok(Frame::Metrics) => {
-                count_frame("metrics");
-                if version < 5 {
-                    write_frame_at(
-                        &mut stream,
-                        &error_reply(
-                            0,
-                            ErrorCode::BadRequest,
-                            "metrics frames need a v5-negotiated connection (reconnect with a v5 Hello)",
-                        ),
-                        version,
-                    )?;
-                    continue;
-                }
-                write_frame_at(&mut stream, &metrics_answer_frame(), version)?;
-            }
-            Ok(Frame::OnlinePlan(request)) => {
-                count_frame("online");
-                if version < 6 {
-                    write_frame_at(
-                        &mut stream,
-                        &error_reply(
-                            0,
-                            ErrorCode::BadRequest,
-                            "online-plan frames need a v6-negotiated connection (reconnect with a v6 Hello)",
-                        ),
-                        version,
-                    )?;
-                    continue;
-                }
-                // The read guard spans the whole push loop: every snapshot
-                // of one online plan is computed against one epoch. An
-                // ingest racing this plan lands after the OnlineDone.
-                let fed = read_live(&live);
-                let pushed = fed.federation().with_engine(|engine| {
-                    match live_submit_plan(engine, accountant.as_ref(), &online_plan(&request)) {
-                        Ok(pending) => stream_online_answer(
-                            &mut stream,
-                            version,
-                            PendingPlanEither::Engine(pending),
-                        ),
-                        Err(e) => {
-                            write_frame_at(&mut stream, &core_error_reply(0, &e), version)?;
-                            Ok(false)
-                        }
-                    }
-                });
-                drop(fed);
-                record_xi_ledger(&hello.analyst, accountant.as_ref());
-                if pushed? {
-                    answered += 1;
-                    obs::counter_add(obs::names::SERVER_QUERIES, 1);
-                }
-            }
-            Ok(Frame::Ingest(request)) => {
-                count_frame("ingest");
-                if version < 6 {
-                    write_frame_at(
-                        &mut stream,
-                        &error_reply(
-                            0,
-                            ErrorCode::BadRequest,
-                            "ingest frames need a v6-negotiated connection (reconnect with a v6 Hello)",
-                        ),
-                        version,
-                    )?;
-                    continue;
-                }
-                let rows: Vec<Row> = request
-                    .rows
-                    .iter()
-                    .map(|r| Row::cell(r.values.clone(), r.measure))
-                    .collect();
-                // Write side of the lock: waits out in-flight queries,
-                // applies the batch atomically (append + incremental
-                // metadata + epoch bump + seed re-salt), and releases
-                // before the ack is written.
-                let reply = match write_live(&live).ingest(request.provider as usize, rows) {
-                    Ok(report) => Frame::IngestAck(IngestAckFrame {
-                        accepted: report.accepted,
-                        epoch: report.epoch,
-                        refreshed: report.refreshed,
-                    }),
-                    Err(e) => core_error_reply(0, &e),
-                };
-                write_frame_at(&mut stream, &reply, version)?;
-            }
-            Ok(
-                Frame::Fragment(_)
-                | Frame::FragmentSummariesRequest
-                | Frame::FragmentAllocation(_)
-                | Frame::FragmentPartialRequest
-                | Frame::FragmentAbort
-                | Frame::ExtremeFragment(_)
-                | Frame::ShardBoundsRequest,
-            ) => {
-                count_frame("other");
-                // Same refusal (and rationale) as the frozen analyst
-                // server: fragments bypass the budget ledger.
-                write_frame_at(
-                    &mut stream,
-                    &error_reply(
-                        0,
-                        ErrorCode::BadRequest,
-                        "fragment frames are served only by a shard-mode server",
-                    ),
-                    version,
-                )?;
-            }
-            Ok(_) => {
-                count_frame("other");
-                write_frame_at(
-                    &mut stream,
-                    &error_reply(0, ErrorCode::BadRequest, "unexpected frame kind"),
-                    version,
-                )?;
-            }
-            Err(NetError::Disconnected) => return Ok(()),
-            Err(e) => {
-                let reply = match &e {
-                    NetError::UnsupportedVersion { requested, .. } => {
-                        unsupported_version_reply(*requested)
-                    }
-                    _ => error_reply(0, ErrorCode::BadRequest, &e.to_string()),
-                };
-                let _ = write_frame_at(&mut stream, &reply, version);
-                return Err(e);
-            }
-        }
-    }
-}
-
-fn hello_ack(
-    config: &FederationConfig,
-    schema: &Schema,
-    directory: &Option<Arc<BudgetDirectory>>,
-) -> HelloAck {
-    HelloAck {
-        dimensions: schema
-            .dimensions()
-            .iter()
-            .map(|d| WireDimension {
-                name: d.name().to_owned(),
-                min: d.domain().min(),
-                max: d.domain().max(),
-            })
-            .collect(),
-        n_providers: config.n_providers as u32,
-        epsilon: config.epsilon,
-        delta: config.delta,
-        calibration: calibration_code(config.estimator_calibration),
-        session_budget: directory.as_ref().map(|dir| {
-            let per = dir.per_analyst();
-            (per.eps, per.delta)
-        }),
-        max_version: VERSION,
-    }
-}
-
-fn submit(
-    backend: &AnalystBackend,
-    session: Option<&AnalystSession>,
-    spec: &QueryRequest,
-) -> fedaqp_core::Result<PendingQuery> {
-    match (backend, session) {
-        (_, Some(AnalystSession::Engine(s))) => s
-            .submit(&spec.query, spec.sampling_rate)
-            .map(PendingQuery::Engine),
-        (_, Some(AnalystSession::Sharded(s))) => s
-            .submit(&spec.query, spec.sampling_rate)
-            .map(PendingQuery::Sharded),
-        (AnalystBackend::Engine(h), None) => h
-            .submit(&spec.query, spec.sampling_rate)
-            .map(PendingQuery::Engine),
-        (AnalystBackend::Coordinator(f), None) => {
-            let budget = f.default_budget()?;
-            f.submit_with_budget(&spec.query, spec.sampling_rate, &budget)
-                .map(PendingQuery::Sharded)
-        }
-    }
-}
-
-/// Submits a whole plan: with a session, the plan's entire declared
-/// `(ε, δ)` is validated and charged atomically before any sub-query is
-/// dispatched (validate-before-charge, whole-plan ξ accounting).
-fn submit_plan(
-    backend: &AnalystBackend,
-    session: Option<&AnalystSession>,
-    plan: &QueryPlan,
-) -> fedaqp_core::Result<PendingPlanEither> {
-    match (backend, session) {
-        (_, Some(AnalystSession::Engine(s))) => s.submit_plan(plan).map(PendingPlanEither::Engine),
-        (_, Some(AnalystSession::Sharded(s))) => {
-            s.submit_plan(plan).map(PendingPlanEither::Sharded)
-        }
-        (AnalystBackend::Engine(h), None) => h.submit_plan(plan).map(PendingPlanEither::Engine),
-        (AnalystBackend::Coordinator(f), None) => {
-            f.submit_plan(plan).map(PendingPlanEither::Sharded)
-        }
-    }
-}
-
-/// Projects an [`EngineAnswer`] onto the wire, dropping the
-/// simulation-boundary diagnostics (`raw_estimate`, `smooth_ls`) that
-/// must never reach an analyst.
-fn answer_frame(index: u32, answer: &EngineAnswer) -> Frame {
+/// Projects a scalar answer onto the wire. A [`ShardedAnswer`] already
+/// holds only analyst-visible fields — the simulation-boundary
+/// diagnostics (`raw_estimate`, `smooth_ls`) were dropped by every
+/// backend before this point — so this is a straight move, and the frame
+/// is the same whichever role served it.
+fn answer_frame(index: u32, answer: ShardedAnswer) -> Frame {
     Frame::Answer(Answer {
         index,
         value: answer.value,
@@ -1413,31 +971,7 @@ fn answer_frame(index: u32, answer: &EngineAnswer) -> Frame {
         clusters_scanned: answer.clusters_scanned as u64,
         covering_total: answer.covering_total as u64,
         approximated_providers: answer.approximated_providers as u32,
-        allocations: answer.allocations.clone(),
-        summary_us: answer.timings.summary.as_micros() as u64,
-        allocation_us: answer.timings.allocation.as_micros() as u64,
-        execution_us: answer.timings.execution.as_micros() as u64,
-        release_us: answer.timings.release.as_micros() as u64,
-        network_us: answer.timings.network.as_micros() as u64,
-    })
-}
-
-/// Projects a [`ShardedAnswer`] onto the wire. The coordinator's answer
-/// already contains only analyst-visible fields (the simulation-boundary
-/// diagnostics never left the shards), so this is a straight copy — the
-/// frame is field-for-field the one [`answer_frame`] builds, keeping the
-/// analyst protocol identical across deployments.
-fn sharded_answer_frame(index: u32, answer: &ShardedAnswer) -> Frame {
-    Frame::Answer(Answer {
-        index,
-        value: answer.value,
-        eps: answer.cost.eps,
-        delta: answer.cost.delta,
-        ci_halfwidth: answer.ci_halfwidth,
-        clusters_scanned: answer.clusters_scanned as u64,
-        covering_total: answer.covering_total as u64,
-        approximated_providers: answer.approximated_providers as u32,
-        allocations: answer.allocations.clone(),
+        allocations: answer.allocations,
         summary_us: answer.timings.summary.as_micros() as u64,
         allocation_us: answer.timings.allocation.as_micros() as u64,
         execution_us: answer.timings.execution.as_micros() as u64,
@@ -1495,32 +1029,18 @@ fn plan_answer_frame(index: u32, answer: &PlanAnswer) -> Frame {
     })
 }
 
-/// Counts one request frame, both in the total and under its per-kind
-/// labeled family (`fedaqp_server_frames_total.{kind}`). The label is a
-/// static protocol kind, never request content.
-fn count_frame(kind: &'static str) {
-    if obs::enabled() {
-        obs::counter_add(obs::names::SERVER_FRAMES, 1);
-        obs::counter_add(&format!("{}.{kind}", obs::names::SERVER_FRAMES), 1);
-    }
-}
-
 /// Publishes the analyst's cumulative ξ spend under
 /// `fedaqp_server_xi_spent.{identity}`. The spend is *released* budget
 /// accounting — the analyst already observes it through `BudgetStatus`
 /// frames — so exposing it in telemetry leaks nothing new.
-fn record_xi_spent(analyst: &str, session: Option<&AnalystSession>) {
+fn record_xi_spent(analyst: &str, ledger: Option<&SharedAccountant>) {
     if !obs::enabled() {
         return;
     }
-    let spent = match session {
-        Some(AnalystSession::Engine(s)) => s.spent(),
-        Some(AnalystSession::Sharded(s)) => s.spent(),
-        None => return,
-    };
+    let Some(ledger) = ledger else { return };
     obs::gauge_set(
         &format!("{}.{analyst}", obs::names::SERVER_XI_SPENT),
-        obs::ObsValue::from_released(spent.eps),
+        obs::ObsValue::from_released(ledger.spent().eps),
     );
 }
 
@@ -1571,30 +1091,40 @@ fn core_error_reply(index: u32, error: &CoreError) -> Frame {
     error_reply(index, code, &error.to_string())
 }
 
-/// The `(total, spent, queries answered)` of a session's ledger, when the
-/// connection has one.
-fn session_charges(session: Option<&AnalystSession>) -> Option<(PrivacyCost, PrivacyCost, u64)> {
-    match session {
-        Some(AnalystSession::Engine(s)) => {
-            Some((s.accountant().total(), s.spent(), s.queries_answered()))
-        }
-        Some(AnalystSession::Sharded(s)) => {
-            Some((s.accountant().total(), s.spent(), s.queries_answered()))
-        }
-        None => None,
+/// The typed reply to a frame that failed to decode. An unknown header
+/// version becomes the negotiation error, whose `index` field carries the
+/// server's maximum version (documented on
+/// [`ErrorCode::UnsupportedVersion`]) so the client can surface both sides
+/// of the failed negotiation.
+fn malformed_reply(error: &NetError) -> Frame {
+    match error {
+        NetError::UnsupportedVersion { requested, .. } => Frame::Error(ErrorFrame {
+            index: VERSION as u32,
+            code: ErrorCode::UnsupportedVersion,
+            message: format!(
+                "server speaks wire-protocol versions {MIN_VERSION}..={VERSION}, \
+                 frame declared {requested}"
+            ),
+        }),
+        _ => error_reply(0, ErrorCode::BadRequest, &error.to_string()),
     }
 }
 
-fn budget_status(charged: Option<(PrivacyCost, PrivacyCost, u64)>, answered: u64) -> BudgetStatus {
-    match charged {
-        Some((total, spent, queries_answered)) => BudgetStatus {
-            limited: true,
-            total_eps: total.eps,
-            total_delta: total.delta,
-            spent_eps: spent.eps,
-            spent_delta: spent.delta,
-            queries_answered,
-        },
+/// The analyst's ledger as a status frame; without a ledger the
+/// connection reports itself uncapped.
+fn budget_status(ledger: Option<&SharedAccountant>, answered: u64) -> BudgetStatus {
+    match ledger {
+        Some(ledger) => {
+            let (total, spent) = (ledger.total(), ledger.spent());
+            BudgetStatus {
+                limited: true,
+                total_eps: total.eps,
+                total_delta: total.delta,
+                spent_eps: spent.eps,
+                spent_delta: spent.delta,
+                queries_answered: ledger.queries_answered(),
+            }
+        }
         None => BudgetStatus {
             limited: false,
             total_eps: f64::INFINITY,

@@ -1405,3 +1405,401 @@ fn online_frames_on_a_v5_connection_are_rejected_without_charging() {
     server.shutdown();
     engine.shutdown();
 }
+
+// ---------------------------------------------------------------------------
+// One loop, four roles: the handshake and the gate table, role by role.
+// ---------------------------------------------------------------------------
+
+/// One listener of every role over the plan-test federation. The engines
+/// and the coordinator's shard servers ride along so they outlive the
+/// listeners.
+struct EveryRole {
+    listeners: Vec<(&'static str, LoopbackServer)>,
+    shard_servers: Vec<LoopbackServer>,
+    engines: Vec<FederationEngine>,
+}
+
+impl EveryRole {
+    fn spawn(options: ServeOptions) -> Self {
+        use fedaqp_core::{LiveFederation, RefreshPolicy};
+
+        let (mut engines, shard_servers) = spawn_shard_grid(2);
+        let coordinator = spawn_coordinator(&shard_servers, options);
+        let engine = FederationEngine::start(plan_federation(1.0));
+        let shard_engine = FederationEngine::start(plan_federation(1.0));
+        let live = LiveFederation::new(plan_federation(1.0), RefreshPolicy::default());
+        let listeners = vec![
+            (
+                "engine",
+                LoopbackServer::analyst(engine.handle(), options).unwrap(),
+            ),
+            ("coordinator", coordinator),
+            ("live", LoopbackServer::live(live, options).unwrap()),
+            (
+                "shard",
+                LoopbackServer::shard(shard_engine.handle()).unwrap(),
+            ),
+        ];
+        engines.extend([engine, shard_engine]);
+        Self {
+            listeners,
+            shard_servers,
+            engines,
+        }
+    }
+
+    fn shutdown(self) {
+        for (_, listener) in self.listeners {
+            listener.shutdown();
+        }
+        for server in self.shard_servers {
+            server.shutdown();
+        }
+        for engine in self.engines {
+            engine.shutdown();
+        }
+    }
+}
+
+/// A non-`Hello` first frame is answered at the version the peer's header
+/// declared — the one encoding the peer is certain to decode — by every
+/// role, then the connection closes.
+#[test]
+fn a_wrong_first_frame_is_answered_at_the_peers_version_by_every_role() {
+    use fedaqp_net::wire::{read_frame_versioned, write_frame_at, Frame};
+
+    let roles = EveryRole::spawn(ServeOptions::unlimited());
+    for (role, listener) in &roles.listeners {
+        let mut stream = std::net::TcpStream::connect(listener.addr()).unwrap();
+        write_frame_at(&mut stream, &Frame::BudgetRequest, 1).unwrap();
+        match read_frame_versioned(&mut stream).unwrap() {
+            (Frame::Error(e), version) => {
+                assert_eq!(version, 1, "{role}: reply stamped at the peer's version");
+                assert_eq!(e.code, ErrorCode::BadRequest, "{role}");
+                assert!(
+                    e.message.contains("expected a Hello"),
+                    "{role}: {}",
+                    e.message
+                );
+            }
+            other => panic!("{role}: expected a typed handshake error, got {other:?}"),
+        }
+        assert!(
+            matches!(
+                read_frame_versioned(&mut stream),
+                Err(NetError::Disconnected)
+            ),
+            "{role}: the handshake failure closes the connection"
+        );
+    }
+    roles.shutdown();
+}
+
+/// The variant name of a frame, for reply-kind expectations.
+fn frame_kind(frame: &wire::Frame) -> String {
+    let debug = format!("{frame:?}");
+    let end = debug
+        .find(|c: char| !c.is_alphanumeric())
+        .unwrap_or(debug.len());
+    debug[..end].to_owned()
+}
+
+/// One request frame kind and what the protocol promises about it.
+struct GateCase {
+    frame: wire::Frame,
+    /// The roles that serve the frame.
+    served_by: &'static [&'static str],
+    /// The negotiated version the frame is served from.
+    floor: u16,
+    /// The ε a served frame charges a capped analyst.
+    charges: f64,
+    /// The reply kinds a served frame is answered with, in order.
+    replies: &'static [&'static str],
+}
+
+/// Every request frame kind, in an order that is also a valid shard
+/// fragment lifecycle (queue, summaries, allocation, partial, abort).
+fn gate_cases() -> Vec<GateCase> {
+    use fedaqp_net::wire::{
+        BatchRequest, ExplainRequest, ExtremeFragmentRequest, FragmentAllocationFrame,
+        FragmentRequest, Frame, IngestRequest, OnlinePlanRequest, PlanRequest, QueryRequest,
+        WireRow,
+    };
+
+    const ANALYST: &[&str] = &["engine", "coordinator", "live"];
+    const SHARD: &[&str] = &["shard"];
+    let spec = || QueryRequest {
+        query: count_query(100, 800),
+        sampling_rate: 0.2,
+    };
+    let scalar = || QueryPlan::Scalar {
+        query: count_query(100, 800),
+        sampling_rate: 0.2,
+        epsilon: 0.5,
+        delta: 1e-3,
+    };
+    let case = |frame, served_by, floor, charges, replies| GateCase {
+        frame,
+        served_by,
+        floor,
+        charges,
+        replies,
+    };
+    vec![
+        case(Frame::Query(spec()), ANALYST, 1, 1.0, &["Answer"]),
+        case(
+            Frame::Batch(BatchRequest {
+                specs: vec![spec(), spec()],
+            }),
+            ANALYST,
+            1,
+            2.0,
+            &["Answer", "Answer"],
+        ),
+        case(
+            Frame::Plan(PlanRequest { plan: scalar() }),
+            ANALYST,
+            2,
+            0.5,
+            &["PlanAnswer"],
+        ),
+        case(
+            Frame::Explain(ExplainRequest { plan: scalar() }),
+            ANALYST,
+            3,
+            0.0,
+            &["ExplainAnswer"],
+        ),
+        case(Frame::BudgetRequest, ANALYST, 1, 0.0, &["BudgetStatus"]),
+        case(Frame::Metrics, ANALYST, 5, 0.0, &["MetricsAnswer"]),
+        case(
+            Frame::OnlinePlan(OnlinePlanRequest {
+                query: count_query(100, 800),
+                sampling_rate: 0.2,
+                epsilon: 0.25,
+                delta: 1e-3,
+                rounds: 2,
+            }),
+            ANALYST,
+            6,
+            0.25,
+            &["OnlineSnapshot", "OnlineSnapshot", "OnlineDone"],
+        ),
+        case(
+            Frame::Ingest(IngestRequest {
+                provider: 0,
+                rows: vec![WireRow {
+                    values: vec![1, 2],
+                    measure: 1,
+                }],
+            }),
+            &["live"],
+            6,
+            0.0,
+            &["IngestAck"],
+        ),
+        case(
+            Frame::Fragment(FragmentRequest {
+                query: count_query(100, 800),
+                sampling_rate: 0.2,
+                eps_o: 0.1,
+                eps_s: 0.4,
+                eps_e: 0.5,
+                delta: 1e-3,
+                occurrence: 0,
+            }),
+            SHARD,
+            4,
+            0.0,
+            &["FragmentQueued"],
+        ),
+        case(
+            Frame::FragmentSummariesRequest,
+            SHARD,
+            4,
+            0.0,
+            &["FragmentSummaries"],
+        ),
+        case(
+            Frame::FragmentAllocation(FragmentAllocationFrame {
+                allocations: vec![2; 4],
+            }),
+            SHARD,
+            4,
+            0.0,
+            &["FragmentAllocated"],
+        ),
+        case(
+            Frame::FragmentPartialRequest,
+            SHARD,
+            4,
+            0.0,
+            &["FragmentPartial"],
+        ),
+        case(Frame::FragmentAbort, SHARD, 4, 0.0, &["FragmentAborted"]),
+        case(
+            Frame::ExtremeFragment(ExtremeFragmentRequest {
+                dim: 0,
+                extreme: Extreme::Max,
+                epsilon: 1.0,
+                occurrence: 0,
+            }),
+            SHARD,
+            4,
+            0.0,
+            &["ExtremePartial"],
+        ),
+        case(Frame::ShardBoundsRequest, SHARD, 4, 0.0, &["ShardBounds"]),
+    ]
+}
+
+/// The conformance matrix of the serving loop: every role × every request
+/// frame kind × every negotiable version (so each frame is probed just
+/// below and at its floor). A frame the role does not serve, then a frame
+/// the connection's version cannot answer, is refused with a typed
+/// `bad-request` naming the reason; the refusal charges nothing, and the
+/// connection keeps serving. A served frame gets exactly its reply kinds
+/// and charges exactly its declared ε. Every frame — fragment frames on a
+/// shard listener included — lands in the frame counters.
+#[test]
+fn every_role_gates_every_frame_kind_by_role_then_version() {
+    use fedaqp_net::wire::{read_frame_versioned, write_frame, write_frame_at, Frame, Hello};
+
+    let roles = EveryRole::spawn(ServeOptions::with_budget(1000.0, 0.9));
+    let metric = |client: &mut RemoteFederation, name: &str| -> f64 {
+        let metrics = client.metrics().unwrap();
+        metrics
+            .iter()
+            .find(|m| m.name == name)
+            .map_or(0.0, |m| m.value)
+    };
+    let mut admin = RemoteFederation::connect_as(roles.listeners[0].1.addr(), "admin").unwrap();
+    let frames_before = metric(&mut admin, "fedaqp_server_frames_total");
+    let fragments_before = metric(&mut admin, "fedaqp_server_frames_total.fragment");
+    let (frames_sent, fragments_sent) = (std::cell::Cell::new(0.0), std::cell::Cell::new(0.0));
+
+    for (role, listener) in &roles.listeners {
+        for version in wire::MIN_VERSION..=wire::VERSION {
+            let mut stream = std::net::TcpStream::connect(listener.addr()).unwrap();
+            let hello = Frame::Hello(Hello {
+                analyst: "matrix".into(),
+            });
+            write_frame_at(&mut stream, &hello, version).unwrap();
+            let ack = read_frame_versioned(&mut stream).unwrap();
+            if *role == "shard" && version < 4 {
+                // Below the shard role's Hello floor there is no
+                // connection to gate frames on.
+                match ack {
+                    (Frame::Error(e), v) => {
+                        assert_eq!(v, version);
+                        assert!(e.message.contains("v4"), "{}", e.message);
+                    }
+                    other => panic!("expected a handshake refusal, got {other:?}"),
+                }
+                continue;
+            }
+            assert!(
+                matches!(ack, (Frame::HelloAck(_), v) if v == version),
+                "{role} v{version}: {ack:?}"
+            );
+
+            // Requests go out stamped at the newest version (a request
+            // decodes from its own header); replies must come back at the
+            // negotiated one.
+            let mut exchange = |frame: &Frame, replies: usize| -> Vec<Frame> {
+                write_frame(&mut stream, frame).unwrap();
+                frames_sent.set(frames_sent.get() + 1.0);
+                let kind = frame_kind(frame);
+                if kind.contains("Fragment") || kind == "ShardBoundsRequest" {
+                    fragments_sent.set(fragments_sent.get() + 1.0);
+                }
+                (0..replies)
+                    .map(|_| {
+                        let (reply, v) = read_frame_versioned(&mut stream).unwrap();
+                        assert_eq!(v, version, "{role}: replies use the negotiated version");
+                        reply
+                    })
+                    .collect()
+            };
+            // The ledger as the analyst sees it; a shard listener has none
+            // (and refuses the inquiry like any other analyst frame).
+            let spent = |status: Vec<Frame>| -> Option<f64> {
+                match &status[0] {
+                    Frame::BudgetStatus(status) => Some(status.spent_eps),
+                    Frame::Error(_) => None,
+                    other => panic!("{role} v{version}: unexpected status reply {other:?}"),
+                }
+            };
+
+            for case in gate_cases() {
+                let what = format!("{role} v{version} {}", frame_kind(&case.frame));
+                let before = spent(exchange(&Frame::BudgetRequest, 1));
+                let served = case.served_by.contains(role);
+                let refusal = if !served {
+                    Some(match (*role, frame_kind(&case.frame).as_str()) {
+                        ("shard", _) => "coordinator".to_owned(),
+                        (_, "Ingest") => "live-mode".to_owned(),
+                        _ => "shard-mode".to_owned(),
+                    })
+                } else if version < case.floor {
+                    Some(format!("v{}-negotiated", case.floor))
+                } else {
+                    None
+                };
+                let replies = exchange(
+                    &case.frame,
+                    refusal.as_ref().map_or(case.replies.len(), |_| 1),
+                );
+                let charged = match &refusal {
+                    Some(fragment) => {
+                        match &replies[0] {
+                            Frame::Error(e) => {
+                                assert_eq!(e.code, ErrorCode::BadRequest, "{what}");
+                                assert!(e.message.contains(fragment), "{what}: {}", e.message);
+                            }
+                            other => panic!("{what}: expected a typed refusal, got {other:?}"),
+                        }
+                        0.0
+                    }
+                    None => {
+                        let kinds: Vec<String> = replies.iter().map(frame_kind).collect();
+                        assert_eq!(kinds, case.replies, "{what}");
+                        case.charges
+                    }
+                };
+                // The connection is still usable, and the ledger moved by
+                // exactly what the frame declared — nothing on a refusal.
+                match (before, spent(exchange(&Frame::BudgetRequest, 1))) {
+                    (Some(before), Some(after)) => assert!(
+                        (after - before - charged).abs() < 1e-9,
+                        "{what}: ledger moved {before} -> {after}, expected +{charged}"
+                    ),
+                    (None, None) => {
+                        assert_eq!(*role, "shard", "{what}: only shards keep no ledger");
+                        let alive = exchange(&Frame::ShardBoundsRequest, 1);
+                        assert_eq!(frame_kind(&alive[0]), "ShardBounds", "{what}");
+                    }
+                    other => panic!("{what}: ledger visibility changed mid-connection: {other:?}"),
+                }
+            }
+        }
+    }
+
+    // Every frame was counted once, whatever the role; the fragment
+    // family has its own cell, fed by shard listeners too. (Lower bounds:
+    // the registry is process-global and sibling tests share it.)
+    let frames = metric(&mut admin, "fedaqp_server_frames_total") - frames_before;
+    let fragments = metric(&mut admin, "fedaqp_server_frames_total.fragment") - fragments_before;
+    let (frames_sent, fragments_sent) = (frames_sent.get(), fragments_sent.get());
+    assert!(
+        frames >= frames_sent,
+        "{frames} of {frames_sent} frames counted"
+    );
+    assert!(
+        fragments >= fragments_sent && fragments_sent > 0.0,
+        "{fragments} of {fragments_sent} fragment frames counted"
+    );
+
+    drop(admin);
+    roles.shutdown();
+}
