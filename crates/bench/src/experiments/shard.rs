@@ -7,9 +7,10 @@
 //! served by [`LoopbackServer::coordinator`]; only the partitioning
 //! differs — one engine of 8 providers behind one uplink, or two
 //! engines of 4 behind an uplink each. Every data-bearing reply a shard
-//! sends (fragment summaries, fragment partials) sleeps its transfer
-//! time on that shard's uplink ([`RemoteShard::with_uplink`], one
-//! ingress lock per shard), with a bandwidth low enough that the
+//! sends (fragment summaries, fragment partials) occupies that shard's
+//! simulated uplink for its transfer time ([`RemoteShard::with_uplink`],
+//! one virtual-clock [`Uplink`] per shard; the coordinator sleeps until
+//! the latest arrival), with a bandwidth low enough that the
 //! uplinks — not the engines — are the bottleneck. Splitting the
 //! providers across two shards halves each reply and sends the halves
 //! in parallel, so with 16 concurrent analysts pipelining queries the
@@ -21,7 +22,6 @@
 //! `two_shard_qps`, `scaling`), compared in CI against the committed
 //! `BENCH_shard_baseline.json`.
 
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use fedaqp_core::{
@@ -29,7 +29,7 @@ use fedaqp_core::{
 };
 use fedaqp_data::{partition_rows, PartitionMode};
 use fedaqp_model::Aggregate;
-use fedaqp_net::{LoopbackServer, RemoteFederation, RemoteShard, ServeOptions};
+use fedaqp_net::{LoopbackServer, RemoteFederation, RemoteShard, ServeOptions, Uplink};
 use fedaqp_obs::Histogram;
 use fedaqp_smc::CostModel;
 use rand::rngs::StdRng;
@@ -154,10 +154,10 @@ pub fn run(ctx: &ExperimentContext) -> Vec<Table> {
             .map(|server| {
                 let shard = RemoteShard::connect(server.addr())
                     .expect("connect shard")
-                    // One ingress lock *per shard*: each shard owns its
-                    // uplink, so a 2-shard grid has twice the aggregate
-                    // reply bandwidth of the 1-shard grid.
-                    .with_uplink(uplink_model(), Arc::new(Mutex::new(())));
+                    // One link *per shard*: each shard owns its uplink,
+                    // so a 2-shard grid has twice the aggregate reply
+                    // bandwidth of the 1-shard grid.
+                    .with_uplink(Uplink::new(uplink_model()));
                 Box::new(shard) as Box<dyn ShardBackend>
             })
             .collect();

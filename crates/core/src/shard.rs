@@ -60,12 +60,27 @@
 //! their parked workers unblock.
 //!
 //! **Deadlock discipline.** Every shard engine requires its provider
-//! queues to observe jobs in one order; across shards the coordinator
-//! holds a global scatter lock across the *begin* calls of one sub-query
-//! (and only those — summaries and partials are gathered outside the
-//! lock, in parallel across shards, and allocations delivered outside it
-//! too), so any two sub-queries begin in the same order on every shard
-//! and the per-fragment allocation barriers resolve in queue order.
+//! queues to observe jobs in one order, and its workers park at each
+//! fragment's allocation barrier until the coordinator — which needs
+//! *every* shard's summaries first — feeds the allocation back. Across
+//! shards the queues must therefore agree: the coordinator holds a global
+//! scatter lock from the first shard's [`ShardBackend::begin`] until the
+//! last shard's [`FragmentHandle::queued`] ack (write to all shards, then
+//! read all acks — one round trip under the lock), so every shard's
+//! queues see fragments as a subsequence of one global order and the
+//! barriers resolve in queue order. Acking outside the lock breaks it:
+//! shard 0 enqueues `[P, Q]`, shard 1 `[Q, P]`, and each engine parks at
+//! its first job's barrier waiting for a summary queued behind the
+//! other's. Only the begins and their acks are under the lock —
+//! summaries and partials are gathered outside it, and allocations
+//! delivered outside it too.
+//!
+//! **No threads.** By the time a reply is read, every shard already has
+//! its request, so reading the replies in shard order waits for the
+//! slowest shard, not for the sum. A backend that simulates a slow link
+//! reports when its reply will have arrived
+//! ([`FragmentHandle::ready_at`]) and the coordinator sleeps once, until
+//! the latest arrival across shards.
 //!
 //! SMC release ([`ReleaseMode::Smc`]) is not shardable — its oblivious
 //! sum needs every provider's secret shares in one place — and is
@@ -150,12 +165,20 @@ pub struct ExtremeFragmentSpec {
     pub occurrence: u64,
 }
 
-/// One private fragment in flight on a shard: summaries out, allocation
-/// in, partial out. Dropping an unallocated handle must abort the
-/// fragment so the shard's parked workers unblock (the in-process
-/// implementation inherits this from [`PendingFragment`]'s `Drop`; a
-/// wire-backed implementation aborts on connection close).
+/// One private fragment in flight on a shard: queued, summaries out,
+/// allocation in, partial out — called in that order, once each.
+/// Dropping an unallocated handle must abort the fragment so the shard's
+/// parked workers unblock (the in-process implementation inherits this
+/// from [`PendingFragment`]'s `Drop`; a wire-backed implementation aborts
+/// on connection close).
 pub trait FragmentHandle: Send {
+    /// Blocks until the fragment is on the shard's provider queues — the
+    /// ack the coordinator collects inside its scatter lock (see the
+    /// module docs' deadlock discipline). Immediate for a backend whose
+    /// [`ShardBackend::begin`] enqueues synchronously.
+    fn queued(&mut self) -> Result<()> {
+        Ok(())
+    }
     /// Blocks until every local provider delivered its step-2 summary;
     /// returns them in local provider order with the slowest provider's
     /// summary time.
@@ -166,6 +189,12 @@ pub trait FragmentHandle: Send {
     /// Blocks until every local provider executed; returns the shard's
     /// mergeable partial.
     fn partial(&mut self) -> Result<FragmentPartial>;
+    /// When the reply read last will have crossed a simulated link —
+    /// `None` (the default) when it already has. The coordinator sleeps
+    /// until the latest such instant across a sub-query's shards.
+    fn ready_at(&self) -> Option<Instant> {
+        None
+    }
 }
 
 /// One engine shard as the coordinator sees it: provider count and
@@ -179,7 +208,8 @@ pub trait ShardBackend: Send + Sync {
     /// order (offline Algorithm 1 metadata — the coordinator concatenates
     /// these into the global [`MetaSnapshot`]).
     fn bounds(&self) -> Vec<ProviderBounds>;
-    /// Begins one private fragment without waiting.
+    /// Begins one private fragment without waiting — not even for the
+    /// shard to acknowledge it ([`FragmentHandle::queued`] does).
     fn begin(&self, spec: &FragmentSpec) -> Result<Box<dyn FragmentHandle>>;
     /// Runs one MIN/MAX fragment to completion: the shard-local combined
     /// selection plus its slowest provider's execution time.
@@ -243,10 +273,13 @@ struct CoordinatorInner {
     /// of the determinism contract) — same content-hash keys as the
     /// engine's own ledger.
     occurrences: Mutex<HashMap<u64, u64>>,
-    /// Global scatter lock: held across the begin calls of one
-    /// sub-query so every shard observes sub-queries in one order (see
+    /// Global scatter lock: held across the begins of one sub-query and
+    /// their acks, so every shard observes sub-queries in one order (see
     /// the module docs' deadlock discipline).
     scatter: Mutex<()>,
+    /// Each shard's `(scatter, gather)` latency metric names — the
+    /// labeled families `{base}.shard{s}`, built once.
+    shard_metrics: Vec<(String, String)>,
     /// Worker pools of in-process shards (empty when the shards are
     /// remote); drained by [`ShardedFederation::shutdown`].
     engines: Mutex<Vec<FederationEngine>>,
@@ -362,6 +395,14 @@ impl ShardedFederation {
                 providers: config.n_providers,
             });
         }
+        let shard_metrics = (0..shards.len())
+            .map(|s| {
+                (
+                    format!("{}.shard{s}", obs::names::SHARD_SCATTER),
+                    format!("{}.shard{s}", obs::names::SHARD_GATHER),
+                )
+            })
+            .collect();
         Ok(Self {
             inner: Arc::new(CoordinatorInner {
                 config,
@@ -369,6 +410,7 @@ impl ShardedFederation {
                 snapshot: MetaSnapshot::from_bounds(bounds),
                 shards,
                 offsets,
+                shard_metrics,
                 occurrences: Mutex::new(HashMap::new()),
                 scatter: Mutex::new(()),
                 engines: Mutex::new(engines),
@@ -490,49 +532,55 @@ impl ShardedFederation {
             budget: *budget,
             occurrence,
         };
-        // Begin on every shard in shard order under the scatter lock —
-        // and only the begins: holding it across the (blocking) summary
-        // gathering would serialize concurrent plans for nothing.
-        let mut fragments: Vec<Box<dyn FragmentHandle>> = Vec::with_capacity(inner.shards.len());
-        {
+        // Write the fragment to every shard, then read every shard's ack,
+        // all under the scatter lock — and only that: holding it across
+        // the (blocking) summary gathering would serialize concurrent
+        // plans for nothing. Every ack (or typed failure) is in before
+        // the lock is released, whatever the outcome.
+        let acked: Vec<Result<Box<dyn FragmentHandle>>> = {
             let _order = inner.scatter.lock().unwrap_or_else(PoisonError::into_inner);
-            for (s, shard) in inner.shards.iter().enumerate() {
-                // One immediate retry absorbs a transient fault (a dropped
-                // connection, a mid-restart shard). The spec — and with it
-                // the occurrence index — is reused verbatim, so a retried
-                // fragment draws byte-identical noise.
-                let begun = shard.begin(&spec).or_else(|e| {
-                    if matches!(e, CoreError::ShardUnavailable { .. }) {
-                        obs::counter_add(obs::names::SHARD_RETRIES, 1);
-                        shard.begin(&spec)
-                    } else {
-                        Err(e)
-                    }
-                });
-                match begun {
-                    Ok(fragment) => fragments.push(fragment),
-                    // Dropping the already-begun fragments aborts them,
-                    // so healthy shards' parked workers unblock.
-                    Err(e) => return Err(self.shard_error(s, e)),
-                }
-            }
-        }
-        // Gather summaries — in parallel across shards, so one shard's
-        // transfer does not idle the others — and concatenate into
-        // global provider order.
+            let begun: Vec<_> = inner
+                .shards
+                .iter()
+                .map(|shard| shard.begin(&spec))
+                .collect();
+            begun
+                .into_iter()
+                .zip(&inner.shards)
+                .map(|(first, shard)| {
+                    // One immediate retry absorbs a transient fault (a
+                    // dropped connection, a mid-restart shard). The spec
+                    // — and with it the occurrence index — is reused
+                    // verbatim, so a retried fragment draws
+                    // byte-identical noise.
+                    first.and_then(queued).or_else(|e| {
+                        if matches!(e, CoreError::ShardUnavailable { .. }) {
+                            obs::counter_add(obs::names::SHARD_RETRIES, 1);
+                            shard.begin(&spec).and_then(queued)
+                        } else {
+                            Err(e)
+                        }
+                    })
+                })
+                .collect()
+        };
+        // Dropping the fragments that did begin aborts them, so healthy
+        // shards' parked workers unblock.
+        let mut fragments = acked
+            .into_iter()
+            .enumerate()
+            .map(|(s, fragment)| fragment.map_err(|e| self.shard_error(s, e)))
+            .collect::<Result<Vec<_>>>()?;
+        // Gather summaries in shard order — every shard is already
+        // working, so this waits for the slowest, not the sum — and
+        // concatenate into global provider order.
         let mut summaries = Vec::with_capacity(inner.config.n_providers);
         let mut summary_time = Duration::ZERO;
-        let gathered = for_each_fragment(&mut fragments, |fragment| {
-            let t = Instant::now();
-            fragment.summaries().map(|r| (r, t.elapsed()))
-        });
-        for (s, result) in gathered.into_iter().enumerate() {
-            let (result, wall) = match result.map_err(|e| self.shard_error(s, e)) {
-                Ok((r, wall)) => (r, wall),
-                Err(e) => return Err(e),
-            };
-            observe_per_shard(obs::names::SHARD_SCATTER, s, wall);
-            let (mut shard_summaries, t) = result;
+        for (s, fragment) in fragments.iter_mut().enumerate() {
+            let wait = Instant::now();
+            let (mut shard_summaries, t) =
+                fragment.summaries().map_err(|e| self.shard_error(s, e))?;
+            obs::observe_duration(&inner.shard_metrics[s].0, wait.elapsed());
             if shard_summaries.len() != inner.shards[s].n_providers() {
                 return Err(CoreError::ProtocolViolation(
                     "fragment summaries do not match the shard's provider count",
@@ -544,6 +592,7 @@ impl ShardedFederation {
             }
             summaries.extend(shard_summaries);
         }
+        sleep_until_ready(&fragments);
         // Step 3, globally: the allocation program over *all* summaries.
         // `allocate` is RNG-free, so any aggregator seed reproduces the
         // 1-shard solution exactly.
@@ -594,13 +643,10 @@ impl ShardedFederation {
         let inner = &*self.inner;
         let mut outcomes = Vec::with_capacity(inner.config.n_providers);
         let mut execution = Duration::ZERO;
-        let gathered = for_each_fragment(&mut fragments, |fragment| {
-            let t = Instant::now();
-            fragment.partial().map(|r| (r, t.elapsed()))
-        });
-        for (s, result) in gathered.into_iter().enumerate() {
-            let (partial, wall) = result.map_err(|e| self.shard_error(s, e))?;
-            observe_per_shard(obs::names::SHARD_GATHER, s, wall);
+        for (s, fragment) in fragments.iter_mut().enumerate() {
+            let wait = Instant::now();
+            let partial = fragment.partial().map_err(|e| self.shard_error(s, e))?;
+            obs::observe_duration(&inner.shard_metrics[s].1, wait.elapsed());
             if partial.rows.len() != inner.shards[s].n_providers() {
                 return Err(CoreError::ProtocolViolation(
                     "fragment partial does not match the shard's provider count",
@@ -623,6 +669,7 @@ impl ShardedFederation {
                 });
             }
         }
+        sleep_until_ready(&fragments);
         let t = Instant::now();
         let aggregator = Aggregator::new(0, inner.config.cost_model);
         let value = aggregator.finalize_local(&outcomes)?;
@@ -652,46 +699,19 @@ impl ShardedFederation {
     }
 }
 
-/// Runs `op` on every fragment concurrently — one scoped thread per
-/// shard when there is more than one — returning the results in shard
-/// order. The blocking calls of a sub-query's fragments (summaries,
-/// partials) are independent across shards once begun, so gathering
-/// them serially would leave every other shard's uplink idle for the
-/// duration of each reply; results are still merged in shard order, so
-/// the release fold is unaffected.
-/// Records one shard's scatter/gather wall time under the labeled family
-/// `{base}.shard{s}` — public wall-clock only, like every obs sample. The
-/// allocation is skipped entirely while telemetry is off.
-fn observe_per_shard(base: &str, shard: usize, wall: Duration) {
-    if obs::enabled() {
-        obs::observe_duration(&format!("{base}.shard{shard}"), wall);
-    }
+/// Reads one fragment's `queued` ack, passing the fragment through.
+fn queued(mut fragment: Box<dyn FragmentHandle>) -> Result<Box<dyn FragmentHandle>> {
+    fragment.queued()?;
+    Ok(fragment)
 }
 
-fn for_each_fragment<T, F>(fragments: &mut [Box<dyn FragmentHandle>], op: F) -> Vec<Result<T>>
-where
-    T: Send,
-    F: Fn(&mut dyn FragmentHandle) -> Result<T> + Sync,
-{
-    if let [fragment] = fragments {
-        return vec![op(&mut **fragment)];
+/// Sleeps until the replies just read from `fragments` have all crossed
+/// their simulated links; returns at once when (as in every real
+/// deployment) no backend simulates one.
+fn sleep_until_ready(fragments: &[Box<dyn FragmentHandle>]) {
+    if let Some(latest) = fragments.iter().filter_map(|f| f.ready_at()).max() {
+        std::thread::sleep(latest.saturating_duration_since(Instant::now()));
     }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = fragments
-            .iter_mut()
-            .map(|fragment| scope.spawn(|| op(&mut **fragment)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| {
-                handle.join().unwrap_or_else(|_| {
-                    Err(CoreError::ProtocolViolation(
-                        "fragment gather thread panicked",
-                    ))
-                })
-            })
-            .collect()
-    })
 }
 
 /// Rejects configurations the coordinator cannot serve.
@@ -1104,6 +1124,120 @@ mod tests {
         // The live shard's begun fragment was aborted on drop, so its
         // workers are unparked and the pool shuts down cleanly.
         live.shutdown();
+    }
+
+    /// A live shard behind a simulated link: every data-bearing reply
+    /// will have arrived `LINK` after it was read.
+    struct SlowLinkShard {
+        engine: EngineHandle,
+        reads: Arc<Mutex<Vec<Instant>>>,
+    }
+
+    struct SlowLinkFragment {
+        inner: Box<dyn FragmentHandle>,
+        reads: Arc<Mutex<Vec<Instant>>>,
+        ready_at: Option<Instant>,
+    }
+
+    const LINK: Duration = Duration::from_millis(100);
+
+    impl SlowLinkFragment {
+        fn read(&mut self) {
+            let now = Instant::now();
+            self.reads.lock().unwrap().push(now);
+            self.ready_at = Some(now + LINK);
+        }
+    }
+
+    impl ShardBackend for SlowLinkShard {
+        fn n_providers(&self) -> usize {
+            ShardBackend::n_providers(&self.engine)
+        }
+
+        fn bounds(&self) -> Vec<ProviderBounds> {
+            ShardBackend::bounds(&self.engine)
+        }
+
+        fn begin(&self, spec: &FragmentSpec) -> Result<Box<dyn FragmentHandle>> {
+            Ok(Box::new(SlowLinkFragment {
+                inner: self.engine.begin(spec)?,
+                reads: Arc::clone(&self.reads),
+                ready_at: None,
+            }))
+        }
+
+        fn extreme(&self, spec: &ExtremeFragmentSpec) -> Result<(Value, Duration)> {
+            self.engine.extreme(spec)
+        }
+    }
+
+    impl FragmentHandle for SlowLinkFragment {
+        fn summaries(&mut self) -> Result<(Vec<crate::protocol::ProviderSummary>, Duration)> {
+            let summaries = self.inner.summaries()?;
+            self.read();
+            Ok(summaries)
+        }
+
+        fn allocate(&mut self, allocations: &[u64]) -> Result<()> {
+            self.inner.allocate(allocations)
+        }
+
+        fn partial(&mut self) -> Result<FragmentPartial> {
+            let partial = self.inner.partial()?;
+            self.read();
+            Ok(partial)
+        }
+
+        fn ready_at(&self) -> Option<Instant> {
+            self.ready_at
+        }
+    }
+
+    /// Simulated links are waited out once per gather, for the latest
+    /// arrival — never between two shards' reads, which would add the
+    /// links up instead of overlapping them.
+    #[test]
+    fn simulated_links_are_slept_once_per_gather_not_once_per_shard() {
+        let reads = Arc::new(Mutex::new(Vec::new()));
+        let mut engines = Vec::new();
+        let mut shards: Vec<Box<dyn ShardBackend>> = Vec::new();
+        let mut shard_partitions = partitions().into_iter();
+        for s in 0..2u64 {
+            let mut cfg = config(0xFEDA);
+            cfg.n_providers = 2;
+            cfg.provider_lane_base = 2 * s;
+            let engine = FederationEngine::start(
+                Federation::build(cfg, schema(), shard_partitions.by_ref().take(2).collect())
+                    .unwrap(),
+            );
+            shards.push(Box::new(SlowLinkShard {
+                engine: engine.handle(),
+                reads: Arc::clone(&reads),
+            }));
+            engines.push(engine);
+        }
+        let coordinator =
+            ShardedFederation::from_backends(config(0xFEDA), schema(), shards).unwrap();
+        let plan = plans().swap_remove(0);
+        let start = Instant::now();
+        let sharded = coordinator.run_plan(&plan).unwrap();
+        let elapsed = start.elapsed();
+        // Two gathers (summaries, partials), each behind one link time.
+        assert!(elapsed >= 2 * LINK, "{elapsed:?}");
+        let reads = reads.lock().unwrap();
+        assert_eq!(reads.len(), 4, "two shards, two data-bearing replies each");
+        for gather in reads.chunks(2) {
+            assert!(gather[1] - gather[0] < LINK, "slept between shards");
+        }
+        // The link delays answers; it does not change them.
+        let unsharded = Federation::build(config(0xFEDA), schema(), partitions())
+            .unwrap()
+            .with_engine(|e| e.run_plan(&plan))
+            .unwrap();
+        assert_eq!(sharded.result, unsharded.result);
+        for engine in engines {
+            engine.shutdown();
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub use client::{PendingRemote, PendingRemotePlan, RemoteAnswer, RemoteFederatio
 pub use error::NetError;
 pub use loopback::LoopbackServer;
 pub use server::{FederationServer, ServeOptions};
-pub use shard::RemoteShard;
+pub use shard::{RemoteShard, Uplink};
 pub use wire::{BudgetStatus, ErrorCode, Frame};
 
 /// Crate-wide result alias.

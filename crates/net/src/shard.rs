@@ -4,11 +4,39 @@
 //! federate engines running behind [`crate::FederationServer::bind_shard`]
 //! servers. Construction fetches the shard's provider count and public
 //! pruning bounds once (they are offline metadata — immutable for the
-//! server's lifetime); after that, every fragment opens its own
-//! connection, so one slow or dying fragment can never desynchronize a
-//! sibling's stream and a dropped connection maps exactly onto the
-//! fragment-abort semantics the engine already has (the server's
-//! [`fedaqp_core::PendingFragment`] aborts on drop).
+//! server's lifetime) and drops that connection; fragments then run over
+//! a small pool of idle, already-handshaken connections.
+//!
+//! **Connection lifecycle.** A connection carries one fragment at a time
+//! (the server enforces it). [`ShardBackend::begin`] and
+//! [`ShardBackend::extreme`] check one out of the idle list — or open and
+//! handshake a fresh one when the list is empty — and it goes back **only
+//! after a complete lifecycle**: the `FragmentPartial` / `ExtremePartial`
+//! was read, so nothing is unread on the stream. A failed, aborted or
+//! dropped fragment closes its connection instead, which maps exactly
+//! onto the fragment-abort semantics the engine already has (the server's
+//! [`fedaqp_core::PendingFragment`] aborts on drop) and means one slow or
+//! dying fragment can never desynchronize a sibling's stream.
+//!
+//! **Pipelining.** The server answers frames in arrival order, so the
+//! lifecycle is two writes and two reads per shard: `Fragment` +
+//! `FragmentSummariesRequest` leave in one write (replies `FragmentQueued`,
+//! `FragmentSummaries`), then `FragmentAllocation` +
+//! `FragmentPartialRequest` in one write (replies `FragmentAllocated`,
+//! `FragmentPartial`). The `FragmentQueued` ack is read by
+//! [`FragmentHandle::queued`], which the coordinator calls inside its
+//! scatter lock — see the deadlock discipline in [`fedaqp_core::shard`].
+//! A rejected allocation would leave the pipelined partial request
+//! blocking the server's connection thread, so the only way a correct
+//! coordinator could send one — a shard restarted with a different
+//! provider count — is refused at the handshake of every fresh connection.
+//!
+//! **Stale connections.** An idle connection can die unnoticed (a shard
+//! restart). When the *first* write or the *first* read on a pooled
+//! connection fails at the socket level, it and the rest of the idle list
+//! are discarded and the same request bytes — the same occurrence index —
+//! are re-sent once on a fresh connection. A fault that survives that is
+//! the shard's, not a stale socket's, and surfaces to the coordinator.
 //!
 //! Every failure inside the fragment lifecycle surfaces as
 //! [`CoreError::ShardUnavailable`] — the typed fault the coordinator's
@@ -22,9 +50,10 @@
 //! configured seed plus the coordinator-assigned occurrence index in the
 //! fragment frames.
 
+use std::io::Write;
 use std::net::TcpStream;
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 use fedaqp_core::{
     CoreError, ExtremeFragmentSpec, FragmentHandle, FragmentPartial, FragmentSpec, PartialRow,
@@ -34,28 +63,57 @@ use fedaqp_model::Value;
 use fedaqp_smc::CostModel;
 
 use crate::wire::{
-    encode_frame, read_frame, write_frame_at, ErrorCode, FragmentAllocationFrame, FragmentRequest,
-    Frame, Hello, VERSION,
+    encode_frame, read_frame, write_frame, ErrorCode, ExtremeFragmentRequest,
+    FragmentAllocationFrame, FragmentRequest, Frame, Hello, VERSION,
 };
 use crate::{NetError, Result};
 
-/// Simulated shard→coordinator uplink contention, for experiments: all
-/// shards sharing one ingress serialize their data-bearing replies
-/// through `lock` and sleep the [`CostModel`]'s transfer time for the
-/// reply's encoded size. Real deployments leave this off — the real
-/// socket *is* the uplink.
+/// Idle connections kept per shard: enough that a wide group-by (one
+/// connection per group, all in flight at once) or sixteen analysts'
+/// scalars find theirs waiting. Beyond it a completed fragment's
+/// connection is simply closed — each idle one also pins a thread on the
+/// shard, so the cap is what the pool costs in memory.
+const MAX_IDLE: usize = 16;
+
+/// A simulated shard→coordinator uplink, for experiments: every
+/// data-bearing reply crossing the link occupies it for the
+/// [`CostModel`]'s transfer time of the reply's encoded size, one reply
+/// at a time. The link is a virtual clock (`busy_until`), not a lock held
+/// across a sleep: a reply *reserves* its slot and learns when it will
+/// have arrived, and the coordinator sleeps once, until the latest
+/// arrival across shards ([`FragmentHandle::ready_at`]). Clones share the
+/// link. Real deployments use none — the real socket *is* the uplink.
 #[derive(Debug, Clone)]
-struct Uplink {
+pub struct Uplink {
     cost_model: CostModel,
-    lock: Arc<Mutex<()>>,
+    busy_until: Arc<Mutex<Instant>>,
 }
 
 impl Uplink {
-    /// Charges the simulated uplink for one reply frame.
-    fn charge(&self, frame: &Frame) {
+    /// An idle link with `cost_model`'s latency and bandwidth.
+    pub fn new(cost_model: CostModel) -> Self {
+        Self {
+            cost_model,
+            busy_until: Arc::new(Mutex::new(Instant::now())),
+        }
+    }
+
+    /// Reserves the link for a `bytes`-long reply that reached it at
+    /// `now`: the transfer starts when the link is next free, and the
+    /// returned instant is when it completes.
+    fn reserve(&self, now: Instant, bytes: u64) -> Instant {
+        let mut busy_until = self
+            .busy_until
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        *busy_until = (*busy_until).max(now) + self.cost_model.round_time(bytes);
+        *busy_until
+    }
+
+    /// Reserves the link for one reply frame read just now.
+    fn reserve_frame(&self, frame: &Frame) -> Instant {
         let bytes = encode_frame(frame).map(|b| b.len() as u64).unwrap_or(0);
-        let _ingress = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
-        std::thread::sleep(self.cost_model.round_time(bytes));
+        self.reserve(Instant::now(), bytes)
     }
 }
 
@@ -63,49 +121,51 @@ impl Uplink {
 /// of [`ShardBackend`], for [`fedaqp_core::ShardedFederation::from_backends`].
 #[derive(Debug, Clone)]
 pub struct RemoteShard {
-    addr: String,
+    pool: Arc<Pool>,
     bounds: Vec<ProviderBounds>,
     uplink: Option<Uplink>,
 }
 
 impl RemoteShard {
     /// Connects to a shard-mode server at `addr` and fetches its provider
-    /// bounds. The connection used for the fetch is dropped; fragments
-    /// open their own.
+    /// bounds. The connection used for the fetch is dropped, not pooled:
+    /// a shard that dies before its first fragment must be seen to be
+    /// dead, and only a fresh connect can see it.
     pub fn connect(addr: &str) -> Result<Self> {
         let mut conn = ShardConn::open(addr)?;
-        conn.send(&Frame::ShardBoundsRequest)?;
+        conn.write(&encode_frame(&Frame::ShardBoundsRequest)?)?;
         let providers = match conn.recv()? {
             Frame::ShardBounds(frame) => frame.providers,
             _ => return Err(NetError::Malformed("expected ShardBounds")),
         };
-        let bounds = providers
+        let bounds: Vec<_> = providers
             .into_iter()
             .map(|b| ProviderBounds::new(b.dims, b.n_clusters as usize))
             .collect();
         Ok(Self {
-            addr: addr.to_owned(),
+            pool: Arc::new(Pool {
+                addr: addr.to_owned(),
+                n_providers: bounds.len(),
+                idle: Mutex::new(Vec::new()),
+            }),
             bounds,
             uplink: None,
         })
     }
 
-    /// Enables simulated uplink contention: experiments
-    /// give each shard its own `ingress` lock to model per-shard WAN
-    /// uplinks (sharding then multiplies the grid's aggregate reply
-    /// bandwidth — the scaling the shard benchmark gates), or share one
-    /// lock across the grid to model a single coordinator NIC.
-    pub fn with_uplink(mut self, cost_model: CostModel, ingress: Arc<Mutex<()>>) -> Self {
-        self.uplink = Some(Uplink {
-            cost_model,
-            lock: ingress,
-        });
+    /// Puts this shard's data-bearing replies behind a simulated uplink.
+    /// Experiments give each shard an [`Uplink`] of its own to model
+    /// per-shard WAN uplinks (sharding then multiplies the grid's
+    /// aggregate reply bandwidth — the scaling the shard benchmark
+    /// gates), or clones of one to model a single coordinator NIC.
+    pub fn with_uplink(mut self, uplink: Uplink) -> Self {
+        self.uplink = Some(uplink);
         self
     }
 
     /// The shard server's address.
     pub fn addr(&self) -> &str {
-        &self.addr
+        &self.pool.addr
     }
 }
 
@@ -119,80 +179,102 @@ impl ShardBackend for RemoteShard {
     }
 
     fn begin(&self, spec: &FragmentSpec) -> fedaqp_core::Result<Box<dyn FragmentHandle>> {
-        let mut conn = ShardConn::open(&self.addr).map_err(|e| unavailable(&e))?;
-        conn.send(&Frame::Fragment(FragmentRequest {
-            query: spec.query.clone(),
-            sampling_rate: spec.sampling_rate,
-            eps_o: spec.budget.eps_o,
-            eps_s: spec.budget.eps_s,
-            eps_e: spec.budget.eps_e,
-            delta: spec.budget.delta,
-            occurrence: spec.occurrence,
-        }))
+        let request = encode(&[
+            Frame::Fragment(FragmentRequest {
+                query: spec.query.clone(),
+                sampling_rate: spec.sampling_rate,
+                eps_o: spec.budget.eps_o,
+                eps_s: spec.budget.eps_s,
+                eps_e: spec.budget.eps_e,
+                delta: spec.budget.delta,
+                occurrence: spec.occurrence,
+            }),
+            Frame::FragmentSummariesRequest,
+        ])
         .map_err(|e| unavailable(&e))?;
-        match conn.recv().map_err(|e| unavailable(&e))? {
-            Frame::FragmentQueued => {}
-            _ => {
-                return Err(CoreError::ShardUnavailable {
-                    shard: 0,
-                    reason: "shard answered the fragment with an unexpected frame",
-                })
-            }
-        }
+        let sent = self.pool.send(request).map_err(|e| unavailable(&e))?;
         Ok(Box::new(RemoteFragment {
-            conn,
+            sent: Some(sent),
+            pool: Arc::clone(&self.pool),
             uplink: self.uplink.clone(),
-            complete: false,
+            ready_at: None,
         }))
     }
 
     fn extreme(&self, spec: &ExtremeFragmentSpec) -> fedaqp_core::Result<(Value, Duration)> {
-        let mut conn = ShardConn::open(&self.addr).map_err(|e| unavailable(&e))?;
-        conn.send(&Frame::ExtremeFragment(
-            crate::wire::ExtremeFragmentRequest {
-                dim: spec.dim as u32,
-                extreme: spec.extreme,
-                epsilon: spec.epsilon,
-                occurrence: spec.occurrence,
-            },
-        ))
+        let request = encode_frame(&Frame::ExtremeFragment(ExtremeFragmentRequest {
+            dim: spec.dim as u32,
+            extreme: spec.extreme,
+            epsilon: spec.epsilon,
+            occurrence: spec.occurrence,
+        }))
         .map_err(|e| unavailable(&e))?;
-        match conn.recv().map_err(|e| unavailable(&e))? {
+        let mut sent = self.pool.send(request).map_err(|e| unavailable(&e))?;
+        match self
+            .pool
+            .first_reply(&mut sent)
+            .map_err(|e| unavailable(&e))?
+        {
             Frame::ExtremePartial(partial) => {
+                self.pool.put_back(sent.conn);
                 if let Some(uplink) = &self.uplink {
-                    uplink.charge(&Frame::ExtremePartial(partial));
+                    // Extreme fragments run one shard at a time, so the
+                    // arrival is waited out right here.
+                    let arrival = uplink.reserve_frame(&Frame::ExtremePartial(partial));
+                    std::thread::sleep(arrival.saturating_duration_since(Instant::now()));
                 }
                 Ok((partial.value, Duration::from_micros(partial.execution_us)))
             }
-            _ => Err(CoreError::ShardUnavailable {
-                shard: 0,
-                reason: "shard answered the extreme fragment with an unexpected frame",
-            }),
+            _ => Err(shard_fault(
+                "shard answered the extreme fragment with an unexpected frame",
+            )),
         }
     }
 }
 
-/// One fragment lifecycle on its own connection.
+/// What a lifecycle call after the partial was read gets told.
+const FINISHED: &str = "fragment lifecycle is already complete";
+
+/// One fragment lifecycle on a checked-out connection.
 struct RemoteFragment {
-    conn: ShardConn,
+    /// The connection, until the lifecycle completes and it goes back to
+    /// the pool; dropping it here instead closes it.
+    sent: Option<Sent>,
+    pool: Arc<Pool>,
     uplink: Option<Uplink>,
-    complete: bool,
+    /// When the reply read last finishes crossing the simulated uplink.
+    ready_at: Option<Instant>,
 }
 
 impl RemoteFragment {
-    fn request(&mut self, frame: &Frame) -> fedaqp_core::Result<Frame> {
-        self.conn.send(frame).map_err(|e| unavailable(&e))?;
-        self.conn.recv().map_err(|e| unavailable(&e))
+    fn sent(&mut self) -> fedaqp_core::Result<&mut Sent> {
+        self.sent.as_mut().ok_or(shard_fault(FINISHED))
+    }
+
+    fn recv(&mut self) -> fedaqp_core::Result<Frame> {
+        self.sent()?.conn.recv().map_err(|e| unavailable(&e))
+    }
+
+    fn reserve_uplink(&mut self, frame: &Frame) {
+        self.ready_at = self.uplink.as_ref().map(|u| u.reserve_frame(frame));
     }
 }
 
 impl FragmentHandle for RemoteFragment {
+    fn queued(&mut self) -> fedaqp_core::Result<()> {
+        // Field by field, so the pool stays borrowable beside the connection.
+        let sent = self.sent.as_mut().ok_or(shard_fault(FINISHED))?;
+        match self.pool.first_reply(sent).map_err(|e| unavailable(&e))? {
+            Frame::FragmentQueued => Ok(()),
+            _ => Err(shard_fault(
+                "shard answered the fragment with an unexpected frame",
+            )),
+        }
+    }
+
     fn summaries(&mut self) -> fedaqp_core::Result<(Vec<ProviderSummary>, Duration)> {
-        match self.request(&Frame::FragmentSummariesRequest)? {
+        match self.recv()? {
             Frame::FragmentSummaries(frame) => {
-                if let Some(uplink) = &self.uplink {
-                    uplink.charge(&Frame::FragmentSummaries(frame.clone()));
-                }
                 let summaries = frame
                     .summaries
                     .iter()
@@ -205,35 +287,54 @@ impl FragmentHandle for RemoteFragment {
                         noisy_avg_r: s.noisy_avg_r,
                     })
                     .collect();
-                Ok((summaries, Duration::from_micros(frame.summary_us)))
+                let summary_time = Duration::from_micros(frame.summary_us);
+                self.reserve_uplink(&Frame::FragmentSummaries(frame));
+                Ok((summaries, summary_time))
             }
-            _ => Err(CoreError::ShardUnavailable {
-                shard: 0,
-                reason: "shard answered the summaries request with an unexpected frame",
-            }),
+            _ => Err(shard_fault(
+                "shard answered the summaries request with an unexpected frame",
+            )),
         }
     }
 
     fn allocate(&mut self, allocations: &[u64]) -> fedaqp_core::Result<()> {
-        match self.request(&Frame::FragmentAllocation(FragmentAllocationFrame {
-            allocations: allocations.to_vec(),
-        }))? {
-            Frame::FragmentAllocated => Ok(()),
-            _ => Err(CoreError::ShardUnavailable {
-                shard: 0,
-                reason: "shard answered the allocation with an unexpected frame",
-            }),
+        // The partial request rides behind the allocation, so the server
+        // must not be able to reject the allocation (see the module docs).
+        if allocations.len() != self.pool.n_providers {
+            return Err(CoreError::ProtocolViolation(
+                "fragment allocation length does not match shard providers",
+            ));
         }
+        let request = encode(&[
+            Frame::FragmentAllocation(FragmentAllocationFrame {
+                allocations: allocations.to_vec(),
+            }),
+            Frame::FragmentPartialRequest,
+        ])
+        .map_err(|e| unavailable(&e))?;
+        self.sent()?
+            .conn
+            .write(&request)
+            .map_err(|e| unavailable(&e))
     }
 
     fn partial(&mut self) -> fedaqp_core::Result<FragmentPartial> {
-        match self.request(&Frame::FragmentPartialRequest)? {
+        match self.recv()? {
+            Frame::FragmentAllocated => {}
+            _ => {
+                return Err(shard_fault(
+                    "shard answered the allocation with an unexpected frame",
+                ))
+            }
+        }
+        match self.recv()? {
             Frame::FragmentPartial(frame) => {
-                if let Some(uplink) = &self.uplink {
-                    uplink.charge(&Frame::FragmentPartial(frame.clone()));
+                // Four requests, four replies: the stream is clean, so
+                // the connection can carry another fragment.
+                if let Some(sent) = self.sent.take() {
+                    self.pool.put_back(sent.conn);
                 }
-                self.complete = true;
-                Ok(FragmentPartial {
+                let partial = FragmentPartial {
                     rows: frame
                         .rows
                         .iter()
@@ -246,13 +347,18 @@ impl FragmentHandle for RemoteFragment {
                         })
                         .collect(),
                     execution: Duration::from_micros(frame.execution_us),
-                })
+                };
+                self.reserve_uplink(&Frame::FragmentPartial(frame));
+                Ok(partial)
             }
-            _ => Err(CoreError::ShardUnavailable {
-                shard: 0,
-                reason: "shard answered the partial request with an unexpected frame",
-            }),
+            _ => Err(shard_fault(
+                "shard answered the partial request with an unexpected frame",
+            )),
         }
+    }
+
+    fn ready_at(&self) -> Option<Instant> {
+        self.ready_at
     }
 }
 
@@ -261,8 +367,10 @@ impl Drop for RemoteFragment {
         // Best-effort graceful abort for an incomplete fragment; if the
         // frame never arrives, the closing socket aborts it anyway (the
         // server's `PendingFragment` unparks its workers on drop).
-        if !self.complete {
-            let _ = self.conn.send(&Frame::FragmentAbort);
+        if let Some(mut sent) = self.sent.take() {
+            if let Ok(abort) = encode_frame(&Frame::FragmentAbort) {
+                let _ = sent.conn.write(&abort);
+            }
         }
     }
 }
@@ -271,20 +379,114 @@ impl Drop for RemoteFragment {
 /// The reasons are static by [`CoreError`]'s design; the full story is in
 /// the shard server's log, not in what a failing shard tells an analyst.
 fn unavailable(error: &NetError) -> CoreError {
-    let reason = match error {
+    shard_fault(match error {
         NetError::Connect { .. } => "connection refused",
         NetError::Disconnected => "shard dropped the connection",
         NetError::Io(_) => "shard connection failed",
         NetError::Remote { .. } => "shard rejected the request",
         NetError::UnsupportedVersion { .. } => "shard speaks an incompatible protocol version",
         _ => "shard protocol error",
-    };
+    })
+}
+
+/// The coordinator's typed fault, before it knows the shard's index.
+fn shard_fault(reason: &'static str) -> CoreError {
     CoreError::ShardUnavailable { shard: 0, reason }
 }
 
-/// A blocking request/reply connection to a shard-mode server.
+/// Encodes two pipelined frames back to back, so they leave in one write.
+fn encode(frames: &[Frame; 2]) -> Result<Vec<u8>> {
+    let mut bytes = encode_frame(&frames[0])?;
+    bytes.extend(encode_frame(&frames[1])?);
+    Ok(bytes)
+}
+
+/// One shard's idle, already-handshaken connections.
+#[derive(Debug)]
+struct Pool {
+    addr: String,
+    /// The provider count the bounds were fetched with; every fresh
+    /// connection's handshake must still declare it.
+    n_providers: usize,
+    idle: Mutex<Vec<ShardConn>>,
+}
+
+/// A request in flight whose first reply has not been read yet.
+struct Sent {
+    conn: ShardConn,
+    /// The request's bytes, kept while `conn` came from the idle list
+    /// and may yet prove stale; `None` on a fresh connection and once the
+    /// first reply was read.
+    resend: Option<Vec<u8>>,
+}
+
+impl Pool {
+    fn idle(&self) -> MutexGuard<'_, Vec<ShardConn>> {
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The pool's miss path: connect, handshake, and check that the shard
+    /// still holds the providers its bounds were fetched for.
+    fn fresh(&self) -> Result<ShardConn> {
+        let conn = ShardConn::open(&self.addr)?;
+        if conn.n_providers != self.n_providers {
+            return Err(NetError::Handshake(
+                "shard's provider count changed since its bounds were fetched",
+            ));
+        }
+        Ok(conn)
+    }
+
+    /// Writes `request` on an idle connection, or on a fresh one when
+    /// there is none or the idle one turns out dead.
+    fn send(&self, request: Vec<u8>) -> Result<Sent> {
+        // Popped in a statement of its own: the guard must be gone before
+        // the write, and before `clear` takes the lock again.
+        let pooled = self.idle().pop();
+        if let Some(mut conn) = pooled {
+            if conn.write(&request).is_ok() {
+                return Ok(Sent {
+                    conn,
+                    resend: Some(request),
+                });
+            }
+            self.idle().clear();
+        }
+        let mut conn = self.fresh()?;
+        conn.write(&request)?;
+        Ok(Sent { conn, resend: None })
+    }
+
+    /// Reads the first reply to `sent`'s request. A pooled connection
+    /// that dies here was stale: the idle list goes with it and the
+    /// request is re-sent, once, on a fresh connection.
+    fn first_reply(&self, sent: &mut Sent) -> Result<Frame> {
+        match (sent.conn.recv(), sent.resend.take()) {
+            (Err(NetError::Disconnected | NetError::Io(_)), Some(request)) => {
+                self.idle().clear();
+                sent.conn = self.fresh()?;
+                sent.conn.write(&request)?;
+                sent.conn.recv()
+            }
+            (reply, _) => reply,
+        }
+    }
+
+    /// Takes back the connection of a completed lifecycle.
+    fn put_back(&self, conn: ShardConn) {
+        let mut idle = self.idle();
+        if idle.len() < MAX_IDLE {
+            idle.push(conn);
+        }
+    }
+}
+
+/// A blocking, handshaken connection to a shard-mode server.
+#[derive(Debug)]
 struct ShardConn {
     stream: TcpStream,
+    /// The provider count the server's `HelloAck` declared.
+    n_providers: usize,
 }
 
 impl ShardConn {
@@ -294,15 +496,17 @@ impl ShardConn {
             message: e.to_string(),
         })?;
         stream.set_nodelay(true).ok();
-        write_frame_at(
+        write_frame(
             &mut stream,
             &Frame::Hello(Hello {
                 analyst: "coordinator".to_owned(),
             }),
-            VERSION,
         )?;
         match read_frame(&mut stream)? {
-            Frame::HelloAck(ack) if ack.max_version >= 4 => Ok(Self { stream }),
+            Frame::HelloAck(ack) if ack.max_version >= 4 => Ok(Self {
+                stream,
+                n_providers: ack.n_providers as usize,
+            }),
             Frame::HelloAck(ack) => Err(NetError::UnsupportedVersion {
                 requested: VERSION,
                 supported: ack.max_version,
@@ -321,8 +525,10 @@ impl ShardConn {
         }
     }
 
-    fn send(&mut self, frame: &Frame) -> Result<()> {
-        write_frame_at(&mut self.stream, frame, VERSION)
+    /// Writes already-encoded frames in one go.
+    fn write(&mut self, bytes: &[u8]) -> Result<()> {
+        self.stream.write_all(bytes)?;
+        Ok(())
     }
 
     /// Reads the next reply, turning a typed error frame into
@@ -335,5 +541,159 @@ impl ShardConn {
             }),
             frame => Ok(frame),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::net::TcpListener;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use fedaqp_model::Extreme;
+
+    use super::*;
+    use crate::wire::{ExtremePartialFrame, HelloAck, ShardBoundsFrame, WireProviderBounds};
+
+    /// A scripted shard server: handshakes declaring `ack_providers`,
+    /// serves bounds for one provider, and **hangs up after answering
+    /// one extreme fragment** — so a connection the client pooled after
+    /// that answer is stale by the time it is reused. Counts what it
+    /// accepted and answered.
+    struct HangUpShard {
+        addr: String,
+        accepted: Arc<AtomicUsize>,
+        answered: Arc<AtomicUsize>,
+    }
+
+    impl HangUpShard {
+        fn spawn(ack_providers: u32) -> Self {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let accepted = Arc::new(AtomicUsize::new(0));
+            let answered = Arc::new(AtomicUsize::new(0));
+            let (accepts, answers) = (Arc::clone(&accepted), Arc::clone(&answered));
+            // Detached: it parks in `accept` when the test ends.
+            std::thread::spawn(move || {
+                for stream in listener.incoming() {
+                    let mut stream = stream.unwrap();
+                    accepts.fetch_add(1, Ordering::SeqCst);
+                    while let Ok(frame) = read_frame(&mut stream) {
+                        let reply = match frame {
+                            Frame::Hello(_) => Frame::HelloAck(HelloAck {
+                                dimensions: Vec::new(),
+                                n_providers: ack_providers,
+                                epsilon: 1.0,
+                                delta: 1e-3,
+                                calibration: 0,
+                                session_budget: None,
+                                max_version: VERSION,
+                            }),
+                            Frame::ShardBoundsRequest => Frame::ShardBounds(ShardBoundsFrame {
+                                providers: vec![WireProviderBounds {
+                                    dims: vec![None],
+                                    n_clusters: 1,
+                                }],
+                            }),
+                            Frame::ExtremeFragment(request) => {
+                                answers.fetch_add(1, Ordering::SeqCst);
+                                Frame::ExtremePartial(ExtremePartialFrame {
+                                    value: request.occurrence as i64,
+                                    execution_us: 0,
+                                })
+                            }
+                            other => panic!("unscripted frame {other:?}"),
+                        };
+                        write_frame(&mut stream, &reply).unwrap();
+                        if matches!(reply, Frame::ExtremePartial(_)) {
+                            break;
+                        }
+                    }
+                }
+            });
+            Self {
+                addr,
+                accepted,
+                answered,
+            }
+        }
+    }
+
+    fn extreme(occurrence: u64) -> ExtremeFragmentSpec {
+        ExtremeFragmentSpec {
+            dim: 0,
+            extreme: Extreme::Max,
+            epsilon: 1.0,
+            occurrence,
+        }
+    }
+
+    /// A pooled connection that died while idle costs one transparent
+    /// re-send of the same request on a fresh connection — no error, no
+    /// duplicate answer, and the dead idle list is gone.
+    #[test]
+    fn a_stale_pooled_connection_is_replaced_and_the_request_resent_once() {
+        let server = HangUpShard::spawn(1);
+        let shard = RemoteShard::connect(&server.addr).unwrap();
+        assert_eq!(shard.pool.idle().len(), 0, "the bounds fetch is not pooled");
+        for occurrence in 0..3 {
+            // Each answer's connection goes back to the pool, and is dead
+            // by the next call: the server hung up behind the answer.
+            let (value, _) = shard.extreme(&extreme(occurrence)).unwrap();
+            assert_eq!(value, occurrence as i64, "the spec is re-sent verbatim");
+            assert_eq!(shard.pool.idle().len(), 1);
+        }
+        assert_eq!(server.answered.load(Ordering::SeqCst), 3);
+        assert_eq!(
+            server.accepted.load(Ordering::SeqCst),
+            1 + 3,
+            "the bounds fetch, then one fresh connection per call"
+        );
+    }
+
+    /// A shard that came back with a different provider count is refused
+    /// at the handshake of the fresh connection: its allocation slice
+    /// would be rejected with the partial request already behind it.
+    #[test]
+    fn a_shard_whose_provider_count_changed_is_refused_at_the_handshake() {
+        let server = HangUpShard::spawn(2);
+        let shard = RemoteShard::connect(&server.addr).unwrap();
+        assert_eq!(shard.n_providers(), 1, "the bounds frame said one provider");
+        assert_eq!(
+            shard.extreme(&extreme(0)),
+            Err(shard_fault("shard protocol error"))
+        );
+        assert_eq!(server.answered.load(Ordering::SeqCst), 0);
+    }
+
+    /// 1 kB/s and no latency: a 100-byte reply holds the link for 100 ms.
+    fn slow_link() -> Uplink {
+        Uplink::new(CostModel {
+            latency: Duration::ZERO,
+            bandwidth_bytes_per_sec: 1000.0,
+            ns_per_gate: 0,
+            bytes_per_share: 8,
+        })
+    }
+
+    /// The virtual clock serialises one link exactly as holding its mutex
+    /// across a sleep did — and, like separate mutexes, lets separate
+    /// links overlap. The arrival instant is injected, so nothing sleeps.
+    #[test]
+    fn replies_queue_on_one_link_and_overlap_on_two() {
+        let t = Duration::from_millis(100);
+        let now = Instant::now() + Duration::from_secs(1);
+
+        let shared = slow_link();
+        let same_nic = shared.clone();
+        assert_eq!(shared.reserve(now, 100), now + t);
+        assert_eq!(same_nic.reserve(now, 100), now + 2 * t);
+
+        let (a, b) = (slow_link(), slow_link());
+        assert_eq!(a.reserve(now, 100), now + t);
+        assert_eq!(b.reserve(now, 100), now + t);
+
+        // A link left idle is free again: a later reply starts on arrival.
+        let later = now + 10 * t;
+        assert_eq!(shared.reserve(later, 100), later + t);
     }
 }

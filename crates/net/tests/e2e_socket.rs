@@ -802,16 +802,7 @@ fn spawn_shard_grid(n_shards: usize) -> (Vec<FederationEngine>, Vec<LoopbackServ
 /// Connects a coordinator to the given shard servers and serves it to
 /// analysts on its own loopback port.
 fn spawn_coordinator(servers: &[LoopbackServer], options: ServeOptions) -> LoopbackServer {
-    let shards: Vec<Box<dyn fedaqp_core::ShardBackend>> = servers
-        .iter()
-        .map(|s| {
-            Box::new(RemoteShard::connect(s.addr()).unwrap()) as Box<dyn fedaqp_core::ShardBackend>
-        })
-        .collect();
-    let federation =
-        fedaqp_core::ShardedFederation::from_backends(plan_config(1.0), plan_schema(), shards)
-            .unwrap();
-    LoopbackServer::coordinator(federation, options).unwrap()
+    LoopbackServer::coordinator(connect_coordinator(servers), options).unwrap()
 }
 
 /// The tentpole's acceptance bar, over real sockets: a coordinator
@@ -926,6 +917,214 @@ fn a_dead_shard_is_typed_shard_unavailable_and_the_charge_is_kept() {
     for engine in engines {
         engine.shutdown();
     }
+}
+
+/// Connects a coordinator to the given shard servers, in-process — the
+/// front door the pool tests drive directly, so no analyst connection
+/// muddies the shard-side counters.
+fn connect_coordinator(servers: &[LoopbackServer]) -> fedaqp_core::ShardedFederation {
+    let shards: Vec<Box<dyn fedaqp_core::ShardBackend>> = servers
+        .iter()
+        .map(|s| {
+            Box::new(RemoteShard::connect(s.addr()).unwrap()) as Box<dyn fedaqp_core::ShardBackend>
+        })
+        .collect();
+    fedaqp_core::ShardedFederation::from_backends(plan_config(1.0), plan_schema(), shards).unwrap()
+}
+
+fn shutdown_grid(engines: Vec<FederationEngine>, servers: Vec<LoopbackServer>) {
+    for server in servers {
+        server.shutdown();
+    }
+    for engine in engines {
+        engine.shutdown();
+    }
+}
+
+/// The ordering invariant, as a liveness test: every shard's
+/// `FragmentQueued` ack is read inside the coordinator's scatter lock, so
+/// the shards' worker queues agree on fragment order. Were an ack read
+/// outside it, two analysts' sub-queries could be enqueued `[P, Q]` on
+/// one shard and `[Q, P]` on the other, and each engine would park at its
+/// first job's allocation barrier forever. Four analyst connections
+/// hammering a 2-shard grid with the mixed plans (group-bys fan out)
+/// must finish — and a hang must fail this test, not wedge the run.
+#[test]
+fn concurrent_analysts_on_a_shard_grid_never_deadlock() {
+    const ANALYSTS: usize = 4;
+    const PASSES: usize = 6;
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let (engines, shard_servers) = spawn_shard_grid(2);
+        let coordinator = spawn_coordinator(&shard_servers, ServeOptions::unlimited());
+        std::thread::scope(|scope| {
+            for analyst in 0..ANALYSTS {
+                let addr = coordinator.addr();
+                scope.spawn(move || {
+                    let mut client =
+                        RemoteFederation::connect_as(addr, &format!("analyst-{analyst}")).unwrap();
+                    for _ in 0..PASSES {
+                        for plan in mixed_plans() {
+                            client.run_plan(&plan).unwrap();
+                        }
+                    }
+                });
+            }
+        });
+        coordinator.shutdown();
+        shutdown_grid(engines, shard_servers);
+        done_tx.send(()).unwrap();
+    });
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the shard grid deadlocked (or a worker panicked) under concurrent analysts");
+}
+
+/// Connection reuse, as counts. After one warm-up pass, `K` further
+/// passes open **no** connection to any shard while the shards receive
+/// exactly the fragment frames the lifecycle is made of: four per shard
+/// per private sub-query, one per shard per extreme.
+///
+/// The obs registry is process-global and sibling tests only ever push
+/// its counters *up*, so the measurement is retried until a window is
+/// clean: a window with zero new connections proves reuse (without the
+/// pool no window can show fewer than `K × 4`), and no window may ever
+/// show fewer frames than the lifecycle needs.
+#[test]
+fn pooled_connections_are_reused_and_the_frame_count_is_unchanged() {
+    const K: u64 = 8;
+    let (engines, shard_servers) = spawn_shard_grid(2);
+    let coordinator = connect_coordinator(&shard_servers);
+    let scalar = mixed_plans().swap_remove(0);
+    let extreme = mixed_plans().swap_remove(3);
+    let run_pass = || {
+        coordinator.run_plan(&scalar).unwrap();
+        coordinator.run_plan(&extreme).unwrap();
+    };
+    let frames_per_pass = 2 * 4 + 2;
+    let counter = |name: &str| fedaqp_obs::global().counter(name).get();
+    let connections = || counter("fedaqp_server_connections_total");
+    let frames = || counter("fedaqp_server_frames_total.fragment");
+
+    run_pass();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    loop {
+        let (connections_before, frames_before) = (connections(), frames());
+        for _ in 0..K {
+            run_pass();
+        }
+        let opened = connections() - connections_before;
+        let received = frames() - frames_before;
+        assert!(received >= K * frames_per_pass, "{received} frames");
+        if opened == 0 && received == K * frames_per_pass {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{K} passes opened {opened} connections and sent {received} fragment frames \
+             (expected 0 and {})",
+            K * frames_per_pass
+        );
+        std::thread::sleep(std::time::Duration::from_millis(100));
+    }
+    shutdown_grid(engines, shard_servers);
+}
+
+/// Reuse preserves bytes: the seeded mixed plans run twice through one
+/// coordinator — the second pass entirely on pooled connections — are
+/// bit-identical to the in-process engine's first and second
+/// occurrences. A connection carries no state from one fragment to the
+/// next; the occurrence index travels in every `Fragment` frame.
+#[test]
+fn pooled_connections_serve_repeat_plans_byte_identical_to_one_engine() {
+    let (engines, shard_servers) = spawn_shard_grid(2);
+    let coordinator = spawn_coordinator(&shard_servers, ServeOptions::unlimited());
+    let mut client = RemoteFederation::connect(coordinator.addr()).unwrap();
+    let two_passes = || mixed_plans().into_iter().chain(mixed_plans());
+    let remote: Vec<_> = two_passes()
+        .map(|plan| client.run_plan(&plan).unwrap())
+        .collect();
+    let local: Vec<_> = plan_federation(1.0).with_engine(|engine| {
+        two_passes()
+            .map(|plan| engine.run_plan(&plan).unwrap())
+            .collect()
+    });
+    for (r, l) in remote.iter().zip(&local) {
+        assert_eq!(r.result, l.result, "released result");
+        assert_eq!(r.cost, l.cost, "charged cost");
+    }
+    let n = mixed_plans().len();
+    assert_ne!(
+        remote[0].result, remote[n].result,
+        "a repeat draws fresh noise"
+    );
+    drop(client);
+    coordinator.shutdown();
+    shutdown_grid(engines, shard_servers);
+}
+
+/// A shard whose *engine* stops after it served fragments: the listener
+/// still accepts and the coordinator holds idle pooled connections to it,
+/// so no socket ever fails — the shard answers the next fragment with a
+/// typed rejection. That must surface exactly like a refused connection:
+/// typed `shard-unavailable`, whole charge kept, connection alive.
+#[test]
+fn a_shard_stopped_behind_idle_pooled_connections_is_typed_shard_unavailable() {
+    let (mut engines, shard_servers) = spawn_shard_grid(2);
+    let coordinator = spawn_coordinator(&shard_servers, ServeOptions::with_budget(20.0, 1e-1));
+    let plan = mixed_plans().swap_remove(0);
+    let mut client = RemoteFederation::connect(coordinator.addr()).unwrap();
+    let cost = client.run_plan(&plan).unwrap().cost;
+
+    engines.pop().unwrap().shutdown();
+    match client.run_plan(&plan) {
+        Err(NetError::Remote { code, message }) => {
+            assert_eq!(code, ErrorCode::ShardUnavailable);
+            assert!(message.contains("shard-unavailable"), "{message}");
+        }
+        other => panic!("expected a typed shard fault, got {other:?}"),
+    }
+    let status = client.budget_status().unwrap();
+    assert_eq!(status.spent_eps, 2.0 * cost.eps, "both charges kept");
+    assert_eq!(status.queries_answered, 2);
+
+    drop(client);
+    coordinator.shutdown();
+    shutdown_grid(engines, shard_servers);
+}
+
+/// A sub-query dropped un-gathered closes its connections instead of
+/// returning them (their streams still owe replies), so it can neither
+/// desynchronize a sibling already in flight nor the plans that follow:
+/// everything else stays bit-identical to the one-engine run.
+#[test]
+fn a_fragment_dropped_ungathered_leaves_siblings_and_later_plans_unaffected() {
+    let (engines, shard_servers) = spawn_shard_grid(2);
+    let coordinator = connect_coordinator(&shard_servers);
+    let group_by = mixed_plans().swap_remove(2);
+    let scalar = mixed_plans().swap_remove(0);
+    // Warm the pool, so the dropped plan runs on pooled connections.
+    let warm_up = coordinator.run_plan(&scalar).unwrap();
+
+    let dropped = coordinator.submit_plan(&group_by).unwrap();
+    let sibling = coordinator.submit_plan(&scalar).unwrap();
+    drop(dropped);
+    let sibling = sibling.wait().unwrap();
+    let after: Vec<_> = mixed_plans()
+        .iter()
+        .map(|plan| coordinator.run_plan(plan).unwrap())
+        .collect();
+
+    plan_federation(1.0).with_engine(|engine| {
+        assert_eq!(warm_up.result, engine.run_plan(&scalar).unwrap().result);
+        // The dropped plan still advanced the occurrence ledger.
+        engine.run_plan(&group_by).unwrap();
+        assert_eq!(sibling.result, engine.run_plan(&scalar).unwrap().result);
+        for (plan, got) in mixed_plans().iter().zip(&after) {
+            assert_eq!(got.result, engine.run_plan(plan).unwrap().result);
+        }
+    });
+    shutdown_grid(engines, shard_servers);
 }
 
 /// Analyst-facing servers refuse every coordinator→shard fragment frame
