@@ -91,11 +91,17 @@ pub fn run_attack(
     // is always positive in the Table 1 setting (ψ = 10⁻⁶).
     let budget = QueryBudget::paper_split(per_query.eps, per_query.delta)?;
 
-    let mut answers = Vec::with_capacity(plan.queries.len());
-    for (_, query) in &plan.queries {
-        let ans = federation.run_with_budget(query, cfg.sampling_rate, &budget)?;
-        answers.push(ans.value);
-    }
+    // One engine scope for the whole attack: a repeated training query
+    // would be a later occurrence and face fresh noise, as on a server.
+    let answers = federation.with_engine(|engine| {
+        plan.queries
+            .iter()
+            .map(|(_, query)| {
+                let pending = engine.submit_with_budget(query, cfg.sampling_rate, &budget)?;
+                Ok(pending.wait()?.value)
+            })
+            .collect::<Result<Vec<f64>>>()
+    })?;
     let model = NbcModel::train(&schema, &plan, &answers)?;
     let accuracy = model.accuracy(truth)?;
     Ok(AttackOutcome {

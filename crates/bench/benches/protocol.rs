@@ -3,7 +3,9 @@
 //! baseline (the microscopic version of the paper's speed-up metric).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use fedaqp_core::{allocate_greedy, AllocationInput, Federation, FederationConfig};
+use fedaqp_core::{
+    allocate_greedy, AllocationInput, Federation, FederationConfig, PendingAnswer, PendingPlain,
+};
 use fedaqp_model::{Aggregate, Dimension, Domain, Range, RangeQuery, Row, Schema};
 use fedaqp_smc::CostModel;
 use rand::rngs::StdRng;
@@ -60,20 +62,29 @@ fn bench_allocation(c: &mut Criterion) {
 }
 
 fn bench_end_to_end(c: &mut Criterion) {
-    let mut fed = federation(20_000);
+    let fed = federation(20_000);
     let q = demo_query();
-    let mut group = c.benchmark_group("protocol/query");
-    group.sample_size(20);
-    group.bench_function("plain_full_scan", |b| {
-        b.iter(|| black_box(fed.run_plain(&q).expect("plain")))
+    // One engine scope held across every measurement: criterion times the
+    // protocol, not a thread spawn per provider per iteration.
+    fed.with_engine(|engine| {
+        let mut group = c.benchmark_group("protocol/query");
+        group.sample_size(20);
+        group.bench_function("plain_full_scan", |b| {
+            b.iter(|| {
+                let plain = engine.submit_plain(&q).and_then(PendingPlain::wait);
+                black_box(plain.expect("plain"))
+            })
+        });
+        for (name, rate) in [("private_sr10", 0.10), ("private_sr20", 0.20)] {
+            group.bench_function(name, |b| {
+                b.iter(|| {
+                    let answer = engine.submit(&q, rate).and_then(PendingAnswer::wait);
+                    black_box(answer.expect("private"))
+                })
+            });
+        }
+        group.finish();
     });
-    group.bench_function("private_sr10", |b| {
-        b.iter(|| black_box(fed.run(&q, 0.10).expect("private")))
-    });
-    group.bench_function("private_sr20", |b| {
-        b.iter(|| black_box(fed.run(&q, 0.20).expect("private")))
-    });
-    group.finish();
 }
 
 criterion_group!(benches, bench_allocation, bench_end_to_end);

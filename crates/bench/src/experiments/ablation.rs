@@ -18,7 +18,8 @@
 //!    coarsened metadata (size/accuracy trade-off).
 
 use fedaqp_core::{
-    AllocationPolicy, Federation, FederationConfig, ProportionSource, SamplingPolicy,
+    relative_error, AllocationPolicy, Federation, FederationConfig, ProportionSource,
+    SamplingPolicy,
 };
 use fedaqp_data::{partition_rows, PartitionMode, WorkloadConfig, WorkloadGenerator};
 use fedaqp_model::{Aggregate, Dimension, Domain, RangeQuery, Row, Schema};
@@ -89,7 +90,7 @@ fn mechanism_ablation(ctx: &ExperimentContext) -> Table {
         &["mechanism", "mean_abs_noise", "p95_abs_noise"],
     );
     // Harvest realistic smooth sensitivities from live federation answers.
-    let mut testbed = build_testbed(DatasetKind::Adult, ctx, |_| {});
+    let testbed = build_testbed(DatasetKind::Adult, ctx, |_| {});
     let queries = filtered_workload(
         &testbed,
         3,
@@ -211,7 +212,7 @@ fn proportion_ablation(ctx: &ExperimentContext) -> Table {
         (ProportionSource::Metadata, "Algorithm 1 metadata"),
         (ProportionSource::ExactScan, "exact per-cluster scan"),
     ] {
-        let mut testbed = build_testbed(DatasetKind::Adult, ctx, |cfg| {
+        let testbed = build_testbed(DatasetKind::Adult, ctx, |cfg| {
             cfg.proportion_source = source;
         });
         let queries = filtered_workload(&testbed, 4, Aggregate::Count, ctx.queries, ctx.seed ^ 3);
@@ -219,7 +220,7 @@ fn proportion_ablation(ctx: &ExperimentContext) -> Table {
         let mut times = Vec::new();
         for q in &queries {
             let ans = testbed.federation.run(q, 0.15).expect("run");
-            errors.push(ans.relative_error);
+            errors.push(relative_error(testbed.federation.exact(q), ans.value));
             times.push(ans.timings.total().as_secs_f64() * 1e3);
         }
         table.push_row(vec![
@@ -271,7 +272,7 @@ fn correlation_ablation(ctx: &ExperimentContext) -> Table {
             let mut prng = StdRng::seed_from_u64(ctx.seed ^ 0xC1);
             let partitions =
                 partition_rows(&mut prng, rows.clone(), 4, &PartitionMode::Equal).expect("split");
-            let mut federation = Federation::build(cfg, schema.clone(), partitions).expect("build");
+            let federation = Federation::build(cfg, schema.clone(), partitions).expect("build");
             let mut generator = WorkloadGenerator::new(
                 schema.clone(),
                 WorkloadConfig::new(2, Aggregate::Count),
@@ -288,7 +289,8 @@ fn correlation_ablation(ctx: &ExperimentContext) -> Table {
             };
             let mut errors = Vec::new();
             for q in &queries {
-                errors.push(federation.run(q, 0.15).expect("run").relative_error);
+                let ans = federation.run(q, 0.15).expect("run");
+                errors.push(relative_error(federation.exact(q), ans.value));
             }
             table.push_row(vec![
                 if correlated {

@@ -170,15 +170,15 @@ pub fn run(ctx: &ExperimentContext) -> Vec<Table> {
             (ctx.seed ^ 0xACC).wrapping_add((trial as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let data = TrialData::generate(trial_seed);
         for (c, &calibration) in calibrations.iter().enumerate() {
-            let mut fed = data.federation(calibration);
+            let fed = data.federation(calibration);
             let query = probe_query(&fed);
+            let exact = fed.exact(&query).max(1) as f64;
             let delta = fed.config().delta;
             let hp = fed.config().hyperparams;
             for (e, &epsilon) in EPSILONS.iter().enumerate() {
                 let budget = QueryBudget::split(epsilon, delta, hp).expect("budget");
                 for (r, &rate) in RATES.iter().enumerate() {
                     let ans = fed.run_with_budget(&query, rate, &budget).expect("run");
-                    let exact = ans.exact.max(1) as f64;
                     let raw = (ans.raw_estimate - exact) / exact;
                     let released = (ans.value - exact) / exact;
                     let cell = &mut cells[c][e][r];

@@ -1,14 +1,16 @@
 //! Engine throughput experiment: queries/sec and tail latency of the
-//! concurrent engine vs. the serial federation runtime, swept over
-//! #concurrent analysts × #providers.
+//! engine with many queries in flight vs. the same engine with one query
+//! in flight (the "serial" rows), swept over #concurrent analysts ×
+//! #providers.
 //!
 //! The federation's deployment model is cross-organization (hospitals,
 //! banks — §1), so each query pays several WAN round trips. Both paths
 //! here *actually wait out* their simulated network time
-//! ([`fedaqp_smc::CostModel::wan`], slept on the analyst thread): the
-//! serial runtime stalls end-to-end on every query's transit, while the
-//! engine overlaps the transit of in-flight queries with other queries'
-//! compute — the architectural property this benchmark exists to track.
+//! ([`fedaqp_smc::CostModel::wan`], slept on the analyst thread): one
+//! query at a time stalls end-to-end on every query's transit, while
+//! concurrent analysts overlap the transit of in-flight queries with other
+//! queries' compute — the architectural property this benchmark exists to
+//! track.
 //! Sleeping (rather than post-hoc accounting) also makes the numbers
 //! latency- rather than CPU-dominated, so the CI gate is stable across
 //! runner speeds and core counts.
@@ -20,7 +22,7 @@
 
 use std::time::Instant;
 
-use fedaqp_core::{Federation, FederationConfig, OptimizerConfig};
+use fedaqp_core::{Federation, FederationConfig, OptimizerConfig, PendingAnswer};
 use fedaqp_dp::QueryBudget;
 use fedaqp_model::{Aggregate, QueryPlan, Range, RangeQuery, Row};
 use fedaqp_obs::{self as obs, Histogram};
@@ -118,57 +120,62 @@ fn mixed_plans(
 }
 
 /// The mixed-plan comparison at the headline provider count: the serial
-/// path executes every plan's sub-queries one at a time (each stalling on
-/// its own slept-WAN transit — what the pre-plan `run_group_by` cost over
-/// a WAN), while the engine path submits whole plans whose sub-queries
-/// pipeline across the worker pool and overlap their transits.
-fn run_mixed(federation: &mut Federation, plans: &[QueryPlan]) -> MixedTrial {
+/// path executes every plan's sub-queries one at a time on the engine
+/// (each stalling on its own slept-WAN transit — what a group-by costs
+/// over a WAN without plan-level fan-out), while the engine path submits
+/// whole plans whose sub-queries pipeline across the worker pool and
+/// overlap their transits.
+fn run_mixed(federation: &Federation, plans: &[QueryPlan]) -> MixedTrial {
     let hp = federation.config().hyperparams;
 
-    // ---- Serial baseline: sum of every sub-query's stall. ----
+    // ---- Serial baseline: one sub-query in flight, sum of every stall. ----
     let t0 = Instant::now();
-    for plan in plans {
-        match plan {
-            QueryPlan::Scalar {
-                query,
-                sampling_rate,
-                epsilon,
-                delta,
-            } => {
-                let budget = QueryBudget::split(*epsilon, *delta, hp).expect("scalar budget");
-                let ans = federation
-                    .run_protocol_only(query, *sampling_rate, &budget)
-                    .expect("serial scalar");
-                std::thread::sleep(ans.timings.network);
-            }
-            QueryPlan::GroupBy {
-                base,
-                group_dim,
-                sampling_rate,
-                epsilon,
-                delta,
-                ..
-            } => {
-                let domain = federation
-                    .schema()
-                    .dimension(*group_dim)
-                    .expect("group dimension")
-                    .domain();
-                let k = domain.size() as f64;
-                let budget = QueryBudget::split(epsilon / k, delta / k, hp).expect("group budget");
-                for key in domain.iter() {
-                    let mut ranges = base.ranges().to_vec();
-                    ranges.push(Range::new(*group_dim, key, key).expect("point range"));
-                    let q = RangeQuery::new(base.aggregate(), ranges).expect("group query");
-                    let ans = federation
-                        .run_protocol_only(&q, *sampling_rate, &budget)
-                        .expect("serial group");
-                    std::thread::sleep(ans.timings.network);
+    federation.with_engine(|engine| {
+        let one_at_a_time = |query: &RangeQuery, sampling_rate: f64, budget: &QueryBudget| {
+            let ans = engine
+                .submit_with_budget(query, sampling_rate, budget)
+                .and_then(PendingAnswer::wait)
+                .expect("serial sub-query");
+            std::thread::sleep(ans.timings.network);
+        };
+        for plan in plans {
+            match plan {
+                QueryPlan::Scalar {
+                    query,
+                    sampling_rate,
+                    epsilon,
+                    delta,
+                } => {
+                    let budget = QueryBudget::split(*epsilon, *delta, hp).expect("scalar budget");
+                    one_at_a_time(query, *sampling_rate, &budget);
                 }
+                QueryPlan::GroupBy {
+                    base,
+                    group_dim,
+                    sampling_rate,
+                    epsilon,
+                    delta,
+                    ..
+                } => {
+                    let domain = engine
+                        .schema()
+                        .dimension(*group_dim)
+                        .expect("group dimension")
+                        .domain();
+                    let k = domain.size() as f64;
+                    let budget =
+                        QueryBudget::split(epsilon / k, delta / k, hp).expect("group budget");
+                    for key in domain.iter() {
+                        let mut ranges = base.ranges().to_vec();
+                        ranges.push(Range::new(*group_dim, key, key).expect("point range"));
+                        let q = RangeQuery::new(base.aggregate(), ranges).expect("group query");
+                        one_at_a_time(&q, *sampling_rate, &budget);
+                    }
+                }
+                _ => unreachable!("mixed workload is scalar + group-by"),
             }
-            _ => unreachable!("mixed workload is scalar + group-by"),
         }
-    }
+    });
     let serial_wall = t0.elapsed().as_secs_f64();
 
     // ---- Engine path: whole plans, transits overlapped. ----
@@ -478,7 +485,7 @@ pub fn run(ctx: &ExperimentContext) -> Vec<Table> {
     let mut mixed: Option<MixedTrial> = None;
 
     for &n_providers in &PROVIDERS {
-        let mut testbed = build_testbed(DatasetKind::Adult, ctx, |cfg| {
+        let testbed = build_testbed(DatasetKind::Adult, ctx, |cfg| {
             cfg.n_providers = n_providers;
             cfg.cost_model = CostModel::wan();
         });
@@ -490,24 +497,22 @@ pub fn run(ctx: &ExperimentContext) -> Vec<Table> {
             .query_budget()
             .expect("default budget");
 
-        // Serial baseline: the pre-engine runtime, one query at a time,
-        // providers executed in-loop on the submitting thread. The
-        // protocol-only path keeps the comparison fair: the engine never
-        // computes the exact-answer oracle, so the baseline must not be
-        // charged that scan either.
+        // Serial baseline: the engine with one query in flight — each
+        // query stalls on its whole simulated WAN transit before the next
+        // one is submitted.
         let latencies = Histogram::new();
         let t0 = Instant::now();
-        for q in &queries {
-            let t = Instant::now();
-            let ans = testbed
-                .federation
-                .run_protocol_only(q, sampling_rate, &budget)
-                .expect("serial run");
-            // The serial runtime answers one query at a time: it stalls on
-            // the query's whole simulated WAN transit before the next one.
-            std::thread::sleep(ans.timings.network);
-            latencies.record_duration(t.elapsed());
-        }
+        testbed.federation.with_engine(|engine| {
+            for q in &queries {
+                let t = Instant::now();
+                let ans = engine
+                    .submit_with_budget(q, sampling_rate, &budget)
+                    .and_then(PendingAnswer::wait)
+                    .expect("serial run");
+                std::thread::sleep(ans.timings.network);
+                latencies.record_duration(t.elapsed());
+            }
+        });
         let serial = summarize(t0.elapsed().as_secs_f64(), &latencies);
         table.push_row(vec![
             n_providers.to_string(),
@@ -588,7 +593,7 @@ pub fn run(ctx: &ExperimentContext) -> Vec<Table> {
                 epsilon,
                 delta,
             );
-            let trial = run_mixed(&mut testbed.federation, &plans);
+            let trial = run_mixed(&testbed.federation, &plans);
             table.push_row(vec![
                 n_providers.to_string(),
                 "mixed-serial".into(),

@@ -263,12 +263,7 @@ pub fn run_workload_with_epsilon(
                 .submit_with_budget(q, sampling_rate, &budget)
                 .and_then(fedaqp_core::PendingAnswer::wait)
                 .expect("private run");
-            let exact = plain.value;
-            errors.push(if exact == 0 {
-                ans.value.abs()
-            } else {
-                (exact as f64 - ans.value).abs() / exact as f64
-            });
+            errors.push(fedaqp_core::relative_error(plain.value, ans.value));
             let private = ans.timings.total().as_secs_f64().max(1e-9);
             speedups.push(plain.duration.as_secs_f64() / private);
             if ans.covering_total > 0 {

@@ -5,8 +5,9 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use fedaqp_core::{
-    ConcurrentSession, EstimatorCalibration, Federation, FederationConfig, FederationEngine,
-    LiveFederation, PlanAnswer, PlanResult, RefreshPolicy, ReleaseMode, SessionPlan,
+    relative_error, ConcurrentSession, EngineHandle, EstimatorCalibration, Federation,
+    FederationConfig, FederationEngine, LiveFederation, PendingAnswer, PendingPlain, PlanAnswer,
+    PlanResult, PlanSnapshot, RefreshPolicy, ReleaseMode, SessionPlan,
 };
 use fedaqp_data::{
     partition_rows, AdultConfig, AdultSynth, AmazonConfig, AmazonSynth, PartitionMode,
@@ -357,7 +358,20 @@ fn build_plan(
     Ok((plan, sql_explain))
 }
 
-/// Renders a plan answer: scalar value, group table, or extreme.
+/// One progressive snapshot of `query --online`: a line of the local plan
+/// rendering, and what `--remote` prints as each pushed frame arrives.
+fn round_line(s: &PlanSnapshot) -> String {
+    format!(
+        "round {:>2}/{} : {:.3} ({:.0}% sample, {} clusters)",
+        s.round,
+        s.rounds,
+        s.value,
+        100.0 * s.sample_fraction,
+        s.clusters_scanned
+    )
+}
+
+/// Renders a plan answer: scalar value, group table, snapshots, or extreme.
 fn render_plan_answer(schema: &Schema, plan: &QueryPlan, answer: &PlanAnswer) -> String {
     let mut out = String::new();
     match &answer.result {
@@ -392,14 +406,8 @@ fn render_plan_answer(schema: &Schema, plan: &QueryPlan, answer: &PlanAnswer) ->
         }
         PlanResult::Snapshots { snapshots } => {
             for s in snapshots {
-                out.push_str(&format!(
-                    "round {:>2}/{} : {:.3} ({:.0}% sample, {} clusters)\n",
-                    s.round,
-                    s.rounds,
-                    s.value,
-                    100.0 * s.sample_fraction,
-                    s.clusters_scanned
-                ));
+                out.push_str(&round_line(s));
+                out.push('\n');
             }
             if let Some(last) = snapshots.last() {
                 out.push_str(&format!("private     : {:.3} (final round)\n", last.value));
@@ -540,16 +548,7 @@ fn query_remote_online(
             *epsilon,
             *delta,
             *rounds as u32,
-            |s| {
-                println!(
-                    "round {:>2}/{} : {:.3} ({:.0}% sample, {} clusters)",
-                    s.round,
-                    s.rounds,
-                    s.value,
-                    100.0 * s.sample_fraction,
-                    s.clusters_scanned
-                );
-            },
+            |s| println!("{}", round_line(s)),
         )
         .map_err(|e| e.to_string())?;
     let round_trip = started.elapsed();
@@ -583,6 +582,28 @@ fn query_remote_online(
         ));
     }
     Ok(out)
+}
+
+/// The `estimator` and `work` lines of a scalar answer — the same locally
+/// and over `--remote`.
+fn scalar_detail_lines(
+    calibration: EstimatorCalibration,
+    ci_halfwidth: Option<f64>,
+    clusters_scanned: usize,
+    covering_total: usize,
+) -> String {
+    format!(
+        "estimator   : {} calibration, sampling CI ±{}\n\
+         work        : scanned {clusters_scanned} of {covering_total} covering clusters\n",
+        match calibration {
+            EstimatorCalibration::EmCalibrated => "EM",
+            EstimatorCalibration::PpsEq3 => "PPS (Eq. 3)",
+        },
+        match ci_halfwidth {
+            Some(hw) => format!("{hw:.1} (95%)"),
+            None => "unknown (single-draw sample)".into(),
+        }
+    )
 }
 
 /// `fedaqp query --remote`: parse the request against the served schema
@@ -636,20 +657,11 @@ fn query_remote(args: &QueryArgs, addr: &str) -> Result<String, String> {
         "privacy     : (ε = {}, δ = {:e})\n",
         answer.cost.eps, answer.cost.delta
     ));
-    out.push_str(&format!(
-        "estimator   : {} calibration, sampling CI ±{}\n",
-        match remote.calibration() {
-            EstimatorCalibration::EmCalibrated => "EM",
-            EstimatorCalibration::PpsEq3 => "PPS (Eq. 3)",
-        },
-        match answer.ci_halfwidth {
-            Some(hw) => format!("{hw:.1} (95%)"),
-            None => "unknown (single-draw sample)".into(),
-        }
-    ));
-    out.push_str(&format!(
-        "work        : scanned {} of {} covering clusters\n",
-        answer.clusters_scanned, answer.covering_total
+    out.push_str(&scalar_detail_lines(
+        remote.calibration(),
+        answer.ci_halfwidth,
+        answer.clusters_scanned,
+        answer.covering_total,
     ));
     out.push_str(&format!(
         "latency     : {:.2} ms round trip ({:.2} ms server protocol)\n",
@@ -667,21 +679,29 @@ fn query_remote(args: &QueryArgs, addr: &str) -> Result<String, String> {
 }
 
 /// `fedaqp query` with a plan-shaped request on local data: run the plan
-/// through a scoped concurrent engine (per-group sub-queries fan out
-/// across the provider worker pool).
+/// on the scoped engine (per-group sub-queries and online rounds fan out
+/// across the provider worker pool). An online plan also prints the
+/// sample-fraction-weighted combination and the exact oracle — neither
+/// crosses a wire.
 fn query_local_plan(
     federation: &Federation,
+    engine: &EngineHandle,
     sql: &str,
     plan: &QueryPlan,
 ) -> Result<String, String> {
-    let answer = federation
-        .with_engine(|engine| engine.run_plan(plan))
-        .map_err(|e| e.to_string())?;
+    let answer = engine.run_plan(plan).map_err(|e| e.to_string())?;
     let mut out = String::new();
     if !sql.is_empty() {
         out.push_str(&format!("query       : {sql}\n"));
     }
     out.push_str(&render_plan_answer(federation.schema(), plan, &answer));
+    if let (QueryPlan::Online { query, .. }, Some(snapshots)) = (plan, answer.snapshots()) {
+        out.push_str(&format!(
+            "combined    : {:.3} (sample-fraction weighted)\n",
+            fedaqp_core::combine_snapshots(snapshots)
+        ));
+        out.push_str(&format!("exact       : {}\n", federation.exact(query)));
+    }
     out.push_str(&format!(
         "latency     : {:.2} ms protocol\n",
         answer.timings.total().as_secs_f64() * 1e3
@@ -689,81 +709,21 @@ fn query_local_plan(
     Ok(out)
 }
 
-/// `fedaqp query`: rebuild the federation from a data directory and answer
-/// one private SQL query (or plan: group-by, derived statistic, extreme).
-pub fn query(args: &QueryArgs) -> Result<String, String> {
-    if let Some(addr) = args.remote.as_deref() {
-        return query_remote(args, addr);
-    }
-    let mut federation = load_federation(
-        &args.data,
-        args.epsilon,
-        args.delta,
-        args.smc,
-        args.calibration,
-        None,
-    )?;
-    let (plan, sql_explain) = build_plan(federation.schema(), args, args.epsilon, args.delta)?;
-    if args.explain || sql_explain {
-        let explanation = federation
-            .with_engine(|engine| engine.explain_plan(&plan))
-            .map_err(|e| e.to_string())?;
-        let mut out = String::new();
-        if !args.sql.is_empty() {
-            out.push_str(&format!("query       : {}\n", args.sql));
-        }
-        out.push_str(&explanation.render());
-        return Ok(out);
-    }
-    if let QueryPlan::Online {
-        ref query,
-        sampling_rate,
-        epsilon,
-        delta,
-        rounds,
-    } = plan
-    {
-        // The serial wrapper also computes the exact oracle and the
-        // sample-fraction-weighted combination — neither crosses a wire.
-        let sql = query.display_sql(federation.schema());
-        let answer = fedaqp_core::run_online(
-            &mut federation,
-            query,
-            sampling_rate,
-            epsilon,
-            delta,
-            rounds,
-        )
+/// `fedaqp query` with a scalar request on local data: one submission on
+/// the scoped engine — the job a served federation runs for the same
+/// query, so a seeded `private` line is the same locally and over
+/// `--remote`. `--baseline` times the plain scan on the same pool.
+fn query_local_scalar(
+    federation: &Federation,
+    engine: &EngineHandle,
+    args: &QueryArgs,
+    parsed: &RangeQuery,
+) -> Result<String, String> {
+    let answer = engine
+        .submit(parsed, args.rate)
+        .and_then(PendingAnswer::wait)
         .map_err(|e| e.to_string())?;
-        let mut out = String::new();
-        out.push_str(&format!("query       : {sql}\n"));
-        for s in &answer.snapshots {
-            out.push_str(&format!(
-                "round {:>2}/{rounds} : {:.3} ({:.0}% sample, {} clusters)\n",
-                s.round,
-                s.value,
-                100.0 * s.sample_fraction,
-                s.clusters_scanned
-            ));
-        }
-        out.push_str(&format!(
-            "combined    : {:.3} (sample-fraction weighted)\n",
-            fedaqp_core::combine_snapshots(&answer)
-        ));
-        out.push_str(&format!("exact       : {}\n", answer.exact));
-        out.push_str(&format!(
-            "privacy     : (ε = {}, δ = {:e}) for the whole plan\n",
-            answer.cost.eps, answer.cost.delta
-        ));
-        return Ok(out);
-    }
-    let parsed = match plan {
-        QueryPlan::Scalar { ref query, .. } => query.clone(),
-        ref plan => return query_local_plan(&federation, &args.sql, plan),
-    };
-    let answer = federation
-        .run(&parsed, args.rate)
-        .map_err(|e| e.to_string())?;
+    let exact = federation.exact(parsed);
     let mut out = String::new();
     out.push_str(&format!(
         "query       : {}\n",
@@ -771,9 +731,8 @@ pub fn query(args: &QueryArgs) -> Result<String, String> {
     ));
     out.push_str(&format!("private     : {:.1}\n", answer.value));
     out.push_str(&format!(
-        "exact       : {} (relative error {:.2}%)\n",
-        answer.exact,
-        100.0 * answer.relative_error
+        "exact       : {exact} (relative error {:.2}%)\n",
+        100.0 * relative_error(exact, answer.value)
     ));
     out.push_str(&format!(
         "privacy     : (ε = {}, δ = {:e}) via {}\n",
@@ -781,23 +740,17 @@ pub fn query(args: &QueryArgs) -> Result<String, String> {
         answer.cost.delta,
         if args.smc { "SMC release" } else { "local DP" }
     ));
-    out.push_str(&format!(
-        "estimator   : {} calibration, sampling CI ±{}\n",
-        match args.calibration {
-            EstimatorCalibration::EmCalibrated => "EM",
-            EstimatorCalibration::PpsEq3 => "PPS (Eq. 3)",
-        },
-        match answer.ci_halfwidth {
-            Some(hw) => format!("{hw:.1} (95%)"),
-            None => "unknown (single-draw sample)".into(),
-        }
-    ));
-    out.push_str(&format!(
-        "work        : scanned {} of {} covering clusters\n",
-        answer.clusters_scanned, answer.covering_total
+    out.push_str(&scalar_detail_lines(
+        args.calibration,
+        answer.ci_halfwidth,
+        answer.clusters_scanned,
+        answer.covering_total,
     ));
     if args.baseline {
-        let plain = federation.run_plain(&parsed).map_err(|e| e.to_string())?;
+        let plain = engine
+            .submit_plain(parsed)
+            .and_then(PendingPlain::wait)
+            .map_err(|e| e.to_string())?;
         out.push_str(&format!(
             "latency     : private {:?} vs plain {:?} (speed-up {:.2}x)\n",
             answer.timings.total(),
@@ -806,6 +759,39 @@ pub fn query(args: &QueryArgs) -> Result<String, String> {
         ));
     }
     Ok(out)
+}
+
+/// `fedaqp query`: rebuild the federation from a data directory and answer
+/// one private SQL query (or plan: group-by, derived statistic, extreme,
+/// online) — every shape on one scoped engine.
+pub fn query(args: &QueryArgs) -> Result<String, String> {
+    if let Some(addr) = args.remote.as_deref() {
+        return query_remote(args, addr);
+    }
+    let federation = load_federation(
+        &args.data,
+        args.epsilon,
+        args.delta,
+        args.smc,
+        args.calibration,
+        None,
+    )?;
+    let (plan, sql_explain) = build_plan(federation.schema(), args, args.epsilon, args.delta)?;
+    federation.with_engine(|engine| {
+        if args.explain || sql_explain {
+            let explanation = engine.explain_plan(&plan).map_err(|e| e.to_string())?;
+            let mut out = String::new();
+            if !args.sql.is_empty() {
+                out.push_str(&format!("query       : {}\n", args.sql));
+            }
+            out.push_str(&explanation.render());
+            return Ok(out);
+        }
+        match &plan {
+            QueryPlan::Scalar { query, .. } => query_local_scalar(&federation, engine, args, query),
+            plan => query_local_plan(&federation, engine, &args.sql, plan),
+        }
+    })
 }
 
 /// Arguments of `fedaqp batch`.
@@ -1542,6 +1528,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The `private :` line of a `query` output — the released bytes.
+    fn private_line(out: &str) -> &str {
+        out.lines().find(|l| l.starts_with("private")).unwrap()
+    }
+
     fn plan_query_args(data: PathBuf, sql: &str) -> QueryArgs {
         QueryArgs {
             data,
@@ -2086,9 +2077,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// `--online K` on local data: the serial wrapper prints every
-    /// round, the sample-fraction-weighted combination, and the exact
-    /// oracle — all in one process, nothing over a wire.
+    /// `--online K` on local data: every round, the
+    /// sample-fraction-weighted combination, and the exact oracle — all
+    /// in one process, nothing over a wire.
     #[test]
     fn online_queries_run_locally() {
         let dir = tmp_dir("online_local");
@@ -2315,18 +2306,62 @@ mod tests {
         };
         let sharded = remote_query(running.server.local_addr().to_string());
         let unsharded = remote_query(single.server.local_addr().to_string());
-        let private = |out: &str| {
-            out.lines()
-                .find(|l| l.starts_with("private"))
-                .map(str::to_owned)
-                .unwrap()
-        };
-        assert_eq!(private(&sharded), private(&unsharded), "byte-identical");
+        assert_eq!(
+            private_line(&sharded),
+            private_line(&unsharded),
+            "byte-identical"
+        );
 
         running.server.shutdown();
         single.shutdown();
         shard0.shutdown();
         shard1.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The local/remote half of the determinism contract, at the CLI: for
+    /// one seeded data directory, `query --data D` and `query --remote`
+    /// against `serve --data D` run the same engine job and print the same
+    /// released bytes — for a scalar and for every round of `--online 3`.
+    #[test]
+    fn local_query_prints_the_bytes_a_served_query_prints() {
+        let dir = tmp_dir("local_vs_remote");
+        generate(&generate_args(dir.clone())).unwrap();
+        let single = serve(&serve_args(dir.clone())).unwrap();
+        let addr = single.server.local_addr().to_string();
+        let sql = "SELECT COUNT(*) FROM T WHERE 25 <= age <= 60";
+
+        // Same (ε, δ) on both sides: the server advertises its own.
+        let mut local = plan_query_args(dir.clone(), sql);
+        local.epsilon = 5.0;
+        let mut remote = plan_query_args(PathBuf::new(), sql);
+        remote.remote = Some(addr.clone());
+        assert_eq!(
+            private_line(&query(&local).unwrap()),
+            private_line(&query(&remote).unwrap()),
+            "scalar: local vs --remote"
+        );
+
+        // Online: the remote side prints rounds as frames arrive, so the
+        // same conversation is replayed here with a collecting hook.
+        local.online = Some(3);
+        let local_out = query(&local).unwrap();
+        let local_rounds: Vec<&str> = local_out
+            .lines()
+            .filter(|l| l.starts_with("round"))
+            .collect();
+        let mut connection = RemoteFederation::connect_as(&addr, "cli").unwrap();
+        let parsed = parse_sql(connection.schema(), sql).unwrap();
+        let mut remote_rounds = Vec::new();
+        connection
+            .run_online_plan(&parsed, 0.2, 5.0, 1e-3, 3, |s| {
+                remote_rounds.push(round_line(s))
+            })
+            .unwrap();
+        assert_eq!(local_rounds.len(), 3);
+        assert_eq!(local_rounds, remote_rounds, "online: local vs --remote");
+
+        single.shutdown();
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -226,7 +226,7 @@ pub struct FederationConfig {
     /// holding global providers `[o, o+k)` a lane base of `o`, so its
     /// local providers `0..k` draw from exactly the noise streams the
     /// 1-shard engine would give providers `o..o+k` — the mechanism behind
-    /// the serial ≡ concurrent ≡ remote ≡ sharded byte-identity contract.
+    /// the scoped ≡ owned ≡ remote ≡ sharded byte-identity contract.
     /// Single-engine deployments leave this at 0 (bit-identical to every
     /// prior release).
     pub provider_lane_base: u64,
@@ -274,9 +274,9 @@ impl FederationConfig {
     }
 
     /// The default per-query budget this configuration implies: `(ε, δ)`
-    /// split across the protocol phases by the hyper-parameters. Both the
-    /// serial runtime and the concurrent engine derive their defaults here
-    /// so they can never drift apart.
+    /// split across the protocol phases by the hyper-parameters. Engines,
+    /// sessions and coordinators all derive their defaults here so they
+    /// can never drift apart.
     pub fn query_budget(&self) -> Result<QueryBudget> {
         Ok(QueryBudget::split(
             self.epsilon,

@@ -1,201 +1,70 @@
-//! Derived aggregations (§7): AVERAGE, VARIANCE, and STDDEV "can be
-//! derived from SUM and COUNT using the sequential composition of DP".
-//!
-//! Each derived query runs the underlying SUM/COUNT queries through the
-//! normal private pipeline, splitting the caller's `(ε, δ)` across them by
-//! sequential composition (Thm. 3.1), then post-processes the noisy
-//! results (Thm. 3.3 — free).
-//!
-//! Execution is plan compilation: [`run_derived`] builds a
-//! [`fedaqp_model::QueryPlan::Derived`] and runs it on a scoped concurrent
-//! engine (see [`crate::plan`]), so the sub-queries fan out across the
-//! provider worker pool and the noise derivation is identical to the
-//! concurrent and remote paths. The VAR/STD post-processing is the
-//! *measure dispersion proxy* documented in [`crate::plan`]: the
-//! count-tensor model exposes only COUNT/SUM (§3), so a faithful M²-sum
-//! would need a dedicated aggregate; the third sub-query exists to charge
-//! the budget the proxy's refinement release costs.
+//! Behaviour tests of the derived-statistic plan shape
+//! ([`fedaqp_model::QueryPlan::Derived`], compiled in [`crate::plan`]).
 
-use fedaqp_dp::PrivacyCost;
-pub use fedaqp_model::DerivedStatistic;
-use fedaqp_model::{Aggregate, QueryPlan, RangeQuery};
-
-use crate::federation::Federation;
-use crate::Result;
-
-/// The result of a derived aggregation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DerivedAnswer {
-    /// The derived statistic's (post-processed) value.
-    pub value: f64,
-    /// The exact value (experiment oracle).
-    pub exact: f64,
-    /// Total privacy cost charged (sum over sub-queries).
-    pub cost: PrivacyCost,
-}
-
-/// The exact (oracle) value of `statistic` over the predicate ranges —
-/// experiment instrumentation, never released.
-pub(crate) fn exact_derived(
-    federation: &Federation,
-    query: &RangeQuery,
-    statistic: DerivedStatistic,
-) -> Result<f64> {
-    let count_q = RangeQuery::new(Aggregate::Count, query.ranges().to_vec())?;
-    let sum_q = RangeQuery::new(Aggregate::Sum, query.ranges().to_vec())?;
-    let exact_count = (federation.exact(&count_q) as f64).max(1.0);
-    let exact_sum = federation.exact(&sum_q) as f64;
-    let mean = exact_sum / exact_count;
-    Ok(match statistic {
-        DerivedStatistic::Average => mean,
-        DerivedStatistic::Variance => (mean * (mean - 1.0)).max(0.0),
-        DerivedStatistic::StdDev => (mean * (mean - 1.0)).max(0.0).sqrt(),
-    })
-}
-
-/// Runs a derived aggregation over the predicate ranges of `query`
-/// (whose own aggregate is ignored), spending `(epsilon, delta)` in total.
-///
-/// Noisy denominators are clamped to ≥ 1 before division so the
-/// post-processing stays finite; variance is clamped at ≥ 0.
-pub fn run_derived(
-    federation: &mut Federation,
-    query: &RangeQuery,
-    statistic: DerivedStatistic,
-    sampling_rate: f64,
-    epsilon: f64,
-    delta: f64,
-) -> Result<DerivedAnswer> {
-    let plan = QueryPlan::Derived {
-        query: query.clone(),
-        statistic,
-        sampling_rate,
-        epsilon,
-        delta,
-    };
-    let answer = federation.with_engine(|engine| engine.run_plan(&plan))?;
-    let value = answer.value().expect("derived plans release a value");
-    Ok(DerivedAnswer {
-        value,
-        exact: exact_derived(federation, query, statistic)?,
-        cost: answer.cost,
-    })
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::config::FederationConfig;
-    use crate::CoreError;
-    use fedaqp_model::{Dimension, Domain, Range, Row, Schema};
+    use fedaqp_model::{Aggregate, DerivedStatistic, QueryPlan, RangeQuery};
 
-    fn federation() -> Federation {
-        let schema = Schema::new(vec![Dimension::new("x", Domain::new(0, 99).unwrap())]).unwrap();
-        let partitions: Vec<Vec<Row>> = (0..4)
-            .map(|p| {
-                (0..800)
-                    .map(|i| Row::cell(vec![((i * 3 + p) % 100) as i64], 2 + (i % 5) as u64))
-                    .collect()
-            })
-            .collect();
-        let mut cfg = FederationConfig::paper_default(32);
-        cfg.epsilon = 100.0;
-        cfg.cost_model = fedaqp_smc::CostModel::zero();
-        Federation::build(cfg, schema, partitions).unwrap()
-    }
+    use crate::federation::Federation;
+    use crate::plan::tests::{base, federation};
+    use crate::plan::PlanAnswer;
+    use crate::{CoreError, Result};
 
-    fn query() -> RangeQuery {
-        RangeQuery::new(Aggregate::Count, vec![Range::new(0, 10, 90).unwrap()]).unwrap()
+    /// One derived plan over `base()` on a fresh engine scope.
+    fn derived(fed: &Federation, statistic: DerivedStatistic, epsilon: f64) -> Result<PlanAnswer> {
+        let plan = QueryPlan::Derived {
+            query: base(),
+            statistic,
+            sampling_rate: 0.3,
+            epsilon,
+            delta: 1e-3,
+        };
+        fed.with_engine(|engine| engine.run_plan(&plan))
     }
 
     #[test]
     fn average_tracks_exact_under_loose_budget() {
-        let mut fed = federation();
-        let ans = run_derived(
-            &mut fed,
-            &query(),
-            DerivedStatistic::Average,
-            0.3,
-            100.0,
-            1e-3,
-        )
-        .unwrap();
-        assert!(ans.value.is_finite());
+        let fed = federation(1.0);
+        let ans = derived(&fed, DerivedStatistic::Average, 100.0).unwrap();
+        let value = ans.value().unwrap();
+        let over = |aggregate| RangeQuery::new(aggregate, base().ranges().to_vec()).unwrap();
+        let exact =
+            fed.exact(&over(Aggregate::Sum)) as f64 / fed.exact(&over(Aggregate::Count)) as f64;
         assert!(
-            (ans.value - ans.exact).abs() < 0.3 * ans.exact.max(1.0),
-            "avg {} vs exact {}",
-            ans.value,
-            ans.exact
+            (value - exact).abs() < 0.3 * exact,
+            "avg {value} vs exact {exact}"
         );
-        // AVG of measures 2..=6 lies in [2, 6].
-        assert!(ans.exact > 1.9 && ans.exact < 6.1);
+        // AVG of measures 1..=3 lies in [1, 3].
+        assert!(exact > 0.9 && exact < 3.1);
     }
 
     #[test]
     fn cost_is_sequential_over_sub_queries() {
-        let mut fed = federation();
-        let ans = run_derived(
-            &mut fed,
-            &query(),
-            DerivedStatistic::Average,
-            0.3,
-            2.0,
-            1e-3,
-        )
-        .unwrap();
+        let fed = federation(1.0);
+        let ans = derived(&fed, DerivedStatistic::Average, 2.0).unwrap();
         assert!((ans.cost.eps - 2.0).abs() < 1e-9, "eps {}", ans.cost.eps);
         assert!((ans.cost.delta - 1e-3).abs() < 1e-12);
-
-        let ans = run_derived(
-            &mut fed,
-            &query(),
-            DerivedStatistic::Variance,
-            0.3,
-            3.0,
-            1e-3,
-        )
-        .unwrap();
+        let ans = derived(&fed, DerivedStatistic::Variance, 3.0).unwrap();
         assert!((ans.cost.eps - 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn variance_and_std_consistent() {
-        let mut fed = federation();
-        let var = run_derived(
-            &mut fed,
-            &query(),
-            DerivedStatistic::Variance,
-            0.3,
-            50.0,
-            1e-3,
-        )
-        .unwrap();
-        let std = run_derived(
-            &mut fed,
-            &query(),
-            DerivedStatistic::StdDev,
-            0.3,
-            50.0,
-            1e-3,
-        )
-        .unwrap();
-        assert!(var.value >= 0.0);
-        assert!(std.value >= 0.0);
-        assert!((std.exact * std.exact - var.exact).abs() < 1e-9);
+        // VAR and STD under one budget compile to the same three
+        // sub-queries — the same noise lanes on identically seeded scopes —
+        // and differ only in the post-processing.
+        let fed = federation(1.0);
+        let var = derived(&fed, DerivedStatistic::Variance, 50.0).unwrap();
+        let std = derived(&fed, DerivedStatistic::StdDev, 50.0).unwrap();
+        let (var, std) = (var.value().unwrap(), std.value().unwrap());
+        assert!(var >= 0.0);
+        assert!(std >= 0.0);
+        assert!((std * std - var).abs() < 1e-9 * var.max(1.0));
     }
 
     #[test]
     fn rejects_bad_epsilon() {
-        let mut fed = federation();
         assert!(matches!(
-            run_derived(
-                &mut fed,
-                &query(),
-                DerivedStatistic::Average,
-                0.3,
-                0.0,
-                1e-3
-            ),
+            derived(&federation(1.0), DerivedStatistic::Average, 0.0),
             Err(CoreError::BadConfig(_))
         ));
     }

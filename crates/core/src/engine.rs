@@ -1,11 +1,14 @@
-//! The concurrent multi-query federation engine.
+//! The concurrent multi-query federation engine — the one implementation
+//! of protocol steps 1–7.
 //!
-//! [`crate::Federation`] answers one query at a time. This module turns the
-//! same protocol into a long-lived, shared, concurrent service: a
+//! A [`crate::Federation`] is data at rest; every query runs here, on a
 //! **persistent per-provider worker pool** (one OS thread per data
-//! provider, alive across queries) executes many in-flight queries at
+//! provider, alive across queries) that executes many in-flight queries at
 //! once, pipelining provider phases across queries while each query's
 //! allocation barrier (protocol step 3) synchronizes only its own job.
+//! The pool is either scoped ([`crate::Federation::with_engine`], borrowing
+//! the providers) or owned ([`FederationEngine`], for a long-lived
+//! service); both hand out the same [`EngineHandle`].
 //!
 //! Architecture:
 //!
@@ -21,7 +24,8 @@
 //! Determinism: every `(query, provider)` pair draws from an RNG derived
 //! from `(config.seed, job content, occurrence, provider id)`, where
 //! *occurrence* counts how many times this exact job content has been
-//! submitted on this engine. Distinct requests therefore have noise
+//! submitted on this engine (an engine — scoped or owned — is the
+//! lifetime of its occurrence ledger). Distinct requests therefore have noise
 //! streams that are fully determined by their content — independent of
 //! global submission order, of which connection carried them, and of how
 //! queries interleave on the shared providers — so a seeded workload of
@@ -31,8 +35,8 @@
 //! free), while two *different* requests never share a stream:
 //! differencing two different releases always faces independent draws.
 //!
-//! Privacy: the engine never relaxes the serial path's accounting. Each
-//! query runs under a validated [`QueryBudget`]; session-level budgets are
+//! Privacy: each query runs under a validated [`QueryBudget`] and costs
+//! exactly `budget.cost()`; session-level budgets are
 //! enforced by [`crate::session::ConcurrentSession`], whose
 //! [`fedaqp_dp::SharedAccountant`] makes check-and-charge atomic so racing
 //! queries cannot jointly overspend `(ξ, ψ)`.
@@ -142,18 +146,20 @@ impl FromIterator<QuerySpec> for QueryBatch {
 
 /// The engine's answer to one private query.
 ///
-/// Unlike [`crate::QueryAnswer`] it carries no exact oracle / relative
-/// error: the engine is the serving path, and computing the exact answer
-/// would scan every provider per query. Experiments that need the oracle
-/// submit a plain job (same worker pool) and compare.
+/// It carries no exact oracle / relative error: the engine is the serving
+/// path, and computing the exact answer would scan every provider per
+/// query. Experiments that need the oracle ask for it —
+/// [`crate::Federation::exact`], or a plain job on the same worker pool —
+/// and compare with [`crate::protocol::relative_error`].
 #[derive(Debug, Clone)]
 pub struct EngineAnswer {
     /// The DP-released answer.
     pub value: f64,
     /// The `(ε, δ)` charged for this query.
     pub cost: PrivacyCost,
-    /// Per-phase latency breakdown (per-provider phases are charged the
-    /// slowest provider's time, matching the serial runtime's accounting).
+    /// Per-phase latency breakdown (providers run on dedicated servers in
+    /// parallel, §6.1: per-provider phases are charged the slowest
+    /// provider's time).
     pub timings: PhaseTimings,
     /// Total clusters scanned across providers.
     pub clusters_scanned: usize,
@@ -1060,7 +1066,9 @@ impl PendingAnswer {
         };
         let release_time = t.elapsed();
 
-        // Simulated network rounds — same accounting as the serial runtime.
+        // Simulated network: broadcast, summaries, allocations, and (in
+        // local-DP mode) the result round; the SMC path accounts its own
+        // rounds in `smc_network`.
         let cost_model = job.cost_model;
         let mut network = cost_model.round_time(query_bytes(query))
             + cost_model.round_time(16)
@@ -1534,7 +1542,7 @@ mod tests {
         let handle = engine.handle();
         let ans = handle.submit(&q, 0.2).unwrap().wait().unwrap();
         assert!(ans.value.is_finite());
-        let mut fed = engine.shutdown();
+        let fed = engine.shutdown();
         // The reassembled federation still answers queries, and its
         // providers are back in id order.
         for (i, p) in fed.providers().iter().enumerate() {
@@ -1616,8 +1624,8 @@ mod tests {
 
     #[test]
     fn job_seeds_differ_across_different_requests_at_the_same_index() {
-        // Regression: routing the serial extension APIs through fresh
-        // scoped engines means many jobs land on index 0 with the same
+        // Regression: every fresh scoped engine starts its occurrence
+        // ledger at 0, so many jobs land on index 0 with the same
         // configured seed. Different requests must still draw independent
         // noise, so the job seed mixes the request content.
         let cfg = config(50);

@@ -10,32 +10,18 @@
 //! per-provider selections by post-processing (max of DP outputs for MAX,
 //! min for MIN).
 //!
-//! Execution is plan compilation onto the concurrent engine: an extreme
-//! query is one [`crate::engine::EngineHandle::submit_extreme`] job, so
+//! This module is the per-provider half: a [`fedaqp_model::QueryPlan::Extreme`]
+//! compiles to one [`crate::engine::EngineHandle::submit_extreme`] job, so
 //! every provider's selection runs on its own worker thread under the
 //! per-`(query, provider)` derived RNG — deterministic regardless of how
 //! jobs interleave, and identical whether the plan arrives in-process or
 //! over the wire.
 
 use fedaqp_dp::ExponentialMechanism;
-pub use fedaqp_model::Extreme;
-use fedaqp_model::{QueryPlan, Value};
+use fedaqp_model::{Extreme, Value};
 use rand::rngs::StdRng;
 
-use crate::federation::Federation;
-use crate::plan::PlanResult;
 use crate::Result;
-
-/// The result of a private extreme query.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExtremeAnswer {
-    /// The selected (privately released) domain value.
-    pub value: Value,
-    /// The exact extreme (experiment oracle).
-    pub exact: Option<Value>,
-    /// ε charged (per provider; parallel composition across providers).
-    pub epsilon: f64,
-}
 
 /// Scores every domain value for one provider from its metadata.
 ///
@@ -103,66 +89,12 @@ pub(crate) fn provider_select(
     Ok(domain.min() + idx as Value)
 }
 
-/// The exact extreme over every provider's metadata (experiment oracle;
-/// never released).
-pub(crate) fn exact_extreme(
-    federation: &Federation,
-    dim: usize,
-    extreme: Extreme,
-) -> Option<Value> {
-    federation
-        .providers()
-        .iter()
-        .flat_map(|p| {
-            p.meta()
-                .clusters()
-                .iter()
-                .filter_map(move |m| match extreme {
-                    Extreme::Max => m.dims()[dim].max(),
-                    Extreme::Min => m.dims()[dim].min(),
-                })
-        })
-        .fold(None, |acc: Option<Value>, v| match (acc, extreme) {
-            (None, _) => Some(v),
-            (Some(a), Extreme::Max) => Some(a.max(v)),
-            (Some(a), Extreme::Min) => Some(a.min(v)),
-        })
-}
-
-/// Releases a private MIN or MAX of dimension `dim` with per-provider
-/// budget `epsilon` (the federation-wide cost is `epsilon` by parallel
-/// composition over disjoint providers).
-///
-/// Compiles to a [`QueryPlan::Extreme`] executed on a scoped engine, so
-/// the serial convenience API and the concurrent/remote paths share one
-/// implementation (and one noise derivation).
-pub fn private_extreme(
-    federation: &mut Federation,
-    dim: usize,
-    extreme: Extreme,
-    epsilon: f64,
-) -> Result<ExtremeAnswer> {
-    let plan = QueryPlan::Extreme {
-        dim,
-        extreme,
-        epsilon,
-    };
-    let answer = federation.with_engine(|engine| engine.run_plan(&plan))?;
-    let PlanResult::Extreme { value } = answer.result else {
-        unreachable!("extreme plans produce extreme results");
-    };
-    Ok(ExtremeAnswer {
-        value,
-        exact: exact_extreme(federation, dim, extreme),
-        epsilon,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::FederationConfig;
-    use fedaqp_model::{Dimension, Domain, Row, Schema};
+    use crate::federation::Federation;
+    use fedaqp_model::{Dimension, Domain, QueryPlan, Row, Schema};
 
     fn federation() -> Federation {
         let schema = Schema::new(vec![
@@ -187,33 +119,41 @@ mod tests {
         Federation::build(cfg, schema, partitions).unwrap()
     }
 
+    /// One extreme plan on a fresh engine scope.
+    fn select(fed: &Federation, dim: usize, extreme: Extreme, epsilon: f64) -> Result<Value> {
+        let plan = QueryPlan::Extreme {
+            dim,
+            extreme,
+            epsilon,
+        };
+        let answer = fed.with_engine(|engine| engine.run_plan(&plan))?;
+        assert_eq!(answer.cost.eps, epsilon);
+        Ok(answer.value().expect("extreme plans release a value") as Value)
+    }
+
     #[test]
     fn loose_budget_finds_true_extremes() {
-        let mut fed = federation();
-        let max = private_extreme(&mut fed, 0, Extreme::Max, 500.0).unwrap();
-        assert_eq!(max.exact, Some(85));
+        // True extremes by construction: max 85 (the lone row), min 10.
+        let fed = federation();
         // With a huge ε the EM picks (near-)extreme values; the selection
         // is biased by the rank scores, so allow slack but require closeness.
-        assert!(max.value >= 55, "max selection {} too low", max.value);
-
-        let min = private_extreme(&mut fed, 0, Extreme::Min, 500.0).unwrap();
-        assert_eq!(min.exact, Some(10));
-        assert!(min.value <= 25, "min selection {} too high", min.value);
+        let max = select(&fed, 0, Extreme::Max, 500.0).unwrap();
+        assert!((55..=99).contains(&max), "max selection {max} too low");
+        let min = select(&fed, 0, Extreme::Min, 500.0).unwrap();
+        assert!((0..=25).contains(&min), "min selection {min} too high");
     }
 
     #[test]
     fn tight_budget_still_returns_domain_value() {
-        let mut fed = federation();
-        let ans = private_extreme(&mut fed, 0, Extreme::Max, 0.001).unwrap();
-        assert!((0..=99).contains(&ans.value));
-        assert_eq!(ans.epsilon, 0.001);
+        let value = select(&federation(), 0, Extreme::Max, 0.001).unwrap();
+        assert!((0..=99).contains(&value));
     }
 
     #[test]
     fn rejects_bad_inputs() {
-        let mut fed = federation();
-        assert!(private_extreme(&mut fed, 0, Extreme::Max, 0.0).is_err());
-        assert!(private_extreme(&mut fed, 99, Extreme::Max, 1.0).is_err());
+        let fed = federation();
+        assert!(select(&fed, 0, Extreme::Max, 0.0).is_err());
+        assert!(select(&fed, 99, Extreme::Max, 1.0).is_err());
     }
 
     #[test]
@@ -236,21 +176,7 @@ mod tests {
 
     #[test]
     fn second_dimension_works_too() {
-        let mut fed = federation();
-        let ans = private_extreme(&mut fed, 1, Extreme::Max, 200.0).unwrap();
-        assert_eq!(ans.exact, Some(49));
-        assert!((0..=49).contains(&ans.value));
-    }
-
-    #[test]
-    fn serial_convenience_matches_engine_plan_byte_for_byte() {
-        // One implementation, one noise derivation: the &mut Federation
-        // API and a direct engine submission must agree exactly.
-        let mut fed = federation();
-        let serial = private_extreme(&mut fed, 0, Extreme::Max, 2.0).unwrap();
-        let engine = fed
-            .with_engine(|engine| engine.submit_extreme(0, Extreme::Max, 2.0).unwrap().wait())
-            .unwrap();
-        assert_eq!(serial.value, engine.value);
+        let value = select(&federation(), 1, Extreme::Max, 200.0).unwrap();
+        assert!((0..=49).contains(&value));
     }
 }

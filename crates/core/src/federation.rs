@@ -1,53 +1,15 @@
 //! The federation runtime: end-to-end query lifecycle (Fig. 3).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use fedaqp_dp::{PrivacyCost, QueryBudget};
 use fedaqp_model::{RangeQuery, Row, Schema};
 use fedaqp_storage::MetaSpaceReport;
 
-use crate::aggregator::Aggregator;
-use crate::config::{AllocationPolicy, FederationConfig, ReleaseMode};
-use crate::engine::EngineHandle;
-use crate::protocol::{combined_ci_halfwidth, query_bytes, LocalOutcome, PhaseTimings};
+use crate::config::FederationConfig;
+use crate::engine::{EngineAnswer, EngineHandle};
 use crate::provider::DataProvider;
 use crate::{CoreError, Result};
-
-/// The answer to one federated query.
-#[derive(Debug, Clone)]
-pub struct QueryAnswer {
-    /// The DP-released answer returned to the analyst.
-    pub value: f64,
-    /// The exact (plain-text) answer — computed outside the timed path as
-    /// the experiment oracle, never released.
-    pub exact: u64,
-    /// `|answer − estimation| / answer` (§6.1); `|estimation|` when the
-    /// exact answer is zero.
-    pub relative_error: f64,
-    /// Per-phase latency breakdown.
-    pub timings: PhaseTimings,
-    /// Total clusters scanned across providers (work proxy).
-    pub clusters_scanned: usize,
-    /// Total covering-set size across providers (`Σ N^Q_i`).
-    pub covering_total: usize,
-    /// How many providers took the approximate path.
-    pub approximated_providers: usize,
-    /// The `(ε, δ)` charged for this query.
-    pub cost: PrivacyCost,
-    /// The per-provider sample-size allocations the aggregator computed.
-    pub allocations: Vec<u64>,
-    /// Σ of the providers' raw (pre-noise) estimates — a simulation-
-    /// boundary diagnostic used by the Fig. 8 noise-range experiment;
-    /// never released to the analyst.
-    pub raw_estimate: f64,
-    /// Per-provider smooth sensitivities (simulation-boundary diagnostic:
-    /// the scale of each provider's release noise is `2·S_LS/ε_E`).
-    pub smooth_ls: Vec<f64>,
-    /// 95% confidence half-width of `raw_estimate` from the providers'
-    /// Hansen–Hurwitz variances (sampling error only, noise excluded).
-    /// `None` when any provider's variance was inestimable (single draw).
-    pub ci_halfwidth: Option<f64>,
-}
 
 /// The answer and latency of a plain (non-private, non-approximate)
 /// federated execution — the baseline of the speed-up metric.
@@ -59,13 +21,14 @@ pub struct PlainAnswer {
     pub duration: Duration,
 }
 
-/// A running federation: `n` providers plus the aggregator.
+/// A federation at rest: the configuration, the public schema and the `n`
+/// providers. Every protocol step runs on an engine over it
+/// ([`Federation::with_engine`] or [`crate::FederationEngine`]).
 #[derive(Debug)]
 pub struct Federation {
     config: FederationConfig,
     schema: Schema,
     providers: Vec<DataProvider>,
-    aggregator: Aggregator,
 }
 
 impl Federation {
@@ -87,12 +50,10 @@ impl Federation {
         for (id, rows) in partitions.into_iter().enumerate() {
             providers.push(DataProvider::build(id, schema.clone(), rows, &config)?);
         }
-        let aggregator = Aggregator::new(config.seed, config.cost_model);
         Ok(Self {
             config,
             schema,
             providers,
-            aggregator,
         })
     }
 
@@ -114,7 +75,10 @@ impl Federation {
         &self.providers
     }
 
-    /// Exact plain-text answer over the union of partitions (oracle).
+    /// Exact plain-text answer over the union of partitions — the
+    /// experiment oracle: a full scan of every provider, never released
+    /// and never part of a served answer. Callers that want the §6.1
+    /// accuracy metric pair it with [`crate::protocol::relative_error`].
     pub fn exact(&self, query: &RangeQuery) -> u64 {
         self.providers.iter().map(|p| p.exact_answer(query)).sum()
     }
@@ -143,13 +107,12 @@ impl Federation {
         &mut self.providers
     }
 
-    /// Re-salts the noise seed (and the aggregator derived from it) — the
-    /// streaming layer calls this once per accepted ingest batch so no RNG
-    /// lane is ever replayed against two different data versions (a
-    /// differencing attack would otherwise subtract identical noise).
+    /// Re-salts the noise seed — the streaming layer calls this once per
+    /// accepted ingest batch so no RNG lane is ever replayed against two
+    /// different data versions (a differencing attack would otherwise
+    /// subtract identical noise).
     pub(crate) fn set_seed(&mut self, seed: u64) {
         self.config.seed = seed;
-        self.aggregator = Aggregator::new(seed, self.config.cost_model);
     }
 
     /// Decomposes the federation so the engine can move each provider onto
@@ -159,19 +122,16 @@ impl Federation {
     }
 
     /// Reassembles a federation from parts handed back by the engine
-    /// (`providers` must be in id order; the aggregator is rebuilt from the
-    /// configured seed exactly as [`Federation::build`] does).
+    /// (`providers` must be in id order).
     pub(crate) fn from_parts(
         config: FederationConfig,
         schema: Schema,
         providers: Vec<DataProvider>,
     ) -> Self {
-        let aggregator = Aggregator::new(config.seed, config.cost_model);
         Self {
             config,
             schema,
             providers,
-            aggregator,
         }
     }
 
@@ -207,172 +167,39 @@ impl Federation {
         })
     }
 
-    /// Runs one query under the configured default budget.
-    pub fn run(&mut self, query: &RangeQuery, sampling_rate: f64) -> Result<QueryAnswer> {
-        let budget = self.default_budget()?;
-        self.run_with_budget(query, sampling_rate, &budget)
+    /// Runs one query under the configured default budget: one submission
+    /// on a fresh [`Self::with_engine`] scope.
+    ///
+    /// A scope owns its occurrence ledger, so every call is occurrence 0
+    /// of its content: calling this twice with the same query releases the
+    /// same bytes twice (a replay reveals nothing new). A loop that needs
+    /// independent draws opens **one** scope and submits inside it.
+    pub fn run(&self, query: &RangeQuery, sampling_rate: f64) -> Result<EngineAnswer> {
+        self.with_engine(|engine| engine.submit(query, sampling_rate)?.wait())
     }
 
-    /// Runs one query under an explicit per-query budget (the analyst's
+    /// [`Self::run`] under an explicit per-query budget (the analyst's
     /// accountant charges `budget.cost()`; by parallel composition across
     /// providers that is the federation-wide cost, §5.4).
     pub fn run_with_budget(
-        &mut self,
+        &self,
         query: &RangeQuery,
         sampling_rate: f64,
         budget: &QueryBudget,
-    ) -> Result<QueryAnswer> {
-        self.run_query_inner(query, sampling_rate, budget, true)
-    }
-
-    /// [`Federation::run_with_budget`] without the exact-answer oracle:
-    /// `exact` is 0 and `relative_error` is `NaN` in the returned answer.
-    ///
-    /// The oracle is a full plain scan of every provider — experiment
-    /// instrumentation, not part of the protocol — so benchmarks that
-    /// measure the *serving* cost of the serial runtime (e.g. the
-    /// `throughput` experiment's baseline) must use this path or the
-    /// serial side would be charged work the engine never does.
-    pub fn run_protocol_only(
-        &mut self,
-        query: &RangeQuery,
-        sampling_rate: f64,
-        budget: &QueryBudget,
-    ) -> Result<QueryAnswer> {
-        self.run_query_inner(query, sampling_rate, budget, false)
-    }
-
-    fn run_query_inner(
-        &mut self,
-        query: &RangeQuery,
-        sampling_rate: f64,
-        budget: &QueryBudget,
-        with_oracle: bool,
-    ) -> Result<QueryAnswer> {
-        if !(sampling_rate.is_finite() && 0.0 < sampling_rate && sampling_rate < 1.0) {
-            return Err(CoreError::InvalidSamplingRate(sampling_rate));
-        }
-        query.check_schema(&self.schema)?;
-        let cost_model = self.config.cost_model;
-        let mode = self.config.release_mode;
-        let eps_o = budget.eps_o;
-
-        // ---- Steps 1–2: prepare + DP summaries ----
-        // Providers run on dedicated servers in parallel (§6.1); this
-        // serial runtime executes them one after another and charges each
-        // phase the slowest provider's time (real threads are the
-        // engine's job).
-        let mut summary_time = Duration::ZERO;
-        let mut prepared = Vec::with_capacity(self.providers.len());
-        let mut summaries = Vec::with_capacity(self.providers.len());
-        for p in self.providers.iter_mut() {
-            let t = Instant::now();
-            let prep = p.prepare(query);
-            let summary = p.summary(query, &prep, eps_o)?;
-            summary_time = summary_time.max(t.elapsed());
-            prepared.push(prep);
-            summaries.push(summary);
-        }
-
-        // ---- Step 3: allocation at the aggregator ----
-        let t = Instant::now();
-        let allocations = match self.config.allocation_policy {
-            AllocationPolicy::Optimized => self.aggregator.allocate(&summaries, sampling_rate)?,
-            AllocationPolicy::LocalUniform => self
-                .aggregator
-                .allocate_local_uniform(&summaries, sampling_rate)?,
-        };
-        let allocation_time = t.elapsed();
-
-        // ---- Steps 4–6: local execution (parallel servers; see above) ----
-        let release_local = mode == ReleaseMode::LocalDp;
-        let mut execution_time = Duration::ZERO;
-        let mut outcomes: Vec<LocalOutcome> = Vec::with_capacity(self.providers.len());
-        for (p, (prep, &alloc)) in self
-            .providers
-            .iter_mut()
-            .zip(prepared.iter().zip(&allocations))
-        {
-            let t = Instant::now();
-            let outcome = p.execute(query, prep, alloc, budget, release_local)?;
-            execution_time = execution_time.max(t.elapsed());
-            outcomes.push(outcome);
-        }
-
-        // ---- Step 6/7: release ----
-        let t = Instant::now();
-        let (value, smc_network) = match mode {
-            ReleaseMode::LocalDp => (self.aggregator.finalize_local(&outcomes)?, Duration::ZERO),
-            ReleaseMode::Smc => {
-                let (v, d) = self.aggregator.finalize_smc(&outcomes, budget.eps_e)?;
-                (v, d)
-            }
-        };
-        let release_time = t.elapsed();
-
-        // ---- Simulated network: broadcast, summaries, allocations, and
-        // (in local-DP mode) the result round; the SMC path accounts its own
-        // rounds in `smc_network`. ----
-        let mut network = cost_model.round_time(query_bytes(query))
-            + cost_model.round_time(16)
-            + cost_model.round_time(8);
-        network += match mode {
-            ReleaseMode::LocalDp => cost_model.round_time(16),
-            ReleaseMode::Smc => smc_network,
-        };
-
-        let (exact, relative_error) = if with_oracle {
-            let exact = self.exact(query);
-            let relative_error = if exact == 0 {
-                value.abs()
-            } else {
-                (exact as f64 - value).abs() / exact as f64
-            };
-            (exact, relative_error)
-        } else {
-            (0, f64::NAN)
-        };
-        Ok(QueryAnswer {
-            value,
-            exact,
-            relative_error,
-            timings: PhaseTimings {
-                summary: summary_time,
-                allocation: allocation_time,
-                execution: execution_time,
-                release: release_time,
-                network,
-            },
-            clusters_scanned: outcomes.iter().map(|o| o.clusters_scanned).sum(),
-            covering_total: outcomes.iter().map(|o| o.n_covering).sum(),
-            approximated_providers: outcomes.iter().filter(|o| o.approximated).count(),
-            cost: budget.cost(),
-            allocations,
-            raw_estimate: outcomes.iter().map(|o| o.estimate).sum(),
-            smooth_ls: outcomes.iter().map(|o| o.smooth_ls).collect(),
-            ci_halfwidth: combined_ci_halfwidth(&outcomes),
+    ) -> Result<EngineAnswer> {
+        self.with_engine(|engine| {
+            engine
+                .submit_with_budget(query, sampling_rate, budget)?
+                .wait()
         })
     }
 
     /// Plain federated execution: every provider scans its full partition
-    /// (in parallel) and the exact sum is returned — the "normal
-    /// computation" baseline of the speed-up metric (§6.1).
+    /// (in parallel, on the same kind of pool as the private path) and the
+    /// exact sum is returned — the "normal computation" baseline of the
+    /// speed-up metric (§6.1).
     pub fn run_plain(&self, query: &RangeQuery) -> Result<PlainAnswer> {
-        query.check_schema(&self.schema)?;
-        // Parallel-server model: the phase costs the slowest provider.
-        let mut scan_time = Duration::ZERO;
-        let mut partials: Vec<u64> = Vec::with_capacity(self.providers.len());
-        for p in &self.providers {
-            let t = Instant::now();
-            partials.push(p.exact_answer(query));
-            scan_time = scan_time.max(t.elapsed());
-        }
-        let network = self.config.cost_model.round_time(query_bytes(query))
-            + self.config.cost_model.round_time(16);
-        Ok(PlainAnswer {
-            value: partials.iter().sum(),
-            duration: scan_time + network,
-        })
+        self.with_engine(|engine| engine.submit_plain(query)?.wait())
     }
 
     /// Per-provider encoded-metadata footprints (§6.1 space report).
@@ -384,6 +211,8 @@ impl Federation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ReleaseMode;
+    use crate::protocol::relative_error;
     use fedaqp_model::{Aggregate, Dimension, Domain, Range};
     use fedaqp_smc::CostModel;
 
@@ -441,7 +270,7 @@ mod tests {
 
     #[test]
     fn run_rejects_bad_sampling_rate() {
-        let mut fed = Federation::build(config(50), schema(), partitions(200, 4)).unwrap();
+        let fed = Federation::build(config(50), schema(), partitions(200, 4)).unwrap();
         let q = count_query(0, 999);
         assert!(matches!(
             fed.run(&q, 0.0),
@@ -455,12 +284,11 @@ mod tests {
 
     #[test]
     fn answer_fields_are_consistent() {
-        let mut fed = Federation::build(config(50), schema(), partitions(2000, 4)).unwrap();
+        let fed = Federation::build(config(50), schema(), partitions(2000, 4)).unwrap();
         let q = count_query(100, 800);
         let ans = fed.run(&q, 0.2).unwrap();
-        assert_eq!(ans.exact, fed.exact(&q));
         assert!(ans.value.is_finite());
-        assert!(ans.relative_error >= 0.0);
+        assert!(ans.raw_estimate.is_finite());
         assert_eq!(ans.allocations.len(), 4);
         assert!(ans.clusters_scanned > 0);
         assert!(ans.covering_total >= ans.clusters_scanned);
@@ -470,7 +298,7 @@ mod tests {
 
     #[test]
     fn approximation_scans_fewer_clusters_than_covering() {
-        let mut fed = Federation::build(config(50), schema(), partitions(5000, 4)).unwrap();
+        let fed = Federation::build(config(50), schema(), partitions(5000, 4)).unwrap();
         let q = count_query(0, 999);
         let ans = fed.run(&q, 0.1).unwrap();
         assert_eq!(ans.approximated_providers, 4);
@@ -488,14 +316,10 @@ mod tests {
         // of the truth on this well-mixed data.
         let mut cfg = config(50);
         cfg.epsilon = 100.0;
-        let mut fed = Federation::build(cfg, schema(), partitions(5000, 4)).unwrap();
+        let fed = Federation::build(cfg, schema(), partitions(5000, 4)).unwrap();
         let q = count_query(0, 999);
-        let ans = fed.run(&q, 0.2).unwrap();
-        assert!(
-            ans.relative_error < 0.2,
-            "relative error {} too large",
-            ans.relative_error
-        );
+        let err = relative_error(fed.exact(&q), fed.run(&q, 0.2).unwrap().value);
+        assert!(err < 0.2, "relative error {err} too large");
     }
 
     #[test]
@@ -503,11 +327,12 @@ mod tests {
         let mut cfg = config(50);
         cfg.release_mode = ReleaseMode::Smc;
         cfg.epsilon = 100.0;
-        let mut fed = Federation::build(cfg, schema(), partitions(5000, 4)).unwrap();
+        let fed = Federation::build(cfg, schema(), partitions(5000, 4)).unwrap();
         let q = count_query(0, 999);
         let ans = fed.run(&q, 0.2).unwrap();
         assert!(ans.value.is_finite());
-        assert!(ans.relative_error < 0.2, "err {}", ans.relative_error);
+        let err = relative_error(fed.exact(&q), ans.value);
+        assert!(err < 0.2, "err {err}");
     }
 
     #[test]
@@ -515,12 +340,13 @@ mod tests {
         let mut cfg = config(50);
         cfg.n_min = 10_000; // force the exact path everywhere
         cfg.epsilon = 50.0;
-        let mut fed = Federation::build(cfg, schema(), partitions(2000, 4)).unwrap();
+        let fed = Federation::build(cfg, schema(), partitions(2000, 4)).unwrap();
         let q = count_query(100, 900);
         let ans = fed.run(&q, 0.2).unwrap();
         assert_eq!(ans.approximated_providers, 0);
         // Exact path + loose budget ⇒ tiny error.
-        assert!(ans.relative_error < 0.05, "err {}", ans.relative_error);
+        let err = relative_error(fed.exact(&q), ans.value);
+        assert!(err < 0.05, "err {err}");
         assert!(!fed.triggers_approximation(&q));
     }
 

@@ -1,201 +1,96 @@
-//! Private GROUP-BY (extension; §7).
-//!
-//! The paper defers GROUP-BY: "integrating such clauses in the SQL query
-//! is not so trivial, and adding noise to the final result will not be
-//! enough to guarantee privacy", citing Desfontaines et al.'s partition
-//! selection. This module implements the *known-domain* variant: the group
-//! dimension's domain is public (it is part of the public schema), so the
-//! system can enumerate every group, answer one private point query per
-//! group, and — as a utility, not privacy, measure — suppress groups whose
-//! noisy counts fall below a significance threshold, mirroring the
-//! thresholding of partition selection.
-//!
-//! **Budget.** Group queries are *not* disjoint under this pipeline (a
-//! cluster's metadata, and hence every group's summary/sampling mechanisms,
-//! depends on all rows in the cluster), so parallel composition does not
-//! apply; the caller's `(ε, δ)` is split across groups by sequential
-//! composition. Practical for the small categorical domains GROUP-BY is
-//! typically used on — and guarded: domains above
-//! [`crate::FederationConfig::max_group_domain`] are rejected with
-//! [`crate::CoreError::GroupDomainTooLarge`].
-//!
-//! **Execution.** [`run_group_by`] compiles to a
-//! [`fedaqp_model::QueryPlan::GroupBy`] executed on a scoped concurrent
-//! engine (see [`crate::plan`]): the `k` per-group point queries are all
-//! in flight on the provider worker pool before the first answer is
-//! awaited, so a group-by costs roughly one query's wall time instead of
-//! `k` — while remaining byte-identical to the same plan submitted over
-//! the wire.
+//! Behaviour tests of the GROUP-BY plan shape
+//! ([`fedaqp_model::QueryPlan::GroupBy`], compiled in [`crate::plan`]).
 
-use fedaqp_dp::PrivacyCost;
-use fedaqp_model::{QueryPlan, Range, RangeQuery, Value};
-
-use crate::federation::Federation;
-use crate::plan::PlanResult;
-use crate::Result;
-
-/// One released group.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Group {
-    /// The group key (a value of the grouped dimension).
-    pub key: Value,
-    /// The noisy aggregate for the group.
-    pub value: f64,
-    /// The exact aggregate (experiment oracle).
-    pub exact: u64,
-}
-
-/// The result of a GROUP-BY query.
-#[derive(Debug, Clone)]
-pub struct GroupByAnswer {
-    /// Released groups (noisy value ≥ threshold), ascending by key.
-    pub groups: Vec<Group>,
-    /// Number of groups suppressed by the significance threshold.
-    pub suppressed: usize,
-    /// The total privacy cost charged.
-    pub cost: PrivacyCost,
-    /// The per-group budget used.
-    pub per_group_epsilon: f64,
-}
-
-/// Runs `SELECT group_dim, AGG(..) … GROUP BY group_dim` under a total
-/// `(epsilon, delta)`, with `base` supplying the aggregate and the filter
-/// ranges (which must not constrain `group_dim`).
-///
-/// `threshold` suppresses groups whose noisy value falls below it; pass
-/// `0.0` to release every group. A common choice is `2/ε_group` (≈ two
-/// noise standard deviations).
-pub fn run_group_by(
-    federation: &mut Federation,
-    base: &RangeQuery,
-    group_dim: usize,
-    sampling_rate: f64,
-    epsilon: f64,
-    delta: f64,
-    threshold: f64,
-) -> Result<GroupByAnswer> {
-    let plan = QueryPlan::GroupBy {
-        base: base.clone(),
-        statistic: None,
-        group_dim,
-        threshold,
-        sampling_rate,
-        epsilon,
-        delta,
-    };
-    let answer = federation.with_engine(|engine| engine.run_plan(&plan))?;
-    let PlanResult::Groups { groups, suppressed } = answer.result else {
-        unreachable!("group-by plans produce group results");
-    };
-    let k = federation.schema().dimension(group_dim)?.domain().size();
-    let groups = groups
-        .into_iter()
-        .map(|g| {
-            let mut ranges = base.ranges().to_vec();
-            ranges.push(Range::new(group_dim, g.key, g.key)?);
-            let point = RangeQuery::new(base.aggregate(), ranges)?;
-            Ok(Group {
-                key: g.key,
-                value: g.value,
-                exact: federation.exact(&point),
-            })
-        })
-        .collect::<Result<Vec<Group>>>()?;
-    Ok(GroupByAnswer {
-        groups,
-        suppressed: suppressed as usize,
-        cost: answer.cost,
-        per_group_epsilon: epsilon / k as f64,
-    })
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::config::FederationConfig;
-    use crate::CoreError;
-    use fedaqp_model::{Aggregate, Dimension, Domain, Row, Schema};
+    use fedaqp_model::{Aggregate, QueryPlan, Range, RangeQuery, Row, Value};
 
-    fn federation() -> Federation {
-        let schema = Schema::new(vec![
-            Dimension::new("category", Domain::new(0, 4).unwrap()),
-            Dimension::new("x", Domain::new(0, 99).unwrap()),
-        ])
-        .unwrap();
-        // Category populations: 0 → 2000, 1 → 1000, 2 → 400, 3 → 40, 4 → 0.
-        let sizes = [2000usize, 1000, 400, 40, 0];
-        let partitions: Vec<Vec<Row>> = (0..4)
-            .map(|p| {
-                let mut rows = Vec::new();
-                for (cat, &n) in sizes.iter().enumerate() {
-                    for i in 0..n / 4 {
-                        rows.push(Row::cell(vec![cat as i64, ((i * 7 + p) % 100) as i64], 1));
-                    }
-                }
-                rows
-            })
-            .collect();
-        let mut cfg = FederationConfig::paper_default(64);
-        cfg.cost_model = fedaqp_smc::CostModel::zero();
-        cfg.n_min = 2;
-        // A seed whose draw for the empty group is nonnegative, so the
-        // zero-threshold release keeps all five groups.
-        cfg.seed = 1;
-        Federation::build(cfg, schema, partitions).unwrap()
-    }
+    use crate::federation::Federation;
+    use crate::plan::tests::{base, federation, group_plan};
+    use crate::plan::PlanAnswer;
+    use crate::{CoreError, Result};
 
-    fn base() -> RangeQuery {
-        RangeQuery::new(Aggregate::Count, vec![Range::new(1, 0, 99).unwrap()]).unwrap()
+    /// One count group-by on a fresh engine scope.
+    fn group_by(
+        fed: &Federation,
+        base: RangeQuery,
+        group_dim: usize,
+        epsilon: f64,
+        threshold: f64,
+    ) -> Result<PlanAnswer> {
+        let plan = QueryPlan::GroupBy {
+            base,
+            statistic: None,
+            group_dim,
+            threshold,
+            sampling_rate: 0.3,
+            epsilon,
+            delta: 1e-3,
+        };
+        fed.with_engine(|engine| engine.run_plan(&plan))
     }
 
     #[test]
     fn recovers_group_ordering_under_loose_budget() {
-        let mut fed = federation();
-        let ans = run_group_by(&mut fed, &base(), 0, 0.3, 250.0, 1e-3, 0.0).unwrap();
-        assert_eq!(ans.groups.len(), 5);
-        // The big groups come out in the right order.
-        let by_key: Vec<f64> = ans.groups.iter().map(|g| g.value).collect();
+        // Category populations: 0 → 2000, 1 → 1000, 2 → 400, 3 → 40, 4 → 0.
+        let ans = group_by(&federation(1.0), base(), 0, 250.0, 0.0).unwrap();
+        let by_key: Vec<f64> = ans.groups().unwrap().iter().map(|g| g.value).collect();
+        assert_eq!(by_key.len(), 5);
         assert!(by_key[0] > by_key[1]);
         assert!(by_key[1] > by_key[2]);
         assert!(by_key[2] > by_key[3]);
-        // Exact oracle matches the construction.
-        assert_eq!(ans.groups[0].exact, 2000);
-        assert_eq!(ans.groups[4].exact, 0);
     }
 
     #[test]
     fn threshold_suppresses_small_groups() {
-        let mut fed = federation();
-        let ans = run_group_by(&mut fed, &base(), 0, 0.3, 250.0, 1e-3, 150.0).unwrap();
+        let ans = group_by(&federation(1.0), base(), 0, 250.0, 150.0).unwrap();
+        let crate::plan::PlanResult::Groups { groups, suppressed } = &ans.result else {
+            panic!("expected groups, got {:?}", ans.result);
+        };
         // Groups 3 (40 rows) and 4 (0 rows) fall under the threshold
         // (modulo noise); at minimum the empty group must vanish.
-        assert!(ans.suppressed >= 1, "nothing suppressed");
-        assert!(ans.groups.iter().all(|g| g.value >= 150.0));
+        assert!(*suppressed >= 1, "nothing suppressed");
+        assert_eq!(groups.len() as u64 + suppressed, 5);
+        assert!(groups.iter().all(|g| g.value >= 150.0));
     }
 
     #[test]
     fn cost_is_total_epsilon_and_split_evenly() {
-        let mut fed = federation();
-        let ans = run_group_by(&mut fed, &base(), 0, 0.3, 2.0, 1e-3, 0.0).unwrap();
+        let fed = federation(1.0);
+        let ans = group_by(&fed, base(), 0, 2.0, f64::NEG_INFINITY).unwrap();
         assert!((ans.cost.eps - 2.0).abs() < 1e-12);
-        assert!((ans.per_group_epsilon - 0.4).abs() < 1e-12);
+        assert!((ans.cost.delta - 1e-3).abs() < 1e-15);
+        // The even split, observed through the noise derivation: group
+        // `key` releases the bytes of its point query run alone under
+        // `(ε/k, δ/k)` — any other per-group budget is a different lane.
+        for g in ans.groups().unwrap() {
+            let mut ranges = base().ranges().to_vec();
+            ranges.push(Range::new(0, g.key, g.key).unwrap());
+            let alone = QueryPlan::Scalar {
+                query: RangeQuery::new(Aggregate::Count, ranges).unwrap(),
+                sampling_rate: 0.3,
+                epsilon: 2.0 / 5.0,
+                delta: 1e-3 / 5.0,
+            };
+            let alone = fed.with_engine(|engine| engine.run_plan(&alone)).unwrap();
+            assert_eq!(alone.value().unwrap().to_bits(), g.value.to_bits());
+        }
     }
 
     #[test]
     fn rejects_group_dim_in_filter() {
-        let mut fed = federation();
+        let fed = federation(1.0);
         let bad = RangeQuery::new(Aggregate::Count, vec![Range::new(0, 0, 2).unwrap()]).unwrap();
         assert!(matches!(
-            run_group_by(&mut fed, &bad, 0, 0.3, 1.0, 1e-3, 0.0),
+            group_by(&fed, bad, 0, 1.0, 0.0),
             Err(CoreError::BadConfig(_))
         ));
-        assert!(run_group_by(&mut fed, &base(), 0, 0.3, 0.0, 1e-3, 0.0).is_err());
-        assert!(run_group_by(&mut fed, &base(), 9, 0.3, 1.0, 1e-3, 0.0).is_err());
+        assert!(group_by(&fed, base(), 0, 0.0, 0.0).is_err());
+        assert!(group_by(&fed, base(), 9, 1.0, 0.0).is_err());
     }
 
     #[test]
     fn rejects_oversized_group_domains() {
-        let base_fed = federation();
+        let base_fed = federation(1.0);
         let mut cfg = base_fed.config().clone();
         cfg.max_group_domain = 4; // category has 5 values
         let partitions: Vec<Vec<Row>> = base_fed
@@ -203,8 +98,10 @@ mod tests {
             .iter()
             .map(|p| p.store().clusters().iter().flat_map(|c| c.rows()).collect())
             .collect();
-        let mut fed = Federation::build(cfg, base_fed.schema().clone(), partitions).unwrap();
-        let err = run_group_by(&mut fed, &base(), 0, 0.3, 1.0, 1e-3, 0.0).unwrap_err();
+        let fed = Federation::build(cfg, base_fed.schema().clone(), partitions).unwrap();
+        let err = fed
+            .with_engine(|engine| engine.run_plan(&group_plan(1.0, None)))
+            .unwrap_err();
         assert!(
             matches!(err, CoreError::GroupDomainTooLarge { size: 5, cap: 4 }),
             "{err:?}"
@@ -213,11 +110,8 @@ mod tests {
 
     #[test]
     fn groups_ascend_by_key() {
-        let mut fed = federation();
-        let ans = run_group_by(&mut fed, &base(), 0, 0.3, 50.0, 1e-3, 0.0).unwrap();
-        let keys: Vec<Value> = ans.groups.iter().map(|g| g.key).collect();
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        assert_eq!(keys, sorted);
+        let ans = group_by(&federation(1.0), base(), 0, 50.0, f64::NEG_INFINITY).unwrap();
+        let keys: Vec<Value> = ans.groups().unwrap().iter().map(|g| g.key).collect();
+        assert_eq!(keys, vec![0, 1, 2, 3, 4]);
     }
 }

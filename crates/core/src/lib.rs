@@ -1,8 +1,10 @@
 //! The `fedaqp` federated private-AQP protocol — the paper's primary
 //! contribution (§5).
 //!
-//! A [`federation::Federation`] wires `n` [`provider::DataProvider`]s and an
-//! [`aggregator`] into the query lifecycle of Fig. 3:
+//! A [`federation::Federation`] holds `n` [`provider::DataProvider`]s; an
+//! [`engine`] over it (one worker per provider, a per-query
+//! [`aggregator`]) is the one implementation of the query lifecycle of
+//! Fig. 3:
 //!
 //! 1. The aggregator broadcasts the query; each provider identifies its
 //!    covering clusters `C^Q` and their approximate proportions `R̂` from
@@ -30,12 +32,14 @@ pub mod aggregator;
 pub mod agreement;
 pub mod allocation;
 pub mod config;
-pub mod derived;
+#[cfg(test)]
+mod derived;
 pub mod engine;
 pub mod error;
 pub mod extremes;
 pub mod federation;
-pub mod groupby;
+#[cfg(test)]
+mod groupby;
 pub mod online;
 pub mod optimizer;
 pub mod plan;
@@ -53,24 +57,22 @@ pub use config::{
     AllocationPolicy, EstimatorCalibration, FederationConfig, OptimizerConfig, ProportionSource,
     ReleaseMode, SamplingPolicy, SensitivityRegime,
 };
-pub use derived::{run_derived, DerivedAnswer, DerivedStatistic};
 pub use engine::{
     EngineAnswer, EngineExtreme, EngineHandle, FederationEngine, PendingAnswer, PendingExtreme,
     PendingFragment, PendingPlain, QueryBatch, QuerySpec,
 };
 pub use error::CoreError;
-pub use extremes::{private_extreme, Extreme, ExtremeAnswer};
-pub use federation::{Federation, PlainAnswer, QueryAnswer};
-pub use groupby::{run_group_by, Group, GroupByAnswer};
-pub use online::{combine_snapshots, run_online, OnlineAnswer, OnlineSnapshot};
+pub use fedaqp_model::{DerivedStatistic, Extreme};
+pub use federation::{Federation, PlainAnswer};
+pub use online::combine_snapshots;
 pub use optimizer::{MetaSnapshot, PlanExplanation, ProviderBounds, SubQueryExplanation};
 pub use plan::{
     ExtremeOutcome, PendingPlan, PlanAnswer, PlanBackend, PlanGroup, PlanResult, PlanSnapshot,
     QueryPlan, ShardedAnswer,
 };
-pub use protocol::{LocalOutcome, PhaseTimings, ProviderSummary};
+pub use protocol::{relative_error, LocalOutcome, PhaseTimings, ProviderSummary};
 pub use provider::DataProvider;
-pub use session::{AnalystSession, ConcurrentSession, Session, SessionPlan, ShardedSession};
+pub use session::{ConcurrentSession, Session, SessionPlan, ShardedSession};
 pub use shard::{
     ExtremeFragmentSpec, FragmentHandle, FragmentPartial, FragmentSpec, PartialRow, ShardBackend,
     ShardedFederation, ShardedSub,

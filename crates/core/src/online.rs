@@ -2,102 +2,31 @@
 //!
 //! Hellerstein-style online aggregation "provides a quick initial answer
 //! with a certain error, refining it as processing continues". The
-//! federation supports a private variant: the analyst asks for `k`
-//! snapshots; each snapshot `i` re-estimates the query from the first
-//! `⌈i·s/k⌉` sampled clusters and is released under `(ε/k, δ/k)` by
-//! sequential composition — the earlier answers are cheaper and noisier,
-//! the last one matches a plain single-release run at `ε/k`.
+//! federation supports a private variant as a plan shape
+//! ([`fedaqp_model::QueryPlan::Online`], compiled in [`crate::plan`]): the
+//! analyst asks for `k` snapshots; snapshot `i` samples at `i/k` of the
+//! terminal rate and is released under `(ε/k, δ/k)` by sequential
+//! composition — the earlier answers are cheaper and noisier, the last
+//! one matches a plain single-release run at `ε/k`.
 //!
 //! Each snapshot also carries the Hansen–Hurwitz confidence half-width of
 //! the *pre-noise* estimate (a sampling-error indicator; it is derived
 //! from the released sample structure, not from raw data beyond what the
 //! release already reveals, and is reported for interpretability).
+//!
+//! What lives here is the analyst-side post-processing of those snapshots.
 
-use fedaqp_dp::PrivacyCost;
-use fedaqp_model::{QueryPlan, RangeQuery};
-
-use crate::federation::Federation;
-use crate::plan::PlanResult;
-use crate::Result;
-
-/// One progressive snapshot.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OnlineSnapshot {
-    /// Snapshot index (1-based).
-    pub round: usize,
-    /// Fraction of the final sample used.
-    pub sample_fraction: f64,
-    /// The DP-released running estimate.
-    pub value: f64,
-    /// Total clusters scanned across providers up to this snapshot.
-    pub clusters_scanned: usize,
-}
-
-/// The full progressive run.
-#[derive(Debug, Clone)]
-pub struct OnlineAnswer {
-    /// The snapshots, in release order.
-    pub snapshots: Vec<OnlineSnapshot>,
-    /// The exact answer (experiment oracle).
-    pub exact: u64,
-    /// Total privacy cost (`k` sequential releases).
-    pub cost: PrivacyCost,
-}
-
-/// Runs `query` progressively: `rounds` releases under a total
-/// `(epsilon, delta)`, with the sampling rate growing linearly from
-/// `sampling_rate/rounds` to `sampling_rate`.
-///
-/// A thin wrapper over [`QueryPlan::Online`] compilation on a scoped
-/// engine ([`Federation::with_engine`]) — the same compiler every other
-/// layer (sessions, the TCP server, the sharded coordinator) runs, so
-/// "serial" online aggregation is byte-identical to the concurrent and
-/// remote paths on a frozen federation. The exact answer is the usual
-/// experiment oracle, computed outside the private path.
-pub fn run_online(
-    federation: &mut Federation,
-    query: &RangeQuery,
-    sampling_rate: f64,
-    epsilon: f64,
-    delta: f64,
-    rounds: usize,
-) -> Result<OnlineAnswer> {
-    let plan = QueryPlan::Online {
-        query: query.clone(),
-        sampling_rate,
-        epsilon,
-        delta,
-        rounds,
-    };
-    let answer = federation.with_engine(|engine| engine.run_plan(&plan))?;
-    let snapshots = match &answer.result {
-        PlanResult::Snapshots { snapshots } => snapshots
-            .iter()
-            .map(|s| OnlineSnapshot {
-                round: s.round as usize,
-                sample_fraction: s.sample_fraction,
-                value: s.value,
-                clusters_scanned: s.clusters_scanned as usize,
-            })
-            .collect(),
-        other => unreachable!("online plans release snapshots, got {other:?}"),
-    };
-    Ok(OnlineAnswer {
-        snapshots,
-        exact: federation.exact(query),
-        cost: answer.cost,
-    })
-}
+use crate::plan::PlanSnapshot;
 
 /// Inverse-variance-weighted combination of the snapshots: since each
 /// release is an independent noisy estimate of the same quantity, the
 /// analyst can post-process them (free under DP) into one answer more
 /// accurate than the last snapshot alone. Later snapshots use larger
 /// samples, so they are weighted by their sample fraction.
-pub fn combine_snapshots(answer: &OnlineAnswer) -> f64 {
+pub fn combine_snapshots(snapshots: &[PlanSnapshot]) -> f64 {
     let mut num = 0.0;
     let mut den = 0.0;
-    for s in &answer.snapshots {
+    for s in snapshots {
         let w = s.sample_fraction;
         num += w * s.value;
         den += w;
@@ -113,7 +42,11 @@ pub fn combine_snapshots(answer: &OnlineAnswer) -> f64 {
 mod tests {
     use super::*;
     use crate::config::FederationConfig;
-    use fedaqp_model::{Aggregate, Dimension, Domain, Range, Row, Schema};
+    use crate::federation::Federation;
+    use crate::plan::PlanAnswer;
+    use crate::protocol::relative_error;
+    use crate::Result;
+    use fedaqp_model::{Aggregate, Dimension, Domain, QueryPlan, Range, RangeQuery, Row, Schema};
 
     fn federation() -> Federation {
         let schema = Schema::new(vec![Dimension::new("x", Domain::new(0, 99).unwrap())]).unwrap();
@@ -133,56 +66,61 @@ mod tests {
         RangeQuery::new(Aggregate::Count, vec![Range::new(0, 10, 80).unwrap()]).unwrap()
     }
 
+    /// One online plan on a fresh engine scope.
+    fn online(fed: &Federation, rate: f64, epsilon: f64, rounds: usize) -> Result<PlanAnswer> {
+        let plan = QueryPlan::Online {
+            query: query(),
+            sampling_rate: rate,
+            epsilon,
+            delta: 1e-3,
+            rounds,
+        };
+        fed.with_engine(|engine| engine.run_plan(&plan))
+    }
+
     #[test]
     fn produces_requested_rounds_with_growing_samples() {
-        let mut fed = federation();
-        let ans = run_online(&mut fed, &query(), 0.3, 40.0, 1e-3, 5).unwrap();
-        assert_eq!(ans.snapshots.len(), 5);
-        for w in ans.snapshots.windows(2) {
+        let fed = federation();
+        let ans = online(&fed, 0.3, 40.0, 5).unwrap();
+        let snapshots = ans.snapshots().unwrap();
+        assert_eq!(snapshots.len(), 5);
+        for w in snapshots.windows(2) {
             assert!(w[1].sample_fraction > w[0].sample_fraction);
         }
         assert!((ans.cost.eps - 40.0).abs() < 1e-12);
         // Final snapshot reasonably close under the loose budget.
-        let last = ans.snapshots.last().unwrap();
-        let err = (last.value - ans.exact as f64).abs() / ans.exact as f64;
+        let err = relative_error(fed.exact(&query()), ans.value().unwrap());
         assert!(err < 0.5, "final snapshot error {err}");
     }
 
     #[test]
     fn combined_estimate_is_finite_and_reasonable() {
-        let mut fed = federation();
-        let ans = run_online(&mut fed, &query(), 0.3, 40.0, 1e-3, 4).unwrap();
-        let combined = combine_snapshots(&ans);
+        let fed = federation();
+        let ans = online(&fed, 0.3, 40.0, 4).unwrap();
+        let combined = combine_snapshots(ans.snapshots().unwrap());
         assert!(combined.is_finite());
-        let err = (combined - ans.exact as f64).abs() / ans.exact as f64;
+        let err = relative_error(fed.exact(&query()), combined);
         assert!(err < 0.5, "combined error {err}");
     }
 
     #[test]
     fn single_round_equals_plain_run_cost() {
-        let mut fed = federation();
-        let ans = run_online(&mut fed, &query(), 0.2, 1.0, 1e-3, 1).unwrap();
-        assert_eq!(ans.snapshots.len(), 1);
-        assert!((ans.snapshots[0].sample_fraction - 1.0).abs() < 1e-12);
+        let ans = online(&federation(), 0.2, 1.0, 1).unwrap();
+        let snapshots = ans.snapshots().unwrap();
+        assert_eq!(snapshots.len(), 1);
+        assert!((snapshots[0].sample_fraction - 1.0).abs() < 1e-12);
+        assert!((ans.cost.eps - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn rejects_degenerate_parameters() {
-        let mut fed = federation();
-        assert!(run_online(&mut fed, &query(), 0.2, 1.0, 1e-3, 0).is_err());
-        assert!(run_online(&mut fed, &query(), 0.2, 0.0, 1e-3, 3).is_err());
+        let fed = federation();
+        assert!(online(&fed, 0.2, 1.0, 0).is_err());
+        assert!(online(&fed, 0.2, 0.0, 3).is_err());
     }
 
     #[test]
     fn empty_combination_is_zero() {
-        let ans = OnlineAnswer {
-            snapshots: vec![],
-            exact: 0,
-            cost: PrivacyCost {
-                eps: 1.0,
-                delta: 0.0,
-            },
-        };
-        assert_eq!(combine_snapshots(&ans), 0.0);
+        assert_eq!(combine_snapshots(&[]), 0.0);
     }
 }

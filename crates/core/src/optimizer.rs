@@ -15,7 +15,7 @@
 //!    to the exhaustive path.
 //! 2. **Sub-query dedup.** VAR/STD plans re-issue the cell's COUNT as a
 //!    budget-carrying second moment whose released *value* is never read
-//!    (see [`crate::derived`]). Re-reading the already-released COUNT is
+//!    (see [`crate::plan`]). Re-reading the already-released COUNT is
 //!    post-processing (Thm. 3.3): zero extra ξ, zero extra work. The plan
 //!    still declares (and sessions still charge) the conservative
 //!    [`fedaqp_model::QueryPlan::total_cost`].

@@ -1,32 +1,54 @@
 //! Plan execution: compiling a [`QueryPlan`] into concurrent engine
 //! sub-queries.
 //!
-//! Every analyst-facing layer — the serial convenience functions
-//! ([`crate::run_group_by`], [`crate::run_derived`],
-//! [`crate::private_extreme`]), [`crate::ConcurrentSession`], the TCP
-//! server, and the CLI — executes plans through this one compiler, so the
-//! semantics (budget splits, suppression, noise derivation) cannot drift
-//! between layers.
+//! Every analyst-facing layer — [`crate::Session`], the TCP server, the
+//! sharded coordinator, and the CLI — executes plans through this one
+//! compiler, so the semantics (budget splits, suppression, noise
+//! derivation) cannot drift between layers.
 //!
 //! Compilation shape:
 //!
 //! * [`QueryPlan::Scalar`] → one private sub-query.
-//! * [`QueryPlan::Derived`] → 2–3 sub-queries, each under a `1/n` share of
-//!   the plan's `(ε, δ)` (sequential composition, Thm. 3.1); the statistic
-//!   is post-processed from the noisy releases (Thm. 3.3 — free).
-//! * [`QueryPlan::GroupBy`] → one point sub-query per public domain value
-//!   of the grouped dimension (× the statistic's sub-queries when grouping
-//!   a derived aggregate), each under a `1/k` (or `1/(k·n)`) share.
-//!   Group queries are *not* disjoint under this pipeline (a cluster's
-//!   metadata depends on all rows in the cluster), so sequential — not
-//!   parallel — composition applies.
+//! * [`QueryPlan::Derived`] (§7: AVG/VAR/STD "can be derived from SUM and
+//!   COUNT using the sequential composition of DP") → 2–3 sub-queries,
+//!   each under a `1/n` share of the plan's `(ε, δ)` (sequential
+//!   composition, Thm. 3.1); the statistic is post-processed from the
+//!   noisy releases (Thm. 3.3 — free). VAR/STD are a *measure dispersion
+//!   proxy*, `mean·(mean − 1)`: the count-tensor model exposes only
+//!   COUNT/SUM (§3), so a faithful M²-sum would need a dedicated
+//!   aggregate; the third sub-query exists to charge the budget the
+//!   proxy's refinement release costs.
+//! * [`QueryPlan::GroupBy`] → the *known-domain* variant of the GROUP-BY
+//!   the paper defers (§7 — "adding noise to the final result will not be
+//!   enough to guarantee privacy", citing partition selection): the
+//!   grouped dimension's domain is part of the public schema, so the
+//!   compiler enumerates every group as one point sub-query (× the
+//!   statistic's sub-queries when grouping a derived aggregate), each
+//!   under a `1/k` (or `1/(k·n)`) share. Group queries are *not* disjoint
+//!   under this pipeline (a cluster's metadata — hence every group's
+//!   summary and sampling mechanisms — depends on all rows in the
+//!   cluster), so sequential — not parallel — composition applies.
+//!   Groups whose noisy value falls below the plan's threshold are
+//!   suppressed: a utility measure mirroring partition selection's
+//!   thresholding, not a privacy one (`2/ε_group` ≈ two noise standard
+//!   deviations is a common choice). Practical for small categorical
+//!   domains, and guarded: domains above
+//!   [`crate::FederationConfig::max_group_domain`] are rejected with
+//!   [`CoreError::GroupDomainTooLarge`].
 //! * [`QueryPlan::Online`] → `rounds` sub-queries over the same ranges at
 //!   progressively larger sampling rates (`sr · r/rounds`), each under a
-//!   `1/rounds` share of the plan's `(ε, δ)` (sequential composition —
-//!   progressive samples of the same data are not disjoint); snapshots
-//!   stream out through [`PendingPlan::wait_streaming`] as rounds resolve.
+//!   `(ε/rounds, δ/rounds)` share (sequential composition — progressive
+//!   samples of the same data are not disjoint): earlier answers are
+//!   cheaper and noisier, the last matches a single release at
+//!   `ε/rounds`; snapshots stream out through
+//!   [`PendingPlan::wait_streaming`] as rounds resolve, and
+//!   [`crate::combine_snapshots`] post-processes them into one estimate.
 //! * [`QueryPlan::Extreme`] → one metadata-only engine job
-//!   ([`EngineHandle::submit_extreme`]).
+//!   ([`EngineHandle::submit_extreme`]): a rank-target
+//!   Exponential-mechanism selection over the dimension's public domain
+//!   per provider (see [`crate::extremes`]), combined by post-processing;
+//!   `ε` is the federation-wide cost by parallel composition over
+//!   disjoint providers.
 //!
 //! **Backends.** The compiler is generic over a [`PlanBackend`]: the thing
 //! that actually runs a sub-query. [`EngineHandle`] is the in-process
@@ -62,11 +84,10 @@ use std::time::Duration;
 
 use fedaqp_dp::{HyperParams, PrivacyCost, QueryBudget};
 pub use fedaqp_model::QueryPlan;
-use fedaqp_model::{Aggregate, Extreme, Range, RangeQuery, Schema, Value};
+use fedaqp_model::{Aggregate, DerivedStatistic, Extreme, Range, RangeQuery, Schema, Value};
 use fedaqp_obs as obs;
 
 use crate::config::FederationConfig;
-use crate::derived::DerivedStatistic;
 use crate::engine::{EngineAnswer, EngineHandle, PendingAnswer, PendingExtreme};
 use crate::optimizer::{submission_order, MetaSnapshot, PlanExplanation, SubQueryExplanation};
 use crate::protocol::PhaseTimings;
@@ -419,8 +440,8 @@ enum CellPending<B: PlanBackend> {
         statistic: DerivedStatistic,
         count: B::Sub,
         sum: B::Sub,
-        /// The third budgeted release of VAR/STD (see
-        /// [`crate::derived`] for why it is cost-only).
+        /// The third budgeted release of VAR/STD (cost-only: see the
+        /// dispersion-proxy note in the module docs).
         second_moment: Option<B::Sub>,
     },
 }
@@ -623,9 +644,8 @@ fn online_budget(
 
 /// The sampling rate of round `round` (1-based) of `rounds`: the terminal
 /// rate scaled by `round/rounds`, clamped into the engine's valid open
-/// interval. Every layer — serial wrapper, engine compilation, wire
-/// server — derives round rates from this one function, which is what
-/// keeps the paths byte-identical.
+/// interval. Every backend derives round rates from this one function,
+/// which is what keeps the deployments byte-identical.
 fn online_round_rate(sampling_rate: f64, round: usize, rounds: usize) -> f64 {
     let fraction = round as f64 / rounds as f64;
     (sampling_rate * fraction).clamp(f64::MIN_POSITIVE, 0.999)
@@ -775,12 +795,12 @@ fn submit_derived_cell<B: PlanBackend>(
         DerivedStatistic::Average => None,
         DerivedStatistic::Variance | DerivedStatistic::StdDev => {
             // The second moment is *cost-only*: its released value is
-            // never read (see [`crate::derived`]), and its content is
-            // identical to the cell's COUNT. The dedup pass re-reads
-            // the COUNT's release instead of executing a third
-            // sub-query — post-processing, zero extra ξ — while the
-            // plan still declares (and sessions still charge) the full
-            // three-way split.
+            // never read (the dispersion proxy of the module docs), and
+            // its content is identical to the cell's COUNT. The dedup
+            // pass re-reads the COUNT's release instead of executing a
+            // third sub-query — post-processing, zero extra ξ — while
+            // the plan still declares (and sessions still charge) the
+            // full three-way split.
             if backend.config().optimizer.dedup_subqueries {
                 obs::counter_add(obs::names::OPTIMIZER_REUSED, 1);
                 Some(backend.share_sub(&count))
@@ -1127,13 +1147,16 @@ impl EngineHandle {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::FederationConfig;
     use crate::federation::Federation;
     use fedaqp_model::{Dimension, Domain, Extreme, Row, Schema};
 
-    fn federation(epsilon: f64) -> Federation {
+    /// The shared plan fixture (also driven by the shape-specific tests in
+    /// `groupby`/`derived`): five categories of 2000/1000/400/40/0 cells
+    /// with measures 1..=3, spread over four providers.
+    pub(crate) fn federation(epsilon: f64) -> Federation {
         let schema = Schema::new(vec![
             Dimension::new("category", Domain::new(0, 4).unwrap()),
             Dimension::new("x", Domain::new(0, 99).unwrap()),
@@ -1164,11 +1187,11 @@ mod tests {
         Federation::build(cfg, schema, partitions).unwrap()
     }
 
-    fn base() -> RangeQuery {
+    pub(crate) fn base() -> RangeQuery {
         RangeQuery::new(Aggregate::Count, vec![Range::new(1, 0, 99).unwrap()]).unwrap()
     }
 
-    fn group_plan(epsilon: f64, statistic: Option<DerivedStatistic>) -> QueryPlan {
+    pub(crate) fn group_plan(epsilon: f64, statistic: Option<DerivedStatistic>) -> QueryPlan {
         QueryPlan::GroupBy {
             base: base(),
             statistic,

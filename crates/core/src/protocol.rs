@@ -4,9 +4,8 @@ use std::time::Duration;
 
 use fedaqp_model::RangeQuery;
 
-/// Approximate wire size of a range query (protocol accounting); shared by
-/// the serial runtime and the concurrent engine so both charge the same
-/// simulated broadcast cost.
+/// Approximate wire size of a range query (protocol accounting): what the
+/// private and the plain job both charge for the simulated broadcast.
 pub(crate) fn query_bytes(query: &RangeQuery) -> u64 {
     16 + 24 * query.ranges().len() as u64
 }
@@ -64,6 +63,17 @@ pub(crate) fn combined_ci_halfwidth(outcomes: &[LocalOutcome]) -> Option<f64> {
     fedaqp_sampling::hh_confidence_halfwidth(total)
 }
 
+/// The §6.1 accuracy metric: `|exact − value| / exact`, and `|value|` when
+/// the exact answer is zero. `exact` is the experiment oracle
+/// ([`crate::Federation::exact`]), never part of a release.
+pub fn relative_error(exact: u64, value: f64) -> f64 {
+    if exact == 0 {
+        value.abs()
+    } else {
+        (exact as f64 - value).abs() / exact as f64
+    }
+}
+
 /// Wall-clock/simulated time spent in each protocol phase of one query.
 ///
 /// Compute phases are measured in real time; the network components are
@@ -118,6 +128,13 @@ mod tests {
         );
         // No providers: degenerate zero-width interval.
         assert_eq!(combined_ci_halfwidth(&[]), Some(0.0));
+    }
+
+    #[test]
+    fn relative_error_is_scaled_by_the_exact_answer_unless_it_is_zero() {
+        assert_eq!(relative_error(200, 150.0), 0.25);
+        assert_eq!(relative_error(200, 250.0), 0.25);
+        assert_eq!(relative_error(0, -3.5), 3.5);
     }
 
     #[test]

@@ -8,7 +8,6 @@ use fedaqp_sampling::hansen_hurwitz::{hh_estimate, hh_variance, HansenHurwitz};
 use fedaqp_storage::codec::meta_space_report;
 use fedaqp_storage::{ClusterId, ClusterStore, MetaSpaceReport, ProviderMeta};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::config::{
     EstimatorCalibration, FederationConfig, ProportionSource, SamplingPolicy, SensitivityRegime,
@@ -166,7 +165,6 @@ pub struct DataProvider {
     sampling_policy: SamplingPolicy,
     proportion_source: ProportionSource,
     calibration: EstimatorCalibration,
-    rng: StdRng,
 }
 
 impl DataProvider {
@@ -201,9 +199,6 @@ impl DataProvider {
             sampling_policy: config.sampling_policy,
             proportion_source: config.proportion_source,
             calibration: config.estimator_calibration,
-            rng: StdRng::seed_from_u64(
-                config.seed ^ (id as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ),
         })
     }
 
@@ -262,12 +257,6 @@ impl DataProvider {
         };
     }
 
-    /// Temporarily moves the provider's own RNG out so `&self` methods can
-    /// draw from it (the `_with_rng` variants take the RNG by parameter).
-    fn take_rng(&mut self) -> StdRng {
-        std::mem::replace(&mut self.rng, StdRng::seed_from_u64(0))
-    }
-
     /// Protocol step 1: identify `C^Q` and compute `R̂`.
     ///
     /// With [`ProportionSource::Metadata`] (the paper) proportions come from
@@ -297,24 +286,12 @@ impl DataProvider {
 
     /// Protocol step 2: release the DP summary `(Ñ^Q, Avg(R̂)~)` under
     /// `ε_O` (Eq. 5); each component gets `ε_O/2`.
-    pub fn summary(
-        &mut self,
-        query: &RangeQuery,
-        prep: &PreparedQuery,
-        eps_o: f64,
-    ) -> Result<ProviderSummary> {
-        let mut rng = self.take_rng();
-        let out = self.summary_with_rng(query, prep, eps_o, &mut rng);
-        self.rng = rng;
-        out
-    }
-
-    /// [`Self::summary`] with the noise drawn from an explicit RNG.
     ///
-    /// The engine derives one RNG per `(query, provider)` pair so that
-    /// concurrent query execution stays deterministic under a seed; the
-    /// provider's own RNG (used by [`Self::summary`]) would make results
-    /// depend on the interleaving of queries.
+    /// The provider holds no RNG of its own: the caller supplies one. The
+    /// engine derives one per `(query content, occurrence, provider)`, so
+    /// a seeded run is deterministic however queries interleave on the
+    /// provider — a stateful per-provider stream would make every release
+    /// depend on the order of unrelated traffic.
     pub fn summary_with_rng(
         &self,
         query: &RangeQuery,
@@ -349,23 +326,9 @@ impl DataProvider {
     ///   `Lap(2·S_LS/ε_E)`.
     ///
     /// `release_local` selects whether the provider perturbs its own value
-    /// (local-DP mode) or leaves `released = None` for the SMC path.
-    pub fn execute(
-        &mut self,
-        query: &RangeQuery,
-        prep: &PreparedQuery,
-        allocation: u64,
-        budget: &QueryBudget,
-        release_local: bool,
-    ) -> Result<LocalOutcome> {
-        let mut rng = self.take_rng();
-        let out = self.execute_with_rng(query, prep, allocation, budget, release_local, &mut rng);
-        self.rng = rng;
-        out
-    }
-
-    /// [`Self::execute`] with all randomness (EM sampling, release noise)
-    /// drawn from an explicit RNG — see [`Self::summary_with_rng`].
+    /// (local-DP mode) or leaves `released = None` for the SMC path. All
+    /// randomness (EM sampling, release noise) is drawn from `rng` — see
+    /// [`Self::summary_with_rng`].
     pub fn execute_with_rng(
         &self,
         query: &RangeQuery,
@@ -494,6 +457,7 @@ mod tests {
     use super::*;
     use fedaqp_dp::HyperParams;
     use fedaqp_model::{Dimension, Domain, Range};
+    use rand::SeedableRng;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -514,10 +478,9 @@ mod tests {
             .collect()
     }
 
-    fn provider(n_rows: usize, capacity: usize, n_min: usize, seed: u64) -> DataProvider {
+    fn provider(n_rows: usize, capacity: usize, n_min: usize) -> DataProvider {
         let mut cfg = FederationConfig::paper_default(capacity);
         cfg.n_min = n_min;
-        cfg.seed = seed;
         cfg.sum_measure_cap = 4;
         cfg.partition_strategy = fedaqp_storage::PartitionStrategy::SortedBy(0);
         cfg.sensitivity_regime = SensitivityRegime::QueryDims;
@@ -534,7 +497,7 @@ mod tests {
 
     #[test]
     fn prepare_matches_metadata() {
-        let p = provider(2000, 100, 5, 1);
+        let p = provider(2000, 100, 5);
         let q = query(100, 400, Aggregate::Count);
         let prep = p.prepare(&q);
         assert_eq!(prep.covering, p.meta().covering(&q));
@@ -545,14 +508,15 @@ mod tests {
 
     #[test]
     fn summary_concentrates_with_big_budget() {
-        let mut p = provider(2000, 100, 5, 2);
+        let p = provider(2000, 100, 5);
+        let mut rng = StdRng::seed_from_u64(2);
         let q = query(100, 400, Aggregate::Count);
         let prep = p.prepare(&q);
         let mut n_sum = 0.0;
         let mut a_sum = 0.0;
         let trials = 400;
         for _ in 0..trials {
-            let s = p.summary(&q, &prep, 50.0).unwrap();
+            let s = p.summary_with_rng(&q, &prep, 50.0, &mut rng).unwrap();
             n_sum += s.noisy_n_q;
             a_sum += s.noisy_avg_r;
         }
@@ -562,20 +526,24 @@ mod tests {
 
     #[test]
     fn summary_rejects_zero_budget() {
-        let mut p = provider(100, 50, 5, 3);
+        let p = provider(100, 50, 5);
+        let mut rng = StdRng::seed_from_u64(3);
         let q = query(0, 999, Aggregate::Count);
         let prep = p.prepare(&q);
-        assert!(p.summary(&q, &prep, 0.0).is_err());
+        assert!(p.summary_with_rng(&q, &prep, 0.0, &mut rng).is_err());
     }
 
     #[test]
     fn small_queries_take_exact_path() {
         // N_min larger than any covering set ⇒ exact path always.
-        let mut p = provider(500, 100, 100, 4);
+        let p = provider(500, 100, 100);
+        let mut rng = StdRng::seed_from_u64(4);
         let q = query(0, 999, Aggregate::Sum);
         let prep = p.prepare(&q);
         let exact = p.exact_answer(&q) as f64;
-        let out = p.execute(&q, &prep, 3, &budget(), true).unwrap();
+        let out = p
+            .execute_with_rng(&q, &prep, 3, &budget(), true, &mut rng)
+            .unwrap();
         assert!(!out.approximated);
         assert_eq!(out.estimate, exact);
         assert_eq!(out.clusters_scanned, prep.n_q());
@@ -584,7 +552,7 @@ mod tests {
         let trials = 200;
         for _ in 0..trials {
             acc += p
-                .execute(&q, &prep, 3, &budget(), true)
+                .execute_with_rng(&q, &prep, 3, &budget(), true, &mut rng)
                 .unwrap()
                 .released
                 .unwrap();
@@ -594,11 +562,14 @@ mod tests {
 
     #[test]
     fn approximate_path_samples_and_estimates() {
-        let mut p = provider(5000, 100, 5, 5);
+        let p = provider(5000, 100, 5);
+        let mut rng = StdRng::seed_from_u64(5);
         let q = query(100, 800, Aggregate::Sum);
         let prep = p.prepare(&q);
         assert!(prep.n_q() >= 5, "test needs a large covering set");
-        let out = p.execute(&q, &prep, 10, &budget(), true).unwrap();
+        let out = p
+            .execute_with_rng(&q, &prep, 10, &budget(), true, &mut rng)
+            .unwrap();
         assert!(out.approximated);
         assert!(out.clusters_scanned <= 10);
         assert!(out.clusters_scanned >= 1);
@@ -616,20 +587,20 @@ mod tests {
         let q = query(100, 800, Aggregate::Sum);
         let mut acc = 0.0;
         let trials = 300;
-        let exact = {
-            let p = provider(5000, 100, 5, 0);
-            let prep = p.prepare(&q);
-            prep.covering
-                .iter()
-                .map(|&id| p.store().cluster(id).unwrap().evaluate(&q))
-                .sum::<u64>() as f64
-        };
+        let p = provider(5000, 100, 5);
+        let prep = p.prepare(&q);
+        let exact = prep
+            .covering
+            .iter()
+            .map(|&id| p.store().cluster(id).unwrap().evaluate(&q))
+            .sum::<u64>() as f64;
+        // Large allocation + loose sampling budget: EM ≈ PPS.
+        let loose = QueryBudget::split(50.0, 1e-3, HyperParams::paper_default()).unwrap();
         for seed in 0..trials {
-            let mut p = provider(5000, 100, 5, seed);
-            let prep = p.prepare(&q);
-            // Large allocation + loose sampling budget: EM ≈ PPS.
-            let loose = QueryBudget::split(50.0, 1e-3, HyperParams::paper_default()).unwrap();
-            let out = p.execute(&q, &prep, 20, &loose, false).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let out = p
+                .execute_with_rng(&q, &prep, 20, &loose, false, &mut rng)
+                .unwrap();
             acc += out.estimate;
         }
         let mean = acc / trials as f64;
@@ -641,17 +612,21 @@ mod tests {
 
     #[test]
     fn smc_mode_returns_no_released_value() {
-        let mut p = provider(3000, 100, 5, 6);
+        let p = provider(3000, 100, 5);
+        let mut rng = StdRng::seed_from_u64(6);
         let q = query(0, 999, Aggregate::Count);
         let prep = p.prepare(&q);
-        let out = p.execute(&q, &prep, 5, &budget(), false).unwrap();
+        let out = p
+            .execute_with_rng(&q, &prep, 5, &budget(), false, &mut rng)
+            .unwrap();
         assert!(out.released.is_none());
         assert!(out.estimate.is_finite());
     }
 
     #[test]
     fn empty_covering_set_is_handled() {
-        let mut p = provider(500, 100, 5, 7);
+        let p = provider(500, 100, 5);
+        let mut rng = StdRng::seed_from_u64(7);
         // Query outside any stored value range on dim 1.
         let q = RangeQuery::new(
             Aggregate::Count,
@@ -664,13 +639,15 @@ mod tests {
         let prep = p.prepare(&q);
         // Pruning may or may not drop everything depending on layout; if it
         // did, the execute path must still answer.
-        let out = p.execute(&q, &prep, 2, &budget(), true).unwrap();
+        let out = p
+            .execute_with_rng(&q, &prep, 2, &budget(), true, &mut rng)
+            .unwrap();
         assert!(out.estimate.is_finite());
     }
 
     #[test]
     fn meta_space_reports_bytes() {
-        let p = provider(1000, 100, 5, 8);
+        let p = provider(1000, 100, 5);
         let r = p.meta_space();
         assert!(r.total_bytes > 0);
         assert_eq!(r.n_clusters, p.store().n_clusters());

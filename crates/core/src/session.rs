@@ -2,9 +2,9 @@
 //!
 //! "In the online query answering settings under DP, the end user is
 //! limited by a total privacy budget of (ξ, ψ). … The analyst can continue
-//! sending queries until their total budget is consumed." A session bundles
-//! a federation with a [`BudgetAccountant`] and charges every query *before*
-//! touching data. Two budget plans are offered:
+//! sending queries until their total budget is consumed." A [`Session`]
+//! bundles a [`PlanBackend`] with a [`SharedAccountant`] and charges every
+//! query *before* touching data. Two budget plans are offered:
 //!
 //! * [`SessionPlan::PayAsYouGo`] — every query costs the federation's
 //!   configured `(ε, δ)` under plain sequential composition.
@@ -12,12 +12,10 @@
 //!   many queries the session will serve; each gets the (larger) per-query
 //!   budget of §6.6's advanced composition.
 
-use fedaqp_dp::{advanced_per_query, BudgetAccountant, PrivacyCost, QueryBudget, SharedAccountant};
+use fedaqp_dp::{advanced_per_query, PrivacyCost, QueryBudget, SharedAccountant};
 use fedaqp_model::{QueryPlan, RangeQuery};
 
-use crate::derived::{run_derived, DerivedAnswer, DerivedStatistic};
 use crate::engine::EngineHandle;
-use crate::federation::{Federation, QueryAnswer};
 use crate::optimizer::PlanExplanation;
 use crate::plan::{submit_plan_with, PendingPlan, PlanAnswer, PlanBackend, ShardedAnswer};
 use crate::shard::ShardedFederation;
@@ -37,115 +35,10 @@ pub enum SessionPlan {
     },
 }
 
-/// An interactive analyst session over a federation.
-#[derive(Debug)]
-pub struct AnalystSession {
-    federation: Federation,
-    accountant: BudgetAccountant,
-    plan: SessionPlan,
-    per_query: QueryBudget,
-}
-
-impl AnalystSession {
-    /// Opens a session with total budget `(xi, psi)` under `plan`.
-    pub fn open(federation: Federation, xi: f64, psi: f64, plan: SessionPlan) -> Result<Self> {
-        let accountant = BudgetAccountant::new(xi, psi)?;
-        let hp = federation.config().hyperparams;
-        let per_query = match plan {
-            SessionPlan::PayAsYouGo => {
-                QueryBudget::split(federation.config().epsilon, federation.config().delta, hp)?
-            }
-            SessionPlan::AdvancedComposition { planned_queries } => {
-                let per = advanced_per_query(xi, psi, planned_queries)?;
-                QueryBudget::split(per.eps, per.delta, hp)?
-            }
-        };
-        Ok(Self {
-            federation,
-            accountant,
-            plan,
-            per_query,
-        })
-    }
-
-    /// The session's budget plan.
-    #[inline]
-    pub fn plan(&self) -> SessionPlan {
-        self.plan
-    }
-
-    /// The `(ε, δ)` each query costs under this session's plan.
-    pub fn per_query_cost(&self) -> PrivacyCost {
-        self.per_query.cost()
-    }
-
-    /// Remaining total budget.
-    pub fn remaining(&self) -> PrivacyCost {
-        self.accountant.remaining()
-    }
-
-    /// Queries answered so far.
-    pub fn queries_answered(&self) -> u64 {
-        self.accountant.queries_answered()
-    }
-
-    /// Whether another query of this session's cost still fits.
-    pub fn can_query(&self) -> bool {
-        self.accountant.can_afford(self.per_query.cost())
-    }
-
-    /// Read access to the underlying federation (schema, providers, …).
-    pub fn federation(&self) -> &Federation {
-        &self.federation
-    }
-
-    /// Answers one private query, charging the session budget first.
-    pub fn query(&mut self, query: &RangeQuery, sampling_rate: f64) -> Result<QueryAnswer> {
-        self.accountant
-            .charge(self.per_query.cost())
-            .map_err(CoreError::Dp)?;
-        self.federation
-            .run_with_budget(query, sampling_rate, &self.per_query)
-    }
-
-    /// Answers a derived statistic (AVG/VAR/STD), charging the cost of its
-    /// sub-queries (each sub-query costs one per-query budget).
-    pub fn query_derived(
-        &mut self,
-        query: &RangeQuery,
-        statistic: DerivedStatistic,
-        sampling_rate: f64,
-    ) -> Result<DerivedAnswer> {
-        let n = statistic.sub_queries() as f64;
-        let total = PrivacyCost {
-            eps: self.per_query.cost().eps * n,
-            delta: self.per_query.cost().delta * n,
-        };
-        if !self.accountant.can_afford(total) {
-            // Surface the same error charge() would produce.
-            self.accountant.charge(total).map_err(CoreError::Dp)?;
-        }
-        self.accountant.charge(total).map_err(CoreError::Dp)?;
-        run_derived(
-            &mut self.federation,
-            query,
-            statistic,
-            sampling_rate,
-            self.per_query.cost().eps * n,
-            self.per_query.cost().delta * n,
-        )
-    }
-
-    /// Closes the session, returning the federation and the spent budget.
-    pub fn close(self) -> (Federation, PrivacyCost) {
-        (self.federation, self.accountant.spent())
-    }
-}
-
 /// An analyst session over any [`PlanBackend`] — the in-process
 /// [`EngineHandle`] ([`ConcurrentSession`]) or the scatter–gather
-/// coordinator ([`ShardedSession`]): the §5.4 budget semantics of
-/// [`AnalystSession`], safe to clone across analyst threads.
+/// coordinator ([`ShardedSession`]): the §5.4 budget semantics, safe to
+/// clone across analyst threads.
 ///
 /// This is the one enforcement site of the budget discipline: validate →
 /// charge → submit. The accountant sits behind a [`SharedAccountant`], so
@@ -323,7 +216,8 @@ impl<B: PlanBackend> Session<B> {
 mod tests {
     use super::*;
     use crate::config::FederationConfig;
-    use fedaqp_model::{Aggregate, Dimension, Domain, Range, Row, Schema};
+    use crate::federation::Federation;
+    use fedaqp_model::{Aggregate, DerivedStatistic, Dimension, Domain, Range, Row, Schema};
 
     fn federation(epsilon: f64) -> Federation {
         let schema = Schema::new(vec![Dimension::new("x", Domain::new(0, 99).unwrap())]).unwrap();
@@ -346,61 +240,82 @@ mod tests {
 
     #[test]
     fn pay_as_you_go_exhausts_after_xi_over_eps_queries() {
-        let mut session =
-            AnalystSession::open(federation(1.0), 3.0, 1e-2, SessionPlan::PayAsYouGo).unwrap();
-        let mut answered = 0;
-        while session.can_query() {
-            session.query(&query(), 0.2).unwrap();
-            answered += 1;
-            assert!(answered < 50);
-        }
-        assert_eq!(answered, 3);
-        assert!(session.query(&query(), 0.2).is_err());
-        assert_eq!(session.queries_answered(), 3);
+        federation(1.0).with_engine(|engine| {
+            let session =
+                ConcurrentSession::open(engine.clone(), 3.0, 1e-2, SessionPlan::PayAsYouGo)
+                    .unwrap();
+            let mut answered = 0;
+            while session.can_query() {
+                session.query(&query(), 0.2).unwrap();
+                answered += 1;
+                assert!(answered < 50);
+            }
+            assert_eq!(answered, 3);
+            assert!(session.query(&query(), 0.2).is_err());
+            assert_eq!(session.queries_answered(), 3);
+        });
     }
 
     #[test]
     fn advanced_plan_gives_larger_per_query_epsilon() {
         let n = 1000u64;
-        let adv = AnalystSession::open(
-            federation(1.0),
-            10.0,
-            1e-4,
-            SessionPlan::AdvancedComposition { planned_queries: n },
-        )
-        .unwrap();
+        let per_query = federation(1.0).with_engine(|engine| {
+            ConcurrentSession::open(
+                engine.clone(),
+                10.0,
+                1e-4,
+                SessionPlan::AdvancedComposition { planned_queries: n },
+            )
+            .unwrap()
+            .per_query_cost()
+        });
         let seq_eps = 10.0 / n as f64;
         assert!(
-            adv.per_query_cost().eps > seq_eps,
+            per_query.eps > seq_eps,
             "advanced {} should beat sequential {seq_eps}",
-            adv.per_query_cost().eps
+            per_query.eps
         );
     }
 
     #[test]
     fn failed_charge_leaves_budget_untouched() {
-        let mut session =
-            AnalystSession::open(federation(5.0), 1.0, 1e-3, SessionPlan::PayAsYouGo).unwrap();
-        // ε per query = 5 > ξ = 1: first query already unaffordable.
-        assert!(!session.can_query());
-        assert!(session.query(&query(), 0.2).is_err());
-        assert_eq!(session.remaining().eps, 1.0);
+        federation(5.0).with_engine(|engine| {
+            let session =
+                ConcurrentSession::open(engine.clone(), 1.0, 1e-3, SessionPlan::PayAsYouGo)
+                    .unwrap();
+            // ε per query = 5 > ξ = 1: first query already unaffordable.
+            assert!(!session.can_query());
+            assert!(session.query(&query(), 0.2).is_err());
+            assert_eq!(session.remaining().eps, 1.0);
+        });
     }
 
     #[test]
     fn derived_queries_charge_multiples() {
-        let mut session =
-            AnalystSession::open(federation(1.0), 10.0, 1e-2, SessionPlan::PayAsYouGo).unwrap();
-        let before = session.remaining().eps;
-        session
-            .query_derived(&query(), DerivedStatistic::Average, 0.2)
-            .unwrap();
-        let after = session.remaining().eps;
-        assert!(
-            (before - after - 2.0).abs() < 1e-9,
-            "charged {}",
-            before - after
-        );
+        // A derived statistic is a plan: it charges its declared total —
+        // here two sub-queries at the session's per-query ε.
+        federation(1.0).with_engine(|engine| {
+            let session =
+                ConcurrentSession::open(engine.clone(), 10.0, 1e-2, SessionPlan::PayAsYouGo)
+                    .unwrap();
+            let per_query = session.per_query_cost();
+            let before = session.remaining().eps;
+            session
+                .run_plan(&QueryPlan::Derived {
+                    query: query(),
+                    statistic: DerivedStatistic::Average,
+                    sampling_rate: 0.2,
+                    epsilon: 2.0 * per_query.eps,
+                    delta: 2.0 * per_query.delta,
+                })
+                .unwrap();
+            let after = session.remaining().eps;
+            assert!(
+                (before - after - 2.0).abs() < 1e-9,
+                "charged {}",
+                before - after
+            );
+        });
     }
 
     #[test]
@@ -474,10 +389,18 @@ mod tests {
 
     #[test]
     fn close_reports_spend() {
-        let mut session =
-            AnalystSession::open(federation(1.0), 5.0, 1e-2, SessionPlan::PayAsYouGo).unwrap();
-        session.query(&query(), 0.2).unwrap();
-        let (_fed, spent) = session.close();
-        assert!((spent.eps - 1.0).abs() < 1e-9);
+        // The ledger outlives the engine scope the session queried through.
+        let ledger = SharedAccountant::new(5.0, 1e-2).unwrap();
+        federation(1.0).with_engine(|engine| {
+            ConcurrentSession::open_with_accountant(
+                engine.clone(),
+                ledger.clone(),
+                SessionPlan::PayAsYouGo,
+            )
+            .unwrap()
+            .query(&query(), 0.2)
+            .unwrap();
+        });
+        assert!((ledger.spent().eps - 1.0).abs() < 1e-9);
     }
 }

@@ -16,7 +16,7 @@
 //! ```
 //!
 //! **Determinism contract.** A seeded plan is byte-identical between the
-//! 1-shard and the N-shard run — serial ≡ concurrent ≡ remote ≡ sharded.
+//! 1-shard and the N-shard run — scoped ≡ owned ≡ remote ≡ sharded.
 //! Three mechanisms make this hold:
 //!
 //! 1. *Lane offsets.* Shard `s` holding global providers `[o, o+k)` is

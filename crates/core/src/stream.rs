@@ -20,8 +20,8 @@
 //!   so without the salt an analyst could replay the same query before and
 //!   after an ingest, get *identical* noise on *different* data, and
 //!   subtract it — a differencing attack. Epoch 0 keeps the base seed
-//!   bit-for-bit, so a frozen federation stays byte-identical to the
-//!   serial / concurrent / remote paths.
+//!   bit-for-bit, so a frozen federation stays byte-identical to every
+//!   other deployment of the same seed.
 //! - **Snapshot consistency.** Queries run through
 //!   [`Federation::with_engine`], which pins the provider set, metadata
 //!   snapshot, and seed for the whole scope — an in-flight plan reads one

@@ -895,9 +895,9 @@ fn fragment_reply(
     }
 }
 
-/// The [`QueryPlan`] an [`OnlinePlanRequest`] compiles to — the same
-/// variant the in-process `run_online` wrapper builds, which is what keeps
-/// remote snapshots byte-identical to serial ones on a frozen federation.
+/// The [`QueryPlan`] an [`OnlinePlanRequest`] compiles to — the variant an
+/// in-process caller hands to `run_plan`, which is what keeps remote
+/// snapshots byte-identical to in-process ones on a frozen federation.
 fn online_plan(request: &OnlinePlanRequest) -> QueryPlan {
     QueryPlan::Online {
         query: request.query.clone(),

@@ -11,8 +11,7 @@
 //! cargo run --release --example hospital_study
 //! ```
 
-use fedaqp::core::{Federation, FederationConfig};
-use fedaqp::dp::BudgetAccountant;
+use fedaqp::core::{relative_error, ConcurrentSession, Federation, FederationConfig, SessionPlan};
 use fedaqp::model::{Aggregate, Dimension, Domain, QueryBuilder, Row, Schema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -59,10 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut config = FederationConfig::paper_default(300);
     config.epsilon = 1.0;
     config.delta = 1e-3;
-    let mut federation = Federation::build(config, schema, partitions)?;
-
-    // The epidemiologist's total budget: ξ = 5 → five ε = 1 queries.
-    let mut accountant = BudgetAccountant::new(5.0, 1e-2)?;
+    let federation = Federation::build(config, schema, partitions)?;
 
     let studies = [
         ("elderly severe cases", {
@@ -102,23 +98,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }),
     ];
 
-    for (title, query) in &studies {
-        let cost = federation.default_query_cost()?;
-        match accountant.charge(cost) {
-            Ok(()) => {
-                let ans = federation.run(query, 0.15)?;
-                println!(
-                    "{title:<38} exact {:>8}  private {:>10.0}  err {:>6.2}%  (ξ left: {:.1})",
-                    ans.exact,
-                    ans.value,
-                    100.0 * ans.relative_error,
-                    accountant.remaining().eps,
-                );
-            }
-            Err(e) => {
-                println!("{title:<38} REJECTED: {e}");
+    federation.with_engine(|engine| -> Result<(), Box<dyn std::error::Error>> {
+        // The epidemiologist's total budget: ξ = 5 → five ε = 1 queries. The
+        // session charges before any provider touches data.
+        let session = ConcurrentSession::open(engine.clone(), 5.0, 1e-2, SessionPlan::PayAsYouGo)?;
+        for (title, query) in &studies {
+            match session.query(query, 0.15) {
+                Ok(ans) => {
+                    // The exact answer is the experiment oracle, never released.
+                    let exact = federation.exact(query);
+                    println!(
+                        "{title:<38} exact {exact:>8}  private {:>10.0}  err {:>6.2}%  (ξ left: {:.1})",
+                        ans.value,
+                        100.0 * relative_error(exact, ans.value),
+                        session.remaining().eps,
+                    );
+                }
+                Err(e) => println!("{title:<38} REJECTED: {e}"),
             }
         }
-    }
-    Ok(())
+        Ok(())
+    })
 }

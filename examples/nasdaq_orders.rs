@@ -12,7 +12,7 @@
 //! cargo run --release --example nasdaq_orders
 //! ```
 
-use fedaqp::core::{Federation, FederationConfig, ReleaseMode};
+use fedaqp::core::{relative_error, Federation, FederationConfig, ReleaseMode};
 use fedaqp::model::{Aggregate, CountTensor, Dimension, Domain, QueryBuilder, Row, Schema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -78,15 +78,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for mode in [ReleaseMode::LocalDp, ReleaseMode::Smc] {
         let mut config = FederationConfig::paper_default(1000);
         config.release_mode = mode;
-        let mut federation = Federation::build(config, schema.clone(), partitions.clone())?;
+        let federation = Federation::build(config, schema.clone(), partitions.clone())?;
         println!("\n-- release mode: {mode:?} --");
         for (title, query) in &queries {
             let ans = federation.run(query, 0.10)?;
+            let exact = federation.exact(query);
             println!(
-                "{title:<34} exact {:>9}  private {:>11.0}  err {:>6.2}%  noise {:>+9.0}",
-                ans.exact,
+                "{title:<34} exact {exact:>9}  private {:>11.0}  err {:>6.2}%  noise {:>+9.0}",
                 ans.value,
-                100.0 * ans.relative_error,
+                100.0 * relative_error(exact, ans.value),
                 ans.value - ans.raw_estimate,
             );
         }

@@ -35,14 +35,18 @@
 //!
 //! // Build the federation with the paper's §6.1 defaults (ε = 1, δ = 1e-3).
 //! let config = FederationConfig::paper_default(64);
-//! let mut federation = Federation::build(config, dataset.schema.clone(), parts).unwrap();
+//! let federation = Federation::build(config, dataset.schema.clone(), parts).unwrap();
 //!
 //! // Ask: how many working-age adults? (COUNT over an age range.)
 //! let query = QueryBuilder::new(federation.schema(), Aggregate::Count)
 //!     .range("age", 25, 60).unwrap()
 //!     .build().unwrap();
+//! // One query on a fresh engine scope; the answer is an `EngineAnswer`.
 //! let answer = federation.run(&query, 0.2).unwrap();
 //! assert!(answer.value.is_finite());
+//! // The exact answer is the experiment oracle, asked for explicitly.
+//! let error = fedaqp::core::relative_error(federation.exact(&query), answer.value);
+//! assert!(error >= 0.0);
 //! ```
 
 pub use fedaqp_attack as attack;

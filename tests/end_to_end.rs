@@ -1,7 +1,7 @@
 //! End-to-end integration tests: dataset generation → partitioning →
 //! federation → private query answering, across release modes and paths.
 
-use fedaqp::core::{Federation, FederationConfig, ReleaseMode};
+use fedaqp::core::{relative_error, Federation, FederationConfig, ReleaseMode};
 use fedaqp::data::{partition_rows, AdultConfig, AdultSynth, PartitionMode};
 use fedaqp::dp::{BudgetAccountant, QueryBudget};
 use fedaqp::model::{Aggregate, QueryBuilder, RangeQuery, Row, Schema};
@@ -49,22 +49,19 @@ fn plain_execution_equals_union_oracle() {
 
 #[test]
 fn private_answer_is_reasonable_under_loose_budget() {
-    let (mut fed, _) = small_federation(2, |cfg| cfg.epsilon = 200.0);
+    let (fed, _) = small_federation(2, |cfg| cfg.epsilon = 200.0);
     let q = broad_count(fed.schema());
     let ans = fed.run(&q, 0.3).expect("run");
     assert!(ans.value.is_finite());
-    assert!(
-        ans.relative_error < 0.35,
-        "relative error {} too large under eps=200",
-        ans.relative_error
-    );
+    let err = relative_error(fed.exact(&q), ans.value);
+    assert!(err < 0.35, "relative error {err} too large under eps=200");
     assert!(ans.clusters_scanned < ans.covering_total);
     assert_eq!(ans.approximated_providers, 4);
 }
 
 #[test]
 fn sum_and_count_share_the_pipeline() {
-    let (mut fed, cells) = small_federation(3, |cfg| cfg.epsilon = 200.0);
+    let (fed, cells) = small_federation(3, |cfg| cfg.epsilon = 200.0);
     let schema = fed.schema().clone();
     let count_q = QueryBuilder::new(&schema, Aggregate::Count)
         .range("age", 25, 60)
@@ -84,8 +81,11 @@ fn sum_and_count_share_the_pipeline() {
         .filter(|c| sum_q.matches(c))
         .map(|c| c.measure())
         .sum();
-    assert_eq!(sum_ans.exact, sum_exact);
-    assert!(sum_ans.exact >= count_ans.exact);
+    assert_eq!(fed.exact(&sum_q), sum_exact);
+    assert!(sum_exact >= fed.exact(&count_q));
+    // Both aggregates come out of the same pipeline, near their truths.
+    assert!(relative_error(sum_exact, sum_ans.value) < 0.35);
+    assert!(relative_error(fed.exact(&count_q), count_ans.value) < 0.35);
 }
 
 #[test]
@@ -96,15 +96,15 @@ fn smc_release_mode_matches_local_dp_in_expectation() {
     let mut smc_sum = 0.0;
     let mut exact = 0;
     for t in 0..trials {
-        let (mut fed_l, _) = small_federation(100 + t, |cfg| {
+        let (fed_l, _) = small_federation(100 + t, |cfg| {
             cfg.release_mode = ReleaseMode::LocalDp;
             cfg.epsilon = 5.0;
         });
         let q = q_of(&fed_l);
         let a = fed_l.run(&q, 0.3).expect("local");
         local_sum += a.value;
-        exact = a.exact;
-        let (mut fed_s, _) = small_federation(100 + t, |cfg| {
+        exact = fed_l.exact(&q);
+        let (fed_s, _) = small_federation(100 + t, |cfg| {
             cfg.release_mode = ReleaseMode::Smc;
             cfg.epsilon = 5.0;
         });
@@ -122,7 +122,7 @@ fn smc_release_mode_matches_local_dp_in_expectation() {
 
 #[test]
 fn exact_path_taken_when_covering_below_threshold() {
-    let (mut fed, _) = small_federation(5, |cfg| {
+    let (fed, _) = small_federation(5, |cfg| {
         cfg.n_min = 100_000; // impossible threshold: always exact
         cfg.epsilon = 100.0;
     });
@@ -130,12 +130,12 @@ fn exact_path_taken_when_covering_below_threshold() {
     let ans = fed.run(&q, 0.2).expect("run");
     assert_eq!(ans.approximated_providers, 0);
     assert_eq!(ans.clusters_scanned, ans.covering_total);
-    assert!((ans.raw_estimate - ans.exact as f64).abs() < 1e-6);
+    assert!((ans.raw_estimate - fed.exact(&q) as f64).abs() < 1e-6);
 }
 
 #[test]
 fn accountant_gates_a_query_session() {
-    let (mut fed, _) = small_federation(6, |_| {});
+    let (fed, _) = small_federation(6, |_| {});
     let q = broad_count(fed.schema());
     let mut accountant = BudgetAccountant::new(2.5, 1e-2).expect("accountant");
     let mut answered = 0;
@@ -154,7 +154,7 @@ fn accountant_gates_a_query_session() {
 
 #[test]
 fn explicit_budget_overrides_default() {
-    let (mut fed, _) = small_federation(7, |_| {});
+    let (fed, _) = small_federation(7, |_| {});
     let q = broad_count(fed.schema());
     let tight = QueryBudget::paper_split(0.1, 1e-4).expect("budget");
     let ans = fed.run_with_budget(&q, 0.2, &tight).expect("run");
@@ -165,7 +165,7 @@ fn explicit_budget_overrides_default() {
 #[test]
 fn deterministic_given_identical_seeds() {
     let run_once = |seed: u64| {
-        let (mut fed, _) = small_federation(seed, |_| {});
+        let (fed, _) = small_federation(seed, |_| {});
         let q = broad_count(fed.schema());
         fed.run(&q, 0.2).expect("run").value
     };
@@ -175,7 +175,7 @@ fn deterministic_given_identical_seeds() {
 
 #[test]
 fn timings_and_network_are_populated() {
-    let (mut fed, _) = small_federation(8, |cfg| {
+    let (fed, _) = small_federation(8, |cfg| {
         cfg.cost_model = fedaqp::smc::CostModel::lan();
     });
     let q = broad_count(fed.schema());
@@ -205,10 +205,11 @@ fn weighted_partitions_still_answer_correctly() {
     let mut cfg = FederationConfig::paper_default(64);
     cfg.epsilon = 200.0;
     cfg.cost_model = fedaqp::smc::CostModel::zero();
-    let mut fed = Federation::build(cfg, dataset.schema.clone(), partitions).expect("federation");
+    let fed = Federation::build(cfg, dataset.schema.clone(), partitions).expect("federation");
     let q = broad_count(fed.schema());
     let ans = fed.run(&q, 0.3).expect("run");
-    assert!(ans.relative_error < 0.5, "error {}", ans.relative_error);
+    let err = relative_error(fed.exact(&q), ans.value);
+    assert!(err < 0.5, "error {err}");
     // The heavy provider must receive the lion's share of the allocation.
     let max_alloc = *ans.allocations.iter().max().expect("allocations");
     assert_eq!(ans.allocations[0], max_alloc);

@@ -2,7 +2,7 @@
 //! sampling-rate response, and dataset-scale response (the mechanisms
 //! behind Figs. 4–6).
 
-use fedaqp::core::{Federation, FederationConfig};
+use fedaqp::core::{relative_error, Federation, FederationConfig};
 use fedaqp::data::{partition_rows, AdultConfig, AdultSynth, PartitionMode};
 use fedaqp::model::{Aggregate, QueryBuilder, RangeQuery, Row};
 use rand::rngs::StdRng;
@@ -40,11 +40,11 @@ fn raw_estimates_center_on_truth() {
     let mut acc = 0.0;
     let mut exact = 0u64;
     for t in 0..trials {
-        let (mut fed, _) = federation(10_000, 500 + t, 5.0);
+        let (fed, _) = federation(10_000, 500 + t, 5.0);
         let q = broad_query(&fed);
         let ans = fed.run(&q, 0.2).expect("run");
         acc += ans.raw_estimate;
-        exact = ans.exact;
+        exact = fed.exact(&q);
     }
     let mean = acc / trials as f64;
     assert!(
@@ -66,7 +66,7 @@ fn estimation_error_falls_with_sampling_rate() {
         let trials = 60;
         let mut acc = 0.0;
         for t in 0..trials {
-            let (mut fed, _) = federation(10_000, 900 + t, 5.0);
+            let (fed, _) = federation(10_000, 900 + t, 5.0);
             let q = QueryBuilder::new(fed.schema(), Aggregate::Count)
                 .range("education_num", 9, 12)
                 .expect("range")
@@ -75,7 +75,8 @@ fn estimation_error_falls_with_sampling_rate() {
                 .build()
                 .expect("query");
             let ans = fed.run(&q, sr).expect("run");
-            let rel = (ans.raw_estimate - ans.exact as f64) / ans.exact.max(1) as f64;
+            let exact = fed.exact(&q).max(1) as f64;
+            let rel = (ans.raw_estimate - exact) / exact;
             acc += rel * rel;
         }
         (acc / trials as f64).sqrt()
@@ -106,10 +107,10 @@ fn relative_error_falls_with_scale() {
         let trials = 25;
         let mut acc = 0.0;
         for t in 0..trials {
-            let (mut fed, _) = federation(n_rows, 1_300 + t, 1.0);
+            let (fed, _) = federation(n_rows, 1_300 + t, 1.0);
             let q = broad_query(&fed);
             let ans = fed.run(&q, 0.2).expect("run");
-            acc += ans.relative_error;
+            acc += relative_error(fed.exact(&q), ans.value);
         }
         acc / trials as f64
     };
@@ -129,7 +130,7 @@ fn estimation_error_grows_with_dimensions() {
         let trials = 40;
         let mut acc = 0.0;
         for t in 0..trials {
-            let (mut fed, _) = federation(12_000, 2_000 + t, 5.0);
+            let (fed, _) = federation(12_000, 2_000 + t, 5.0);
             let schema = fed.schema().clone();
             let mut builder = QueryBuilder::new(&schema, Aggregate::Count)
                 .range("age", 22, 75)
@@ -148,8 +149,9 @@ fn estimation_error_grows_with_dimensions() {
             }
             let q = builder.build().expect("query");
             let ans = fed.run(&q, 0.2).expect("run");
-            if ans.exact > 0 {
-                acc += (ans.raw_estimate - ans.exact as f64).abs() / ans.exact as f64;
+            let exact = fed.exact(&q);
+            if exact > 0 {
+                acc += relative_error(exact, ans.raw_estimate);
             }
         }
         acc / trials as f64

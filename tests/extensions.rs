@@ -4,8 +4,8 @@
 //! §5 protocol.
 
 use fedaqp::core::{
-    combine_snapshots, private_extreme, run_derived, run_group_by, run_online, AnalystSession,
-    DerivedStatistic, Extreme, Federation, FederationConfig, SessionPlan,
+    combine_snapshots, relative_error, ConcurrentSession, DerivedStatistic, Extreme, Federation,
+    FederationConfig, QueryPlan, SessionPlan,
 };
 use fedaqp::data::{partition_rows, AdultConfig, AdultSynth, PartitionMode};
 use fedaqp::model::{Aggregate, QueryBuilder, RangeQuery};
@@ -40,36 +40,57 @@ fn age_query(fed: &Federation) -> RangeQuery {
 #[test]
 fn session_lifecycle_with_mixed_query_types() {
     let fed = federation(1, 1.0);
-    let mut session =
-        AnalystSession::open(fed, 10.0, 1e-2, SessionPlan::PayAsYouGo).expect("session");
-    let q = age_query(session.federation());
-    let plain = session.query(&q, 0.2).expect("plain query");
-    assert!(plain.value.is_finite());
-    let avg = session
-        .query_derived(&q, DerivedStatistic::Average, 0.2)
-        .expect("derived query");
-    assert!(avg.value.is_finite());
-    // 1 (plain) + 2 (average) ε spent.
-    assert!((session.remaining().eps - 7.0).abs() < 1e-9);
+    let q = age_query(&fed);
+    fed.with_engine(|engine| {
+        let session = ConcurrentSession::open(engine.clone(), 10.0, 1e-2, SessionPlan::PayAsYouGo)
+            .expect("session");
+        let plain = session.query(&q, 0.2).expect("plain query");
+        assert!(plain.value.is_finite());
+        // A derived statistic is a plan; it charges its declared total —
+        // here two sub-queries at the session's per-query cost.
+        let per_query = session.per_query_cost();
+        let avg = session
+            .run_plan(&QueryPlan::Derived {
+                query: q.clone(),
+                statistic: DerivedStatistic::Average,
+                sampling_rate: 0.2,
+                epsilon: 2.0 * per_query.eps,
+                delta: 2.0 * per_query.delta,
+            })
+            .expect("derived query");
+        assert!(avg.value().expect("derived value").is_finite());
+        // 1 (plain) + 2 (average) ε spent.
+        assert!((session.remaining().eps - 7.0).abs() < 1e-9);
+    });
 }
 
 #[test]
 fn group_by_over_workclass_preserves_total_mass() {
-    let mut fed = federation(2, 1.0);
+    let fed = federation(2, 1.0);
     let base = QueryBuilder::new(fed.schema(), Aggregate::Count)
         .range("age", 17, 90)
         .expect("range")
         .build()
         .expect("query");
-    let wc = fed.schema().index_of("workclass").expect("dimension");
-    let ans = run_group_by(&mut fed, &base, wc, 0.3, 200.0, 1e-3, 0.0).expect("group by");
-    assert_eq!(ans.groups.len(), 8);
-    // Group exact counts partition the table (COUNT counts tensor cells,
-    // and every cell has exactly one workclass value).
-    let exact_total: u64 = ans.groups.iter().map(|g| g.exact).sum();
-    assert_eq!(exact_total, fed.exact(&base));
-    // Noisy totals land near the truth under the loose budget.
-    let noisy_total: f64 = ans.groups.iter().map(|g| g.value).sum();
+    let plan = QueryPlan::GroupBy {
+        base: base.clone(),
+        statistic: None,
+        group_dim: fed.schema().index_of("workclass").expect("dimension"),
+        threshold: 0.0,
+        sampling_rate: 0.3,
+        epsilon: 200.0,
+        delta: 1e-3,
+    };
+    let ans = fed
+        .with_engine(|engine| engine.run_plan(&plan))
+        .expect("group by");
+    let groups = ans.groups().expect("groups");
+    assert_eq!(groups.len(), 8);
+    // The groups partition the table (COUNT counts tensor cells, and every
+    // cell has exactly one workclass value), so the noisy totals land near
+    // the base query's truth under the loose budget.
+    let exact_total = fed.exact(&base);
+    let noisy_total: f64 = groups.iter().map(|g| g.value).sum();
     assert!(
         (noisy_total - exact_total as f64).abs() < 0.2 * exact_total as f64,
         "noisy total {noisy_total} vs exact {exact_total}"
@@ -78,41 +99,65 @@ fn group_by_over_workclass_preserves_total_mass() {
 
 #[test]
 fn online_rounds_refine_and_combine() {
-    let mut fed = federation(3, 1.0);
+    let fed = federation(3, 1.0);
     let q = age_query(&fed);
-    let ans = run_online(&mut fed, &q, 0.4, 60.0, 1e-3, 5).expect("online");
-    assert_eq!(ans.snapshots.len(), 5);
+    let plan = QueryPlan::Online {
+        query: q.clone(),
+        sampling_rate: 0.4,
+        epsilon: 60.0,
+        delta: 1e-3,
+        rounds: 5,
+    };
+    let ans = fed
+        .with_engine(|engine| engine.run_plan(&plan))
+        .expect("online");
+    let snapshots = ans.snapshots().expect("snapshots");
+    assert_eq!(snapshots.len(), 5);
     // Later rounds scan at least as many clusters as the first.
-    assert!(
-        ans.snapshots.last().expect("rounds").clusters_scanned >= ans.snapshots[0].clusters_scanned
-    );
-    let combined = combine_snapshots(&ans);
-    let err = (combined - ans.exact as f64).abs() / ans.exact.max(1) as f64;
+    assert!(snapshots[4].clusters_scanned >= snapshots[0].clusters_scanned);
+    let err = relative_error(fed.exact(&q), combine_snapshots(snapshots));
     assert!(err < 0.5, "combined error {err}");
 }
 
 #[test]
 fn extremes_on_real_schema() {
-    let mut fed = federation(4, 1.0);
+    let fed = federation(4, 1.0);
     let hours = fed.schema().index_of("hours_per_week").expect("dimension");
-    let max = private_extreme(&mut fed, hours, Extreme::Max, 100.0).expect("max");
-    let min = private_extreme(&mut fed, hours, Extreme::Min, 100.0).expect("min");
+    let [max, min] = fed.with_engine(|engine| {
+        [Extreme::Max, Extreme::Min].map(|extreme| {
+            let plan = QueryPlan::Extreme {
+                dim: hours,
+                extreme,
+                epsilon: 100.0,
+            };
+            let answer = engine.run_plan(&plan).expect("extreme");
+            answer.value().expect("extreme value") as i64
+        })
+    });
     // Domain is [1, 99]; with real data both extremes are occupied densely,
     // so selections must stay in-domain and ordered.
-    assert!((1..=99).contains(&max.value));
-    assert!((1..=99).contains(&min.value));
-    assert!(min.value < max.value);
+    assert!((1..=99).contains(&max));
+    assert!((1..=99).contains(&min));
+    assert!(min < max);
 }
 
 #[test]
 fn derived_average_within_measure_bounds() {
-    let mut fed = federation(5, 1.0);
-    let q = age_query(&fed);
-    let avg =
-        run_derived(&mut fed, &q, DerivedStatistic::Average, 0.3, 100.0, 1e-3).expect("derived");
+    let fed = federation(5, 1.0);
+    let plan = QueryPlan::Derived {
+        query: age_query(&fed),
+        statistic: DerivedStatistic::Average,
+        sampling_rate: 0.3,
+        epsilon: 100.0,
+        delta: 1e-3,
+    };
+    let avg = fed
+        .with_engine(|engine| engine.run_plan(&plan))
+        .expect("derived")
+        .value()
+        .expect("derived value");
     // Cell measures are ≥ 1; averages must be sane.
-    assert!(avg.exact >= 1.0);
-    assert!(avg.value > 0.0 && avg.value < 100.0);
+    assert!(avg > 0.0 && avg < 100.0);
 }
 
 #[test]
@@ -130,19 +175,21 @@ fn provider_stores_persist_and_answer_identically() {
 #[test]
 fn advanced_session_supports_many_cheap_queries() {
     let fed = federation(7, 1.0);
-    let mut session = AnalystSession::open(
-        fed,
-        20.0,
-        1e-3,
-        SessionPlan::AdvancedComposition {
-            planned_queries: 200,
-        },
-    )
-    .expect("session");
-    let q = age_query(session.federation());
-    for _ in 0..25 {
-        session.query(&q, 0.2).expect("query");
-    }
-    assert_eq!(session.queries_answered(), 25);
-    assert!(session.can_query());
+    let q = age_query(&fed);
+    fed.with_engine(|engine| {
+        let session = ConcurrentSession::open(
+            engine.clone(),
+            20.0,
+            1e-3,
+            SessionPlan::AdvancedComposition {
+                planned_queries: 200,
+            },
+        )
+        .expect("session");
+        for _ in 0..25 {
+            session.query(&q, 0.2).expect("query");
+        }
+        assert_eq!(session.queries_answered(), 25);
+        assert!(session.can_query());
+    });
 }

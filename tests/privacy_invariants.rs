@@ -37,37 +37,72 @@ fn demo_query(fed: &Federation) -> RangeQuery {
         .expect("query")
 }
 
+/// The injected noise (released value − raw estimate) of `trials`
+/// repetitions of one query, all submitted inside **one** engine scope: an
+/// engine scope is the lifetime of an occurrence ledger, so the repeats are
+/// occurrences `0..trials` of one content and draw independent noise.
+fn repeated_noise(fed: &Federation, q: &RangeQuery, trials: usize) -> Vec<f64> {
+    fed.with_engine(|engine| {
+        (0..trials)
+            .map(|_| {
+                let ans = engine.submit(q, 0.2).expect("submit").wait().expect("run");
+                ans.value - ans.raw_estimate
+            })
+            .collect()
+    })
+}
+
 /// The released value must differ from the raw estimate (noise is actually
 /// injected) yet centre on it across repetitions.
 #[test]
 fn release_noise_is_centered() {
-    let (mut fed, _) = federation(1, 2.0);
+    let (fed, _) = federation(1, 2.0);
     let q = demo_query(&fed);
     let trials = 120;
-    let mut noise_sum = 0.0;
-    let mut any_nonzero = false;
-    for _ in 0..trials {
-        let ans = fed.run(&q, 0.2).expect("run");
-        let noise = ans.value - ans.raw_estimate;
-        noise_sum += noise;
-        if noise.abs() > 1e-9 {
-            any_nonzero = true;
-        }
-    }
-    assert!(any_nonzero, "no noise was ever injected");
-    let mean_noise = noise_sum / trials as f64;
+    let noises = repeated_noise(&fed, &q, 2 * trials);
+    let (for_mean, for_spread) = noises.split_at(trials);
+    assert!(
+        for_mean.iter().any(|noise| noise.abs() > 1e-9),
+        "no noise was ever injected"
+    );
+    let mean_noise = for_mean.iter().sum::<f64>() / trials as f64;
     // Mean noise ≈ 0; the scale depends on smooth sensitivity, so compare
     // against the observed spread rather than a fixed constant.
-    let mut sq = 0.0;
-    for _ in 0..trials {
-        let ans = fed.run(&q, 0.2).expect("run");
-        let noise = ans.value - ans.raw_estimate;
-        sq += noise * noise;
-    }
-    let std = (sq / trials as f64).sqrt();
+    let std = (for_spread.iter().map(|noise| noise * noise).sum::<f64>() / trials as f64).sqrt();
     assert!(
         mean_noise.abs() < 0.5 * std + 1.0,
         "mean noise {mean_noise} vs std {std}"
+    );
+}
+
+/// What an engine scope means for noise: the same query twice in one scope
+/// is occurrence 0 then 1 — different released bits (averaging repeats is
+/// never free) — while the same query in two scopes of identically seeded
+/// federations is occurrence 0 twice — identical bits (a replay reveals
+/// nothing new). `Federation::run` is one query on a fresh scope.
+#[test]
+fn an_engine_scope_is_the_lifetime_of_the_occurrence_ledger() {
+    let (fed_a, _) = federation(11, 1.0);
+    let (fed_b, _) = federation(11, 1.0);
+    let q = demo_query(&fed_a);
+    let in_one_scope = fed_a.with_engine(|engine| {
+        [0, 1].map(|_| engine.submit(&q, 0.2).expect("submit").wait().expect("run"))
+    });
+    assert_ne!(
+        in_one_scope[0].value.to_bits(),
+        in_one_scope[1].value.to_bits(),
+        "a repeat inside one scope must draw fresh noise"
+    );
+    let fresh_scope = fed_b.run(&q, 0.2).expect("run");
+    assert_eq!(
+        in_one_scope[0].value.to_bits(),
+        fresh_scope.value.to_bits(),
+        "occurrence 0 of identically seeded federations must agree"
+    );
+    assert_eq!(
+        fed_a.run(&q, 0.2).expect("run").value.to_bits(),
+        fresh_scope.value.to_bits(),
+        "two separate runs replay occurrence 0"
     );
 }
 
@@ -76,15 +111,10 @@ fn release_noise_is_centered() {
 #[test]
 fn noise_scales_inversely_with_epsilon() {
     let spread = |epsilon: f64| {
-        let (mut fed, _) = federation(2, epsilon);
-        let q = demo_query(&fed);
+        let (fed, _) = federation(2, epsilon);
         let trials = 80;
-        let mut acc = 0.0;
-        for _ in 0..trials {
-            let ans = fed.run(&q, 0.2).expect("run");
-            acc += (ans.value - ans.raw_estimate).abs();
-        }
-        acc / trials as f64
+        let noises = repeated_noise(&fed, &demo_query(&fed), trials);
+        noises.iter().map(|noise| noise.abs()).sum::<f64>() / trials as f64
     };
     let tight = spread(4.0);
     let loose = spread(0.5);
@@ -99,26 +129,29 @@ fn noise_scales_inversely_with_epsilon() {
 /// sometimes, and the allocation respects the global budget.
 #[test]
 fn summaries_are_noisy_but_allocations_feasible() {
-    // One federation, repeated identical queries: the provider RNGs advance
-    // between queries, so the Laplace-perturbed summaries — and hence the
-    // allocations — must vary across runs while staying feasible.
-    let (mut fed, _) = federation(3, 1.0);
+    // One engine scope, repeated identical queries: each repeat is a later
+    // occurrence with its own RNG lanes, so the Laplace-perturbed summaries
+    // — and hence the allocations — must vary across runs while staying
+    // feasible.
+    let (fed, _) = federation(3, 1.0);
     let q = demo_query(&fed);
     let mut distinct = false;
     let mut reference: Option<Vec<u64>> = None;
-    for _ in 0..8 {
-        let ans = fed.run(&q, 0.2).expect("run");
-        let total: u64 = ans.allocations.iter().sum();
-        assert!(total >= 4, "every provider gets at least one cluster");
-        match &reference {
-            None => reference = Some(ans.allocations.clone()),
-            Some(r) => {
-                if *r != ans.allocations {
-                    distinct = true;
+    fed.with_engine(|engine| {
+        for _ in 0..8 {
+            let ans = engine.submit(&q, 0.2).expect("submit").wait().expect("run");
+            let total: u64 = ans.allocations.iter().sum();
+            assert!(total >= 4, "every provider gets at least one cluster");
+            match &reference {
+                None => reference = Some(ans.allocations.clone()),
+                Some(r) => {
+                    if *r != ans.allocations {
+                        distinct = true;
+                    }
                 }
             }
         }
-    }
+    });
     assert!(
         distinct,
         "allocations identical across noisy runs — summary noise missing?"
@@ -130,7 +163,7 @@ fn summaries_are_noisy_but_allocations_feasible() {
 fn query_cost_is_phase_sum() {
     let budget = QueryBudget::paper_split(1.4, 1e-3).expect("budget");
     assert!((budget.eps_o + budget.eps_s + budget.eps_e - 1.4).abs() < 1e-12);
-    let (mut fed, _) = federation(4, 1.4);
+    let (fed, _) = federation(4, 1.4);
     let q = demo_query(&fed);
     let ans = fed.run_with_budget(&q, 0.2, &budget).expect("run");
     assert!((ans.cost.eps - 1.4).abs() < 1e-12);
@@ -141,7 +174,7 @@ fn query_cost_is_phase_sum() {
 /// grow no faster than the per-provider covering-set size allows.
 #[test]
 fn smooth_sensitivities_are_sane() {
-    let (mut fed, _) = federation(5, 1.0);
+    let (fed, _) = federation(5, 1.0);
     let q = demo_query(&fed);
     let ans = fed.run(&q, 0.2).expect("run");
     assert_eq!(ans.smooth_ls.len(), 4);
@@ -288,7 +321,7 @@ fn seeded_batch_identical_serial_vs_concurrent() {
 /// consuming anything.
 #[test]
 fn invalid_queries_rejected_cleanly() {
-    let (mut fed, _) = federation(6, 1.0);
+    let (fed, _) = federation(6, 1.0);
     let bad_dim = fedaqp::model::RangeQuery::new(
         Aggregate::Count,
         vec![fedaqp::model::Range::new(99, 0, 1).expect("range")],

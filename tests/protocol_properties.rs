@@ -76,11 +76,10 @@ proptest! {
     /// well-formed answers — no panics, no NaNs, for arbitrary data.
     #[test]
     fn private_pipeline_total(partitions in arb_partitions(), q in arb_query(), seed in any::<u64>()) {
-        let mut fed = build_federation(partitions, seed);
+        let fed = build_federation(partitions, seed);
         let ans = fed.run(&q, 0.25).expect("run");
         prop_assert!(ans.value.is_finite());
         prop_assert!(ans.raw_estimate.is_finite());
-        prop_assert!(ans.relative_error >= 0.0);
         prop_assert_eq!(ans.allocations.len(), 4);
         prop_assert!(ans.clusters_scanned <= ans.covering_total.max(ans.clusters_scanned));
         for &s in &ans.smooth_ls {
@@ -128,7 +127,7 @@ proptest! {
         q in arb_query(),
         seed in any::<u64>(),
     ) {
-        let mut fed = build_federation(partitions, seed);
+        let fed = build_federation(partitions, seed);
         let ans = fed.run(&q, 0.25).expect("run");
         // Each provider clamps its allocation to its covering set, so no
         // provider scans more clusters than it covers.
