@@ -72,10 +72,21 @@ impl Range {
         self.lo <= max && min <= self.hi
     }
 
-    /// Number of domain points covered by the range.
+    /// `hi − lo` as an unsigned distance, exact for every `lo ≤ hi` over all
+    /// of `i64` (the difference of two `i64`s always fits a `u64`). With it,
+    /// `lo ≤ v ≤ hi` is the single unsigned compare
+    /// `(v.wrapping_sub(lo) as u64) <= span()`, which is what the cluster
+    /// scan kernel evaluates. Meaningless for an inverted range.
+    #[inline]
+    pub fn span(&self) -> u64 {
+        self.hi.wrapping_sub(self.lo) as u64
+    }
+
+    /// Number of domain points covered by the range, saturating at
+    /// `u64::MAX` for the full `i64` domain (2^64 points).
     #[inline]
     pub fn width(&self) -> u64 {
-        (self.hi - self.lo) as u64 + 1
+        self.span().saturating_add(1)
     }
 }
 
@@ -304,6 +315,17 @@ mod tests {
         assert!(r.intersects(12, 15));
         assert!(!r.intersects(21, 30));
         assert!(!r.intersects(0, 9));
+    }
+
+    #[test]
+    fn span_and_width_are_exact_at_the_edges_of_i64() {
+        let full = Range::new(0, i64::MIN, i64::MAX).unwrap();
+        assert_eq!(full.span(), u64::MAX);
+        assert_eq!(full.width(), u64::MAX);
+        let point = Range::new(0, i64::MIN, i64::MIN).unwrap();
+        assert_eq!((point.span(), point.width()), (0, 1));
+        let r = Range::new(0, -3, 6).unwrap();
+        assert_eq!((r.span(), r.width()), (9, 10));
     }
 
     #[test]
