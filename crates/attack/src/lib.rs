@@ -17,7 +17,7 @@
 //!   federation under a budget regime, plus the oracle-based variant used
 //!   to validate the classifier itself.
 //! * [`remote`] — the same adversary as a remote analyst (or a coalition
-//!   of them) issuing wire-v2 plan frames against a live
+//!   of them) issuing `Plan` frames against a live
 //!   [`fedaqp_net::FederationServer`].
 
 pub mod attack;

@@ -1,5 +1,5 @@
 //! The §6.6 NBC adversary as a *remote analyst*: the same probe workload
-//! as [`crate::run_attack`], but issued through wire v2 plan frames
+//! as [`crate::run_attack`], but issued through wire `Plan` frames
 //! against a live [`fedaqp_net::FederationServer`] — the surface the
 //! system actually ships.
 //!

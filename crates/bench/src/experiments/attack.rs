@@ -5,7 +5,7 @@
 //! Unlike `table1` (which replays the paper's serial in-process attack),
 //! this experiment attacks the surface the system actually ships: a TCP
 //! `FederationServer` with per-analyst [`fedaqp_dp::BudgetDirectory`]
-//! ledgers, probed through wire-v2 plan frames by
+//! ledgers, probed through wire `Plan` frames by
 //!
 //! * a **single analyst** stretching `(ξ, ψ)` sequentially across the
 //!   probe plan, and

@@ -84,7 +84,8 @@ pub fn run(ctx: &ExperimentContext) -> Vec<Table> {
                                 .expect("connect");
                         for q in queries.iter().skip(analyst).step_by(analysts) {
                             let t = Instant::now();
-                            let ans = conn.query(q, sampling_rate).expect("remote query");
+                            let plan = conn.scalar_plan(q, sampling_rate);
+                            let ans = conn.run_plan(&plan).expect("remote query");
                             // Each analyst waits out its own simulated WAN
                             // transit; other analysts' queries keep the
                             // server busy meanwhile.

@@ -181,7 +181,8 @@ pub fn run(ctx: &ExperimentContext) -> Vec<Table> {
                         .expect("connect");
                     for q in queries.iter().skip(analyst).step_by(ANALYSTS) {
                         let t = Instant::now();
-                        conn.query(q, sampling_rate).expect("remote query");
+                        conn.run_plan(&conn.scalar_plan(q, sampling_rate))
+                            .expect("remote query");
                         latencies.record_duration(t.elapsed());
                     }
                 });

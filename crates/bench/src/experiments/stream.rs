@@ -84,7 +84,8 @@ pub fn run(ctx: &ExperimentContext) -> Vec<Table> {
     let t0 = Instant::now();
     for q in &queries {
         let t = Instant::now();
-        conn.query(q, sampling_rate).expect("pre-ingest query");
+        conn.run_plan(&conn.scalar_plan(q, sampling_rate))
+            .expect("pre-ingest query");
         pre.record_duration(t.elapsed());
     }
     let pre_qps = pre.count() as f64 / t0.elapsed().as_secs_f64().max(1e-9);
@@ -110,7 +111,8 @@ pub fn run(ctx: &ExperimentContext) -> Vec<Table> {
     let t0 = Instant::now();
     for q in &queries {
         let t = Instant::now();
-        conn.query(q, sampling_rate).expect("post-ingest query");
+        conn.run_plan(&conn.scalar_plan(q, sampling_rate))
+            .expect("post-ingest query");
         post.record_duration(t.elapsed());
     }
     let live_qps = post.count() as f64 / t0.elapsed().as_secs_f64().max(1e-9);

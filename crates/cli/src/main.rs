@@ -39,7 +39,7 @@ usage:
                    spending any budget. --online K answers a scalar query
                    progressively in K rounds under the same total (ε, δ);
                    with --remote the server pushes each round's snapshot
-                   as it resolves — wire v6)
+                   as it resolves)
   fedaqp batch    (--data DIR | --remote HOST:PORT) --queries FILE
                   [--rate R] [--epsilon E] [--delta D] [--analysts N]
                   [--xi X] [--psi P] [--calibration em|pps] [--smc]
@@ -62,7 +62,7 @@ usage:
   fedaqp ingest   --remote HOST:PORT --provider I --dataset adult|amazon
                   [--rows N] [--seed X]
                   (synthesize a batch of rows and append it atomically to
-                   provider I of a live server — wire v6; the ack reports
+                   provider I of a live server; the ack reports
                    the new data epoch)
   fedaqp coordinate --data DIR --shards ADDR,ADDR,... 
                   [--listen HOST:PORT] [--epsilon E] [--delta D]
@@ -76,7 +76,7 @@ usage:
                   (text exposition of the telemetry registry, one
                    `name value` line per sample; --connect fetches the
                    snapshot from a running serve/coordinate process over
-                   the wire v5 Metrics frame — only public operational
+                   the wire's Metrics frame — only public operational
                    counters and timings cross, never raw estimates)
 
 calibration: `em` (default) divides each Hansen-Hurwitz draw by its exact

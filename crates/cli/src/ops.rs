@@ -481,7 +481,7 @@ fn load_federation(
 }
 
 /// `fedaqp query --remote` with a plan-shaped request (group-by, derived
-/// statistic, or extreme): the plan travels as one v2 frame; its `(ε, δ)`
+/// statistic, or extreme): the plan travels as one `Plan` frame; its `(ε, δ)`
 /// spend is the server's advertised default (the server charges the whole
 /// plan atomically against the analyst's session ledger).
 fn query_remote_plan(
@@ -500,7 +500,7 @@ fn query_remote_plan(
     out.push_str(&format!(
         "remote      : {addr} ({} providers, wire v{})\n",
         remote.n_providers(),
-        remote.protocol_version()
+        fedaqp_net::wire::VERSION
     ));
     out.push_str(&render_plan_answer(remote.schema(), plan, &answer));
     out.push_str(&format!(
@@ -518,7 +518,7 @@ fn query_remote_plan(
     Ok(out)
 }
 
-/// `fedaqp query --remote --online K`: the query travels as one v6
+/// `fedaqp query --remote --online K`: the query travels as one
 /// `OnlinePlan` frame; the server pushes one refined snapshot per round
 /// (printed as it arrives) and the whole plan's `(ε, δ)` is charged
 /// atomically up front.
@@ -559,7 +559,7 @@ fn query_remote_online(
     out.push_str(&format!(
         "remote      : {addr} ({} providers, wire v{})\n",
         remote.n_providers(),
-        remote.protocol_version()
+        fedaqp_net::wire::VERSION
     ));
     out.push_str(&format!(
         "online      : {rounds} rounds pushed, final {:.3}\n",
@@ -584,17 +584,11 @@ fn query_remote_online(
     Ok(out)
 }
 
-/// The `estimator` and `work` lines of a scalar answer — the same locally
-/// and over `--remote`.
-fn scalar_detail_lines(
-    calibration: EstimatorCalibration,
-    ci_halfwidth: Option<f64>,
-    clusters_scanned: usize,
-    covering_total: usize,
-) -> String {
+/// The `estimator` line of a scalar answer — the same locally and over
+/// `--remote`.
+fn estimator_line(calibration: EstimatorCalibration, ci_halfwidth: Option<f64>) -> String {
     format!(
-        "estimator   : {} calibration, sampling CI ±{}\n\
-         work        : scanned {clusters_scanned} of {covering_total} covering clusters\n",
+        "estimator   : {} calibration, sampling CI ±{}\n",
         match calibration {
             EstimatorCalibration::EmCalibrated => "EM",
             EstimatorCalibration::PpsEq3 => "PPS (Eq. 3)",
@@ -617,7 +611,7 @@ fn query_remote(args: &QueryArgs, addr: &str) -> Result<String, String> {
     let (plan, sql_explain) = build_plan(remote.schema(), args, epsilon, delta)?;
     if args.explain || sql_explain {
         // The server's optimizer explains the plan; nothing runs and no
-        // budget is spent on either side. Needs a v3 server.
+        // budget is spent on either side.
         let explanation = remote.explain_plan(&plan).map_err(|e| e.to_string())?;
         let mut out = String::new();
         if !args.sql.is_empty() {
@@ -626,23 +620,26 @@ fn query_remote(args: &QueryArgs, addr: &str) -> Result<String, String> {
         out.push_str(&format!(
             "remote      : {addr} ({} providers, wire v{})\n",
             remote.n_providers(),
-            remote.protocol_version()
+            fedaqp_net::wire::VERSION
         ));
         out.push_str(&explanation.render());
         return Ok(out);
     }
-    let parsed = match plan {
-        QueryPlan::Scalar { ref query, .. } => query.clone(),
-        ref plan @ QueryPlan::Online { .. } => {
-            return query_remote_online(args, addr, &mut remote, plan)
-        }
-        ref plan => return query_remote_plan(args, addr, &mut remote, plan),
+    let parsed = match &plan {
+        QueryPlan::Scalar { query, .. } => query,
+        QueryPlan::Online { .. } => return query_remote_online(args, addr, &mut remote, &plan),
+        _ => return query_remote_plan(args, addr, &mut remote, &plan),
     };
     let started = Instant::now();
-    let answer = remote
-        .query(&parsed, args.rate)
-        .map_err(|e| e.to_string())?;
+    let answer = remote.run_plan(&plan).map_err(|e| e.to_string())?;
     let round_trip = started.elapsed();
+    let PlanResult::Value {
+        value,
+        ci_halfwidth,
+    } = answer.result
+    else {
+        return Err("the server answered a scalar plan with another shape".into());
+    };
     let mut out = String::new();
     out.push_str(&format!(
         "query       : {}\n",
@@ -652,17 +649,12 @@ fn query_remote(args: &QueryArgs, addr: &str) -> Result<String, String> {
         "remote      : {addr} ({} providers)\n",
         remote.n_providers()
     ));
-    out.push_str(&format!("private     : {:.1}\n", answer.value));
+    out.push_str(&format!("private     : {value:.1}\n"));
     out.push_str(&format!(
         "privacy     : (ε = {}, δ = {:e})\n",
         answer.cost.eps, answer.cost.delta
     ));
-    out.push_str(&scalar_detail_lines(
-        remote.calibration(),
-        answer.ci_halfwidth,
-        answer.clusters_scanned,
-        answer.covering_total,
-    ));
+    out.push_str(&estimator_line(remote.calibration(), ci_halfwidth));
     out.push_str(&format!(
         "latency     : {:.2} ms round trip ({:.2} ms server protocol)\n",
         round_trip.as_secs_f64() * 1e3,
@@ -740,11 +732,10 @@ fn query_local_scalar(
         answer.cost.delta,
         if args.smc { "SMC release" } else { "local DP" }
     ));
-    out.push_str(&scalar_detail_lines(
-        args.calibration,
-        answer.ci_halfwidth,
-        answer.clusters_scanned,
-        answer.covering_total,
+    out.push_str(&estimator_line(args.calibration, answer.ci_halfwidth));
+    out.push_str(&format!(
+        "work        : scanned {} of {} covering clusters\n",
+        answer.clusters_scanned, answer.covering_total
     ));
     if args.baseline {
         let plain = engine
@@ -870,11 +861,11 @@ fn batch_remote(args: &BatchArgs, addr: &str) -> Result<String, String> {
                 for (i, (sql, q)) in queries.iter().enumerate().skip(analyst).step_by(analysts) {
                     let t = Instant::now();
                     let (line, ok) = match connection.as_mut() {
-                        Ok(conn) => match conn.query(q, args.rate) {
+                        Ok(conn) => match conn.run_plan(&conn.scalar_plan(q, args.rate)) {
                             Ok(a) => (
                                 format!(
                                     "[{i}] {sql} -> {:.1} ({:.2} ms)",
-                                    a.value,
+                                    a.value().unwrap_or(f64::NAN),
                                     t.elapsed().as_secs_f64() * 1e3
                                 ),
                                 true,
@@ -1036,7 +1027,7 @@ pub struct ServeArgs {
     /// provider slice and speak the coordinator's fragment protocol
     /// instead of the analyst protocol.
     pub shard: Option<(usize, usize)>,
-    /// Serve a live federation: accept v6 `Ingest` frames that append
+    /// Serve a live federation: accept `Ingest` frames that append
     /// rows to a provider while analysts keep querying. Each query pins
     /// one data epoch; ingest applies between queries.
     pub live: bool,
@@ -1134,7 +1125,7 @@ fn serve_shard(args: &ServeArgs, index: usize, count: usize) -> Result<RunningSe
 }
 
 /// `fedaqp serve --live`: rebuild the federation, wrap it in a
-/// [`LiveFederation`], and expose it with the v6 ingest path enabled.
+/// [`LiveFederation`], and expose it with the ingest path enabled.
 /// Queries pin one data epoch each; `fedaqp ingest` appends rows between
 /// them, and the staleness policy decides when metadata is recomputed
 /// from scratch.
@@ -1252,7 +1243,7 @@ pub struct IngestArgs {
 }
 
 /// `fedaqp ingest`: synthesize a batch of rows and append it to one
-/// provider of a live federation over the wire v6 `Ingest` frame,
+/// provider of a live federation over the wire's `Ingest` frame,
 /// chunked at the frame's row cap ([`fedaqp_net::wire::MAX_INGEST_ROWS`])
 /// so any `--rows` count round-trips. Each chunk is atomic server-side;
 /// the final ack reports the new data epoch, and the summary notes
@@ -1312,7 +1303,7 @@ pub fn ingest(args: &IngestArgs) -> Result<String, String> {
 /// Arguments of `fedaqp stats`.
 #[derive(Debug, Clone, Default)]
 pub struct StatsArgs {
-    /// Fetch the snapshot from a served federation over the v5 `Metrics`
+    /// Fetch the snapshot from a served federation over the `Metrics`
     /// frame instead of rendering this process's own registry.
     pub connect: Option<String>,
 }
@@ -1879,7 +1870,7 @@ mod tests {
         assert!(out.contains("private"), "{out}");
         assert!(out.contains("round trip"), "{out}");
 
-        // A plan-shaped query travels as one v2 frame; ε/δ come from the
+        // A plan-shaped query travels as one `Plan` frame; ε/δ come from the
         // server's advertised defaults.
         let mut plan_args = plan_query_args(
             PathBuf::new(),
@@ -1895,7 +1886,7 @@ mod tests {
         assert!(out.contains("groups      :"), "{out}");
         assert!(out.contains("for the whole plan"), "{out}");
 
-        // EXPLAIN travels as one v3 frame and runs nothing.
+        // EXPLAIN travels as one `Explain` frame and runs nothing.
         let mut explain_args = plan_args.clone();
         explain_args.explain = true;
         let out = query(&explain_args).unwrap();
@@ -1931,7 +1922,7 @@ mod tests {
 
     /// `fedaqp stats` three ways after a served query: the local
     /// exposition (this test shares the server's process, so its registry
-    /// holds the served counters), the remote exposition over the wire v5
+    /// holds the served counters), the remote exposition over the wire's
     /// `Metrics` frame, and the shutdown summary — all showing the same
     /// live counters.
     #[test]

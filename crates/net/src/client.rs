@@ -1,11 +1,11 @@
 //! The remote-analyst client: an [`EngineHandle`]-shaped API over TCP.
 //!
-//! [`RemoteFederation`] mirrors the engine's submit/wait surface
-//! ([`RemoteFederation::submit`] → [`PendingRemote::wait`], plus
-//! [`RemoteFederation::run_batch`]), so analyst code written against a
+//! [`RemoteFederation`] mirrors the engine's plan surface
+//! ([`RemoteFederation::submit_plan`] → [`PendingRemotePlan::wait`], plus
+//! [`RemoteFederation::run_plan`]), so analyst code written against a
 //! local [`fedaqp_core::EngineHandle`] ports to a remote endpoint by
 //! swapping the handle for a connection. The client is blocking and owns
-//! one socket; queries pipelined on one connection are answered strictly
+//! one socket; plans pipelined on one connection are answered strictly
 //! in submission order, which is what makes the wait side trivially
 //! correlatable without request ids.
 //!
@@ -16,64 +16,17 @@ use std::time::Duration;
 
 use fedaqp_core::{
     EstimatorCalibration, PhaseTimings, PlanAnswer, PlanExplanation, PlanGroup, PlanResult,
-    PlanSnapshot, QueryBatch, QueryPlan,
+    PlanSnapshot, QueryPlan,
 };
 use fedaqp_dp::PrivacyCost;
 use fedaqp_model::{Dimension, Domain, RangeQuery, Row, Schema};
 
 use crate::wire::{
-    calibration_from_code, read_frame, write_frame_at, Answer, BatchRequest, BudgetStatus,
-    ErrorCode, ExplainRequest, Frame, Hello, IngestAckFrame, IngestRequest, OnlinePlanRequest,
-    PlanAnswerFrame, PlanRequest, QueryRequest, WireMetric, WirePlanResult, WireRow, VERSION,
+    calibration_from_code, read_frame, write_frame, BudgetStatus, ErrorCode, ExplainRequest, Frame,
+    Hello, IngestAckFrame, IngestRequest, OnlinePlanRequest, PlanAnswerFrame, PlanRequest,
+    WireMetric, WirePlanResult, WireRow, VERSION,
 };
 use crate::{NetError, Result};
-
-/// The answer to one remote query — the released projection of
-/// [`fedaqp_core::EngineAnswer`] (no raw estimates, no sensitivities).
-#[derive(Debug, Clone)]
-pub struct RemoteAnswer {
-    /// The DP-released answer.
-    pub value: f64,
-    /// The `(ε, δ)` charged for this query.
-    pub cost: PrivacyCost,
-    /// Per-phase latency breakdown as measured at the server (network is
-    /// the *simulated* WAN component, not this socket's transit).
-    pub timings: PhaseTimings,
-    /// Total clusters scanned across providers.
-    pub clusters_scanned: usize,
-    /// Total covering-set size across providers.
-    pub covering_total: usize,
-    /// How many providers took the approximate path.
-    pub approximated_providers: usize,
-    /// The per-provider sample-size allocations.
-    pub allocations: Vec<u64>,
-    /// 95% sampling confidence half-width, when estimable.
-    pub ci_halfwidth: Option<f64>,
-}
-
-impl RemoteAnswer {
-    fn from_wire(answer: Answer) -> Self {
-        Self {
-            value: answer.value,
-            cost: PrivacyCost {
-                eps: answer.eps,
-                delta: answer.delta,
-            },
-            timings: PhaseTimings {
-                summary: Duration::from_micros(answer.summary_us),
-                allocation: Duration::from_micros(answer.allocation_us),
-                execution: Duration::from_micros(answer.execution_us),
-                release: Duration::from_micros(answer.release_us),
-                network: Duration::from_micros(answer.network_us),
-            },
-            clusters_scanned: answer.clusters_scanned as usize,
-            covering_total: answer.covering_total as usize,
-            approximated_providers: answer.approximated_providers as usize,
-            allocations: answer.allocations,
-            ci_halfwidth: answer.ci_halfwidth,
-        }
-    }
-}
 
 /// A blocking connection to a [`crate::FederationServer`].
 #[derive(Debug)]
@@ -85,21 +38,16 @@ pub struct RemoteFederation {
     delta: f64,
     calibration: EstimatorCalibration,
     session_budget: Option<(f64, f64)>,
-    /// The protocol version negotiated at the handshake:
-    /// `min(`[`VERSION`]`, server's advertised maximum)`. Plan submission
-    /// needs ≥ 2.
-    version: u16,
-    /// Replies the server still owes for submitted-but-unwaited queries.
+    /// Replies the server still owes for submitted-but-unwaited plans.
     /// Every new request first drains these, so dropping a
-    /// [`PendingRemote`] without waiting can never desynchronize the
+    /// [`PendingRemotePlan`] without waiting can never desynchronize the
     /// stream (the next reply would otherwise be attributed to the wrong
-    /// query).
+    /// plan).
     outstanding: usize,
 }
 
 /// Any per-request reply frame the server can owe.
 enum Reply {
-    Answer(Answer),
     Plan(PlanAnswerFrame),
     Explain(PlanExplanation),
 }
@@ -153,29 +101,21 @@ impl RemoteFederation {
     /// Connects and declares an analyst identity (the server's budget
     /// ledger key).
     ///
-    /// The Hello frame is stamped with this build's [`VERSION`]; the
-    /// connection then speaks `min(VERSION, server maximum)` as
-    /// advertised in the handshake reply. A *future* server that cannot
-    /// speak our version answers with a typed negotiation error, surfaced
-    /// as [`NetError::UnsupportedVersion`] carrying both versions.
-    ///
-    /// Compatibility is asymmetric by design: a v1 client works against a
-    /// v2 server verbatim (the server answers at the client's version),
-    /// but a server built *before* the negotiation mechanism existed
-    /// rejects a v2-stamped Hello outright with a generic `bad-request`
-    /// error — it cannot advertise a maximum it does not know about.
+    /// Every frame is stamped with this build's [`VERSION`]. A server
+    /// that speaks another answers the `Hello` with a typed negotiation
+    /// error, surfaced as [`NetError::UnsupportedVersion`] carrying both
+    /// versions.
     pub fn connect_as(addr: &str, analyst: &str) -> Result<Self> {
         let mut stream = TcpStream::connect(addr).map_err(|e| NetError::Connect {
             addr: addr.to_owned(),
             message: e.to_string(),
         })?;
         stream.set_nodelay(true).ok();
-        write_frame_at(
+        write_frame(
             &mut stream,
             &Frame::Hello(Hello {
                 analyst: analyst.to_owned(),
             }),
-            VERSION,
         )?;
         let ack = match read_frame(&mut stream)? {
             Frame::HelloAck(ack) => ack,
@@ -213,14 +153,8 @@ impl RemoteFederation {
             delta: ack.delta,
             calibration: calibration_from_code(ack.calibration)?,
             session_budget: ack.session_budget,
-            version: VERSION.min(ack.max_version),
             outstanding: 0,
         })
-    }
-
-    /// The wire-protocol version this connection negotiated.
-    pub fn protocol_version(&self) -> u16 {
-        self.version
     }
 
     /// The served federation's public table schema.
@@ -271,48 +205,30 @@ impl RemoteFederation {
         Ok(())
     }
 
-    /// Sends one query without waiting for its answer — the remote mirror
-    /// of `EngineHandle::submit`. Pipelining is allowed: waits resolve in
-    /// submission order, and the reply of a pending query that is dropped
-    /// un-waited is discarded on the next request.
-    pub fn submit(&mut self, query: &RangeQuery, sampling_rate: f64) -> Result<PendingRemote<'_>> {
-        self.drain_outstanding()?;
-        write_frame_at(
-            &mut self.stream,
-            &Frame::Query(QueryRequest {
-                query: query.clone(),
-                sampling_rate,
-            }),
-            self.version,
-        )?;
-        self.outstanding += 1;
-        Ok(PendingRemote { conn: self })
-    }
-
-    /// Answers one private query (submit + wait).
-    pub fn query(&mut self, query: &RangeQuery, sampling_rate: f64) -> Result<RemoteAnswer> {
-        self.submit(query, sampling_rate)?.wait()
+    /// The scalar plan for `query` under the server's advertised default
+    /// `(ε, δ)` — the budget a query runs under when the analyst names
+    /// none.
+    pub fn scalar_plan(&self, query: &RangeQuery, sampling_rate: f64) -> QueryPlan {
+        QueryPlan::Scalar {
+            query: query.clone(),
+            sampling_rate,
+            epsilon: self.epsilon,
+            delta: self.delta,
+        }
     }
 
     /// Sends one [`QueryPlan`] without waiting for its answer — the
     /// remote mirror of `EngineHandle::submit_plan`. The server charges
     /// the plan's whole `(ε, δ)` atomically (validate-before-charge) and
-    /// fans its sub-queries out across the engine worker pool.
-    ///
-    /// Needs a v2 connection; against an older server this fails with
-    /// [`NetError::UnsupportedVersion`] carrying both versions.
+    /// fans its sub-queries out across the engine worker pool. Pipelining
+    /// is allowed: waits resolve in submission order, and the reply of a
+    /// pending plan that is dropped un-waited is discarded on the next
+    /// request.
     pub fn submit_plan(&mut self, plan: &QueryPlan) -> Result<PendingRemotePlan<'_>> {
-        if self.version < 2 {
-            return Err(NetError::UnsupportedVersion {
-                requested: 2,
-                supported: self.version,
-            });
-        }
         self.drain_outstanding()?;
-        write_frame_at(
+        write_frame(
             &mut self.stream,
             &Frame::Plan(PlanRequest { plan: plan.clone() }),
-            self.version,
         )?;
         self.outstanding += 1;
         Ok(PendingRemotePlan { conn: self })
@@ -327,21 +243,11 @@ impl RemoteFederation {
     /// without running it — the remote mirror of
     /// `EngineHandle::explain_plan`. Nothing executes and no budget is
     /// charged, on either side.
-    ///
-    /// Needs a v3 connection; against an older server this fails with
-    /// [`NetError::UnsupportedVersion`] carrying both versions.
     pub fn explain_plan(&mut self, plan: &QueryPlan) -> Result<PlanExplanation> {
-        if self.version < 3 {
-            return Err(NetError::UnsupportedVersion {
-                requested: 3,
-                supported: self.version,
-            });
-        }
         self.drain_outstanding()?;
-        write_frame_at(
+        write_frame(
             &mut self.stream,
             &Frame::Explain(ExplainRequest { plan: plan.clone() }),
-            self.version,
         )?;
         match self.read_reply_any()? {
             Reply::Explain(explanation) => Ok(explanation),
@@ -349,42 +255,10 @@ impl RemoteFederation {
         }
     }
 
-    /// Sends a whole batch in one frame and collects the per-query
-    /// results in submission order. The outer error is connection-level;
-    /// inner errors are per-query (e.g. a typed budget rejection).
-    pub fn run_batch(&mut self, batch: &QueryBatch) -> Result<Vec<Result<RemoteAnswer>>> {
-        let specs: Vec<QueryRequest> = batch
-            .specs()
-            .iter()
-            .map(|spec| QueryRequest {
-                query: spec.query.clone(),
-                sampling_rate: spec.sampling_rate,
-            })
-            .collect();
-        self.drain_outstanding()?;
-        write_frame_at(
-            &mut self.stream,
-            &Frame::Batch(BatchRequest { specs }),
-            self.version,
-        )?;
-        let mut results = Vec::with_capacity(batch.len());
-        for _ in 0..batch.len() {
-            match self.read_reply() {
-                Ok(answer) => results.push(Ok(answer)),
-                // A typed per-query rejection: record it and keep reading.
-                Err(e @ NetError::Remote { .. }) => results.push(Err(e)),
-                // A connection-level failure: the remaining replies can
-                // never arrive.
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(results)
-    }
-
     /// Asks the server for this analyst's session ledger.
     pub fn budget_status(&mut self) -> Result<BudgetStatus> {
         self.drain_outstanding()?;
-        write_frame_at(&mut self.stream, &Frame::BudgetRequest, self.version)?;
+        write_frame(&mut self.stream, &Frame::BudgetRequest)?;
         match read_frame(&mut self.stream)? {
             Frame::BudgetStatus(status) => Ok(status),
             Frame::Error(e) => Err(NetError::Remote {
@@ -399,18 +273,9 @@ impl RemoteFederation {
     /// samples from its metrics registry — counters, gauges, and expanded
     /// histogram aggregates, all public-data-only by the `fedaqp-obs`
     /// provenance boundary.
-    ///
-    /// Needs a v5 connection; against an older server this fails with
-    /// [`NetError::UnsupportedVersion`] carrying both versions.
     pub fn metrics(&mut self) -> Result<Vec<WireMetric>> {
-        if self.version < 5 {
-            return Err(NetError::UnsupportedVersion {
-                requested: 5,
-                supported: self.version,
-            });
-        }
         self.drain_outstanding()?;
-        write_frame_at(&mut self.stream, &Frame::Metrics, self.version)?;
+        write_frame(&mut self.stream, &Frame::Metrics)?;
         match read_frame(&mut self.stream)? {
             Frame::MetricsAnswer(answer) => Ok(answer.metrics),
             Frame::Error(e) => Err(NetError::Remote {
@@ -432,9 +297,6 @@ impl RemoteFederation {
     /// the snapshots handed to the hook, in round order — so on a frozen
     /// federation it compares byte-identical against the same plan run
     /// through a local engine.
-    ///
-    /// Needs a v6 connection; against an older server this fails with
-    /// [`NetError::UnsupportedVersion`] carrying both versions.
     pub fn run_online_plan(
         &mut self,
         query: &RangeQuery,
@@ -444,14 +306,8 @@ impl RemoteFederation {
         rounds: u32,
         mut on_snapshot: impl FnMut(&PlanSnapshot),
     ) -> Result<PlanAnswer> {
-        if self.version < 6 {
-            return Err(NetError::UnsupportedVersion {
-                requested: 6,
-                supported: self.version,
-            });
-        }
         self.drain_outstanding()?;
-        write_frame_at(
+        write_frame(
             &mut self.stream,
             &Frame::OnlinePlan(OnlinePlanRequest {
                 query: query.clone(),
@@ -460,7 +316,6 @@ impl RemoteFederation {
                 delta,
                 rounds,
             }),
-            self.version,
         )?;
         let mut snapshots = Vec::new();
         loop {
@@ -511,18 +366,9 @@ impl RemoteFederation {
     /// accepted atomically (all rows or none), acknowledged with the
     /// federation's new epoch and whether the batch triggered a full
     /// metadata recompute. Non-live servers refuse with a typed error.
-    ///
-    /// Needs a v6 connection; against an older server this fails with
-    /// [`NetError::UnsupportedVersion`] carrying both versions.
     pub fn ingest(&mut self, provider: u32, rows: &[Row]) -> Result<IngestAckFrame> {
-        if self.version < 6 {
-            return Err(NetError::UnsupportedVersion {
-                requested: 6,
-                supported: self.version,
-            });
-        }
         self.drain_outstanding()?;
-        write_frame_at(
+        write_frame(
             &mut self.stream,
             &Frame::Ingest(IngestRequest {
                 provider,
@@ -534,7 +380,6 @@ impl RemoteFederation {
                     })
                     .collect(),
             }),
-            self.version,
         )?;
         match read_frame(&mut self.stream)? {
             Frame::IngestAck(ack) => Ok(ack),
@@ -549,21 +394,13 @@ impl RemoteFederation {
     /// Reads whatever per-request reply the server owes next.
     fn read_reply_any(&mut self) -> Result<Reply> {
         match read_frame(&mut self.stream)? {
-            Frame::Answer(answer) => Ok(Reply::Answer(answer)),
             Frame::PlanAnswer(answer) => Ok(Reply::Plan(answer)),
             Frame::ExplainAnswer(answer) => Ok(Reply::Explain(answer.explanation)),
             Frame::Error(e) => Err(NetError::Remote {
                 code: e.code,
                 message: e.message,
             }),
-            _ => Err(NetError::Malformed("expected Answer or Error")),
-        }
-    }
-
-    fn read_reply(&mut self) -> Result<RemoteAnswer> {
-        match self.read_reply_any()? {
-            Reply::Answer(answer) => Ok(RemoteAnswer::from_wire(answer)),
-            _ => Err(NetError::Malformed("expected Answer, got another reply")),
+            _ => Err(NetError::Malformed("expected a plan or explain answer")),
         }
     }
 
@@ -574,21 +411,6 @@ impl RemoteFederation {
                 "expected PlanAnswer, got another reply",
             )),
         }
-    }
-}
-
-/// A query in flight on the remote connection — the network mirror of
-/// [`fedaqp_core::PendingAnswer`].
-#[derive(Debug)]
-pub struct PendingRemote<'a> {
-    conn: &'a mut RemoteFederation,
-}
-
-impl PendingRemote<'_> {
-    /// Blocks until the server's reply for this query arrives.
-    pub fn wait(self) -> Result<RemoteAnswer> {
-        self.conn.outstanding -= 1;
-        self.conn.read_reply()
     }
 }
 

@@ -31,8 +31,7 @@ pub enum NetError {
     /// support. Carries both sides of the negotiation: the version that
     /// was asked for and the highest the rejecting side speaks.
     UnsupportedVersion {
-        /// The version that was requested (a frame header's version, or
-        /// the version a feature like plan submission needs).
+        /// The version that was requested (a frame header's version).
         requested: u16,
         /// The highest version the rejecting side supports.
         supported: u16,

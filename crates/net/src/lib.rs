@@ -5,8 +5,8 @@
 //! in-process concurrent engine ([`fedaqp_core::engine`]) into exactly
 //! that service, on nothing but `std::net`:
 //!
-//! * [`wire`] — a versioned, length-prefixed binary frame codec
-//!   (`Hello`/`Query`/`Batch`/`Answer`/`Error`/`BudgetStatus`), hand-rolled
+//! * [`wire`] — a length-prefixed binary frame codec
+//!   (`Hello`/`Plan`/`PlanAnswer`/`Error`/`BudgetStatus`/…), hand-rolled
 //!   in the defensive style of `fedaqp_storage::codec`: hard frame cap,
 //!   bounded declared lengths, strict trailing-byte rejection.
 //! * [`FederationServer`] — a thread-per-connection TCP server running
@@ -16,7 +16,7 @@
 //!   concurrent (or reconnecting) remote analysts can never overspend
 //!   their `(ξ, ψ)`.
 //! * [`RemoteFederation`] — a blocking client mirroring the engine's
-//!   submit/wait API, so analyst code is indifferent to whether the
+//!   plan submit/wait API, so analyst code is indifferent to whether the
 //!   federation is in-process or across the network.
 //! * [`RemoteShard`] — a [`fedaqp_core::ShardBackend`] over TCP, letting
 //!   a [`fedaqp_core::ShardedFederation`] coordinator federate engines
@@ -38,7 +38,7 @@ pub mod server;
 pub mod shard;
 pub mod wire;
 
-pub use client::{PendingRemote, PendingRemotePlan, RemoteAnswer, RemoteFederation};
+pub use client::{PendingRemotePlan, RemoteFederation};
 pub use error::NetError;
 pub use loopback::LoopbackServer;
 pub use server::{FederationServer, ServeOptions};

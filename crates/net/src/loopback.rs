@@ -36,7 +36,7 @@ impl LoopbackServer {
         )?)
     }
 
-    /// Serves analysts (and the v6 streaming-ingest path) from a live
+    /// Serves analysts (and the streaming-ingest path) from a live
     /// federation.
     pub fn live(live: LiveFederation, options: ServeOptions) -> Result<Self> {
         Self::guard(FederationServer::bind_live("127.0.0.1:0", live, options)?)

@@ -5,21 +5,17 @@
 //! the same state machine, `serve_connection`:
 //!
 //! 1. **Handshake** (`handshake`): exactly one `Hello`, answered with a
-//!    `HelloAck` at `min(peer's header version, VERSION)` — the version
-//!    every later reply on the connection is encoded at, so a v1 client
-//!    sees byte-identical v1 frames. A wrong first frame, an unknown
-//!    header version and a `Hello` below the role's floor each get a typed
-//!    error frame *the peer can decode*, then the close.
+//!    `HelloAck` advertising the one wire version this build speaks. A
+//!    wrong first frame and a header stamped with any other version each
+//!    get a typed error frame, then the close.
 //! 2. **Gate** (`Gate::of`): each request frame is looked up in one static
-//!    table — which roles serve its kind, from which negotiated version,
-//!    under which metric name — *before* anything else runs. A frame the
-//!    role does not serve, then a frame the connection's version cannot
-//!    answer, is refused with a typed `bad-request` right there: one
-//!    place, role first, always before any ledger is touched. The
-//!    connection stays open.
+//!    table — which roles serve its kind, under which metric name —
+//!    *before* anything else runs. A frame the role does not serve is
+//!    refused with a typed `bad-request` right there: one place, always
+//!    before any ledger is touched. The connection stays open.
 //! 3. **Dispatch**: the handler reaches the engine through the
-//!    `Backend` trait and writes its replies through the connection's
-//!    `Sink`. A malformed frame leaves the stream unsynchronized; it is
+//!    `Backend` trait and writes its replies to the connection's
+//!    stream. A malformed frame leaves the stream unsynchronized; it is
 //!    reported (typed, including version mismatches) and the connection
 //!    closed.
 //!
@@ -36,10 +32,10 @@
 //! * **Live** ([`FederationServer::bind_live`]) — the analyst protocol
 //!   plus `Ingest`, over a [`LiveFederation`] behind one reader–writer
 //!   lock. A handler holds the read side (and a scoped engine) for its
-//!   whole call, so a query, a batch, or every round of an online plan
+//!   whole call, so a plan — every round of an online plan included —
 //!   conditions on exactly one epoch; an accepted `Ingest` batch takes the
 //!   write side between handlers.
-//! * **Shard** ([`FederationServer::bind_shard`]) — only the v4 fragment
+//! * **Shard** ([`FederationServer::bind_shard`]) — only the fragment
 //!   frames, to an upstream coordinator, one fragment lifecycle per
 //!   connection, with *no* budget directory: fragments arrive already
 //!   charged at the coordinator, the single ξ authority (see
@@ -59,10 +55,10 @@
 //! open.
 //!
 //! What never crosses the wire: providers' raw (pre-noise) estimates and
-//! smooth sensitivities. Every backend resolves a scalar query to a
-//! [`ShardedAnswer`] — the analyst-visible projection that has no such
-//! fields — so a remote analyst sees only DP-released values. Transport
-//! security (TLS, authn) is out of scope — see the README threat model.
+//! smooth sensitivities. A [`PlanAnswer`] — the only thing a handler
+//! projects onto the wire — has no such fields, so a remote analyst sees
+//! only DP-released values. Transport security (TLS, authn) is out of
+//! scope — see the README threat model.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -72,19 +68,18 @@ use std::thread::JoinHandle;
 use fedaqp_core::{
     CoreError, EngineHandle, FederationConfig, IngestReport, LiveFederation, PendingExtreme,
     PendingFragment, PendingPlan, PlanAnswer, PlanBackend, PlanResult, PlanSnapshot, QueryPlan,
-    Session, SessionPlan, ShardedAnswer, ShardedFederation,
+    Session, SessionPlan, ShardedFederation,
 };
 use fedaqp_dp::{BudgetDirectory, DpError, QueryBudget, SharedAccountant};
 use fedaqp_model::{Row, Schema};
 use fedaqp_obs as obs;
 
 use crate::wire::{
-    calibration_code, read_frame_versioned, write_frame_at, Answer, BudgetStatus, ErrorCode,
-    ErrorFrame, ExplainAnswerFrame, ExtremePartialFrame, FragmentPartialFrame,
-    FragmentSummariesFrame, Frame, HelloAck, IngestAckFrame, MetricsAnswerFrame, OnlineDoneFrame,
-    OnlinePlanRequest, OnlineSnapshotFrame, PlanAnswerFrame, QueryRequest, ShardBoundsFrame,
-    WireDimension, WireGroup, WireMetric, WirePartialRow, WirePlanResult, WireProviderBounds,
-    WireSummary, MIN_VERSION, VERSION,
+    calibration_code, read_frame, write_frame, BudgetStatus, ErrorCode, ErrorFrame,
+    ExplainAnswerFrame, ExtremePartialFrame, FragmentPartialFrame, FragmentSummariesFrame, Frame,
+    HelloAck, IngestAckFrame, MetricsAnswerFrame, OnlineDoneFrame, OnlinePlanRequest,
+    OnlineSnapshotFrame, PlanAnswerFrame, ShardBoundsFrame, WireDimension, WireGroup, WireMetric,
+    WirePartialRow, WirePlanResult, WireProviderBounds, WireSummary, VERSION,
 };
 use crate::{NetError, Result};
 
@@ -149,33 +144,12 @@ impl Role {
     const fn bit(self) -> u8 {
         1 << self as u8
     }
-
-    /// The lowest `Hello` version the role shakes hands at. Every frame
-    /// the shard role serves exists only from v4; an older peer could
-    /// never speak to it, so it is refused at the handshake instead of
-    /// failing every later frame.
-    fn min_hello(self) -> u16 {
-        match self {
-            Role::Shard => 4,
-            _ => MIN_VERSION,
-        }
-    }
 }
 
 /// One row of the gate table.
 struct Gate {
     /// Bitmask of the roles that serve the frame kind.
     roles: u8,
-    /// The negotiated version the kind's *reply* frames exist from: a
-    /// request may decode from its own frame header, but the reply must
-    /// be encodable at the version negotiated at the handshake, so a
-    /// newer frame smuggled onto an older connection is refused at the
-    /// gate — before any budget is charged or any sub-query dispatched
-    /// (the reply encoding would otherwise fail and hang up after the
-    /// charge).
-    min_version: u16,
-    /// The kind's name in the version refusal.
-    noun: &'static str,
     /// The kind's cell of the `fedaqp_server_frames_total.` family — a
     /// static protocol kind, never request content.
     metric: &'static str,
@@ -185,62 +159,51 @@ struct Gate {
 const OTHER_FRAMES: &str = "fedaqp_server_frames_total.other";
 
 impl Gate {
-    /// The gate table: every request-frame kind, who serves it, and from
-    /// which negotiated version. `None` is a second `Hello` or a
-    /// server-to-client frame, which no role serves. (The whole
-    /// coordinator → shard family is one lifecycle, so one row.)
+    /// The gate table: every request-frame kind and who serves it. `None`
+    /// is a second `Hello` or a server-to-client frame, which no role
+    /// serves. (The whole coordinator → shard family is one lifecycle, so
+    /// one row.)
     #[rustfmt::skip]
     fn of(frame: &Frame) -> Option<Gate> {
         use Frame::*;
-        let (roles, min_version, noun, metric) = match frame {
-            Query(_)      => (ANALYST, 1, "query",       "fedaqp_server_frames_total.query"),
-            Batch(_)      => (ANALYST, 1, "batch",       "fedaqp_server_frames_total.batch"),
-            Plan(_)       => (ANALYST, 2, "plan",        "fedaqp_server_frames_total.plan"),
-            Explain(_)    => (ANALYST, 3, "explain",     "fedaqp_server_frames_total.explain"),
-            BudgetRequest => (ANALYST, 1, "budget",      "fedaqp_server_frames_total.budget"),
-            Metrics       => (ANALYST, 5, "metrics",     "fedaqp_server_frames_total.metrics"),
-            OnlinePlan(_) => (ANALYST, 6, "online-plan", "fedaqp_server_frames_total.online"),
-            Ingest(_)     => (LIVE,    6, "ingest",      "fedaqp_server_frames_total.ingest"),
+        let (roles, metric) = match frame {
+            Plan(_)       => (ANALYST, "fedaqp_server_frames_total.plan"),
+            Explain(_)    => (ANALYST, "fedaqp_server_frames_total.explain"),
+            BudgetRequest => (ANALYST, "fedaqp_server_frames_total.budget"),
+            Metrics       => (ANALYST, "fedaqp_server_frames_total.metrics"),
+            OnlinePlan(_) => (ANALYST, "fedaqp_server_frames_total.online"),
+            Ingest(_)     => (LIVE,    "fedaqp_server_frames_total.ingest"),
             Fragment(_) | FragmentSummariesRequest | FragmentAllocation(_)
             | FragmentPartialRequest | FragmentAbort | ExtremeFragment(_)
             | ShardBoundsRequest
-                          => (SHARD,   4, "fragment",    "fedaqp_server_frames_total.fragment"),
+                          => (SHARD,   "fedaqp_server_frames_total.fragment"),
             _ => return None,
         };
-        Some(Gate { roles, min_version, noun, metric })
+        Some(Gate { roles, metric })
     }
 }
 
-/// The one place a frame is refused for its role or version: `Some`
-/// carries the `bad-request` message, `None` admits the frame to its
-/// handler. Role first — a frame the listener never serves is refused the
-/// same way at every version — then the version floor.
-fn refusal(role: Role, gate: Option<&Gate>, version: u16) -> Option<String> {
-    let served = gate.filter(|gate| gate.roles & role.bit() != 0);
-    let Some(gate) = served else {
-        let message = match (role, gate.map(|gate| gate.roles)) {
-            // Querying a shard directly would bypass the coordinator's
-            // single budget ledger.
-            (Role::Shard, _) => {
-                "analyst frames are not served in shard mode (connect to the coordinator)"
-            }
-            // Fragments arrive pre-charged from a coordinator and let the
-            // caller pick occurrence indices — an occurrence-differencing
-            // oracle in an analyst's hands.
-            (_, Some(SHARD)) => "fragment frames are served only by a shard-mode server",
-            // A frozen federation's metadata, epochs and seed never move;
-            // accepting rows would silently drop them from every answer.
-            (_, Some(LIVE)) => "ingest frames are served only by a live-mode server",
-            _ => "unexpected frame kind",
-        };
-        return Some(message.to_owned());
-    };
-    (version < gate.min_version).then(|| {
-        format!(
-            "{} frames need a v{v}-negotiated connection (reconnect with a v{v} Hello)",
-            gate.noun,
-            v = gate.min_version
-        )
+/// The one place a frame is refused for its role: `Some` carries the
+/// `bad-request` message, `None` admits the frame to its handler.
+fn refusal(role: Role, gate: Option<&Gate>) -> Option<&'static str> {
+    let roles = gate.map(|gate| gate.roles);
+    if roles.is_some_and(|roles| roles & role.bit() != 0) {
+        return None;
+    }
+    Some(match (role, roles) {
+        // Querying a shard directly would bypass the coordinator's
+        // single budget ledger.
+        (Role::Shard, _) => {
+            "analyst frames are not served in shard mode (connect to the coordinator)"
+        }
+        // Fragments arrive pre-charged from a coordinator and let the
+        // caller pick occurrence indices — an occurrence-differencing
+        // oracle in an analyst's hands.
+        (_, Some(SHARD)) => "fragment frames are served only by a shard-mode server",
+        // A frozen federation's metadata, epochs and seed never move;
+        // accepting rows would silently drop them from every answer.
+        (_, Some(LIVE)) => "ingest frames are served only by a live-mode server",
+        _ => "unexpected frame kind",
     })
 }
 
@@ -361,7 +324,7 @@ impl FederationServer {
     }
 
     /// Binds `addr` in live mode: the analyst protocol of [`Self::bind`]
-    /// plus the v6 streaming-ingest path. Each query runs on a scoped
+    /// plus the streaming-ingest path. Each query runs on a scoped
     /// engine under the lock's read side (one consistent epoch per query);
     /// an accepted [`Frame::Ingest`] batch takes the write side, appends
     /// rows with incremental metadata maintenance, and re-salts the noise
@@ -372,7 +335,7 @@ impl FederationServer {
         Self::bind_role(addr, Role::Live, live, options.directory()?)
     }
 
-    /// Binds `addr` in shard mode: the server answers only v4 fragment
+    /// Binds `addr` in shard mode: the server answers only fragment
     /// frames (plus the handshake), one fragment lifecycle per
     /// connection, and never opens a budget session — the upstream
     /// coordinator is the single ξ authority and charges before it
@@ -449,23 +412,9 @@ fn accept_loop<B: Backend>(
     }
 }
 
-/// The connection's write half. Every reply and every server push goes
-/// through [`Sink::send`], encoded at the version negotiated at the
-/// handshake.
-struct Sink {
-    stream: TcpStream,
-    version: u16,
-}
-
-impl Sink {
-    fn send(&mut self, frame: &Frame) -> Result<()> {
-        write_frame_at(&mut self.stream, frame, self.version)
-    }
-}
-
 /// Everything one connection remembers between frames.
 struct Connection {
-    sink: Sink,
+    stream: TcpStream,
     /// The identity declared in the `Hello` (labels the ξ gauge).
     analyst: String,
     /// The analyst's durable ledger, when the listener caps budgets. The
@@ -491,17 +440,17 @@ fn serve_connection<B: Backend>(
     obs::counter_add(obs::names::SERVER_CONNECTIONS, 1);
     // Frames are small and latency-sensitive; never batch them.
     stream.set_nodelay(true).ok();
-    let Some(mut conn) = handshake(stream, role, backend, directory)? else {
+    let Some(mut conn) = handshake(stream, backend, directory)? else {
         return Ok(());
     };
     loop {
-        let frame = match read_frame_versioned(&mut conn.sink.stream) {
-            Ok((frame, _)) => frame,
+        let frame = match read_frame(&mut conn.stream) {
+            Ok(frame) => frame,
             Err(NetError::Disconnected) => return Ok(()),
             Err(e) => {
                 // A malformed frame leaves the stream unsynchronized;
                 // report (typed, including version mismatches) and close.
-                let _ = conn.sink.send(&malformed_reply(&e));
+                let _ = write_frame(&mut conn.stream, &malformed_reply(&e));
                 return Err(e);
             }
         };
@@ -510,11 +459,12 @@ fn serve_connection<B: Backend>(
             obs::counter_add(obs::names::SERVER_FRAMES, 1);
             obs::counter_add(gate.as_ref().map_or(OTHER_FRAMES, |gate| gate.metric), 1);
         }
-        match refusal(role, gate.as_ref(), conn.sink.version) {
+        match refusal(role, gate.as_ref()) {
             // Protocol misuse is answered, not fatal.
-            Some(message) => conn
-                .sink
-                .send(&error_reply(0, ErrorCode::BadRequest, &message))?,
+            Some(message) => write_frame(
+                &mut conn.stream,
+                &error_reply(0, ErrorCode::BadRequest, message),
+            )?,
             None => dispatch(&mut conn, backend, frame)?,
         }
     }
@@ -524,42 +474,29 @@ fn serve_connection<B: Backend>(
 /// that connected and left without a word.
 fn handshake<B: Backend>(
     mut stream: TcpStream,
-    role: Role,
     backend: &B,
     directory: Option<&BudgetDirectory>,
 ) -> Result<Option<Connection>> {
-    let (hello, version) = match read_frame_versioned(&mut stream) {
-        Ok((Frame::Hello(hello), v)) => (hello, v.min(VERSION)),
-        Ok((_, v)) => {
-            // Answered at the version the peer's header declared — the
-            // one encoding it is certain to decode.
-            let _ = write_frame_at(
-                &mut stream,
-                &error_reply(0, ErrorCode::BadRequest, "expected a Hello frame"),
-                v.min(VERSION),
-            );
-            return Err(NetError::Handshake("expected Hello"));
-        }
+    let hello = match read_frame(&mut stream) {
+        Ok(Frame::Hello(hello)) => hello,
         Err(NetError::Disconnected) => return Ok(None),
-        Err(e) => {
-            // No usable version was declared: answer at v1, the most
-            // interoperable encoding, before the close — never a bare
-            // hangup.
-            let _ = write_frame_at(&mut stream, &malformed_reply(&e), MIN_VERSION);
-            return Err(e);
+        // Never a bare hangup: the typed reason goes out before the close.
+        refused => {
+            let (reply, error) = match refused {
+                Err(e) => (malformed_reply(&e), e),
+                Ok(_) => (
+                    error_reply(0, ErrorCode::BadRequest, "expected a Hello frame"),
+                    NetError::Handshake("expected Hello"),
+                ),
+            };
+            let _ = write_frame(&mut stream, &reply);
+            return Err(error);
         }
     };
-    let mut sink = Sink { stream, version };
-    let floor = role.min_hello();
-    if version < floor {
-        let message = format!("shard-mode connections need a v{floor} Hello");
-        let _ = sink.send(&error_reply(0, ErrorCode::BadRequest, &message));
-        return Err(NetError::Handshake("shard mode needs v4"));
-    }
     let ack = backend.with_public(|config, schema| hello_ack(config, schema, directory));
-    sink.send(&Frame::HelloAck(ack))?;
+    write_frame(&mut stream, &Frame::HelloAck(ack))?;
     Ok(Some(Connection {
-        sink,
+        stream,
         ledger: directory.map(|directory| directory.accountant(&hello.analyst)),
         analyst: hello.analyst,
         answered: 0,
@@ -598,33 +535,6 @@ fn hello_ack(
 fn dispatch<B: Backend>(conn: &mut Connection, backend: &B, frame: Frame) -> Result<()> {
     let ledger = conn.ledger.as_ref();
     match frame {
-        Frame::Query(spec) => {
-            let reply = backend.with_plans(|plans| {
-                answer_reply(plans, 0, submit(plans, ledger, &spec), &mut conn.answered)
-            });
-            record_xi_spent(&conn.analyst, ledger);
-            conn.sink.send(&reply)
-        }
-        Frame::Batch(batch) => {
-            // Submit everything before waiting on anything — the worker
-            // pool pipelines the whole batch exactly as it does for an
-            // in-process `run_batch` — then write each reply as it
-            // resolves.
-            let sent = backend.with_plans(|plans| {
-                let pending: Vec<_> = batch
-                    .specs
-                    .iter()
-                    .map(|spec| submit(plans, ledger, spec))
-                    .collect();
-                for (i, sub) in pending.into_iter().enumerate() {
-                    let reply = answer_reply(plans, i as u32, sub, &mut conn.answered);
-                    conn.sink.send(&reply)?;
-                }
-                Ok(())
-            });
-            record_xi_spent(&conn.analyst, ledger);
-            sent
-        }
         Frame::Plan(request) => {
             // Every sub-query is submitted (and the whole plan charged)
             // before the wait — the per-group fan-out pipelines on the
@@ -639,7 +549,7 @@ fn dispatch<B: Backend>(conn: &mut Connection, backend: &B, frame: Frame) -> Res
                 }
             });
             record_xi_spent(&conn.analyst, ledger);
-            conn.sink.send(&reply)
+            write_frame(&mut conn.stream, &reply)
         }
         Frame::Explain(request) => {
             // Explaining runs nothing and charges no budget — the
@@ -653,16 +563,16 @@ fn dispatch<B: Backend>(conn: &mut Connection, backend: &B, frame: Frame) -> Res
                 }),
                 Err(e) => core_error_reply(0, &e),
             };
-            conn.sink.send(&reply)
+            write_frame(&mut conn.stream, &reply)
         }
         Frame::BudgetRequest => {
             let status = budget_status(ledger, conn.answered);
-            conn.sink.send(&Frame::BudgetStatus(status))
+            write_frame(&mut conn.stream, &Frame::BudgetStatus(status))
         }
         // The snapshot is public by construction: every sample in the
         // registry passed the `ObsValue` provenance boundary (durations,
         // counts, public metadata, released spend).
-        Frame::Metrics => conn.sink.send(&metrics_answer_frame()),
+        Frame::Metrics => write_frame(&mut conn.stream, &metrics_answer_frame()),
         Frame::OnlinePlan(request) => {
             // The whole plan's (ε, δ) is validated and charged atomically
             // before the first round dispatches (fail-closed); snapshots
@@ -672,8 +582,10 @@ fn dispatch<B: Backend>(conn: &mut Connection, backend: &B, frame: Frame) -> Res
             // `OnlineDone`.
             let pushed = backend.with_plans(|plans| {
                 match submit_plan(plans, ledger, &online_plan(&request)) {
-                    Ok(pending) => stream_online_answer(&mut conn.sink, pending),
-                    Err(e) => conn.sink.send(&core_error_reply(0, &e)).map(|()| false),
+                    Ok(pending) => stream_online_answer(&mut conn.stream, pending),
+                    Err(e) => {
+                        write_frame(&mut conn.stream, &core_error_reply(0, &e)).map(|()| false)
+                    }
                 }
             });
             record_xi_spent(&conn.analyst, ledger);
@@ -696,7 +608,7 @@ fn dispatch<B: Backend>(conn: &mut Connection, backend: &B, frame: Frame) -> Res
                 }),
                 Err(e) => core_error_reply(0, &e),
             };
-            conn.sink.send(&reply)
+            write_frame(&mut conn.stream, &reply)
         }
         // The gate admits nothing else but the fragment family, and that
         // only on the shard role's engine.
@@ -705,7 +617,7 @@ fn dispatch<B: Backend>(conn: &mut Connection, backend: &B, frame: Frame) -> Res
                 Some(engine) => fragment_reply(engine, &mut conn.fragment, frame),
                 None => error_reply(0, ErrorCode::Internal, "this backend runs no fragments"),
             };
-            conn.sink.send(&reply)
+            write_frame(&mut conn.stream, &reply)
         }
     }
 }
@@ -717,23 +629,6 @@ fn session<P: PlanBackend>(
     ledger: &SharedAccountant,
 ) -> fedaqp_core::Result<Session<P>> {
     Session::open_with_accountant(plans.clone(), ledger.clone(), SessionPlan::PayAsYouGo)
-}
-
-/// Submits one scalar query — through the ledger's validate → charge →
-/// submit discipline when the listener caps budgets, under the
-/// federation's default per-query budget either way.
-fn submit<P: PlanBackend>(
-    plans: &P,
-    ledger: Option<&SharedAccountant>,
-    spec: &QueryRequest,
-) -> fedaqp_core::Result<P::Sub> {
-    match ledger {
-        Some(ledger) => session(plans, ledger)?.submit(&spec.query, spec.sampling_rate),
-        None => {
-            let budget = plans.config().query_budget()?;
-            plans.submit_sub(&spec.query, spec.sampling_rate, &budget)
-        }
-    }
 }
 
 /// Submits a whole plan: with a ledger, the plan's entire declared
@@ -754,23 +649,6 @@ fn submit_plan<P: PlanBackend>(
 fn count_answer(answered: &mut u64) {
     *answered += 1;
     obs::counter_add(obs::names::SERVER_QUERIES, 1);
-}
-
-/// Blocks for a submitted scalar query and projects the outcome onto the
-/// wire at `index`.
-fn answer_reply<P: PlanBackend>(
-    plans: &P,
-    index: u32,
-    sub: fedaqp_core::Result<P::Sub>,
-    answered: &mut u64,
-) -> Frame {
-    match sub.and_then(|sub| plans.wait_sub(sub)) {
-        Ok(answer) => {
-            count_answer(answered);
-            answer_frame(index, answer)
-        }
-        Err(e) => core_error_reply(index, &e),
-    }
 }
 
 /// Serves one frame of the coordinator → shard family: `Fragment`
@@ -914,7 +792,10 @@ fn online_plan(request: &OnlinePlanRequest) -> QueryPlan {
 /// a typed error frame (an engine failure mid-stream, returns `false` —
 /// the budget stays spent either way, fail-closed). Transport failures
 /// propagate as [`NetError`] and tear the connection down.
-fn stream_online_answer<P: PlanBackend>(sink: &mut Sink, pending: PendingPlan<P>) -> Result<bool> {
+fn stream_online_answer<P: PlanBackend>(
+    stream: &mut TcpStream,
+    pending: PendingPlan<P>,
+) -> Result<bool> {
     let mut write_err: Option<NetError> = None;
     let outcome = pending.wait_streaming(|snapshot: &PlanSnapshot| {
         if write_err.is_some() {
@@ -929,14 +810,14 @@ fn stream_online_answer<P: PlanBackend>(sink: &mut Sink, pending: PendingPlan<P>
             ci_halfwidth: snapshot.ci_halfwidth,
             clusters_scanned: snapshot.clusters_scanned,
         });
-        write_err = sink.send(&frame).err();
+        write_err = write_frame(stream, &frame).err();
     });
     if let Some(e) = write_err {
         return Err(e);
     }
     match outcome {
         Ok(answer) => {
-            sink.send(&Frame::OnlineDone(OnlineDoneFrame {
+            let done = Frame::OnlineDone(OnlineDoneFrame {
                 index: 0,
                 eps: answer.cost.eps,
                 delta: answer.cost.delta,
@@ -946,43 +827,22 @@ fn stream_online_answer<P: PlanBackend>(sink: &mut Sink, pending: PendingPlan<P>
                 execution_us: answer.timings.execution.as_micros() as u64,
                 release_us: answer.timings.release.as_micros() as u64,
                 network_us: answer.timings.network.as_micros() as u64,
-            }))?;
+            });
+            write_frame(stream, &done)?;
             Ok(true)
         }
         Err(e) => {
-            sink.send(&core_error_reply(0, &e))?;
+            write_frame(stream, &core_error_reply(0, &e))?;
             Ok(false)
         }
     }
 }
 
-/// Projects a scalar answer onto the wire. A [`ShardedAnswer`] already
-/// holds only analyst-visible fields — the simulation-boundary
-/// diagnostics (`raw_estimate`, `smooth_ls`) were dropped by every
-/// backend before this point — so this is a straight move, and the frame
-/// is the same whichever role served it.
-fn answer_frame(index: u32, answer: ShardedAnswer) -> Frame {
-    Frame::Answer(Answer {
-        index,
-        value: answer.value,
-        eps: answer.cost.eps,
-        delta: answer.cost.delta,
-        ci_halfwidth: answer.ci_halfwidth,
-        clusters_scanned: answer.clusters_scanned as u64,
-        covering_total: answer.covering_total as u64,
-        approximated_providers: answer.approximated_providers as u32,
-        allocations: answer.allocations,
-        summary_us: answer.timings.summary.as_micros() as u64,
-        allocation_us: answer.timings.allocation.as_micros() as u64,
-        execution_us: answer.timings.execution.as_micros() as u64,
-        release_us: answer.timings.release.as_micros() as u64,
-        network_us: answer.timings.network.as_micros() as u64,
-    })
-}
-
-/// Projects a [`PlanAnswer`] onto the wire. Like [`answer_frame`], only
-/// DP-released data crosses: suppressed groups contribute a count, never
-/// their noisy values.
+/// Projects a [`PlanAnswer`] onto the wire. A plan answer already holds
+/// only analyst-visible fields — the simulation-boundary diagnostics
+/// (`raw_estimate`, `smooth_ls`) were dropped by every backend before this
+/// point — and suppressed groups contribute a count, never their noisy
+/// values. The frame is the same whichever role served it.
 fn plan_answer_frame(index: u32, answer: &PlanAnswer) -> Frame {
     let result = match &answer.result {
         PlanResult::Value {
@@ -1004,7 +864,7 @@ fn plan_answer_frame(index: u32, answer: &PlanAnswer) -> Frame {
             suppressed: *suppressed,
         },
         PlanResult::Extreme { value } => WirePlanResult::Extreme { value: *value },
-        // Online plans answer through the dedicated v6 push conversation
+        // Online plans answer through the dedicated push conversation
         // (snapshot frames closed by an `OnlineDone`), never through a
         // `PlanAnswer` — and the `Plan` frame cannot even carry a
         // `QueryPlan::Online`, so no wire request reaches this arm.
@@ -1091,19 +951,17 @@ fn core_error_reply(index: u32, error: &CoreError) -> Frame {
     error_reply(index, code, &error.to_string())
 }
 
-/// The typed reply to a frame that failed to decode. An unknown header
+/// The typed reply to a frame that failed to decode. A foreign header
 /// version becomes the negotiation error, whose `index` field carries the
-/// server's maximum version (documented on
-/// [`ErrorCode::UnsupportedVersion`]) so the client can surface both sides
-/// of the failed negotiation.
+/// server's version (documented on [`ErrorCode::UnsupportedVersion`]) so
+/// the client can surface both sides of the failed negotiation.
 fn malformed_reply(error: &NetError) -> Frame {
     match error {
         NetError::UnsupportedVersion { requested, .. } => Frame::Error(ErrorFrame {
             index: VERSION as u32,
             code: ErrorCode::UnsupportedVersion,
             message: format!(
-                "server speaks wire-protocol versions {MIN_VERSION}..={VERSION}, \
-                 frame declared {requested}"
+                "server speaks wire-protocol version {VERSION}, frame declared {requested}"
             ),
         }),
         _ => error_reply(0, ErrorCode::BadRequest, &error.to_string()),

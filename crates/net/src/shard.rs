@@ -503,13 +503,9 @@ impl ShardConn {
             }),
         )?;
         match read_frame(&mut stream)? {
-            Frame::HelloAck(ack) if ack.max_version >= 4 => Ok(Self {
+            Frame::HelloAck(ack) => Ok(Self {
                 stream,
                 n_providers: ack.n_providers as usize,
-            }),
-            Frame::HelloAck(ack) => Err(NetError::UnsupportedVersion {
-                requested: VERSION,
-                supported: ack.max_version,
             }),
             Frame::Error(e) if e.code == ErrorCode::UnsupportedVersion => {
                 Err(NetError::UnsupportedVersion {

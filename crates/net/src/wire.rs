@@ -1,10 +1,10 @@
-//! The versioned, length-prefixed binary wire protocol.
+//! The length-prefixed binary wire protocol.
 //!
 //! Every message on a federation connection is one *frame*:
 //!
 //! ```text
 //! magic   u32  = 0x4651_4E50  ("FQNP")
-//! version u16  (1, 2, 3, 4, 5 or 6; see below)
+//! version u16  (6)
 //! kind    u8
 //! len     u32  (payload bytes; hard-capped at MAX_PAYLOAD)
 //! payload [len bytes]
@@ -12,76 +12,58 @@
 //!
 //! All integers are little-endian, matching `fedaqp_storage::codec`. The
 //! codec is hand-rolled in the same defensive style: every declared count
-//! is bounded by [`fedaqp_storage::declared_len_fits`] before it is
-//! trusted, truncation anywhere fails loudly, and a payload that decodes
-//! without consuming every byte is rejected (`trailing bytes`) — a frame
-//! either round-trips exactly or it is an error.
+//! is capped and bounded by [`fedaqp_storage::declared_len_fits`] before
+//! it is trusted (one helper pair, `put_list`/`get_list`), truncation
+//! anywhere fails loudly, and a payload that decodes without consuming
+//! every byte is rejected (`trailing bytes`) — a frame either round-trips
+//! exactly or it is an error.
 //!
-//! **Versioning.** The codec speaks every version in
-//! `MIN_VERSION..=VERSION`. A client stamps its frames with the highest
-//! version it supports; the server answers at
-//! `min(client version, VERSION)` and advertises its own maximum in
-//! [`HelloAck::max_version`] (a field that only exists on the wire from
-//! v2 — a v1 `HelloAck` payload is byte-identical to what a v1 server
-//! sent). v2 adds the plan frames ([`Frame::Plan`] / [`Frame::PlanAnswer`]);
-//! v3 adds the explain frames ([`Frame::Explain`] /
-//! [`Frame::ExplainAnswer`]); v4 adds the *shard fragment* frames a
-//! scatter–gather coordinator speaks to a downstream shard server (see
-//! below); v5 adds the metrics admin frames ([`Frame::Metrics`] /
-//! [`Frame::MetricsAnswer`]) — a public-data-only telemetry snapshot
-//! served by both analyst and coordinator listeners; v6 adds the live
-//! federation frames: the server-push progressive answers
-//! ([`Frame::OnlinePlan`] ⇒ a stream of [`Frame::OnlineSnapshot`] closed
-//! by one [`Frame::OnlineDone`]) and the streaming-ingest path
-//! ([`Frame::Ingest`] ⇒ [`Frame::IngestAck`]). Each version leaves
-//! every earlier frame kind byte-identical, so v1 through v5 clients
-//! work against a v6 server verbatim. A header with a version outside the supported range
-//! fails with [`NetError::UnsupportedVersion`] *before* any payload is
-//! read — servers answer it with a typed
-//! [`ErrorCode::UnsupportedVersion`] frame (whose `index` field carries
-//! the server's maximum version) instead of hanging up bare. (Servers
-//! built *before* this negotiation existed reject a v2 Hello with a
-//! generic error instead; compatibility is guaranteed in the
-//! v1-client-to-v2-server direction.)
+//! **One version.** Every frame is stamped [`VERSION`] and nothing else
+//! decodes: a header declaring any other version fails with
+//! [`NetError::UnsupportedVersion`] *before* any payload is read, and
+//! servers answer it with a typed [`ErrorCode::UnsupportedVersion`] frame
+//! (whose `index` field carries the server's version, as does
+//! [`HelloAck::max_version`]) instead of hanging up bare. Kind bytes 3, 4
+//! and 5 are retired holes, never reused; decoding one is the ordinary
+//! [`NetError::UnknownKind`].
 //!
 //! Conversation shape (client ⇒ server unless noted):
 //!
 //! * [`Frame::Hello`] opens a connection; the server replies with
 //!   [`Frame::HelloAck`] (schema, defaults, session budget) or a typed
 //!   [`Frame::Error`].
-//! * [`Frame::Query`] / [`Frame::Batch`] submit work; the server replies
-//!   with one [`Frame::Answer`] or [`Frame::Error`] per query, in
+//! * [`Frame::Plan`] submits one [`QueryPlan`] — the only way to ask for
+//!   an answer; the server replies with one [`Frame::PlanAnswer`] or
+//!   [`Frame::Error`]. Plans pipelined on one connection are answered in
 //!   submission order.
-//! * [`Frame::Plan`] (v2) submits one [`QueryPlan`]; the server replies
-//!   with one [`Frame::PlanAnswer`] or [`Frame::Error`].
-//! * [`Frame::Explain`] (v3) asks what the optimizer would decide about a
+//! * [`Frame::Explain`] asks what the optimizer would decide about a
 //!   [`QueryPlan`] *without running it*; the server replies with one
 //!   [`Frame::ExplainAnswer`] (carrying a [`PlanExplanation`]) or
 //!   [`Frame::Error`]. Explaining charges no budget — the explanation is
 //!   computed from the plan and public offline metadata only.
 //! * [`Frame::BudgetRequest`] asks for the session ledger; the server
 //!   replies with [`Frame::BudgetStatus`].
-//! * [`Frame::Metrics`] (v5) asks for the server's telemetry snapshot;
-//!   the server replies with one [`Frame::MetricsAnswer`] carrying flat
+//! * [`Frame::Metrics`] asks for the server's telemetry snapshot; the
+//!   server replies with one [`Frame::MetricsAnswer`] carrying flat
 //!   `(name, value)` samples. Every sample passed the `fedaqp-obs`
-//!   `ObsValue` provenance boundary — durations,
-//!   counts, public metadata, and already-released budget spend only;
-//!   raw estimates and sensitivities are unrepresentable (pinned by the
-//!   adversarial frame-hygiene scan).
-//! * [`Frame::OnlinePlan`] (v6) submits one progressive (online
-//!   aggregation) plan; the server validates, charges the *whole*
-//!   `(ε, δ)` atomically up front (fail-closed), then pushes one
-//!   [`Frame::OnlineSnapshot`] per round **as each round completes** and
-//!   closes the stream with one [`Frame::OnlineDone`] (or a
-//!   [`Frame::Error`]). Every snapshot value is a DP release under the
-//!   plan's per-round `(ε/k, δ/k)` — nothing pre-noise is pushed.
-//! * [`Frame::Ingest`] (v6) appends a batch of rows to one provider of a
+//!   `ObsValue` provenance boundary — durations, counts, public metadata,
+//!   and already-released budget spend only; raw estimates and
+//!   sensitivities are unrepresentable (pinned by the adversarial
+//!   frame-hygiene scan).
+//! * [`Frame::OnlinePlan`] submits one progressive (online aggregation)
+//!   plan; the server validates, charges the *whole* `(ε, δ)` atomically
+//!   up front (fail-closed), then pushes one [`Frame::OnlineSnapshot`]
+//!   per round **as each round completes** and closes the stream with one
+//!   [`Frame::OnlineDone`] (or a [`Frame::Error`]). Every snapshot value
+//!   is a DP release under the plan's per-round `(ε/k, δ/k)` — nothing
+//!   pre-noise is pushed.
+//! * [`Frame::Ingest`] appends a batch of rows to one provider of a
 //!   server started in *live mode*; the server replies with
 //!   [`Frame::IngestAck`] (rows accepted, new data epoch, whether the
 //!   staleness policy triggered a full metadata recompute). Non-live
 //!   servers refuse ingest with a typed error.
 //!
-//! **Shard fragment frames (v4, coordinator ⇒ shard).** A server started
+//! **Shard fragment frames (coordinator ⇒ shard).** A server started
 //! in *shard mode* serves a scatter–gather coordinator instead of
 //! analysts: one connection carries one fragment through its lifecycle —
 //! [`Frame::Fragment`] ⇒ [`Frame::FragmentQueued`];
@@ -120,14 +102,12 @@ use crate::{NetError, Result};
 
 /// Frame magic ("FQNP").
 pub const MAGIC: u32 = 0x4651_4E50;
-/// Highest wire-protocol version this build speaks (and the version the
-/// client stamps its frames with).
+/// The wire-protocol version: stamped on every frame this build writes,
+/// and the only one it reads.
 pub const VERSION: u16 = 6;
-/// Lowest wire-protocol version this build still accepts.
-pub const MIN_VERSION: u16 = 1;
 /// Hard cap on a frame payload. Nothing legitimate comes close (the
-/// largest frame is a maximal batch at well under 200 KiB); anything
-/// larger is a hostile or corrupt length prefix.
+/// largest frame is a maximal ingest batch at well under 200 KiB);
+/// anything larger is a hostile or corrupt length prefix.
 pub const MAX_PAYLOAD: u32 = 1 << 20;
 /// Frame header size: magic + version + kind + payload length.
 pub const HEADER_BYTES: usize = 4 + 2 + 1 + 4;
@@ -135,10 +115,9 @@ pub const HEADER_BYTES: usize = 4 + 2 + 1 + 4;
 /// Caps on declared collection sizes inside payloads. All are generous
 /// for real deployments while keeping worst-case decode work tiny.
 const MAX_STRING: usize = 1024;
-const MAX_BATCH: usize = 4096;
-/// Rows one `Ingest` frame may carry (the `MAX_BATCH` collection cap,
-/// exported so clients can chunk larger batches themselves).
-pub const MAX_INGEST_ROWS: usize = MAX_BATCH;
+/// Rows one `Ingest` frame may carry (exported so clients can chunk
+/// larger batches themselves).
+pub const MAX_INGEST_ROWS: usize = 4096;
 const MAX_DIMS: usize = 1024;
 const MAX_RANGES: usize = 1024;
 const MAX_ALLOCATIONS: usize = 4096;
@@ -153,11 +132,45 @@ const MAX_SUBQUERIES: usize = 3 * MAX_GROUPS + 1;
 /// stay far below this).
 const MAX_METRICS: usize = 4096;
 
+/// One collection field of the protocol, as [`put_list`] and [`get_list`]
+/// enforce it — a declared count is capped, and checked against the bytes
+/// remaining, before it is trusted: the count's width on the wire
+/// ([`U16`] or [`U32`]), the most items either side accepts, the fewest
+/// bytes one encoded item occupies (where that is the item's exact size,
+/// its decoder reads without further checks), and the refusal of a count
+/// beyond the cap or the bytes present.
+struct List(usize, usize, usize, &'static str);
+
+/// Count widths, in bytes.
+const U16: usize = 2;
+const U32: usize = 4;
+
+/// Every collection field of the protocol, one row each, with what the
+/// fewest-bytes column counts.
+#[rustfmt::skip]
+mod lists {
+    use super::*;
+    pub const RANGES: List       = List(U16, MAX_RANGES, 4 + 8 + 8, "declared range count too large"); // dim + bounds
+    pub const DIMENSIONS: List   = List(U16, MAX_DIMS, 2 + 8 + 8, "declared dimension count too large"); // name length + domain
+    pub const GROUPS: List       = List(U32, MAX_GROUPS, 8 + 8 + 1, "declared group count too large"); // key + value + option tag
+    // Label length + pruned count + cost + reuse tag + order.
+    pub const SUBQUERIES: List   = List(U32, MAX_SUBQUERIES, 2 + 4 + 8 + 1 + 8, "declared sub-query count too large");
+    pub const PRUNED: List       = List(U32, MAX_ALLOCATIONS, 8, "declared pruned count too large");
+    pub const SUMMARIES: List    = List(U32, MAX_ALLOCATIONS, 8 + 8, "declared summary count too large");
+    pub const ALLOCATIONS: List  = List(U32, MAX_ALLOCATIONS, 8, "declared allocation count too large");
+    // Released + option tag + flag + two counters.
+    pub const PARTIAL_ROWS: List = List(U32, MAX_ALLOCATIONS, 8 + 1 + 1 + 8 + 8, "declared partial row count too large");
+    pub const BOUNDS: List       = List(U32, MAX_ALLOCATIONS, 2 + 8, "declared bounds count too large"); // dim count + cluster count
+    pub const BOUND_DIMS: List   = List(U16, MAX_DIMS, 1, "declared bound dimension count too large"); // option tag
+    pub const METRICS: List      = List(U32, MAX_METRICS, 2 + 8, "declared metric count too large"); // name length + value
+    pub const INGEST_ROWS: List  = List(U32, MAX_INGEST_ROWS, 2 + 8, "declared ingest batch too large"); // value count + measure
+    pub const ROW_VALUES: List   = List(U16, MAX_DIMS, 8, "declared ingest row too large");
+}
+use lists::*;
+
 const KIND_HELLO: u8 = 1;
 const KIND_HELLO_ACK: u8 = 2;
-const KIND_QUERY: u8 = 3;
-const KIND_BATCH: u8 = 4;
-const KIND_ANSWER: u8 = 5;
+// 3, 4 and 5 carried the pre-plan scalar frames; retired, never reused.
 const KIND_ERROR: u8 = 6;
 const KIND_BUDGET_REQUEST: u8 = 7;
 const KIND_BUDGET_STATUS: u8 = 8;
@@ -224,59 +237,8 @@ pub struct HelloAck {
     /// The per-analyst session budget `(ξ, ψ)`; `None` when the server
     /// imposes no session cap.
     pub session_budget: Option<(f64, f64)>,
-    /// The highest wire-protocol version the server speaks. Only on the
-    /// wire from v2 — decoding a v1 `HelloAck` sets it to 1, which is
-    /// exactly what a v1 server supports.
+    /// The highest wire-protocol version the server speaks.
     pub max_version: u16,
-}
-
-/// One private range-aggregate query.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryRequest {
-    /// The range query.
-    pub query: RangeQuery,
-    /// The sampling rate `sr ∈ (0, 1)` (validated server-side).
-    pub sampling_rate: f64,
-}
-
-/// An ordered set of queries; the server answers each in order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchRequest {
-    /// The queries, in submission order.
-    pub specs: Vec<QueryRequest>,
-}
-
-/// The released answer to one query.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Answer {
-    /// Position within the submitted batch (0 for a lone query).
-    pub index: u32,
-    /// The DP-released value.
-    pub value: f64,
-    /// ε charged.
-    pub eps: f64,
-    /// δ charged.
-    pub delta: f64,
-    /// 95% sampling confidence half-width, when estimable.
-    pub ci_halfwidth: Option<f64>,
-    /// Total clusters scanned across providers.
-    pub clusters_scanned: u64,
-    /// Total covering-set size across providers.
-    pub covering_total: u64,
-    /// Providers that took the approximate path.
-    pub approximated_providers: u32,
-    /// Per-provider sample-size allocations.
-    pub allocations: Vec<u64>,
-    /// Summary-phase time, microseconds.
-    pub summary_us: u64,
-    /// Allocation-phase time, microseconds.
-    pub allocation_us: u64,
-    /// Execution-phase time, microseconds.
-    pub execution_us: u64,
-    /// Release-phase time, microseconds.
-    pub release_us: u64,
-    /// Simulated network time, microseconds.
-    pub network_us: u64,
 }
 
 /// Typed error classes a server reports per query or per connection.
@@ -298,7 +260,7 @@ pub enum ErrorCode {
     /// sides of the failed negotiation.
     UnsupportedVersion,
     /// A downstream engine shard refused a connection or dropped
-    /// mid-plan (v4; reported by a coordinator to its analysts). The
+    /// mid-plan (reported by a coordinator to its analysts). The
     /// plan's already-charged budget stays charged — fail-closed.
     ShardUnavailable,
 }
@@ -409,14 +371,14 @@ pub enum WirePlanResult {
     },
 }
 
-/// One plan submission (client → server, v2).
+/// One plan submission (client → server).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanRequest {
     /// The plan, complete with sampling rate and `(ε, δ)` spend.
     pub plan: QueryPlan,
 }
 
-/// The released answer to one plan (server → client, v2).
+/// The released answer to one plan (server → client).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanAnswerFrame {
     /// Position within the submitted stream (0 for a lone plan).
@@ -439,7 +401,7 @@ pub struct PlanAnswerFrame {
     pub network_us: u64,
 }
 
-/// One fragment submission (coordinator → shard, v4): everything a shard
+/// One fragment submission (coordinator → shard): everything a shard
 /// needs to run its slice of one private sub-query. The budget arrives
 /// pre-split (the coordinator already validated and charged it), and the
 /// occurrence index comes from the coordinator's ledger — the shard's own
@@ -471,7 +433,7 @@ pub struct WireSummary {
     pub noisy_avg_r: f64,
 }
 
-/// The shard's step-2 summaries (shard → coordinator, v4), in local
+/// The shard's step-2 summaries (shard → coordinator), in local
 /// provider order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FragmentSummariesFrame {
@@ -482,7 +444,7 @@ pub struct FragmentSummariesFrame {
 }
 
 /// The coordinator's globally solved allocation slice for this shard
-/// (coordinator → shard, v4), in local provider order.
+/// (coordinator → shard), in local provider order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FragmentAllocationFrame {
     /// Per-provider sample sizes `s_i`.
@@ -506,7 +468,7 @@ pub struct WirePartialRow {
     pub n_covering: u64,
 }
 
-/// The shard's mergeable partial (shard → coordinator, v4), in local
+/// The shard's mergeable partial (shard → coordinator), in local
 /// provider order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FragmentPartialFrame {
@@ -516,7 +478,7 @@ pub struct FragmentPartialFrame {
     pub execution_us: u64,
 }
 
-/// One MIN/MAX fragment (coordinator → shard, v4); the shard answers
+/// One MIN/MAX fragment (coordinator → shard); the shard answers
 /// with an [`ExtremePartialFrame`] in the same round trip.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExtremeFragmentRequest {
@@ -530,7 +492,7 @@ pub struct ExtremeFragmentRequest {
     pub occurrence: u64,
 }
 
-/// The shard-local MIN/MAX selection (shard → coordinator, v4).
+/// The shard-local MIN/MAX selection (shard → coordinator).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExtremePartialFrame {
     /// The shard's combined selection over its providers.
@@ -549,7 +511,7 @@ pub struct WireProviderBounds {
     pub n_clusters: u64,
 }
 
-/// The shard's offline pruning metadata (shard → coordinator, v4), in
+/// The shard's offline pruning metadata (shard → coordinator), in
 /// local provider order — what the coordinator concatenates into the
 /// global snapshot at construction.
 #[derive(Debug, Clone, PartialEq)]
@@ -570,7 +532,7 @@ pub struct WireMetric {
     pub value: f64,
 }
 
-/// The server's telemetry snapshot (server → client, v5).
+/// The server's telemetry snapshot (server → client).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsAnswerFrame {
     /// Flat samples, sorted by name.
@@ -594,7 +556,7 @@ pub struct OnlinePlanRequest {
     pub rounds: u32,
 }
 
-/// One server-pushed progressive release (server → client, v6). Only the
+/// One server-pushed progressive release (server → client). Only the
 /// DP-released running estimate and public work counters cross the wire.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineSnapshotFrame {
@@ -614,7 +576,7 @@ pub struct OnlineSnapshotFrame {
     pub clusters_scanned: u64,
 }
 
-/// The close of an online-plan stream (server → client, v6): the total
+/// The close of an online-plan stream (server → client): the total
 /// charge and the final released value, plus the plan's phase timings.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineDoneFrame {
@@ -647,7 +609,7 @@ pub struct WireRow {
     pub measure: u64,
 }
 
-/// One streaming-ingest batch (client → server, v6): rows to append to
+/// One streaming-ingest batch (client → server): rows to append to
 /// one provider of a live federation. The batch is atomic server-side.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IngestRequest {
@@ -657,7 +619,7 @@ pub struct IngestRequest {
     pub rows: Vec<WireRow>,
 }
 
-/// The server's ingest receipt (server → client, v6).
+/// The server's ingest receipt (server → client).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestAckFrame {
     /// Rows appended (the whole batch, or zero).
@@ -668,7 +630,7 @@ pub struct IngestAckFrame {
     pub refreshed: bool,
 }
 
-/// One explain request (client → server, v3): what would the optimizer
+/// One explain request (client → server): what would the optimizer
 /// decide about this plan? Nothing runs and no budget is charged.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplainRequest {
@@ -676,7 +638,7 @@ pub struct ExplainRequest {
     pub plan: QueryPlan,
 }
 
-/// The explanation of one plan (server → client, v3).
+/// The explanation of one plan (server → client).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplainAnswerFrame {
     /// Position within the submitted stream (0 for a lone request).
@@ -692,67 +654,61 @@ pub enum Frame {
     Hello(Hello),
     /// Handshake reply (server → client).
     HelloAck(HelloAck),
-    /// One query (client → server).
-    Query(QueryRequest),
-    /// A batch of queries (client → server).
-    Batch(BatchRequest),
-    /// One answer (server → client).
-    Answer(Answer),
     /// A typed error (server → client).
     Error(ErrorFrame),
     /// Ledger inquiry (client → server; empty payload).
     BudgetRequest,
     /// Ledger report (server → client).
     BudgetStatus(BudgetStatus),
-    /// One plan submission (client → server; v2).
+    /// One plan submission (client → server).
     Plan(PlanRequest),
-    /// One plan answer (server → client; v2).
+    /// One plan answer (server → client).
     PlanAnswer(PlanAnswerFrame),
-    /// One explain request (client → server; v3).
+    /// One explain request (client → server).
     Explain(ExplainRequest),
-    /// One explain answer (server → client; v3).
+    /// One explain answer (server → client).
     ExplainAnswer(ExplainAnswerFrame),
-    /// One fragment submission (coordinator → shard; v4).
+    /// One fragment submission (coordinator → shard).
     Fragment(FragmentRequest),
-    /// Fragment accepted and queued (shard → coordinator; v4).
+    /// Fragment accepted and queued (shard → coordinator).
     FragmentQueued,
-    /// Ask for the fragment's summaries (coordinator → shard; v4).
+    /// Ask for the fragment's summaries (coordinator → shard).
     FragmentSummariesRequest,
-    /// The fragment's per-provider summaries (shard → coordinator; v4).
+    /// The fragment's per-provider summaries (shard → coordinator).
     FragmentSummaries(FragmentSummariesFrame),
-    /// The globally solved allocation slice (coordinator → shard; v4).
+    /// The globally solved allocation slice (coordinator → shard).
     FragmentAllocation(FragmentAllocationFrame),
-    /// Allocation delivered to the workers (shard → coordinator; v4).
+    /// Allocation delivered to the workers (shard → coordinator).
     FragmentAllocated,
-    /// Ask for the fragment's partial (coordinator → shard; v4).
+    /// Ask for the fragment's partial (coordinator → shard).
     FragmentPartialRequest,
-    /// The fragment's mergeable partial (shard → coordinator; v4).
+    /// The fragment's mergeable partial (shard → coordinator).
     FragmentPartial(FragmentPartialFrame),
-    /// Abort a begun fragment (coordinator → shard; v4).
+    /// Abort a begun fragment (coordinator → shard).
     FragmentAbort,
-    /// Fragment torn down (shard → coordinator; v4).
+    /// Fragment torn down (shard → coordinator).
     FragmentAborted,
-    /// One MIN/MAX fragment (coordinator → shard; v4).
+    /// One MIN/MAX fragment (coordinator → shard).
     ExtremeFragment(ExtremeFragmentRequest),
-    /// The shard-local MIN/MAX selection (shard → coordinator; v4).
+    /// The shard-local MIN/MAX selection (shard → coordinator).
     ExtremePartial(ExtremePartialFrame),
-    /// Ask for the shard's pruning metadata (coordinator → shard; v4).
+    /// Ask for the shard's pruning metadata (coordinator → shard).
     ShardBoundsRequest,
-    /// The shard's pruning metadata (shard → coordinator; v4).
+    /// The shard's pruning metadata (shard → coordinator).
     ShardBounds(ShardBoundsFrame),
-    /// Telemetry snapshot inquiry (client → server; v5; empty payload).
+    /// Telemetry snapshot inquiry (client → server; empty payload).
     Metrics,
-    /// The server's telemetry snapshot (server → client; v5).
+    /// The server's telemetry snapshot (server → client).
     MetricsAnswer(MetricsAnswerFrame),
-    /// One progressive-plan submission (client → server; v6).
+    /// One progressive-plan submission (client → server).
     OnlinePlan(OnlinePlanRequest),
-    /// One server-pushed progressive release (server → client; v6).
+    /// One server-pushed progressive release (server → client).
     OnlineSnapshot(OnlineSnapshotFrame),
-    /// The close of an online-plan stream (server → client; v6).
+    /// The close of an online-plan stream (server → client).
     OnlineDone(OnlineDoneFrame),
-    /// One streaming-ingest batch (client → server; v6).
+    /// One streaming-ingest batch (client → server).
     Ingest(IngestRequest),
-    /// The server's ingest receipt (server → client; v6).
+    /// The server's ingest receipt (server → client).
     IngestAck(IngestAckFrame),
 }
 
@@ -775,6 +731,26 @@ pub fn calibration_from_code(code: u8) -> Result<EstimatorCalibration> {
 
 // ---------------------------------------------------------------- encode
 
+/// Writes a collection: the count is checked against the list's cap
+/// before it is written, so no frame this build encodes can trip
+/// [`get_list`]'s.
+fn put_list<T>(
+    buf: &mut BytesMut,
+    list: &List,
+    items: &[T],
+    mut put: impl FnMut(&mut BytesMut, &T) -> Result<()>,
+) -> Result<()> {
+    let &List(width, cap, _, too_large) = list;
+    if items.len() > cap {
+        return Err(NetError::Malformed(too_large));
+    }
+    match width {
+        U16 => buf.put_u16_le(items.len() as u16),
+        _ => buf.put_u32_le(items.len() as u32),
+    }
+    items.iter().try_for_each(|item| put(buf, item))
+}
+
 fn put_string(buf: &mut BytesMut, text: &str) -> Result<()> {
     if text.len() > MAX_STRING {
         return Err(NetError::Malformed("string exceeds wire cap"));
@@ -795,26 +771,16 @@ fn put_opt_f64(buf: &mut BytesMut, v: Option<f64>) {
 }
 
 fn put_range_query(buf: &mut BytesMut, query: &RangeQuery) -> Result<()> {
-    let ranges = query.ranges();
-    if ranges.len() > MAX_RANGES {
-        return Err(NetError::Malformed("too many query ranges"));
-    }
     buf.put_u8(match query.aggregate() {
         Aggregate::Count => 0,
         Aggregate::Sum => 1,
     });
-    buf.put_u16_le(ranges.len() as u16);
-    for r in ranges {
+    put_list(buf, &RANGES, query.ranges(), |buf, r| {
         buf.put_u32_le(r.dim as u32);
         buf.put_i64_le(r.lo);
         buf.put_i64_le(r.hi);
-    }
-    Ok(())
-}
-
-fn put_query(buf: &mut BytesMut, spec: &QueryRequest) -> Result<()> {
-    buf.put_f64_le(spec.sampling_rate);
-    put_range_query(buf, &spec.query)
+        Ok(())
+    })
 }
 
 fn statistic_code(statistic: DerivedStatistic) -> u8 {
@@ -834,8 +800,25 @@ fn statistic_from_code(code: u8) -> Result<DerivedStatistic> {
     }
 }
 
+fn extreme_code(extreme: Extreme) -> u8 {
+    match extreme {
+        Extreme::Min => 0,
+        Extreme::Max => 1,
+    }
+}
+
+fn extreme_from_code(code: u8) -> Result<Extreme> {
+    match code {
+        0 => Ok(Extreme::Min),
+        1 => Ok(Extreme::Max),
+        _ => Err(NetError::Malformed("unknown extreme code")),
+    }
+}
+
 fn put_plan(buf: &mut BytesMut, plan: &QueryPlan) -> Result<()> {
-    match plan {
+    // A shape tag and the shape's own fields, then — for every shape that
+    // samples — the rate, the spend and the query.
+    let (sampling_rate, epsilon, delta, query) = match plan {
         QueryPlan::Scalar {
             query,
             sampling_rate,
@@ -843,10 +826,7 @@ fn put_plan(buf: &mut BytesMut, plan: &QueryPlan) -> Result<()> {
             delta,
         } => {
             buf.put_u8(0);
-            buf.put_f64_le(*sampling_rate);
-            buf.put_f64_le(*epsilon);
-            buf.put_f64_le(*delta);
-            put_range_query(buf, query)?;
+            (sampling_rate, epsilon, delta, query)
         }
         QueryPlan::Derived {
             query,
@@ -857,10 +837,7 @@ fn put_plan(buf: &mut BytesMut, plan: &QueryPlan) -> Result<()> {
         } => {
             buf.put_u8(1);
             buf.put_u8(statistic_code(*statistic));
-            buf.put_f64_le(*sampling_rate);
-            buf.put_f64_le(*epsilon);
-            buf.put_f64_le(*delta);
-            put_range_query(buf, query)?;
+            (sampling_rate, epsilon, delta, query)
         }
         QueryPlan::GroupBy {
             base,
@@ -881,10 +858,7 @@ fn put_plan(buf: &mut BytesMut, plan: &QueryPlan) -> Result<()> {
                 None => buf.put_u8(0),
             }
             buf.put_f64_le(*threshold);
-            buf.put_f64_le(*sampling_rate);
-            buf.put_f64_le(*epsilon);
-            buf.put_f64_le(*delta);
-            put_range_query(buf, base)?;
+            (sampling_rate, epsilon, delta, base)
         }
         QueryPlan::Extreme {
             dim,
@@ -893,20 +867,21 @@ fn put_plan(buf: &mut BytesMut, plan: &QueryPlan) -> Result<()> {
         } => {
             buf.put_u8(3);
             buf.put_u32_le(*dim as u32);
-            buf.put_u8(match extreme {
-                Extreme::Min => 0,
-                Extreme::Max => 1,
-            });
+            buf.put_u8(extreme_code(*extreme));
             buf.put_f64_le(*epsilon);
+            return Ok(());
         }
         // Online plans are never smuggled through the request/response
         // Plan frames: their streaming answer shape needs the dedicated
-        // v6 conversation (OnlinePlan ⇒ OnlineSnapshot* ⇒ OnlineDone).
+        // conversation (OnlinePlan ⇒ OnlineSnapshot* ⇒ OnlineDone).
         QueryPlan::Online { .. } => {
             return Err(NetError::Malformed("online plans use the OnlinePlan frame"))
         }
-    }
-    Ok(())
+    };
+    buf.put_f64_le(*sampling_rate);
+    buf.put_f64_le(*epsilon);
+    buf.put_f64_le(*delta);
+    put_range_query(buf, query)
 }
 
 fn put_plan_answer(buf: &mut BytesMut, frame: &PlanAnswerFrame) -> Result<()> {
@@ -923,16 +898,13 @@ fn put_plan_answer(buf: &mut BytesMut, frame: &PlanAnswerFrame) -> Result<()> {
             put_opt_f64(buf, *ci_halfwidth);
         }
         WirePlanResult::Groups { groups, suppressed } => {
-            if groups.len() > MAX_GROUPS {
-                return Err(NetError::Malformed("too many plan groups"));
-            }
             buf.put_u8(1);
-            buf.put_u32_le(groups.len() as u32);
-            for g in groups {
+            put_list(buf, &GROUPS, groups, |buf, g| {
                 buf.put_i64_le(g.key);
                 buf.put_f64_le(g.value);
                 put_opt_f64(buf, g.ci_halfwidth);
-            }
+                Ok(())
+            })?;
             buf.put_u64_le(*suppressed);
         }
         WirePlanResult::Extreme { value } => {
@@ -956,19 +928,12 @@ fn put_explanation(buf: &mut BytesMut, expl: &PlanExplanation) -> Result<()> {
     buf.put_u8(u8::from(expl.optimizer.reorder_subqueries));
     buf.put_f64_le(expl.eps);
     buf.put_f64_le(expl.delta);
-    if expl.sub_queries.len() > MAX_SUBQUERIES {
-        return Err(NetError::Malformed("too many explained sub-queries"));
-    }
-    buf.put_u32_le(expl.sub_queries.len() as u32);
-    for s in &expl.sub_queries {
+    put_list(buf, &SUBQUERIES, &expl.sub_queries, |buf, s| {
         put_string(buf, &s.label)?;
-        if s.pruned_providers.len() > MAX_ALLOCATIONS {
-            return Err(NetError::Malformed("too many pruned providers"));
-        }
-        buf.put_u32_le(s.pruned_providers.len() as u32);
-        for &p in &s.pruned_providers {
+        put_list(buf, &PRUNED, &s.pruned_providers, |buf, &p| {
             buf.put_u64_le(p);
-        }
+            Ok(())
+        })?;
         buf.put_u64_le(s.estimated_cost);
         match s.reuses {
             Some(i) => {
@@ -978,34 +943,11 @@ fn put_explanation(buf: &mut BytesMut, expl: &PlanExplanation) -> Result<()> {
             None => buf.put_u8(0),
         }
         buf.put_u64_le(s.order);
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
-fn check_v4(version: u16) -> Result<()> {
-    if version < 4 {
-        return Err(NetError::Malformed("fragment frames need protocol v4"));
-    }
-    Ok(())
-}
-
-fn check_v5(version: u16) -> Result<()> {
-    if version < 5 {
-        return Err(NetError::Malformed("metrics frames need protocol v5"));
-    }
-    Ok(())
-}
-
-fn check_v6(version: u16) -> Result<()> {
-    if version < 6 {
-        return Err(NetError::Malformed(
-            "live-federation frames need protocol v6",
-        ));
-    }
-    Ok(())
-}
-
-fn encode_payload(frame: &Frame, version: u16) -> Result<(u8, BytesMut)> {
+fn encode_payload(frame: &Frame) -> Result<(u8, BytesMut)> {
     let mut buf = BytesMut::with_capacity(64);
     let kind = match frame {
         Frame::Hello(h) => {
@@ -1013,15 +955,12 @@ fn encode_payload(frame: &Frame, version: u16) -> Result<(u8, BytesMut)> {
             KIND_HELLO
         }
         Frame::HelloAck(a) => {
-            if a.dimensions.len() > MAX_DIMS {
-                return Err(NetError::Malformed("too many schema dimensions"));
-            }
-            buf.put_u16_le(a.dimensions.len() as u16);
-            for d in &a.dimensions {
-                put_string(&mut buf, &d.name)?;
+            put_list(&mut buf, &DIMENSIONS, &a.dimensions, |buf, d| {
+                put_string(buf, &d.name)?;
                 buf.put_i64_le(d.min);
                 buf.put_i64_le(d.max);
-            }
+                Ok(())
+            })?;
             buf.put_u32_le(a.n_providers);
             buf.put_f64_le(a.epsilon);
             buf.put_f64_le(a.delta);
@@ -1034,49 +973,8 @@ fn encode_payload(frame: &Frame, version: u16) -> Result<(u8, BytesMut)> {
                 }
                 None => buf.put_u8(0),
             }
-            // The version advertisement exists on the wire only from v2;
-            // a v1 HelloAck payload is unchanged from what v1 servers sent.
-            if version >= 2 {
-                buf.put_u16_le(a.max_version);
-            }
+            buf.put_u16_le(a.max_version);
             KIND_HELLO_ACK
-        }
-        Frame::Query(q) => {
-            put_query(&mut buf, q)?;
-            KIND_QUERY
-        }
-        Frame::Batch(b) => {
-            if b.specs.len() > MAX_BATCH {
-                return Err(NetError::Malformed("batch exceeds wire cap"));
-            }
-            buf.put_u32_le(b.specs.len() as u32);
-            for spec in &b.specs {
-                put_query(&mut buf, spec)?;
-            }
-            KIND_BATCH
-        }
-        Frame::Answer(a) => {
-            if a.allocations.len() > MAX_ALLOCATIONS {
-                return Err(NetError::Malformed("too many allocations"));
-            }
-            buf.put_u32_le(a.index);
-            buf.put_f64_le(a.value);
-            buf.put_f64_le(a.eps);
-            buf.put_f64_le(a.delta);
-            put_opt_f64(&mut buf, a.ci_halfwidth);
-            buf.put_u64_le(a.clusters_scanned);
-            buf.put_u64_le(a.covering_total);
-            buf.put_u32_le(a.approximated_providers);
-            buf.put_u32_le(a.allocations.len() as u32);
-            for &s in &a.allocations {
-                buf.put_u64_le(s);
-            }
-            buf.put_u64_le(a.summary_us);
-            buf.put_u64_le(a.allocation_us);
-            buf.put_u64_le(a.execution_us);
-            buf.put_u64_le(a.release_us);
-            buf.put_u64_le(a.network_us);
-            KIND_ANSWER
         }
         Frame::Error(e) => {
             buf.put_u32_le(e.index);
@@ -1095,36 +993,23 @@ fn encode_payload(frame: &Frame, version: u16) -> Result<(u8, BytesMut)> {
             KIND_BUDGET_STATUS
         }
         Frame::Plan(p) => {
-            if version < 2 {
-                return Err(NetError::Malformed("plan frames need protocol v2"));
-            }
             put_plan(&mut buf, &p.plan)?;
             KIND_PLAN
         }
         Frame::PlanAnswer(a) => {
-            if version < 2 {
-                return Err(NetError::Malformed("plan frames need protocol v2"));
-            }
             put_plan_answer(&mut buf, a)?;
             KIND_PLAN_ANSWER
         }
         Frame::Explain(e) => {
-            if version < 3 {
-                return Err(NetError::Malformed("explain frames need protocol v3"));
-            }
             put_plan(&mut buf, &e.plan)?;
             KIND_EXPLAIN
         }
         Frame::ExplainAnswer(a) => {
-            if version < 3 {
-                return Err(NetError::Malformed("explain frames need protocol v3"));
-            }
             buf.put_u32_le(a.index);
             put_explanation(&mut buf, &a.explanation)?;
             KIND_EXPLAIN_ANSWER
         }
         Frame::Fragment(r) => {
-            check_v4(version)?;
             buf.put_f64_le(r.sampling_rate);
             buf.put_f64_le(r.eps_o);
             buf.put_f64_le(r.eps_s);
@@ -1134,103 +1019,56 @@ fn encode_payload(frame: &Frame, version: u16) -> Result<(u8, BytesMut)> {
             put_range_query(&mut buf, &r.query)?;
             KIND_FRAGMENT
         }
-        Frame::FragmentQueued => {
-            check_v4(version)?;
-            KIND_FRAGMENT_QUEUED
-        }
-        Frame::FragmentSummariesRequest => {
-            check_v4(version)?;
-            KIND_FRAGMENT_SUMMARIES_REQUEST
-        }
+        Frame::FragmentQueued => KIND_FRAGMENT_QUEUED,
+        Frame::FragmentSummariesRequest => KIND_FRAGMENT_SUMMARIES_REQUEST,
         Frame::FragmentSummaries(s) => {
-            check_v4(version)?;
-            if s.summaries.len() > MAX_ALLOCATIONS {
-                return Err(NetError::Malformed("too many fragment summaries"));
-            }
-            buf.put_u32_le(s.summaries.len() as u32);
-            for summary in &s.summaries {
+            put_list(&mut buf, &SUMMARIES, &s.summaries, |buf, summary| {
                 buf.put_f64_le(summary.noisy_n_q);
                 buf.put_f64_le(summary.noisy_avg_r);
-            }
+                Ok(())
+            })?;
             buf.put_u64_le(s.summary_us);
             KIND_FRAGMENT_SUMMARIES
         }
         Frame::FragmentAllocation(a) => {
-            check_v4(version)?;
-            if a.allocations.len() > MAX_ALLOCATIONS {
-                return Err(NetError::Malformed("too many allocations"));
-            }
-            buf.put_u32_le(a.allocations.len() as u32);
-            for &s in &a.allocations {
+            put_list(&mut buf, &ALLOCATIONS, &a.allocations, |buf, &s| {
                 buf.put_u64_le(s);
-            }
+                Ok(())
+            })?;
             KIND_FRAGMENT_ALLOCATION
         }
-        Frame::FragmentAllocated => {
-            check_v4(version)?;
-            KIND_FRAGMENT_ALLOCATED
-        }
-        Frame::FragmentPartialRequest => {
-            check_v4(version)?;
-            KIND_FRAGMENT_PARTIAL_REQUEST
-        }
+        Frame::FragmentAllocated => KIND_FRAGMENT_ALLOCATED,
+        Frame::FragmentPartialRequest => KIND_FRAGMENT_PARTIAL_REQUEST,
         Frame::FragmentPartial(p) => {
-            check_v4(version)?;
-            if p.rows.len() > MAX_ALLOCATIONS {
-                return Err(NetError::Malformed("too many partial rows"));
-            }
-            buf.put_u32_le(p.rows.len() as u32);
-            for row in &p.rows {
+            put_list(&mut buf, &PARTIAL_ROWS, &p.rows, |buf, row| {
                 buf.put_f64_le(row.released);
-                put_opt_f64(&mut buf, row.variance);
+                put_opt_f64(buf, row.variance);
                 buf.put_u8(u8::from(row.approximated));
                 buf.put_u64_le(row.clusters_scanned);
                 buf.put_u64_le(row.n_covering);
-            }
+                Ok(())
+            })?;
             buf.put_u64_le(p.execution_us);
             KIND_FRAGMENT_PARTIAL
         }
-        Frame::FragmentAbort => {
-            check_v4(version)?;
-            KIND_FRAGMENT_ABORT
-        }
-        Frame::FragmentAborted => {
-            check_v4(version)?;
-            KIND_FRAGMENT_ABORTED
-        }
+        Frame::FragmentAbort => KIND_FRAGMENT_ABORT,
+        Frame::FragmentAborted => KIND_FRAGMENT_ABORTED,
         Frame::ExtremeFragment(r) => {
-            check_v4(version)?;
             buf.put_u32_le(r.dim);
-            buf.put_u8(match r.extreme {
-                Extreme::Min => 0,
-                Extreme::Max => 1,
-            });
+            buf.put_u8(extreme_code(r.extreme));
             buf.put_f64_le(r.epsilon);
             buf.put_u64_le(r.occurrence);
             KIND_EXTREME_FRAGMENT
         }
         Frame::ExtremePartial(p) => {
-            check_v4(version)?;
             buf.put_i64_le(p.value);
             buf.put_u64_le(p.execution_us);
             KIND_EXTREME_PARTIAL
         }
-        Frame::ShardBoundsRequest => {
-            check_v4(version)?;
-            KIND_SHARD_BOUNDS_REQUEST
-        }
+        Frame::ShardBoundsRequest => KIND_SHARD_BOUNDS_REQUEST,
         Frame::ShardBounds(b) => {
-            check_v4(version)?;
-            if b.providers.len() > MAX_ALLOCATIONS {
-                return Err(NetError::Malformed("too many provider bounds"));
-            }
-            buf.put_u32_le(b.providers.len() as u32);
-            for provider in &b.providers {
-                if provider.dims.len() > MAX_DIMS {
-                    return Err(NetError::Malformed("too many bound dimensions"));
-                }
-                buf.put_u16_le(provider.dims.len() as u16);
-                for dim in &provider.dims {
+            put_list(&mut buf, &BOUNDS, &b.providers, |buf, provider| {
+                put_list(buf, &BOUND_DIMS, &provider.dims, |buf, dim| {
                     match dim {
                         Some((lo, hi)) => {
                             buf.put_u8(1);
@@ -1239,29 +1077,23 @@ fn encode_payload(frame: &Frame, version: u16) -> Result<(u8, BytesMut)> {
                         }
                         None => buf.put_u8(0),
                     }
-                }
+                    Ok(())
+                })?;
                 buf.put_u64_le(provider.n_clusters);
-            }
+                Ok(())
+            })?;
             KIND_SHARD_BOUNDS
         }
-        Frame::Metrics => {
-            check_v5(version)?;
-            KIND_METRICS
-        }
+        Frame::Metrics => KIND_METRICS,
         Frame::MetricsAnswer(m) => {
-            check_v5(version)?;
-            if m.metrics.len() > MAX_METRICS {
-                return Err(NetError::Malformed("too many metric samples"));
-            }
-            buf.put_u32_le(m.metrics.len() as u32);
-            for sample in &m.metrics {
-                put_string(&mut buf, &sample.name)?;
+            put_list(&mut buf, &METRICS, &m.metrics, |buf, sample| {
+                put_string(buf, &sample.name)?;
                 buf.put_f64_le(sample.value);
-            }
+                Ok(())
+            })?;
             KIND_METRICS_ANSWER
         }
         Frame::OnlinePlan(p) => {
-            check_v6(version)?;
             buf.put_f64_le(p.sampling_rate);
             buf.put_f64_le(p.epsilon);
             buf.put_f64_le(p.delta);
@@ -1270,7 +1102,6 @@ fn encode_payload(frame: &Frame, version: u16) -> Result<(u8, BytesMut)> {
             KIND_ONLINE_PLAN
         }
         Frame::OnlineSnapshot(s) => {
-            check_v6(version)?;
             buf.put_u32_le(s.index);
             buf.put_u32_le(s.round);
             buf.put_u32_le(s.rounds);
@@ -1281,7 +1112,6 @@ fn encode_payload(frame: &Frame, version: u16) -> Result<(u8, BytesMut)> {
             KIND_ONLINE_SNAPSHOT
         }
         Frame::OnlineDone(d) => {
-            check_v6(version)?;
             buf.put_u32_le(d.index);
             buf.put_f64_le(d.eps);
             buf.put_f64_le(d.delta);
@@ -1294,26 +1124,18 @@ fn encode_payload(frame: &Frame, version: u16) -> Result<(u8, BytesMut)> {
             KIND_ONLINE_DONE
         }
         Frame::Ingest(r) => {
-            check_v6(version)?;
-            if r.rows.len() > MAX_BATCH {
-                return Err(NetError::Malformed("ingest batch exceeds wire cap"));
-            }
             buf.put_u32_le(r.provider);
-            buf.put_u32_le(r.rows.len() as u32);
-            for row in &r.rows {
-                if row.values.len() > MAX_DIMS {
-                    return Err(NetError::Malformed("too many ingest row values"));
-                }
-                buf.put_u16_le(row.values.len() as u16);
-                for &v in &row.values {
+            put_list(&mut buf, &INGEST_ROWS, &r.rows, |buf, row| {
+                put_list(buf, &ROW_VALUES, &row.values, |buf, &v| {
                     buf.put_i64_le(v);
-                }
+                    Ok(())
+                })?;
                 buf.put_u64_le(row.measure);
-            }
+                Ok(())
+            })?;
             KIND_INGEST
         }
         Frame::IngestAck(a) => {
-            check_v6(version)?;
             buf.put_u64_le(a.accepted);
             buf.put_u64_le(a.epoch);
             buf.put_u8(u8::from(a.refreshed));
@@ -1326,28 +1148,16 @@ fn encode_payload(frame: &Frame, version: u16) -> Result<(u8, BytesMut)> {
     Ok((kind, buf))
 }
 
-/// Encodes one frame (header + payload) at an explicit protocol version —
-/// what a server uses to answer a client at the client's own version.
-pub fn encode_frame_at(frame: &Frame, version: u16) -> Result<Vec<u8>> {
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(NetError::UnsupportedVersion {
-            requested: version,
-            supported: VERSION,
-        });
-    }
-    let (kind, payload) = encode_payload(frame, version)?;
+/// Encodes one frame (header + payload).
+pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>> {
+    let (kind, payload) = encode_payload(frame)?;
     let mut out = Vec::with_capacity(HEADER_BYTES + payload.len());
     out.put_u32_le(MAGIC);
-    out.put_u16_le(version);
+    out.put_u16_le(VERSION);
     out.put_u8(kind);
     out.put_u32_le(payload.len() as u32);
     out.extend_from_slice(&payload);
     Ok(out)
-}
-
-/// Encodes one frame at the newest protocol version.
-pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>> {
-    encode_frame_at(frame, VERSION)
 }
 
 // ---------------------------------------------------------------- decode
@@ -1357,6 +1167,35 @@ fn need(data: &[u8], bytes: usize, what: &'static str) -> Result<()> {
         return Err(NetError::Malformed(what));
     }
     Ok(())
+}
+
+/// Reads a collection. The declared count is capped and checked against
+/// the bytes remaining *before* anything is reserved or read, so a hostile
+/// prefix can neither over-allocate nor drive the item loop past the
+/// input: any count that passes is bounded by the payload itself.
+fn get_list<T>(
+    data: &mut &[u8],
+    list: &List,
+    mut get: impl FnMut(&mut &[u8]) -> Result<T>,
+) -> Result<Vec<T>> {
+    let &List(width, cap, min_item_bytes, too_large) = list;
+    need(data, width, "declared count truncated")?;
+    let n = match width {
+        U16 => data.get_u16_le() as usize,
+        _ => data.get_u32_le() as usize,
+    };
+    if n > cap || !declared_len_fits(n, min_item_bytes, data.remaining()) {
+        return Err(NetError::Malformed(too_large));
+    }
+    debug_assert!(
+        n * min_item_bytes <= data.remaining(),
+        "a list reservation must be backed by bytes present"
+    );
+    let mut items = Vec::with_capacity(n);
+    for _ in 0..n {
+        items.push(get(data)?);
+    }
+    Ok(items)
 }
 
 fn get_string(data: &mut &[u8]) -> Result<String> {
@@ -1383,34 +1222,19 @@ fn get_opt_f64(data: &mut &[u8]) -> Result<Option<f64>> {
 }
 
 fn get_range_query(data: &mut &[u8]) -> Result<RangeQuery> {
-    need(data, 1 + 2, "query header truncated")?;
+    need(data, 1, "query header truncated")?;
     let agg = match data.get_u8() {
         0 => Aggregate::Count,
         1 => Aggregate::Sum,
         _ => return Err(NetError::Malformed("unknown aggregate")),
     };
-    let n_ranges = data.get_u16_le() as usize;
-    if n_ranges > MAX_RANGES || !declared_len_fits(n_ranges, 4 + 8 + 8, data.remaining()) {
-        return Err(NetError::Malformed("declared range count too large"));
-    }
-    let mut ranges = Vec::with_capacity(n_ranges);
-    for _ in 0..n_ranges {
+    let ranges = get_list(data, &RANGES, |data| {
         let dim = data.get_u32_le() as usize;
         let lo = data.get_i64_le();
         let hi = data.get_i64_le();
-        ranges.push(Range::new(dim, lo, hi).map_err(|_| NetError::Malformed("empty range"))?);
-    }
+        Range::new(dim, lo, hi).map_err(|_| NetError::Malformed("empty range"))
+    })?;
     RangeQuery::new(agg, ranges).map_err(|_| NetError::Malformed("invalid range set"))
-}
-
-fn get_query(data: &mut &[u8]) -> Result<QueryRequest> {
-    need(data, 8, "query header truncated")?;
-    let sampling_rate = data.get_f64_le();
-    let query = get_range_query(data)?;
-    Ok(QueryRequest {
-        query,
-        sampling_rate,
-    })
 }
 
 fn get_plan(data: &mut &[u8]) -> Result<QueryPlan> {
@@ -1470,15 +1294,9 @@ fn get_plan(data: &mut &[u8]) -> Result<QueryPlan> {
         }
         3 => {
             need(data, 4 + 1 + 8, "extreme plan truncated")?;
-            let dim = data.get_u32_le() as usize;
-            let extreme = match data.get_u8() {
-                0 => Extreme::Min,
-                1 => Extreme::Max,
-                _ => return Err(NetError::Malformed("unknown extreme code")),
-            };
             QueryPlan::Extreme {
-                dim,
-                extreme,
+                dim: data.get_u32_le() as usize,
+                extreme: extreme_from_code(data.get_u8())?,
                 epsilon: data.get_f64_le(),
             }
         }
@@ -1502,23 +1320,16 @@ fn get_plan_answer(data: &mut &[u8]) -> Result<PlanAnswerFrame> {
             }
         }
         1 => {
-            need(data, 4, "group count truncated")?;
-            let n = data.get_u32_le() as usize;
-            // Each group costs at least key + value + option tag.
-            if n > MAX_GROUPS || !declared_len_fits(n, 8 + 8 + 1, data.remaining()) {
-                return Err(NetError::Malformed("declared group count too large"));
-            }
-            let mut groups = Vec::with_capacity(n);
-            for _ in 0..n {
+            let groups = get_list(data, &GROUPS, |data| {
                 need(data, 8 + 8, "group entry truncated")?;
                 let key = data.get_i64_le();
                 let value = data.get_f64_le();
-                groups.push(WireGroup {
+                Ok(WireGroup {
                     key,
                     value,
                     ci_halfwidth: get_opt_f64(data)?,
-                });
-            }
+                })
+            })?;
             need(data, 8, "suppressed count truncated")?;
             WirePlanResult::Groups {
                 groups,
@@ -1565,27 +1376,12 @@ fn get_explanation(data: &mut &[u8]) -> Result<PlanExplanation> {
         dedup_subqueries: get_bool(data, "optimizer flags truncated")?,
         reorder_subqueries: get_bool(data, "optimizer flags truncated")?,
     };
-    need(data, 8 + 8 + 4, "explanation header truncated")?;
+    need(data, 8 + 8, "explanation header truncated")?;
     let eps = data.get_f64_le();
     let delta = data.get_f64_le();
-    let n_subs = data.get_u32_le() as usize;
-    // Each sub-query costs at least label len + pruned count + cost +
-    // reuse tag + order.
-    if n_subs > MAX_SUBQUERIES || !declared_len_fits(n_subs, 2 + 4 + 8 + 1 + 8, data.remaining()) {
-        return Err(NetError::Malformed("declared sub-query count too large"));
-    }
-    let mut sub_queries = Vec::with_capacity(n_subs);
-    for _ in 0..n_subs {
+    let sub_queries = get_list(data, &SUBQUERIES, |data| {
         let label = get_string(data)?;
-        need(data, 4, "pruned count truncated")?;
-        let n_pruned = data.get_u32_le() as usize;
-        if n_pruned > MAX_ALLOCATIONS || !declared_len_fits(n_pruned, 8, data.remaining()) {
-            return Err(NetError::Malformed("declared pruned count too large"));
-        }
-        let mut pruned_providers = Vec::with_capacity(n_pruned);
-        for _ in 0..n_pruned {
-            pruned_providers.push(data.get_u64_le());
-        }
+        let pruned_providers = get_list(data, &PRUNED, |data| Ok(data.get_u64_le()))?;
         need(data, 8 + 1, "sub-query tail truncated")?;
         let estimated_cost = data.get_u64_le();
         let reuses = match data.get_u8() {
@@ -1597,14 +1393,14 @@ fn get_explanation(data: &mut &[u8]) -> Result<PlanExplanation> {
             _ => return Err(NetError::Malformed("bad reuse tag")),
         };
         need(data, 8, "sub-query order truncated")?;
-        sub_queries.push(SubQueryExplanation {
+        Ok(SubQueryExplanation {
             label,
             pruned_providers,
             estimated_cost,
             reuses,
             order: data.get_u64_le(),
-        });
-    }
+        })
+    })?;
     Ok(PlanExplanation {
         plan_kind,
         n_providers,
@@ -1615,25 +1411,19 @@ fn get_explanation(data: &mut &[u8]) -> Result<PlanExplanation> {
     })
 }
 
-fn decode_payload(kind: u8, mut data: &[u8], version: u16) -> Result<Frame> {
+fn decode_payload(kind: u8, mut data: &[u8]) -> Result<Frame> {
     let frame = match kind {
         KIND_HELLO => Frame::Hello(Hello {
             analyst: get_string(&mut data)?,
         }),
         KIND_HELLO_ACK => {
-            need(data, 2, "dimension count truncated")?;
-            let n_dims = data.get_u16_le() as usize;
-            if n_dims > MAX_DIMS || !declared_len_fits(n_dims, 2 + 8 + 8, data.remaining()) {
-                return Err(NetError::Malformed("declared dimension count too large"));
-            }
-            let mut dimensions = Vec::with_capacity(n_dims);
-            for _ in 0..n_dims {
-                let name = get_string(&mut data)?;
+            let dimensions = get_list(&mut data, &DIMENSIONS, |data| {
+                let name = get_string(data)?;
                 need(data, 16, "dimension domain truncated")?;
                 let min = data.get_i64_le();
                 let max = data.get_i64_le();
-                dimensions.push(WireDimension { name, min, max });
-            }
+                Ok(WireDimension { name, min, max })
+            })?;
             need(data, 4 + 8 + 8 + 1 + 1, "hello-ack tail truncated")?;
             let n_providers = data.get_u32_le();
             let epsilon = data.get_f64_le();
@@ -1647,14 +1437,7 @@ fn decode_payload(kind: u8, mut data: &[u8], version: u16) -> Result<Frame> {
                 }
                 _ => return Err(NetError::Malformed("bad budget tag")),
             };
-            let max_version = if version >= 2 {
-                need(data, 2, "version advertisement truncated")?;
-                data.get_u16_le()
-            } else {
-                // A v1 HelloAck has no advertisement: v1 *is* the max a
-                // v1-speaking server supports.
-                1
-            };
+            need(data, 2, "version advertisement truncated")?;
             Frame::HelloAck(HelloAck {
                 dimensions,
                 n_providers,
@@ -1662,58 +1445,7 @@ fn decode_payload(kind: u8, mut data: &[u8], version: u16) -> Result<Frame> {
                 delta,
                 calibration,
                 session_budget,
-                max_version,
-            })
-        }
-        KIND_QUERY => Frame::Query(get_query(&mut data)?),
-        KIND_BATCH => {
-            need(data, 4, "batch count truncated")?;
-            let n = data.get_u32_le() as usize;
-            // Each query costs at least its 11-byte header.
-            if n > MAX_BATCH || !declared_len_fits(n, 8 + 1 + 2, data.remaining()) {
-                return Err(NetError::Malformed("declared batch size too large"));
-            }
-            let mut specs = Vec::with_capacity(n);
-            for _ in 0..n {
-                specs.push(get_query(&mut data)?);
-            }
-            Frame::Batch(BatchRequest { specs })
-        }
-        KIND_ANSWER => {
-            need(data, 4 + 8 + 8 + 8, "answer header truncated")?;
-            let index = data.get_u32_le();
-            let value = data.get_f64_le();
-            let eps = data.get_f64_le();
-            let delta = data.get_f64_le();
-            let ci_halfwidth = get_opt_f64(&mut data)?;
-            need(data, 8 + 8 + 4 + 4, "answer counters truncated")?;
-            let clusters_scanned = data.get_u64_le();
-            let covering_total = data.get_u64_le();
-            let approximated_providers = data.get_u32_le();
-            let n_alloc = data.get_u32_le() as usize;
-            if n_alloc > MAX_ALLOCATIONS || !declared_len_fits(n_alloc, 8, data.remaining()) {
-                return Err(NetError::Malformed("declared allocation count too large"));
-            }
-            let mut allocations = Vec::with_capacity(n_alloc);
-            for _ in 0..n_alloc {
-                allocations.push(data.get_u64_le());
-            }
-            need(data, 5 * 8, "answer timings truncated")?;
-            Frame::Answer(Answer {
-                index,
-                value,
-                eps,
-                delta,
-                ci_halfwidth,
-                clusters_scanned,
-                covering_total,
-                approximated_providers,
-                allocations,
-                summary_us: data.get_u64_le(),
-                allocation_us: data.get_u64_le(),
-                execution_us: data.get_u64_le(),
-                release_us: data.get_u64_le(),
-                network_us: data.get_u64_le(),
+                max_version: data.get_u16_le(),
             })
         }
         KIND_ERROR => {
@@ -1727,17 +1459,26 @@ fn decode_payload(kind: u8, mut data: &[u8], version: u16) -> Result<Frame> {
                 message,
             })
         }
-        KIND_PLAN if version >= 2 => Frame::Plan(PlanRequest {
-            plan: get_plan(&mut data)?,
-        }),
-        KIND_PLAN_ANSWER if version >= 2 => Frame::PlanAnswer(get_plan_answer(&mut data)?),
-        KIND_PLAN | KIND_PLAN_ANSWER => {
-            return Err(NetError::Malformed("plan frames need protocol v2"))
+        KIND_BUDGET_REQUEST => Frame::BudgetRequest,
+        KIND_BUDGET_STATUS => {
+            need(data, 1 + 4 * 8 + 8, "budget status truncated")?;
+            Frame::BudgetStatus(BudgetStatus {
+                limited: get_bool(&mut data, "budget status truncated")?,
+                total_eps: data.get_f64_le(),
+                total_delta: data.get_f64_le(),
+                spent_eps: data.get_f64_le(),
+                spent_delta: data.get_f64_le(),
+                queries_answered: data.get_u64_le(),
+            })
         }
-        KIND_EXPLAIN if version >= 3 => Frame::Explain(ExplainRequest {
+        KIND_PLAN => Frame::Plan(PlanRequest {
             plan: get_plan(&mut data)?,
         }),
-        KIND_EXPLAIN_ANSWER if version >= 3 => {
+        KIND_PLAN_ANSWER => Frame::PlanAnswer(get_plan_answer(&mut data)?),
+        KIND_EXPLAIN => Frame::Explain(ExplainRequest {
+            plan: get_plan(&mut data)?,
+        }),
+        KIND_EXPLAIN_ANSWER => {
             need(data, 4, "explain answer header truncated")?;
             let index = data.get_u32_le();
             Frame::ExplainAnswer(ExplainAnswerFrame {
@@ -1745,10 +1486,7 @@ fn decode_payload(kind: u8, mut data: &[u8], version: u16) -> Result<Frame> {
                 explanation: get_explanation(&mut data)?,
             })
         }
-        KIND_EXPLAIN | KIND_EXPLAIN_ANSWER => {
-            return Err(NetError::Malformed("explain frames need protocol v3"))
-        }
-        KIND_FRAGMENT if version >= 4 => {
+        KIND_FRAGMENT => {
             need(data, 5 * 8 + 8, "fragment header truncated")?;
             let sampling_rate = data.get_f64_le();
             let eps_o = data.get_f64_le();
@@ -1766,157 +1504,98 @@ fn decode_payload(kind: u8, mut data: &[u8], version: u16) -> Result<Frame> {
                 occurrence,
             })
         }
-        KIND_FRAGMENT_QUEUED if version >= 4 => Frame::FragmentQueued,
-        KIND_FRAGMENT_SUMMARIES_REQUEST if version >= 4 => Frame::FragmentSummariesRequest,
-        KIND_FRAGMENT_SUMMARIES if version >= 4 => {
-            need(data, 4, "summary count truncated")?;
-            let n = data.get_u32_le() as usize;
-            if n > MAX_ALLOCATIONS || !declared_len_fits(n, 8 + 8, data.remaining()) {
-                return Err(NetError::Malformed("declared summary count too large"));
-            }
-            let mut summaries = Vec::with_capacity(n);
-            for _ in 0..n {
-                summaries.push(WireSummary {
+        KIND_FRAGMENT_QUEUED => Frame::FragmentQueued,
+        KIND_FRAGMENT_SUMMARIES_REQUEST => Frame::FragmentSummariesRequest,
+        KIND_FRAGMENT_SUMMARIES => {
+            let summaries = get_list(&mut data, &SUMMARIES, |data| {
+                Ok(WireSummary {
                     noisy_n_q: data.get_f64_le(),
                     noisy_avg_r: data.get_f64_le(),
-                });
-            }
+                })
+            })?;
             need(data, 8, "summary timing truncated")?;
             Frame::FragmentSummaries(FragmentSummariesFrame {
                 summaries,
                 summary_us: data.get_u64_le(),
             })
         }
-        KIND_FRAGMENT_ALLOCATION if version >= 4 => {
-            need(data, 4, "allocation count truncated")?;
-            let n = data.get_u32_le() as usize;
-            if n > MAX_ALLOCATIONS || !declared_len_fits(n, 8, data.remaining()) {
-                return Err(NetError::Malformed("declared allocation count too large"));
-            }
-            let mut allocations = Vec::with_capacity(n);
-            for _ in 0..n {
-                allocations.push(data.get_u64_le());
-            }
-            Frame::FragmentAllocation(FragmentAllocationFrame { allocations })
-        }
-        KIND_FRAGMENT_ALLOCATED if version >= 4 => Frame::FragmentAllocated,
-        KIND_FRAGMENT_PARTIAL_REQUEST if version >= 4 => Frame::FragmentPartialRequest,
-        KIND_FRAGMENT_PARTIAL if version >= 4 => {
-            need(data, 4, "partial row count truncated")?;
-            let n = data.get_u32_le() as usize;
-            // Each row costs at least released + option tag + flag +
-            // two counters.
-            if n > MAX_ALLOCATIONS || !declared_len_fits(n, 8 + 1 + 1 + 8 + 8, data.remaining()) {
-                return Err(NetError::Malformed("declared partial row count too large"));
-            }
-            let mut rows = Vec::with_capacity(n);
-            for _ in 0..n {
+        KIND_FRAGMENT_ALLOCATION => Frame::FragmentAllocation(FragmentAllocationFrame {
+            allocations: get_list(&mut data, &ALLOCATIONS, |data| Ok(data.get_u64_le()))?,
+        }),
+        KIND_FRAGMENT_ALLOCATED => Frame::FragmentAllocated,
+        KIND_FRAGMENT_PARTIAL_REQUEST => Frame::FragmentPartialRequest,
+        KIND_FRAGMENT_PARTIAL => {
+            let rows = get_list(&mut data, &PARTIAL_ROWS, |data| {
                 need(data, 8, "partial row truncated")?;
                 let released = data.get_f64_le();
-                let variance = get_opt_f64(&mut data)?;
-                let approximated = get_bool(&mut data, "partial row flag truncated")?;
+                let variance = get_opt_f64(data)?;
+                let approximated = get_bool(data, "partial row flag truncated")?;
                 need(data, 8 + 8, "partial row counters truncated")?;
-                rows.push(WirePartialRow {
+                Ok(WirePartialRow {
                     released,
                     variance,
                     approximated,
                     clusters_scanned: data.get_u64_le(),
                     n_covering: data.get_u64_le(),
-                });
-            }
+                })
+            })?;
             need(data, 8, "partial timing truncated")?;
             Frame::FragmentPartial(FragmentPartialFrame {
                 rows,
                 execution_us: data.get_u64_le(),
             })
         }
-        KIND_FRAGMENT_ABORT if version >= 4 => Frame::FragmentAbort,
-        KIND_FRAGMENT_ABORTED if version >= 4 => Frame::FragmentAborted,
-        KIND_EXTREME_FRAGMENT if version >= 4 => {
+        KIND_FRAGMENT_ABORT => Frame::FragmentAbort,
+        KIND_FRAGMENT_ABORTED => Frame::FragmentAborted,
+        KIND_EXTREME_FRAGMENT => {
             need(data, 4 + 1 + 8 + 8, "extreme fragment truncated")?;
-            let dim = data.get_u32_le();
-            let extreme = match data.get_u8() {
-                0 => Extreme::Min,
-                1 => Extreme::Max,
-                _ => return Err(NetError::Malformed("unknown extreme code")),
-            };
             Frame::ExtremeFragment(ExtremeFragmentRequest {
-                dim,
-                extreme,
+                dim: data.get_u32_le(),
+                extreme: extreme_from_code(data.get_u8())?,
                 epsilon: data.get_f64_le(),
                 occurrence: data.get_u64_le(),
             })
         }
-        KIND_EXTREME_PARTIAL if version >= 4 => {
+        KIND_EXTREME_PARTIAL => {
             need(data, 8 + 8, "extreme partial truncated")?;
             Frame::ExtremePartial(ExtremePartialFrame {
                 value: data.get_i64_le(),
                 execution_us: data.get_u64_le(),
             })
         }
-        KIND_SHARD_BOUNDS_REQUEST if version >= 4 => Frame::ShardBoundsRequest,
-        KIND_SHARD_BOUNDS if version >= 4 => {
-            need(data, 4, "bounds count truncated")?;
-            let n = data.get_u32_le() as usize;
-            // Each provider costs at least a dim count + cluster count.
-            if n > MAX_ALLOCATIONS || !declared_len_fits(n, 2 + 8, data.remaining()) {
-                return Err(NetError::Malformed("declared bounds count too large"));
-            }
-            let mut providers = Vec::with_capacity(n);
-            for _ in 0..n {
-                need(data, 2, "bound dimension count truncated")?;
-                let n_dims = data.get_u16_le() as usize;
-                if n_dims > MAX_DIMS || !declared_len_fits(n_dims, 1, data.remaining()) {
-                    return Err(NetError::Malformed(
-                        "declared bound dimension count too large",
-                    ));
-                }
-                let mut dims = Vec::with_capacity(n_dims);
-                for _ in 0..n_dims {
+        KIND_SHARD_BOUNDS_REQUEST => Frame::ShardBoundsRequest,
+        KIND_SHARD_BOUNDS => Frame::ShardBounds(ShardBoundsFrame {
+            providers: get_list(&mut data, &BOUNDS, |data| {
+                let dims = get_list(data, &BOUND_DIMS, |data| {
                     need(data, 1, "bound tag truncated")?;
-                    dims.push(match data.get_u8() {
-                        0 => None,
+                    match data.get_u8() {
+                        0 => Ok(None),
                         1 => {
                             need(data, 16, "bound range truncated")?;
-                            Some((data.get_i64_le(), data.get_i64_le()))
+                            Ok(Some((data.get_i64_le(), data.get_i64_le())))
                         }
-                        _ => return Err(NetError::Malformed("bad bound tag")),
-                    });
-                }
+                        _ => Err(NetError::Malformed("bad bound tag")),
+                    }
+                })?;
                 need(data, 8, "cluster count truncated")?;
-                providers.push(WireProviderBounds {
+                Ok(WireProviderBounds {
                     dims,
                     n_clusters: data.get_u64_le(),
-                });
-            }
-            Frame::ShardBounds(ShardBoundsFrame { providers })
-        }
-        KIND_FRAGMENT..=KIND_SHARD_BOUNDS => {
-            return Err(NetError::Malformed("fragment frames need protocol v4"))
-        }
-        KIND_METRICS if version >= 5 => Frame::Metrics,
-        KIND_METRICS_ANSWER if version >= 5 => {
-            need(data, 4, "metric count truncated")?;
-            let n = data.get_u32_le() as usize;
-            // Each sample costs at least a name length + value.
-            if n > MAX_METRICS || !declared_len_fits(n, 2 + 8, data.remaining()) {
-                return Err(NetError::Malformed("declared metric count too large"));
-            }
-            let mut metrics = Vec::with_capacity(n);
-            for _ in 0..n {
-                let name = get_string(&mut data)?;
+                })
+            })?,
+        }),
+        KIND_METRICS => Frame::Metrics,
+        KIND_METRICS_ANSWER => Frame::MetricsAnswer(MetricsAnswerFrame {
+            metrics: get_list(&mut data, &METRICS, |data| {
+                let name = get_string(data)?;
                 need(data, 8, "metric value truncated")?;
-                metrics.push(WireMetric {
+                Ok(WireMetric {
                     name,
                     value: data.get_f64_le(),
-                });
-            }
-            Frame::MetricsAnswer(MetricsAnswerFrame { metrics })
-        }
-        KIND_METRICS | KIND_METRICS_ANSWER => {
-            return Err(NetError::Malformed("metrics frames need protocol v5"))
-        }
-        KIND_ONLINE_PLAN if version >= 6 => {
+                })
+            })?,
+        }),
+        KIND_ONLINE_PLAN => {
             need(data, 3 * 8 + 4, "online plan header truncated")?;
             let sampling_rate = data.get_f64_le();
             let epsilon = data.get_f64_le();
@@ -1930,7 +1609,7 @@ fn decode_payload(kind: u8, mut data: &[u8], version: u16) -> Result<Frame> {
                 rounds,
             })
         }
-        KIND_ONLINE_SNAPSHOT if version >= 6 => {
+        KIND_ONLINE_SNAPSHOT => {
             need(data, 3 * 4 + 2 * 8, "online snapshot truncated")?;
             let index = data.get_u32_le();
             let round = data.get_u32_le();
@@ -1949,7 +1628,7 @@ fn decode_payload(kind: u8, mut data: &[u8], version: u16) -> Result<Frame> {
                 clusters_scanned: data.get_u64_le(),
             })
         }
-        KIND_ONLINE_DONE if version >= 6 => {
+        KIND_ONLINE_DONE => {
             need(data, 4 + 3 * 8 + 5 * 8, "online done truncated")?;
             Frame::OnlineDone(OnlineDoneFrame {
                 index: data.get_u32_le(),
@@ -1963,34 +1642,20 @@ fn decode_payload(kind: u8, mut data: &[u8], version: u16) -> Result<Frame> {
                 network_us: data.get_u64_le(),
             })
         }
-        KIND_INGEST if version >= 6 => {
-            need(data, 4 + 4, "ingest header truncated")?;
+        KIND_INGEST => {
+            need(data, 4, "ingest header truncated")?;
             let provider = data.get_u32_le();
-            let n = data.get_u32_le() as usize;
-            // Each row costs at least a value count + measure.
-            if n > MAX_BATCH || !declared_len_fits(n, 2 + 8, data.remaining()) {
-                return Err(NetError::Malformed("declared ingest batch too large"));
-            }
-            let mut rows = Vec::with_capacity(n);
-            for _ in 0..n {
-                need(data, 2, "ingest row header truncated")?;
-                let n_values = data.get_u16_le() as usize;
-                if n_values > MAX_DIMS || !declared_len_fits(n_values, 8, data.remaining()) {
-                    return Err(NetError::Malformed("declared ingest row too large"));
-                }
-                let mut values = Vec::with_capacity(n_values);
-                for _ in 0..n_values {
-                    values.push(data.get_i64_le());
-                }
+            let rows = get_list(&mut data, &INGEST_ROWS, |data| {
+                let values = get_list(data, &ROW_VALUES, |data| Ok(data.get_i64_le()))?;
                 need(data, 8, "ingest row measure truncated")?;
-                rows.push(WireRow {
+                Ok(WireRow {
                     values,
                     measure: data.get_u64_le(),
-                });
-            }
+                })
+            })?;
             Frame::Ingest(IngestRequest { provider, rows })
         }
-        KIND_INGEST_ACK if version >= 6 => {
+        KIND_INGEST_ACK => {
             need(data, 8 + 8, "ingest ack truncated")?;
             let accepted = data.get_u64_le();
             let epoch = data.get_u64_le();
@@ -1998,28 +1663,6 @@ fn decode_payload(kind: u8, mut data: &[u8], version: u16) -> Result<Frame> {
                 accepted,
                 epoch,
                 refreshed: get_bool(&mut data, "ingest ack flag truncated")?,
-            })
-        }
-        KIND_ONLINE_PLAN..=KIND_INGEST_ACK => {
-            return Err(NetError::Malformed(
-                "live-federation frames need protocol v6",
-            ))
-        }
-        KIND_BUDGET_REQUEST => Frame::BudgetRequest,
-        KIND_BUDGET_STATUS => {
-            need(data, 1 + 4 * 8 + 8, "budget status truncated")?;
-            let limited = match data.get_u8() {
-                0 => false,
-                1 => true,
-                _ => return Err(NetError::Malformed("bad limited tag")),
-            };
-            Frame::BudgetStatus(BudgetStatus {
-                limited,
-                total_eps: data.get_f64_le(),
-                total_delta: data.get_f64_le(),
-                spent_eps: data.get_f64_le(),
-                spent_delta: data.get_f64_le(),
-                queries_answered: data.get_u64_le(),
             })
         }
         other => return Err(NetError::UnknownKind(other)),
@@ -2044,28 +1687,20 @@ fn eof_to_disconnect(e: std::io::Error) -> NetError {
     }
 }
 
-/// Writes one frame at an explicit protocol version, flushing it.
-pub fn write_frame_at<W: Write>(writer: &mut W, frame: &Frame, version: u16) -> Result<()> {
-    let bytes = encode_frame_at(frame, version)?;
+/// Writes one frame, flushing it.
+pub fn write_frame<W: Write>(writer: &mut W, frame: &Frame) -> Result<()> {
+    let bytes = encode_frame(frame)?;
     writer.write_all(&bytes)?;
     writer.flush()?;
     Ok(())
 }
 
-/// Writes one frame at the newest protocol version, flushing it.
-pub fn write_frame<W: Write>(writer: &mut W, frame: &Frame) -> Result<()> {
-    write_frame_at(writer, frame, VERSION)
-}
-
-/// Reads one frame from a socket (or any [`Read`]), returning it together
-/// with the header's protocol version — what a server uses to answer each
-/// client at the client's own version.
+/// Reads one frame from a socket (or any [`Read`]).
 ///
 /// A clean connection close surfaces as [`NetError::Disconnected`]; a
-/// header with a bad magic, a version outside
-/// `MIN_VERSION..=VERSION`, an unknown kind, or a payload above
-/// [`MAX_PAYLOAD`] fails *before* any payload is read.
-pub fn read_frame_versioned<R: Read>(reader: &mut R) -> Result<(Frame, u16)> {
+/// header with a bad magic, a version other than [`VERSION`], or a payload
+/// above [`MAX_PAYLOAD`] fails *before* any payload is read.
+pub fn read_frame<R: Read>(reader: &mut R) -> Result<Frame> {
     let mut header = [0u8; HEADER_BYTES];
     reader.read_exact(&mut header).map_err(eof_to_disconnect)?;
     let mut h: &[u8] = &header;
@@ -2073,7 +1708,7 @@ pub fn read_frame_versioned<R: Read>(reader: &mut R) -> Result<(Frame, u16)> {
         return Err(NetError::Malformed("bad frame magic"));
     }
     let version = h.get_u16_le();
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(NetError::UnsupportedVersion {
             requested: version,
             supported: VERSION,
@@ -2089,12 +1724,7 @@ pub fn read_frame_versioned<R: Read>(reader: &mut R) -> Result<(Frame, u16)> {
     }
     let mut payload = vec![0u8; len as usize];
     reader.read_exact(&mut payload).map_err(eof_to_disconnect)?;
-    decode_payload(kind, &payload, version).map(|frame| (frame, version))
-}
-
-/// Reads one frame, discarding the header's version.
-pub fn read_frame<R: Read>(reader: &mut R) -> Result<Frame> {
-    read_frame_versioned(reader).map(|(frame, _)| frame)
+    decode_payload(kind, &payload)
 }
 
 #[cfg(test)]
@@ -2106,16 +1736,14 @@ mod tests {
     }
 
     fn sample_answer() -> Frame {
-        Frame::Answer(Answer {
+        Frame::PlanAnswer(PlanAnswerFrame {
             index: 3,
-            value: 123.5,
             eps: 1.0,
             delta: 1e-3,
-            ci_halfwidth: Some(4.25),
-            clusters_scanned: 17,
-            covering_total: 40,
-            approximated_providers: 4,
-            allocations: vec![3, 4, 5, 6],
+            result: WirePlanResult::Value {
+                value: 123.5,
+                ci_halfwidth: Some(4.25),
+            },
             summary_us: 100,
             allocation_us: 20,
             execution_us: 900,
@@ -2149,17 +1777,13 @@ mod tests {
                 session_budget: Some((10.0, 1e-2)),
                 max_version: VERSION,
             }),
-            Frame::Query(QueryRequest {
-                query: query(10, 60),
-                sampling_rate: 0.2,
-            }),
-            Frame::Batch(BatchRequest {
-                specs: (0..5)
-                    .map(|i| QueryRequest {
-                        query: query(i, 60 + i),
-                        sampling_rate: 0.1 + 0.01 * i as f64,
-                    })
-                    .collect(),
+            Frame::Plan(PlanRequest {
+                plan: QueryPlan::Scalar {
+                    query: query(10, 60),
+                    sampling_rate: 0.2,
+                    epsilon: 1.0,
+                    delta: 1e-3,
+                },
             }),
             sample_answer(),
             Frame::Error(ErrorFrame {
@@ -2375,41 +1999,6 @@ mod tests {
         ]
     }
 
-    fn is_v4_frame(frame: &Frame) -> bool {
-        matches!(
-            frame,
-            Frame::Fragment(_)
-                | Frame::FragmentQueued
-                | Frame::FragmentSummariesRequest
-                | Frame::FragmentSummaries(_)
-                | Frame::FragmentAllocation(_)
-                | Frame::FragmentAllocated
-                | Frame::FragmentPartialRequest
-                | Frame::FragmentPartial(_)
-                | Frame::FragmentAbort
-                | Frame::FragmentAborted
-                | Frame::ExtremeFragment(_)
-                | Frame::ExtremePartial(_)
-                | Frame::ShardBoundsRequest
-                | Frame::ShardBounds(_)
-        )
-    }
-
-    fn is_v5_frame(frame: &Frame) -> bool {
-        matches!(frame, Frame::Metrics | Frame::MetricsAnswer(_))
-    }
-
-    fn is_v6_frame(frame: &Frame) -> bool {
-        matches!(
-            frame,
-            Frame::OnlinePlan(_)
-                | Frame::OnlineSnapshot(_)
-                | Frame::OnlineDone(_)
-                | Frame::Ingest(_)
-                | Frame::IngestAck(_)
-        )
-    }
-
     fn sample_explanation() -> PlanExplanation {
         PlanExplanation {
             plan_kind: "derived".into(),
@@ -2455,12 +2044,30 @@ mod tests {
         }
     }
 
+    /// Every frame of `all_frames()`, in order, exactly as the six-version
+    /// codec encoded it at v6 (one hex line per frame, generated at the
+    /// commit before the version ladder was deleted). A kind byte, a field
+    /// order, a width or the header's `06 00` moving fails here.
+    #[test]
+    fn surviving_frames_keep_their_v6_bytes() {
+        let pinned: Vec<&str> = include_str!("wire_v6_frames.hex").lines().collect();
+        let frames = all_frames();
+        assert_eq!(frames.len(), pinned.len());
+        for (frame, want) in frames.iter().zip(pinned) {
+            let bytes = encode_frame(frame).unwrap();
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, want, "{frame:?} moved on the wire");
+        }
+    }
+
     #[test]
     fn none_ci_and_unlimited_budget_round_trip() {
         let mut answer = sample_answer();
-        if let Frame::Answer(a) = &mut answer {
-            a.ci_halfwidth = None;
-            a.allocations.clear();
+        if let Frame::PlanAnswer(a) = &mut answer {
+            a.result = WirePlanResult::Value {
+                value: 123.5,
+                ci_halfwidth: None,
+            };
         }
         assert_eq!(round_trip(&answer), answer);
         let ack = Frame::HelloAck(HelloAck {
@@ -2526,22 +2133,38 @@ mod tests {
             Err(NetError::Malformed("bad frame magic"))
         ));
 
-        let mut bad_version = good.clone();
-        bad_version[4] = 99;
-        assert!(matches!(
-            read_frame(&mut &bad_version[..]),
-            Err(NetError::UnsupportedVersion {
-                requested: 99,
-                supported: VERSION,
-            })
-        ));
+        // Retired and future versions alike fail on the header alone: the
+        // 64-byte payload it declares is absent, so reading it first would
+        // surface as `Disconnected` instead.
+        for version in [1u16, 2, 3, 4, 5, 7, 99] {
+            let mut bad_version = good[..HEADER_BYTES].to_vec();
+            bad_version[4..6].copy_from_slice(&version.to_le_bytes());
+            bad_version[7..11].copy_from_slice(&64u32.to_le_bytes());
+            match read_frame(&mut &bad_version[..]) {
+                Err(NetError::UnsupportedVersion {
+                    requested,
+                    supported: 6,
+                }) => assert_eq!(requested, version),
+                other => panic!("v{version}: {other:?}"),
+            }
+        }
 
-        let mut bad_kind = good.clone();
-        bad_kind[6] = 200;
-        assert!(matches!(
-            read_frame(&mut &bad_kind[..]),
-            Err(NetError::UnknownKind(200))
-        ));
+        // The retired pre-plan kinds are holes, not panics: a well-formed
+        // old `Query` payload under kind 3, 4 or 5 is as unknown a kind as
+        // one never assigned.
+        let mut old_query = BytesMut::new();
+        old_query.put_f64_le(0.2);
+        put_range_query(&mut old_query, &query(10, 60)).unwrap();
+        for kind in [3u8, 4, 5, 200] {
+            let mut bytes = good[..HEADER_BYTES].to_vec();
+            bytes[6] = kind;
+            bytes[7..11].copy_from_slice(&(old_query.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&old_query);
+            match read_frame(&mut &bytes[..]) {
+                Err(NetError::UnknownKind(k)) => assert_eq!(k, kind),
+                other => panic!("kind {kind}: {other:?}"),
+            }
+        }
 
         let mut oversized = good;
         oversized[7..11].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
@@ -2558,31 +2181,22 @@ mod tests {
 
     #[test]
     fn absurd_declared_counts_are_rejected() {
-        // A batch claiming 2^31 queries over an 8-byte body.
-        let mut bytes = Vec::new();
-        bytes.put_u32_le(MAGIC);
-        bytes.put_u16_le(VERSION);
-        bytes.put_u8(KIND_BATCH);
-        bytes.put_u32_le(12);
-        bytes.put_u32_le(1 << 31);
-        bytes.put_u64_le(0);
+        // A scalar plan's one-range query claiming u16::MAX ranges: the
+        // count sits after the plan tag, three floats and the aggregate.
+        let mut bytes = encode_frame(&all_frames()[2]).unwrap();
+        let at = HEADER_BYTES + 1 + 3 * 8 + 1;
+        bytes[at..at + 2].copy_from_slice(&u16::MAX.to_le_bytes());
         assert!(matches!(
             read_frame(&mut &bytes[..]),
-            Err(NetError::Malformed("declared batch size too large"))
+            Err(NetError::Malformed("declared range count too large"))
         ));
 
-        // An answer claiming u32::MAX allocations.
-        let frame = match sample_answer() {
-            Frame::Answer(mut a) => {
-                a.allocations.clear();
-                Frame::Answer(a)
-            }
-            _ => unreachable!(),
-        };
-        let mut bytes = encode_frame(&frame).unwrap();
-        // The allocation count sits after index+value+eps+delta+ci(9)+2*u64+u32.
-        let at = HEADER_BYTES + 4 + 8 + 8 + 8 + 9 + 8 + 8 + 4;
-        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        // An allocation slice claiming u32::MAX entries.
+        let mut bytes = encode_frame(&Frame::FragmentAllocation(FragmentAllocationFrame {
+            allocations: vec![],
+        }))
+        .unwrap();
+        bytes[HEADER_BYTES..].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             read_frame(&mut &bytes[..]),
             Err(NetError::Malformed("declared allocation count too large"))
@@ -2591,19 +2205,27 @@ mod tests {
 
     #[test]
     fn rejects_bad_query_payloads() {
+        // A scalar plan's header, then the query under test.
+        let scalar = || {
+            let mut bytes = Vec::new();
+            bytes.put_u8(0);
+            bytes.put_f64_le(0.2);
+            bytes.put_f64_le(1.0);
+            bytes.put_f64_le(1e-3);
+            bytes
+        };
+
         // lo > hi.
-        let mut bytes = Vec::new();
-        bytes.put_f64_le(0.2);
+        let mut bytes = scalar();
         bytes.put_u8(0);
         bytes.put_u16_le(1);
         bytes.put_u32_le(0);
         bytes.put_i64_le(10);
         bytes.put_i64_le(5);
-        assert!(decode_payload(KIND_QUERY, &bytes, VERSION).is_err());
+        assert!(decode_payload(KIND_PLAN, &bytes).is_err());
 
         // Duplicate dimension.
-        let mut bytes = Vec::new();
-        bytes.put_f64_le(0.2);
+        let mut bytes = scalar();
         bytes.put_u8(0);
         bytes.put_u16_le(2);
         for _ in 0..2 {
@@ -2611,14 +2233,13 @@ mod tests {
             bytes.put_i64_le(0);
             bytes.put_i64_le(5);
         }
-        assert!(decode_payload(KIND_QUERY, &bytes, VERSION).is_err());
+        assert!(decode_payload(KIND_PLAN, &bytes).is_err());
 
         // Unknown aggregate.
-        let mut bytes = Vec::new();
-        bytes.put_f64_le(0.2);
+        let mut bytes = scalar();
         bytes.put_u8(9);
         bytes.put_u16_le(0);
-        assert!(decode_payload(KIND_QUERY, &bytes, VERSION).is_err());
+        assert!(decode_payload(KIND_PLAN, &bytes).is_err());
     }
 
     #[test]
@@ -2630,216 +2251,15 @@ mod tests {
         bytes.put_u16_le(2);
         bytes.extend_from_slice(&[0xFF, 0xFE]);
         assert!(matches!(
-            decode_payload(KIND_HELLO, &bytes, VERSION),
+            decode_payload(KIND_HELLO, &bytes),
             Err(NetError::Malformed("string is not utf-8"))
         ));
     }
 
     #[test]
-    fn v1_frames_round_trip_at_v1_unchanged() {
-        // Every v1 frame kind must encode/decode at version 1 byte-for-
-        // byte as before — this is what keeps v1 clients working against
-        // newer servers.
-        for frame in all_frames() {
-            if matches!(
-                frame,
-                Frame::Plan(_) | Frame::PlanAnswer(_) | Frame::Explain(_) | Frame::ExplainAnswer(_)
-            ) || is_v4_frame(&frame)
-                || is_v5_frame(&frame)
-                || is_v6_frame(&frame)
-            {
-                continue;
-            }
-            let expected = match &frame {
-                // The version advertisement is not on a v1 wire; a v1
-                // decode reports max_version = 1.
-                Frame::HelloAck(a) => Frame::HelloAck(HelloAck {
-                    max_version: 1,
-                    ..a.clone()
-                }),
-                other => other.clone(),
-            };
-            let bytes = encode_frame_at(&frame, 1).unwrap();
-            assert_eq!(bytes[4], 1, "header version");
-            let mut slice: &[u8] = &bytes;
-            let (decoded, version) = read_frame_versioned(&mut slice).unwrap();
-            assert!(!slice.has_remaining());
-            assert_eq!(version, 1);
-            assert_eq!(decoded, expected);
-        }
-    }
-
-    #[test]
-    fn plan_frames_are_v2_only() {
-        let plan = Frame::Plan(PlanRequest {
-            plan: QueryPlan::Extreme {
-                dim: 0,
-                extreme: Extreme::Min,
-                epsilon: 1.0,
-            },
-        });
-        assert!(matches!(
-            encode_frame_at(&plan, 1),
-            Err(NetError::Malformed("plan frames need protocol v2"))
-        ));
-        // A v1 header smuggling a plan kind is rejected at decode.
-        let mut bytes = encode_frame(&plan).unwrap();
-        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
-        assert!(matches!(
-            read_frame(&mut &bytes[..]),
-            Err(NetError::Malformed("plan frames need protocol v2"))
-        ));
-        // Out-of-range encode versions are typed errors.
-        assert!(matches!(
-            encode_frame_at(&plan, 9),
-            Err(NetError::UnsupportedVersion {
-                requested: 9,
-                supported: VERSION,
-            })
-        ));
-    }
-
-    #[test]
-    fn v2_frames_round_trip_at_v2_unchanged() {
-        // Every v2 frame kind must encode/decode at version 2 exactly as
-        // a v2 build did — this is what keeps v2 clients working against
-        // newer servers.
-        for frame in all_frames() {
-            if matches!(frame, Frame::Explain(_) | Frame::ExplainAnswer(_))
-                || is_v4_frame(&frame)
-                || is_v5_frame(&frame)
-                || is_v6_frame(&frame)
-            {
-                continue;
-            }
-            let bytes = encode_frame_at(&frame, 2).unwrap();
-            assert_eq!(bytes[4], 2, "header version");
-            let mut slice: &[u8] = &bytes;
-            let (decoded, version) = read_frame_versioned(&mut slice).unwrap();
-            assert!(!slice.has_remaining());
-            assert_eq!(version, 2);
-            assert_eq!(decoded, frame);
-        }
-    }
-
-    #[test]
-    fn explain_frames_are_v3_only() {
-        let explain = Frame::Explain(ExplainRequest {
-            plan: QueryPlan::Extreme {
-                dim: 0,
-                extreme: Extreme::Min,
-                epsilon: 1.0,
-            },
-        });
-        let answer = Frame::ExplainAnswer(ExplainAnswerFrame {
-            index: 0,
-            explanation: sample_explanation(),
-        });
-        for frame in [&explain, &answer] {
-            for version in [1, 2] {
-                assert!(matches!(
-                    encode_frame_at(frame, version),
-                    Err(NetError::Malformed("explain frames need protocol v3"))
-                ));
-            }
-            // A v2 header smuggling an explain kind is rejected at decode.
-            let mut bytes = encode_frame(frame).unwrap();
-            bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
-            assert!(matches!(
-                read_frame(&mut &bytes[..]),
-                Err(NetError::Malformed("explain frames need protocol v3"))
-            ));
-        }
-    }
-
-    #[test]
-    fn v3_frames_round_trip_at_v3_unchanged() {
-        // Every v3 frame kind must encode/decode at version 3 exactly as
-        // a v3 build did — this is what keeps v3 analysts working against
-        // newer servers.
-        for frame in all_frames() {
-            if is_v4_frame(&frame) || is_v5_frame(&frame) || is_v6_frame(&frame) {
-                continue;
-            }
-            let bytes = encode_frame_at(&frame, 3).unwrap();
-            assert_eq!(bytes[4], 3, "header version");
-            let mut slice: &[u8] = &bytes;
-            let (decoded, version) = read_frame_versioned(&mut slice).unwrap();
-            assert!(!slice.has_remaining());
-            assert_eq!(version, 3);
-            assert_eq!(decoded, frame);
-        }
-    }
-
-    #[test]
-    fn v4_frames_round_trip_at_v4_unchanged() {
-        // Every v4 frame kind must encode/decode at version 4 exactly as
-        // a v4 build did — this is what keeps v4 coordinators and shard
-        // servers working against the v5 binaries.
-        for frame in all_frames() {
-            if is_v5_frame(&frame) || is_v6_frame(&frame) {
-                continue;
-            }
-            let bytes = encode_frame_at(&frame, 4).unwrap();
-            assert_eq!(bytes[4], 4, "header version");
-            let mut slice: &[u8] = &bytes;
-            let (decoded, version) = read_frame_versioned(&mut slice).unwrap();
-            assert!(!slice.has_remaining());
-            assert_eq!(version, 4);
-            assert_eq!(decoded, frame);
-        }
-    }
-
-    #[test]
-    fn v5_frames_round_trip_at_v5_unchanged() {
-        // Every v5 frame kind must encode/decode at version 5 exactly as
-        // a v5 build did — this is what keeps v5 analysts working against
-        // the v6 binaries.
-        for frame in all_frames() {
-            if is_v6_frame(&frame) {
-                continue;
-            }
-            let bytes = encode_frame_at(&frame, 5).unwrap();
-            assert_eq!(bytes[4], 5, "header version");
-            let mut slice: &[u8] = &bytes;
-            let (decoded, version) = read_frame_versioned(&mut slice).unwrap();
-            assert!(!slice.has_remaining());
-            assert_eq!(version, 5);
-            assert_eq!(decoded, frame);
-        }
-    }
-
-    #[test]
-    fn online_frames_are_v6_only() {
-        for frame in all_frames().iter().filter(|f| is_v6_frame(f)) {
-            for version in [1, 2, 3, 4, 5] {
-                assert!(
-                    matches!(
-                        encode_frame_at(frame, version),
-                        Err(NetError::Malformed(
-                            "live-federation frames need protocol v6"
-                        ))
-                    ),
-                    "{frame:?} encoded at v{version}"
-                );
-                // A pre-v6 header smuggling a live-federation kind is
-                // rejected at decode.
-                let mut bytes = encode_frame(frame).unwrap();
-                bytes[4..6].copy_from_slice(&version.to_le_bytes());
-                assert!(matches!(
-                    read_frame(&mut &bytes[..]),
-                    Err(NetError::Malformed(
-                        "live-federation frames need protocol v6"
-                    ))
-                ));
-            }
-        }
-    }
-
-    #[test]
     fn online_plans_never_ride_the_plan_frame() {
         // The generic Plan/Explain frames refuse QueryPlan::Online — its
-        // streaming answer needs the dedicated v6 conversation.
+        // streaming answer needs the dedicated push conversation.
         let plan = QueryPlan::Online {
             query: query(10, 60),
             sampling_rate: 0.3,
@@ -2891,29 +2311,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_frames_are_v5_only() {
-        for frame in all_frames().iter().filter(|f| is_v5_frame(f)) {
-            for version in [1, 2, 3, 4] {
-                assert!(
-                    matches!(
-                        encode_frame_at(frame, version),
-                        Err(NetError::Malformed("metrics frames need protocol v5"))
-                    ),
-                    "{frame:?} encoded at v{version}"
-                );
-                // A pre-v5 header smuggling a metrics kind is rejected
-                // at decode.
-                let mut bytes = encode_frame(frame).unwrap();
-                bytes[4..6].copy_from_slice(&version.to_le_bytes());
-                assert!(matches!(
-                    read_frame(&mut &bytes[..]),
-                    Err(NetError::Malformed("metrics frames need protocol v5"))
-                ));
-            }
-        }
-    }
-
-    #[test]
     fn absurd_metric_counts_are_rejected() {
         // A metrics answer claiming u32::MAX samples over a tiny body.
         let mut bytes = Vec::new();
@@ -2927,29 +2324,6 @@ mod tests {
             read_frame(&mut &bytes[..]),
             Err(NetError::Malformed("declared metric count too large"))
         ));
-    }
-
-    #[test]
-    fn fragment_frames_are_v4_only() {
-        for frame in all_frames().iter().filter(|f| is_v4_frame(f)) {
-            for version in [1, 2, 3] {
-                assert!(
-                    matches!(
-                        encode_frame_at(frame, version),
-                        Err(NetError::Malformed("fragment frames need protocol v4"))
-                    ),
-                    "{frame:?} encoded at v{version}"
-                );
-                // A pre-v4 header smuggling a fragment kind is rejected
-                // at decode.
-                let mut bytes = encode_frame(frame).unwrap();
-                bytes[4..6].copy_from_slice(&version.to_le_bytes());
-                assert!(matches!(
-                    read_frame(&mut &bytes[..]),
-                    Err(NetError::Malformed("fragment frames need protocol v4"))
-                ));
-            }
-        }
     }
 
     #[test]
@@ -3048,11 +2422,18 @@ mod proptests {
             .prop_map(|bytes| String::from_utf8(bytes).expect("ascii"))
     }
 
+    /// The five phase timings of an answer frame.
+    fn arb_timings() -> impl Strategy<Value = (u64, u64, u64, u64, u64)> {
+        let t = any::<u64>;
+        (t(), t(), t(), t(), t())
+    }
+
     fn arb_opt_f64() -> impl Strategy<Value = Option<f64>> {
         (any::<bool>(), 0.0f64..1e6).prop_map(|(some, v)| some.then_some(v))
     }
 
-    fn arb_query() -> impl Strategy<Value = QueryRequest> {
+    /// A valid range query and a sampling rate.
+    fn arb_query() -> impl Strategy<Value = (RangeQuery, f64)> {
         (
             prop_oneof![Just(Aggregate::Count), Just(Aggregate::Sum)],
             proptest::collection::vec((0u32..64, -1000i64..1000, 0i64..1000), 1..6),
@@ -3067,11 +2448,68 @@ mod proptests {
                         Range::new(dim as usize + i * 64, lo, lo + width).unwrap()
                     })
                     .collect();
-                QueryRequest {
-                    query: RangeQuery::new(agg, ranges).unwrap(),
-                    sampling_rate,
-                }
+                (RangeQuery::new(agg, ranges).unwrap(), sampling_rate)
             })
+    }
+
+    /// Every plan shape a `Plan` or `Explain` frame can carry.
+    fn arb_plan() -> impl Strategy<Value = QueryPlan> {
+        let arb_statistic = || {
+            prop_oneof![
+                Just(DerivedStatistic::Average),
+                Just(DerivedStatistic::Variance),
+                Just(DerivedStatistic::StdDev),
+            ]
+        };
+        (
+            arb_query(),
+            (0.001f64..100.0, 0.0f64..0.1, 0.0f64..500.0),
+            0u32..256,
+            (any::<bool>(), arb_statistic()),
+            prop_oneof![Just(Extreme::Min), Just(Extreme::Max)],
+            0u8..4,
+        )
+            .prop_map(
+                |(
+                    (query, sampling_rate),
+                    (epsilon, delta, threshold),
+                    dim,
+                    (grouped_stat, stat),
+                    extreme,
+                    shape,
+                )| {
+                    let statistic = grouped_stat.then_some(stat);
+                    match shape {
+                        0 => QueryPlan::Scalar {
+                            query,
+                            sampling_rate,
+                            epsilon,
+                            delta,
+                        },
+                        1 => QueryPlan::Derived {
+                            query,
+                            statistic: stat,
+                            sampling_rate,
+                            epsilon,
+                            delta,
+                        },
+                        2 => QueryPlan::GroupBy {
+                            base: query,
+                            statistic,
+                            group_dim: dim as usize,
+                            threshold,
+                            sampling_rate,
+                            epsilon,
+                            delta,
+                        },
+                        _ => QueryPlan::Extreme {
+                            dim: dim as usize,
+                            extreme,
+                            epsilon,
+                        },
+                    }
+                },
+            )
     }
 
     fn arb_frame() -> BoxedStrategy<Frame> {
@@ -3107,50 +2545,6 @@ mod proptests {
                 },
             )
             .boxed();
-        let query = arb_query().prop_map(Frame::Query).boxed();
-        let batch = proptest::collection::vec(arb_query(), 0..8)
-            .prop_map(|specs| Frame::Batch(BatchRequest { specs }))
-            .boxed();
-        let answer = (
-            (any::<u32>(), any::<f64>(), 0.0f64..10.0, 0.0f64..0.1),
-            arb_opt_f64(),
-            (any::<u64>(), any::<u64>(), any::<u32>()),
-            proptest::collection::vec(any::<u64>(), 0..8),
-            (
-                any::<u64>(),
-                any::<u64>(),
-                any::<u64>(),
-                any::<u64>(),
-                any::<u64>(),
-            ),
-        )
-            .prop_map(
-                |(
-                    (index, value, eps, delta),
-                    ci_halfwidth,
-                    (clusters_scanned, covering_total, approximated_providers),
-                    allocations,
-                    (summary_us, allocation_us, execution_us, release_us, network_us),
-                )| {
-                    Frame::Answer(Answer {
-                        index,
-                        value,
-                        eps,
-                        delta,
-                        ci_halfwidth,
-                        clusters_scanned,
-                        covering_total,
-                        approximated_providers,
-                        allocations,
-                        summary_us,
-                        allocation_us,
-                        execution_us,
-                        release_us,
-                        network_us,
-                    })
-                },
-            )
-            .boxed();
         let error = (
             any::<u32>(),
             prop_oneof![
@@ -3170,56 +2564,8 @@ mod proptests {
                 })
             })
             .boxed();
-        let arb_statistic = || {
-            prop_oneof![
-                Just(DerivedStatistic::Average),
-                Just(DerivedStatistic::Variance),
-                Just(DerivedStatistic::StdDev),
-            ]
-        };
-        let plan = (
-            arb_query(),
-            (0.001f64..100.0, 0.0f64..0.1, 0.0f64..500.0),
-            0u32..256,
-            (any::<bool>(), arb_statistic()),
-            prop_oneof![Just(Extreme::Min), Just(Extreme::Max)],
-            0u8..4,
-        )
-            .prop_map(
-                |(spec, (epsilon, delta, threshold), dim, (grouped_stat, stat), extreme, shape)| {
-                    let statistic = grouped_stat.then_some(stat);
-                    let plan = match shape {
-                        0 => QueryPlan::Scalar {
-                            query: spec.query,
-                            sampling_rate: spec.sampling_rate,
-                            epsilon,
-                            delta,
-                        },
-                        1 => QueryPlan::Derived {
-                            query: spec.query,
-                            statistic: stat,
-                            sampling_rate: spec.sampling_rate,
-                            epsilon,
-                            delta,
-                        },
-                        2 => QueryPlan::GroupBy {
-                            base: spec.query,
-                            statistic,
-                            group_dim: dim as usize,
-                            threshold,
-                            sampling_rate: spec.sampling_rate,
-                            epsilon,
-                            delta,
-                        },
-                        _ => QueryPlan::Extreme {
-                            dim: dim as usize,
-                            extreme,
-                            epsilon,
-                        },
-                    };
-                    Frame::Plan(PlanRequest { plan })
-                },
-            )
+        let plan = arb_plan()
+            .prop_map(|plan| Frame::Plan(PlanRequest { plan }))
             .boxed();
         let plan_answer = (
             (any::<u32>(), 0.0f64..100.0, 0.0f64..0.1),
@@ -3227,13 +2573,7 @@ mod proptests {
             (any::<f64>(), arb_opt_f64(), -5000i64..5000),
             proptest::collection::vec((-5000i64..5000, 0.0f64..1e6, arb_opt_f64()), 0..6),
             any::<u64>(),
-            (
-                any::<u64>(),
-                any::<u64>(),
-                any::<u64>(),
-                any::<u64>(),
-                any::<u64>(),
-            ),
+            arb_timings(),
         )
             .prop_map(
                 |(
@@ -3278,30 +2618,8 @@ mod proptests {
                 },
             )
             .boxed();
-        let explain = (
-            arb_query(),
-            (0.001f64..100.0, 0.0f64..0.1),
-            prop_oneof![Just(Extreme::Min), Just(Extreme::Max)],
-            0u32..256,
-            any::<bool>(),
-        )
-            .prop_map(|(spec, (epsilon, delta), extreme, dim, scalar)| {
-                let plan = if scalar {
-                    QueryPlan::Scalar {
-                        query: spec.query,
-                        sampling_rate: spec.sampling_rate,
-                        epsilon,
-                        delta,
-                    }
-                } else {
-                    QueryPlan::Extreme {
-                        dim: dim as usize,
-                        extreme,
-                        epsilon,
-                    }
-                };
-                Frame::Explain(ExplainRequest { plan })
-            })
+        let explain = arb_plan()
+            .prop_map(|plan| Frame::Explain(ExplainRequest { plan }))
             .boxed();
         let explain_answer = (
             (any::<u32>(), arb_name(), 0u64..64),
@@ -3373,17 +2691,19 @@ mod proptests {
             (0.001f64..10.0, 0.001f64..10.0, 0.001f64..10.0, 0.0f64..0.1),
             any::<u64>(),
         )
-            .prop_map(|(spec, (eps_o, eps_s, eps_e, delta), occurrence)| {
-                Frame::Fragment(FragmentRequest {
-                    query: spec.query,
-                    sampling_rate: spec.sampling_rate,
-                    eps_o,
-                    eps_s,
-                    eps_e,
-                    delta,
-                    occurrence,
-                })
-            })
+            .prop_map(
+                |((query, sampling_rate), (eps_o, eps_s, eps_e, delta), occurrence)| {
+                    Frame::Fragment(FragmentRequest {
+                        query,
+                        sampling_rate,
+                        eps_o,
+                        eps_s,
+                        eps_e,
+                        delta,
+                        occurrence,
+                    })
+                },
+            )
             .boxed();
         let fragment_summaries = (
             proptest::collection::vec((any::<f64>(), any::<f64>()), 0..8),
@@ -3496,10 +2816,10 @@ mod proptests {
         ]
         .boxed();
         let online_plan = (arb_query(), (0.001f64..100.0, 0.0f64..0.1), 1u32..64)
-            .prop_map(|(spec, (epsilon, delta), rounds)| {
+            .prop_map(|((query, sampling_rate), (epsilon, delta), rounds)| {
                 Frame::OnlinePlan(OnlinePlanRequest {
-                    query: spec.query,
-                    sampling_rate: spec.sampling_rate,
+                    query,
+                    sampling_rate,
                     epsilon,
                     delta,
                     rounds,
@@ -3528,13 +2848,7 @@ mod proptests {
             .boxed();
         let online_done = (
             (any::<u32>(), 0.0f64..100.0, 0.0f64..0.1, any::<f64>()),
-            (
-                any::<u64>(),
-                any::<u64>(),
-                any::<u64>(),
-                any::<u64>(),
-                any::<u64>(),
-            ),
+            arb_timings(),
         )
             .prop_map(
                 |(
@@ -3598,9 +2912,6 @@ mod proptests {
         prop_oneof![
             hello,
             ack,
-            query,
-            batch,
-            answer,
             error,
             budget_req,
             budget_status,
@@ -3650,6 +2961,40 @@ mod proptests {
             bytes[byte] ^= 1 << bit;
             let mut slice: &[u8] = &bytes;
             let _ = read_frame(&mut slice); // must not panic
+        }
+
+        /// A hostile or corrupt payload — any bit flipped, any 4-byte
+        /// window overwritten with `0xFFFF_FFFF` (every declared count
+        /// becomes absurd), any suffix cut off with the header's length
+        /// patched to match — decodes to a frame or a typed error: never
+        /// a panic, and never a reservation `declared_len_fits` did not
+        /// admit (`get_list` asserts that one in debug builds).
+        #[test]
+        fn payload_corruption_never_panics_or_overallocates(
+            frame in arb_frame(),
+            at in any::<usize>(),
+            bit in 0u8..8,
+        ) {
+            let bytes = encode_frame(&frame).unwrap();
+            let payload_len = bytes.len() - HEADER_BYTES;
+            if payload_len == 0 {
+                return Ok(());
+            }
+            let at = HEADER_BYTES + at % payload_len;
+
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 1 << bit;
+            let _ = read_frame(&mut &flipped[..]);
+
+            let mut saturated = bytes.clone();
+            let end = (at + 4).min(saturated.len());
+            saturated[at..end].fill(0xFF);
+            let _ = read_frame(&mut &saturated[..]);
+
+            let mut truncated = bytes[..at].to_vec();
+            let len = (at - HEADER_BYTES) as u32;
+            truncated[7..11].copy_from_slice(&len.to_le_bytes());
+            prop_assert!(read_frame(&mut &truncated[..]).is_err());
         }
     }
 }

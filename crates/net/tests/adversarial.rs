@@ -10,14 +10,14 @@
 //!   in the engine's [`EngineAnswer`] as simulation-boundary diagnostics;
 //!   their exact byte patterns must be absent from every captured answer
 //!   frame, while the released value's bytes are present (the positive
-//!   control that the scan works). The same scan covers the v5 telemetry
+//!   control that the scan works). The same scan covers the telemetry
 //!   exposition: a `MetricsAnswer` frame is assembled inside the process
 //!   that holds those diagnostics in memory, so it gets the identical
-//!   byte-level audit — and the v6 server-push path (`OnlineSnapshot` /
+//!   byte-level audit — and the server-push path (`OnlineSnapshot` /
 //!   `OnlineDone`), which releases *several* values per plan, gets a
 //!   per-round scan. The struct literals in
 //!   `answer_frames_carry_no_diagnostic_fields` are the compile-time half:
-//!   adding any field to `Answer`/`PlanAnswerFrame`/`MetricsAnswerFrame`/
+//!   adding any field to `PlanAnswerFrame`/`MetricsAnswerFrame`/
 //!   `OnlineSnapshotFrame`/`OnlineDoneFrame`/`IngestAckFrame` breaks them,
 //!   forcing a conscious review of what new bytes reach an analyst.
 
@@ -26,9 +26,9 @@ use std::io::Read as _;
 use fedaqp_core::{Federation, FederationConfig, FederationEngine, QueryBatch};
 use fedaqp_model::{Aggregate, Dimension, Domain, QueryPlan, Range, RangeQuery, Row, Schema};
 use fedaqp_net::wire::{
-    read_frame, write_frame, Answer, Frame, Hello, IngestAckFrame, MetricsAnswerFrame,
-    OnlineDoneFrame, OnlinePlanRequest, OnlineSnapshotFrame, PlanAnswerFrame, PlanRequest,
-    QueryRequest, WireMetric, WirePlanResult, HEADER_BYTES,
+    read_frame, write_frame, Frame, Hello, IngestAckFrame, MetricsAnswerFrame, OnlineDoneFrame,
+    OnlinePlanRequest, OnlineSnapshotFrame, PlanAnswerFrame, PlanRequest, WireMetric,
+    WirePlanResult, HEADER_BYTES,
 };
 use fedaqp_net::{ErrorCode, FederationServer, NetError, RemoteFederation, ServeOptions};
 
@@ -61,6 +61,34 @@ fn count_query(lo: i64, hi: i64) -> RangeQuery {
     RangeQuery::new(Aggregate::Count, vec![Range::new(0, lo, hi).unwrap()]).unwrap()
 }
 
+/// The scalar plan a probe sends: the federation's default `(ε, δ)`, so
+/// the served job is the one `run_batch_serial` runs in process.
+fn scalar_plan(query: &RangeQuery) -> QueryPlan {
+    QueryPlan::Scalar {
+        query: query.clone(),
+        sampling_rate: 0.2,
+        epsilon: 1.0,
+        delta: 1e-3,
+    }
+}
+
+/// Sends one scalar plan on a raw stream; returns the reply's bytes as
+/// they crossed the socket and the released value.
+fn probe(stream: &mut std::net::TcpStream, query: &RangeQuery) -> (Vec<u8>, f64) {
+    let plan = scalar_plan(query);
+    write_frame(stream, &Frame::Plan(PlanRequest { plan })).unwrap();
+    match read_raw_frame(stream) {
+        (
+            bytes,
+            Frame::PlanAnswer(PlanAnswerFrame {
+                result: WirePlanResult::Value { value, .. },
+                ..
+            }),
+        ) => (bytes, value),
+        (_, other) => panic!("expected a scalar PlanAnswer, got {other:?}"),
+    }
+}
+
 /// One identity, ξ = 4 at ε = 1 per query, abused three ways in sequence:
 /// a reconnect loop (fresh connection per query), a 3-connection parallel
 /// swarm under a second identity, and post-exhaustion churn. The ledger
@@ -84,10 +112,10 @@ fn budget_survives_reconnect_churn_and_parallel_sessions() {
     let mut served = 0;
     for round in 0..8 {
         let mut conn = RemoteFederation::connect_as(&addr, "mallet").unwrap();
-        match conn.query(&q, 0.2) {
+        match conn.run_plan(&scalar_plan(&q)) {
             Ok(answer) => {
                 served += 1;
-                assert!(answer.value.is_finite());
+                assert!(answer.value().unwrap().is_finite());
                 assert!(round < 4, "query {round} exceeded the ledger");
             }
             Err(NetError::Remote { code, .. }) => {
@@ -116,7 +144,7 @@ fn budget_survives_reconnect_churn_and_parallel_sessions() {
                 scope.spawn(move || {
                     let mut conn = RemoteFederation::connect_as(&addr, "swarm").unwrap();
                     (0..3)
-                        .map(|_| match conn.query(&q, 0.2) {
+                        .map(|_| match conn.run_plan(&scalar_plan(&q)) {
                             Ok(_) => Ok(()),
                             Err(NetError::Remote { code, .. }) => Err(code),
                             Err(other) => panic!("unexpected transport error: {other:?}"),
@@ -144,7 +172,7 @@ fn budget_survives_reconnect_churn_and_parallel_sessions() {
         assert!((status.spent_eps - 4.0).abs() < 1e-9, "{identity} ledger");
         assert_eq!(status.queries_answered, 4, "{identity} answers");
         assert!(matches!(
-            conn.query(&q, 0.2),
+            conn.run_plan(&scalar_plan(&q)),
             Err(NetError::Remote {
                 code: ErrorCode::BudgetExhausted,
                 ..
@@ -153,7 +181,7 @@ fn budget_survives_reconnect_churn_and_parallel_sessions() {
     }
     // A bystander identity still has its own fresh grant.
     let mut bystander = RemoteFederation::connect_as(&addr, "bystander").unwrap();
-    assert!(bystander.query(&q, 0.2).is_ok());
+    assert!(bystander.run_plan(&scalar_plan(&q)).is_ok());
 
     drop(bystander);
     server.shutdown();
@@ -225,21 +253,9 @@ fn answer_frames_never_carry_raw_estimates_or_sensitivities() {
         .collect();
 
     for (q, oracle) in queries.iter().zip(&in_process) {
-        write_frame(
-            &mut stream,
-            &Frame::Query(QueryRequest {
-                query: q.clone(),
-                sampling_rate: 0.2,
-            }),
-        )
-        .unwrap();
-        let (bytes, frame) = read_raw_frame(&mut stream);
-        let answer = match frame {
-            Frame::Answer(a) => a,
-            other => panic!("expected an Answer, got {other:?}"),
-        };
+        let (bytes, released) = probe(&mut stream, q);
         assert_eq!(
-            answer.value.to_bits(),
+            released.to_bits(),
             oracle.value.to_bits(),
             "served and in-process runs diverged; the hygiene scan is void"
         );
@@ -249,57 +265,19 @@ fn answer_frames_never_carry_raw_estimates_or_sensitivities() {
             "noise-free release would make the scan vacuous"
         );
         assert!(
-            contains_f64(&bytes, answer.value),
+            contains_f64(&bytes, released),
             "positive control: the released value's bytes must be present"
         );
         assert!(
             !contains_f64(&bytes, oracle.raw_estimate),
-            "raw pre-noise estimate leaked into an Answer frame"
+            "raw pre-noise estimate leaked into a PlanAnswer frame"
         );
         for &ls in &oracle.smooth_ls {
             assert!(
                 !contains_f64(&bytes, ls),
-                "smooth sensitivity leaked into an Answer frame"
+                "smooth sensitivity leaked into a PlanAnswer frame"
             );
         }
-    }
-
-    // The v2 plan path: a scalar plan with the batch-default budget runs
-    // the same job content, so the in-process diagnostics match it too.
-    write_frame(
-        &mut stream,
-        &Frame::Plan(PlanRequest {
-            plan: QueryPlan::Scalar {
-                query: queries[0].clone(),
-                sampling_rate: 0.2,
-                epsilon: 1.0,
-                delta: 1e-3,
-            },
-        }),
-    )
-    .unwrap();
-    let (bytes, frame) = read_raw_frame(&mut stream);
-    let plan_answer = match frame {
-        Frame::PlanAnswer(a) => a,
-        other => panic!("expected a PlanAnswer, got {other:?}"),
-    };
-    let released = match plan_answer.result {
-        WirePlanResult::Value { value, .. } => value,
-        other => panic!("expected a scalar release, got {other:?}"),
-    };
-    // Same content, second occurrence of it on the served engine vs. the
-    // in-process engine: the draw differs, but the raw estimate is the
-    // same deterministic pre-noise sum.
-    assert!(contains_f64(&bytes, released), "positive control");
-    assert!(
-        !contains_f64(&bytes, in_process[0].raw_estimate),
-        "raw pre-noise estimate leaked into a PlanAnswer frame"
-    );
-    for &ls in &in_process[0].smooth_ls {
-        assert!(
-            !contains_f64(&bytes, ls),
-            "smooth sensitivity leaked into a PlanAnswer frame"
-        );
     }
 
     drop(stream);
@@ -307,7 +285,7 @@ fn answer_frames_never_carry_raw_estimates_or_sensitivities() {
     engine.shutdown();
 }
 
-/// The v5 telemetry exposition audited at the byte level: after a served
+/// The telemetry exposition audited at the byte level: after a served
 /// workload, the captured `MetricsAnswer` frame must carry none of the
 /// diagnostics the engine held in memory while producing it — no raw
 /// pre-noise estimates, no smooth sensitivities, no noise draws. The
@@ -354,22 +332,11 @@ fn metrics_frames_never_carry_raw_estimates_or_sensitivities() {
     // Serve the workload, checking bit-identity so the oracle's
     // diagnostics are provably the served engine's own.
     for (q, oracle) in queries.iter().zip(&in_process) {
-        write_frame(
-            &mut stream,
-            &Frame::Query(QueryRequest {
-                query: q.clone(),
-                sampling_rate: 0.2,
-            }),
-        )
-        .unwrap();
-        match read_raw_frame(&mut stream).1 {
-            Frame::Answer(a) => assert_eq!(
-                a.value.to_bits(),
-                oracle.value.to_bits(),
-                "served and in-process runs diverged; the hygiene scan is void"
-            ),
-            other => panic!("expected an Answer, got {other:?}"),
-        }
+        assert_eq!(
+            probe(&mut stream, q).1.to_bits(),
+            oracle.value.to_bits(),
+            "served and in-process runs diverged; the hygiene scan is void"
+        );
     }
 
     // Capture the metrics exposition exactly as it crossed the socket.
@@ -417,7 +384,7 @@ fn metrics_frames_never_carry_raw_estimates_or_sensitivities() {
     engine.shutdown();
 }
 
-/// The v6 server-push path audited at the byte level: an online plan
+/// The server-push path audited at the byte level: an online plan
 /// releases one value per round, so *every* captured `OnlineSnapshot`
 /// frame (and the trailing `OnlineDone`) is scanned for the raw
 /// pre-noise estimates and smooth sensitivities of its round's
@@ -528,9 +495,9 @@ fn online_push_frames_never_carry_raw_estimates_or_sensitivities() {
     engine.shutdown();
 }
 
-/// Compile-time hygiene: exhaustive struct literals over both answer
-/// frames, the telemetry exposition, and the v6 push/ingest frames.
-/// Adding ANY field to [`Answer`], [`PlanAnswerFrame`],
+/// Compile-time hygiene: exhaustive struct literals over the answer
+/// frame, the telemetry exposition, and the push/ingest frames.
+/// Adding ANY field to [`PlanAnswerFrame`],
 /// [`MetricsAnswerFrame`], [`WireMetric`], [`OnlineSnapshotFrame`],
 /// [`OnlineDoneFrame`], or [`IngestAckFrame`] — say a `raw_estimate`
 /// diagnostic — fails this build with "missing field", forcing review of
@@ -538,24 +505,6 @@ fn online_push_frames_never_carry_raw_estimates_or_sensitivities() {
 /// shorthand here, deliberately.)
 #[test]
 fn answer_frames_carry_no_diagnostic_fields() {
-    let answer = Answer {
-        index: 0,
-        value: 1.0,
-        eps: 1.0,
-        delta: 1e-3,
-        ci_halfwidth: Some(0.5),
-        clusters_scanned: 2,
-        covering_total: 3,
-        approximated_providers: 4,
-        allocations: vec![1, 2],
-        summary_us: 5,
-        allocation_us: 6,
-        execution_us: 7,
-        release_us: 8,
-        network_us: 9,
-    };
-    assert_eq!(answer.allocations.len(), 2);
-
     let plan_answer = PlanAnswerFrame {
         index: 0,
         eps: 1.0,

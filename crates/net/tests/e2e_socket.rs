@@ -3,7 +3,7 @@
 //!
 //! Coverage targets:
 //! * seeded remote answers are **byte-identical** to the in-process
-//!   engine's `run_batch_serial`,
+//!   engine's `run_batch_serial` and `run_plan`,
 //! * ≥ 4 concurrent clients are served without a dropped connection,
 //! * budget exhaustion surfaces as a typed `Error` frame (the connection
 //!   survives), and reconnecting cannot reset a spent budget.
@@ -17,6 +17,13 @@ use fedaqp_net::{
     wire, ErrorCode, FederationServer, LoopbackServer, NetError, RemoteFederation, RemoteShard,
     ServeOptions,
 };
+
+/// One scalar query under the server's advertised `(ε, δ)`: the released
+/// value, or the typed failure.
+fn scalar(client: &mut RemoteFederation, query: &RangeQuery, rate: f64) -> Result<f64, NetError> {
+    let answer = client.run_plan(&client.scalar_plan(query, rate))?;
+    Ok(answer.value().expect("a scalar plan releases a value"))
+}
 
 fn schema() -> Schema {
     Schema::new(vec![
@@ -73,11 +80,14 @@ fn remote_batch_is_byte_identical_to_in_process_serial() {
     assert_eq!(client.schema(), &schema());
     assert_eq!(client.n_providers(), 4);
     assert_eq!(client.session_budget(), None);
-    let remote: Vec<_> = client
-        .run_batch(&batch())
-        .unwrap()
-        .into_iter()
-        .map(|r| r.unwrap())
+    // One scalar plan per query, back to back on the one connection.
+    let remote: Vec<_> = batch()
+        .specs()
+        .iter()
+        .map(|spec| {
+            let plan = client.scalar_plan(&spec.query, spec.sampling_rate);
+            client.run_plan(&plan).unwrap()
+        })
         .collect();
 
     let in_process: Vec<_> = federation(1.0)
@@ -88,16 +98,19 @@ fn remote_batch_is_byte_identical_to_in_process_serial() {
 
     assert_eq!(remote.len(), in_process.len());
     for (r, l) in remote.iter().zip(&in_process) {
-        assert_eq!(r.value.to_bits(), l.value.to_bits(), "released value");
-        assert_eq!(r.allocations, l.allocations, "allocations");
+        let fedaqp_core::PlanResult::Value {
+            value,
+            ci_halfwidth,
+        } = r.result
+        else {
+            panic!("a scalar plan releases a value, got {:?}", r.result);
+        };
+        assert_eq!(value.to_bits(), l.value.to_bits(), "released value");
         assert_eq!(
-            r.ci_halfwidth.map(f64::to_bits),
+            ci_halfwidth.map(f64::to_bits),
             l.ci_halfwidth.map(f64::to_bits),
             "confidence half-width"
         );
-        assert_eq!(r.clusters_scanned, l.clusters_scanned);
-        assert_eq!(r.covering_total, l.covering_total);
-        assert_eq!(r.approximated_providers, l.approximated_providers);
         assert_eq!(r.cost.eps, l.cost.eps);
     }
 
@@ -116,17 +129,17 @@ fn pipelined_submits_answer_in_order() {
 
     let mut client = RemoteFederation::connect(&addr).unwrap();
     // The borrow rules make interleaved pending handles impossible on one
-    // connection, so pipeline at the wire level: queries are answered
+    // connection, so pipeline at the wire level: plans are answered
     // strictly in order, so sequential waits pair up correctly.
     let q1 = count_query(0, 400);
     let q2 = count_query(100, 900);
-    let a1 = client.query(&q1, 0.2).unwrap();
-    let a2 = client.query(&q2, 0.2).unwrap();
-    assert!(a1.value.is_finite() && a2.value.is_finite());
-    assert_eq!(a1.allocations.len(), 4);
+    let a1 = scalar(&mut client, &q1, 0.2).unwrap();
+    let a2 = scalar(&mut client, &q2, 0.2).unwrap();
+    assert!(a1.is_finite() && a2.is_finite());
     // Spot-check submit/wait as separate steps too.
-    let a3 = client.submit(&q1, 0.2).unwrap().wait().unwrap();
-    assert!(a3.value.is_finite());
+    let plan = client.scalar_plan(&q1, 0.2);
+    let a3 = client.submit_plan(&plan).unwrap().wait().unwrap();
+    assert!(a3.value().unwrap().is_finite());
 
     drop(client);
     server.shutdown();
@@ -149,20 +162,21 @@ fn dropped_pending_does_not_desync_the_connection() {
     // a swapped reply is unmistakable.
     let q_big = count_query(0, 999);
     let q_small = count_query(998, 999);
-    let expected_small = client.query(&q_small, 0.2).unwrap().value;
+    let expected_small = scalar(&mut client, &q_small, 0.2).unwrap();
 
     // Submit the big query and abandon the pending handle.
-    let _ = client.submit(&q_big, 0.2).unwrap();
+    let big_plan = client.scalar_plan(&q_big, 0.2);
+    let _ = client.submit_plan(&big_plan).unwrap();
     // The next query must get its own answer, not q_big's stale reply.
-    let small_again = client.query(&q_small, 0.2).unwrap().value;
-    let big = client.query(&q_big, 0.2).unwrap().value;
+    let small_again = scalar(&mut client, &q_small, 0.2).unwrap();
+    let big = scalar(&mut client, &q_big, 0.2).unwrap();
     assert!(
         (small_again - expected_small).abs() < 0.2 * big.max(1.0),
         "stale reply leaked: got {small_again}, small ≈ {expected_small}, big ≈ {big}"
     );
     assert!(big > 10.0 * small_again.abs().max(1.0));
     // A status request after an abandoned submit also stays in sync.
-    let _ = client.submit(&q_big, 0.2).unwrap();
+    let _ = client.submit_plan(&big_plan).unwrap();
     assert!(!client.budget_status().unwrap().limited);
 
     drop(client);
@@ -190,7 +204,7 @@ fn four_concurrent_clients_are_all_served() {
                         .map(|i| {
                             let lo = ((i * 31 + analyst * 7) % 300) as i64;
                             let hi = (400 + (i * 53) % 500) as i64;
-                            client.query(&count_query(lo, hi), 0.2).unwrap().value
+                            scalar(&mut client, &count_query(lo, hi), 0.2).unwrap()
                         })
                         .collect::<Vec<f64>>()
                 })
@@ -222,9 +236,9 @@ fn budget_exhaustion_is_typed_and_sticky_across_reconnects() {
     let mut alice = RemoteFederation::connect_as(&addr, "alice").unwrap();
     assert_eq!(alice.session_budget(), Some((2.0, 1e-2)));
     let q = count_query(100, 800);
-    alice.query(&q, 0.2).unwrap();
-    alice.query(&q, 0.2).unwrap();
-    match alice.query(&q, 0.2) {
+    scalar(&mut alice, &q, 0.2).unwrap();
+    scalar(&mut alice, &q, 0.2).unwrap();
+    match scalar(&mut alice, &q, 0.2) {
         Err(NetError::Remote { code, message }) => {
             assert_eq!(code, ErrorCode::BudgetExhausted);
             assert!(message.contains("budget"), "{message}");
@@ -239,21 +253,22 @@ fn budget_exhaustion_is_typed_and_sticky_across_reconnects() {
 
     // Reconnecting under the same identity cannot reset the ledger…
     let mut alice_again = RemoteFederation::connect_as(&addr, "alice").unwrap();
-    match alice_again.query(&q, 0.2) {
+    match scalar(&mut alice_again, &q, 0.2) {
         Err(NetError::Remote { code, .. }) => assert_eq!(code, ErrorCode::BudgetExhausted),
         other => panic!("expected a typed budget error, got {other:?}"),
     }
     // …while a different analyst gets a fresh one.
     let mut bob = RemoteFederation::connect_as(&addr, "bob").unwrap();
-    assert!(bob.query(&q, 0.2).is_ok());
+    assert!(scalar(&mut bob, &q, 0.2).is_ok());
 
     drop((alice, alice_again, bob));
     server.shutdown();
     engine.shutdown();
 }
 
-/// A batch that straddles the budget boundary: the affordable prefix is
-/// answered, the rest comes back as typed errors, in order.
+/// Six plans pipelined past the budget boundary — all written before any
+/// reply is read: the affordable prefix is answered, the rest comes back
+/// as typed errors, in order.
 #[test]
 fn batch_straddling_the_budget_gets_partial_answers() {
     let engine = FederationEngine::start(federation(1.0));
@@ -261,19 +276,38 @@ fn batch_straddling_the_budget_gets_partial_answers() {
         LoopbackServer::analyst(engine.handle(), ServeOptions::with_budget(3.0, 1e-2)).unwrap();
     let addr = server.addr().to_string();
 
-    let mut client = RemoteFederation::connect_as(&addr, "carol").unwrap();
-    let results = client.run_batch(&batch()).unwrap(); // 6 queries, 3 afford
-    assert_eq!(results.len(), 6);
-    let ok = results.iter().filter(|r| r.is_ok()).count();
-    assert_eq!(ok, 3, "exactly ξ/ε queries fit");
-    for rejected in results.iter().skip(3) {
-        match rejected {
-            Err(NetError::Remote { code, .. }) => assert_eq!(*code, ErrorCode::BudgetExhausted),
-            other => panic!("expected a typed budget error, got {other:?}"),
+    use fedaqp_net::wire::{read_frame, write_frame, Frame, Hello, PlanRequest};
+
+    let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+    write_frame(
+        &mut stream,
+        &Frame::Hello(Hello {
+            analyst: "carol".into(),
+        }),
+    )
+    .unwrap();
+    let Frame::HelloAck(ack) = read_frame(&mut stream).unwrap() else {
+        panic!("expected HelloAck");
+    };
+    for spec in batch().specs() {
+        let plan = QueryPlan::Scalar {
+            query: spec.query.clone(),
+            sampling_rate: spec.sampling_rate,
+            epsilon: ack.epsilon,
+            delta: ack.delta,
+        };
+        write_frame(&mut stream, &Frame::Plan(PlanRequest { plan })).unwrap();
+    }
+    // 6 plans, 3 afford: exactly ξ/ε answers, then the typed refusals.
+    for i in 0..6 {
+        match read_frame(&mut stream).unwrap() {
+            Frame::PlanAnswer(_) if i < 3 => {}
+            Frame::Error(e) if i >= 3 => assert_eq!(e.code, ErrorCode::BudgetExhausted),
+            other => panic!("reply {i}: {other:?}"),
         }
     }
 
-    drop(client);
+    drop(stream);
     server.shutdown();
     engine.shutdown();
 }
@@ -398,7 +432,6 @@ fn remote_plans_are_byte_identical_to_in_process() {
     let addr = server.addr().to_string();
 
     let mut client = RemoteFederation::connect(&addr).unwrap();
-    assert_eq!(client.protocol_version(), wire::VERSION);
     let remote: Vec<_> = mixed_plans()
         .iter()
         .map(|plan| client.run_plan(plan).unwrap())
@@ -527,214 +560,43 @@ fn plan_budgets_are_charged_whole_and_typed() {
     engine.shutdown();
 }
 
-/// A v1 client — frames stamped version 1, no plan kinds — works against
-/// the v2 server verbatim: same handshake, same Query/Answer bytes.
-#[test]
-fn v1_clients_still_work_against_the_v2_server() {
-    use fedaqp_net::wire::{read_frame_versioned, write_frame_at, Frame, Hello, QueryRequest};
-
-    let engine = FederationEngine::start(federation(1.0));
-    let server = LoopbackServer::analyst(engine.handle(), ServeOptions::unlimited()).unwrap();
-    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
-
-    write_frame_at(
-        &mut stream,
-        &Frame::Hello(Hello {
-            analyst: "legacy".into(),
-        }),
-        1,
-    )
-    .unwrap();
-    let (ack, version) = read_frame_versioned(&mut stream).unwrap();
-    assert_eq!(version, 1, "server answers a v1 client at v1");
-    match ack {
-        Frame::HelloAck(a) => {
-            assert_eq!(a.n_providers, 4);
-            assert_eq!(a.max_version, 1, "a v1 payload carries no advertisement");
-        }
-        other => panic!("expected HelloAck, got {other:?}"),
-    }
-    write_frame_at(
-        &mut stream,
-        &Frame::Query(QueryRequest {
-            query: count_query(100, 800),
-            sampling_rate: 0.2,
-        }),
-        1,
-    )
-    .unwrap();
-    let (reply, version) = read_frame_versioned(&mut stream).unwrap();
-    assert_eq!(version, 1);
-    match reply {
-        Frame::Answer(a) => assert!(a.value.is_finite()),
-        other => panic!("expected an Answer, got {other:?}"),
-    }
-
-    drop(stream);
-    server.shutdown();
-    engine.shutdown();
-}
-
-/// A v2 plan frame smuggled onto a v1-negotiated connection is rejected
-/// with a typed error BEFORE any budget is charged — and the connection
-/// (and its ledger) keeps working.
-#[test]
-fn plans_on_a_v1_connection_are_rejected_without_charging() {
-    use fedaqp_net::wire::{
-        read_frame_versioned, write_frame, write_frame_at, Frame, Hello, PlanRequest,
-    };
-
-    let engine = FederationEngine::start(federation(1.0));
-    let server =
-        LoopbackServer::analyst(engine.handle(), ServeOptions::with_budget(5.0, 1e-2)).unwrap();
-    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
-
-    // Handshake at v1: the connection negotiates version 1.
-    write_frame_at(
-        &mut stream,
-        &Frame::Hello(Hello {
-            analyst: "sneaky".into(),
-        }),
-        1,
-    )
-    .unwrap();
-    assert!(matches!(
-        read_frame_versioned(&mut stream).unwrap(),
-        (Frame::HelloAck(_), 1)
-    ));
-
-    // Now send a v2 plan frame anyway.
-    write_frame(
-        &mut stream,
-        &Frame::Plan(PlanRequest {
-            plan: QueryPlan::Scalar {
-                query: count_query(100, 800),
-                sampling_rate: 0.2,
-                epsilon: 1.0,
-                delta: 1e-3,
-            },
-        }),
-    )
-    .unwrap();
-    match read_frame_versioned(&mut stream).unwrap() {
-        (Frame::Error(e), 1) => {
-            assert_eq!(e.code, ErrorCode::BadRequest);
-            assert!(e.message.contains("v2"), "{}", e.message);
-        }
-        other => panic!("expected a typed v1 error, got {other:?}"),
-    }
-    // The rejection cost nothing and the connection still answers.
-    write_frame_at(&mut stream, &Frame::BudgetRequest, 1).unwrap();
-    match read_frame_versioned(&mut stream).unwrap() {
-        (Frame::BudgetStatus(status), 1) => {
-            assert_eq!(status.spent_eps, 0.0, "no budget charged");
-            assert_eq!(status.queries_answered, 0);
-        }
-        other => panic!("expected BudgetStatus, got {other:?}"),
-    }
-
-    drop(stream);
-    server.shutdown();
-    engine.shutdown();
-}
-
-/// A v3 explain frame smuggled onto a v2-negotiated connection is
-/// rejected with a typed error and the connection keeps working — the
-/// same guarantee the plan frames give v1 connections.
-#[test]
-fn explains_on_a_v2_connection_are_rejected_cleanly() {
-    use fedaqp_net::wire::{
-        read_frame_versioned, write_frame, write_frame_at, ExplainRequest, Frame, Hello,
-    };
-
-    let engine = FederationEngine::start(federation(1.0));
-    let server = LoopbackServer::analyst(engine.handle(), ServeOptions::unlimited()).unwrap();
-    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
-
-    // Handshake at v2: the connection negotiates version 2.
-    write_frame_at(
-        &mut stream,
-        &Frame::Hello(Hello {
-            analyst: "sneaky".into(),
-        }),
-        2,
-    )
-    .unwrap();
-    assert!(matches!(
-        read_frame_versioned(&mut stream).unwrap(),
-        (Frame::HelloAck(_), 2)
-    ));
-
-    // Now send a v3 explain frame anyway.
-    write_frame(
-        &mut stream,
-        &Frame::Explain(ExplainRequest {
-            plan: QueryPlan::Scalar {
-                query: count_query(100, 800),
-                sampling_rate: 0.2,
-                epsilon: 1.0,
-                delta: 1e-3,
-            },
-        }),
-    )
-    .unwrap();
-    match read_frame_versioned(&mut stream).unwrap() {
-        (Frame::Error(e), 2) => {
-            assert_eq!(e.code, ErrorCode::BadRequest);
-            assert!(e.message.contains("v3"), "{}", e.message);
-        }
-        other => panic!("expected a typed v2 error, got {other:?}"),
-    }
-    // The connection still answers.
-    write_frame_at(&mut stream, &Frame::BudgetRequest, 2).unwrap();
-    assert!(matches!(
-        read_frame_versioned(&mut stream).unwrap(),
-        (Frame::BudgetStatus(_), 2)
-    ));
-
-    drop(stream);
-    server.shutdown();
-    engine.shutdown();
-}
-
-/// An unknown header version gets a typed negotiation error frame — with
-/// the server's maximum version in it — before the close, never a bare
-/// hangup.
+/// A `Hello` stamped with any version but the current one — retired or
+/// from the future — gets a typed negotiation error frame carrying the
+/// server's version, from every role, before the close: never a bare
+/// hangup, never a role-specific refusal.
 #[test]
 fn unknown_versions_get_a_typed_error_not_a_hangup() {
-    use fedaqp_net::wire::{encode_frame, read_frame, Frame, Hello, VERSION};
+    use fedaqp_net::wire::{encode_frame, read_frame, Frame, Hello};
     use std::io::Write as _;
 
-    let engine = FederationEngine::start(federation(1.0));
-    let server = LoopbackServer::analyst(engine.handle(), ServeOptions::unlimited()).unwrap();
-    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    let roles = EveryRole::spawn(ServeOptions::unlimited());
+    for (role, listener) in &roles.listeners {
+        for version in [1u16, 5, 99] {
+            let mut stream = std::net::TcpStream::connect(listener.addr()).unwrap();
+            let mut bytes = encode_frame(&Frame::Hello(Hello {
+                analyst: "out-of-date".into(),
+            }))
+            .unwrap();
+            bytes[4..6].copy_from_slice(&version.to_le_bytes());
+            stream.write_all(&bytes).unwrap();
+            stream.flush().unwrap();
 
-    // A well-formed Hello whose header claims version 99.
-    let mut bytes = encode_frame(&Frame::Hello(Hello {
-        analyst: "futuristic".into(),
-    }))
-    .unwrap();
-    bytes[4..6].copy_from_slice(&99u16.to_le_bytes());
-    stream.write_all(&bytes).unwrap();
-    stream.flush().unwrap();
-
-    match read_frame(&mut stream) {
-        Ok(Frame::Error(e)) => {
-            assert_eq!(e.code, ErrorCode::UnsupportedVersion);
-            assert_eq!(e.index, VERSION as u32, "the server's max version");
-            assert!(e.message.contains("99"), "{}", e.message);
+            match read_frame(&mut stream) {
+                Ok(Frame::Error(e)) => {
+                    assert_eq!(e.code, ErrorCode::UnsupportedVersion, "{role} v{version}");
+                    assert_eq!(e.index, 6, "{role}: the server's version");
+                    assert!(e.message.contains(&version.to_string()), "{}", e.message);
+                }
+                other => panic!("{role} v{version}: expected a version error, got {other:?}"),
+            }
+            // The server closed after the unsyncable stream.
+            assert!(
+                matches!(read_frame(&mut stream), Err(NetError::Disconnected)),
+                "{role} v{version}"
+            );
         }
-        other => panic!("expected a typed version error, got {other:?}"),
     }
-    // The server closed after the unsyncable stream.
-    assert!(matches!(
-        read_frame(&mut stream),
-        Err(NetError::Disconnected)
-    ));
-
-    drop(stream);
-    server.shutdown();
-    engine.shutdown();
+    roles.shutdown();
 }
 
 /// Connecting to a dead port and binding an unbindable address both fail
@@ -807,7 +669,7 @@ fn spawn_coordinator(servers: &[LoopbackServer], options: ServeOptions) -> Loopb
 
 /// The tentpole's acceptance bar, over real sockets: a coordinator
 /// federating TWO engine shards answers the seeded mixed plans — and a
-/// plain scalar query — byte-identically to one in-process engine
+/// scalar under the advertised default budget — byte-identically to one in-process engine
 /// holding the same four providers. Sharding moves execution, never
 /// arithmetic, and the analyst protocol is exactly the one engine-backed
 /// servers speak.
@@ -817,14 +679,14 @@ fn two_remote_shards_serve_plans_byte_identical_to_one_engine() {
     let coordinator = spawn_coordinator(&shard_servers, ServeOptions::unlimited());
 
     let mut client = RemoteFederation::connect(coordinator.addr()).unwrap();
-    assert_eq!(client.protocol_version(), wire::VERSION);
     assert_eq!(client.schema(), &plan_schema());
     assert_eq!(client.n_providers(), 4);
     let remote_plans: Vec<_> = mixed_plans()
         .iter()
         .map(|plan| client.run_plan(plan).unwrap())
         .collect();
-    let remote_scalar = client.query(&count_query(100, 800), 0.2).unwrap();
+    let default_scalar = client.scalar_plan(&count_query(100, 800), 0.2);
+    let remote_scalar = client.run_plan(&default_scalar).unwrap();
 
     let (local_plans, local_scalar) = plan_federation(1.0).with_engine(|engine| {
         let plans: Vec<_> = mixed_plans()
@@ -847,23 +709,12 @@ fn two_remote_shards_serve_plans_byte_identical_to_one_engine() {
         assert_eq!(r.cost, l.cost, "charged cost");
     }
     assert_eq!(
-        remote_scalar.value.to_bits(),
-        local_scalar.value.to_bits(),
+        remote_scalar.result,
+        fedaqp_core::PlanResult::Value {
+            value: local_scalar.value,
+            ci_halfwidth: local_scalar.ci_halfwidth,
+        },
         "released scalar"
-    );
-    assert_eq!(remote_scalar.allocations, local_scalar.allocations);
-    assert_eq!(
-        remote_scalar.ci_halfwidth.map(f64::to_bits),
-        local_scalar.ci_halfwidth.map(f64::to_bits)
-    );
-    assert_eq!(
-        remote_scalar.clusters_scanned,
-        local_scalar.clusters_scanned
-    );
-    assert_eq!(remote_scalar.covering_total, local_scalar.covering_total);
-    assert_eq!(
-        remote_scalar.approximated_providers,
-        local_scalar.approximated_providers
     );
     assert_eq!(remote_scalar.cost.eps, local_scalar.cost.eps);
 
@@ -1173,39 +1024,19 @@ fn analyst_servers_refuse_fragment_frames() {
     engine.shutdown();
 }
 
-/// Shard-mode servers are the mirror image: a pre-v4 Hello is refused at
-/// the handshake (every frame they serve is v4+), and after a v4
-/// handshake, analyst frames get a typed redirect to the coordinator —
-/// querying a shard directly would bypass the coordinator's single
-/// budget ledger.
+/// Shard-mode servers are the mirror image: analyst frames get a typed
+/// redirect to the coordinator — querying a shard directly would bypass
+/// the coordinator's single budget ledger. (A `Hello` at a retired
+/// version is refused like at any other role:
+/// `unknown_versions_get_a_typed_error_not_a_hangup`.)
 #[test]
 fn shard_servers_refuse_old_hellos_and_analyst_frames() {
-    use fedaqp_net::wire::{
-        read_frame_versioned, write_frame, write_frame_at, Frame, Hello, QueryRequest,
-    };
+    use fedaqp_net::wire::{read_frame, write_frame, Frame, Hello, PlanRequest};
 
     let engine = FederationEngine::start(federation(1.0));
     let server = LoopbackServer::shard(engine.handle()).unwrap();
 
-    // (a) A v3 Hello is refused with a typed error naming the floor.
-    let mut old = std::net::TcpStream::connect(server.addr()).unwrap();
-    write_frame_at(
-        &mut old,
-        &Frame::Hello(Hello {
-            analyst: "old-coordinator".into(),
-        }),
-        3,
-    )
-    .unwrap();
-    match read_frame_versioned(&mut old).unwrap() {
-        (Frame::Error(e), _) => {
-            assert_eq!(e.code, ErrorCode::BadRequest);
-            assert!(e.message.contains("v4"), "{}", e.message);
-        }
-        other => panic!("expected a typed handshake refusal, got {other:?}"),
-    }
-
-    // (b) A v4 connection speaking analyst frames is redirected.
+    // (a, b) A connection speaking analyst frames is redirected.
     let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
     write_frame(
         &mut stream,
@@ -1215,29 +1046,28 @@ fn shard_servers_refuse_old_hellos_and_analyst_frames() {
     )
     .unwrap();
     assert!(matches!(
-        read_frame_versioned(&mut stream).unwrap(),
-        (Frame::HelloAck(_), _)
+        read_frame(&mut stream).unwrap(),
+        Frame::HelloAck(_)
     ));
     write_frame(
         &mut stream,
-        &Frame::Query(QueryRequest {
-            query: count_query(100, 800),
-            sampling_rate: 0.2,
+        &Frame::Plan(PlanRequest {
+            plan: mixed_plans().swap_remove(0),
         }),
     )
     .unwrap();
-    match read_frame_versioned(&mut stream).unwrap() {
-        (Frame::Error(e), _) => {
+    match read_frame(&mut stream).unwrap() {
+        Frame::Error(e) => {
             assert_eq!(e.code, ErrorCode::BadRequest);
             assert!(e.message.contains("coordinator"), "{}", e.message);
         }
         other => panic!("expected a typed redirect, got {other:?}"),
     }
     // (c) Fragment-lifecycle frames with no fragment in flight are typed
-    // too, and the connection survives all three refusals.
+    // too, and the connection survives both refusals.
     write_frame(&mut stream, &Frame::FragmentPartialRequest).unwrap();
-    match read_frame_versioned(&mut stream).unwrap() {
-        (Frame::Error(e), _) => {
+    match read_frame(&mut stream).unwrap() {
+        Frame::Error(e) => {
             assert_eq!(e.code, ErrorCode::BadRequest);
             assert!(e.message.contains("no fragment"), "{}", e.message);
         }
@@ -1245,17 +1075,16 @@ fn shard_servers_refuse_old_hellos_and_analyst_frames() {
     }
     write_frame(&mut stream, &Frame::ShardBoundsRequest).unwrap();
     assert!(matches!(
-        read_frame_versioned(&mut stream).unwrap(),
-        (Frame::ShardBounds(_), _)
+        read_frame(&mut stream).unwrap(),
+        Frame::ShardBounds(_)
     ));
 
-    drop(old);
     drop(stream);
     server.shutdown();
     engine.shutdown();
 }
 
-/// The v5 metrics admin frame, end to end against both analyst-facing
+/// The metrics admin frame, end to end against both analyst-facing
 /// listeners: after a served workload, `RemoteFederation::metrics()`
 /// returns *live* counters — queries answered, frames received,
 /// connections accepted — from the engine-backed server and the
@@ -1279,7 +1108,7 @@ fn metrics_frame_returns_live_counters_from_serve_and_coordinate() {
     let server = LoopbackServer::analyst(engine.handle(), ServeOptions::unlimited()).unwrap();
     let mut client = RemoteFederation::connect(server.addr()).unwrap();
     let before = get(&client.metrics().unwrap(), "fedaqp_server_queries_total").unwrap_or(0.0);
-    client.query(&count_query(100, 800), 0.2).unwrap();
+    scalar(&mut client, &count_query(100, 800), 0.2).unwrap();
     let after = client.metrics().unwrap();
     assert!(
         find(&after, "fedaqp_server_queries_total") >= before + 1.0,
@@ -1293,7 +1122,7 @@ fn metrics_frame_returns_live_counters_from_serve_and_coordinate() {
         "phase histograms must be fed by served queries"
     );
     // The per-kind frame family is live too.
-    assert!(find(&after, "fedaqp_server_frames_total.query") >= 1.0);
+    assert!(find(&after, "fedaqp_server_frames_total.plan") >= 1.0);
     drop(client);
     server.shutdown();
     engine.shutdown();
@@ -1303,7 +1132,7 @@ fn metrics_frame_returns_live_counters_from_serve_and_coordinate() {
     let coordinator = spawn_coordinator(&shard_servers, ServeOptions::with_budget(50.0, 0.5));
     let mut client = RemoteFederation::connect_as(coordinator.addr(), "alice").unwrap();
     let before_shard = get(&client.metrics().unwrap(), "fedaqp_shard_queries_total").unwrap_or(0.0);
-    client.query(&count_query(100, 800), 0.2).unwrap();
+    scalar(&mut client, &count_query(100, 800), 0.2).unwrap();
     let after = client.metrics().unwrap();
     assert!(
         find(&after, "fedaqp_shard_queries_total") >= before_shard + 1.0,
@@ -1325,7 +1154,7 @@ fn metrics_frame_returns_live_counters_from_serve_and_coordinate() {
 }
 
 // ---------------------------------------------------------------------------
-// v6: online plans (server push) and live federations (streaming ingest).
+// Online plans (server push) and live federations (streaming ingest).
 // ---------------------------------------------------------------------------
 
 fn online_plan(rounds: usize) -> QueryPlan {
@@ -1415,7 +1244,7 @@ fn live_servers_serve_ingest_and_queries_across_epochs() {
     assert_eq!(client.session_budget(), Some((50.0, 0.5)));
 
     // Epoch 0: the live server is byte-identical to a frozen federation.
-    let remote = client.query(&count_query(100, 800), 0.2).unwrap();
+    let remote = scalar(&mut client, &count_query(100, 800), 0.2).unwrap();
     let frozen = federation(1.0)
         .with_engine(|engine| {
             engine
@@ -1424,7 +1253,7 @@ fn live_servers_serve_ingest_and_queries_across_epochs() {
         })
         .unwrap();
     assert_eq!(
-        remote.value.to_bits(),
+        remote.to_bits(),
         frozen.value.to_bits(),
         "epoch 0 must answer exactly like a frozen federation"
     );
@@ -1449,8 +1278,8 @@ fn live_servers_serve_ingest_and_queries_across_epochs() {
     }
 
     // Epoch 1: queries, plans, and online pushes all still answer.
-    let grown = client.query(&count_query(100, 800), 0.2).unwrap();
-    assert!(grown.value.is_finite());
+    let grown = scalar(&mut client, &count_query(100, 800), 0.2).unwrap();
+    assert!(grown.is_finite());
     let mut rounds_seen = 0;
     let online = client
         .run_online_plan(&count_query(100, 800), 0.2, 1.0, 1e-3, 3, |_| {
@@ -1490,95 +1319,9 @@ fn frozen_servers_refuse_ingest_with_a_typed_error() {
         other => panic!("expected a typed refusal, got {other:?}"),
     }
     // The connection still answers queries.
-    assert!(client.query(&count_query(100, 800), 0.2).is_ok());
+    assert!(scalar(&mut client, &count_query(100, 800), 0.2).is_ok());
 
     drop(client);
-    server.shutdown();
-    engine.shutdown();
-}
-
-/// v6 frames smuggled onto a v5-negotiated connection are rejected with
-/// a typed error naming the needed version, before any budget charge —
-/// the same guarantee plan/explain/metrics frames give older connections.
-#[test]
-fn online_frames_on_a_v5_connection_are_rejected_without_charging() {
-    use fedaqp_net::wire::{
-        read_frame_versioned, write_frame, write_frame_at, Frame, Hello, IngestRequest,
-        OnlinePlanRequest, WireRow,
-    };
-
-    let engine = FederationEngine::start(federation(1.0));
-    let server =
-        LoopbackServer::analyst(engine.handle(), ServeOptions::with_budget(50.0, 0.5)).unwrap();
-    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
-
-    // Handshake at v5.
-    write_frame_at(
-        &mut stream,
-        &Frame::Hello(Hello {
-            analyst: "sneaky".into(),
-        }),
-        5,
-    )
-    .unwrap();
-    assert!(matches!(
-        read_frame_versioned(&mut stream).unwrap(),
-        (Frame::HelloAck(_), 5)
-    ));
-
-    // Smuggle a v6 online plan, then a v6 ingest batch.
-    write_frame(
-        &mut stream,
-        &Frame::OnlinePlan(OnlinePlanRequest {
-            query: count_query(100, 800),
-            sampling_rate: 0.2,
-            epsilon: 1.0,
-            delta: 1e-3,
-            rounds: 4,
-        }),
-    )
-    .unwrap();
-    match read_frame_versioned(&mut stream).unwrap() {
-        (Frame::Error(e), 5) => {
-            assert_eq!(e.code, ErrorCode::BadRequest);
-            assert!(e.message.contains("v6"), "{}", e.message);
-        }
-        other => panic!("expected a typed v5 error, got {other:?}"),
-    }
-    write_frame(
-        &mut stream,
-        &Frame::Ingest(IngestRequest {
-            provider: 0,
-            rows: vec![WireRow {
-                values: vec![1, 2],
-                measure: 1,
-            }],
-        }),
-    )
-    .unwrap();
-    match read_frame_versioned(&mut stream).unwrap() {
-        (Frame::Error(e), 5) => {
-            assert_eq!(e.code, ErrorCode::BadRequest);
-            assert!(
-                e.message.contains("v6") || e.message.contains("live-mode"),
-                "{}",
-                e.message
-            );
-        }
-        other => panic!("expected a typed v5 error, got {other:?}"),
-    }
-
-    // Nothing was charged, and the connection still answers.
-    write_frame_at(&mut stream, &Frame::BudgetRequest, 5).unwrap();
-    match read_frame_versioned(&mut stream).unwrap() {
-        (Frame::BudgetStatus(status), 5) => {
-            assert_eq!(status.spent_eps, 0.0, "refused frames must not charge");
-            assert_eq!(status.queries_answered, 0);
-        }
-        other => panic!("expected budget status, got {other:?}"),
-    }
-
-    drop(stream);
     server.shutdown();
     engine.shutdown();
 }
@@ -1638,20 +1381,18 @@ impl EveryRole {
     }
 }
 
-/// A non-`Hello` first frame is answered at the version the peer's header
-/// declared — the one encoding the peer is certain to decode — by every
-/// role, then the connection closes.
+/// A non-`Hello` first frame is answered with a typed error the peer can
+/// decode by every role, then the connection closes.
 #[test]
 fn a_wrong_first_frame_is_answered_at_the_peers_version_by_every_role() {
-    use fedaqp_net::wire::{read_frame_versioned, write_frame_at, Frame};
+    use fedaqp_net::wire::{read_frame, write_frame, Frame};
 
     let roles = EveryRole::spawn(ServeOptions::unlimited());
     for (role, listener) in &roles.listeners {
         let mut stream = std::net::TcpStream::connect(listener.addr()).unwrap();
-        write_frame_at(&mut stream, &Frame::BudgetRequest, 1).unwrap();
-        match read_frame_versioned(&mut stream).unwrap() {
-            (Frame::Error(e), version) => {
-                assert_eq!(version, 1, "{role}: reply stamped at the peer's version");
+        write_frame(&mut stream, &Frame::BudgetRequest).unwrap();
+        match read_frame(&mut stream).unwrap() {
+            Frame::Error(e) => {
                 assert_eq!(e.code, ErrorCode::BadRequest, "{role}");
                 assert!(
                     e.message.contains("expected a Hello"),
@@ -1662,10 +1403,7 @@ fn a_wrong_first_frame_is_answered_at_the_peers_version_by_every_role() {
             other => panic!("{role}: expected a typed handshake error, got {other:?}"),
         }
         assert!(
-            matches!(
-                read_frame_versioned(&mut stream),
-                Err(NetError::Disconnected)
-            ),
+            matches!(read_frame(&mut stream), Err(NetError::Disconnected)),
             "{role}: the handshake failure closes the connection"
         );
     }
@@ -1686,8 +1424,6 @@ struct GateCase {
     frame: wire::Frame,
     /// The roles that serve the frame.
     served_by: &'static [&'static str],
-    /// The negotiated version the frame is served from.
-    floor: u16,
     /// The ε a served frame charges a capped analyst.
     charges: f64,
     /// The reply kinds a served frame is answered with, in order.
@@ -1698,57 +1434,39 @@ struct GateCase {
 /// fragment lifecycle (queue, summaries, allocation, partial, abort).
 fn gate_cases() -> Vec<GateCase> {
     use fedaqp_net::wire::{
-        BatchRequest, ExplainRequest, ExtremeFragmentRequest, FragmentAllocationFrame,
-        FragmentRequest, Frame, IngestRequest, OnlinePlanRequest, PlanRequest, QueryRequest,
-        WireRow,
+        ExplainRequest, ExtremeFragmentRequest, FragmentAllocationFrame, FragmentRequest, Frame,
+        IngestRequest, OnlinePlanRequest, PlanRequest, WireRow,
     };
 
     const ANALYST: &[&str] = &["engine", "coordinator", "live"];
     const SHARD: &[&str] = &["shard"];
-    let spec = || QueryRequest {
-        query: count_query(100, 800),
-        sampling_rate: 0.2,
-    };
     let scalar = || QueryPlan::Scalar {
         query: count_query(100, 800),
         sampling_rate: 0.2,
         epsilon: 0.5,
         delta: 1e-3,
     };
-    let case = |frame, served_by, floor, charges, replies| GateCase {
+    let case = |frame, served_by, charges, replies| GateCase {
         frame,
         served_by,
-        floor,
         charges,
         replies,
     };
     vec![
-        case(Frame::Query(spec()), ANALYST, 1, 1.0, &["Answer"]),
-        case(
-            Frame::Batch(BatchRequest {
-                specs: vec![spec(), spec()],
-            }),
-            ANALYST,
-            1,
-            2.0,
-            &["Answer", "Answer"],
-        ),
         case(
             Frame::Plan(PlanRequest { plan: scalar() }),
             ANALYST,
-            2,
             0.5,
             &["PlanAnswer"],
         ),
         case(
             Frame::Explain(ExplainRequest { plan: scalar() }),
             ANALYST,
-            3,
             0.0,
             &["ExplainAnswer"],
         ),
-        case(Frame::BudgetRequest, ANALYST, 1, 0.0, &["BudgetStatus"]),
-        case(Frame::Metrics, ANALYST, 5, 0.0, &["MetricsAnswer"]),
+        case(Frame::BudgetRequest, ANALYST, 0.0, &["BudgetStatus"]),
+        case(Frame::Metrics, ANALYST, 0.0, &["MetricsAnswer"]),
         case(
             Frame::OnlinePlan(OnlinePlanRequest {
                 query: count_query(100, 800),
@@ -1758,7 +1476,6 @@ fn gate_cases() -> Vec<GateCase> {
                 rounds: 2,
             }),
             ANALYST,
-            6,
             0.25,
             &["OnlineSnapshot", "OnlineSnapshot", "OnlineDone"],
         ),
@@ -1771,7 +1488,6 @@ fn gate_cases() -> Vec<GateCase> {
                 }],
             }),
             &["live"],
-            6,
             0.0,
             &["IngestAck"],
         ),
@@ -1786,14 +1502,12 @@ fn gate_cases() -> Vec<GateCase> {
                 occurrence: 0,
             }),
             SHARD,
-            4,
             0.0,
             &["FragmentQueued"],
         ),
         case(
             Frame::FragmentSummariesRequest,
             SHARD,
-            4,
             0.0,
             &["FragmentSummaries"],
         ),
@@ -1802,18 +1516,16 @@ fn gate_cases() -> Vec<GateCase> {
                 allocations: vec![2; 4],
             }),
             SHARD,
-            4,
             0.0,
             &["FragmentAllocated"],
         ),
         case(
             Frame::FragmentPartialRequest,
             SHARD,
-            4,
             0.0,
             &["FragmentPartial"],
         ),
-        case(Frame::FragmentAbort, SHARD, 4, 0.0, &["FragmentAborted"]),
+        case(Frame::FragmentAbort, SHARD, 0.0, &["FragmentAborted"]),
         case(
             Frame::ExtremeFragment(ExtremeFragmentRequest {
                 dim: 0,
@@ -1822,25 +1534,22 @@ fn gate_cases() -> Vec<GateCase> {
                 occurrence: 0,
             }),
             SHARD,
-            4,
             0.0,
             &["ExtremePartial"],
         ),
-        case(Frame::ShardBoundsRequest, SHARD, 4, 0.0, &["ShardBounds"]),
+        case(Frame::ShardBoundsRequest, SHARD, 0.0, &["ShardBounds"]),
     ]
 }
 
 /// The conformance matrix of the serving loop: every role × every request
-/// frame kind × every negotiable version (so each frame is probed just
-/// below and at its floor). A frame the role does not serve, then a frame
-/// the connection's version cannot answer, is refused with a typed
+/// frame kind. A frame the role does not serve is refused with a typed
 /// `bad-request` naming the reason; the refusal charges nothing, and the
 /// connection keeps serving. A served frame gets exactly its reply kinds
 /// and charges exactly its declared ε. Every frame — fragment frames on a
 /// shard listener included — lands in the frame counters.
 #[test]
 fn every_role_gates_every_frame_kind_by_role_then_version() {
-    use fedaqp_net::wire::{read_frame_versioned, write_frame, write_frame_at, Frame, Hello};
+    use fedaqp_net::wire::{read_frame, write_frame, Frame, Hello};
 
     let roles = EveryRole::spawn(ServeOptions::with_budget(1000.0, 0.9));
     let metric = |client: &mut RemoteFederation, name: &str| -> f64 {
@@ -1856,108 +1565,76 @@ fn every_role_gates_every_frame_kind_by_role_then_version() {
     let (frames_sent, fragments_sent) = (std::cell::Cell::new(0.0), std::cell::Cell::new(0.0));
 
     for (role, listener) in &roles.listeners {
-        for version in wire::MIN_VERSION..=wire::VERSION {
-            let mut stream = std::net::TcpStream::connect(listener.addr()).unwrap();
-            let hello = Frame::Hello(Hello {
-                analyst: "matrix".into(),
-            });
-            write_frame_at(&mut stream, &hello, version).unwrap();
-            let ack = read_frame_versioned(&mut stream).unwrap();
-            if *role == "shard" && version < 4 {
-                // Below the shard role's Hello floor there is no
-                // connection to gate frames on.
-                match ack {
-                    (Frame::Error(e), v) => {
-                        assert_eq!(v, version);
-                        assert!(e.message.contains("v4"), "{}", e.message);
-                    }
-                    other => panic!("expected a handshake refusal, got {other:?}"),
-                }
-                continue;
+        let mut stream = std::net::TcpStream::connect(listener.addr()).unwrap();
+        let hello = Frame::Hello(Hello {
+            analyst: "matrix".into(),
+        });
+        write_frame(&mut stream, &hello).unwrap();
+        let ack = read_frame(&mut stream).unwrap();
+        assert!(matches!(ack, Frame::HelloAck(_)), "{role}: {ack:?}");
+
+        let mut exchange = |frame: &Frame, replies: usize| -> Vec<Frame> {
+            write_frame(&mut stream, frame).unwrap();
+            frames_sent.set(frames_sent.get() + 1.0);
+            let kind = frame_kind(frame);
+            if kind.contains("Fragment") || kind == "ShardBoundsRequest" {
+                fragments_sent.set(fragments_sent.get() + 1.0);
             }
-            assert!(
-                matches!(ack, (Frame::HelloAck(_), v) if v == version),
-                "{role} v{version}: {ack:?}"
-            );
+            (0..replies)
+                .map(|_| read_frame(&mut stream).unwrap())
+                .collect()
+        };
+        // The ledger as the analyst sees it; a shard listener has none
+        // (and refuses the inquiry like any other analyst frame).
+        let spent = |status: Vec<Frame>| -> Option<f64> {
+            match &status[0] {
+                Frame::BudgetStatus(status) => Some(status.spent_eps),
+                Frame::Error(_) => None,
+                other => panic!("{role}: unexpected status reply {other:?}"),
+            }
+        };
 
-            // Requests go out stamped at the newest version (a request
-            // decodes from its own header); replies must come back at the
-            // negotiated one.
-            let mut exchange = |frame: &Frame, replies: usize| -> Vec<Frame> {
-                write_frame(&mut stream, frame).unwrap();
-                frames_sent.set(frames_sent.get() + 1.0);
-                let kind = frame_kind(frame);
-                if kind.contains("Fragment") || kind == "ShardBoundsRequest" {
-                    fragments_sent.set(fragments_sent.get() + 1.0);
+        for case in gate_cases() {
+            let what = format!("{role} {}", frame_kind(&case.frame));
+            let before = spent(exchange(&Frame::BudgetRequest, 1));
+            let refusal = (!case.served_by.contains(role)).then(|| {
+                match (*role, frame_kind(&case.frame).as_str()) {
+                    ("shard", _) => "coordinator",
+                    (_, "Ingest") => "live-mode",
+                    _ => "shard-mode",
                 }
-                (0..replies)
-                    .map(|_| {
-                        let (reply, v) = read_frame_versioned(&mut stream).unwrap();
-                        assert_eq!(v, version, "{role}: replies use the negotiated version");
-                        reply
-                    })
-                    .collect()
-            };
-            // The ledger as the analyst sees it; a shard listener has none
-            // (and refuses the inquiry like any other analyst frame).
-            let spent = |status: Vec<Frame>| -> Option<f64> {
-                match &status[0] {
-                    Frame::BudgetStatus(status) => Some(status.spent_eps),
-                    Frame::Error(_) => None,
-                    other => panic!("{role} v{version}: unexpected status reply {other:?}"),
-                }
-            };
-
-            for case in gate_cases() {
-                let what = format!("{role} v{version} {}", frame_kind(&case.frame));
-                let before = spent(exchange(&Frame::BudgetRequest, 1));
-                let served = case.served_by.contains(role);
-                let refusal = if !served {
-                    Some(match (*role, frame_kind(&case.frame).as_str()) {
-                        ("shard", _) => "coordinator".to_owned(),
-                        (_, "Ingest") => "live-mode".to_owned(),
-                        _ => "shard-mode".to_owned(),
-                    })
-                } else if version < case.floor {
-                    Some(format!("v{}-negotiated", case.floor))
-                } else {
-                    None
-                };
-                let replies = exchange(
-                    &case.frame,
-                    refusal.as_ref().map_or(case.replies.len(), |_| 1),
-                );
-                let charged = match &refusal {
-                    Some(fragment) => {
-                        match &replies[0] {
-                            Frame::Error(e) => {
-                                assert_eq!(e.code, ErrorCode::BadRequest, "{what}");
-                                assert!(e.message.contains(fragment), "{what}: {}", e.message);
-                            }
-                            other => panic!("{what}: expected a typed refusal, got {other:?}"),
+            });
+            let replies = exchange(&case.frame, refusal.map_or(case.replies.len(), |_| 1));
+            let charged = match refusal {
+                Some(fragment) => {
+                    match &replies[0] {
+                        Frame::Error(e) => {
+                            assert_eq!(e.code, ErrorCode::BadRequest, "{what}");
+                            assert!(e.message.contains(fragment), "{what}: {}", e.message);
                         }
-                        0.0
+                        other => panic!("{what}: expected a typed refusal, got {other:?}"),
                     }
-                    None => {
-                        let kinds: Vec<String> = replies.iter().map(frame_kind).collect();
-                        assert_eq!(kinds, case.replies, "{what}");
-                        case.charges
-                    }
-                };
-                // The connection is still usable, and the ledger moved by
-                // exactly what the frame declared — nothing on a refusal.
-                match (before, spent(exchange(&Frame::BudgetRequest, 1))) {
-                    (Some(before), Some(after)) => assert!(
-                        (after - before - charged).abs() < 1e-9,
-                        "{what}: ledger moved {before} -> {after}, expected +{charged}"
-                    ),
-                    (None, None) => {
-                        assert_eq!(*role, "shard", "{what}: only shards keep no ledger");
-                        let alive = exchange(&Frame::ShardBoundsRequest, 1);
-                        assert_eq!(frame_kind(&alive[0]), "ShardBounds", "{what}");
-                    }
-                    other => panic!("{what}: ledger visibility changed mid-connection: {other:?}"),
+                    0.0
                 }
+                None => {
+                    let kinds: Vec<String> = replies.iter().map(frame_kind).collect();
+                    assert_eq!(kinds, case.replies, "{what}");
+                    case.charges
+                }
+            };
+            // The connection is still usable, and the ledger moved by
+            // exactly what the frame declared — nothing on a refusal.
+            match (before, spent(exchange(&Frame::BudgetRequest, 1))) {
+                (Some(before), Some(after)) => assert!(
+                    (after - before - charged).abs() < 1e-9,
+                    "{what}: ledger moved {before} -> {after}, expected +{charged}"
+                ),
+                (None, None) => {
+                    assert_eq!(*role, "shard", "{what}: only shards keep no ledger");
+                    let alive = exchange(&Frame::ShardBoundsRequest, 1);
+                    assert_eq!(frame_kind(&alive[0]), "ShardBounds", "{what}");
+                }
+                other => panic!("{what}: ledger visibility changed mid-connection: {other:?}"),
             }
         }
     }

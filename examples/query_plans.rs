@@ -80,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "serving on {} (wire v{})",
         server.local_addr(),
-        remote.protocol_version()
+        fedaqp::net::wire::VERSION
     );
     for (plan, local_answer) in plans.iter().zip(&local) {
         let remote_answer = remote.run_plan(plan)?;
