@@ -8,7 +8,7 @@
 //! ```text
 //! bench_gate <current.json> <baseline.json> [--max-regression 0.25]
 //!            [--min-speedup 2.0] [--min-pruned-speedup 1.15]
-//!            [--min-pruned-fraction 0.5] [--max-telemetry-overhead-pct 2.0]
+//!            [--min-pruned-fraction 0.5]
 //! ```
 //!
 //! Fails (exit 1) when any of
@@ -21,12 +21,11 @@
 //! * the optimizer pruned less than `--min-pruned-fraction` (default 0.5)
 //!   of the provider slots on that layout — the speed-up gate would be
 //!   vacuous if nothing were actually pruned (the committed layout prunes
-//!   exactly 3 of 4 providers per query, fraction 0.75), or
-//! * the obs instrumentation costs more than
-//!   `--max-telemetry-overhead-pct` (default 2%) of the uninstrumented
-//!   throughput on the compute-bound skewed layout (`telemetry-on` vs
-//!   `telemetry-off`, best of interleaved trials — telemetry must stay
-//!   cheap enough to leave on in production).
+//!   exactly 3 of 4 providers per query, fraction 0.75).
+//!
+//! The obs instrumentation's cost (`telemetry_overhead_pct`) is reported,
+//! not gated: on a shared 2-vCPU runner it reads noise on both sides of
+//! zero.
 //!
 //! The comparison deliberately leans on the *speed-up ratios* (machine
 //! independent) and treats absolute qps with a generous regression band,
@@ -481,8 +480,6 @@ throughput flags:
   --min-speedup S          engine-vs-serial speedup floor       [2.0]
   --min-pruned-speedup P   pruned-vs-exhaustive speedup floor   [1.15]
   --min-pruned-fraction F  pruned provider-slot fraction floor  [0.5]
-  --max-telemetry-overhead-pct T
-                           telemetry-on throughput cost ceiling (%) [2.0]
 
 accuracy flags:
   --max-regression R       allowed calibrated-RMS rise          [0.25]
@@ -515,7 +512,6 @@ fn run(args: &[String]) -> Result<String, String> {
     let mut min_speedup = 2.0_f64;
     let mut min_pruned_speedup = 1.15_f64;
     let mut min_pruned_fraction = 0.5_f64;
-    let mut max_telemetry_overhead_pct = 2.0_f64;
     let mut min_scaling: Option<f64> = None;
     let mut pairwise_slack = 1.15_f64;
     let mut attack_band = 0.10_f64;
@@ -609,14 +605,6 @@ fn run(args: &[String]) -> Result<String, String> {
                     .parse()
                     .map_err(|e| format!("--min-pruned-fraction: {e}"))?;
             }
-            "--max-telemetry-overhead-pct" => {
-                i += 1;
-                max_telemetry_overhead_pct = args
-                    .get(i)
-                    .ok_or("--max-telemetry-overhead-pct needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--max-telemetry-overhead-pct: {e}"))?;
-            }
             "--pairwise-slack" => {
                 i += 1;
                 pairwise_slack = args
@@ -684,7 +672,7 @@ fn run(args: &[String]) -> Result<String, String> {
          speedup {current_speedup:.2}x (baseline {baseline_speedup:.2}x, floor {min_speedup:.2}x), \
          pruned speedup {pruned_speedup:.2}x (floor {min_pruned_speedup:.2}x) at pruned fraction \
          {pruned_fraction:.2} (floor {min_pruned_fraction:.2}), telemetry overhead \
-         {telemetry_overhead_pct:.2}% (ceiling {max_telemetry_overhead_pct:.2}%)\n"
+         {telemetry_overhead_pct:.2}% (reported, not gated)\n"
     );
     let mut failed = false;
     if current_qps < qps_floor {
@@ -714,14 +702,6 @@ fn run(args: &[String]) -> Result<String, String> {
         report.push_str(&format!(
             "FAIL: metadata pruning no longer ≥{min_pruned_speedup:.2}x the exhaustive plan \
              on the skewed band layout\n"
-        ));
-    }
-    if telemetry_overhead_pct > max_telemetry_overhead_pct {
-        failed = true;
-        report.push_str(&format!(
-            "FAIL: telemetry costs {telemetry_overhead_pct:.2}% of the uninstrumented \
-             throughput (ceiling {max_telemetry_overhead_pct:.2}%) — instrumentation must \
-             stay cheap enough to leave on\n"
         ));
     }
     if failed {
@@ -857,23 +837,20 @@ mod tests {
                 .chain(extra.iter().map(|s| s.to_string()))
                 .collect()
         };
-        // Instrumentation getting expensive fails...
-        let costly = DOC.replace(
-            "\"telemetry_overhead_pct\": 1.000",
-            "\"telemetry_overhead_pct\": 5.000",
-        );
-        std::fs::write(&current, costly).unwrap();
-        let err = run(&args(&[])).unwrap_err();
-        assert!(err.contains("cheap enough to leave on"), "{err}");
-        // ... unless the ceiling is raised above the measurement.
-        assert!(run(&args(&["--max-telemetry-overhead-pct", "10.0"])).is_ok());
-        // Negative overhead ("on" won the race — noise) passes.
-        let lucky = DOC.replace(
-            "\"telemetry_overhead_pct\": 1.000",
-            "\"telemetry_overhead_pct\": -0.400",
-        );
-        std::fs::write(&current, lucky).unwrap();
-        assert!(run(&args(&[])).is_ok());
+        // The overhead is reported, never gated: a costly reading and a
+        // negative one ("on" won the race — noise) both pass.
+        for overhead in ["5.000", "-0.400"] {
+            let doc = DOC.replace(
+                "\"telemetry_overhead_pct\": 1.000",
+                &format!("\"telemetry_overhead_pct\": {overhead}"),
+            );
+            std::fs::write(&current, doc).unwrap();
+            let report = run(&args(&[])).unwrap();
+            assert!(report.contains("reported, not gated"), "{report}");
+        }
+        // The retired ceiling flag is no longer a flag.
+        let err = run(&args(&["--max-telemetry-overhead-pct", "10.0"])).unwrap_err();
+        assert!(err.contains("usage"), "{err}");
         // A summary predating the telemetry keys is a hard error.
         std::fs::write(
             &current,
@@ -902,7 +879,6 @@ mod tests {
             "--max-first-fraction",
             "--min-pruned-speedup",
             "--min-pruned-fraction",
-            "--max-telemetry-overhead-pct",
             "--min-speedup",
             "--min-scaling",
             "--pairwise-slack",

@@ -1,25 +1,37 @@
 //! The concurrent multi-query federation engine — the one implementation
 //! of protocol steps 1–7.
 //!
-//! A [`crate::Federation`] is data at rest; every query runs here, on a
-//! **persistent per-provider worker pool** (one OS thread per data
-//! provider, alive across queries) that executes many in-flight queries at
-//! once, pipelining provider phases across queries while each query's
-//! allocation barrier (protocol step 3) synchronizes only its own job.
-//! The pool is either scoped ([`crate::Federation::with_engine`], borrowing
-//! the providers) or owned ([`FederationEngine`], for a long-lived
-//! service); both hand out the same [`EngineHandle`].
+//! A [`crate::Federation`] is data at rest; every query runs here, as a
+//! *job* of per-provider *turns* — a private job's summary turn (steps
+//! 1–2) and execute turn (steps 4–6) around the allocation barrier
+//! (step 3) that synchronizes only its own job. Two engines hand out the
+//! same [`EngineHandle`] and differ only in which thread runs a turn:
 //!
-//! Architecture:
+//! - An **owned** engine ([`FederationEngine`], a long-lived service)
+//!   keeps a persistent per-provider worker pool — one OS thread per data
+//!   provider, alive across queries — that executes many in-flight jobs
+//!   at once, pipelining provider phases across queries.
+//! - A **scoped** engine ([`crate::Federation::with_engine`], borrowing the
+//!   providers) spawns nothing: a job runs to completion on the first
+//!   thread that waits for it, every provider's turn in id order, and
+//!   any other waiter parks until it lands. Nothing runs at submission,
+//!   so a job nobody waits for costs nothing, and concurrency comes from
+//!   the analysts' own threads.
+//!
+//! Owned-engine architecture:
 //!
 //! ```text
 //!  analysts ──submit──▶ EngineHandle ──(job fan-out)──▶ provider workers
-//!     ▲                                                   │ prepare+summary
+//!     ▲                                                   │ summary turn
 //!     │                                                   ▼
 //!     │                 per-job barrier: last summary computes allocation
-//!     │                                                   │ execute
+//!     │                                                   │ execute turn
 //!     └──── PendingAnswer::wait ◀──(job fan-in)───────────┘ finalize
 //! ```
+//!
+//! Workers and waiting threads call the same turn functions, contained by
+//! the same panic guard, so where a turn ran never changes what it
+//! released.
 //!
 //! Determinism: every `(query, provider)` pair draws from an RNG derived
 //! from `(config.seed, job content, occurrence, provider id)`, where
@@ -43,7 +55,7 @@
 
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -149,7 +161,7 @@ impl FromIterator<QuerySpec> for QueryBatch {
 /// It carries no exact oracle / relative error: the engine is the serving
 /// path, and computing the exact answer would scan every provider per
 /// query. Experiments that need the oracle ask for it —
-/// [`crate::Federation::exact`], or a plain job on the same worker pool —
+/// [`crate::Federation::exact`], or a plain job on the same engine —
 /// and compare with [`crate::protocol::relative_error`].
 #[derive(Debug, Clone)]
 pub struct EngineAnswer {
@@ -189,7 +201,7 @@ enum JobKind {
         sampling_rate: f64,
         budget: QueryBudget,
     },
-    /// A full plain scan (the speed-up baseline), on the same pool.
+    /// A full plain scan (the speed-up baseline), on the same engine.
     Plain { query: RangeQuery },
     /// A private MIN/MAX: per-provider Exponential-mechanism selection
     /// over the dimension's public domain, answered from Algorithm 1
@@ -251,6 +263,24 @@ impl JobKind {
     }
 }
 
+/// What a provider's summary turn hands its execute turn: the step-1
+/// covering set and the provider's RNG lane, mid-stream.
+type Carry = (PreparedQuery, StdRng);
+
+/// Where a scoped job's provider turns stand. Jobs on an owned engine stay
+/// `Pending`: their pool workers run the turns.
+#[derive(Debug)]
+enum Turns {
+    /// No thread has run them yet.
+    Pending,
+    /// A waiting thread claimed them; every other waiter parks on the
+    /// job's condvar.
+    Running,
+    /// A scoped fragment ran its summary turns; each un-pruned provider's
+    /// carry waits here for the coordinator's allocation.
+    Summarized(Vec<Option<Carry>>),
+}
+
 /// Mutable per-job progress, guarded by the job mutex.
 #[derive(Debug)]
 struct JobProgress {
@@ -263,15 +293,25 @@ struct JobProgress {
     summary_time: Duration,
     allocation_time: Duration,
     execution_time: Duration,
+    turns: Turns,
 }
 
-/// One in-flight query job, shared between the submitting analyst and the
-/// provider workers.
+/// The providers a scoped engine borrows from its federation; `None` once
+/// the scope closed. A waiting thread holds the read side while it runs a
+/// job's turns, so closing waits those out and hands the federation its
+/// providers back unshared.
+type Scope = RwLock<Option<Arc<Vec<DataProvider>>>>;
+
+/// One in-flight query job, shared between the submitting analyst and
+/// whichever threads run its provider turns.
 #[derive(Debug)]
 pub(crate) struct JobState {
     kind: JobKind,
     index: u64,
     seed: u64,
+    /// The scoped engine whose waiting threads run this job; `None` on an
+    /// owned engine, whose pool workers do.
+    scope: Option<Arc<Scope>>,
     /// Per-provider pruning verdicts from the engine's public metadata
     /// snapshot (`true` ⇒ provably empty covering set, skip the step-1
     /// walk). Empty when the pruning pass is off. Deliberately *not* part
@@ -285,7 +325,7 @@ pub(crate) struct JobState {
     /// providers `[o, o+k)` reproduces exactly the 1-shard streams.
     lane_base: u64,
     /// When set, step 3 is solved *outside* this engine: the last summary
-    /// only wakes the fragment's waiter, and workers park until
+    /// only wakes the fragment's waiter, and the execute turns wait until
     /// [`PendingFragment::provide_allocation`] delivers the coordinator's
     /// globally solved allocation.
     external_allocation: bool,
@@ -307,6 +347,7 @@ impl JobState {
             kind,
             index,
             seed,
+            scope: None,
             pruned: Vec::new(),
             n_providers: n,
             lane_base: config.provider_lane_base,
@@ -324,8 +365,36 @@ impl JobState {
                 summary_time: Duration::ZERO,
                 allocation_time: Duration::ZERO,
                 execution_time: Duration::ZERO,
+                turns: Turns::Pending,
             }),
             cond: Condvar::new(),
+        }
+    }
+
+    /// Whether the optimizer pruned provider `id` from this job.
+    fn is_pruned(&self, id: usize) -> bool {
+        self.pruned.get(id).copied().unwrap_or(false)
+    }
+
+    /// Provider `id`'s RNG lane — content-derived, so the draws are the
+    /// same whichever thread runs the provider's turn.
+    fn provider_rng(&self, id: usize) -> StdRng {
+        StdRng::seed_from_u64(derive_seed(
+            self.seed,
+            self.index,
+            self.lane_base.wrapping_add(id as u64),
+        ))
+    }
+
+    /// The request of a private job.
+    fn private(&self) -> (&RangeQuery, f64, &QueryBudget) {
+        match &self.kind {
+            JobKind::Private {
+                query,
+                sampling_rate,
+                budget,
+            } => (query, *sampling_rate, budget),
+            _ => unreachable!("only private jobs take summary and execute turns"),
         }
     }
 
@@ -334,8 +403,8 @@ impl JobState {
         self.cond.notify_all();
     }
 
-    /// Locks the job progress, recovering from poisoning: a worker that
-    /// panicked mid-job marks the job failed (see [`worker_loop`]), so the
+    /// Locks the job progress, recovering from poisoning: a turn that
+    /// panicked mid-job marks the job failed (see [`contain`]), so the
     /// state behind a poisoned lock is still consistent for waiters.
     fn lock_progress(&self) -> MutexGuard<'_, JobProgress> {
         self.progress.lock().unwrap_or_else(PoisonError::into_inner)
@@ -347,19 +416,161 @@ impl JobState {
             .wait(guard)
             .unwrap_or_else(PoisonError::into_inner)
     }
+
+    /// Blocks until `ready` holds or the job failed, returning the locked
+    /// progress. On a scoped engine the first thread here claims the
+    /// job's turns and runs them itself ([`run_scoped`]); any other
+    /// waiter parks on the condvar until they land.
+    fn settle(&self, ready: impl Fn(&JobProgress) -> bool) -> MutexGuard<'_, JobProgress> {
+        let mut progress = self.lock_progress();
+        while progress.error.is_none() && !ready(&progress) {
+            match self.claim(&mut progress) {
+                Some(claimed) => {
+                    drop(progress);
+                    self.run_here(claimed);
+                    progress = self.lock_progress();
+                }
+                None => progress = self.wait_on(progress),
+            }
+        }
+        progress
+    }
+
+    /// Claims the job's runnable turns for the calling thread: the whole
+    /// job when nobody has started it, or a summarized fragment's execute
+    /// turns once its allocation landed. `None` when there is nothing to
+    /// run here — an owned engine's job, or turns another thread holds.
+    fn claim(&self, progress: &mut JobProgress) -> Option<Turns> {
+        self.scope.as_ref()?;
+        let runnable = match &progress.turns {
+            Turns::Pending => true,
+            Turns::Summarized(_) => progress.allocations.is_some(),
+            Turns::Running => false,
+        };
+        runnable.then(|| std::mem::replace(&mut progress.turns, Turns::Running))
+    }
+
+    /// Runs claimed turns on the calling thread under the scope's read
+    /// side; a job waited after its scope closed fails instead.
+    fn run_here(&self, claimed: Turns) {
+        let scope = self.scope.as_ref().expect("only scoped jobs are claimed");
+        let providers = scope.read().unwrap_or_else(PoisonError::into_inner);
+        match providers.as_deref() {
+            Some(providers) => contain(self, || run_scoped(self, providers, claimed)),
+            None => {
+                let mut progress = self.lock_progress();
+                self.fail(
+                    &mut progress,
+                    CoreError::ProtocolViolation("engine is shut down"),
+                );
+            }
+        }
+    }
 }
 
-/// The per-provider half of one job. Runs on the provider's worker thread;
-/// the last provider to deliver its summary also solves the allocation
-/// program, so the whole step-1→6 pipeline needs no dedicated coordinator
-/// thread.
+/// Runs one job's provider turns, failing the job with the typed
+/// [`CoreError::ProtocolViolation`] if they panic — the one containment
+/// for pool workers and waiting threads alike, so a panicking provider
+/// fails a query the same way wherever its turn ran.
+fn contain(job: &JobState, turns: impl FnOnce()) {
+    // The turns mutate only the mutex-guarded JobProgress (consistent at
+    // every unlock) and read providers immutably, so resuming after an
+    // unwind observes no broken invariants.
+    if std::panic::catch_unwind(std::panic::AssertUnwindSafe(turns)).is_err() {
+        let mut progress = job.lock_progress();
+        job.fail(
+            &mut progress,
+            CoreError::ProtocolViolation("provider worker panicked mid-query"),
+        );
+    }
+}
+
+/// Runs a scoped job's provider turns on the waiting thread, in provider
+/// id order: every un-pruned provider's steps 1–2, the step-3 allocation
+/// (solved by the last summary in, as on a pool — or, for a fragment,
+/// delivered by the coordinator), then every provider's steps 4–6. Each
+/// turn draws from its own content-derived lane and is timed alone, so
+/// the released bytes and the slowest-provider phase timings are the
+/// pool's.
+fn run_scoped(job: &JobState, providers: &[DataProvider], claimed: Turns) {
+    let carried = match claimed {
+        Turns::Summarized(carried) => carried,
+        _ if !matches!(job.kind, JobKind::Private { .. }) => {
+            providers.iter().for_each(|p| single_turn(job, p));
+            return;
+        }
+        _ => providers
+            .iter()
+            .map(|p| (!job.is_pruned(p.id())).then(|| summary_turn(job, p)))
+            .collect(),
+    };
+    let allocations = {
+        let mut progress = job.lock_progress();
+        if progress.error.is_some() {
+            return;
+        }
+        match &progress.allocations {
+            Some(allocations) => Arc::clone(allocations),
+            None => {
+                progress.turns = Turns::Summarized(carried);
+                return;
+            }
+        }
+    };
+    for (provider, carry) in providers.iter().zip(carried) {
+        if let Some(carry) = carry {
+            execute_turn(job, provider, carry, allocations[provider.id()]);
+        }
+    }
+}
+
+/// The per-provider half of one job on an owned engine's worker thread.
+/// Between a private job's two turns the worker parks at the job's
+/// allocation barrier; the last provider to deliver its summary solves
+/// the allocation program, so the whole step-1→6 pipeline needs no
+/// dedicated coordinator thread.
 fn run_provider_job(job: &JobState, provider: &DataProvider) {
+    if !matches!(job.kind, JobKind::Private { .. }) {
+        return single_turn(job, provider);
+    }
+    let carry = summary_turn(job, provider);
+    if let Some(allocation) = await_allocation(job, provider.id()) {
+        execute_turn(job, provider, carry, allocation);
+    }
+}
+
+/// Steps 1–2 of a private job for one provider: prepare, then the DP
+/// summary, delivered into the job. A provider the optimizer pruned never
+/// takes this turn — the engine answers its noise-only turn inline at
+/// submission (see [`EngineHandle::answer_for_pruned`]).
+fn summary_turn(job: &JobState, provider: &DataProvider) -> Carry {
+    let (query, sampling_rate, budget) = job.private();
     let id = provider.id();
-    let mut rng = StdRng::seed_from_u64(derive_seed(
-        job.seed,
-        job.index,
-        job.lane_base.wrapping_add(id as u64),
-    ));
+    let mut rng = job.provider_rng(id);
+    let t = Instant::now();
+    let prep = provider.prepare(query);
+    let summary = provider.summary_with_rng(query, &prep, budget.eps_o, &mut rng);
+    deliver_summary(job, id, summary, t.elapsed(), sampling_rate);
+    (prep, rng)
+}
+
+/// Steps 4–6 of a private job for one provider, once its allocation is
+/// known: local execution and release, delivered into the job.
+fn execute_turn(job: &JobState, provider: &DataProvider, carry: Carry, allocation: u64) {
+    let (query, _, budget) = job.private();
+    let (prep, mut rng) = carry;
+    let release_local = job.release_mode == ReleaseMode::LocalDp;
+    let t = Instant::now();
+    let outcome =
+        provider.execute_with_rng(query, &prep, allocation, budget, release_local, &mut rng);
+    deliver_outcome(job, provider.id(), outcome, t.elapsed());
+}
+
+/// A plain or extreme job's whole turn for one provider (neither has an
+/// allocation barrier).
+fn single_turn(job: &JobState, provider: &DataProvider) {
+    let id = provider.id();
+    let mut rng = job.provider_rng(id);
     match &job.kind {
         JobKind::Plain { query } => {
             let t = Instant::now();
@@ -413,45 +624,14 @@ fn run_provider_job(job: &JobState, provider: &DataProvider) {
             progress.done += 1;
             job.cond.notify_all();
         }
-        JobKind::Private {
-            query,
-            sampling_rate,
-            budget,
-        } => {
-            // ---- Steps 1–2: prepare + DP summary. A provider the
-            // optimizer pruned never reaches this arm — the engine answers
-            // its noise-only turn inline at submission (see
-            // [`EngineHandle::answer_for_pruned`]). ----
-            let t = Instant::now();
-            let prep = provider.prepare(query);
-            let summary = provider.summary_with_rng(query, &prep, budget.eps_o, &mut rng);
-            deliver_summary(job, id, summary, t.elapsed(), *sampling_rate);
-
-            // Barrier: wait until the allocation (or a failure) lands.
-            let Some(allocation) = await_allocation(job, id) else {
-                return;
-            };
-
-            // ---- Steps 4–6: local execution ----
-            let release_local = job.release_mode == ReleaseMode::LocalDp;
-            let t = Instant::now();
-            let outcome = provider.execute_with_rng(
-                query,
-                &prep,
-                allocation,
-                budget,
-                release_local,
-                &mut rng,
-            );
-            deliver_outcome(job, id, outcome, t.elapsed());
-        }
+        JobKind::Private { .. } => unreachable!("private jobs take summary and execute turns"),
     }
 }
 
 /// Delivers provider `id`'s step-2 summary into the job. The last summary
 /// in solves the allocation program (Eq. 6) for everyone — the step-3
-/// barrier needs no dedicated coordinator thread. Shared by the worker
-/// path and the inline pruned path so both feed the barrier identically.
+/// barrier needs no dedicated coordinator thread. Shared by the summary
+/// turn and the inline pruned path so both feed the barrier identically.
 fn deliver_summary(
     job: &JobState,
     id: usize,
@@ -472,7 +652,7 @@ fn deliver_summary(
         if job.external_allocation {
             // A fragment's allocation is solved by the coordinator over
             // *every* shard's summaries: wake the fragment waiter gathering
-            // them and leave the workers parked at the barrier until
+            // them and leave the execute turns waiting until
             // [`PendingFragment::provide_allocation`] lands.
             job.cond.notify_all();
             return;
@@ -536,31 +716,19 @@ fn deliver_outcome(job: &JobState, id: usize, outcome: Result<LocalOutcome>, ela
     job.cond.notify_all();
 }
 
-/// The worker loop a provider's pool thread runs: drain jobs until every
-/// engine handle (sender) is gone.
+/// The worker loop an owned engine's provider thread runs: drain jobs
+/// until every engine handle (sender) is gone.
 ///
 /// A panic inside the protocol (provider code, or a poisoned job mutex
-/// cascading from a sibling worker) is contained per job: the job is
-/// marked failed so waiting analysts get an error instead of blocking
-/// forever, and the worker moves on to its next job.
-pub(crate) fn worker_loop(provider: &DataProvider, jobs: Receiver<Arc<JobState>>) {
+/// cascading from a sibling worker) is contained per job ([`contain`]):
+/// the job is marked failed so waiting analysts get an error instead of
+/// blocking forever, and the worker moves on to its next job.
+fn worker_loop(provider: &DataProvider, jobs: Receiver<Arc<JobState>>) {
     while let Ok(job) = jobs.recv() {
         obs::gauge_dec(obs::names::ENGINE_QUEUE_DEPTH);
         obs::gauge_inc(obs::names::ENGINE_WORKERS_BUSY);
         let _busy = ObsGaugeDecOnDrop(obs::names::ENGINE_WORKERS_BUSY);
-        // `run_provider_job` mutates only the mutex-guarded JobProgress
-        // (consistent at every unlock) and reads the provider immutably,
-        // so resuming after an unwind observes no broken invariants.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_provider_job(&job, provider)
-        }));
-        if outcome.is_err() {
-            let mut progress = job.lock_progress();
-            job.fail(
-                &mut progress,
-                CoreError::ProtocolViolation("provider worker panicked mid-query"),
-            );
-        }
+        contain(&job, || run_provider_job(&job, provider));
     }
 }
 
@@ -574,68 +742,118 @@ impl Drop for ObsGaugeDecOnDrop {
     }
 }
 
-/// Shared interior of [`EngineHandle`].
+/// Per-content submission counts, keyed by [`JobKind::content_hash`]. The
+/// job index for a submission is the number of identical submissions that
+/// preceded it, so noise derivation is independent of unrelated traffic
+/// (see the module docs).
+#[derive(Debug, Default)]
+pub(crate) struct OccurrenceLedger(Mutex<HashMap<u64, u64>>);
+
+impl OccurrenceLedger {
+    fn counts(&self) -> MutexGuard<'_, HashMap<u64, u64>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Fetch-and-increment the count for `key`: the returned index is the
+    /// number of identical submissions seen before this one.
+    pub(crate) fn next(&self, key: u64) -> u64 {
+        let mut counts = self.counts();
+        let slot = counts.entry(key).or_insert(0);
+        let index = *slot;
+        *slot += 1;
+        index
+    }
+
+    /// Forgets every count (a live federation's epoch advanced).
+    pub(crate) fn clear(&self) {
+        self.counts().clear();
+    }
+}
+
+/// Who runs an engine's jobs.
 #[derive(Debug)]
-struct HandleInner {
-    /// One job queue per provider; `None` once the engine is shut down.
+enum Executor {
+    /// An owned engine's per-provider worker pool: one job queue per
+    /// provider; `None` once the engine is shut down.
     ///
     /// A `Mutex` (not `RwLock`): a job fan-out must hold the lock for the
     /// whole send loop so every provider queue observes jobs in the *same*
     /// order. Interleaved fan-outs (provider 0 sees `[a, b]`, provider 1
     /// sees `[b, a]`) would deadlock the pool — each worker blocks at its
     /// first job's allocation barrier waiting for the other.
-    senders: Mutex<Option<Vec<Sender<Arc<JobState>>>>>,
+    Pool(Mutex<Option<Vec<Sender<Arc<JobState>>>>>),
+    /// A scoped engine: no threads of its own; the first thread to wait
+    /// for a job runs it.
+    Scope(Arc<Scope>),
+}
+
+/// Shared interior of [`EngineHandle`].
+#[derive(Debug)]
+struct HandleInner {
+    executor: Executor,
     config: FederationConfig,
     schema: Schema,
     /// Public per-provider pruning bounds, captured at engine start. Read
     /// by the optimizer (pruning, cost estimates, `EXPLAIN`) — offline
     /// Algorithm 1 metadata only, never sampled data.
     snapshot: MetaSnapshot,
-    /// Per-content submission counts, keyed by [`JobKind::content_hash`].
-    /// The job index for a submission is the number of identical
-    /// submissions that preceded it, so noise derivation is independent
-    /// of unrelated traffic (see the module docs).
-    occurrences: Mutex<HashMap<u64, u64>>,
+    occurrences: Arc<OccurrenceLedger>,
     /// Public scalar facets of each provider (id, `n_min`, regime, agreed
     /// smooth-sensitivity order, arity, SUM cap) — everything the
     /// noise-only turn of a *pruned* provider reads. Lets the engine
-    /// answer for pruned providers inline instead of paying a queue
-    /// round-trip for a provably empty covering set (see
+    /// answer for pruned providers inline instead of running a turn for a
+    /// provably empty covering set (see
     /// [`EngineHandle`]'s pruning notes on `submit_with_budget`).
     shadows: Vec<ProviderShadow>,
 }
 
-/// A cloneable, thread-safe handle analysts use to submit queries to the
-/// worker pool. All clones share one per-content occurrence ledger (the
-/// noise derivation) and one set of job queues.
+/// A cloneable, thread-safe handle analysts use to submit queries to an
+/// engine. All clones share one per-content occurrence ledger (the noise
+/// derivation) and one executor.
 #[derive(Debug, Clone)]
 pub struct EngineHandle {
     inner: Arc<HandleInner>,
 }
 
-/// Creates the pool plumbing for `config`: a handle plus one job receiver
-/// per provider (in provider-id order).
-pub(crate) fn pool_channels(
-    config: &FederationConfig,
-    schema: &Schema,
-    snapshot: MetaSnapshot,
-    shadows: Vec<ProviderShadow>,
-) -> (EngineHandle, Vec<Receiver<Arc<JobState>>>) {
-    let (senders, receivers) = (0..config.n_providers).map(|_| channel()).unzip();
-    let handle = EngineHandle {
-        inner: Arc::new(HandleInner {
-            senders: Mutex::new(Some(senders)),
-            config: config.clone(),
-            schema: schema.clone(),
-            snapshot,
-            occurrences: Mutex::new(HashMap::new()),
-            shadows,
-        }),
-    };
-    (handle, receivers)
-}
-
 impl EngineHandle {
+    fn new(
+        config: &FederationConfig,
+        schema: &Schema,
+        providers: &[DataProvider],
+        executor: Executor,
+        occurrences: Arc<OccurrenceLedger>,
+    ) -> Self {
+        Self {
+            inner: Arc::new(HandleInner {
+                executor,
+                config: config.clone(),
+                schema: schema.clone(),
+                snapshot: MetaSnapshot::from_providers(providers),
+                occurrences,
+                shadows: providers.iter().map(DataProvider::shadow).collect(),
+            }),
+        }
+    }
+
+    /// A scoped engine over `providers`, counting occurrences in
+    /// `occurrences`: it spawns nothing, and holds its share of the
+    /// providers until [`Self::close`].
+    pub(crate) fn scoped(
+        config: &FederationConfig,
+        schema: &Schema,
+        providers: &Arc<Vec<DataProvider>>,
+        occurrences: Arc<OccurrenceLedger>,
+    ) -> Self {
+        let scope = Arc::new(RwLock::new(Some(Arc::clone(providers))));
+        Self::new(
+            config,
+            schema,
+            providers,
+            Executor::Scope(scope),
+            occurrences,
+        )
+    }
+
     /// The federation configuration the engine serves.
     pub fn config(&self) -> &FederationConfig {
         &self.inner.config
@@ -646,7 +864,7 @@ impl EngineHandle {
         &self.inner.schema
     }
 
-    /// Number of providers (== worker threads) behind this engine.
+    /// Number of providers behind this engine.
     pub fn n_providers(&self) -> usize {
         self.inner.config.n_providers
     }
@@ -664,38 +882,59 @@ impl EngineHandle {
         self.inner.config.query_budget()
     }
 
-    /// Closes the job queues: workers drain what is in flight and exit;
-    /// later submissions on any clone of this handle fail cleanly.
+    /// Closes the engine; later submissions on any clone of this handle
+    /// fail cleanly. An owned engine's workers drain what is in flight
+    /// and exit. A scoped engine waits out any turns a waiting thread is
+    /// running and drops its share of the providers; a job still unwaited
+    /// then never runs (waiting for it is an error).
     pub(crate) fn close(&self) {
-        self.inner
-            .senders
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
+        match &self.inner.executor {
+            Executor::Pool(senders) => {
+                senders
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .take();
+            }
+            Executor::Scope(scope) => {
+                scope.write().unwrap_or_else(PoisonError::into_inner).take();
+            }
+        }
     }
 
-    /// Fans a job out to every *un-pruned* provider queue. The lock is
-    /// held across the whole loop so concurrent submissions cannot
-    /// interleave — every provider queue observes the same subsequence of
-    /// the global submission order, which is what makes the per-job
-    /// allocation barrier deadlock-free (see [`HandleInner::senders`]).
-    /// Pruned providers never see the job at all: their noise-only turn
-    /// is answered inline by [`Self::answer_for_pruned`], which delivers
-    /// into the job directly and never blocks on a queue.
-    fn dispatch(&self, job: &Arc<JobState>) -> Result<()> {
-        let guard = self
-            .inner
-            .senders
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let senders = guard
-            .as_ref()
-            .ok_or(CoreError::ProtocolViolation("engine is shut down"))?;
+    /// Hands a new job to the executor. A scoped engine only attaches
+    /// itself: the job runs when first waited for. A pool fans the job
+    /// out to every *un-pruned* provider queue, holding the lock across
+    /// the whole loop so concurrent submissions cannot interleave — every
+    /// provider queue observes the same subsequence of the global
+    /// submission order, which is what makes the per-job allocation
+    /// barrier deadlock-free (see [`Executor::Pool`]). Pruned providers
+    /// never see the job at all: their noise-only turn is answered inline
+    /// by [`Self::answer_for_pruned`], which delivers into the job
+    /// directly and never blocks on a queue.
+    fn launch(&self, mut job: JobState) -> Result<Arc<JobState>> {
+        const SHUT_DOWN: CoreError = CoreError::ProtocolViolation("engine is shut down");
+        let senders = match &self.inner.executor {
+            Executor::Scope(scope) => {
+                if scope
+                    .read()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .is_none()
+                {
+                    return Err(SHUT_DOWN);
+                }
+                job.scope = Some(Arc::clone(scope));
+                return Ok(Arc::new(job));
+            }
+            Executor::Pool(senders) => senders,
+        };
+        let job = Arc::new(job);
+        let guard = senders.lock().unwrap_or_else(PoisonError::into_inner);
+        let senders = guard.as_ref().ok_or(SHUT_DOWN)?;
         for (id, sender) in senders.iter().enumerate() {
-            if job.pruned.get(id).copied().unwrap_or(false) {
+            if job.is_pruned(id) {
                 continue;
             }
-            if sender.send(Arc::clone(job)).is_err() {
+            if sender.send(Arc::clone(&job)).is_err() {
                 // A worker died (panicked); fail the job so providers that
                 // did receive it cannot block at the barrier forever.
                 let mut progress = job.lock_progress();
@@ -707,7 +946,7 @@ impl EngineHandle {
             }
             obs::gauge_inc(obs::names::ENGINE_QUEUE_DEPTH);
         }
-        Ok(())
+        Ok(job)
     }
 
     /// Fetch-and-increment the occurrence count for `kind`'s content: the
@@ -715,15 +954,7 @@ impl EngineHandle {
     /// this one, which (with the content hash) fully determines the job's
     /// noise streams.
     fn next_occurrence(&self, kind: &JobKind) -> u64 {
-        let mut counts = self
-            .inner
-            .occurrences
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let slot = counts.entry(kind.content_hash()).or_insert(0);
-        let index = *slot;
-        *slot += 1;
-        index
+        self.inner.occurrences.next(kind.content_hash())
     }
 
     /// Submits one private query under the configured default budget.
@@ -761,50 +992,51 @@ impl EngineHandle {
         budget: &QueryBudget,
     ) -> Result<PendingAnswer> {
         self.validate(query, sampling_rate, budget)?;
-        // The pruning pass: providers whose public bounds prove an empty
-        // covering set skip the step-1 metadata walk. An O(dims) check per
-        // provider against start-up bounds — never the per-cluster walk
-        // it avoids, and never anything data-derived.
-        let pruned = if self.inner.config.optimizer.prune_providers {
-            self.inner.snapshot.pruned_flags(query)
-        } else {
-            Vec::new()
-        };
-        obs::counter_add(
-            obs::names::OPTIMIZER_PRUNED,
-            pruned.iter().filter(|&&p| p).count() as u64,
-        );
         let kind = JobKind::Private {
             query: query.clone(),
             sampling_rate,
             budget: *budget,
         };
         let index = self.next_occurrence(&kind);
-        let mut job = JobState::new(kind, index, &self.inner.config);
-        job.pruned = pruned;
-        let job = Arc::new(job);
-        obs::counter_add(obs::names::ENGINE_QUERIES, 1);
         let _span = obs::span("submit", "engine", obs::SpanId::NONE);
-        self.dispatch(&job)?;
-        self.answer_for_pruned(&job);
+        let job = self.launch_private(JobState::new(kind, index, &self.inner.config))?;
         Ok(PendingAnswer { job })
     }
 
+    /// Launches a validated private job after the pruning pass: providers
+    /// whose public bounds prove an empty covering set skip the step-1
+    /// metadata walk. An O(dims) check per provider against start-up
+    /// bounds — never the per-cluster walk it avoids, and never anything
+    /// data-derived.
+    fn launch_private(&self, mut job: JobState) -> Result<Arc<JobState>> {
+        if self.inner.config.optimizer.prune_providers {
+            job.pruned = self.inner.snapshot.pruned_flags(job.private().0);
+        }
+        obs::counter_add(
+            obs::names::OPTIMIZER_PRUNED,
+            job.pruned.iter().filter(|&&p| p).count() as u64,
+        );
+        obs::counter_add(obs::names::ENGINE_QUERIES, 1);
+        let job = self.launch(job)?;
+        self.answer_for_pruned(&job);
+        Ok(job)
+    }
+
     /// Answers the noise-only turn of every pruned provider inline, on the
-    /// submitting thread, so pruned providers pay no queue round-trip.
+    /// submitting thread, so pruned providers cost no provider turn.
     ///
-    /// Byte-identical to the worker path by construction: a pruned
+    /// Byte-identical to a provider turn by construction: a pruned
     /// provider's covering set is provably empty, so its turn reads only
     /// public scalars — captured in [`ProviderShadow`], the *same* code the
-    /// worker path delegates to — and its noise lanes are content-derived
-    /// (`derive_seed(job.seed, job.index, id)`), independent of which
-    /// thread draws them.
+    /// provider turns delegate to — and its noise lanes are content-derived
+    /// ([`JobState::provider_rng`]), independent of which thread draws
+    /// them.
     ///
     /// Ordering is free of the barrier: the empty-prep execution ignores
     /// its allocation, so the inline path delivers its summary *and*
     /// outcome immediately instead of parking at the step-3 barrier —
     /// waiting there would block `submit` and deadlock the all-pruned
-    /// case, where no worker thread ever sees the job.
+    /// case, where no provider turn ever runs.
     fn answer_for_pruned(&self, job: &JobState) {
         if !job.pruned.iter().any(|&p| p) {
             return;
@@ -813,14 +1045,7 @@ impl EngineHandle {
             obs::names::ENGINE_PRUNED_INLINE,
             job.pruned.iter().filter(|&&p| p).count() as u64,
         );
-        let JobKind::Private {
-            query,
-            sampling_rate,
-            budget,
-        } = &job.kind
-        else {
-            return;
-        };
+        let (query, sampling_rate, budget) = job.private();
         let release_local = job.release_mode == ReleaseMode::LocalDp;
         let empty = PreparedQuery {
             covering: Vec::new(),
@@ -829,17 +1054,13 @@ impl EngineHandle {
         };
         for shadow in &self.inner.shadows {
             let id = shadow.id();
-            if !job.pruned.get(id).copied().unwrap_or(false) {
+            if !job.is_pruned(id) {
                 continue;
             }
-            let mut rng = StdRng::seed_from_u64(derive_seed(
-                job.seed,
-                job.index,
-                job.lane_base.wrapping_add(id as u64),
-            ));
+            let mut rng = job.provider_rng(id);
             let t = Instant::now();
             let summary = shadow.summary(query, &empty, budget.eps_o, &mut rng);
-            deliver_summary(job, id, summary, t.elapsed(), *sampling_rate);
+            deliver_summary(job, id, summary, t.elapsed(), sampling_rate);
             // Check the failure path under the lock exactly as a worker
             // would at the barrier: once the job has failed, only the
             // `done` bookkeeping remains.
@@ -883,28 +1104,15 @@ impl EngineHandle {
         occurrence: u64,
     ) -> Result<PendingFragment> {
         self.validate(query, sampling_rate, budget)?;
-        let pruned = if self.inner.config.optimizer.prune_providers {
-            self.inner.snapshot.pruned_flags(query)
-        } else {
-            Vec::new()
-        };
-        obs::counter_add(
-            obs::names::OPTIMIZER_PRUNED,
-            pruned.iter().filter(|&&p| p).count() as u64,
-        );
         let kind = JobKind::Private {
             query: query.clone(),
             sampling_rate,
             budget: *budget,
         };
         let mut job = JobState::new(kind, occurrence, &self.inner.config);
-        job.pruned = pruned;
         job.external_allocation = true;
-        let job = Arc::new(job);
-        obs::counter_add(obs::names::ENGINE_QUERIES, 1);
         let _span = obs::span("submit_fragment", "engine", obs::SpanId::NONE);
-        self.dispatch(&job)?;
-        self.answer_for_pruned(&job);
+        let job = self.launch_private(job)?;
         Ok(PendingFragment { job })
     }
 
@@ -924,9 +1132,8 @@ impl EngineHandle {
             extreme,
             epsilon,
         };
-        let job = Arc::new(JobState::new(kind, occurrence, &self.inner.config));
         obs::counter_add(obs::names::ENGINE_EXTREMES, 1);
-        self.dispatch(&job)?;
+        let job = self.launch(JobState::new(kind, occurrence, &self.inner.config))?;
         Ok(PendingExtreme { job })
     }
 
@@ -941,10 +1148,10 @@ impl EngineHandle {
         Ok(())
     }
 
-    /// Submits a private MIN/MAX of dimension `dim` to the worker pool:
-    /// every provider runs one Exponential-mechanism selection over the
-    /// domain (from metadata alone) under its job-derived RNG, so extreme
-    /// queries are deterministic and concurrent like every other job.
+    /// Submits a private MIN/MAX of dimension `dim`: every provider runs
+    /// one Exponential-mechanism selection over the domain (from metadata
+    /// alone) under its job-derived RNG, so extreme queries are
+    /// deterministic and concurrent like every other job.
     pub fn submit_extreme(
         &self,
         dim: usize,
@@ -958,30 +1165,29 @@ impl EngineHandle {
             epsilon,
         };
         let index = self.next_occurrence(&kind);
-        let job = Arc::new(JobState::new(kind, index, &self.inner.config));
         obs::counter_add(obs::names::ENGINE_EXTREMES, 1);
-        self.dispatch(&job)?;
+        let job = self.launch(JobState::new(kind, index, &self.inner.config))?;
         Ok(PendingExtreme { job })
     }
 
     /// Submits a plain (non-private, exact) execution of `query` on the
-    /// same worker pool — the like-for-like baseline of the speed-up
-    /// metric: both paths run on identical threads and are charged the
-    /// slowest provider's time.
+    /// same engine — the like-for-like baseline of the speed-up metric:
+    /// both paths run on the same threads and are charged the slowest
+    /// provider's time.
     pub fn submit_plain(&self, query: &RangeQuery) -> Result<PendingPlain> {
         query.check_schema(&self.inner.schema)?;
         let kind = JobKind::Plain {
             query: query.clone(),
         };
         let index = self.next_occurrence(&kind);
-        let job = Arc::new(JobState::new(kind, index, &self.inner.config));
         obs::counter_add(obs::names::ENGINE_PLAIN, 1);
-        self.dispatch(&job)?;
+        let job = self.launch(JobState::new(kind, index, &self.inner.config))?;
         Ok(PendingPlain { job })
     }
 
-    /// Runs a batch concurrently: every query is submitted before any
-    /// answer is awaited, so provider workers pipeline across queries.
+    /// Runs a batch: every query is submitted before any answer is
+    /// awaited, so an owned engine's workers pipeline across queries (a
+    /// scoped engine runs each in turn as it is awaited).
     pub fn run_batch(&self, batch: &QueryBatch) -> Vec<Result<EngineAnswer>> {
         let pending: Vec<Result<PendingAnswer>> = batch
             .specs()
@@ -1010,7 +1216,7 @@ impl EngineHandle {
     }
 }
 
-/// A private query in flight on the pool.
+/// A private query in flight on an engine.
 #[derive(Debug)]
 pub struct PendingAnswer {
     job: Arc<JobState>,
@@ -1018,7 +1224,8 @@ pub struct PendingAnswer {
 
 impl PendingAnswer {
     /// A second waiter on the same in-flight job — the dedup pass's
-    /// release reuse. [`Self::wait`] only reads job progress and
+    /// release reuse. The job's turns run once, whichever sharer waits
+    /// first; [`Self::wait`] then only reads job progress and
     /// *recomputes* the release from the job's derived aggregator seed,
     /// so every sharer observes byte-identical answers; nothing is
     /// resubmitted, re-noised, or re-charged.
@@ -1028,14 +1235,13 @@ impl PendingAnswer {
         }
     }
 
-    /// Blocks until every provider reported, then finalizes the release
-    /// (protocol step 6/7) on the calling thread.
+    /// Blocks until every provider reported — on a scoped engine, by
+    /// running the providers' turns on this thread if no other waiter
+    /// has — then finalizes the release (protocol step 6/7) on the
+    /// calling thread.
     pub fn wait(self) -> Result<EngineAnswer> {
         let job = &self.job;
-        let mut progress = job.lock_progress();
-        while progress.error.is_none() && progress.done < job.n_providers {
-            progress = job.wait_on(progress);
-        }
+        let progress = job.settle(|p| p.done == job.n_providers);
         if let Some(error) = progress.error.clone() {
             return Err(error);
         }
@@ -1049,10 +1255,7 @@ impl PendingAnswer {
             .as_ref()
             .expect("allocation computed")
             .to_vec();
-        let (query, budget) = match &job.kind {
-            JobKind::Private { query, budget, .. } => (query, *budget),
-            _ => unreachable!("only private jobs resolve via PendingAnswer"),
-        };
+        let (query, _, &budget) = job.private();
 
         // ---- Step 6/7: release ----
         let mut aggregator = Aggregator::new(
@@ -1139,7 +1342,9 @@ pub(crate) fn extreme_content_hash(dim: usize, extreme: Extreme, epsilon: f64) -
 /// in, partial out. Created by [`EngineHandle::submit_fragment`];
 /// dropping it before the allocation lands aborts the job so parked
 /// workers unblock instead of waiting forever on a coordinator that gave
-/// up (a failed sibling shard, a dropped connection).
+/// up (a failed sibling shard, a dropped connection). On a scoped engine
+/// [`Self::summaries`] runs the summary turns on the calling thread and
+/// [`Self::partial`] the execute turns.
 #[derive(Debug)]
 pub struct PendingFragment {
     job: Arc<JobState>,
@@ -1151,10 +1356,7 @@ impl PendingFragment {
     /// slowest provider's summary time.
     pub fn summaries(&self) -> Result<(Vec<ProviderSummary>, Duration)> {
         let job = &self.job;
-        let mut progress = job.lock_progress();
-        while progress.error.is_none() && progress.summaries_done < job.n_providers {
-            progress = job.wait_on(progress);
-        }
+        let progress = job.settle(|p| p.summaries_done == job.n_providers);
         if let Some(error) = progress.error.clone() {
             return Err(error);
         }
@@ -1167,7 +1369,7 @@ impl PendingFragment {
     }
 
     /// Feeds the coordinator's globally solved allocation (this shard's
-    /// slice, in local provider order) to the parked workers.
+    /// slice, in local provider order) to the execute turns.
     pub fn provide_allocation(&self, allocations: Vec<u64>) -> Result<()> {
         let job = &self.job;
         if allocations.len() != job.n_providers {
@@ -1192,10 +1394,7 @@ impl PendingFragment {
     /// over the global concatenation, so merging is bit-exact).
     pub fn partial(&self) -> Result<crate::shard::FragmentPartial> {
         let job = &self.job;
-        let mut progress = job.lock_progress();
-        while progress.error.is_none() && progress.done < job.n_providers {
-            progress = job.wait_on(progress);
-        }
+        let progress = job.settle(|p| p.done == job.n_providers);
         if let Some(error) = progress.error.clone() {
             return Err(error);
         }
@@ -1239,7 +1438,7 @@ impl Drop for PendingFragment {
     }
 }
 
-/// A plain (baseline) execution in flight on the pool.
+/// A plain (baseline) execution in flight on an engine.
 #[derive(Debug)]
 pub struct PendingPlain {
     job: Arc<JobState>,
@@ -1249,10 +1448,7 @@ impl PendingPlain {
     /// Blocks until every provider scanned, then combines the exact sum.
     pub fn wait(self) -> Result<PlainAnswer> {
         let job = &self.job;
-        let mut progress = job.lock_progress();
-        while progress.error.is_none() && progress.done < job.n_providers {
-            progress = job.wait_on(progress);
-        }
+        let progress = job.settle(|p| p.done == job.n_providers);
         if let Some(error) = progress.error.clone() {
             return Err(error);
         }
@@ -1286,7 +1482,7 @@ pub struct EngineExtreme {
     pub network: Duration,
 }
 
-/// A private extreme query in flight on the pool.
+/// A private extreme query in flight on an engine.
 #[derive(Debug)]
 pub struct PendingExtreme {
     job: Arc<JobState>,
@@ -1298,10 +1494,7 @@ impl PendingExtreme {
     /// MIN — Thm. 3.3, free).
     pub fn wait(self) -> Result<EngineExtreme> {
         let job = &self.job;
-        let mut progress = job.lock_progress();
-        while progress.error.is_none() && progress.done < job.n_providers {
-            progress = job.wait_on(progress);
-        }
+        let progress = job.settle(|p| p.done == job.n_providers);
         if let Some(error) = progress.error.clone() {
             return Err(error);
         }
@@ -1344,9 +1537,14 @@ impl FederationEngine {
     /// Starts the worker pool (one thread per provider).
     pub fn start(federation: Federation) -> Self {
         let (config, schema, providers) = federation.into_parts();
-        let snapshot = MetaSnapshot::from_providers(&providers);
-        let shadows = providers.iter().map(DataProvider::shadow).collect();
-        let (handle, receivers) = pool_channels(&config, &schema, snapshot, shadows);
+        let (senders, receivers): (Vec<_>, Vec<_>) = providers.iter().map(|_| channel()).unzip();
+        let handle = EngineHandle::new(
+            &config,
+            &schema,
+            &providers,
+            Executor::Pool(Mutex::new(Some(senders))),
+            Arc::default(),
+        );
         let workers = providers
             .into_iter()
             .zip(receivers)
@@ -1745,5 +1943,98 @@ mod tests {
         assert_eq!(b.len(), 1);
         let collected: QueryBatch = b.specs().to_vec().into_iter().collect();
         assert_eq!(collected.len(), 1);
+    }
+
+    /// The bits of an answer a byte-identity check compares.
+    fn bits(answer: &EngineAnswer) -> (u64, u64, Vec<u64>) {
+        (
+            answer.value.to_bits(),
+            answer.raw_estimate.to_bits(),
+            answer.allocations.clone(),
+        )
+    }
+
+    #[test]
+    fn concurrent_waiters_on_a_shared_scoped_job_run_it_once() {
+        let q = count_query(100, 800);
+        let lone = federation()
+            .with_engine(|engine| engine.submit(&q, 0.2).unwrap().wait())
+            .unwrap();
+        let fed = federation();
+        let (answers, turns) = fed.with_engine(|engine| {
+            let pending = engine.submit(&q, 0.2).unwrap();
+            let probe = pending.share();
+            let start = std::sync::Barrier::new(2);
+            let answers = std::thread::scope(|scope| {
+                let waiters: Vec<_> = [pending.share(), pending]
+                    .into_iter()
+                    .map(|p| {
+                        let start = &start;
+                        scope.spawn(move || {
+                            start.wait();
+                            p.wait().unwrap()
+                        })
+                    })
+                    .collect();
+                waiters
+                    .into_iter()
+                    .map(|w| w.join().unwrap())
+                    .collect::<Vec<_>>()
+            });
+            let progress = probe.job.lock_progress();
+            (answers, (progress.summaries_done, progress.done))
+        });
+        assert_eq!(turns, (4, 4), "every provider's turns ran exactly once");
+        for answer in &answers {
+            assert_eq!(bits(answer), bits(&lone));
+        }
+    }
+
+    #[test]
+    fn a_scoped_batch_waited_in_reverse_matches_in_order_waits() {
+        let in_order: Vec<_> = federation()
+            .with_engine(|engine| engine.run_batch_serial(&batch()))
+            .into_iter()
+            .map(|r| bits(&r.unwrap()))
+            .collect();
+        let mut reversed: Vec<_> = federation().with_engine(|engine| {
+            let pending: Vec<_> = batch()
+                .specs()
+                .iter()
+                .map(|spec| engine.submit(&spec.query, spec.sampling_rate).unwrap())
+                .collect();
+            pending
+                .into_iter()
+                .rev()
+                .map(|p| bits(&p.wait().unwrap()))
+                .collect()
+        });
+        reversed.reverse();
+        assert_eq!(reversed, in_order);
+    }
+
+    #[test]
+    fn a_scoped_answer_dropped_unwaited_still_consumes_its_occurrence() {
+        let q = count_query(100, 800);
+        let second_draw = federation().with_engine(|engine| {
+            engine.submit(&q, 0.2).unwrap().wait().unwrap();
+            engine.submit(&q, 0.2).unwrap().wait().unwrap()
+        });
+        // The dropped job never runs, and the scope returns without it.
+        let after_drop = federation().with_engine(|engine| {
+            drop(engine.submit(&q, 0.2).unwrap());
+            engine.submit(&q, 0.2).unwrap().wait().unwrap()
+        });
+        assert_eq!(bits(&after_drop), bits(&second_draw));
+    }
+
+    #[test]
+    fn a_scoped_job_waited_after_its_scope_closed_is_an_error() {
+        let fed = federation();
+        let escaped = fed.with_engine(|engine| engine.submit(&count_query(0, 999), 0.2).unwrap());
+        assert!(matches!(
+            escaped.wait(),
+            Err(CoreError::ProtocolViolation("engine is shut down"))
+        ));
     }
 }

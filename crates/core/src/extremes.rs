@@ -12,7 +12,7 @@
 //!
 //! This module is the per-provider half: a [`fedaqp_model::QueryPlan::Extreme`]
 //! compiles to one [`crate::engine::EngineHandle::submit_extreme`] job, so
-//! every provider's selection runs on its own worker thread under the
+//! every provider's selection runs as its own turn under the
 //! per-`(query, provider)` derived RNG — deterministic regardless of how
 //! jobs interleave, and identical whether the plan arrives in-process or
 //! over the wire.
@@ -69,7 +69,7 @@ fn provider_scores(
 
 /// One provider's DP extreme selection: scores from metadata, one
 /// Exponential-mechanism draw from `rng` (the engine passes the job's
-/// derived RNG). Runs on the provider's worker thread.
+/// derived RNG). Runs as the provider's turn of an extreme job.
 pub(crate) fn provider_select(
     provider: &crate::provider::DataProvider,
     dim: usize,

@@ -1,5 +1,6 @@
 //! The federation runtime: end-to-end query lifecycle (Fig. 3).
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use fedaqp_dp::{PrivacyCost, QueryBudget};
@@ -7,7 +8,7 @@ use fedaqp_model::{RangeQuery, Row, Schema};
 use fedaqp_storage::MetaSpaceReport;
 
 use crate::config::FederationConfig;
-use crate::engine::{EngineAnswer, EngineHandle};
+use crate::engine::{EngineAnswer, EngineHandle, OccurrenceLedger};
 use crate::provider::DataProvider;
 use crate::{CoreError, Result};
 
@@ -28,7 +29,9 @@ pub struct PlainAnswer {
 pub struct Federation {
     config: FederationConfig,
     schema: Schema,
-    providers: Vec<DataProvider>,
+    /// Shared only with a [`Self::with_engine`] scope's handle, which
+    /// drops its share before the scope returns.
+    providers: Arc<Vec<DataProvider>>,
 }
 
 impl Federation {
@@ -50,11 +53,7 @@ impl Federation {
         for (id, rows) in partitions.into_iter().enumerate() {
             providers.push(DataProvider::build(id, schema.clone(), rows, &config)?);
         }
-        Ok(Self {
-            config,
-            schema,
-            providers,
-        })
+        Ok(Self::from_parts(config, schema, providers))
     }
 
     /// The federation's configuration.
@@ -104,7 +103,7 @@ impl Federation {
     /// Mutable provider access for the streaming-ingest layer
     /// ([`crate::stream::LiveFederation`]).
     pub(crate) fn providers_mut(&mut self) -> &mut [DataProvider] {
-        &mut self.providers
+        Arc::get_mut(&mut self.providers).expect("no engine scope outlives with_engine")
     }
 
     /// Re-salts the noise seed — the streaming layer calls this once per
@@ -118,7 +117,9 @@ impl Federation {
     /// Decomposes the federation so the engine can move each provider onto
     /// its own worker thread.
     pub(crate) fn into_parts(self) -> (FederationConfig, Schema, Vec<DataProvider>) {
-        (self.config, self.schema, self.providers)
+        let providers =
+            Arc::into_inner(self.providers).expect("no engine scope outlives with_engine");
+        (self.config, self.schema, providers)
     }
 
     /// Reassembles a federation from parts handed back by the engine
@@ -131,40 +132,50 @@ impl Federation {
         Self {
             config,
             schema,
-            providers,
+            providers: Arc::new(providers),
         }
     }
 
-    /// Runs `f` against a temporary concurrent engine whose worker pool
-    /// borrows this federation's providers (one worker thread per provider,
-    /// alive for the whole closure). This is the cheap way to get pooled
-    /// execution — including the plain baseline on the *same* threads as
-    /// the private path — without giving up ownership of the federation;
-    /// for a long-lived service use [`crate::engine::FederationEngine`].
+    /// Runs `f` against a temporary engine that borrows this federation's
+    /// providers and spawns no thread: each job `f` submits runs, every
+    /// provider's turn in id order, on the first thread that waits for it
+    /// (see [`crate::engine`]). Concurrency comes from `f`'s own threads.
+    /// This is the cheap way to run queries — including the plain
+    /// baseline on the *same* threads as the private path — without giving
+    /// up ownership of the federation; for a long-lived service with a
+    /// per-provider worker pool use [`crate::engine::FederationEngine`].
+    ///
+    /// The scope is the lifetime of its occurrence ledger: a fresh scope
+    /// starts every content at occurrence 0.
     pub fn with_engine<R>(&self, f: impl FnOnce(&EngineHandle) -> R) -> R {
-        let snapshot = crate::optimizer::MetaSnapshot::from_providers(&self.providers);
-        let shadows = self.providers.iter().map(DataProvider::shadow).collect();
-        let (handle, receivers) =
-            crate::engine::pool_channels(&self.config, &self.schema, snapshot, shadows);
-        std::thread::scope(|scope| {
-            for (provider, rx) in self.providers.iter().zip(receivers) {
-                scope.spawn(move || crate::engine::worker_loop(provider, rx));
+        self.with_engine_counting(Arc::default(), f)
+    }
+
+    /// [`Self::with_engine`] counting occurrences in `occurrences`, which
+    /// may outlive the scope (a live federation's per-epoch ledger).
+    pub(crate) fn with_engine_counting<R>(
+        &self,
+        occurrences: Arc<OccurrenceLedger>,
+        f: impl FnOnce(&EngineHandle) -> R,
+    ) -> R {
+        // Close the scope when the closure returns *or unwinds*: closing
+        // waits out any turns a waiting thread is running and drops the
+        // handle's share of the providers, so the federation is unshared
+        // again once this returns. Handle clones that outlive the closure
+        // turn into errors rather than hangs.
+        struct CloseOnDrop(EngineHandle);
+        impl Drop for CloseOnDrop {
+            fn drop(&mut self) {
+                self.0.close();
             }
-            // Close the pool when the closure returns *or unwinds*: the
-            // scoped workers block in `recv()` until every sender is gone,
-            // and `thread::scope` joins them before re-raising a panic —
-            // without the drop guard, a panic inside `f` would deadlock
-            // the process instead of propagating. Handle clones that
-            // outlive the closure turn into errors rather than hangs.
-            struct CloseOnDrop<'a>(&'a EngineHandle);
-            impl Drop for CloseOnDrop<'_> {
-                fn drop(&mut self) {
-                    self.0.close();
-                }
-            }
-            let guard = CloseOnDrop(&handle);
-            f(guard.0)
-        })
+        }
+        let guard = CloseOnDrop(EngineHandle::scoped(
+            &self.config,
+            &self.schema,
+            &self.providers,
+            occurrences,
+        ));
+        f(&guard.0)
     }
 
     /// Runs one query under the configured default budget: one submission
@@ -195,9 +206,9 @@ impl Federation {
     }
 
     /// Plain federated execution: every provider scans its full partition
-    /// (in parallel, on the same kind of pool as the private path) and the
-    /// exact sum is returned — the "normal computation" baseline of the
-    /// speed-up metric (§6.1).
+    /// (on the same kind of engine as the private path, charged the
+    /// slowest provider's time) and the exact sum is returned — the
+    /// "normal computation" baseline of the speed-up metric (§6.1).
     pub fn run_plain(&self, query: &RangeQuery) -> Result<PlainAnswer> {
         self.with_engine(|engine| engine.submit_plain(query)?.wait())
     }

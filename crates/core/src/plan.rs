@@ -59,9 +59,10 @@
 //! determinism contract checkable: only the sub-query transport differs.
 //!
 //! **Concurrency.** [`EngineHandle::submit_plan`] submits *every*
-//! sub-query before anything is awaited, so a group-by's `k` point queries
-//! pipeline across the provider worker pool instead of executing serially
-//! — under a WAN cost model their transits overlap, which is why
+//! sub-query before anything is awaited, so on an owned engine a
+//! group-by's `k` point queries pipeline across the provider worker pool
+//! (a scoped engine runs each as it is awaited) — under a WAN cost model
+//! their transits overlap, which is why
 //! [`PlanAnswer::timings`] reports per-phase *maxima* over the concurrent
 //! sub-queries rather than sums.
 //!
@@ -484,8 +485,7 @@ impl<B: PlanBackend> CellPending<B> {
 }
 
 /// A [`QueryPlan`] in flight on a backend: every sub-query has been
-/// submitted (and is pipelining across the worker pool); [`wait`] collects
-/// and post-processes. The default backend is the in-process engine.
+/// submitted; [`wait`] collects and post-processes. The default backend is the in-process engine.
 ///
 /// [`wait`]: PendingPlan::wait
 pub struct PendingPlan<B: PlanBackend = EngineHandle> {
@@ -502,7 +502,8 @@ enum PendingKind<B: PlanBackend> {
         threshold: f64,
     },
     /// The in-flight rounds of an online plan, ascending by round (every
-    /// round is already submitted and pipelining on the pool).
+    /// round is already submitted; a scoped engine runs each one as the
+    /// push loop waits for it, so round 1 resolves after its own work).
     Online {
         subs: Vec<B::Sub>,
     },
@@ -1090,10 +1091,10 @@ impl EngineHandle {
         PlanBackend::validate_plan(self, plan)
     }
 
-    /// Compiles `plan` and submits **all** of its sub-queries to the
-    /// worker pool before returning — a group-by's per-group queries are
+    /// Compiles `plan` and submits **all** of its sub-queries before
+    /// returning — on an owned engine a group-by's per-group queries are
     /// in flight together, pipelining across providers, by the time the
-    /// caller first waits.
+    /// caller first waits; a scoped engine runs each as it is awaited.
     ///
     /// Validation happens up front ([`Self::validate_plan`]), so a
     /// rejected plan touches no data and costs no budget.

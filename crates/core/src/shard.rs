@@ -86,7 +86,6 @@
 //! sum needs every provider's secret shares in one place — and is
 //! rejected at construction with a typed error.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -97,7 +96,8 @@ use fedaqp_obs as obs;
 use crate::aggregator::Aggregator;
 use crate::config::{AllocationPolicy, FederationConfig, ReleaseMode};
 use crate::engine::{
-    extreme_content_hash, private_content_hash, EngineHandle, FederationEngine, PendingFragment,
+    extreme_content_hash, private_content_hash, EngineHandle, FederationEngine, OccurrenceLedger,
+    PendingFragment,
 };
 use crate::federation::Federation;
 use crate::optimizer::{MetaSnapshot, PlanExplanation, ProviderBounds};
@@ -272,7 +272,7 @@ struct CoordinatorInner {
     /// THE per-content occurrence ledger of the deployment (mechanism 2
     /// of the determinism contract) — same content-hash keys as the
     /// engine's own ledger.
-    occurrences: Mutex<HashMap<u64, u64>>,
+    occurrences: OccurrenceLedger,
     /// Global scatter lock: held across the begins of one sub-query and
     /// their acks, so every shard observes sub-queries in one order (see
     /// the module docs' deadlock discipline).
@@ -411,7 +411,7 @@ impl ShardedFederation {
                 shards,
                 offsets,
                 shard_metrics,
-                occurrences: Mutex::new(HashMap::new()),
+                occurrences: OccurrenceLedger::default(),
                 scatter: Mutex::new(()),
                 engines: Mutex::new(engines),
             }),
@@ -485,19 +485,6 @@ impl ShardedFederation {
         PlanBackend::explain_plan(self, plan)
     }
 
-    /// Fetch-and-increment the occurrence counter for `key`.
-    fn next_occurrence(&self, key: u64) -> u64 {
-        let mut counts = self
-            .inner
-            .occurrences
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let slot = counts.entry(key).or_insert(0);
-        let index = *slot;
-        *slot += 1;
-        index
-    }
-
     /// Rebinds a shard-reported error to the coordinator's shard index.
     fn shard_error(&self, shard: usize, error: CoreError) -> CoreError {
         match error {
@@ -525,7 +512,9 @@ impl ShardedFederation {
         let _span = obs::span("scatter", "shard", obs::SpanId::NONE);
         let scatter_start = Instant::now();
         let inner = &*self.inner;
-        let occurrence = self.next_occurrence(private_content_hash(query, sampling_rate, budget));
+        let occurrence = inner
+            .occurrences
+            .next(private_content_hash(query, sampling_rate, budget));
         let spec = FragmentSpec {
             query: query.clone(),
             sampling_rate,
@@ -819,7 +808,10 @@ impl PlanBackend for ShardedFederation {
             dim,
             extreme,
             epsilon,
-            occurrence: self.next_occurrence(extreme_content_hash(dim, extreme, epsilon)),
+            occurrence: self
+                .inner
+                .occurrences
+                .next(extreme_content_hash(dim, extreme, epsilon)),
         };
         let mut value: Option<Value> = None;
         let mut execution = Duration::ZERO;

@@ -14,26 +14,34 @@
 //!   once `max_stale_rows` rows or `max_stale_age` wall time accumulate
 //!   since the last full recompute, the next ingest triggers Algorithm 1
 //!   from scratch (plus the configured coarsening) on every provider.
+//! - **One occurrence ledger per epoch.** Queries run through
+//!   [`LiveFederation::with_engine`], whose scoped engines all count in
+//!   the federation's one occurrence ledger, keyed by (epoch, content): a
+//!   plan repeated within an epoch draws its next occurrence, exactly as
+//!   on a frozen server's long-lived engine, and every epoch advance
+//!   clears the ledger, so it never holds more than one epoch's plans.
 //! - **Epoch-salted noise.** Every accepted batch bumps the data **epoch**
 //!   and re-derives the federation seed from the base seed and the epoch
-//!   (SplitMix64 finalizer). Scoped engines reset their occurrence ledgers,
-//!   so without the salt an analyst could replay the same query before and
-//!   after an ingest, get *identical* noise on *different* data, and
-//!   subtract it — a differencing attack. Epoch 0 keeps the base seed
-//!   bit-for-bit, so a frozen federation stays byte-identical to every
-//!   other deployment of the same seed.
-//! - **Snapshot consistency.** Queries run through
-//!   [`Federation::with_engine`], which pins the provider set, metadata
-//!   snapshot, and seed for the whole scope — an in-flight plan reads one
-//!   consistent version. The TCP server wraps a [`LiveFederation`] in a
-//!   reader–writer lock: queries share the read side, ingest takes the
-//!   write side between plans.
+//!   (SplitMix64 finalizer). The cleared ledger starts every content at
+//!   occurrence 0 again, so without the salt an analyst could replay the
+//!   same query before and after an ingest, get *identical* noise on
+//!   *different* data, and subtract it — a differencing attack. Epoch 0
+//!   keeps the base seed bit-for-bit, so a frozen federation stays
+//!   byte-identical to every other deployment of the same seed.
+//! - **Snapshot consistency.** A scoped engine pins the provider set,
+//!   metadata snapshot, and seed for the whole scope — an in-flight plan
+//!   reads one consistent version. The TCP server wraps a
+//!   [`LiveFederation`] in a reader–writer lock: queries share the read
+//!   side, each on its own scope run by its connection's thread, and
+//!   ingest takes the write side between plans.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fedaqp_model::Row;
 use fedaqp_obs as obs;
 
+use crate::engine::{EngineHandle, OccurrenceLedger};
 use crate::error::CoreError;
 use crate::federation::Federation;
 use crate::Result;
@@ -75,6 +83,8 @@ pub struct LiveFederation {
     policy: RefreshPolicy,
     base_seed: u64,
     epoch: u64,
+    /// The occurrence ledger every scope of this epoch counts in.
+    occurrences: Arc<OccurrenceLedger>,
     stale_rows: usize,
     last_refresh: Instant,
 }
@@ -100,6 +110,7 @@ impl LiveFederation {
             policy,
             base_seed,
             epoch: 0,
+            occurrences: Arc::default(),
             stale_rows: 0,
             last_refresh: Instant::now(),
         }
@@ -109,6 +120,15 @@ impl LiveFederation {
     #[inline]
     pub fn federation(&self) -> &Federation {
         &self.federation
+    }
+
+    /// Runs `f` against a scoped engine over the current epoch (see
+    /// [`Federation::with_engine`]) that counts occurrences in this
+    /// federation's per-epoch ledger: a plan repeated within one epoch is
+    /// its next occurrence and draws fresh noise, as on a frozen server.
+    pub fn with_engine<R>(&self, f: impl FnOnce(&EngineHandle) -> R) -> R {
+        self.federation
+            .with_engine_counting(Arc::clone(&self.occurrences), f)
     }
 
     /// Unwraps the federation (e.g. to hand it to a long-lived engine).
@@ -169,8 +189,7 @@ impl LiveFederation {
             obs::counter_add(obs::names::STREAM_REFRESHES, 1);
             self.recompute_meta();
         }
-        self.federation
-            .set_seed(epoch_seed(self.base_seed, self.epoch));
+        self.enter_epoch();
         Ok(IngestReport {
             accepted,
             epoch: self.epoch,
@@ -185,8 +204,15 @@ impl LiveFederation {
         obs::counter_add(obs::names::STREAM_REFRESHES, 1);
         self.recompute_meta();
         self.epoch += 1;
+        self.enter_epoch();
+    }
+
+    /// Enters the (already bumped) epoch: re-salts the noise seed and
+    /// clears the occurrence ledger.
+    fn enter_epoch(&mut self) {
         self.federation
             .set_seed(epoch_seed(self.base_seed, self.epoch));
+        self.occurrences.clear();
     }
 
     fn recompute_meta(&mut self) {
@@ -351,6 +377,39 @@ mod tests {
                 refreshed: false
             }
         );
+    }
+
+    #[test]
+    fn scopes_share_one_occurrence_ledger_per_epoch() {
+        let mut live = LiveFederation::new(federation(None), RefreshPolicy::default());
+        let value = |live: &LiveFederation| {
+            live.with_engine(|engine| engine.submit(&query(), 0.3)?.wait())
+                .unwrap()
+                .value
+                .to_bits()
+        };
+        let (first, repeat) = (value(&live), value(&live));
+        assert_ne!(first, repeat, "a repeat within an epoch is occurrence 1");
+        let frozen = federation(None);
+        let frozen_pair = frozen.with_engine(|engine| {
+            [0, 1].map(|_| {
+                engine
+                    .submit(&query(), 0.3)
+                    .unwrap()
+                    .wait()
+                    .unwrap()
+                    .value
+                    .to_bits()
+            })
+        });
+        assert_eq!([first, repeat], frozen_pair);
+        // A new epoch starts the ledger over: its first answer is
+        // occurrence 0 under the new salt.
+        live.refresh();
+        let fresh_epoch = value(&live);
+        let mut twin = LiveFederation::new(federation(None), RefreshPolicy::default());
+        twin.refresh();
+        assert_eq!(fresh_epoch, value(&twin));
     }
 
     #[test]

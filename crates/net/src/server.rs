@@ -31,10 +31,11 @@
 //!   same frames, same typed errors, byte-identical answers.
 //! * **Live** ([`FederationServer::bind_live`]) — the analyst protocol
 //!   plus `Ingest`, over a [`LiveFederation`] behind one reader–writer
-//!   lock. A handler holds the read side (and a scoped engine) for its
-//!   whole call, so a plan — every round of an online plan included —
-//!   conditions on exactly one epoch; an accepted `Ingest` batch takes the
-//!   write side between handlers.
+//!   lock. A handler holds the read side (and a scoped engine, whose jobs
+//!   run on the connection's own thread) for its whole call, so a plan —
+//!   every round of an online plan included — conditions on exactly one
+//!   epoch; an accepted `Ingest` batch takes the write side between
+//!   handlers.
 //! * **Shard** ([`FederationServer::bind_shard`]) — only the fragment
 //!   frames, to an upstream coordinator, one fragment lifecycle per
 //!   connection, with *no* budget directory: fragments arrive already
@@ -278,7 +279,7 @@ impl Backend for Arc<RwLock<LiveFederation>> {
 
     fn with_plans<R>(&self, f: impl FnOnce(&EngineHandle) -> R) -> R {
         let live = self.read().unwrap_or_else(PoisonError::into_inner);
-        live.federation().with_engine(f)
+        live.with_engine(f)
     }
 
     /// Write side of the lock: waits out in-flight handlers, applies the
@@ -325,7 +326,8 @@ impl FederationServer {
 
     /// Binds `addr` in live mode: the analyst protocol of [`Self::bind`]
     /// plus the streaming-ingest path. Each query runs on a scoped
-    /// engine under the lock's read side (one consistent epoch per query);
+    /// engine under the lock's read side (one consistent epoch per query,
+    /// one occurrence ledger per epoch);
     /// an accepted [`Frame::Ingest`] batch takes the write side, appends
     /// rows with incremental metadata maintenance, and re-salts the noise
     /// seed (see [`LiveFederation`]). Non-live servers refuse `Ingest`

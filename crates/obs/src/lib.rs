@@ -33,8 +33,8 @@
 //!
 //! The global [`enabled`] switch gates every free helper with one relaxed
 //! atomic load, so the fully-disabled overhead on the hot path is a
-//! branch. The bench harness measures the *enabled* overhead and CI gates
-//! it at ≤ 2% (`bench_gate --max-telemetry-overhead-pct`).
+//! branch. The bench harness reports the *enabled* overhead
+//! (`telemetry_overhead_pct` in `BENCH_engine.json`).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

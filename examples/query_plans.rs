@@ -47,8 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|sql| parse_sql_plan(federation.schema(), sql, &params))
         .collect::<Result<_, _>>()?;
 
-    // In-process: a scoped engine fans each plan's sub-queries across the
-    // provider worker pool (a group-by's k point queries run concurrently).
+    // In-process: a scoped engine runs each of a plan's sub-queries on
+    // this thread as the plan waits for it.
     let local: Vec<_> = federation.with_engine(|engine| {
         plans
             .iter()
