@@ -25,8 +25,8 @@
 //! the documented tie regime.
 //!
 //! Besides the table/CSV this emits machine-readable `BENCH_accuracy.json`
-//! (schema documented in the README) which `bench_gate --accuracy`
-//! compares against the committed `BENCH_accuracy_baseline.json`.
+//! (schema documented in the README) which `bench_gate` checks against
+//! the committed `BENCH_accuracy_baseline.json` (rows in [`crate::gate`]).
 
 use fedaqp_core::{EstimatorCalibration, Federation, FederationConfig};
 use fedaqp_data::{partition_rows, AdultConfig, AdultSynth, PartitionMode};
@@ -35,6 +35,7 @@ use fedaqp_model::{Aggregate, QueryBuilder, RangeQuery};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::gate::ACCURACY_SCHEMA;
 use crate::report::{fmt_f, Table};
 use crate::setup::ExperimentContext;
 
@@ -49,8 +50,8 @@ pub const HEADLINE_EPSILON: f64 = 5.0;
 pub const ADULT_ROWS: u64 = 10_000;
 
 /// Flat JSON key for one calibration × rate cell of the headline ε, e.g.
-/// `em_raw_rms_04` / `pps_raw_rms_50`. Shared with `bench_gate` so the
-/// writer and the reader cannot drift apart.
+/// `em_raw_rms_04` / `pps_raw_rms_50`. Shared with the gate table
+/// ([`crate::gate`]) so the writer and the reader cannot drift apart.
 pub fn rate_key(calibration: &str, rate: f64) -> String {
     format!("{calibration}_raw_rms_{:02.0}", rate * 100.0)
 }
@@ -223,7 +224,7 @@ pub fn run(ctx: &ExperimentContext) -> Vec<Table> {
     }
 
     let json = format!(
-        "{{\n  \"schema\": \"fedaqp-bench-accuracy/v1\",\n  \"dataset\": \"adult_synth\",\n  \
+        "{{\n  \"schema\": \"{ACCURACY_SCHEMA}\",\n  \"dataset\": \"adult_synth\",\n  \
          \"rows\": {ADULT_ROWS},\n  \"trials\": {trials},\n  \
          \"headline_epsilon\": {HEADLINE_EPSILON},\n{},\n  \"grid\": [\n{}\n  ]\n}}\n",
         headline_json.join(",\n"),

@@ -17,8 +17,8 @@
 //! 0.5, so both accuracy and ROC AUC are centred on ½ for a blind
 //! classifier) carrying a learnable QI→SA signal: the no-DP ceiling row
 //! proves the harness can learn when protection is absent, and the gate
-//! (`bench_gate --attack`) asserts the attacked runs stay inside a
-//! statistical band of 0.5 at every swept ξ.
+//! ([`crate::gate`]) asserts the attacked runs stay inside a statistical
+//! band of 0.5 at every swept ξ.
 //!
 //! Every answer the classifier sees crosses a real socket; noise is
 //! derived per job content, so the emitted numbers are bit-reproducible
@@ -38,6 +38,7 @@ use fedaqp_smc::CostModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::gate::ATTACK_SCHEMA;
 use crate::report::{fmt_f, fmt_pct, Table};
 use crate::setup::{generate_dataset, DatasetKind, ExperimentContext};
 
@@ -68,7 +69,8 @@ pub const COALITION_K: usize = 4;
 const WORLDS: u64 = 4;
 
 /// JSON key for one gate-read metric, e.g. `single_x5_auc` — shared with
-/// `bench_gate --attack` so the emitter and the gate cannot drift apart.
+/// the gate table ([`crate::gate`]) so the emitter and the gate cannot
+/// drift apart.
 pub fn metric_key(variant: &str, xi: f64, metric: &str) -> String {
     format!("{variant}_x{xi:.0}_{metric}")
 }
@@ -308,10 +310,10 @@ pub fn run(ctx: &ExperimentContext) -> Vec<Table> {
         }
     }
 
-    // Machine-readable summary for CI (`bench_gate --attack` reads every
+    // Machine-readable summary for CI (`bench_gate` reads every
     // accuracy/auc key plus the ceiling and ledger verdicts).
     let json = format!(
-        "{{\n  \"schema\": \"fedaqp-bench-attack/v1\",\n  \"dataset\": \"{}\",\n  \
+        "{{\n  \"schema\": \"{ATTACK_SCHEMA}\",\n  \"dataset\": \"{}\",\n  \
          \"chance\": 0.5,\n  \"worlds\": {},\n  \"cells\": {},\n  \"coalition_members\": {},\n  \
          \"ceiling_accuracy\": {:.6},\n  \"ceiling_auc\": {:.6},\n  \"ledgers_ok\": {},\n{}\n}}\n",
         DatasetKind::Adult.name(),

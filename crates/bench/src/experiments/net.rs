@@ -7,8 +7,8 @@
 //! simulated WAN transit after the answer arrives. A single analyst is
 //! therefore transit-bound; N analysts on N connections overlap their
 //! transits against one engine, so remote throughput must scale with the
-//! analyst count — the property `bench_gate --net` pins (≥ 4× the
-//! single-analyst qps at 8 analysts). Latency stays flat: the per-query
+//! analyst count — the property the `scaling` gate row pins (a floor on
+//! 8 analysts' qps over one analyst's). Latency stays flat: the per-query
 //! p50/p95 at 8 analysts should match the single-analyst numbers, because
 //! the server pipelines rather than queues.
 //!
@@ -23,6 +23,7 @@ use fedaqp_net::{LoopbackServer, RemoteFederation, ServeOptions};
 use fedaqp_obs::Histogram;
 use fedaqp_smc::CostModel;
 
+use crate::gate::NET_SCHEMA;
 use crate::report::{fmt_f, Table};
 use crate::setup::{build_testbed, filtered_workload, DatasetKind, ExperimentContext};
 
@@ -127,11 +128,11 @@ pub fn run(ctx: &ExperimentContext) -> Vec<Table> {
         server.shutdown();
     });
 
-    // Machine-readable summary for CI (`bench_gate --net` reads the
-    // single_qps / net_qps / scaling keys; the grid is for dashboards).
+    // Machine-readable summary for CI (`bench_gate` reads the net_qps /
+    // scaling keys; the grid is for dashboards).
     if let (Some(single), Some(headline)) = (single, headline) {
         let json = format!(
-            "{{\n  \"schema\": \"fedaqp-bench-net/v1\",\n  \"dataset\": \"{}\",\n  \
+            "{{\n  \"schema\": \"{NET_SCHEMA}\",\n  \"dataset\": \"{}\",\n  \
              \"queries\": {},\n  \"headline_analysts\": {},\n  \"single_qps\": {:.3},\n  \
              \"net_qps\": {:.3},\n  \"scaling\": {:.3},\n  \"net_p50_ms\": {:.4},\n  \
              \"net_p95_ms\": {:.4},\n  \"grid\": [\n{}\n  ]\n}}\n",

@@ -15,7 +15,7 @@
 //! providers across two shards halves each reply and sends the halves
 //! in parallel, so with 16 concurrent analysts pipelining queries the
 //! 2-shard grid must approach 2× the 1-shard throughput. That is the
-//! scaling property `bench_gate --shard` pins (≥ 1.3×): it fails if the
+//! scaling property the `scaling` gate row pins: it fails if the
 //! coordinator ever starts serializing the gather across shards.
 //!
 //! Emits `BENCH_shard.json` (headline keys `one_shard_qps`,
@@ -35,6 +35,7 @@ use fedaqp_smc::CostModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::gate::SHARD_SCHEMA;
 use crate::report::{fmt_f, Table};
 use crate::setup::{filtered_workload, generate_dataset, DatasetKind, ExperimentContext, Testbed};
 
@@ -225,11 +226,11 @@ pub fn run(ctx: &ExperimentContext) -> Vec<Table> {
         ]);
     }
 
-    // Machine-readable summary for CI (`bench_gate --shard` reads the
+    // Machine-readable summary for CI (`bench_gate` reads the
     // one_shard_qps / two_shard_qps / scaling keys).
     if let (Some(one), Some(two)) = (one_shard, headline) {
         let json = format!(
-            "{{\n  \"schema\": \"fedaqp-bench-shard/v1\",\n  \"dataset\": \"{}\",\n  \
+            "{{\n  \"schema\": \"{SHARD_SCHEMA}\",\n  \"dataset\": \"{}\",\n  \
              \"providers\": {},\n  \"analysts\": {},\n  \"queries\": {},\n  \
              \"one_shard_qps\": {:.3},\n  \"two_shard_qps\": {:.3},\n  \"scaling\": {:.3},\n  \
              \"two_shard_p50_ms\": {:.4},\n  \"two_shard_p95_ms\": {:.4}\n}}\n",

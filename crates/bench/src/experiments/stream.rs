@@ -24,7 +24,7 @@
 //! Emits `BENCH_stream.json` (headline keys `ingest_rows_per_sec`,
 //! `refreshes`, `live_qps`, `online_rounds_ok`,
 //! `first_snapshot_fraction`), compared in CI against the committed
-//! `BENCH_stream_baseline.json` by `bench_gate --stream`.
+//! `BENCH_stream_baseline.json` by `bench_gate` (rows in [`crate::gate`]).
 
 use std::time::{Duration, Instant};
 
@@ -34,6 +34,7 @@ use fedaqp_model::Aggregate;
 use fedaqp_net::{LoopbackServer, RemoteFederation, ServeOptions};
 use fedaqp_obs::Histogram;
 
+use crate::gate::STREAM_SCHEMA;
 use crate::report::{fmt_f, mean, Table};
 use crate::setup::{build_testbed, filtered_workload, DatasetKind, ExperimentContext};
 
@@ -176,11 +177,11 @@ pub fn run(ctx: &ExperimentContext) -> Vec<Table> {
         table.push_row(vec![stage.to_string(), metric.to_string(), value]);
     }
 
-    // Machine-readable summary for CI (`bench_gate --stream` reads the
+    // Machine-readable summary for CI (`bench_gate` reads the
     // ingest_rows_per_sec / refreshes / live_qps / online_rounds_ok /
     // first_snapshot_fraction keys).
     let json = format!(
-        "{{\n  \"schema\": \"fedaqp-bench-stream/v1\",\n  \"dataset\": \"{}\",\n  \
+        "{{\n  \"schema\": \"{STREAM_SCHEMA}\",\n  \"dataset\": \"{}\",\n  \
          \"queries\": {},\n  \"batches\": {},\n  \"stream_rows\": {},\n  \
          \"ingest_rows_per_sec\": {:.3},\n  \"epochs\": {},\n  \"refreshes\": {},\n  \
          \"pre_qps\": {:.3},\n  \"live_qps\": {:.3},\n  \"live_p50_ms\": {:.4},\n  \

@@ -17,8 +17,8 @@
 //!
 //! This is the perf-trajectory benchmark CI gates on: besides the result
 //! table/CSV it emits machine-readable `BENCH_engine.json` (schema
-//! documented in the README) which the `bench_gate` binary compares
-//! against the committed `BENCH_baseline.json`.
+//! documented in the README) which the `bench_gate` binary checks
+//! against the committed `BENCH_baseline.json` (rows in [`crate::gate`]).
 
 use std::time::Instant;
 
@@ -30,6 +30,7 @@ use fedaqp_model::{Aggregate, QueryPlan, Range, RangeQuery, Row};
 use fedaqp_obs::{self as obs, Histogram};
 use fedaqp_smc::CostModel;
 
+use crate::gate::ENGINE_SCHEMA;
 use crate::report::{fmt_f, Table};
 use crate::setup::{
     build_testbed, filtered_workload, generate_dataset, DatasetKind, ExperimentContext,
@@ -682,10 +683,9 @@ pub fn run(ctx: &ExperimentContext) -> Vec<Table> {
         ),
     ]);
 
-    // Machine-readable summary for CI (`bench_gate` reads the headline_*
-    // and *_qps keys; the grid is for trend dashboards). The mixed_* keys
-    // are additions for the plan workload — the pre-existing keys (and the
-    // gate thresholds over them) are unchanged.
+    // Machine-readable summary for CI (`bench_gate` reads engine_qps,
+    // speedup and the pruned_*/telemetry_* keys; the grid is for trend
+    // dashboards). The mixed_* keys are informational.
     if let Some((serial, engine)) = headline {
         let mixed_json = mixed
             .map(|m| {
@@ -715,7 +715,7 @@ pub fn run(ctx: &ExperimentContext) -> Vec<Table> {
             telemetry_trial.on_qps, telemetry_trial.off_qps, telemetry_trial.overhead_pct,
         );
         let json = format!(
-            "{{\n  \"schema\": \"fedaqp-bench-engine/v1\",\n  \"dataset\": \"{}\",\n  \
+            "{{\n  \"schema\": \"{ENGINE_SCHEMA}\",\n  \"dataset\": \"{}\",\n  \
              \"queries\": {},\n  \"headline_providers\": {},\n  \"headline_analysts\": {},\n  \
              \"serial_qps\": {:.3},\n  \"engine_qps\": {:.3},\n  \"speedup\": {:.3},\n  \
              \"engine_p50_ms\": {:.4},\n  \"engine_p95_ms\": {:.4},\n{}{}{}  \"grid\": [\n{}\n  ]\n}}\n",

@@ -4,8 +4,7 @@
 //! table has a reproduction target that prints the same rows/series the
 //! paper reports and writes a CSV next to it. The `repro` binary
 //! (`cargo run -p fedaqp-bench --release --bin repro -- <experiment>`)
-//! dispatches into [`experiments`]; Criterion micro-benchmarks live under
-//! `benches/`.
+//! dispatches into [`experiments`].
 //!
 //! | target        | paper artifact                                   |
 //! |---------------|--------------------------------------------------|
@@ -21,11 +20,13 @@
 //! | `ablation`    | §4/§7 design-choice ablations                    |
 //! | `throughput`  | engine qps/latency vs analysts × providers (CI)  |
 //!
-//! `throughput` additionally emits `BENCH_engine.json`; the `bench_gate`
-//! binary compares it against the committed `BENCH_baseline.json` and
-//! fails CI on a >25% queries/sec regression (or a <2× engine speed-up).
+//! The CI-gated experiments (`throughput`, `accuracy`, `net`, `shard`,
+//! `stream`, `attack`) additionally emit a `BENCH_*.json` summary; the
+//! `bench_gate` binary checks it against the committed baseline through
+//! the one table in [`gate`].
 
 pub mod experiments;
+pub mod gate;
 pub mod plot;
 pub mod report;
 pub mod setup;

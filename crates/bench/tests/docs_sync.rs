@@ -1,6 +1,7 @@
 //! Stale-docs sweep: the wire-version lists, the CI-gated experiment
-//! set, the committed baselines, and the JSON keys the gate reads are
-//! all *named* in README/docs/ci.yml prose — and prose drifts silently.
+//! set, the committed baselines, the gate table and the JSON keys it
+//! reads are all *named* in README/docs/ci.yml prose and doc comments —
+//! and prose drifts silently.
 //! These tests turn that drift into a CI failure that names the stale
 //! file and the expected text.
 
@@ -8,6 +9,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use fedaqp_bench::experiments::registry;
+use fedaqp_bench::gate::{self, Rule};
 use fedaqp_net::wire;
 use fedaqp_obs::{METRIC_NAMES, METRIC_PREFIXES};
 
@@ -170,49 +172,208 @@ fn observability_doc_catalogs_every_metric() {
     );
 }
 
-/// Every JSON key `bench_gate` reads as a string literal must exist in
-/// some committed baseline: the experiments' emitted schema and the
-/// gate cannot drift apart without a failure naming the key.
+/// The committed baselines as `(file name, text, schema)`.
+fn baselines_with_schemas() -> Vec<(String, String, String)> {
+    committed_baselines()
+        .into_iter()
+        .map(|name| {
+            let text = read(&name);
+            let schema = gate::schema(&text)
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+                .to_string();
+            (name, text, schema)
+        })
+        .collect()
+}
+
+/// Every key a gate row reads — its own and any key it compares against
+/// — must exist in the committed baseline of its schema, and every
+/// schema with rows must have one: the experiments' emitted schema and
+/// the gate cannot drift apart without a failure naming the key.
 #[test]
 fn gate_keys_exist_in_committed_baselines() {
-    let source = include_str!("../src/bin/bench_gate.rs");
-    let source = source
-        .split("#[cfg(test)]")
-        .next()
-        .expect("bench_gate source");
+    let baselines = baselines_with_schemas();
+    for row in gate::rules() {
+        let Some((name, text, _)) = baselines.iter().find(|(_, _, s)| s == row.schema) else {
+            panic!(
+                "no committed BENCH_*baseline.json has schema `{}`",
+                row.schema
+            );
+        };
+        let mut keys = vec![row.key.as_str()];
+        if let Rule::Below(other) | Rule::AtMostTimes(_, other) | Rule::Near(_, other) = &row.rule {
+            keys.push(other);
+        }
+        for key in keys {
+            assert!(
+                gate::json_number(text, key).is_ok(),
+                "the gate reads `{key}` ({}), but {name} has no such number",
+                row.schema
+            );
+        }
+    }
+}
 
-    let mut keys: Vec<String> = Vec::new();
-    let mut rest = source;
-    while let Some(pos) = rest.find("json_number(") {
-        rest = &rest[pos + "json_number(".len()..];
-        let Some(quote) = rest.find('"') else { break };
-        // A literal key looks like `json_number(&doc, "engine_qps")`:
-        // one comma and no parens/close before the quote. Dynamically
-        // built keys (`&rate_key(...)`, `&key`) are skipped — their
-        // construction is covered by bench_gate's own tests.
-        let before = &rest[..quote];
-        if before.matches(',').count() == 1 && !before.contains('(') && !before.contains(')') {
-            let lit = &rest[quote + 1..];
-            if let Some(close) = lit.find('"') {
-                keys.push(lit[..close].to_string());
+/// Every committed baseline passes the gate against itself, and every
+/// one has rows (a baseline nothing checks is dead weight).
+#[test]
+fn committed_baselines_pass_their_own_gate() {
+    for (name, text, _) in baselines_with_schemas() {
+        let report = gate::check(&text, &text).unwrap_or_else(|e| panic!("{name}:\n{e}"));
+        assert!(report.ends_with("PASS\n"), "{name}:\n{report}");
+    }
+}
+
+/// `text` with the number at `key` replaced by `value`.
+fn set_number(text: &str, key: &str, value: f64) -> String {
+    let needle = format!("\"{key}\":");
+    let at = text.find(&needle).expect("key present") + needle.len();
+    let start = at + text[at..].len() - text[at..].trim_start().len();
+    let end = start
+        + text[start..]
+            .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
+            .unwrap_or(text.len() - start);
+    format!("{}{value}{}", &text[..start], &text[end..])
+}
+
+/// Each row, broken alone on its schema's committed baseline, fails the
+/// gate with its own message and no other row's; a report-only row's key
+/// going missing is an error that names it.
+#[test]
+fn every_gate_row_fails_alone_with_its_message() {
+    let baselines = baselines_with_schemas();
+    let rules = gate::rules();
+    for row in &rules {
+        let (_, text, _) = baselines.iter().find(|(_, _, s)| s == row.schema).unwrap();
+        let v = gate::json_number(text, &row.key).unwrap();
+        let (mut current, mut baseline) = (text.clone(), text.clone());
+        match &row.rule {
+            Rule::Floor(r) => baseline = set_number(text, &row.key, 2.0 * v / (1.0 - r) + 1.0),
+            Rule::Ceiling(r) => baseline = set_number(text, &row.key, v / (1.0 + r) / 2.0),
+            Rule::AtLeast(c) => current = set_number(text, &row.key, c - 0.5),
+            Rule::Above(c) => current = set_number(text, &row.key, *c),
+            Rule::AtMost(c) => current = set_number(text, &row.key, c + 0.5),
+            Rule::Equals(c) => current = set_number(text, &row.key, c + 1.0),
+            Rule::Below(other) => current = set_number(text, other, v),
+            Rule::AtMostTimes(k, other) => current = set_number(text, other, v / k / 2.0),
+            Rule::Near(b, other) => {
+                let x = gate::json_number(text, other).unwrap() + 2.0 * b;
+                current = set_number(text, &row.key, x);
+                baseline = set_number(text, &row.key, x);
+            }
+            Rule::Drift(d) => baseline = set_number(text, &row.key, v + 2.0 * d),
+            Rule::Report => {
+                let gone = text.replace(&format!("\"{}\":", row.key), "\"gone\":");
+                let err = gate::check(&gone, text).unwrap_err();
+                assert!(err.contains(&row.key), "{err}");
+                continue;
+            }
+        }
+        let err = gate::check(&current, &baseline)
+            .expect_err(&format!("breaking `{}` {} passed", row.key, row.rule));
+        assert!(err.contains("FAIL (1 of"), "{}: {err}", row.key);
+        assert!(err.contains(&row.message), "{}: {err}", row.key);
+        for other in rules.iter().filter(|o| o.schema == row.schema) {
+            assert!(
+                other.message == row.message || !err.contains(&other.message),
+                "breaking `{}` also tripped `{}`:\n{err}",
+                row.key,
+                other.message
+            );
+        }
+    }
+}
+
+/// `docs/benchmarks.md` carries the rendered gate table row for row:
+/// every row's line, and no table line the gate no longer has.
+#[test]
+fn benchmarks_doc_renders_the_gate_table() {
+    let doc = read("docs/benchmarks.md");
+    let table = gate::markdown();
+    for line in table.lines() {
+        assert!(
+            doc.lines().any(|l| l == line),
+            "docs/benchmarks.md is missing the gate row:\n{line}"
+        );
+    }
+    let prefix = "| `fedaqp-bench-";
+    let documented = doc.lines().filter(|l| l.starts_with(prefix)).count();
+    let rows = table.lines().filter(|l| l.starts_with(prefix)).count();
+    assert_eq!(
+        documented, rows,
+        "docs/benchmarks.md lists {documented} gate rows, the table has {rows}"
+    );
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).expect("read dir").flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The wire speaks one version: no doc comment under `crates/*/src/` may
+/// name an older one (`protocol vN`, `wire vN`, `a vN server`), even
+/// across a line break.
+#[test]
+fn doc_comments_name_only_the_current_wire_version() {
+    let mut files = Vec::new();
+    for krate in fs::read_dir(repo_root().join("crates"))
+        .expect("crates")
+        .flatten()
+    {
+        let src = krate.path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    let older = |word: &str| {
+        let digits: String = word
+            .strip_prefix('v')
+            .unwrap_or("")
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse::<u16>().is_ok_and(|n| n < wire::VERSION)
+    };
+    let mut stale = Vec::new();
+    for file in files {
+        let text = fs::read_to_string(&file).expect("read source");
+        // Doc-comment words with their line numbers; any other line breaks
+        // the run, so a phrase may span the lines of one comment only.
+        let mut words: Vec<(usize, &str)> = Vec::new();
+        for (i, line) in text.lines().enumerate() {
+            let line = line.trim_start();
+            match line
+                .strip_prefix("///")
+                .or_else(|| line.strip_prefix("//!"))
+            {
+                Some(body) => words.extend(
+                    body.split_whitespace()
+                        .map(|w| (i + 1, w.trim_matches(|c: char| !c.is_alphanumeric()))),
+                ),
+                None => words.push((i + 1, "")),
+            }
+        }
+        for (i, &(line, word)) in words.iter().enumerate() {
+            let next = |k: usize| words.get(i + k).map_or("", |w| w.1);
+            if matches!(word, "protocol" | "wire") && older(next(1))
+                || word == "a" && older(next(1)) && next(2).starts_with("server")
+            {
+                let rel = file.strip_prefix(repo_root()).unwrap_or(&file);
+                stale.push(format!("{}:{line}: `{word} {}`", rel.display(), next(1)));
             }
         }
     }
-    keys.sort();
-    keys.dedup();
     assert!(
-        keys.len() >= 8,
-        "literal-key extraction from bench_gate.rs broke: {keys:?}"
+        stale.is_empty(),
+        "doc comments name a wire version other than v{}:\n{}",
+        wire::VERSION,
+        stale.join("\n")
     );
-
-    let all: String = committed_baselines()
-        .iter()
-        .map(|name| read(name))
-        .collect();
-    for key in &keys {
-        assert!(
-            all.contains(&format!("\"{key}\"")),
-            "bench_gate reads `{key}`, but no committed BENCH_*baseline.json contains that key"
-        );
-    }
 }

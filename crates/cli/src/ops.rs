@@ -671,10 +671,10 @@ fn query_remote(args: &QueryArgs, addr: &str) -> Result<String, String> {
 }
 
 /// `fedaqp query` with a plan-shaped request on local data: run the plan
-/// on the scoped engine (per-group sub-queries and online rounds fan out
-/// across the provider worker pool). An online plan also prints the
-/// sample-fraction-weighted combination and the exact oracle — neither
-/// crosses a wire.
+/// on the scoped engine (per-group sub-queries and online rounds run on
+/// this thread as their answers are waited for). An online plan also
+/// prints the sample-fraction-weighted combination and the exact oracle —
+/// neither crosses a wire.
 fn query_local_plan(
     federation: &Federation,
     engine: &EngineHandle,
@@ -1045,7 +1045,7 @@ pub struct RunningServer {
     /// The TCP server (accept loop).
     pub server: FederationServer,
     /// The engine whose worker pool answers the queries. `None` in live
-    /// mode, where the server scopes a pool per request so ingest can
+    /// mode, where the server scopes an engine per request so ingest can
     /// take the federation between queries.
     pub engine: Option<FederationEngine>,
     /// Human-readable startup report.
@@ -1201,10 +1201,8 @@ pub fn serve(args: &ServeArgs) -> Result<RunningServer, String> {
         Some(xi) => ServeOptions::with_budget(xi, args.psi),
         None => ServeOptions::unlimited(),
     };
-    let server = FederationServer::bind(&args.listen, engine.handle(), options).map_err(|e| {
-        // The pool must not leak when the bind fails.
-        e.to_string()
-    })?;
+    let server = FederationServer::bind(&args.listen, engine.handle(), options)
+        .map_err(|e| e.to_string())?;
     let banner = format!(
         "serving     : {n_providers} providers from {} on {}\n\
          privacy     : per-query ε = {}, δ = {:e}, {} release\n\
@@ -1310,9 +1308,9 @@ pub struct StatsArgs {
 
 /// `fedaqp stats`: text exposition of the telemetry registry — one
 /// `name value` line per sample, sorted by name. With `--connect`, the
-/// samples come from the server's process over the wire (needs a v5
-/// server); without, from this process (useful mainly under test or when
-/// embedding the CLI as a library).
+/// samples come from the server's process over the wire; without, from
+/// this process (useful mainly under test or when embedding the CLI as a
+/// library).
 pub fn stats(args: &StatsArgs) -> Result<String, String> {
     let Some(addr) = args.connect.as_deref() else {
         let text = obs::global().render_text();

@@ -2,9 +2,10 @@
 //! contribution (§5).
 //!
 //! A [`federation::Federation`] holds `n` [`provider::DataProvider`]s; an
-//! [`engine`] over it (one worker per provider, a per-query
-//! [`aggregator`]) is the one implementation of the query lifecycle of
-//! Fig. 3:
+//! [`engine`] over it (an owned engine runs one worker per provider, a
+//! scoped one runs each job on the thread that waits for it; either way a
+//! per-query [`aggregator`]) is the one implementation of the query
+//! lifecycle of Fig. 3:
 //!
 //! 1. The aggregator broadcasts the query; each provider identifies its
 //!    covering clusters `C^Q` and their approximate proportions `R̂` from

@@ -35,7 +35,7 @@
 //!
 //! The decisions are surfaced as a structured [`PlanExplanation`] —
 //! `EXPLAIN` in SQL, `--explain` on the CLI, and an `Explain` frame pair
-//! on wire protocol v3 — computed by [`crate::EngineHandle::explain_plan`]
+//! on the wire — computed by [`crate::EngineHandle::explain_plan`]
 //! without dispatching work or charging budget.
 
 use fedaqp_model::{RangeQuery, Value};
