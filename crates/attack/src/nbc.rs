@@ -120,7 +120,7 @@ impl NbcModel {
 
     /// Predicts the sensitive value from a full row (QI values are read
     /// from the row's dimensions).
-    pub fn predict(&self, values: &[Value]) -> Value {
+    fn predict(&self, values: &[Value]) -> Value {
         let k = self.sa_domain.size() as usize;
         let mut best = 0usize;
         let mut best_score = f64::NEG_INFINITY;
@@ -137,14 +137,14 @@ impl NbcModel {
     /// The log-score margin for the positive class of a *binary* SA,
     /// `score(y₁) − score(y₀)` — the continuous confidence an ROC curve
     /// thresholds over. `None` when the SA domain is not binary.
-    pub fn binary_margin(&self, values: &[Value]) -> Option<f64> {
+    fn binary_margin(&self, values: &[Value]) -> Option<f64> {
         if self.sa_domain.size() != 2 {
             return None;
         }
         Some(self.class_score(1, values) - self.class_score(0, values))
     }
 
-    /// Measure-weighted ROC AUC of [`Self::binary_margin`] over tensor
+    /// Measure-weighted ROC AUC of `binary_margin` over tensor
     /// cells (Mann–Whitney form, ties counted half). `Ok(None)` when the
     /// SA is not binary or the evaluation set lacks one of the classes —
     /// AUC is undefined there, not zero.

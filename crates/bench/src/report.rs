@@ -70,7 +70,7 @@ impl Table {
     }
 
     /// Serializes to CSV (RFC-4180-ish quoting for commas/quotes).
-    pub fn to_csv(&self) -> String {
+    fn to_csv(&self) -> String {
         fn quote(cell: &str) -> String {
             if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
                 format!("\"{}\"", cell.replace('"', "\"\""))

@@ -377,3 +377,99 @@ fn doc_comments_name_only_the_current_wire_version() {
         stale.join("\n")
     );
 }
+
+/// Public functions kept without a caller in another file, each with the
+/// reason it stays.
+const UNCALLED_ALLOWED: &[(&str, &str)] = &[
+    // The privacy boundary's vocabulary: every observable value is built
+    // by one `ObsValue::from_*` constructor naming its kind, kept whole
+    // even where today's instruments use a subset.
+    ("from_duration", "ObsValue constructor"),
+    ("from_count", "ObsValue constructor"),
+    ("from_public", "ObsValue constructor"),
+    // `data::adult_csv`: the loader for the real UCI Adult file; its caller
+    // arrives with the file.
+    (
+        "load_adult_file",
+        "waits for the UCI Adult file in the repository",
+    ),
+];
+
+/// Strips a `//` comment (doc comments included) from one source line.
+fn code_part(line: &str) -> &str {
+    line.find("//").map_or(line, |at| &line[..at])
+}
+
+/// Whether `word` occurs in `text` with no identifier character on
+/// either side.
+fn has_word(text: &str, word: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    text.match_indices(word).any(|(at, _)| {
+        !text[..at].chars().next_back().is_some_and(ident)
+            && !text[at + word.len()..].chars().next().is_some_and(ident)
+    })
+}
+
+/// Every `pub fn` under `crates/*/src` must be called from some other
+/// file of the workspace — the facade, the examples, the tests and the
+/// benchmark harness count; a `pub use` line does not. A public item only
+/// its own file reaches is surface nobody asked for: drop the `pub`,
+/// move it under `#[cfg(test)]`, or delete it with its tests.
+#[test]
+fn every_pub_fn_has_a_caller_in_another_file() {
+    let root = repo_root();
+    let mut sources = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "benchmark/src"] {
+        rust_files(&root.join(dir), &mut sources);
+    }
+    // Code lines of every file, comments and `pub use` lines removed.
+    let code: Vec<(PathBuf, String)> = sources
+        .into_iter()
+        .map(|path| {
+            let text = fs::read_to_string(&path).expect("read source");
+            let body = text
+                .lines()
+                .map(code_part)
+                .filter(|line| !line.trim_start().starts_with("pub use "))
+                .collect::<Vec<_>>()
+                .join("\n");
+            (path, body)
+        })
+        .collect();
+    let crates_dir = root.join("crates");
+    let mut uncalled = Vec::new();
+    for (path, body) in &code {
+        let in_crate_src = path.strip_prefix(&crates_dir).is_ok_and(|rel| {
+            rel.components()
+                .nth(1)
+                .is_some_and(|c| c.as_os_str() == "src")
+        });
+        if !in_crate_src {
+            continue;
+        }
+        for line in body.lines() {
+            let Some(rest) = line.trim_start().strip_prefix("pub fn ") else {
+                continue;
+            };
+            let name: String = rest
+                .chars()
+                .take_while(|c| c.is_alphanumeric() || *c == '_')
+                .collect();
+            if UNCALLED_ALLOWED.iter().any(|(allowed, _)| *allowed == name) {
+                continue;
+            }
+            let called = code
+                .iter()
+                .any(|(other, text)| other != path && has_word(text, &name));
+            if !called {
+                let rel = path.strip_prefix(&root).unwrap_or(path);
+                uncalled.push(format!("{}: {name}", rel.display()));
+            }
+        }
+    }
+    assert!(
+        uncalled.is_empty(),
+        "public functions with no caller outside their own file:\n{}",
+        uncalled.join("\n")
+    );
+}

@@ -237,7 +237,7 @@ fn cmd_serve(args: &[String]) -> Result<fedaqp_cli::RunningServer, String> {
         epsilon: 1.0,
         delta: 1e-3,
         xi: None,
-        psi: 1e-2,
+        psi: None,
         smc: false,
         calibration: EstimatorCalibration::EmCalibrated,
         shard: None,
@@ -270,9 +270,11 @@ fn cmd_serve(args: &[String]) -> Result<fedaqp_cli::RunningServer, String> {
                 )
             }
             "--psi" => {
-                s.psi = take_value(args, &mut i, "--psi")?
-                    .parse()
-                    .map_err(|e| format!("--psi: {e}"))?
+                s.psi = Some(
+                    take_value(args, &mut i, "--psi")?
+                        .parse()
+                        .map_err(|e| format!("--psi: {e}"))?,
+                )
             }
             "--smc" => s.smc = true,
             "--shard" => s.shard = Some(parse_shard_slice(&take_value(args, &mut i, "--shard")?)?),
@@ -302,7 +304,7 @@ fn cmd_coordinate(args: &[String]) -> Result<fedaqp_cli::RunningCoordinator, Str
         epsilon: 1.0,
         delta: 1e-3,
         xi: None,
-        psi: 1e-2,
+        psi: None,
         calibration: EstimatorCalibration::EmCalibrated,
     };
     let mut i = 0;
@@ -338,9 +340,11 @@ fn cmd_coordinate(args: &[String]) -> Result<fedaqp_cli::RunningCoordinator, Str
                 )
             }
             "--psi" => {
-                c.psi = take_value(args, &mut i, "--psi")?
-                    .parse()
-                    .map_err(|e| format!("--psi: {e}"))?
+                c.psi = Some(
+                    take_value(args, &mut i, "--psi")?
+                        .parse()
+                        .map_err(|e| format!("--psi: {e}"))?,
+                )
             }
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -418,7 +422,7 @@ fn cmd_batch(args: &[String]) -> Result<String, String> {
         delta: 1e-3,
         analysts: 4,
         xi: None,
-        psi: 1e-2,
+        psi: None,
         smc: false,
         calibration: EstimatorCalibration::EmCalibrated,
         remote: None,
@@ -464,9 +468,11 @@ fn cmd_batch(args: &[String]) -> Result<String, String> {
                 )
             }
             "--psi" => {
-                b.psi = take_value(args, &mut i, "--psi")?
-                    .parse()
-                    .map_err(|e| format!("--psi: {e}"))?
+                b.psi = Some(
+                    take_value(args, &mut i, "--psi")?
+                        .parse()
+                        .map_err(|e| format!("--psi: {e}"))?,
+                )
             }
             "--smc" => {
                 b.smc = true;

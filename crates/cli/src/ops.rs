@@ -5,9 +5,9 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use fedaqp_core::{
-    relative_error, ConcurrentSession, EngineHandle, EstimatorCalibration, Federation,
-    FederationConfig, FederationEngine, LiveFederation, PendingAnswer, PendingPlain, PlanAnswer,
-    PlanResult, PlanSnapshot, RefreshPolicy, ReleaseMode, SessionPlan,
+    relative_error, ConcurrentSession, EstimatorCalibration, Federation, FederationConfig,
+    FederationEngine, LiveFederation, PendingAnswer, PendingPlain, PlanAnswer, PlanResult,
+    PlanSnapshot, RefreshPolicy, ReleaseMode, SessionPlan,
 };
 use fedaqp_data::{
     partition_rows, AdultConfig, AdultSynth, AmazonConfig, AmazonSynth, PartitionMode,
@@ -358,8 +358,8 @@ fn build_plan(
     Ok((plan, sql_explain))
 }
 
-/// One progressive snapshot of `query --online`: a line of the local plan
-/// rendering, and what `--remote` prints as each pushed frame arrives.
+/// One progressive snapshot of `query --online`: a line of the rendered
+/// answer, and what `--remote` prints as each pushed frame arrives.
 fn round_line(s: &PlanSnapshot) -> String {
     format!(
         "round {:>2}/{} : {:.3} ({:.0}% sample, {} clusters)",
@@ -371,18 +371,22 @@ fn round_line(s: &PlanSnapshot) -> String {
     )
 }
 
-/// Renders a plan answer: scalar value, group table, snapshots, or extreme.
-fn render_plan_answer(schema: &Schema, plan: &QueryPlan, answer: &PlanAnswer) -> String {
-    let mut out = String::new();
+/// Renders a plan answer — the lines `fedaqp query` prints the same
+/// locally and over `--remote`: the result (scalar value, group table,
+/// snapshots or extreme), the privacy cost and, for a scalar, the
+/// estimator. Online rounds already printed as their frames arrived
+/// (`rounds_printed`) are not repeated.
+fn render_answer(
+    out: &mut String,
+    schema: &Schema,
+    plan: &QueryPlan,
+    answer: &PlanAnswer,
+    calibration: EstimatorCalibration,
+    rounds_printed: bool,
+) {
     match &answer.result {
-        PlanResult::Value {
-            value,
-            ci_halfwidth,
-        } => {
+        PlanResult::Value { value, .. } => {
             out.push_str(&format!("private     : {value:.3}\n"));
-            if let Some(hw) = ci_halfwidth {
-                out.push_str(&format!("sampling CI : ±{hw:.1} (95%)\n"));
-            }
         }
         PlanResult::Groups { groups, suppressed } => {
             let group_dim = match plan {
@@ -405,9 +409,11 @@ fn render_plan_answer(schema: &Schema, plan: &QueryPlan, answer: &PlanAnswer) ->
             out.push_str(&format!("private     : {value}\n"));
         }
         PlanResult::Snapshots { snapshots } => {
-            for s in snapshots {
-                out.push_str(&round_line(s));
-                out.push('\n');
+            if !rounds_printed {
+                for s in snapshots {
+                    out.push_str(&round_line(s));
+                    out.push('\n');
+                }
             }
             if let Some(last) = snapshots.last() {
                 out.push_str(&format!("private     : {:.3} (final round)\n", last.value));
@@ -418,7 +424,21 @@ fn render_plan_answer(schema: &Schema, plan: &QueryPlan, answer: &PlanAnswer) ->
         "privacy     : (ε = {}, δ = {:e}) for the whole plan\n",
         answer.cost.eps, answer.cost.delta
     ));
-    out
+    if let (QueryPlan::Scalar { .. }, PlanResult::Value { ci_halfwidth, .. }) =
+        (plan, &answer.result)
+    {
+        out.push_str(&format!(
+            "estimator   : {} calibration, sampling CI ±{}\n",
+            match calibration {
+                EstimatorCalibration::EmCalibrated => "EM",
+                EstimatorCalibration::PpsEq3 => "PPS (Eq. 3)",
+            },
+            match ci_halfwidth {
+                Some(hw) => format!("{hw:.1} (95%)"),
+                None => "unknown (single-draw sample)".into(),
+            }
+        ));
+    }
 }
 
 /// The contiguous provider slice `(offset, len)` shard `index` of `count`
@@ -437,8 +457,34 @@ fn shard_slice(providers: usize, index: usize, count: usize) -> Result<(usize, u
     ))
 }
 
+/// Reads and decodes provider `i`'s store from a data directory.
+fn read_store(data: &Path, i: usize) -> Result<ClusterStore, String> {
+    let path = data.join(Manifest::store_file(i));
+    let blob = std::fs::read(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+    decode_store(&blob).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// The federation configuration a data directory's manifest implies,
+/// under the command's privacy parameters.
+fn manifest_config(
+    manifest: &Manifest,
+    epsilon: f64,
+    delta: f64,
+    calibration: EstimatorCalibration,
+) -> FederationConfig {
+    let mut config = FederationConfig::paper_default(manifest.capacity);
+    config.n_providers = manifest.providers;
+    config.epsilon = epsilon;
+    config.delta = delta;
+    config.seed = manifest.seed;
+    config.estimator_calibration = calibration;
+    config
+}
+
 /// Rebuilds a federation (and its schema) from a `fedaqp generate` data
-/// directory — shared by `fedaqp query` and `fedaqp batch`. With a
+/// directory — shared by `fedaqp query`, `batch` and `serve`. The decoded
+/// stores are served as clustered on disk; a store whose schema or cluster
+/// capacity disagrees with the rest of the directory is refused. With a
 /// `shard` slice, only that contiguous range of provider stores is
 /// loaded, and the noise-lane base is offset so the shard draws exactly
 /// the lanes it would hold in the unsharded federation (the determinism
@@ -456,205 +502,142 @@ fn load_federation(
         Some((index, count)) => shard_slice(manifest.providers, index, count)?,
         None => (0, manifest.providers),
     };
-    let mut partitions = Vec::with_capacity(len);
-    let mut schema = None;
-    for i in offset..offset + len {
-        let path = data.join(Manifest::store_file(i));
-        let blob = std::fs::read(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let store = decode_store(&blob).map_err(|e| e.to_string())?;
-        schema.get_or_insert_with(|| store.schema().clone());
-        let rows: Vec<fedaqp_model::Row> = store.clusters().iter().flat_map(|c| c.rows()).collect();
-        partitions.push(rows);
-    }
-    let schema = schema.ok_or("data directory holds no providers")?;
-    let mut config = FederationConfig::paper_default(manifest.capacity);
+    let stores = (offset..offset + len)
+        .map(|i| read_store(data, i))
+        .collect::<Result<Vec<_>, _>>()?;
+    let schema = stores
+        .first()
+        .ok_or("data directory holds no providers")?
+        .schema()
+        .clone();
+    let mut config = manifest_config(&manifest, epsilon, delta, calibration);
     config.n_providers = len;
     config.provider_lane_base = offset as u64;
-    config.epsilon = epsilon;
-    config.delta = delta;
-    config.seed = manifest.seed;
-    config.estimator_calibration = calibration;
     if smc {
         config.release_mode = ReleaseMode::Smc;
     }
-    Federation::build(config, schema, partitions).map_err(|e| e.to_string())
+    Federation::from_stores(config, schema, stores).map_err(|e| format!("{}: {e}", data.display()))
 }
 
-/// `fedaqp query --remote` with a plan-shaped request (group-by, derived
-/// statistic, or extreme): the plan travels as one `Plan` frame; its `(ε, δ)`
-/// spend is the server's advertised default (the server charges the whole
-/// plan atomically against the analyst's session ledger).
-fn query_remote_plan(
-    args: &QueryArgs,
-    addr: &str,
-    remote: &mut RemoteFederation,
-    plan: &QueryPlan,
-) -> Result<String, String> {
-    let started = Instant::now();
-    let answer = remote.run_plan(plan).map_err(|e| e.to_string())?;
-    let round_trip = started.elapsed();
+/// `fedaqp query`: compile the SQL and the plan-shaping flags into one
+/// [`QueryPlan`] and answer it — on a scoped engine over `--data`, or over
+/// the wire at `--remote` (the server's `(ε, δ)`, one `Plan` frame, or an
+/// `OnlinePlan` whose rounds print as they arrive). Both sides print the
+/// answer through `render_answer`, so a seeded answer prints the same
+/// lines either way; locally only the oracle lines follow (`exact`,
+/// `combined`, the `--baseline` speed-up), over the wire the `budget` line.
+pub fn query(args: &QueryArgs) -> Result<String, String> {
     let mut out = String::new();
     if !args.sql.is_empty() {
         out.push_str(&format!("query       : {}\n", args.sql));
     }
+    let Some(addr) = args.remote.as_deref() else {
+        let federation = load_federation(
+            &args.data,
+            args.epsilon,
+            args.delta,
+            args.smc,
+            args.calibration,
+            None,
+        )?;
+        let (plan, sql_explain) = build_plan(federation.schema(), args, args.epsilon, args.delta)?;
+        return federation.with_engine(|engine| {
+            if args.explain || sql_explain {
+                let explanation = engine.explain_plan(&plan).map_err(|e| e.to_string())?;
+                out.push_str(&explanation.render());
+                return Ok(out);
+            }
+            let answer = engine.run_plan(&plan).map_err(|e| e.to_string())?;
+            render_answer(
+                &mut out,
+                federation.schema(),
+                &plan,
+                &answer,
+                args.calibration,
+                false,
+            );
+            out.push_str(&format!(
+                "latency     : {:.2} ms protocol\n",
+                answer.timings.total().as_secs_f64() * 1e3
+            ));
+            // The oracle lines: the exact answer is never released, so
+            // only local data can print it.
+            if let QueryPlan::Scalar { query, .. } | QueryPlan::Online { query, .. } = &plan {
+                if let Some(snapshots) = answer.snapshots() {
+                    out.push_str(&format!(
+                        "combined    : {:.3} (sample-fraction weighted)\n",
+                        fedaqp_core::combine_snapshots(snapshots)
+                    ));
+                }
+                let exact = federation.exact(query);
+                out.push_str(&format!(
+                    "exact       : {exact} (relative error {:.2}%)\n",
+                    100.0 * relative_error(exact, answer.value().unwrap_or(f64::NAN))
+                ));
+            }
+            if let (true, QueryPlan::Scalar { query, .. }) = (args.baseline, &plan) {
+                let plain = engine
+                    .submit_plain(query)
+                    .and_then(PendingPlain::wait)
+                    .map_err(|e| e.to_string())?;
+                out.push_str(&format!(
+                    "baseline    : private {:?} vs plain {:?} (speed-up {:.2}x)\n",
+                    answer.timings.total(),
+                    plain.duration,
+                    plain.duration.as_secs_f64() / answer.timings.total().as_secs_f64().max(1e-12)
+                ));
+            }
+            Ok(out)
+        });
+    };
+    if args.baseline {
+        return Err("--baseline needs local data; it is unavailable with --remote".into());
+    }
+    let mut remote = RemoteFederation::connect_as(addr, "cli").map_err(|e| e.to_string())?;
+    let (plan, sql_explain) = build_plan(remote.schema(), args, remote.epsilon(), remote.delta())?;
     out.push_str(&format!(
         "remote      : {addr} ({} providers, wire v{})\n",
         remote.n_providers(),
         fedaqp_net::wire::VERSION
     ));
-    out.push_str(&render_plan_answer(remote.schema(), plan, &answer));
-    out.push_str(&format!(
-        "latency     : {:.2} ms round trip ({:.2} ms server protocol)\n",
-        round_trip.as_secs_f64() * 1e3,
-        answer.timings.total().as_secs_f64() * 1e3,
-    ));
-    if remote.session_budget().is_some() {
-        let status = remote.budget_status().map_err(|e| e.to_string())?;
-        out.push_str(&format!(
-            "budget      : spent (ε = {:.3}, δ = {:.1e})\n",
-            status.spent_eps, status.spent_delta
-        ));
+    if args.explain || sql_explain {
+        // The server's optimizer explains the plan; nothing runs and no
+        // budget is spent on either side.
+        let explanation = remote.explain_plan(&plan).map_err(|e| e.to_string())?;
+        out.push_str(&explanation.render());
+        return Ok(out);
     }
-    Ok(out)
-}
-
-/// `fedaqp query --remote --online K`: the query travels as one
-/// `OnlinePlan` frame; the server pushes one refined snapshot per round
-/// (printed as it arrives) and the whole plan's `(ε, δ)` is charged
-/// atomically up front.
-fn query_remote_online(
-    args: &QueryArgs,
-    addr: &str,
-    remote: &mut RemoteFederation,
-    plan: &QueryPlan,
-) -> Result<String, String> {
-    let QueryPlan::Online {
-        query,
-        sampling_rate,
-        epsilon,
-        delta,
-        rounds,
-    } = plan
-    else {
-        return Err("query_remote_online wants an online plan".into());
-    };
     let started = Instant::now();
-    // Each snapshot prints the moment its frame arrives: the analyst
-    // watches the estimate refine while later rounds still run.
-    let answer = remote
-        .run_online_plan(
+    let answer = match &plan {
+        // Each snapshot prints the moment its frame arrives: the analyst
+        // watches the estimate refine while later rounds still run.
+        QueryPlan::Online {
+            query,
+            sampling_rate,
+            epsilon,
+            delta,
+            rounds,
+        } => remote.run_online_plan(
             query,
             *sampling_rate,
             *epsilon,
             *delta,
             *rounds as u32,
             |s| println!("{}", round_line(s)),
-        )
-        .map_err(|e| e.to_string())?;
+        ),
+        plan => remote.run_plan(plan),
+    }
+    .map_err(|e| e.to_string())?;
     let round_trip = started.elapsed();
-    let mut out = String::new();
-    if !args.sql.is_empty() {
-        out.push_str(&format!("query       : {}\n", args.sql));
-    }
-    out.push_str(&format!(
-        "remote      : {addr} ({} providers, wire v{})\n",
-        remote.n_providers(),
-        fedaqp_net::wire::VERSION
-    ));
-    out.push_str(&format!(
-        "online      : {rounds} rounds pushed, final {:.3}\n",
-        answer.value().unwrap_or(f64::NAN)
-    ));
-    out.push_str(&format!(
-        "privacy     : (ε = {}, δ = {:e}) for the whole plan\n",
-        answer.cost.eps, answer.cost.delta
-    ));
-    out.push_str(&format!(
-        "latency     : {:.2} ms round trip ({:.2} ms server protocol)\n",
-        round_trip.as_secs_f64() * 1e3,
-        answer.timings.total().as_secs_f64() * 1e3,
-    ));
-    if remote.session_budget().is_some() {
-        let status = remote.budget_status().map_err(|e| e.to_string())?;
-        out.push_str(&format!(
-            "budget      : spent (ε = {:.3}, δ = {:.1e})\n",
-            status.spent_eps, status.spent_delta
-        ));
-    }
-    Ok(out)
-}
-
-/// The `estimator` line of a scalar answer — the same locally and over
-/// `--remote`.
-fn estimator_line(calibration: EstimatorCalibration, ci_halfwidth: Option<f64>) -> String {
-    format!(
-        "estimator   : {} calibration, sampling CI ±{}\n",
-        match calibration {
-            EstimatorCalibration::EmCalibrated => "EM",
-            EstimatorCalibration::PpsEq3 => "PPS (Eq. 3)",
-        },
-        match ci_halfwidth {
-            Some(hw) => format!("{hw:.1} (95%)"),
-            None => "unknown (single-draw sample)".into(),
-        }
-    )
-}
-
-/// `fedaqp query --remote`: parse the request against the served schema
-/// and answer it over the wire.
-fn query_remote(args: &QueryArgs, addr: &str) -> Result<String, String> {
-    if args.baseline {
-        return Err("--baseline needs local data; it is unavailable with --remote".into());
-    }
-    let mut remote = RemoteFederation::connect_as(addr, "cli").map_err(|e| e.to_string())?;
-    let (epsilon, delta) = (remote.epsilon(), remote.delta());
-    let (plan, sql_explain) = build_plan(remote.schema(), args, epsilon, delta)?;
-    if args.explain || sql_explain {
-        // The server's optimizer explains the plan; nothing runs and no
-        // budget is spent on either side.
-        let explanation = remote.explain_plan(&plan).map_err(|e| e.to_string())?;
-        let mut out = String::new();
-        if !args.sql.is_empty() {
-            out.push_str(&format!("query       : {}\n", args.sql));
-        }
-        out.push_str(&format!(
-            "remote      : {addr} ({} providers, wire v{})\n",
-            remote.n_providers(),
-            fedaqp_net::wire::VERSION
-        ));
-        out.push_str(&explanation.render());
-        return Ok(out);
-    }
-    let parsed = match &plan {
-        QueryPlan::Scalar { query, .. } => query,
-        QueryPlan::Online { .. } => return query_remote_online(args, addr, &mut remote, &plan),
-        _ => return query_remote_plan(args, addr, &mut remote, &plan),
-    };
-    let started = Instant::now();
-    let answer = remote.run_plan(&plan).map_err(|e| e.to_string())?;
-    let round_trip = started.elapsed();
-    let PlanResult::Value {
-        value,
-        ci_halfwidth,
-    } = answer.result
-    else {
-        return Err("the server answered a scalar plan with another shape".into());
-    };
-    let mut out = String::new();
-    out.push_str(&format!(
-        "query       : {}\n",
-        parsed.display_sql(remote.schema())
-    ));
-    out.push_str(&format!(
-        "remote      : {addr} ({} providers)\n",
-        remote.n_providers()
-    ));
-    out.push_str(&format!("private     : {value:.1}\n"));
-    out.push_str(&format!(
-        "privacy     : (ε = {}, δ = {:e})\n",
-        answer.cost.eps, answer.cost.delta
-    ));
-    out.push_str(&estimator_line(remote.calibration(), ci_halfwidth));
+    let online = matches!(plan, QueryPlan::Online { .. });
+    render_answer(
+        &mut out,
+        remote.schema(),
+        &plan,
+        &answer,
+        remote.calibration(),
+        online,
+    );
     out.push_str(&format!(
         "latency     : {:.2} ms round trip ({:.2} ms server protocol)\n",
         round_trip.as_secs_f64() * 1e3,
@@ -668,121 +651,6 @@ fn query_remote(args: &QueryArgs, addr: &str) -> Result<String, String> {
         ));
     }
     Ok(out)
-}
-
-/// `fedaqp query` with a plan-shaped request on local data: run the plan
-/// on the scoped engine (per-group sub-queries and online rounds run on
-/// this thread as their answers are waited for). An online plan also
-/// prints the sample-fraction-weighted combination and the exact oracle —
-/// neither crosses a wire.
-fn query_local_plan(
-    federation: &Federation,
-    engine: &EngineHandle,
-    sql: &str,
-    plan: &QueryPlan,
-) -> Result<String, String> {
-    let answer = engine.run_plan(plan).map_err(|e| e.to_string())?;
-    let mut out = String::new();
-    if !sql.is_empty() {
-        out.push_str(&format!("query       : {sql}\n"));
-    }
-    out.push_str(&render_plan_answer(federation.schema(), plan, &answer));
-    if let (QueryPlan::Online { query, .. }, Some(snapshots)) = (plan, answer.snapshots()) {
-        out.push_str(&format!(
-            "combined    : {:.3} (sample-fraction weighted)\n",
-            fedaqp_core::combine_snapshots(snapshots)
-        ));
-        out.push_str(&format!("exact       : {}\n", federation.exact(query)));
-    }
-    out.push_str(&format!(
-        "latency     : {:.2} ms protocol\n",
-        answer.timings.total().as_secs_f64() * 1e3
-    ));
-    Ok(out)
-}
-
-/// `fedaqp query` with a scalar request on local data: one submission on
-/// the scoped engine — the job a served federation runs for the same
-/// query, so a seeded `private` line is the same locally and over
-/// `--remote`. `--baseline` times the plain scan on the same pool.
-fn query_local_scalar(
-    federation: &Federation,
-    engine: &EngineHandle,
-    args: &QueryArgs,
-    parsed: &RangeQuery,
-) -> Result<String, String> {
-    let answer = engine
-        .submit(parsed, args.rate)
-        .and_then(PendingAnswer::wait)
-        .map_err(|e| e.to_string())?;
-    let exact = federation.exact(parsed);
-    let mut out = String::new();
-    out.push_str(&format!(
-        "query       : {}\n",
-        parsed.display_sql(federation.schema())
-    ));
-    out.push_str(&format!("private     : {:.1}\n", answer.value));
-    out.push_str(&format!(
-        "exact       : {exact} (relative error {:.2}%)\n",
-        100.0 * relative_error(exact, answer.value)
-    ));
-    out.push_str(&format!(
-        "privacy     : (ε = {}, δ = {:e}) via {}\n",
-        answer.cost.eps,
-        answer.cost.delta,
-        if args.smc { "SMC release" } else { "local DP" }
-    ));
-    out.push_str(&estimator_line(args.calibration, answer.ci_halfwidth));
-    out.push_str(&format!(
-        "work        : scanned {} of {} covering clusters\n",
-        answer.clusters_scanned, answer.covering_total
-    ));
-    if args.baseline {
-        let plain = engine
-            .submit_plain(parsed)
-            .and_then(PendingPlain::wait)
-            .map_err(|e| e.to_string())?;
-        out.push_str(&format!(
-            "latency     : private {:?} vs plain {:?} (speed-up {:.2}x)\n",
-            answer.timings.total(),
-            plain.duration,
-            plain.duration.as_secs_f64() / answer.timings.total().as_secs_f64().max(1e-12)
-        ));
-    }
-    Ok(out)
-}
-
-/// `fedaqp query`: rebuild the federation from a data directory and answer
-/// one private SQL query (or plan: group-by, derived statistic, extreme,
-/// online) — every shape on one scoped engine.
-pub fn query(args: &QueryArgs) -> Result<String, String> {
-    if let Some(addr) = args.remote.as_deref() {
-        return query_remote(args, addr);
-    }
-    let federation = load_federation(
-        &args.data,
-        args.epsilon,
-        args.delta,
-        args.smc,
-        args.calibration,
-        None,
-    )?;
-    let (plan, sql_explain) = build_plan(federation.schema(), args, args.epsilon, args.delta)?;
-    federation.with_engine(|engine| {
-        if args.explain || sql_explain {
-            let explanation = engine.explain_plan(&plan).map_err(|e| e.to_string())?;
-            let mut out = String::new();
-            if !args.sql.is_empty() {
-                out.push_str(&format!("query       : {}\n", args.sql));
-            }
-            out.push_str(&explanation.render());
-            return Ok(out);
-        }
-        match &plan {
-            QueryPlan::Scalar { query, .. } => query_local_scalar(&federation, engine, args, query),
-            plan => query_local_plan(&federation, engine, &args.sql, plan),
-        }
-    })
 }
 
 /// Arguments of `fedaqp batch`.
@@ -803,8 +671,9 @@ pub struct BatchArgs {
     /// Optional session budget ξ: when set, queries run inside one
     /// `ConcurrentSession` and stop being answered once `(ξ, ψ)` is spent.
     pub xi: Option<f64>,
-    /// Session failure budget ψ (only meaningful with `xi`).
-    pub psi: f64,
+    /// Session failure budget ψ (default 1e-2); refused without
+    /// `xi`.
+    pub psi: Option<f64>,
     /// Use the SMC release mode.
     pub smc: bool,
     /// Hansen–Hurwitz calibration (`em` default, `pps` paper-faithful).
@@ -812,6 +681,31 @@ pub struct BatchArgs {
     /// Run the batch against a served federation at `host:port` instead
     /// of local data (one connection per analyst thread).
     pub remote: Option<String>,
+}
+
+/// The session failure budget ψ when `--xi` is given without `--psi`.
+const DEFAULT_PSI: f64 = 1e-2;
+
+/// The session budget `(ξ, ψ)` of `--xi`/`--psi`. A ψ without a ξ caps
+/// nothing, so it is refused rather than silently ignored.
+fn session_budget(xi: Option<f64>, psi: Option<f64>) -> Result<Option<(f64, f64)>, String> {
+    match (xi, psi) {
+        (None, Some(_)) => {
+            Err("--psi is the failure budget of a --xi session and needs --xi".into())
+        }
+        (xi, psi) => Ok(xi.map(|xi| (xi, psi.unwrap_or(DEFAULT_PSI)))),
+    }
+}
+
+/// The server options and banner text of a per-analyst session budget.
+fn serve_budget(budget: Option<(f64, f64)>) -> (ServeOptions, String) {
+    match budget {
+        Some((xi, psi)) => (
+            ServeOptions::with_budget(xi, psi),
+            format!("per-analyst (ξ = {xi}, ψ = {psi:e})"),
+        ),
+        None => (ServeOptions::unlimited(), "uncapped sessions".into()),
+    }
 }
 
 /// Reads and parses a query file (one SQL statement per line; `#`
@@ -833,46 +727,40 @@ fn load_query_file(path: &Path, schema: &Schema) -> Result<Vec<(String, RangeQue
     Ok(queries)
 }
 
-/// `fedaqp batch --remote`: fan the query file out to `analysts` threads,
-/// each holding its own connection to the served federation.
-fn batch_remote(args: &BatchArgs, addr: &str) -> Result<String, String> {
-    if args.xi.is_some() {
-        return Err(
-            "session budgets are enforced server-side with --remote (start the server \
-             with `fedaqp serve --xi`)"
-                .into(),
-        );
-    }
-    let probe = RemoteFederation::connect_as(addr, "cli").map_err(|e| e.to_string())?;
-    let schema = probe.schema().clone();
-    drop(probe);
-    let queries = load_query_file(&args.queries, &schema)?;
+/// Answers a query file from `analysts` threads, round-robin, and renders
+/// one line per query in file order plus the `total` line. Each thread
+/// first opens its own `S` (a connection, or nothing); `answer` then
+/// answers one query on it. An error — opening or answering — is that
+/// query's line.
+fn fan_out<S>(
+    queries: &[(String, RangeQuery)],
+    analysts: usize,
+    open: impl Fn() -> Result<S, String> + Sync,
+    answer: impl Fn(&mut S, &RangeQuery) -> Result<f64, String> + Sync,
+) -> String {
     let results: Mutex<Vec<(usize, String, bool)>> = Mutex::new(Vec::with_capacity(queries.len()));
-    let analysts = args.analysts.min(queries.len());
+    let analysts = analysts.min(queries.len());
     let started = Instant::now();
     std::thread::scope(|scope| {
         for analyst in 0..analysts {
-            let queries = &queries;
-            let results = &results;
+            let (open, answer, results) = (&open, &answer, &results);
             scope.spawn(move || {
-                // One connection per analyst thread: remote concurrency
-                // mirrors the in-process engine's analyst threads.
-                let mut connection = RemoteFederation::connect_as(addr, "cli");
+                let mut state = open();
                 for (i, (sql, q)) in queries.iter().enumerate().skip(analyst).step_by(analysts) {
                     let t = Instant::now();
-                    let (line, ok) = match connection.as_mut() {
-                        Ok(conn) => match conn.run_plan(&conn.scalar_plan(q, args.rate)) {
-                            Ok(a) => (
-                                format!(
-                                    "[{i}] {sql} -> {:.1} ({:.2} ms)",
-                                    a.value().unwrap_or(f64::NAN),
-                                    t.elapsed().as_secs_f64() * 1e3
-                                ),
-                                true,
+                    let (line, ok) = match state
+                        .as_mut()
+                        .map_err(|e| e.clone())
+                        .and_then(|s| answer(s, q))
+                    {
+                        Ok(value) => (
+                            format!(
+                                "[{i}] {sql} -> {value:.1} ({:.2} ms)",
+                                t.elapsed().as_secs_f64() * 1e3
                             ),
-                            Err(e) => (format!("[{i}] {sql} -> error: {e}"), false),
-                        },
-                        Err(e) => (format!("[{i}] {sql} -> connect error: {e}"), false),
+                            true,
+                        ),
+                        Err(e) => (format!("[{i}] {sql} -> {e}"), false),
                     };
                     results.lock().expect("results lock").push((i, line, ok));
                 }
@@ -883,10 +771,7 @@ fn batch_remote(args: &BatchArgs, addr: &str) -> Result<String, String> {
     let mut results = results.into_inner().expect("results lock");
     results.sort_by_key(|(i, _, _)| *i);
     let answered = results.iter().filter(|(_, _, ok)| *ok).count();
-    let mut out = format!(
-        "batch       : {} queries, {analysts} analysts over {addr}\n",
-        queries.len()
-    );
+    let mut out = String::new();
     for (_, line, _) in &results {
         out.push_str(line);
         out.push('\n');
@@ -897,18 +782,46 @@ fn batch_remote(args: &BatchArgs, addr: &str) -> Result<String, String> {
         wall.as_secs_f64() * 1e3,
         answered as f64 / wall.as_secs_f64().max(1e-9)
     ));
-    Ok(out)
+    out
 }
 
-/// `fedaqp batch`: rebuild the federation, start the concurrent engine
-/// (one persistent worker thread per provider), and answer a whole file of
-/// SQL queries with `analysts` concurrent submitters.
+/// `fedaqp batch`: answer a whole file of SQL queries with `analysts`
+/// concurrent submitters — on a federation engine over `--data` (one
+/// persistent worker thread per provider, optionally inside one `(ξ, ψ)`
+/// session), or over `--remote` with one connection per analyst thread.
 pub fn batch(args: &BatchArgs) -> Result<String, String> {
     if args.analysts == 0 {
         return Err("need at least one analyst thread".into());
     }
+    let budget = session_budget(args.xi, args.psi)?;
     if let Some(addr) = args.remote.as_deref() {
-        return batch_remote(args, addr);
+        if budget.is_some() {
+            return Err(
+                "session budgets are enforced server-side with --remote (start the server \
+                 with `fedaqp serve --xi`)"
+                    .into(),
+            );
+        }
+        let schema = RemoteFederation::connect_as(addr, "cli")
+            .map_err(|e| e.to_string())?
+            .schema()
+            .clone();
+        let queries = load_query_file(&args.queries, &schema)?;
+        let lines = fan_out(
+            &queries,
+            args.analysts,
+            || RemoteFederation::connect_as(addr, "cli").map_err(|e| format!("connect error: {e}")),
+            |conn, q| {
+                conn.run_plan(&conn.scalar_plan(q, args.rate))
+                    .map(|a| a.value().unwrap_or(f64::NAN))
+                    .map_err(|e| format!("error: {e}"))
+            },
+        );
+        return Ok(format!(
+            "batch       : {} queries, {} analysts over {addr}\n{lines}",
+            queries.len(),
+            args.analysts.min(queries.len()),
+        ));
     }
     let federation = load_federation(
         &args.data,
@@ -919,85 +832,40 @@ pub fn batch(args: &BatchArgs) -> Result<String, String> {
         None,
     )?;
     let queries = load_query_file(&args.queries, federation.schema())?;
-
     let engine = FederationEngine::start(federation);
     let handle = engine.handle();
-    let session = match args.xi {
-        Some(xi) => Some(
-            ConcurrentSession::open(handle.clone(), xi, args.psi, SessionPlan::PayAsYouGo)
-                .map_err(|e| e.to_string())?,
-        ),
-        None => None,
-    };
-
-    // Fan the workload out to `analysts` submitter threads, round-robin.
-    let results: Mutex<Vec<(usize, String, bool)>> = Mutex::new(Vec::with_capacity(queries.len()));
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        for analyst in 0..args.analysts.min(queries.len()) {
-            let handle = &handle;
-            let session = &session;
-            let queries = &queries;
-            let results = &results;
-            scope.spawn(move || {
-                for (i, (sql, q)) in queries
-                    .iter()
-                    .enumerate()
-                    .skip(analyst)
-                    .step_by(args.analysts)
-                {
-                    let t = Instant::now();
-                    let answer = match session {
-                        Some(s) => s.submit(q, args.rate),
-                        None => handle.submit(q, args.rate),
-                    }
-                    .and_then(fedaqp_core::PendingAnswer::wait);
-                    let (line, ok) = match answer {
-                        Ok(a) => (
-                            format!(
-                                "[{i}] {sql} -> {:.1} ({:.2} ms)",
-                                a.value,
-                                t.elapsed().as_secs_f64() * 1e3
-                            ),
-                            true,
-                        ),
-                        Err(e) => (format!("[{i}] {sql} -> error: {e}"), false),
-                    };
-                    results.lock().expect("results lock").push((i, line, ok));
-                }
-            });
-        }
-    });
-    let wall = started.elapsed();
-    let mut results = results.into_inner().expect("results lock");
-    results.sort_by_key(|(i, _, _)| *i);
-    let answered = results.iter().filter(|(_, _, ok)| *ok).count();
-
+    let session = budget
+        .map(|(xi, psi)| {
+            ConcurrentSession::open(handle.clone(), xi, psi, SessionPlan::PayAsYouGo)
+                .map_err(|e| e.to_string())
+        })
+        .transpose()?;
+    let lines = fan_out(
+        &queries,
+        args.analysts,
+        || Ok(()),
+        |(), q| {
+            match &session {
+                Some(s) => s.submit(q, args.rate),
+                None => handle.submit(q, args.rate),
+            }
+            .and_then(PendingAnswer::wait)
+            .map(|a| a.value)
+            .map_err(|e| format!("error: {e}"))
+        },
+    );
     let mut out = format!(
-        "batch       : {} queries, {} analysts, {} release, per-query ε = {}\n",
+        "batch       : {} queries, {} analysts, {} release, per-query ε = {}\n{lines}",
         queries.len(),
         args.analysts,
         if args.smc { "SMC" } else { "local-DP" },
         args.epsilon
     );
-    for (_, line, _) in &results {
-        out.push_str(line);
-        out.push('\n');
-    }
-    out.push_str(&format!(
-        "total       : {answered}/{} answered in {:.2} ms ({:.1} queries/sec)\n",
-        queries.len(),
-        wall.as_secs_f64() * 1e3,
-        answered as f64 / wall.as_secs_f64().max(1e-9)
-    ));
-    if let Some(s) = &session {
+    if let (Some(s), Some((xi, psi))) = (&session, budget) {
         let spent = s.spent();
         out.push_str(&format!(
-            "privacy     : spent (ε = {:.3}, δ = {:.1e}) of (ξ = {}, ψ = {:.1e})\n",
-            spent.eps,
-            spent.delta,
-            args.xi.unwrap_or_default(),
-            args.psi
+            "privacy     : spent (ε = {:.3}, δ = {:.1e}) of (ξ = {xi}, ψ = {psi:.1e})\n",
+            spent.eps, spent.delta,
         ));
     }
     engine.shutdown();
@@ -1017,8 +885,9 @@ pub struct ServeArgs {
     pub delta: f64,
     /// Per-analyst session budget ξ; `None` serves uncapped.
     pub xi: Option<f64>,
-    /// Per-analyst session failure budget ψ (meaningful with `xi`).
-    pub psi: f64,
+    /// Per-analyst session failure budget ψ (default 1e-2);
+    /// refused without `xi`.
+    pub psi: Option<f64>,
     /// Use the SMC release mode.
     pub smc: bool,
     /// Hansen–Hurwitz calibration (`em` default, `pps` paper-faithful).
@@ -1129,7 +998,7 @@ fn serve_shard(args: &ServeArgs, index: usize, count: usize) -> Result<RunningSe
 /// Queries pin one data epoch each; `fedaqp ingest` appends rows between
 /// them, and the staleness policy decides when metadata is recomputed
 /// from scratch.
-fn serve_live(args: &ServeArgs) -> Result<RunningServer, String> {
+fn serve_live(args: &ServeArgs, budget: Option<(f64, f64)>) -> Result<RunningServer, String> {
     let federation = load_federation(
         &args.data,
         args.epsilon,
@@ -1145,10 +1014,7 @@ fn serve_live(args: &ServeArgs) -> Result<RunningServer, String> {
     }
     let max_stale_rows = policy.max_stale_rows;
     let live = LiveFederation::new(federation, policy);
-    let options = match args.xi {
-        Some(xi) => ServeOptions::with_budget(xi, args.psi),
-        None => ServeOptions::unlimited(),
-    };
+    let (options, budget) = serve_budget(budget);
     let server =
         FederationServer::bind_live(&args.listen, live, options).map_err(|e| e.to_string())?;
     let banner = format!(
@@ -1161,10 +1027,7 @@ fn serve_live(args: &ServeArgs) -> Result<RunningServer, String> {
         args.epsilon,
         args.delta,
         if args.smc { "SMC" } else { "local-DP" },
-        match args.xi {
-            Some(xi) => format!("per-analyst (ξ = {xi}, ψ = {:e})", args.psi),
-            None => "uncapped sessions".into(),
-        },
+        budget,
         fedaqp_net::wire::VERSION,
         max_stale_rows,
     );
@@ -1181,11 +1044,12 @@ pub fn serve(args: &ServeArgs) -> Result<RunningServer, String> {
     if args.live && args.shard.is_some() {
         return Err("--live does not combine with --shard: shards are frozen slices".into());
     }
+    let budget = session_budget(args.xi, args.psi)?;
     if let Some((index, count)) = args.shard {
         return serve_shard(args, index, count);
     }
     if args.live {
-        return serve_live(args);
+        return serve_live(args, budget);
     }
     let federation = load_federation(
         &args.data,
@@ -1197,10 +1061,7 @@ pub fn serve(args: &ServeArgs) -> Result<RunningServer, String> {
     )?;
     let n_providers = federation.config().n_providers;
     let engine = FederationEngine::start(federation);
-    let options = match args.xi {
-        Some(xi) => ServeOptions::with_budget(xi, args.psi),
-        None => ServeOptions::unlimited(),
-    };
+    let (options, budget) = serve_budget(budget);
     let server = FederationServer::bind(&args.listen, engine.handle(), options)
         .map_err(|e| e.to_string())?;
     let banner = format!(
@@ -1212,10 +1073,7 @@ pub fn serve(args: &ServeArgs) -> Result<RunningServer, String> {
         args.epsilon,
         args.delta,
         if args.smc { "SMC" } else { "local-DP" },
-        match args.xi {
-            Some(xi) => format!("per-analyst (ξ = {xi}, ψ = {:e})", args.psi),
-            None => "uncapped sessions".into(),
-        },
+        budget,
     );
     Ok(RunningServer {
         server,
@@ -1380,8 +1238,9 @@ pub struct CoordinateArgs {
     pub delta: f64,
     /// Per-analyst session budget ξ; `None` serves uncapped.
     pub xi: Option<f64>,
-    /// Per-analyst session failure budget ψ (meaningful with `xi`).
-    pub psi: f64,
+    /// Per-analyst session failure budget ψ (default 1e-2);
+    /// refused without `xi`.
+    pub psi: Option<f64>,
     /// Hansen–Hurwitz calibration — must match the shards'.
     pub calibration: EstimatorCalibration,
 }
@@ -1405,21 +1264,12 @@ pub fn coordinate(args: &CoordinateArgs) -> Result<RunningCoordinator, String> {
     if args.shards.is_empty() {
         return Err("--shards needs at least one address".into());
     }
+    let budget = session_budget(args.xi, args.psi)?;
     let manifest = Manifest::load(&args.data)?;
     // The schema comes from the first provider store; its rows are not
-    // loaded into the coordinator (they are the shards' business).
-    let path = args.data.join(Manifest::store_file(0));
-    let blob = std::fs::read(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let schema = decode_store(&blob)
-        .map_err(|e| e.to_string())?
-        .schema()
-        .clone();
-    let mut config = FederationConfig::paper_default(manifest.capacity);
-    config.n_providers = manifest.providers;
-    config.epsilon = args.epsilon;
-    config.delta = args.delta;
-    config.seed = manifest.seed;
-    config.estimator_calibration = args.calibration;
+    // kept by the coordinator (they are the shards' business).
+    let schema = read_store(&args.data, 0)?.schema().clone();
+    let config = manifest_config(&manifest, args.epsilon, args.delta, args.calibration);
     let mut backends: Vec<Box<dyn fedaqp_core::ShardBackend>> =
         Vec::with_capacity(args.shards.len());
     for addr in &args.shards {
@@ -1432,10 +1282,7 @@ pub fn coordinate(args: &CoordinateArgs) -> Result<RunningCoordinator, String> {
         .collect();
     let federation = fedaqp_core::ShardedFederation::from_backends(config, schema, backends)
         .map_err(|e| e.to_string())?;
-    let options = match args.xi {
-        Some(xi) => ServeOptions::with_budget(xi, args.psi),
-        None => ServeOptions::unlimited(),
-    };
+    let (options, budget) = serve_budget(budget);
     let server = FederationServer::bind_coordinator(&args.listen, federation, options)
         .map_err(|e| e.to_string())?;
     let banner = format!(
@@ -1448,10 +1295,7 @@ pub fn coordinate(args: &CoordinateArgs) -> Result<RunningCoordinator, String> {
         server.local_addr(),
         args.epsilon,
         args.delta,
-        match args.xi {
-            Some(xi) => format!("per-analyst (ξ = {xi}, ψ = {:e})", args.psi),
-            None => "uncapped sessions".into(),
-        },
+        budget,
     );
     Ok(RunningCoordinator { server, banner })
 }
@@ -1494,21 +1338,8 @@ mod tests {
         assert!(report.contains("age"));
         // Query through the rebuilt federation.
         let out = query(&QueryArgs {
-            data: dir.clone(),
-            sql: "SELECT COUNT(*) FROM T WHERE 25 <= age <= 60".into(),
-            rate: 0.2,
-            epsilon: 50.0,
-            delta: 1e-3,
-            smc: false,
             baseline: true,
-            calibration: EstimatorCalibration::EmCalibrated,
-            remote: None,
-            group_by: None,
-            stat: None,
-            extreme: None,
-            threshold: 0.0,
-            explain: false,
-            online: None,
+            ..plan_query_args(dir.clone(), "SELECT COUNT(*) FROM T WHERE 25 <= age <= 60")
         })
         .unwrap();
         assert!(out.contains("private"));
@@ -1666,21 +1497,8 @@ mod tests {
         })
         .unwrap();
         let out = query(&QueryArgs {
-            data: dir.clone(),
-            sql: "SELECT COUNT(*) FROM T WHERE 25 <= age <= 60".into(),
-            rate: 0.2,
-            epsilon: 50.0,
-            delta: 1e-3,
-            smc: false,
-            baseline: false,
             calibration: EstimatorCalibration::PpsEq3,
-            remote: None,
-            group_by: None,
-            stat: None,
-            extreme: None,
-            threshold: 0.0,
-            explain: false,
-            online: None,
+            ..plan_query_args(dir.clone(), "SELECT COUNT(*) FROM T WHERE 25 <= age <= 60")
         })
         .unwrap();
         assert!(out.contains("PPS (Eq. 3) calibration"), "{out}");
@@ -1697,21 +1515,12 @@ mod tests {
     #[test]
     fn query_fails_cleanly_without_data() {
         let err = query(&QueryArgs {
-            data: tmp_dir("missing"),
-            sql: "SELECT COUNT(*) FROM T WHERE 1 <= age <= 2".into(),
             rate: 0.1,
             epsilon: 1.0,
-            delta: 1e-3,
-            smc: false,
-            baseline: false,
-            calibration: EstimatorCalibration::EmCalibrated,
-            remote: None,
-            group_by: None,
-            stat: None,
-            extreme: None,
-            threshold: 0.0,
-            explain: false,
-            online: None,
+            ..plan_query_args(
+                tmp_dir("missing"),
+                "SELECT COUNT(*) FROM T WHERE 1 <= age <= 2",
+            )
         })
         .unwrap_err();
         assert!(err.contains("manifest"));
@@ -1726,21 +1535,9 @@ mod tests {
         })
         .unwrap();
         let err = query(&QueryArgs {
-            data: dir.clone(),
-            sql: "SELECT COUNT(*) FROM T WHERE 1 <= bogus <= 2".into(),
             rate: 0.1,
             epsilon: 1.0,
-            delta: 1e-3,
-            smc: false,
-            baseline: false,
-            calibration: EstimatorCalibration::EmCalibrated,
-            remote: None,
-            group_by: None,
-            stat: None,
-            extreme: None,
-            threshold: 0.0,
-            explain: false,
-            online: None,
+            ..plan_query_args(dir.clone(), "SELECT COUNT(*) FROM T WHERE 1 <= bogus <= 2")
         })
         .unwrap_err();
         assert!(err.contains("bogus"));
@@ -1756,7 +1553,7 @@ mod tests {
             delta: 1e-3,
             analysts: 4,
             xi: None,
-            psi: 1e-2,
+            psi: None,
             smc: false,
             calibration: EstimatorCalibration::EmCalibrated,
             remote: None,
@@ -1796,7 +1593,7 @@ mod tests {
         std::fs::write(&qfile, sql).unwrap();
         let mut args = batch_args(dir.clone(), qfile);
         args.xi = Some(10.0);
-        args.psi = 1e-2;
+        args.psi = Some(1e-2);
         let out = batch(&args).unwrap();
         assert!(out.contains("2/4 answered"), "{out}");
         assert!(out.contains("spent (ε = 10.000"), "{out}");
@@ -1828,7 +1625,7 @@ mod tests {
             epsilon: 5.0,
             delta: 1e-3,
             xi: None,
-            psi: 1e-2,
+            psi: None,
             smc: false,
             calibration: EstimatorCalibration::EmCalibrated,
             shard: None,
@@ -1847,21 +1644,12 @@ mod tests {
 
         // Remote query over the wire.
         let out = query(&QueryArgs {
-            data: PathBuf::new(),
-            sql: "SELECT COUNT(*) FROM T WHERE 25 <= age <= 60".into(),
-            rate: 0.2,
             epsilon: 5.0,
-            delta: 1e-3,
-            smc: false,
-            baseline: false,
-            calibration: EstimatorCalibration::EmCalibrated,
             remote: Some(addr.clone()),
-            group_by: None,
-            stat: None,
-            extreme: None,
-            threshold: 0.0,
-            explain: false,
-            online: None,
+            ..plan_query_args(
+                PathBuf::new(),
+                "SELECT COUNT(*) FROM T WHERE 25 <= age <= 60",
+            )
         })
         .unwrap();
         assert!(out.contains("remote"), "{out}");
@@ -1970,21 +1758,9 @@ mod tests {
             l.local_addr().unwrap().port()
         };
         let err = query(&QueryArgs {
-            data: PathBuf::new(),
-            sql: "SELECT COUNT(*) FROM T WHERE 1 <= age <= 2".into(),
-            rate: 0.2,
             epsilon: 1.0,
-            delta: 1e-3,
-            smc: false,
-            baseline: false,
-            calibration: EstimatorCalibration::EmCalibrated,
             remote: Some(format!("127.0.0.1:{port}")),
-            group_by: None,
-            stat: None,
-            extreme: None,
-            threshold: 0.0,
-            explain: false,
-            online: None,
+            ..plan_query_args(PathBuf::new(), "SELECT COUNT(*) FROM T WHERE 1 <= age <= 2")
         })
         .unwrap_err();
         assert!(err.contains("cannot connect"), "{err}");
@@ -1992,21 +1768,10 @@ mod tests {
 
         // --baseline needs the local exact oracle.
         let err = query(&QueryArgs {
-            data: PathBuf::new(),
-            sql: "SELECT COUNT(*) FROM T WHERE 1 <= age <= 2".into(),
-            rate: 0.2,
             epsilon: 1.0,
-            delta: 1e-3,
-            smc: false,
             baseline: true,
-            calibration: EstimatorCalibration::EmCalibrated,
             remote: Some("127.0.0.1:1".into()),
-            group_by: None,
-            stat: None,
-            extreme: None,
-            threshold: 0.0,
-            explain: false,
-            online: None,
+            ..plan_query_args(PathBuf::new(), "SELECT COUNT(*) FROM T WHERE 1 <= age <= 2")
         })
         .unwrap_err();
         assert!(err.contains("--baseline"), "{err}");
@@ -2036,6 +1801,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// `--smc` reaches the SMC release: the aggregator adds one noise to
+    /// the oblivious sum, so the seeded release differs from the local-DP
+    /// release of the same query on the same data.
     #[test]
     fn smc_mode_round_trips() {
         let dir = tmp_dir("smc");
@@ -2044,25 +1812,16 @@ mod tests {
             ..generate_args(dir.clone())
         })
         .unwrap();
-        let out = query(&QueryArgs {
-            data: dir.clone(),
-            sql: "SELECT SUM(Measure) FROM T WHERE 20 <= age <= 70".into(),
-            rate: 0.2,
-            epsilon: 50.0,
-            delta: 1e-3,
-            smc: true,
-            baseline: false,
-            calibration: EstimatorCalibration::EmCalibrated,
-            remote: None,
-            group_by: None,
-            stat: None,
-            extreme: None,
-            threshold: 0.0,
-            explain: false,
-            online: None,
-        })
-        .unwrap();
-        assert!(out.contains("SMC release"));
+        let mut args = plan_query_args(
+            dir.clone(),
+            "SELECT SUM(Measure) FROM T WHERE 20 <= age <= 70",
+        );
+        args.smc = true;
+        let smc = query(&args).unwrap();
+        args.smc = false;
+        let local_dp = query(&args).unwrap();
+        assert_ne!(private_line(&smc), private_line(&local_dp), "{smc}");
+        assert!(smc.contains("for the whole plan"), "{smc}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2127,7 +1886,7 @@ mod tests {
         qargs.remote = Some(addr.clone());
         qargs.online = Some(3);
         let out = query(&qargs).unwrap();
-        assert!(out.contains("online      : 3 rounds pushed"), "{out}");
+        assert!(out.contains("(final round)"), "{out}");
         assert!(out.contains("for the whole plan"), "{out}");
 
         // Ingest a batch; the epoch bumps and the ack says whether the
@@ -2271,7 +2030,7 @@ mod tests {
             epsilon: 5.0,
             delta: 1e-3,
             xi: None,
-            psi: 1e-2,
+            psi: None,
             calibration: EstimatorCalibration::EmCalibrated,
         })
         .unwrap();
@@ -2308,10 +2067,25 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The lines a local and a `--remote` answer share: all but the
+    /// `remote`/`latency`/`budget` lines and the local oracle lines.
+    fn shared_lines(out: &str) -> Vec<&str> {
+        const OWN: [&str; 6] = [
+            "remote", "latency", "budget", "exact", "combined", "baseline",
+        ];
+        out.lines()
+            .filter(|l| !OWN.iter().any(|own| l.starts_with(own)))
+            .collect()
+    }
+
     /// The local/remote half of the determinism contract, at the CLI: for
     /// one seeded data directory, `query --data D` and `query --remote`
-    /// against `serve --data D` run the same engine job and print the same
-    /// released bytes — for a scalar and for every round of `--online 3`.
+    /// against `serve --data D` run the same engine job and print it
+    /// through the same renderer — the same lines in the same order for a
+    /// scalar, a derived statistic, a group-by and an extreme, and the same
+    /// rounds for `--online 3`. Every plan reads a range no earlier one
+    /// read, so each is occurrence 0 on the long-lived server as in the
+    /// fresh local scope.
     #[test]
     fn local_query_prints_the_bytes_a_served_query_prints() {
         let dir = tmp_dir("local_vs_remote");
@@ -2321,18 +2095,38 @@ mod tests {
         let sql = "SELECT COUNT(*) FROM T WHERE 25 <= age <= 60";
 
         // Same (ε, δ) on both sides: the server advertises its own.
-        let mut local = plan_query_args(dir.clone(), sql);
-        local.epsilon = 5.0;
-        let mut remote = plan_query_args(PathBuf::new(), sql);
-        remote.remote = Some(addr.clone());
-        assert_eq!(
-            private_line(&query(&local).unwrap()),
-            private_line(&query(&remote).unwrap()),
-            "scalar: local vs --remote"
-        );
+        let both = |sql: &str, extreme: Option<(Extreme, String)>| {
+            let mut local = plan_query_args(dir.clone(), sql);
+            local.epsilon = 5.0;
+            local.extreme = extreme;
+            let mut remote = local.clone();
+            remote.data = PathBuf::new();
+            remote.remote = Some(addr.clone());
+            (query(&local).unwrap(), query(&remote).unwrap())
+        };
+        for (sql, extreme, result) in [
+            (sql, None, "private     :"),
+            (
+                "SELECT VAR(Measure) FROM T WHERE 30 <= age <= 50",
+                None,
+                "private     :",
+            ),
+            (
+                "SELECT COUNT(*) FROM T WHERE 20 <= age <= 70 GROUP BY workclass",
+                None,
+                "groups      :",
+            ),
+            ("", Some((Extreme::Max, "age".to_owned())), "private     :"),
+        ] {
+            let (local, remote) = both(sql, extreme);
+            assert!(local.contains(result), "{local}");
+            assert_eq!(shared_lines(&local), shared_lines(&remote), "{sql}");
+        }
 
         // Online: the remote side prints rounds as frames arrive, so the
         // same conversation is replayed here with a collecting hook.
+        let mut local = plan_query_args(dir.clone(), sql);
+        local.epsilon = 5.0;
         local.online = Some(3);
         let local_out = query(&local).unwrap();
         let local_rounds: Vec<&str> = local_out
@@ -2354,6 +2148,135 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Serving the decoded stores as clustered on disk answers exactly as
+    /// the old load path did — flatten each store back to rows and let
+    /// `Federation::build` re-cluster them — kept here as the oracle:
+    /// `generate` and the served configuration both cluster by dimension 0
+    /// at the manifest's capacity, so the clusters, and every seeded
+    /// release, are the same.
+    #[test]
+    fn served_stores_answer_as_their_reclustered_rows() {
+        let dir = tmp_dir("from_store");
+        generate(&generate_args(dir.clone())).unwrap();
+        let calibration = EstimatorCalibration::EmCalibrated;
+        let served = load_federation(&dir, 5.0, 1e-3, false, calibration, None).unwrap();
+        let partitions = (0..served.config().n_providers)
+            .map(|i| {
+                let store = read_store(&dir, i).unwrap();
+                store.clusters().iter().flat_map(|c| c.rows()).collect()
+            })
+            .collect();
+        let rebuilt =
+            Federation::build(served.config().clone(), served.schema().clone(), partitions)
+                .unwrap();
+        for (a, b) in served.providers().iter().zip(rebuilt.providers()) {
+            assert_eq!(encode_store(a.store()), encode_store(b.store()));
+        }
+        let params = PlanParams {
+            sampling_rate: 0.2,
+            epsilon: 5.0,
+            delta: 1e-3,
+            threshold: 0.0,
+        };
+        for sql in [
+            "SELECT COUNT(*) FROM T WHERE 25 <= age <= 60",
+            "SELECT SUM(Measure) FROM T WHERE 20 <= age <= 70 GROUP BY workclass",
+        ] {
+            let (plan, _) = parse_sql_statement(served.schema(), sql, &params).unwrap();
+            let a = served.with_engine(|e| e.run_plan(&plan)).unwrap();
+            let b = rebuilt.with_engine(|e| e.run_plan(&plan)).unwrap();
+            assert_eq!((a.result, a.cost), (b.result, b.cost), "{sql}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Nothing re-clusters a decoded store any more, so a data directory
+    /// whose stores disagree — another capacity, another schema — is
+    /// refused with one line instead of being silently re-shaped.
+    #[test]
+    fn load_federation_refuses_mismatched_stores() {
+        let dir = tmp_dir("mismatch");
+        generate(&generate_args(dir.clone())).unwrap();
+        let load = || {
+            load_federation(
+                &dir,
+                5.0,
+                1e-3,
+                false,
+                EstimatorCalibration::EmCalibrated,
+                None,
+            )
+        };
+        let path = dir.join(Manifest::store_file(1));
+        let store = read_store(&dir, 1).unwrap();
+
+        // The same rows, clustered at another capacity.
+        let rows = store.clusters().iter().flat_map(|c| c.rows()).collect();
+        let other = ClusterStore::build(
+            store.schema().clone(),
+            rows,
+            store.capacity() + 1,
+            PartitionStrategy::SortedBy(0),
+        )
+        .unwrap();
+        std::fs::write(&path, encode_store(&other)).unwrap();
+        let err = load().unwrap_err();
+        assert!(err.contains("capacity"), "{err}");
+        assert!(!err.contains('\n'), "one line: {err}");
+
+        // Another dataset's schema at the manifest's capacity.
+        let amazon = tmp_dir("mismatch_amazon");
+        generate(&GenerateArgs {
+            dataset: "amazon".into(),
+            rows: 2_000,
+            providers: 1,
+            capacity: store.capacity(),
+            ..generate_args(amazon.clone())
+        })
+        .unwrap();
+        std::fs::copy(amazon.join(Manifest::store_file(0)), &path).unwrap();
+        let err = load().unwrap_err();
+        assert!(err.contains("schema"), "{err}");
+        assert!(!err.contains('\n'), "one line: {err}");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&amazon).ok();
+    }
+
+    /// `--psi` without `--xi` would cap nothing: every subcommand that
+    /// takes a session budget refuses it in one line.
+    #[test]
+    fn batch_refuses_psi_without_xi() {
+        let mut args = batch_args(PathBuf::from("/nonexistent"), PathBuf::new());
+        args.psi = Some(0.1);
+        let err = batch(&args).unwrap_err();
+        assert!(err.contains("--psi") && err.contains("--xi"), "{err}");
+        assert!(!err.contains('\n'), "one line: {err}");
+    }
+
+    #[test]
+    fn serve_refuses_psi_without_xi() {
+        let mut args = serve_args(PathBuf::from("/nonexistent"));
+        args.psi = Some(0.1);
+        let err = serve(&args).unwrap_err();
+        assert!(err.contains("--psi") && err.contains("--xi"), "{err}");
+    }
+
+    #[test]
+    fn coordinate_refuses_psi_without_xi() {
+        let err = coordinate(&CoordinateArgs {
+            data: PathBuf::from("/nonexistent"),
+            shards: vec!["127.0.0.1:1".into()],
+            listen: "127.0.0.1:0".into(),
+            epsilon: 5.0,
+            delta: 1e-3,
+            xi: None,
+            psi: Some(0.1),
+            calibration: EstimatorCalibration::EmCalibrated,
+        })
+        .unwrap_err();
+        assert!(err.contains("--psi") && err.contains("--xi"), "{err}");
+    }
+
     #[test]
     fn coordinate_fails_cleanly_on_bad_inputs() {
         // No shards.
@@ -2364,7 +2287,7 @@ mod tests {
             epsilon: 5.0,
             delta: 1e-3,
             xi: None,
-            psi: 1e-2,
+            psi: None,
             calibration: EstimatorCalibration::EmCalibrated,
         })
         .unwrap_err();
@@ -2384,7 +2307,7 @@ mod tests {
             epsilon: 5.0,
             delta: 1e-3,
             xi: None,
-            psi: 1e-2,
+            psi: None,
             calibration: EstimatorCalibration::EmCalibrated,
         })
         .unwrap_err();

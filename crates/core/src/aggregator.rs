@@ -3,10 +3,7 @@
 use std::time::Duration;
 
 use fedaqp_dp::laplace_noise;
-use fedaqp_smc::{
-    decode_fixed, encode_fixed, shamir_add, shamir_reconstruct, shamir_share, CostModel,
-    ShamirShare, SmcRuntime,
-};
+use fedaqp_smc::{CostModel, SmcRuntime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -108,71 +105,6 @@ impl Aggregator {
         let released = sum + laplace_noise(&mut self.rng, 2.0 * max_ls / eps_e);
         Ok((released, rt.elapsed()))
     }
-
-    /// Dropout-tolerant SMC finalization (extension): providers
-    /// Shamir-share their estimates with reconstruction threshold
-    /// `threshold`; the release survives any set of at-most
-    /// `n − threshold` providers crashing *after* the sharing round
-    /// (`dropped_holders` lists their indices). MPyC — the paper's SMC
-    /// substrate — is Shamir-based, so this matches its fault model.
-    pub fn finalize_smc_with_dropout(
-        &mut self,
-        outcomes: &[LocalOutcome],
-        eps_e: f64,
-        threshold: usize,
-        dropped_holders: &[usize],
-    ) -> Result<(f64, Duration)> {
-        let n = outcomes.len();
-        if n == 0 {
-            return Err(CoreError::NoProviders);
-        }
-        if !(eps_e.is_finite() && eps_e > 0.0) {
-            return Err(CoreError::BadConfig("release budget must be positive"));
-        }
-        if threshold < 1 || threshold > n {
-            return Err(CoreError::BadConfig("threshold must be in [1, n]"));
-        }
-        let n_parties = n.max(2);
-        let mut rt = SmcRuntime::new(n_parties, self.cost_model)?;
-        // Sharing round: every provider distributes one Shamir sharing of
-        // its fixed-point estimate (costed like the additive path).
-        let mut sum_shares: Option<Vec<ShamirShare>> = None;
-        for o in outcomes {
-            let sharing = shamir_share(
-                &mut self.rng,
-                encode_fixed(o.estimate).map_err(CoreError::Smc)?,
-                threshold,
-                n_parties,
-            )
-            .map_err(CoreError::Smc)?;
-            sum_shares = Some(match sum_shares {
-                None => sharing,
-                Some(acc) => shamir_add(&acc, &sharing).map_err(CoreError::Smc)?,
-            });
-        }
-        let sum_shares = sum_shares.expect("non-empty outcomes");
-        // Crash model: dropped holders never publish their share of the sum.
-        let surviving: Vec<ShamirShare> = sum_shares
-            .iter()
-            .enumerate()
-            .filter(|(holder, _)| !dropped_holders.contains(holder))
-            .map(|(_, s)| *s)
-            .collect();
-        if surviving.len() < threshold {
-            return Err(CoreError::ProtocolViolation(
-                "too many providers dropped: sum unrecoverable below the Shamir threshold",
-            ));
-        }
-        // Reconstruction + max-sensitivity rounds (same cost structure as
-        // the additive path: one publication round plus the comparison
-        // tournament for the max).
-        let sum =
-            decode_fixed(shamir_reconstruct(&surviving[..threshold]).map_err(CoreError::Smc)?);
-        let sensitivities: Vec<f64> = outcomes.iter().map(|o| o.smooth_ls).collect();
-        let max_ls = rt.secure_max(&mut self.rng, &sensitivities)?;
-        let released = sum + laplace_noise(&mut self.rng, 2.0 * max_ls / eps_e);
-        Ok((released, rt.elapsed()))
-    }
 }
 
 #[cfg(test)]
@@ -262,60 +194,6 @@ mod tests {
         let outs = [outcome(0, None, 1.0, 1.0), outcome(1, None, 2.0, 1.0)];
         let (_, d) = agg.finalize_smc(&outs, 1.0).unwrap();
         assert!(d > Duration::ZERO);
-    }
-
-    #[test]
-    fn dropout_release_survives_crashes_up_to_threshold() {
-        let mut agg = Aggregator::new(7, CostModel::zero());
-        let outs = [
-            outcome(0, None, 100.0, 1.0),
-            outcome(1, None, 200.0, 2.0),
-            outcome(2, None, 300.0, 3.0),
-            outcome(3, None, 400.0, 4.0),
-        ];
-        // Threshold 2 of 4: any 2 providers may crash after sharing.
-        let trials = 800;
-        let mut acc = 0.0;
-        for _ in 0..trials {
-            let (v, _) = agg
-                .finalize_smc_with_dropout(&outs, 5.0, 2, &[1, 3])
-                .unwrap();
-            acc += v;
-        }
-        let mean = acc / trials as f64;
-        assert!((mean - 1000.0).abs() < 10.0, "mean {mean}");
-    }
-
-    #[test]
-    fn dropout_below_threshold_fails_loudly() {
-        let mut agg = Aggregator::new(8, CostModel::zero());
-        let outs = [
-            outcome(0, None, 1.0, 1.0),
-            outcome(1, None, 2.0, 1.0),
-            outcome(2, None, 3.0, 1.0),
-        ];
-        // Threshold 3 but two holders crash: only 1 survivor < 3.
-        assert!(matches!(
-            agg.finalize_smc_with_dropout(&outs, 1.0, 3, &[0, 2]),
-            Err(CoreError::ProtocolViolation(_))
-        ));
-        // Bad thresholds rejected.
-        assert!(agg.finalize_smc_with_dropout(&outs, 1.0, 0, &[]).is_err());
-        assert!(agg.finalize_smc_with_dropout(&outs, 1.0, 4, &[]).is_err());
-    }
-
-    #[test]
-    fn dropout_release_matches_plain_smc_when_nobody_drops() {
-        let mut agg = Aggregator::new(9, CostModel::zero());
-        let outs = [outcome(0, None, 50.0, 1.0), outcome(1, None, 75.0, 2.0)];
-        let trials = 800;
-        let mut acc = 0.0;
-        for _ in 0..trials {
-            let (v, _) = agg.finalize_smc_with_dropout(&outs, 5.0, 2, &[]).unwrap();
-            acc += v;
-        }
-        let mean = acc / trials as f64;
-        assert!((mean - 125.0).abs() < 3.0, "mean {mean}");
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub fn allocate_greedy(inputs: &[AllocationInput], sampling_rate: f64) -> Result
 /// allocation with `s_i ∈ [1, cap_i]` summing to the budget and returns one
 /// maximizing the objective. Exponential — test-size inputs only.
 #[cfg(test)]
-pub fn allocate_bruteforce(inputs: &[AllocationInput], sampling_rate: f64) -> Option<Vec<u64>> {
+fn allocate_bruteforce(inputs: &[AllocationInput], sampling_rate: f64) -> Option<Vec<u64>> {
     let caps: Vec<u64> = inputs
         .iter()
         .map(|i| (i.noisy_n_q.round().max(1.0)) as u64)

@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use fedaqp_dp::{PrivacyCost, QueryBudget};
 use fedaqp_model::{RangeQuery, Row, Schema};
-use fedaqp_storage::MetaSpaceReport;
+use fedaqp_storage::{ClusterStore, MetaSpaceReport};
 
 use crate::config::FederationConfig;
 use crate::engine::{EngineAnswer, EngineHandle, OccurrenceLedger};
@@ -49,10 +49,55 @@ impl Federation {
                 providers: config.n_providers,
             });
         }
-        let mut providers = Vec::with_capacity(partitions.len());
-        for (id, rows) in partitions.into_iter().enumerate() {
-            providers.push(DataProvider::build(id, schema.clone(), rows, &config)?);
+        let stores = partitions
+            .into_iter()
+            .map(|rows| {
+                ClusterStore::build(
+                    schema.clone(),
+                    rows,
+                    config.cluster_capacity,
+                    config.partition_strategy,
+                )
+            })
+            .collect::<std::result::Result<_, _>>()?;
+        Self::from_stores(config, schema, stores)
+    }
+
+    /// Assembles the federation from per-provider stores that are already
+    /// clustered — decoded from disk, say — building only the Algorithm 1
+    /// metadata. Every store must share `schema` and have been clustered
+    /// at `config.cluster_capacity`; a store that differs is refused, since
+    /// nothing here re-clusters it.
+    pub fn from_stores(
+        config: FederationConfig,
+        schema: Schema,
+        stores: Vec<ClusterStore>,
+    ) -> Result<Self> {
+        config.validate()?;
+        if stores.len() != config.n_providers {
+            return Err(CoreError::PartitionMismatch {
+                partitions: stores.len(),
+                providers: config.n_providers,
+            });
         }
+        if stores.iter().any(|s| s.schema() != &schema) {
+            return Err(CoreError::BadConfig(
+                "a provider store's schema differs from the federation's",
+            ));
+        }
+        if stores
+            .iter()
+            .any(|s| s.capacity() != config.cluster_capacity)
+        {
+            return Err(CoreError::BadConfig(
+                "a provider store's cluster capacity differs from the configured one",
+            ));
+        }
+        let providers = stores
+            .into_iter()
+            .enumerate()
+            .map(|(id, store)| DataProvider::from_store(id, store, &config))
+            .collect();
         Ok(Self::from_parts(config, schema, providers))
     }
 

@@ -24,13 +24,15 @@
 //!    App. B), and releases under `ε_E` (Alg. 3).
 //! 7. In [`config::ReleaseMode::Smc`] the providers instead secret-share
 //!    `(estimate, S_LS)`; the aggregator sums obliviously, takes the max
-//!    sensitivity, and adds a *single* Laplace noise (§6.5).
+//!    sensitivity, and adds a *single* Laplace noise (§6.5). The sharing is
+//!    additive, so every provider must take part: one that fails mid-query
+//!    fails the plan with a typed [`CoreError::ProtocolViolation`], and
+//!    nothing reconstructs the sum from a threshold of survivors.
 //!
 //! Per-query privacy: `(ε_O + ε_S + ε_E, δ)` by sequential composition
 //! within a provider and parallel composition across providers (§5.4).
 
 pub mod aggregator;
-pub mod agreement;
 pub mod allocation;
 pub mod config;
 #[cfg(test)]
@@ -52,7 +54,6 @@ pub mod shard;
 pub mod stream;
 
 pub use aggregator::Aggregator;
-pub use agreement::{agree_on_s, announce_size, SizeDisclosure};
 pub use allocation::{allocate_greedy, AllocationInput};
 pub use config::{
     AllocationPolicy, EstimatorCalibration, FederationConfig, OptimizerConfig, ProportionSource,

@@ -94,7 +94,7 @@ impl ProviderBounds {
     /// queried range must intersect the provider's bounds on that
     /// dimension. `false` proves `C^Q = ∅` (Eq. 2) — the sound direction;
     /// `true` is merely "cannot rule it out".
-    pub fn may_cover(&self, query: &RangeQuery) -> bool {
+    fn may_cover(&self, query: &RangeQuery) -> bool {
         query.ranges().iter().all(|r| {
             matches!(self.dims.get(r.dim).copied().flatten(),
                      Some((lo, hi)) if r.intersects(lo, hi))

@@ -2,7 +2,7 @@
 //! protocol (steps 1–6 of Fig. 3).
 
 use fedaqp_dp::{laplace_noise, QueryBudget, SmoothSensitivity};
-use fedaqp_model::{Aggregate, RangeQuery, Row, Schema};
+use fedaqp_model::{Aggregate, RangeQuery, Row};
 use fedaqp_sampling::em::{delta_p, em_sample};
 use fedaqp_sampling::hansen_hurwitz::{hh_estimate, hh_variance, HansenHurwitz};
 use fedaqp_storage::codec::meta_space_report;
@@ -39,7 +39,7 @@ impl PreparedQuery {
     }
 
     /// `Avg(R̂)` — the exact (pre-noise) summary average.
-    pub fn avg_r(&self) -> f64 {
+    fn avg_r(&self) -> f64 {
         if self.covering.is_empty() {
             0.0
         } else {
@@ -153,6 +153,16 @@ impl ProviderShadow {
     }
 }
 
+/// The Algorithm 1 metadata of `store` under `config`'s agreed `S`, with
+/// the configured coarsening.
+fn provider_meta(store: &ClusterStore, config: &FederationConfig) -> ProviderMeta {
+    let full = ProviderMeta::build(store, config.agreed_s);
+    match config.metadata_buckets {
+        Some(buckets) => full.coarsened(buckets),
+        None => full,
+    }
+}
+
 /// One data provider of the federation.
 #[derive(Debug)]
 pub struct DataProvider {
@@ -168,38 +178,21 @@ pub struct DataProvider {
 }
 
 impl DataProvider {
-    /// Builds a provider: partitions `rows` into clusters (offline phase)
-    /// and constructs the Algorithm 1 metadata.
-    pub fn build(
-        id: usize,
-        schema: Schema,
-        rows: Vec<Row>,
-        config: &FederationConfig,
-    ) -> Result<Self> {
-        let store = ClusterStore::build(
-            schema,
-            rows,
-            config.cluster_capacity,
-            config.partition_strategy,
-        )?;
-        let meta = {
-            let full = ProviderMeta::build(&store, config.agreed_s);
-            match config.metadata_buckets {
-                Some(buckets) => full.coarsened(buckets),
-                None => full,
-            }
-        };
-        Ok(Self {
+    /// Wraps an already-clustered store — one decoded from disk, say — and
+    /// constructs its Algorithm 1 metadata. The store is taken as is: the
+    /// caller vouches that it was clustered under `config`.
+    pub fn from_store(id: usize, store: ClusterStore, config: &FederationConfig) -> Self {
+        Self {
             id,
+            meta: provider_meta(&store, config),
             store,
-            meta,
             n_min: config.n_min.max(1),
             regime: config.sensitivity_regime,
             sum_measure_cap: config.sum_measure_cap.max(1),
             sampling_policy: config.sampling_policy,
             proportion_source: config.proportion_source,
             calibration: config.estimator_calibration,
-        })
+        }
     }
 
     /// Provider id.
@@ -247,14 +240,10 @@ impl DataProvider {
     }
 
     /// Full Algorithm 1 metadata recompute (plus the configured coarsening),
-    /// exactly as [`DataProvider::build`] does — the staleness-triggered
+    /// exactly as [`DataProvider::from_store`] does — the staleness-triggered
     /// refresh path of [`crate::stream::LiveFederation`].
     pub(crate) fn rebuild_meta(&mut self, config: &FederationConfig) {
-        let full = ProviderMeta::build(&self.store, config.agreed_s);
-        self.meta = match config.metadata_buckets {
-            Some(buckets) => full.coarsened(buckets),
-            None => full,
-        };
+        self.meta = provider_meta(&self.store, config);
     }
 
     /// Protocol step 1: identify `C^Q` and compute `R̂`.
@@ -456,7 +445,7 @@ impl DataProvider {
 mod tests {
     use super::*;
     use fedaqp_dp::HyperParams;
-    use fedaqp_model::{Dimension, Domain, Range};
+    use fedaqp_model::{Dimension, Domain, Range, Schema};
     use rand::SeedableRng;
 
     fn schema() -> Schema {
@@ -484,7 +473,14 @@ mod tests {
         cfg.sum_measure_cap = 4;
         cfg.partition_strategy = fedaqp_storage::PartitionStrategy::SortedBy(0);
         cfg.sensitivity_regime = SensitivityRegime::QueryDims;
-        DataProvider::build(0, schema(), rows(n_rows), &cfg).unwrap()
+        let store = ClusterStore::build(
+            schema(),
+            rows(n_rows),
+            cfg.cluster_capacity,
+            cfg.partition_strategy,
+        )
+        .unwrap();
+        DataProvider::from_store(0, store, &cfg)
     }
 
     fn query(lo: i64, hi: i64, agg: Aggregate) -> RangeQuery {

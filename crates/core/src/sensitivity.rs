@@ -78,7 +78,7 @@ impl SensitivityContext {
     ///
     /// `p_floor` should be the *minimum actual draw probability* of the
     /// sampler ([`fedaqp_sampling::EmSample::min_draw_probability`], lower-
-    /// bounded analytically by [`em_draw_probability_floor`]); dividing by
+    /// bounded analytically by `exp(−ε_s/(2Δp)) / N^Q`); dividing by
     /// anything smaller than the true draw probability inflates both the
     /// estimate and its sensitivity without statistical justification.
     pub fn new(
@@ -100,13 +100,13 @@ impl SensitivityContext {
 
     /// Effective (floored) proportion.
     #[inline]
-    pub fn r_eff(&self, r: f64) -> f64 {
+    fn r_eff(&self, r: f64) -> f64 {
         r.max(self.r_floor)
     }
 
     /// Effective (floored) probability.
     #[inline]
-    pub fn p_eff(&self, p: f64) -> f64 {
+    fn p_eff(&self, p: f64) -> f64 {
         p.max(self.p_floor)
     }
 
@@ -147,7 +147,8 @@ impl SensitivityContext {
 /// this bound keeps the estimator (and the scenario-4 sensitivity `1/p`)
 /// finite when the metadata assigns `R̂ ≈ 0` to a cluster the privacy-
 /// noised sampler nevertheless selected. DESIGN.md records this deviation.
-pub fn em_draw_probability_floor(eps_per_selection: f64, delta_p: f64, n_candidates: usize) -> f64 {
+#[cfg(test)]
+fn em_draw_probability_floor(eps_per_selection: f64, delta_p: f64, n_candidates: usize) -> f64 {
     let exponent = (eps_per_selection / (2.0 * delta_p)).min(30.0);
     (-exponent).exp() / n_candidates.max(1) as f64
 }
@@ -180,7 +181,8 @@ pub fn em_draw_probability_floor(eps_per_selection: f64, delta_p: f64, n_candida
 /// worst case. It exists to prove the orderings above and to give
 /// auditors a distribution-free cap — changing it does not change any
 /// released noise.
-pub fn em_calibrated_slope_bound(eps_per_selection: f64, delta_p: f64, n_candidates: usize) -> f64 {
+#[cfg(test)]
+fn em_calibrated_slope_bound(eps_per_selection: f64, delta_p: f64, n_candidates: usize) -> f64 {
     1.0 / em_draw_probability_floor(eps_per_selection, delta_p, n_candidates)
 }
 
@@ -191,7 +193,7 @@ pub fn em_calibrated_slope_bound(eps_per_selection: f64, delta_p: f64, n_candida
 ///   `Q(C) > ΣR/ΔR`, with slope `Q(C)·ΔR/R`;
 /// * otherwise scenario 4 (the row joined an existing cell's measure)
 ///   dominates, with slope `1/p`.
-pub fn dominant_ls_slope(input: ClusterSensitivityInput, ctx: &SensitivityContext) -> f64 {
+fn dominant_ls_slope(input: ClusterSensitivityInput, ctx: &SensitivityContext) -> f64 {
     let threshold = if ctx.delta_r > 0.0 {
         ctx.sum_r / ctx.delta_r
     } else {

@@ -144,7 +144,8 @@ impl LiveFederation {
 
     /// Rows appended since the last full metadata recompute.
     #[inline]
-    pub fn stale_rows(&self) -> usize {
+    #[cfg(test)]
+    fn stale_rows(&self) -> usize {
         self.stale_rows
     }
 

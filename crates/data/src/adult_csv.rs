@@ -89,7 +89,7 @@ pub struct LoadStats {
 }
 
 /// Parses one UCI `adult.data` line into a nine-value row.
-pub fn parse_adult_line(line: &str) -> Option<Row> {
+fn parse_adult_line(line: &str) -> Option<Row> {
     let fields: Vec<&str> = line.split(',').map(str::trim).collect();
     if fields.len() < 15 {
         return None;
@@ -118,7 +118,7 @@ pub fn parse_adult_line(line: &str) -> Option<Row> {
 
 /// Parses UCI `adult.data` content into a [`Dataset`] with the
 /// [`AdultSynth::schema`].
-pub fn load_adult_csv(content: &str) -> Result<(Dataset, LoadStats)> {
+fn load_adult_csv(content: &str) -> Result<(Dataset, LoadStats)> {
     let schema = AdultSynth::schema();
     let mut rows = Vec::new();
     let mut stats = LoadStats::default();

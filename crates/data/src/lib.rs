@@ -29,7 +29,7 @@ pub mod workload;
 pub mod zipf;
 
 pub use adult::{AdultConfig, AdultSynth};
-pub use adult_csv::{load_adult_csv, load_adult_file, parse_adult_line, LoadStats};
+pub use adult_csv::{load_adult_file, LoadStats};
 pub use amazon::{AmazonConfig, AmazonSynth};
 pub use error::DataError;
 pub use partitioner::{partition_rows, PartitionMode};

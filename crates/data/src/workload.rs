@@ -1,8 +1,6 @@
 //! Random range-query workloads (§6.1: "a workload (m, n) is a set of m
 //! distinct queries with ranges over n dimensions").
 
-use std::collections::HashSet;
-
 use fedaqp_model::{Aggregate, Range, RangeQuery, Schema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -74,7 +72,7 @@ impl WorkloadGenerator {
     }
 
     /// Draws the next random query.
-    pub fn next_query(&mut self) -> RangeQuery {
+    fn next_query(&mut self) -> RangeQuery {
         // Choose n distinct dimensions by partial Fisher–Yates.
         let arity = self.schema.arity();
         let mut dims: Vec<usize> = (0..arity).collect();
@@ -101,24 +99,6 @@ impl WorkloadGenerator {
             })
             .collect();
         RangeQuery::new(self.cfg.aggregate, ranges).expect("non-empty distinct ranges")
-    }
-
-    /// Draws `m` *distinct* queries (the paper's workloads are sets of
-    /// distinct queries).
-    pub fn take_distinct(&mut self, m: usize) -> Vec<RangeQuery> {
-        let mut seen = HashSet::with_capacity(m);
-        let mut out = Vec::with_capacity(m);
-        // Bounded retry keeps pathological configs (tiny domains) from
-        // spinning forever; duplicates are admitted as a last resort.
-        let mut attempts = 0usize;
-        while out.len() < m {
-            let q = self.next_query();
-            attempts += 1;
-            if seen.insert(q.clone()) || attempts > 50 * m {
-                out.push(q);
-            }
-        }
-        out
     }
 
     /// Draws queries until `keep` accepts `m` of them (the harness's
@@ -216,15 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn take_distinct_yields_distinct() {
-        let mut g = gen(3, 4);
-        let qs = g.take_distinct(100);
-        assert_eq!(qs.len(), 100);
-        let set: HashSet<_> = qs.iter().cloned().collect();
-        assert_eq!(set.len(), 100);
-    }
-
-    #[test]
     fn take_filtered_applies_predicate() {
         let mut g = gen(2, 5);
         let qs = g.take_filtered(20, |q| q.ranges()[0].dim == 0);
@@ -236,8 +207,10 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = gen(3, 9).take_distinct(10);
-        let b = gen(3, 9).take_distinct(10);
-        assert_eq!(a, b);
+        let draw = || {
+            let mut g = gen(3, 9);
+            (0..10).map(|_| g.next_query()).collect::<Vec<_>>()
+        };
+        assert_eq!(draw(), draw());
     }
 }

@@ -49,7 +49,8 @@ impl Zipf {
     }
 
     /// Probability of rank `k`.
-    pub fn pmf(&self, k: usize) -> f64 {
+    #[cfg(test)]
+    fn pmf(&self, k: usize) -> f64 {
         if k >= self.cdf.len() {
             return 0.0;
         }

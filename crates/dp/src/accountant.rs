@@ -86,7 +86,8 @@ impl BudgetAccountant {
     }
 
     /// Whether the ε budget is (effectively) fully consumed.
-    pub fn is_exhausted(&self) -> bool {
+    #[cfg(test)]
+    fn is_exhausted(&self) -> bool {
         self.remaining().eps <= self.total.eps * 1e-12
     }
 }
@@ -111,7 +112,7 @@ impl SharedAccountant {
     }
 
     /// Wraps an existing accountant (e.g. one restored from a ledger).
-    pub fn from_accountant(accountant: BudgetAccountant) -> Self {
+    fn from_accountant(accountant: BudgetAccountant) -> Self {
         Self {
             inner: std::sync::Arc::new(std::sync::Mutex::new(accountant)),
         }
@@ -159,7 +160,8 @@ impl SharedAccountant {
     }
 
     /// Whether the ε budget is (effectively) fully consumed.
-    pub fn is_exhausted(&self) -> bool {
+    #[cfg(test)]
+    fn is_exhausted(&self) -> bool {
         self.lock().is_exhausted()
     }
 

@@ -57,12 +57,6 @@ impl ExponentialMechanism {
         self.logits.is_empty()
     }
 
-    /// The unnormalized log-weights `ε·L/(2ΔL)`.
-    #[inline]
-    pub fn logits(&self) -> &[f64] {
-        &self.logits
-    }
-
     /// Exact selection probabilities (normalized in a numerically stable
     /// way); exposed for tests and for the estimator diagnostics.
     pub fn probabilities(&self) -> Vec<f64> {
@@ -96,27 +90,6 @@ impl ExponentialMechanism {
     /// replacement matches the Hansen–Hurwitz estimator downstream.
     pub fn select_many<R: Rng + ?Sized>(&self, rng: &mut R, s: usize) -> Vec<usize> {
         (0..s).map(|_| self.select(rng)).collect()
-    }
-
-    /// Draws up to `s` **distinct** candidates by repeated selection,
-    /// removing each winner (offered for without-replacement ablations).
-    pub fn select_distinct<R: Rng + ?Sized>(&self, rng: &mut R, s: usize) -> Vec<usize> {
-        let mut remaining: Vec<usize> = (0..self.logits.len()).collect();
-        let mut chosen = Vec::with_capacity(s.min(remaining.len()));
-        while chosen.len() < s && !remaining.is_empty() {
-            // Gumbel-max over the remaining candidates.
-            let mut best_pos = 0usize;
-            let mut best_key = f64::NEG_INFINITY;
-            for (pos, &idx) in remaining.iter().enumerate() {
-                let key = self.logits[idx] + gumbel(rng);
-                if key > best_key {
-                    best_key = key;
-                    best_pos = pos;
-                }
-            }
-            chosen.push(remaining.swap_remove(best_pos));
-        }
-        chosen
     }
 }
 
@@ -209,21 +182,6 @@ mod tests {
         let picks = m.select_many(&mut rng, 10);
         assert_eq!(picks.len(), 10);
         assert!(picks.iter().all(|&i| i < 2));
-    }
-
-    #[test]
-    fn select_distinct_never_repeats() {
-        let m = ExponentialMechanism::new(&[0.1, 0.2, 0.3, 0.4], 0.1, 1.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(8);
-        let picks = m.select_distinct(&mut rng, 3);
-        assert_eq!(picks.len(), 3);
-        let mut sorted = picks.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 3);
-        // Asking for more than available returns all, once each.
-        let picks = m.select_distinct(&mut rng, 99);
-        assert_eq!(picks.len(), 4);
     }
 
     #[test]

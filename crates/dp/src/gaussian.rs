@@ -12,7 +12,7 @@ use rand::Rng;
 use crate::{check_delta, check_sensitivity, DpError, Result};
 
 /// Draws one standard-normal sample via the Box–Muller transform.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // u1 ∈ (0, 1] avoids ln(0); u2 ∈ [0, 1).
     let u1: f64 = (1.0 - rng.gen::<f64>()).max(f64::MIN_POSITIVE);
     let u2: f64 = rng.gen();

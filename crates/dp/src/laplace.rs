@@ -2,7 +2,7 @@
 
 use rand::Rng;
 
-use crate::{check_epsilon, check_sensitivity, DpError, Result};
+use crate::{check_epsilon, check_sensitivity, Result};
 
 /// Draws one sample from `Laplace(0, scale)` by inverse-CDF sampling.
 ///
@@ -79,40 +79,6 @@ impl LaplaceMechanism {
     /// Releases `value + Lap(Δf/ε)`.
     pub fn release<R: Rng + ?Sized>(&self, rng: &mut R, value: f64) -> f64 {
         value + laplace_noise(rng, self.scale())
-    }
-
-    /// Probability density of the output `x` given true value `value`
-    /// (used by distributional tests).
-    pub fn pdf(&self, value: f64, x: f64) -> f64 {
-        let b = self.scale();
-        if b == 0.0 {
-            return if x == value { f64::INFINITY } else { 0.0 };
-        }
-        (-(x - value).abs() / b).exp() / (2.0 * b)
-    }
-}
-
-/// Convenience: perturb a count with sensitivity 1 (e.g. `N^Q`, Eq. 5).
-pub fn perturb_count<R: Rng + ?Sized>(rng: &mut R, count: f64, epsilon: f64) -> Result<f64> {
-    check_epsilon(epsilon)?;
-    Ok(count + laplace_noise(rng, 1.0 / epsilon))
-}
-
-/// Guards against a non-finite value escaping into a release; converts NaN
-/// noise (which cannot occur with valid parameters but is cheap to assert)
-/// into an error for defence in depth.
-pub fn checked_release<R: Rng + ?Sized>(
-    rng: &mut R,
-    value: f64,
-    sensitivity: f64,
-    epsilon: f64,
-) -> Result<f64> {
-    let m = LaplaceMechanism::new(sensitivity, epsilon)?;
-    let out = m.release(rng, value);
-    if out.is_finite() {
-        Ok(out)
-    } else {
-        Err(DpError::InvalidSensitivity(sensitivity))
     }
 }
 
@@ -194,25 +160,6 @@ mod tests {
         for _ in 0..32 {
             assert_eq!(m.release(&mut a, 1.0), m.release(&mut b, 1.0));
         }
-    }
-
-    #[test]
-    fn pdf_integrates_to_one_ish() {
-        let m = LaplaceMechanism::new(1.0, 1.0).unwrap();
-        let dx = 0.01;
-        let total: f64 = (-4000..4000).map(|i| m.pdf(0.0, i as f64 * dx) * dx).sum();
-        assert!((total - 1.0).abs() < 1e-3, "pdf mass {total}");
-    }
-
-    #[test]
-    fn perturb_count_unit_sensitivity() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let n = 100_000;
-        let mean: f64 = (0..n)
-            .map(|_| perturb_count(&mut rng, 50.0, 1.0).unwrap())
-            .sum::<f64>()
-            / n as f64;
-        assert!((mean - 50.0).abs() < 0.1);
     }
 
     /// Empirical DP check: for two adjacent counts (differing by the

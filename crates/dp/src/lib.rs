@@ -37,7 +37,7 @@ pub use composition::{
 };
 pub use error::DpError;
 pub use exponential::ExponentialMechanism;
-pub use gaussian::{standard_normal, GaussianMechanism};
+pub use gaussian::GaussianMechanism;
 pub use laplace::{laplace_noise, LaplaceMechanism};
 pub use smooth::SmoothSensitivity;
 

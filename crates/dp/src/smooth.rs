@@ -71,7 +71,7 @@ impl SmoothSensitivity {
     /// both estimator scenarios. Guarded against β ≈ 0 blow-up by capping at
     /// a defensive constant — β that small means δ or ε are degenerate and
     /// the caller's parameters deserve scrutiny, not an endless loop.
-    pub fn k_stop(&self) -> u64 {
+    fn k_stop(&self) -> u64 {
         const CAP: u64 = 1 << 22;
         let denom = 1.0 - (-self.beta).exp();
         if denom <= 0.0 {
@@ -83,7 +83,8 @@ impl SmoothSensitivity {
 
     /// Computes `max_{k=0..k_stop} e^{−βk}·ls_at_k(k)` for an arbitrary
     /// non-decreasing local-sensitivity profile.
-    pub fn smooth_bound<F>(&self, ls_at_k: F) -> f64
+    #[cfg(test)]
+    fn smooth_bound<F>(&self, ls_at_k: F) -> f64
     where
         F: Fn(u64) -> f64,
     {
@@ -128,7 +129,7 @@ impl SmoothSensitivity {
     /// Laplace noise scale calibrated to a smooth bound: `2·S_LS/ε`
     /// (Alg. 3 line 10).
     #[inline]
-    pub fn noise_scale(&self, smooth_ls: f64) -> f64 {
+    fn noise_scale(&self, smooth_ls: f64) -> f64 {
         2.0 * smooth_ls / self.epsilon
     }
 

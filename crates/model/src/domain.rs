@@ -26,7 +26,8 @@ impl Domain {
 
     /// Domain covering `0..=k-1`, the natural encoding for a categorical
     /// attribute with `k` distinct labels.
-    pub fn categorical(k: u64) -> Self {
+    #[cfg(test)]
+    fn categorical(k: u64) -> Self {
         debug_assert!(k > 0, "categorical domain needs at least one label");
         Self {
             min: 0,

@@ -13,7 +13,7 @@ use crate::row::Row;
 /// The scan is branch-light: each row is tested against the (sorted)
 /// predicate list and contributes `1` (COUNT) or its measure (SUM).
 #[inline]
-pub fn scan_aggregate(query: &RangeQuery, rows: &[Row]) -> u64 {
+fn scan_aggregate(query: &RangeQuery, rows: &[Row]) -> u64 {
     let agg = query.aggregate();
     let mut acc = 0u64;
     for row in rows {
@@ -25,7 +25,8 @@ pub fn scan_aggregate(query: &RangeQuery, rows: &[Row]) -> u64 {
 }
 
 /// Evaluates `query` over an iterator of rows (e.g. chained cluster scans).
-pub fn scan_aggregate_rows<'a, I>(query: &RangeQuery, rows: I) -> u64
+#[cfg(test)]
+fn scan_aggregate_rows<'a, I>(query: &RangeQuery, rows: I) -> u64
 where
     I: IntoIterator<Item = &'a Row>,
 {
@@ -57,7 +58,8 @@ impl<'a> PlainExecutor<'a> {
     }
 
     /// Number of rows scanned per query (for cost accounting).
-    pub fn rows_scanned(&self) -> usize {
+    #[cfg(test)]
+    fn rows_scanned(&self) -> usize {
         self.rows.len()
     }
 }

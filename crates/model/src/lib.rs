@@ -37,7 +37,7 @@ pub mod value;
 pub use dimension::Dimension;
 pub use domain::Domain;
 pub use error::ModelError;
-pub use executor::{scan_aggregate, scan_aggregate_rows, PlainExecutor};
+pub use executor::PlainExecutor;
 pub use plan::{DerivedStatistic, Extreme, QueryPlan};
 pub use query::{Aggregate, QueryBuilder, Range, RangeQuery};
 pub use row::Row;

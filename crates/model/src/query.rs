@@ -149,7 +149,7 @@ impl RangeQuery {
 
     /// Whether a value vector satisfies every predicate.
     #[inline]
-    pub fn matches_values(&self, values: &[Value]) -> bool {
+    fn matches_values(&self, values: &[Value]) -> bool {
         self.ranges.iter().all(|r| r.contains(values[r.dim]))
     }
 
@@ -165,7 +165,8 @@ impl RangeQuery {
 
     /// Returns the same query with its ranges clipped to the schema domains.
     /// Clipping never changes the answer; it tightens metadata lookups.
-    pub fn clipped(&self, schema: &Schema) -> Result<RangeQuery> {
+    #[cfg(test)]
+    fn clipped(&self, schema: &Schema) -> Result<RangeQuery> {
         let mut ranges = Vec::with_capacity(self.ranges.len());
         for r in &self.ranges {
             let dom = schema.domain(r.dim)?;

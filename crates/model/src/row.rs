@@ -47,7 +47,8 @@ impl Row {
 
     /// Adds `extra` raw rows to this cell's measure.
     #[inline]
-    pub fn absorb(&mut self, extra: Measure) {
+    #[cfg(test)]
+    fn absorb(&mut self, extra: Measure) {
         self.measure += extra;
     }
 

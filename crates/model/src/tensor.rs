@@ -58,7 +58,8 @@ impl CountTensor {
 
     /// Wraps pre-aggregated cells (e.g. from a synthetic generator that
     /// produces tensor cells directly) without re-grouping.
-    pub fn from_cells(schema: Schema, cells: Vec<Row>) -> Result<Self> {
+    #[cfg(test)]
+    fn from_cells(schema: Schema, cells: Vec<Row>) -> Result<Self> {
         let mut raw_rows = 0u64;
         for c in &cells {
             schema.check_row(c)?;

@@ -272,7 +272,7 @@ impl Gauge {
     }
 
     /// Decrements the gauge by one.
-    pub fn dec(&self) {
+    fn dec(&self) {
         self.add_raw(-1.0);
     }
 
@@ -622,7 +622,7 @@ pub fn gauge_dec(name: &str) {
 }
 
 /// Records `v` into the global histogram `name` (no-op when disabled).
-pub fn observe(name: &str, v: ObsValue) {
+fn observe(name: &str, v: ObsValue) {
     if enabled() {
         global().histogram(name).record(v);
     }
@@ -751,7 +751,8 @@ pub fn spans() -> Vec<SpanRecord> {
 }
 
 /// Empties the span ring buffer.
-pub fn clear_spans() {
+#[cfg(test)]
+fn clear_spans() {
     span_ring()
         .lock()
         .unwrap_or_else(PoisonError::into_inner)

@@ -28,8 +28,6 @@ pub enum SamplingError {
         /// The offending probability.
         probability: f64,
     },
-    /// A Bernoulli rate was outside `[0, 1]`.
-    InvalidRate(f64),
     /// Propagated DP-mechanism error.
     Dp(DpError),
 }
@@ -51,7 +49,6 @@ impl fmt::Display for SamplingError {
                     "inclusion probability {probability} at index {index} is invalid"
                 )
             }
-            SamplingError::InvalidRate(r) => write!(f, "Bernoulli rate {r} outside [0, 1]"),
             SamplingError::Dp(e) => write!(f, "dp error: {e}"),
         }
     }

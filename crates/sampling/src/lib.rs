@@ -1,7 +1,6 @@
 //! Sampling substrate for `fedaqp`.
 //!
-//! Implements the statistical machinery of §5.2–§5.3 plus the non-private
-//! baselines the evaluation compares against:
+//! Implements the statistical machinery of §5.2–§5.3:
 //!
 //! * [`pps`] — probability-proportional-to-size weights: `p_j = R_j / Σ R_i`
 //!   (Eq. 1), the unequal-probability design driving cluster selection.
@@ -11,21 +10,16 @@
 //! * [`hansen_hurwitz`] — the Hansen–Hurwitz estimator (Eq. 3)
 //!   `E(Q, C_S^Q) = (1/N_S) Σ Q(C_i)/p_i` with its classical variance
 //!   estimator for confidence reporting.
-//! * [`uniform`] — uniform cluster sampling, Bernoulli row sampling, and
-//!   reservoir sampling: the row-level / equal-probability baselines of §2
-//!   and the ablation experiments.
 
 pub mod em;
 pub mod error;
 pub mod hansen_hurwitz;
 pub mod pps;
-pub mod uniform;
 
 pub use em::{em_sample, EmSample};
 pub use error::SamplingError;
 pub use hansen_hurwitz::{hh_confidence_halfwidth, hh_estimate, hh_variance, HansenHurwitz};
 pub use pps::pps_probabilities;
-pub use uniform::{bernoulli_sample, reservoir_sample, uniform_sample_with_replacement};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, SamplingError>;

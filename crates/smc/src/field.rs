@@ -48,7 +48,7 @@ impl Fp {
     }
 
     /// Modular exponentiation by squaring.
-    pub fn pow(self, mut e: u64) -> Self {
+    fn pow(self, mut e: u64) -> Self {
         let mut base = self;
         let mut acc = Fp::ONE;
         while e > 0 {

@@ -15,7 +15,8 @@ pub const FRAC_BITS: u32 = 20;
 pub const SCALE: f64 = (1u64 << FRAC_BITS) as f64;
 
 /// Largest magnitude representable: `(p−1)/2 / 2^FRAC_BITS`.
-pub fn max_magnitude() -> f64 {
+#[cfg(test)]
+fn max_magnitude() -> f64 {
     ((MODULUS - 1) / 2) as f64 / SCALE
 }
 

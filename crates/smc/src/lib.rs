@@ -34,7 +34,6 @@ pub mod field;
 pub mod fixed;
 pub mod network;
 pub mod protocol;
-pub mod shamir;
 pub mod share;
 
 pub use error::SmcError;
@@ -42,7 +41,6 @@ pub use field::Fp;
 pub use fixed::{decode_fixed, encode_fixed, FRAC_BITS};
 pub use network::{CostModel, SimClock};
 pub use protocol::{SmcRuntime, TrafficStats};
-pub use shamir::{shamir_add, shamir_reconstruct, shamir_share, ShamirShare};
 pub use share::{reconstruct, share_value, SharedValue};
 
 /// Crate-wide result alias.

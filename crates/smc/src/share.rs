@@ -51,12 +51,6 @@ impl SharedValue {
         self.shares.len()
     }
 
-    /// The share held by party `i`.
-    #[inline]
-    pub fn share_of(&self, i: usize) -> Fp {
-        self.shares[i]
-    }
-
     /// Local (share-wise) addition: `[x] + [y] = [x + y]`.
     pub fn add(&self, other: &SharedValue) -> Result<SharedValue> {
         if self.n_parties() != other.n_parties() {

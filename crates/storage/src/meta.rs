@@ -35,7 +35,7 @@ pub struct DimMeta {
 
 impl DimMeta {
     /// Builds the tail structure from one cluster column.
-    pub fn from_column(col: &[Value]) -> Self {
+    fn from_column(col: &[Value]) -> Self {
         let mut sorted: Vec<Value> = col.to_vec();
         sorted.sort_unstable();
         let mut values = Vec::new();
@@ -61,7 +61,7 @@ impl DimMeta {
 
     /// Folds one freshly appended value into the tail structure in
     /// `O(n_values)` — the incremental counterpart of rebuilding with
-    /// [`DimMeta::from_column`] (which this is exactly equivalent to when
+    /// `DimMeta::from_column` (which this is exactly equivalent to when
     /// the metadata is uncoarsened; on a coarsened copy the inserted value
     /// becomes a retained boundary, so tails stay sound but drift from what
     /// a coarsen-after-rebuild would keep).
@@ -92,7 +92,7 @@ impl DimMeta {
     }
 
     /// Number of rows with value in `[lo, hi]` (inclusive).
-    pub fn range_count(&self, lo: Value, hi: Value) -> u32 {
+    fn range_count(&self, lo: Value, hi: Value) -> u32 {
         if lo > hi {
             return 0;
         }
@@ -111,7 +111,7 @@ impl DimMeta {
 
     /// Number of distinct values (metadata entries for this dimension).
     #[inline]
-    pub fn n_values(&self) -> usize {
+    fn n_values(&self) -> usize {
         self.values.len()
     }
 
@@ -173,7 +173,7 @@ pub struct ClusterMeta {
 
 impl ClusterMeta {
     /// Builds metadata for `cluster` (Alg. 1 lines 3–12).
-    pub fn from_cluster(cluster: &Cluster) -> Self {
+    fn from_cluster(cluster: &Cluster) -> Self {
         let dims = (0..cluster.arity())
             .map(|d| DimMeta::from_column(cluster.column(d)))
             .collect();
@@ -224,13 +224,8 @@ impl ClusterMeta {
         }
     }
 
-    /// `R_{d≥}(x)` relative to the agreed cluster size `s`.
-    pub fn r_geq(&self, d: usize, x: Value, s: usize) -> f64 {
-        self.dims[d].tail_count(x) as f64 / s as f64
-    }
-
     /// `R_d` for one range predicate (inclusive), relative to `s`.
-    pub fn r_range(&self, range: &Range, s: usize) -> f64 {
+    fn r_range(&self, range: &Range, s: usize) -> f64 {
         self.dims[range.dim].range_count(range.lo, range.hi) as f64 / s as f64
     }
 
@@ -240,7 +235,7 @@ impl ClusterMeta {
     /// The product form assumes dimension independence *within the cluster*
     /// (§5.2); the correlated-dimensions ablation quantifies the error this
     /// introduces.
-    pub fn r_query(&self, query: &RangeQuery, s: usize) -> f64 {
+    fn r_query(&self, query: &RangeQuery, s: usize) -> f64 {
         let mut r = 1.0f64;
         for range in query.ranges() {
             r *= self.r_range(range, s);
@@ -253,7 +248,7 @@ impl ClusterMeta {
 
     /// Whether this cluster can contain rows matching `query` (Eq. 2):
     /// every queried dimension's `[v_min, v_max]` intersects the range.
-    pub fn covers(&self, query: &RangeQuery) -> bool {
+    fn covers(&self, query: &RangeQuery) -> bool {
         query.ranges().iter().all(|r| {
             match (self.dims[r.dim].min(), self.dims[r.dim].max()) {
                 (Some(lo), Some(hi)) => r.intersects(lo, hi),
