@@ -9,8 +9,8 @@
 //!
 //! - An **owned** engine ([`FederationEngine`], a long-lived service)
 //!   keeps a persistent per-provider worker pool — one OS thread per data
-//!   provider, alive across queries — that executes many in-flight jobs
-//!   at once, pipelining provider phases across queries.
+//!   provider, alive across queries — whose queues carry *turns*, not
+//!   jobs, so one provider interleaves the phases of many in-flight jobs.
 //! - A **scoped** engine ([`crate::Federation::with_engine`], borrowing the
 //!   providers) spawns nothing: a job runs to completion on the first
 //!   thread that waits for it, every provider's turn in id order, and
@@ -21,13 +21,22 @@
 //! Owned-engine architecture:
 //!
 //! ```text
-//!  analysts ──submit──▶ EngineHandle ──(job fan-out)──▶ provider workers
-//!     ▲                                                   │ summary turn
+//!  analysts ──submit──▶ EngineHandle ──summary turns──▶ provider queues
+//!     ▲                                                   │ carry stays in the job
 //!     │                                                   ▼
-//!     │                 per-job barrier: last summary computes allocation
-//!     │                                                   │ execute turn
+//!     │        last summary (or the coordinator) lands the allocation
+//!     │                                                   │ execute turns queued
 //!     └──── PendingAnswer::wait ◀──(job fan-in)───────────┘ finalize
 //! ```
+//!
+//! **No worker ever parks.** A summary turn leaves its carry (covering
+//! set, RNG lane mid-stream) in the job and returns; whoever lands the
+//! allocation — the last summary in, or
+//! [`PendingFragment::provide_allocation`] for a shard's fragment —
+//! queues every un-pruned provider's execute turn (a worker that lands it
+//! runs its own at once). A worker only ever waits on its own queue, so
+//! no queue order can deadlock the pool: a shard can hold any number of
+//! fragments whose allocations are still being solved elsewhere.
 //!
 //! Workers and waiting threads call the same turn functions, contained by
 //! the same panic guard, so where a turn ran never changes what it
@@ -83,6 +92,9 @@ fn derive_seed(seed: u64, index: u64, lane: u64) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
+
+/// The error of a submission to (or a turn queued on) a closed engine.
+const SHUT_DOWN: CoreError = CoreError::ProtocolViolation("engine is shut down");
 
 /// RNG lane of the per-job aggregator (must differ from any provider id).
 const AGGREGATOR_LANE: u64 = u64::MAX;
@@ -267,19 +279,33 @@ impl JobKind {
 /// covering set and the provider's RNG lane, mid-stream.
 type Carry = (PreparedQuery, StdRng);
 
-/// Where a scoped job's provider turns stand. Jobs on an owned engine stay
-/// `Pending`: their pool workers run the turns.
+/// Where a job's provider turns stand.
 #[derive(Debug)]
 enum Turns {
     /// No thread has run them yet.
     Pending,
-    /// A waiting thread claimed them; every other waiter parks on the
-    /// job's condvar.
+    /// A scoped job's waiting thread claimed them; every other waiter
+    /// parks on the job's condvar.
     Running,
-    /// A scoped fragment ran its summary turns; each un-pruned provider's
-    /// carry waits here for the coordinator's allocation.
+    /// Summary turns ran: each un-pruned provider's carry waits here for
+    /// the allocation — a scoped fragment's all at once, an owned
+    /// engine's private job's one per summary turn.
     Summarized(Vec<Option<Carry>>),
 }
+
+/// One unit of an owned engine's provider queue: a turn of one job.
+#[derive(Debug, Clone, Copy)]
+enum Turn {
+    /// Steps 1–2 of a private job; the carry stays in the job.
+    Summary,
+    /// Steps 4–6 of a private job, queued once its allocation landed.
+    Execute,
+    /// A plain or extreme job's whole turn.
+    Single,
+}
+
+/// An owned engine's per-provider turn queues; `None` once shut down.
+type Queues = RwLock<Option<Vec<Sender<(Arc<JobState>, Turn)>>>>;
 
 /// Mutable per-job progress, guarded by the job mutex.
 #[derive(Debug)]
@@ -309,9 +335,8 @@ pub(crate) struct JobState {
     kind: JobKind,
     index: u64,
     seed: u64,
-    /// The scoped engine whose waiting threads run this job; `None` on an
-    /// owned engine, whose pool workers do.
-    scope: Option<Arc<Scope>>,
+    /// Who runs this job's turns; set at launch.
+    executor: Option<Executor>,
     /// Per-provider pruning verdicts from the engine's public metadata
     /// snapshot (`true` ⇒ provably empty covering set, skip the step-1
     /// walk). Empty when the pruning pass is off. Deliberately *not* part
@@ -325,7 +350,7 @@ pub(crate) struct JobState {
     /// providers `[o, o+k)` reproduces exactly the 1-shard streams.
     lane_base: u64,
     /// When set, step 3 is solved *outside* this engine: the last summary
-    /// only wakes the fragment's waiter, and the execute turns wait until
+    /// only wakes the fragment's waiter, and the execute turns run once
     /// [`PendingFragment::provide_allocation`] delivers the coordinator's
     /// globally solved allocation.
     external_allocation: bool,
@@ -347,7 +372,7 @@ impl JobState {
             kind,
             index,
             seed,
-            scope: None,
+            executor: None,
             pruned: Vec::new(),
             n_providers: n,
             lane_base: config.provider_lane_base,
@@ -441,7 +466,9 @@ impl JobState {
     /// turns once its allocation landed. `None` when there is nothing to
     /// run here — an owned engine's job, or turns another thread holds.
     fn claim(&self, progress: &mut JobProgress) -> Option<Turns> {
-        self.scope.as_ref()?;
+        if !matches!(self.executor, Some(Executor::Scope(_))) {
+            return None;
+        }
         let runnable = match &progress.turns {
             Turns::Pending => true,
             Turns::Summarized(_) => progress.allocations.is_some(),
@@ -453,16 +480,15 @@ impl JobState {
     /// Runs claimed turns on the calling thread under the scope's read
     /// side; a job waited after its scope closed fails instead.
     fn run_here(&self, claimed: Turns) {
-        let scope = self.scope.as_ref().expect("only scoped jobs are claimed");
+        let Some(Executor::Scope(scope)) = &self.executor else {
+            unreachable!("only scoped jobs are claimed");
+        };
         let providers = scope.read().unwrap_or_else(PoisonError::into_inner);
         match providers.as_deref() {
             Some(providers) => contain(self, || run_scoped(self, providers, claimed)),
             None => {
                 let mut progress = self.lock_progress();
-                self.fail(
-                    &mut progress,
-                    CoreError::ProtocolViolation("engine is shut down"),
-                );
+                self.fail(&mut progress, SHUT_DOWN);
             }
         }
     }
@@ -501,7 +527,7 @@ fn run_scoped(job: &JobState, providers: &[DataProvider], claimed: Turns) {
         }
         _ => providers
             .iter()
-            .map(|p| (!job.is_pruned(p.id())).then(|| summary_turn(job, p)))
+            .map(|p| (!job.is_pruned(p.id())).then(|| summary_turn(job, p).0))
             .collect(),
     };
     let allocations = {
@@ -524,34 +550,95 @@ fn run_scoped(job: &JobState, providers: &[DataProvider], claimed: Turns) {
     }
 }
 
-/// The per-provider half of one job on an owned engine's worker thread.
-/// Between a private job's two turns the worker parks at the job's
-/// allocation barrier; the last provider to deliver its summary solves
-/// the allocation program, so the whole step-1→6 pipeline needs no
-/// dedicated coordinator thread.
-fn run_provider_job(job: &JobState, provider: &DataProvider) {
-    if !matches!(job.kind, JobKind::Private { .. }) {
-        return single_turn(job, provider);
-    }
-    let carry = summary_turn(job, provider);
-    if let Some(allocation) = await_allocation(job, provider.id()) {
-        execute_turn(job, provider, carry, allocation);
+/// One turn of a job on an owned engine's provider worker. No turn waits
+/// for another: a summary turn leaves its carry in the job and returns,
+/// and the execute turns are queued by whoever lands the allocation
+/// ([`queue`]). A failed or aborted job's turns return at once.
+fn run_turn(job: &Arc<JobState>, provider: &DataProvider, turn: Turn) {
+    let id = provider.id();
+    match turn {
+        Turn::Single => single_turn(job, provider),
+        Turn::Summary => {
+            if job.lock_progress().error.is_some() {
+                return;
+            }
+            let (carry, due) = summary_turn(job, provider);
+            // Stored after the delivery, yet before this provider's own
+            // execute turn can run: that turn queues behind this one, on
+            // this thread.
+            if let Turns::Summarized(carried) = &mut job.lock_progress().turns {
+                carried[id] = Some(carry);
+            }
+            if due {
+                // Every other provider's execute turn is queued; this
+                // one's runs here, now, without a trip through its own
+                // queue.
+                if queue(job, Turn::Execute, Some(id)).is_ok() {
+                    run_turn(job, provider, Turn::Execute);
+                }
+            }
+        }
+        Turn::Execute => {
+            let claimed = {
+                let mut progress = job.lock_progress();
+                let allocation = progress.allocations.as_ref().map(|a| a[id]);
+                let failed = progress.error.is_some();
+                match &mut progress.turns {
+                    Turns::Summarized(carried) if !failed => carried[id].take().zip(allocation),
+                    _ => None,
+                }
+            };
+            if let Some((carry, allocation)) = claimed {
+                execute_turn(job, provider, carry, allocation);
+            }
+        }
     }
 }
 
+/// Queues `turn` of `job` on every un-pruned provider's worker but
+/// `except` — nothing on a scoped engine, whose waiting threads run the
+/// turns. A shut-down pool or a dead worker fails the job instead, so no
+/// waiter waits on a turn that will never run.
+fn queue(job: &Arc<JobState>, turn: Turn, except: Option<usize>) -> Result<()> {
+    let Some(Executor::Pool(queues)) = &job.executor else {
+        return Ok(());
+    };
+    let queues = queues.read().unwrap_or_else(PoisonError::into_inner);
+    let queued = match queues.as_ref() {
+        None => Err(SHUT_DOWN),
+        Some(senders) => senders
+            .iter()
+            .enumerate()
+            .filter(|&(id, _)| !job.is_pruned(id) && Some(id) != except)
+            .try_for_each(|(_, sender)| {
+                sender
+                    .send((Arc::clone(job), turn))
+                    .map_err(|_| CoreError::ProtocolViolation("engine worker terminated"))?;
+                obs::gauge_inc(obs::names::ENGINE_QUEUE_DEPTH);
+                Ok(())
+            }),
+    };
+    if let Err(error) = &queued {
+        job.fail(&mut job.lock_progress(), error.clone());
+    }
+    queued
+}
+
 /// Steps 1–2 of a private job for one provider: prepare, then the DP
-/// summary, delivered into the job. A provider the optimizer pruned never
-/// takes this turn — the engine answers its noise-only turn inline at
-/// submission (see [`EngineHandle::answer_for_pruned`]).
-fn summary_turn(job: &JobState, provider: &DataProvider) -> Carry {
+/// summary, delivered into the job. Returns the provider's carry, and
+/// whether this summary landed the job's allocation (see
+/// [`deliver_summary`]). A provider the optimizer pruned never takes this
+/// turn — the engine answers its noise-only turn inline at submission
+/// (see [`EngineHandle::answer_for_pruned`]).
+fn summary_turn(job: &JobState, provider: &DataProvider) -> (Carry, bool) {
     let (query, sampling_rate, budget) = job.private();
     let id = provider.id();
     let mut rng = job.provider_rng(id);
     let t = Instant::now();
     let prep = provider.prepare(query);
     let summary = provider.summary_with_rng(query, &prep, budget.eps_o, &mut rng);
-    deliver_summary(job, id, summary, t.elapsed(), sampling_rate);
-    (prep, rng)
+    let due = deliver_summary(job, id, summary, t.elapsed(), sampling_rate);
+    ((prep, rng), due)
 }
 
 /// Steps 4–6 of a private job for one provider, once its allocation is
@@ -632,13 +719,16 @@ fn single_turn(job: &JobState, provider: &DataProvider) {
 /// in solves the allocation program (Eq. 6) for everyone — the step-3
 /// barrier needs no dedicated coordinator thread. Shared by the summary
 /// turn and the inline pruned path so both feed the barrier identically.
+///
+/// Returns whether this summary landed the job's allocation: the job's
+/// execute turns are then due, and a pool caller [`queue`]s them.
 fn deliver_summary(
     job: &JobState,
     id: usize,
     summary: Result<ProviderSummary>,
     elapsed: Duration,
     sampling_rate: f64,
-) {
+) -> bool {
     let mut progress = job.lock_progress();
     progress.summary_time = progress.summary_time.max(elapsed);
     match summary {
@@ -652,10 +742,11 @@ fn deliver_summary(
         if job.external_allocation {
             // A fragment's allocation is solved by the coordinator over
             // *every* shard's summaries: wake the fragment waiter gathering
-            // them and leave the execute turns waiting until
-            // [`PendingFragment::provide_allocation`] lands.
+            // them. The execute turns are due now only if the allocation
+            // already landed; otherwise
+            // [`PendingFragment::provide_allocation`] queues them.
             job.cond.notify_all();
-            return;
+            return progress.allocations.is_some();
         }
         let summaries: Vec<ProviderSummary> = progress
             .summaries
@@ -678,29 +769,12 @@ fn deliver_summary(
             Ok(a) => {
                 progress.allocations = Some(Arc::new(a));
                 job.cond.notify_all();
+                return true;
             }
             Err(e) => job.fail(&mut progress, e),
         }
     }
-}
-
-/// Parks until the job's allocation — or a failure — lands. Returns
-/// provider `id`'s cluster allocation, or `None` on the failure path
-/// (after performing the provider's `done` bookkeeping, so the waiter
-/// still unblocks).
-fn await_allocation(job: &JobState, id: usize) -> Option<u64> {
-    let mut progress = job.lock_progress();
-    loop {
-        if progress.error.is_some() {
-            progress.done += 1;
-            job.cond.notify_all();
-            return None;
-        }
-        if let Some(allocations) = &progress.allocations {
-            return Some(allocations[id]);
-        }
-        progress = job.wait_on(progress);
-    }
+    false
 }
 
 /// Delivers provider `id`'s steps-4–6 outcome into the job and performs
@@ -716,19 +790,19 @@ fn deliver_outcome(job: &JobState, id: usize, outcome: Result<LocalOutcome>, ela
     job.cond.notify_all();
 }
 
-/// The worker loop an owned engine's provider thread runs: drain jobs
-/// until every engine handle (sender) is gone.
+/// The worker loop an owned engine's provider thread runs: drain turns
+/// until the engine shuts down and its queue is empty.
 ///
 /// A panic inside the protocol (provider code, or a poisoned job mutex
-/// cascading from a sibling worker) is contained per job ([`contain`]):
+/// cascading from a sibling worker) is contained per turn ([`contain`]):
 /// the job is marked failed so waiting analysts get an error instead of
-/// blocking forever, and the worker moves on to its next job.
-fn worker_loop(provider: &DataProvider, jobs: Receiver<Arc<JobState>>) {
-    while let Ok(job) = jobs.recv() {
+/// blocking forever, and the worker moves on to its next turn.
+fn worker_loop(provider: &DataProvider, turns: Receiver<(Arc<JobState>, Turn)>) {
+    while let Ok((job, turn)) = turns.recv() {
         obs::gauge_dec(obs::names::ENGINE_QUEUE_DEPTH);
         obs::gauge_inc(obs::names::ENGINE_WORKERS_BUSY);
         let _busy = ObsGaugeDecOnDrop(obs::names::ENGINE_WORKERS_BUSY);
-        contain(&job, || run_provider_job(&job, provider));
+        contain(&job, || run_turn(&job, provider, turn));
     }
 }
 
@@ -770,18 +844,12 @@ impl OccurrenceLedger {
     }
 }
 
-/// Who runs an engine's jobs.
-#[derive(Debug)]
+/// Who runs an engine's jobs; every job holds a clone.
+#[derive(Debug, Clone)]
 enum Executor {
-    /// An owned engine's per-provider worker pool: one job queue per
-    /// provider; `None` once the engine is shut down.
-    ///
-    /// A `Mutex` (not `RwLock`): a job fan-out must hold the lock for the
-    /// whole send loop so every provider queue observes jobs in the *same*
-    /// order. Interleaved fan-outs (provider 0 sees `[a, b]`, provider 1
-    /// sees `[b, a]`) would deadlock the pool — each worker blocks at its
-    /// first job's allocation barrier waiting for the other.
-    Pool(Mutex<Option<Vec<Sender<Arc<JobState>>>>>),
+    /// An owned engine's per-provider worker pool: one turn queue per
+    /// provider.
+    Pool(Arc<Queues>),
     /// A scoped engine: no threads of its own; the first thread to wait
     /// for a job runs it.
     Scope(Arc<Scope>),
@@ -883,15 +951,17 @@ impl EngineHandle {
     }
 
     /// Closes the engine; later submissions on any clone of this handle
-    /// fail cleanly. An owned engine's workers drain what is in flight
-    /// and exit. A scoped engine waits out any turns a waiting thread is
-    /// running and drops its share of the providers; a job still unwaited
-    /// then never runs (waiting for it is an error).
+    /// fail cleanly. An owned engine's workers run the turns already
+    /// queued and exit; a job whose execute turns were not queued yet
+    /// fails when its allocation lands. A scoped engine waits out any
+    /// turns a waiting thread is running and drops its share of the
+    /// providers; a job still unwaited then never runs (waiting for it is
+    /// an error).
     pub(crate) fn close(&self) {
         match &self.inner.executor {
-            Executor::Pool(senders) => {
-                senders
-                    .lock()
+            Executor::Pool(queues) => {
+                queues
+                    .write()
                     .unwrap_or_else(PoisonError::into_inner)
                     .take();
             }
@@ -902,19 +972,16 @@ impl EngineHandle {
     }
 
     /// Hands a new job to the executor. A scoped engine only attaches
-    /// itself: the job runs when first waited for. A pool fans the job
-    /// out to every *un-pruned* provider queue, holding the lock across
-    /// the whole loop so concurrent submissions cannot interleave — every
-    /// provider queue observes the same subsequence of the global
-    /// submission order, which is what makes the per-job allocation
-    /// barrier deadlock-free (see [`Executor::Pool`]). Pruned providers
-    /// never see the job at all: their noise-only turn is answered inline
-    /// by [`Self::answer_for_pruned`], which delivers into the job
-    /// directly and never blocks on a queue.
+    /// itself: the job runs when first waited for. A pool queues the job's
+    /// first turn on every *un-pruned* provider's worker, in any order
+    /// relative to concurrent submissions: no turn waits for another, so
+    /// queue order is only a schedule. Pruned providers never see the job
+    /// at all: their noise-only turn is answered inline by
+    /// [`Self::answer_for_pruned`], which delivers into the job directly.
     fn launch(&self, mut job: JobState) -> Result<Arc<JobState>> {
-        const SHUT_DOWN: CoreError = CoreError::ProtocolViolation("engine is shut down");
-        let senders = match &self.inner.executor {
-            Executor::Scope(scope) => {
+        let executor = &self.inner.executor;
+        let first = match (executor, &job.kind) {
+            (Executor::Scope(scope), _) => {
                 if scope
                     .read()
                     .unwrap_or_else(PoisonError::into_inner)
@@ -922,29 +989,22 @@ impl EngineHandle {
                 {
                     return Err(SHUT_DOWN);
                 }
-                job.scope = Some(Arc::clone(scope));
-                return Ok(Arc::new(job));
+                None
             }
-            Executor::Pool(senders) => senders,
+            (Executor::Pool(_), JobKind::Private { .. }) => {
+                let progress = job
+                    .progress
+                    .get_mut()
+                    .unwrap_or_else(PoisonError::into_inner);
+                progress.turns = Turns::Summarized((0..job.n_providers).map(|_| None).collect());
+                Some(Turn::Summary)
+            }
+            (Executor::Pool(_), _) => Some(Turn::Single),
         };
+        job.executor = Some(executor.clone());
         let job = Arc::new(job);
-        let guard = senders.lock().unwrap_or_else(PoisonError::into_inner);
-        let senders = guard.as_ref().ok_or(SHUT_DOWN)?;
-        for (id, sender) in senders.iter().enumerate() {
-            if job.is_pruned(id) {
-                continue;
-            }
-            if sender.send(Arc::clone(&job)).is_err() {
-                // A worker died (panicked); fail the job so providers that
-                // did receive it cannot block at the barrier forever.
-                let mut progress = job.lock_progress();
-                job.fail(
-                    &mut progress,
-                    CoreError::ProtocolViolation("engine worker terminated"),
-                );
-                return Err(CoreError::ProtocolViolation("engine worker terminated"));
-            }
-            obs::gauge_inc(obs::names::ENGINE_QUEUE_DEPTH);
+        if let Some(turn) = first {
+            queue(&job, turn, None)?;
         }
         Ok(job)
     }
@@ -1032,12 +1092,13 @@ impl EngineHandle {
     /// ([`JobState::provider_rng`]), independent of which thread draws
     /// them.
     ///
-    /// Ordering is free of the barrier: the empty-prep execution ignores
-    /// its allocation, so the inline path delivers its summary *and*
-    /// outcome immediately instead of parking at the step-3 barrier —
-    /// waiting there would block `submit` and deadlock the all-pruned
-    /// case, where no provider turn ever runs.
-    fn answer_for_pruned(&self, job: &JobState) {
+    /// Free of the barrier: the empty-prep execution ignores its
+    /// allocation, so the inline path delivers its summary *and* outcome
+    /// immediately — waiting for the allocation would block `submit` and
+    /// deadlock the all-pruned case, where no provider turn ever runs.
+    /// When the last summary in is an inline one, it queues the un-pruned
+    /// providers' execute turns like any summary that lands an allocation.
+    fn answer_for_pruned(&self, job: &Arc<JobState>) {
         if !job.pruned.iter().any(|&p| p) {
             return;
         }
@@ -1060,21 +1121,11 @@ impl EngineHandle {
             let mut rng = job.provider_rng(id);
             let t = Instant::now();
             let summary = shadow.summary(query, &empty, budget.eps_o, &mut rng);
-            deliver_summary(job, id, summary, t.elapsed(), sampling_rate);
-            // Check the failure path under the lock exactly as a worker
-            // would at the barrier: once the job has failed, only the
-            // `done` bookkeeping remains.
-            let failed = {
-                let mut progress = job.lock_progress();
-                if progress.error.is_some() {
-                    progress.done += 1;
-                    job.cond.notify_all();
-                    true
-                } else {
-                    false
-                }
-            };
-            if failed {
+            if deliver_summary(job, id, summary, t.elapsed(), sampling_rate) {
+                let _ = queue(job, Turn::Execute, None);
+            }
+            // A failed job releases nothing more.
+            if job.lock_progress().error.is_some() {
                 continue;
             }
             let t = Instant::now();
@@ -1088,9 +1139,11 @@ impl EngineHandle {
     /// comes from the coordinator's ledger (this engine's own ledger is
     /// untouched — in a sharded deployment the coordinator sees the full
     /// analyst stream, the shards only their fragments), and (b) step 3 is
-    /// externalized: providers park after their summaries until the
-    /// coordinator feeds back the globally solved allocation through
-    /// [`PendingFragment::provide_allocation`].
+    /// externalized: the execute turns run once the coordinator feeds back
+    /// the globally solved allocation through
+    /// [`PendingFragment::provide_allocation`]. Until then the fragment
+    /// holds its providers' carries, not their workers: a shard serves any
+    /// number of fragments in any order.
     ///
     /// Because the job seed is content-derived and the provider lanes are
     /// `lane_base + id`, a shard configured with the 1-shard seed and its
@@ -1340,9 +1393,9 @@ pub(crate) fn extreme_content_hash(dim: usize, extreme: Extreme, epsilon: f64) -
 
 /// One shard's half of a sharded private query: summaries out, allocation
 /// in, partial out. Created by [`EngineHandle::submit_fragment`];
-/// dropping it before the allocation lands aborts the job so parked
-/// workers unblock instead of waiting forever on a coordinator that gave
-/// up (a failed sibling shard, a dropped connection). On a scoped engine
+/// dropping it before the allocation lands aborts the job, so the summary
+/// turns still queued skip their work for a coordinator that gave up (a
+/// failed sibling shard, a dropped connection). On a scoped engine
 /// [`Self::summaries`] runs the summary turns on the calling thread and
 /// [`Self::partial`] the execute turns.
 #[derive(Debug)]
@@ -1369,7 +1422,8 @@ impl PendingFragment {
     }
 
     /// Feeds the coordinator's globally solved allocation (this shard's
-    /// slice, in local provider order) to the execute turns.
+    /// slice, in local provider order) to the execute turns — on a pool,
+    /// by queueing them, once every summary is in.
     pub fn provide_allocation(&self, allocations: Vec<u64>) -> Result<()> {
         let job = &self.job;
         if allocations.len() != job.n_providers {
@@ -1377,14 +1431,20 @@ impl PendingFragment {
                 "fragment allocation length does not match shard providers",
             ));
         }
-        let mut progress = job.lock_progress();
-        if progress.allocations.is_some() {
-            return Err(CoreError::ProtocolViolation(
-                "fragment allocation delivered twice",
-            ));
+        let due = {
+            let mut progress = job.lock_progress();
+            if progress.allocations.is_some() {
+                return Err(CoreError::ProtocolViolation(
+                    "fragment allocation delivered twice",
+                ));
+            }
+            progress.allocations = Some(Arc::new(allocations));
+            job.cond.notify_all();
+            progress.summaries_done == job.n_providers && progress.error.is_none()
+        };
+        if due {
+            queue(job, Turn::Execute, None)?;
         }
-        progress.allocations = Some(Arc::new(allocations));
-        job.cond.notify_all();
         Ok(())
     }
 
@@ -1424,10 +1484,9 @@ impl PendingFragment {
 
 impl Drop for PendingFragment {
     fn drop(&mut self) {
-        // Abort an incomplete fragment: workers parked at the allocation
-        // barrier would otherwise wait forever once the coordinator is
-        // gone. Completed fragments (allocation delivered) finish on
-        // their own; failed ones are already unblocked.
+        // Abort an incomplete fragment: its queued summary turns skip, and
+        // its execute turns are never queued. Allocated fragments finish
+        // on their own; failed ones are already settled.
         let mut progress = self.job.lock_progress();
         if progress.allocations.is_none() && progress.error.is_none() {
             self.job.fail(
@@ -1493,6 +1552,11 @@ impl PendingExtreme {
     /// DP selections by post-processing (max of outputs for MAX, min for
     /// MIN — Thm. 3.3, free).
     pub fn wait(self) -> Result<EngineExtreme> {
+        self.result()
+    }
+
+    /// [`Self::wait`] without giving the job up.
+    pub(crate) fn result(&self) -> Result<EngineExtreme> {
         let job = &self.job;
         let progress = job.settle(|p| p.done == job.n_providers);
         if let Some(error) = progress.error.clone() {
@@ -1542,15 +1606,15 @@ impl FederationEngine {
             &config,
             &schema,
             &providers,
-            Executor::Pool(Mutex::new(Some(senders))),
+            Executor::Pool(Arc::new(RwLock::new(Some(senders)))),
             Arc::default(),
         );
         let workers = providers
             .into_iter()
             .zip(receivers)
-            .map(|(provider, jobs)| {
+            .map(|(provider, turns)| {
                 std::thread::spawn(move || {
-                    worker_loop(&provider, jobs);
+                    worker_loop(&provider, turns);
                     provider
                 })
             })
@@ -1778,11 +1842,11 @@ mod tests {
 
     #[test]
     fn heavy_interleaved_submission_does_not_deadlock() {
-        // Regression: the fan-out used to run under a shared read lock, so
-        // two analysts' sends could interleave and land in different orders
-        // on different provider queues — each worker then blocked at a
-        // different job's allocation barrier, deadlocking the pool. The
-        // fan-out is now serialized; 8 analysts × 25 queries must drain.
+        // Regression: two analysts' sends can interleave and land in
+        // different orders on different provider queues. That once
+        // deadlocked the pool, each worker parked at a different job's
+        // allocation barrier; workers no longer park, so any order
+        // drains. 8 analysts × 25 queries must finish.
         let fed = Federation::build(config(50), schema(), partitions(400, 4)).unwrap();
         fed.with_engine(|engine| {
             std::thread::scope(|scope| {
@@ -2026,6 +2090,48 @@ mod tests {
             engine.submit(&q, 0.2).unwrap().wait().unwrap()
         });
         assert_eq!(bits(&after_drop), bits(&second_draw));
+    }
+
+    /// The barrier no worker parks at: an owned engine with one worker
+    /// per provider holds a batch of fragments whose summaries are all
+    /// read before any allocation is provided — each worker runs every
+    /// fragment's summary turn first — and completes it, byte-identical to
+    /// a scoped engine. (With workers parked at their first fragment's
+    /// allocation barrier, the second fragment's summaries never come.)
+    #[test]
+    fn an_owned_engine_completes_a_fragment_batch_whose_summaries_are_read_first() {
+        fn run(engine: &EngineHandle) -> Vec<Vec<crate::shard::PartialRow>> {
+            let budget = engine.default_budget().unwrap();
+            let fragments: Vec<_> = (0..4)
+                .map(|i| {
+                    let query = count_query(50 * i, 600 + 50 * i);
+                    engine.submit_fragment(&query, 0.2, &budget, 0).unwrap()
+                })
+                .collect();
+            let summaries: Vec<_> = fragments.iter().map(|f| f.summaries().unwrap()).collect();
+            for (fragment, (summaries, _)) in fragments.iter().zip(&summaries) {
+                let allocation = Aggregator::new(0, CostModel::zero())
+                    .allocate(summaries, 0.2)
+                    .unwrap();
+                fragment.provide_allocation(allocation).unwrap();
+            }
+            fragments
+                .iter()
+                .map(|f| f.partial().unwrap().rows)
+                .collect()
+        }
+        let scoped = federation().with_engine(run);
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let engine = FederationEngine::start(federation());
+            let partials = run(&engine.handle());
+            engine.shutdown();
+            done.send(partials).unwrap();
+        });
+        let partials = finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the owned engine deadlocked on a fragment batch");
+        assert_eq!(partials, scoped);
     }
 
     #[test]

@@ -70,14 +70,14 @@ pub use online::combine_snapshots;
 pub use optimizer::{MetaSnapshot, PlanExplanation, ProviderBounds, SubQueryExplanation};
 pub use plan::{
     ExtremeOutcome, PendingPlan, PlanAnswer, PlanBackend, PlanGroup, PlanResult, PlanSnapshot,
-    QueryPlan, ShardedAnswer,
+    QueryPlan, ShardedAnswer, SubQuery,
 };
 pub use protocol::{relative_error, LocalOutcome, PhaseTimings, ProviderSummary};
 pub use provider::DataProvider;
 pub use session::{ConcurrentSession, Session, SessionPlan, ShardedSession};
 pub use shard::{
-    ExtremeFragmentSpec, FragmentHandle, FragmentPartial, FragmentSpec, PartialRow, ShardBackend,
-    ShardedFederation, ShardedSub,
+    ExtremeFragmentSpec, ExtremeReply, FragmentBatch, FragmentPartial, FragmentSpec,
+    FragmentSummaries, PartialRow, ShardBackend, ShardedFederation, ShardedSub,
 };
 pub use stream::{IngestReport, LiveFederation, RefreshPolicy};
 

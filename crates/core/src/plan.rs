@@ -276,13 +276,11 @@ pub trait PlanBackend: Clone {
     /// The public pruning-bounds snapshot (whole federation).
     fn snapshot(&self) -> &MetaSnapshot;
 
-    /// Submits one private sub-query without waiting.
-    fn submit_sub(
-        &self,
-        query: &RangeQuery,
-        sampling_rate: f64,
-        budget: &QueryBudget,
-    ) -> Result<Self::Sub>;
+    /// Submits a plan's private sub-queries without waiting — all of them
+    /// at once, in order, one in-flight handle each. The engine submits
+    /// them one by one; the coordinator sends them to each shard as one
+    /// batch.
+    fn submit_subs(&self, subs: &[SubQuery]) -> Result<Vec<Self::Sub>>;
     /// A second waiter on the same in-flight sub-query (the dedup pass's
     /// release reuse): both waiters must observe byte-identical outcomes
     /// without resubmitting, re-noising, or re-charging.
@@ -347,6 +345,18 @@ pub trait PlanBackend: Clone {
     }
 }
 
+/// One private sub-query of a plan, as the compiler hands it to
+/// [`PlanBackend::submit_subs`].
+#[derive(Debug, Clone)]
+pub struct SubQuery {
+    /// The range query.
+    pub query: RangeQuery,
+    /// The sampling rate `sr ∈ (0, 1)`.
+    pub sampling_rate: f64,
+    /// The sub-query's share of the plan budget.
+    pub budget: QueryBudget,
+}
+
 /// Budget-phase sanity shared by every backend (and by
 /// [`EngineHandle::validate`]).
 pub(crate) fn check_budget(budget: &QueryBudget) -> Result<()> {
@@ -380,13 +390,10 @@ impl PlanBackend for EngineHandle {
         self.meta_snapshot()
     }
 
-    fn submit_sub(
-        &self,
-        query: &RangeQuery,
-        sampling_rate: f64,
-        budget: &QueryBudget,
-    ) -> Result<PendingAnswer> {
-        self.submit_with_budget(query, sampling_rate, budget)
+    fn submit_subs(&self, subs: &[SubQuery]) -> Result<Vec<PendingAnswer>> {
+        subs.iter()
+            .map(|sub| self.submit_with_budget(&sub.query, sub.sampling_rate, &sub.budget))
+            .collect()
     }
 
     fn share_sub(&self, sub: &PendingAnswer) -> PendingAnswer {
@@ -433,31 +440,52 @@ fn merge_timings(into: &mut PhaseTimings, other: &PhaseTimings) {
     into.network = into.network.max(other.network);
 }
 
-/// The in-flight sub-queries of one scalar or derived "cell" (a lone plan,
-/// or one group of a GROUP-BY).
-enum CellPending<B: PlanBackend> {
-    Scalar(B::Sub),
+/// The sub-queries of one scalar or derived "cell" (a lone plan, or one
+/// group of a GROUP-BY): positions in the plan's submission while it
+/// compiles, in-flight handles once submitted.
+enum Cell<S> {
+    Scalar(S),
     Derived {
         statistic: DerivedStatistic,
-        count: B::Sub,
-        sum: B::Sub,
+        count: S,
+        sum: S,
         /// The third budgeted release of VAR/STD (cost-only: see the
         /// dispersion-proxy note in the module docs).
-        second_moment: Option<B::Sub>,
+        second_moment: Option<S>,
     },
 }
 
-impl<B: PlanBackend> CellPending<B> {
+impl<S> Cell<S> {
+    fn map<T>(self, mut f: impl FnMut(S) -> T) -> Cell<T> {
+        match self {
+            Cell::Scalar(sub) => Cell::Scalar(f(sub)),
+            Cell::Derived {
+                statistic,
+                count,
+                sum,
+                second_moment,
+            } => Cell::Derived {
+                statistic,
+                count: f(count),
+                sum: f(sum),
+                second_moment: second_moment.map(f),
+            },
+        }
+    }
+
     /// Waits out the cell's sub-queries and post-processes the statistic.
     /// Noisy denominators are clamped to ≥ 1 so the post-processing stays
     /// finite; variance is clamped at ≥ 0.
-    fn wait(self, backend: &B) -> Result<(f64, Option<f64>, PhaseTimings)> {
+    fn wait<B: PlanBackend<Sub = S>>(
+        self,
+        backend: &B,
+    ) -> Result<(f64, Option<f64>, PhaseTimings)> {
         match self {
-            CellPending::Scalar(pending) => {
+            Cell::Scalar(pending) => {
                 let answer = backend.wait_sub(pending)?;
                 Ok((answer.value, answer.ci_halfwidth, answer.timings))
             }
-            CellPending::Derived {
+            Cell::Derived {
                 statistic,
                 count,
                 sum,
@@ -490,24 +518,48 @@ impl<B: PlanBackend> CellPending<B> {
 /// [`wait`]: PendingPlan::wait
 pub struct PendingPlan<B: PlanBackend = EngineHandle> {
     backend: B,
-    kind: PendingKind<B>,
+    kind: PendingKind<B::Sub, B::Ext>,
     cost: PrivacyCost,
 }
 
-enum PendingKind<B: PlanBackend> {
-    Cell(CellPending<B>),
+/// A plan's shape over its sub-queries `S` (positions while compiling,
+/// in-flight handles once submitted) and its extreme selection `E`.
+enum PendingKind<S, E> {
+    Cell(Cell<S>),
     Groups {
         keys: Vec<Value>,
-        cells: Vec<CellPending<B>>,
+        cells: Vec<Cell<S>>,
         threshold: f64,
     },
-    /// The in-flight rounds of an online plan, ascending by round (every
-    /// round is already submitted; a scoped engine runs each one as the
-    /// push loop waits for it, so round 1 resolves after its own work).
+    /// The rounds of an online plan, ascending by round (every round is
+    /// submitted before the first wait; a scoped engine runs each one as
+    /// the push loop waits for it, so round 1 resolves after its own
+    /// work).
     Online {
-        subs: Vec<B::Sub>,
+        subs: Vec<S>,
     },
-    Extreme(B::Ext),
+    Extreme(E),
+}
+
+impl<S, E> PendingKind<S, E> {
+    fn map<T>(self, mut f: impl FnMut(S) -> T) -> PendingKind<T, E> {
+        match self {
+            PendingKind::Cell(cell) => PendingKind::Cell(cell.map(f)),
+            PendingKind::Groups {
+                keys,
+                cells,
+                threshold,
+            } => PendingKind::Groups {
+                keys,
+                cells: cells.into_iter().map(|cell| cell.map(&mut f)).collect(),
+                threshold,
+            },
+            PendingKind::Online { subs } => PendingKind::Online {
+                subs: subs.into_iter().map(f).collect(),
+            },
+            PendingKind::Extreme(ext) => PendingKind::Extreme(ext),
+        }
+    }
 }
 
 impl<B: PlanBackend> PendingPlan<B> {
@@ -780,18 +832,34 @@ fn validate_plan_with<B: PlanBackend>(backend: &B, plan: &QueryPlan) -> Result<(
     }
 }
 
-/// Submits one derived cell (COUNT, SUM, and for VAR/STD the cost-only
-/// second moment) without waiting.
-fn submit_derived_cell<B: PlanBackend>(
+/// Appends one sub-query to a plan's submission, returning its position.
+fn push(
+    subs: &mut Vec<SubQuery>,
+    query: RangeQuery,
+    sampling_rate: f64,
+    budget: QueryBudget,
+) -> usize {
+    subs.push(SubQuery {
+        query,
+        sampling_rate,
+        budget,
+    });
+    subs.len() - 1
+}
+
+/// Compiles one derived cell: COUNT, SUM, and for VAR/STD the cost-only
+/// second moment, appended to the plan's submission in that order.
+fn derived_cell<B: PlanBackend>(
     backend: &B,
+    subs: &mut Vec<SubQuery>,
     query: &RangeQuery,
     statistic: DerivedStatistic,
     sampling_rate: f64,
-    budget: &QueryBudget,
-) -> Result<CellPending<B>> {
+    budget: QueryBudget,
+) -> Result<Cell<usize>> {
     let (count_q, sum_q, second_q) = derived_queries(query)?;
-    let count = backend.submit_sub(&count_q, sampling_rate, budget)?;
-    let sum = backend.submit_sub(&sum_q, sampling_rate, budget)?;
+    let count = push(subs, count_q, sampling_rate, budget);
+    let sum = push(subs, sum_q, sampling_rate, budget);
     let second_moment = match statistic {
         DerivedStatistic::Average => None,
         DerivedStatistic::Variance | DerivedStatistic::StdDev => {
@@ -804,13 +872,13 @@ fn submit_derived_cell<B: PlanBackend>(
             // full three-way split.
             if backend.config().optimizer.dedup_subqueries {
                 obs::counter_add(obs::names::OPTIMIZER_REUSED, 1);
-                Some(backend.share_sub(&count))
+                Some(count)
             } else {
-                Some(backend.submit_sub(&second_q, sampling_rate, budget)?)
+                Some(push(subs, second_q, sampling_rate, budget))
             }
         }
     };
-    Ok(CellPending::Derived {
+    Ok(Cell::Derived {
         statistic,
         count,
         sum,
@@ -818,11 +886,11 @@ fn submit_derived_cell<B: PlanBackend>(
     })
 }
 
-/// Compiles `plan` on `backend` and submits **all** of its sub-queries
-/// before returning. Assumes `plan` already passed
-/// [`validate_plan_with`] — sessions validate, charge atomically, then
-/// submit; re-validating would re-enumerate a group-by's domain for
-/// nothing.
+/// Compiles `plan` on `backend` and submits **all** of its sub-queries —
+/// in one [`PlanBackend::submit_subs`] call — before returning. Assumes
+/// `plan` already passed [`validate_plan_with`] — sessions validate,
+/// charge atomically, then submit; re-validating would re-enumerate a
+/// group-by's domain for nothing.
 pub(crate) fn submit_plan_with<B: PlanBackend>(
     backend: &B,
     plan: &QueryPlan,
@@ -832,7 +900,8 @@ pub(crate) fn submit_plan_with<B: PlanBackend>(
     let hyperparams = backend.config().hyperparams;
     let (eps, delta) = plan.total_cost();
     let cost = PrivacyCost { eps, delta };
-    let kind = match plan {
+    let mut subs = Vec::new();
+    let shape = match plan {
         QueryPlan::Scalar {
             query,
             sampling_rate,
@@ -840,11 +909,12 @@ pub(crate) fn submit_plan_with<B: PlanBackend>(
             delta,
         } => {
             let budget = QueryBudget::split(*epsilon, *delta, hyperparams)?;
-            PendingKind::Cell(CellPending::Scalar(backend.submit_sub(
-                query,
+            PendingKind::Cell(Cell::Scalar(push(
+                &mut subs,
+                query.clone(),
                 *sampling_rate,
-                &budget,
-            )?))
+                budget,
+            )))
         }
         QueryPlan::Derived {
             query,
@@ -854,12 +924,13 @@ pub(crate) fn submit_plan_with<B: PlanBackend>(
             delta,
         } => {
             let budget = derived_budget(hyperparams, *statistic, *epsilon, *delta)?;
-            PendingKind::Cell(submit_derived_cell(
+            PendingKind::Cell(derived_cell(
                 backend,
+                &mut subs,
                 query,
                 *statistic,
                 *sampling_rate,
-                &budget,
+                budget,
             )?)
         }
         QueryPlan::GroupBy {
@@ -875,12 +946,12 @@ pub(crate) fn submit_plan_with<B: PlanBackend>(
             let k = keys.len() as f64;
             let queries = compile_groups(base, *group_dim, &keys)?;
             // Cost-ordered submission: costliest cells (by metadata-
-            // estimated surviving cluster count) enter the worker pool
-            // first, so the stragglers pipeline from the start. The
-            // pendings land back in key-order slots — `PendingKind::
-            // Groups` zips keys with cells positionally — and distinct
-            // sub-queries draw content-derived noise, so the released
-            // groups are byte-identical in any submission order.
+            // estimated surviving cluster count) are submitted first, so
+            // the stragglers pipeline from the start. The cells land back
+            // in key-order slots — `PendingKind::Groups` zips keys with
+            // cells positionally — and distinct sub-queries draw
+            // content-derived noise, so the released groups are
+            // byte-identical in any submission order.
             let costs: Vec<u64> = queries
                 .iter()
                 .map(|q| backend.snapshot().estimated_cost(q))
@@ -889,38 +960,31 @@ pub(crate) fn submit_plan_with<B: PlanBackend>(
             if order.iter().enumerate().any(|(pos, &cell)| pos != cell) {
                 obs::counter_add(obs::names::OPTIMIZER_REORDERED, 1);
             }
-            let mut slots: Vec<Option<CellPending<B>>> = queries.iter().map(|_| None).collect();
-            match statistic {
-                None => {
-                    let budget = QueryBudget::split(epsilon / k, delta / k, hyperparams)?;
-                    for &i in &order {
-                        slots[i] = Some(CellPending::Scalar(backend.submit_sub(
-                            &queries[i],
-                            *sampling_rate,
-                            &budget,
-                        )?));
-                    }
-                }
-                Some(statistic) => {
-                    let budget = derived_budget(hyperparams, *statistic, epsilon / k, delta / k)?;
-                    for &i in &order {
-                        slots[i] = Some(submit_derived_cell(
-                            backend,
-                            &queries[i],
-                            *statistic,
-                            *sampling_rate,
-                            &budget,
-                        )?);
-                    }
-                }
+            let budget = match statistic {
+                Some(statistic) => derived_budget(hyperparams, *statistic, epsilon / k, delta / k)?,
+                None => QueryBudget::split(epsilon / k, delta / k, hyperparams)?,
+            };
+            let mut slots: Vec<Option<Cell<usize>>> = queries.iter().map(|_| None).collect();
+            for &i in &order {
+                let query = &queries[i];
+                slots[i] = Some(match statistic {
+                    None => Cell::Scalar(push(&mut subs, query.clone(), *sampling_rate, budget)),
+                    Some(statistic) => derived_cell(
+                        backend,
+                        &mut subs,
+                        query,
+                        *statistic,
+                        *sampling_rate,
+                        budget,
+                    )?,
+                });
             }
-            let cells = slots
-                .into_iter()
-                .map(|c| c.expect("every cell submitted"))
-                .collect();
             PendingKind::Groups {
                 keys,
-                cells,
+                cells: slots
+                    .into_iter()
+                    .map(|c| c.expect("every cell compiled"))
+                    .collect(),
                 threshold: *threshold,
             }
         }
@@ -940,16 +1004,14 @@ pub(crate) fn submit_plan_with<B: PlanBackend>(
             // counter — exactly the scalar-query derivation, so the final
             // round is byte-identical to a standalone `Scalar` plan under
             // the same per-round budget.
-            let subs = (1..=*rounds)
-                .map(|r| {
-                    backend.submit_sub(
-                        query,
-                        online_round_rate(*sampling_rate, r, *rounds),
-                        &budget,
-                    )
-                })
-                .collect::<Result<Vec<_>>>()?;
-            PendingKind::Online { subs }
+            PendingKind::Online {
+                subs: (1..=*rounds)
+                    .map(|r| {
+                        let rate = online_round_rate(*sampling_rate, r, *rounds);
+                        push(&mut subs, query.clone(), rate, budget)
+                    })
+                    .collect(),
+            }
         }
         QueryPlan::Extreme {
             dim,
@@ -957,9 +1019,12 @@ pub(crate) fn submit_plan_with<B: PlanBackend>(
             epsilon,
         } => PendingKind::Extreme(backend.submit_ext(*dim, *extreme, *epsilon)?),
     };
+    // A position shared by two cells (the dedup pass's reuse) becomes two
+    // sharers of one in-flight sub-query.
+    let submitted = backend.submit_subs(&subs)?;
     Ok(PendingPlan {
         backend: backend.clone(),
-        kind,
+        kind: shape.map(|i| backend.share_sub(&submitted[i])),
         cost,
     })
 }

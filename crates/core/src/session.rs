@@ -17,7 +17,9 @@ use fedaqp_model::{QueryPlan, RangeQuery};
 
 use crate::engine::EngineHandle;
 use crate::optimizer::PlanExplanation;
-use crate::plan::{submit_plan_with, PendingPlan, PlanAnswer, PlanBackend, ShardedAnswer};
+use crate::plan::{
+    submit_plan_with, PendingPlan, PlanAnswer, PlanBackend, ShardedAnswer, SubQuery,
+};
 use crate::shard::ShardedFederation;
 use crate::{CoreError, Result};
 
@@ -158,8 +160,15 @@ impl<B: PlanBackend> Session<B> {
         self.accountant
             .charge(self.per_query.cost())
             .map_err(CoreError::Dp)?;
-        self.backend
-            .submit_sub(query, sampling_rate, &self.per_query)
+        let sub = SubQuery {
+            query: query.clone(),
+            sampling_rate,
+            budget: self.per_query,
+        };
+        let mut submitted = self.backend.submit_subs(&[sub])?;
+        Ok(submitted
+            .pop()
+            .expect("one sub-query submitted, one handle"))
     }
 
     /// Answers one private query, atomically charging the session budget

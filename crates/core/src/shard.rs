@@ -37,10 +37,11 @@
 //!
 //! The global allocation program (Eq. 6) runs at the coordinator over
 //! the concatenated summaries: step 3 is *externalized* on every shard
-//! ([`crate::engine::PendingFragment`]), whose workers park after their
-//! summaries until the coordinator feeds the globally solved slice back.
-//! [`Aggregator::allocate`] is RNG-free, so the coordinator's solution is
-//! identical to the one the 1-shard aggregator would compute.
+//! ([`crate::engine::PendingFragment`]), which holds its providers'
+//! carries — not their workers — until the coordinator feeds the globally
+//! solved slice back. [`Aggregator::allocate`] is RNG-free, so the
+//! coordinator's solution is identical to the one the 1-shard aggregator
+//! would compute.
 //!
 //! **Single-ξ authority.** The coordinator (its sessions, or the serving
 //! endpoint's `BudgetDirectory`) is the *only* place analyst budgets are
@@ -56,36 +57,37 @@
 //! surfaces as the typed [`CoreError::ShardUnavailable`] — never a
 //! hangup. Budget already charged for the plan stays charged
 //! (fail-closed, the conservative direction for privacy; pinned by
-//! tests). Fragments begun on healthy shards are aborted on drop so
-//! their parked workers unblock.
+//! tests). Fragments begun on healthy shards are aborted on drop, so
+//! their queued turns skip.
 //!
-//! **Deadlock discipline.** Every shard engine requires its provider
-//! queues to observe jobs in one order, and its workers park at each
-//! fragment's allocation barrier until the coordinator — which needs
-//! *every* shard's summaries first — feeds the allocation back. Across
-//! shards the queues must therefore agree: the coordinator holds a global
-//! scatter lock from the first shard's [`ShardBackend::begin`] until the
-//! last shard's [`FragmentHandle::queued`] ack (write to all shards, then
-//! read all acks — one round trip under the lock), so every shard's
-//! queues see fragments as a subsequence of one global order and the
-//! barriers resolve in queue order. Acking outside the lock breaks it:
-//! shard 0 enqueues `[P, Q]`, shard 1 `[Q, P]`, and each engine parks at
-//! its first job's barrier waiting for a summary queued behind the
-//! other's. Only the begins and their acks are under the lock —
-//! summaries and partials are gathered outside it, and allocations
-//! delivered outside it too.
+//! **Deadlock discipline: there is none to keep.** A shard's provider
+//! workers never park: a summary turn leaves its carry in the fragment,
+//! and the allocation, when it lands, queues the execute turns (see
+//! [`crate::engine`]). So any number of fragments can wait for their
+//! allocations on any shard, in any queue order, and the coordinator
+//! needs no lock and no acknowledgement to scatter.
+//!
+//! **One batch per plan.** A plan hands the coordinator every sub-query
+//! it submits before its first wait in one [`PlanBackend::submit_subs`]
+//! call. The coordinator numbers them on its one occurrence ledger, in
+//! submission order, and sends them to each shard as one
+//! [`FragmentBatch`]: one round trip for every fragment's summaries, then
+//! the solved allocations in one write; the partials come back one per
+//! fragment, in batch order, so each sub-query (each round of an online
+//! plan) resolves as soon as its own partials are in.
 //!
 //! **No threads.** By the time a reply is read, every shard already has
 //! its request, so reading the replies in shard order waits for the
 //! slowest shard, not for the sum. A backend that simulates a slow link
 //! reports when its reply will have arrived
-//! ([`FragmentHandle::ready_at`]) and the coordinator sleeps once, until
+//! ([`FragmentBatch::ready_at`]) and the coordinator sleeps once, until
 //! the latest arrival across shards.
 //!
 //! SMC release ([`ReleaseMode::Smc`]) is not shardable — its oblivious
 //! sum needs every provider's secret shares in one place — and is
 //! rejected at construction with a typed error.
 
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -97,12 +99,14 @@ use crate::aggregator::Aggregator;
 use crate::config::{AllocationPolicy, FederationConfig, ReleaseMode};
 use crate::engine::{
     extreme_content_hash, private_content_hash, EngineHandle, FederationEngine, OccurrenceLedger,
-    PendingFragment,
+    PendingExtreme, PendingFragment,
 };
 use crate::federation::Federation;
 use crate::optimizer::{MetaSnapshot, PlanExplanation, ProviderBounds};
-use crate::plan::{ExtremeOutcome, PendingPlan, PlanAnswer, PlanBackend, ShardedAnswer};
-use crate::protocol::{combined_ci_halfwidth, query_bytes, LocalOutcome, PhaseTimings};
+use crate::plan::{ExtremeOutcome, PendingPlan, PlanAnswer, PlanBackend, ShardedAnswer, SubQuery};
+use crate::protocol::{
+    combined_ci_halfwidth, query_bytes, LocalOutcome, PhaseTimings, ProviderSummary,
+};
 use crate::{CoreError, Result};
 
 /// One provider's slice of a fragment's mergeable partial answer: the
@@ -165,33 +169,42 @@ pub struct ExtremeFragmentSpec {
     pub occurrence: u64,
 }
 
-/// One private fragment in flight on a shard: queued, summaries out,
-/// allocation in, partial out — called in that order, once each.
-/// Dropping an unallocated handle must abort the fragment so the shard's
-/// parked workers unblock (the in-process implementation inherits this
-/// from [`PendingFragment`]'s `Drop`; a wire-backed implementation aborts
-/// on connection close).
-pub trait FragmentHandle: Send {
-    /// Blocks until the fragment is on the shard's provider queues — the
-    /// ack the coordinator collects inside its scatter lock (see the
-    /// module docs' deadlock discipline). Immediate for a backend whose
-    /// [`ShardBackend::begin`] enqueues synchronously.
-    fn queued(&mut self) -> Result<()> {
-        Ok(())
-    }
-    /// Blocks until every local provider delivered its step-2 summary;
-    /// returns them in local provider order with the slowest provider's
-    /// summary time.
-    fn summaries(&mut self) -> Result<(Vec<crate::protocol::ProviderSummary>, Duration)>;
-    /// Delivers the coordinator's globally solved allocation (this
-    /// shard's slice, local provider order).
-    fn allocate(&mut self, allocations: &[u64]) -> Result<()>;
-    /// Blocks until every local provider executed; returns the shard's
-    /// mergeable partial.
+/// One shard's step-2 summaries for one fragment: local provider order,
+/// with the slowest provider's summary time.
+pub type FragmentSummaries = (Vec<ProviderSummary>, Duration);
+
+/// A batch of private fragments in flight on one shard — every sub-query
+/// a plan submitted before its first wait, in submission order. Called
+/// in order: summaries once, allocate once, then one partial per fragment
+/// in batch order. Dropping an unfinished batch must abort its fragments
+/// (the in-process implementation inherits this from
+/// [`PendingFragment`]'s `Drop`; a wire-backed implementation aborts on
+/// connection close).
+pub trait FragmentBatch: Send {
+    /// Blocks until every local provider delivered its step-2 summary for
+    /// every fragment; one entry per fragment, in batch order.
+    fn summaries(&mut self) -> Result<Vec<FragmentSummaries>>;
+    /// Delivers the coordinator's globally solved allocations: this
+    /// shard's slice (local provider order) of each fragment's, in batch
+    /// order.
+    fn allocate(&mut self, allocations: &[Vec<u64>]) -> Result<()>;
+    /// Blocks until the next fragment, in batch order, executed; returns
+    /// its mergeable partial.
     fn partial(&mut self) -> Result<FragmentPartial>;
     /// When the reply read last will have crossed a simulated link —
     /// `None` (the default) when it already has. The coordinator sleeps
-    /// until the latest such instant across a sub-query's shards.
+    /// until the latest such instant across a gather's shards.
+    fn ready_at(&self) -> Option<Instant> {
+        None
+    }
+}
+
+/// One MIN/MAX fragment sent to a shard, its reply not read yet.
+pub trait ExtremeReply: Send {
+    /// Blocks until the shard answered: its shard-local combined
+    /// selection and its slowest provider's execution time.
+    fn answer(&mut self) -> Result<(Value, Duration)>;
+    /// As [`FragmentBatch::ready_at`].
     fn ready_at(&self) -> Option<Instant> {
         None
     }
@@ -208,12 +221,10 @@ pub trait ShardBackend: Send + Sync {
     /// order (offline Algorithm 1 metadata — the coordinator concatenates
     /// these into the global [`MetaSnapshot`]).
     fn bounds(&self) -> Vec<ProviderBounds>;
-    /// Begins one private fragment without waiting — not even for the
-    /// shard to acknowledge it ([`FragmentHandle::queued`] does).
-    fn begin(&self, spec: &FragmentSpec) -> Result<Box<dyn FragmentHandle>>;
-    /// Runs one MIN/MAX fragment to completion: the shard-local combined
-    /// selection plus its slowest provider's execution time.
-    fn extreme(&self, spec: &ExtremeFragmentSpec) -> Result<(Value, Duration)>;
+    /// Begins a batch of private fragments without waiting for any reply.
+    fn begin(&self, specs: &[FragmentSpec]) -> Result<Box<dyn FragmentBatch>>;
+    /// Sends one MIN/MAX fragment without waiting for its reply.
+    fn extreme(&self, spec: &ExtremeFragmentSpec) -> Result<Box<dyn ExtremeReply>>;
 }
 
 impl ShardBackend for EngineHandle {
@@ -225,34 +236,77 @@ impl ShardBackend for EngineHandle {
         self.meta_snapshot().providers().to_vec()
     }
 
-    fn begin(&self, spec: &FragmentSpec) -> Result<Box<dyn FragmentHandle>> {
-        Ok(Box::new(self.submit_fragment(
-            &spec.query,
-            spec.sampling_rate,
-            &spec.budget,
+    fn begin(&self, specs: &[FragmentSpec]) -> Result<Box<dyn FragmentBatch>> {
+        let fragments = specs
+            .iter()
+            .map(|spec| {
+                self.submit_fragment(
+                    &spec.query,
+                    spec.sampling_rate,
+                    &spec.budget,
+                    spec.occurrence,
+                )
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Ok(Box::new(LocalBatch {
+            fragments,
+            gathered: 0,
+        }))
+    }
+
+    fn extreme(&self, spec: &ExtremeFragmentSpec) -> Result<Box<dyn ExtremeReply>> {
+        Ok(Box::new(self.submit_extreme_fragment(
+            spec.dim,
+            spec.extreme,
+            spec.epsilon,
             spec.occurrence,
         )?))
     }
-
-    fn extreme(&self, spec: &ExtremeFragmentSpec) -> Result<(Value, Duration)> {
-        let pending =
-            self.submit_extreme_fragment(spec.dim, spec.extreme, spec.epsilon, spec.occurrence)?;
-        let answer = pending.wait()?;
-        Ok((answer.value, answer.execution))
-    }
 }
 
-impl FragmentHandle for PendingFragment {
-    fn summaries(&mut self) -> Result<(Vec<crate::protocol::ProviderSummary>, Duration)> {
-        PendingFragment::summaries(self)
+/// An in-process shard's batch: its engine's fragments, and how many
+/// partials were read.
+struct LocalBatch {
+    fragments: Vec<PendingFragment>,
+    gathered: usize,
+}
+
+impl FragmentBatch for LocalBatch {
+    fn summaries(&mut self) -> Result<Vec<FragmentSummaries>> {
+        self.fragments
+            .iter()
+            .map(PendingFragment::summaries)
+            .collect()
     }
 
-    fn allocate(&mut self, allocations: &[u64]) -> Result<()> {
-        self.provide_allocation(allocations.to_vec())
+    fn allocate(&mut self, allocations: &[Vec<u64>]) -> Result<()> {
+        if allocations.len() != self.fragments.len() {
+            return Err(CoreError::ProtocolViolation(
+                "fragment batch allocations do not match the batch",
+            ));
+        }
+        self.fragments
+            .iter()
+            .zip(allocations)
+            .try_for_each(|(fragment, allocation)| fragment.provide_allocation(allocation.clone()))
     }
 
     fn partial(&mut self) -> Result<FragmentPartial> {
-        PendingFragment::partial(self)
+        let fragment = self
+            .fragments
+            .get(self.gathered)
+            .ok_or(CoreError::ProtocolViolation(
+                "every fragment of the batch was gathered",
+            ))?;
+        self.gathered += 1;
+        fragment.partial()
+    }
+}
+
+impl ExtremeReply for PendingExtreme {
+    fn answer(&mut self) -> Result<(Value, Duration)> {
+        let answer = self.result()?;
+        Ok((answer.value, answer.execution))
     }
 }
 
@@ -273,10 +327,6 @@ struct CoordinatorInner {
     /// of the determinism contract) — same content-hash keys as the
     /// engine's own ledger.
     occurrences: OccurrenceLedger,
-    /// Global scatter lock: held across the begins of one sub-query and
-    /// their acks, so every shard observes sub-queries in one order (see
-    /// the module docs' deadlock discipline).
-    scatter: Mutex<()>,
     /// Each shard's `(scatter, gather)` latency metric names — the
     /// labeled families `{base}.shard{s}`, built once.
     shard_metrics: Vec<(String, String)>,
@@ -412,7 +462,6 @@ impl ShardedFederation {
                 offsets,
                 shard_metrics,
                 occurrences: OccurrenceLedger::default(),
-                scatter: Mutex::new(()),
                 engines: Mutex::new(engines),
             }),
         })
@@ -496,145 +545,161 @@ impl ShardedFederation {
         }
     }
 
-    /// The scatter half of one private sub-query: begin a fragment on
-    /// every shard (under the global scatter lock), gather and
-    /// concatenate the summaries, solve the global allocation, and feed
-    /// each shard its slice — synchronously, so the returned handle only
-    /// has partials left to gather.
-    fn scatter(
-        &self,
-        query: &RangeQuery,
-        sampling_rate: f64,
-        budget: &QueryBudget,
-    ) -> Result<ShardedSub> {
-        self.validate_sub(query, sampling_rate, budget)?;
-        obs::counter_add(obs::names::SHARD_QUERIES, 1);
+    /// The scatter half of a plan's private sub-queries: number them on
+    /// the occurrence ledger, begin them as one batch on every shard,
+    /// gather and concatenate each one's summaries, solve each global
+    /// allocation, and feed every shard its slices — synchronously, so the
+    /// returned sub-queries only have partials left to gather.
+    fn scatter(&self, subs: &[SubQuery]) -> Result<Vec<ShardedSub>> {
+        for sub in subs {
+            self.validate_sub(&sub.query, sub.sampling_rate, &sub.budget)?;
+        }
+        if subs.is_empty() {
+            return Ok(Vec::new());
+        }
+        obs::counter_add(obs::names::SHARD_QUERIES, subs.len() as u64);
         let _span = obs::span("scatter", "shard", obs::SpanId::NONE);
         let scatter_start = Instant::now();
         let inner = &*self.inner;
-        let occurrence = inner
-            .occurrences
-            .next(private_content_hash(query, sampling_rate, budget));
-        let spec = FragmentSpec {
-            query: query.clone(),
-            sampling_rate,
-            budget: *budget,
-            occurrence,
-        };
-        // Write the fragment to every shard, then read every shard's ack,
-        // all under the scatter lock — and only that: holding it across
-        // the (blocking) summary gathering would serialize concurrent
-        // plans for nothing. Every ack (or typed failure) is in before
-        // the lock is released, whatever the outcome.
-        let acked: Vec<Result<Box<dyn FragmentHandle>>> = {
-            let _order = inner.scatter.lock().unwrap_or_else(PoisonError::into_inner);
-            let begun: Vec<_> = inner
-                .shards
-                .iter()
-                .map(|shard| shard.begin(&spec))
-                .collect();
-            begun
-                .into_iter()
-                .zip(&inner.shards)
-                .map(|(first, shard)| {
-                    // One immediate retry absorbs a transient fault (a
-                    // dropped connection, a mid-restart shard). The spec
-                    // — and with it the occurrence index — is reused
-                    // verbatim, so a retried fragment draws
-                    // byte-identical noise.
-                    first.and_then(queued).or_else(|e| {
-                        if matches!(e, CoreError::ShardUnavailable { .. }) {
-                            obs::counter_add(obs::names::SHARD_RETRIES, 1);
-                            shard.begin(&spec).and_then(queued)
-                        } else {
-                            Err(e)
-                        }
-                    })
-                })
-                .collect()
-        };
-        // Dropping the fragments that did begin aborts them, so healthy
-        // shards' parked workers unblock.
-        let mut fragments = acked
-            .into_iter()
-            .enumerate()
-            .map(|(s, fragment)| fragment.map_err(|e| self.shard_error(s, e)))
-            .collect::<Result<Vec<_>>>()?;
+        let specs: Vec<FragmentSpec> = subs
+            .iter()
+            .map(|sub| FragmentSpec {
+                query: sub.query.clone(),
+                sampling_rate: sub.sampling_rate,
+                budget: sub.budget,
+                occurrence: inner.occurrences.next(private_content_hash(
+                    &sub.query,
+                    sub.sampling_rate,
+                    &sub.budget,
+                )),
+            })
+            .collect();
+        // Write the batch to every shard before reading any reply.
+        let begun: Vec<_> = inner
+            .shards
+            .iter()
+            .map(|shard| shard.begin(&specs))
+            .collect();
         // Gather summaries in shard order — every shard is already
         // working, so this waits for the slowest, not the sum — and
-        // concatenate into global provider order.
-        let mut summaries = Vec::with_capacity(inner.config.n_providers);
-        let mut summary_time = Duration::ZERO;
-        for (s, fragment) in fragments.iter_mut().enumerate() {
+        // concatenate each fragment's into global provider order.
+        let mut batches = Vec::with_capacity(inner.shards.len());
+        let mut summaries: Vec<Vec<ProviderSummary>> = specs
+            .iter()
+            .map(|_| Vec::with_capacity(inner.config.n_providers))
+            .collect();
+        let mut summary_times = vec![Duration::ZERO; specs.len()];
+        for (s, (first, shard)) in begun.into_iter().zip(&inner.shards).enumerate() {
             let wait = Instant::now();
-            let (mut shard_summaries, t) =
-                fragment.summaries().map_err(|e| self.shard_error(s, e))?;
+            // One immediate retry absorbs a transient fault (a dropped
+            // connection, a mid-restart shard). The specs — and with them
+            // the occurrence indices — are reused verbatim, so a retried
+            // batch draws byte-identical noise. Dropping a failed batch
+            // aborts its fragments.
+            let (batch, shard_summaries) = summarized(first)
+                .or_else(|e| {
+                    if matches!(e, CoreError::ShardUnavailable { .. }) {
+                        obs::counter_add(obs::names::SHARD_RETRIES, 1);
+                        summarized(shard.begin(&specs))
+                    } else {
+                        Err(e)
+                    }
+                })
+                .map_err(|e| self.shard_error(s, e))?;
             obs::observe_duration(&inner.shard_metrics[s].0, wait.elapsed());
-            if shard_summaries.len() != inner.shards[s].n_providers() {
+            if shard_summaries.len() != specs.len() {
                 return Err(CoreError::ProtocolViolation(
-                    "fragment summaries do not match the shard's provider count",
+                    "fragment summaries do not match the batch",
                 ));
             }
-            summary_time = summary_time.max(t);
-            for (i, summary) in shard_summaries.iter_mut().enumerate() {
-                summary.provider = inner.offsets[s] + i;
+            for ((mut fragment, time), (all, summary_time)) in shard_summaries
+                .into_iter()
+                .zip(summaries.iter_mut().zip(&mut summary_times))
+            {
+                if fragment.len() != shard.n_providers() {
+                    return Err(CoreError::ProtocolViolation(
+                        "fragment summaries do not match the shard's provider count",
+                    ));
+                }
+                *summary_time = (*summary_time).max(time);
+                for (i, summary) in fragment.iter_mut().enumerate() {
+                    summary.provider = inner.offsets[s] + i;
+                }
+                all.extend(fragment);
             }
-            summaries.extend(shard_summaries);
+            batches.push(batch);
         }
-        sleep_until_ready(&fragments);
-        // Step 3, globally: the allocation program over *all* summaries.
-        // `allocate` is RNG-free, so any aggregator seed reproduces the
-        // 1-shard solution exactly.
-        let t = Instant::now();
+        sleep_until_ready(&batches);
+        // Step 3, globally: each fragment's allocation program over *all*
+        // its summaries. `allocate` is RNG-free, so any aggregator seed
+        // reproduces the 1-shard solution exactly.
         let aggregator = Aggregator::new(0, inner.config.cost_model);
-        let allocations = match inner.config.allocation_policy {
-            AllocationPolicy::Optimized => aggregator.allocate(&summaries, sampling_rate)?,
-            AllocationPolicy::LocalUniform => {
-                aggregator.allocate_local_uniform(&summaries, sampling_rate)?
-            }
-        };
-        let allocation_time = t.elapsed();
-        for (s, fragment) in fragments.iter_mut().enumerate() {
+        let mut scattered = VecDeque::with_capacity(specs.len());
+        for ((spec, summaries), summary_time) in specs.iter().zip(&summaries).zip(summary_times) {
+            let t = Instant::now();
+            let allocations = match inner.config.allocation_policy {
+                AllocationPolicy::Optimized => {
+                    aggregator.allocate(summaries, spec.sampling_rate)?
+                }
+                AllocationPolicy::LocalUniform => {
+                    aggregator.allocate_local_uniform(summaries, spec.sampling_rate)?
+                }
+            };
+            scattered.push_back(Scattered {
+                summary_time,
+                allocation_time: t.elapsed(),
+                query_bytes: query_bytes(&spec.query),
+                allocations,
+                cost: spec.budget.cost(),
+            });
+        }
+        for (s, batch) in batches.iter_mut().enumerate() {
             let o = inner.offsets[s];
             let k = inner.shards[s].n_providers();
-            fragment
-                .allocate(&allocations[o..o + k])
+            let slices: Vec<Vec<u64>> = scattered
+                .iter()
+                .map(|sub| sub.allocations[o..o + k].to_vec())
+                .collect();
+            batch
+                .allocate(&slices)
                 .map_err(|e| self.shard_error(s, e))?;
         }
         obs::observe_duration(obs::names::SHARD_SCATTER, scatter_start.elapsed());
-        Ok(ShardedSub {
-            shared: Arc::new(SubShared {
-                state: Mutex::new(SubState::Scattered(Scattered {
-                    fragments,
-                    summary_time,
-                    allocation_time,
-                    query_bytes: query_bytes(query),
-                    allocations,
-                    cost: budget.cost(),
-                })),
-            }),
-        })
+        let gather = Arc::new(Mutex::new(Gather {
+            batches,
+            scattered,
+            answers: Vec::with_capacity(specs.len()),
+        }));
+        Ok((0..specs.len())
+            .map(|index| ShardedSub {
+                gather: Arc::clone(&gather),
+                index,
+            })
+            .collect())
     }
 
-    /// The gather half: fetch every shard's partial, rebuild the global
-    /// outcome rows, and re-run the 1-shard release fold.
-    fn gather(&self, scattered: Scattered) -> Result<ShardedAnswer> {
+    /// The gather half of the batch's next sub-query: fetch every shard's
+    /// next partial, rebuild the global outcome rows, and re-run the
+    /// 1-shard release fold.
+    fn gather_next(&self, gather: &mut Gather) -> Result<ShardedAnswer> {
         let Scattered {
-            mut fragments,
             summary_time,
             allocation_time,
             query_bytes,
             allocations,
             cost,
-        } = scattered;
+        } = gather
+            .scattered
+            .pop_front()
+            .expect("one scattered sub-query per answer still to gather");
         let _span = obs::span("gather", "shard", obs::SpanId::NONE);
         let gather_start = Instant::now();
         let inner = &*self.inner;
         let mut outcomes = Vec::with_capacity(inner.config.n_providers);
         let mut execution = Duration::ZERO;
-        for (s, fragment) in fragments.iter_mut().enumerate() {
+        for (s, batch) in gather.batches.iter_mut().enumerate() {
             let wait = Instant::now();
-            let partial = fragment.partial().map_err(|e| self.shard_error(s, e))?;
+            let partial = batch.partial().map_err(|e| self.shard_error(s, e))?;
             obs::observe_duration(&inner.shard_metrics[s].1, wait.elapsed());
             if partial.rows.len() != inner.shards[s].n_providers() {
                 return Err(CoreError::ProtocolViolation(
@@ -658,7 +723,7 @@ impl ShardedFederation {
                 });
             }
         }
-        sleep_until_ready(&fragments);
+        sleep_until_ready(&gather.batches);
         let t = Instant::now();
         let aggregator = Aggregator::new(0, inner.config.cost_model);
         let value = aggregator.finalize_local(&outcomes)?;
@@ -688,17 +753,24 @@ impl ShardedFederation {
     }
 }
 
-/// Reads one fragment's `queued` ack, passing the fragment through.
-fn queued(mut fragment: Box<dyn FragmentHandle>) -> Result<Box<dyn FragmentHandle>> {
-    fragment.queued()?;
-    Ok(fragment)
+/// Reads a just-begun batch's summaries, passing the batch through.
+fn summarized(
+    batch: Result<Box<dyn FragmentBatch>>,
+) -> Result<(Box<dyn FragmentBatch>, Vec<FragmentSummaries>)> {
+    let mut batch = batch?;
+    let summaries = batch.summaries()?;
+    Ok((batch, summaries))
 }
 
-/// Sleeps until the replies just read from `fragments` have all crossed
+/// Sleeps until the replies just read from `batches` have all crossed
 /// their simulated links; returns at once when (as in every real
 /// deployment) no backend simulates one.
-fn sleep_until_ready(fragments: &[Box<dyn FragmentHandle>]) {
-    if let Some(latest) = fragments.iter().filter_map(|f| f.ready_at()).max() {
+fn sleep_until_ready(batches: &[Box<dyn FragmentBatch>]) {
+    sleep_until(batches.iter().filter_map(|b| b.ready_at()).max());
+}
+
+fn sleep_until(latest: Option<Instant>) {
+    if let Some(latest) = latest {
         std::thread::sleep(latest.saturating_duration_since(Instant::now()));
     }
 }
@@ -713,26 +785,28 @@ fn reject_unshardable(config: &FederationConfig) -> Result<()> {
     Ok(())
 }
 
-/// A private sub-query in flight across the shards. Cloning via
-/// [`PlanBackend::share_sub`] shares the underlying gather, so dedup'd
-/// sub-queries resolve once and every sharer reads the memoized merge.
+/// A private sub-query in flight across the shards: its position in the
+/// batch it was scattered with. Cloning via [`PlanBackend::share_sub`]
+/// shares the gather, so dedup'd sub-queries resolve once and every
+/// sharer reads the memoized merge.
 pub struct ShardedSub {
-    shared: Arc<SubShared>,
+    gather: Arc<Mutex<Gather>>,
+    index: usize,
 }
 
-struct SubShared {
-    state: Mutex<SubState>,
+/// One scattered batch's gather, shared by its sub-queries: the shards'
+/// batches, and the answers gathered so far, in batch order — a
+/// sub-query's partials are read after every earlier one's.
+struct Gather {
+    batches: Vec<Box<dyn FragmentBatch>>,
+    /// The sub-queries not gathered yet, in batch order.
+    scattered: VecDeque<Scattered>,
+    answers: Vec<Result<ShardedAnswer>>,
 }
 
-enum SubState {
-    Scattered(Scattered),
-    Done(Result<ShardedAnswer>),
-}
-
-/// A sub-query whose fragments hold their allocations: only the partials
-/// are left to gather.
+/// A scattered sub-query whose fragments hold their allocations: what its
+/// answer needs besides the partials.
 struct Scattered {
-    fragments: Vec<Box<dyn FragmentHandle>>,
     summary_time: Duration,
     allocation_time: Duration,
     query_bytes: u64,
@@ -756,50 +830,34 @@ impl PlanBackend for ShardedFederation {
         &self.inner.snapshot
     }
 
-    fn submit_sub(
-        &self,
-        query: &RangeQuery,
-        sampling_rate: f64,
-        budget: &QueryBudget,
-    ) -> Result<ShardedSub> {
-        self.scatter(query, sampling_rate, budget)
+    fn submit_subs(&self, subs: &[SubQuery]) -> Result<Vec<ShardedSub>> {
+        self.scatter(subs)
     }
 
     fn share_sub(&self, sub: &ShardedSub) -> ShardedSub {
         ShardedSub {
-            shared: Arc::clone(&sub.shared),
+            gather: Arc::clone(&sub.gather),
+            index: sub.index,
         }
     }
 
-    /// Resolves a sharded sub-query, memoizing the merged outcome so
+    /// Resolves a sharded sub-query — gathering, in batch order, every
+    /// sub-query of its batch up to it — and memoizes each merge, so
     /// every sharer (the dedup pass) observes byte-identical answers
     /// without re-gathering.
     fn wait_sub(&self, sub: ShardedSub) -> Result<ShardedAnswer> {
-        let mut state = sub
-            .shared
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let SubState::Done(result) = &*state {
-            return result.clone();
+        let mut gather = sub.gather.lock().unwrap_or_else(PoisonError::into_inner);
+        while gather.answers.len() <= sub.index {
+            let answer = self.gather_next(&mut gather);
+            gather.answers.push(answer);
         }
-        let taken = std::mem::replace(
-            &mut *state,
-            SubState::Done(Err(CoreError::ProtocolViolation(
-                "sharded sub-query gather was interrupted",
-            ))),
-        );
-        let SubState::Scattered(scattered) = taken else {
-            unreachable!("Done was returned above");
-        };
-        let result = self.gather(scattered);
-        *state = SubState::Done(result.clone());
-        result
+        gather.answers[sub.index].clone()
     }
 
     fn submit_ext(&self, dim: usize, extreme: Extreme, epsilon: f64) -> Result<ExtremeOutcome> {
-        // Extreme fragments carry no allocation barrier, so they cannot
-        // deadlock across shards and resolve blocking right here; the
+        // Extreme fragments carry no allocation barrier and resolve
+        // blocking right here. Every shard's fragment is written before
+        // any reply is read, so the shards select concurrently; the
         // shard-local MIN/MAX folds are combined exactly (integer
         // domain), reproducing the 1-shard post-processing bit-for-bit.
         self.validate_ext(dim, epsilon)?;
@@ -813,10 +871,17 @@ impl PlanBackend for ShardedFederation {
                 .occurrences
                 .next(extreme_content_hash(dim, extreme, epsilon)),
         };
+        let mut replies = self
+            .inner
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(s, shard)| shard.extreme(&spec).map_err(|e| self.shard_error(s, e)))
+            .collect::<Result<Vec<_>>>()?;
         let mut value: Option<Value> = None;
         let mut execution = Duration::ZERO;
-        for (s, shard) in self.inner.shards.iter().enumerate() {
-            let (v, t) = shard.extreme(&spec).map_err(|e| self.shard_error(s, e))?;
+        for (s, reply) in replies.iter_mut().enumerate() {
+            let (v, t) = reply.answer().map_err(|e| self.shard_error(s, e))?;
             execution = execution.max(t);
             value = Some(match (value, extreme) {
                 (None, _) => v,
@@ -824,6 +889,7 @@ impl PlanBackend for ShardedFederation {
                 (Some(a), Extreme::Min) => a.min(v),
             });
         }
+        sleep_until(replies.iter().filter_map(|r| r.ready_at()).max());
         let cm = self.inner.config.cost_model;
         Ok(ExtremeOutcome {
             value: value.expect("coordinator has at least one shard"),
@@ -1059,14 +1125,14 @@ mod tests {
             vec![ProviderBounds::new(vec![Some((0, 999)), Some((0, 4))], 1); self.n]
         }
 
-        fn begin(&self, _spec: &FragmentSpec) -> Result<Box<dyn FragmentHandle>> {
+        fn begin(&self, _specs: &[FragmentSpec]) -> Result<Box<dyn FragmentBatch>> {
             Err(CoreError::ShardUnavailable {
                 shard: 0,
                 reason: "connection refused",
             })
         }
 
-        fn extreme(&self, _spec: &ExtremeFragmentSpec) -> Result<(Value, Duration)> {
+        fn extreme(&self, _spec: &ExtremeFragmentSpec) -> Result<Box<dyn ExtremeReply>> {
             Err(CoreError::ShardUnavailable {
                 shard: 0,
                 reason: "connection refused",
@@ -1114,7 +1180,7 @@ mod tests {
         assert!((session.spent().eps - 2.0).abs() < 1e-12);
         assert!((session.spent().delta - 1e-3).abs() < 1e-12);
         // The live shard's begun fragment was aborted on drop, so its
-        // workers are unparked and the pool shuts down cleanly.
+        // queued turns skip and the pool shuts down cleanly.
         live.shutdown();
     }
 
@@ -1126,7 +1192,7 @@ mod tests {
     }
 
     struct SlowLinkFragment {
-        inner: Box<dyn FragmentHandle>,
+        inner: Box<dyn FragmentBatch>,
         reads: Arc<Mutex<Vec<Instant>>>,
         ready_at: Option<Instant>,
     }
@@ -1150,27 +1216,27 @@ mod tests {
             ShardBackend::bounds(&self.engine)
         }
 
-        fn begin(&self, spec: &FragmentSpec) -> Result<Box<dyn FragmentHandle>> {
+        fn begin(&self, specs: &[FragmentSpec]) -> Result<Box<dyn FragmentBatch>> {
             Ok(Box::new(SlowLinkFragment {
-                inner: self.engine.begin(spec)?,
+                inner: self.engine.begin(specs)?,
                 reads: Arc::clone(&self.reads),
                 ready_at: None,
             }))
         }
 
-        fn extreme(&self, spec: &ExtremeFragmentSpec) -> Result<(Value, Duration)> {
+        fn extreme(&self, spec: &ExtremeFragmentSpec) -> Result<Box<dyn ExtremeReply>> {
             self.engine.extreme(spec)
         }
     }
 
-    impl FragmentHandle for SlowLinkFragment {
-        fn summaries(&mut self) -> Result<(Vec<crate::protocol::ProviderSummary>, Duration)> {
+    impl FragmentBatch for SlowLinkFragment {
+        fn summaries(&mut self) -> Result<Vec<FragmentSummaries>> {
             let summaries = self.inner.summaries()?;
             self.read();
             Ok(summaries)
         }
 
-        fn allocate(&mut self, allocations: &[u64]) -> Result<()> {
+        fn allocate(&mut self, allocations: &[Vec<u64>]) -> Result<()> {
             self.inner.allocate(allocations)
         }
 
@@ -1230,6 +1296,219 @@ mod tests {
         for engine in engines {
             engine.shutdown();
         }
+    }
+
+    /// Two owned two-provider engines holding `partitions()` in order, as
+    /// the 2-shard in-process coordinator builds them.
+    fn two_engines() -> Vec<FederationEngine> {
+        let mut shard_partitions = partitions().into_iter();
+        (0..2u64)
+            .map(|s| {
+                let mut cfg = config(0xFEDA);
+                cfg.n_providers = 2;
+                cfg.provider_lane_base = 2 * s;
+                FederationEngine::start(
+                    Federation::build(cfg, schema(), shard_partitions.by_ref().take(2).collect())
+                        .unwrap(),
+                )
+            })
+            .collect()
+    }
+
+    /// A live shard that logs when the coordinator sends it an extreme
+    /// fragment and when it reads the reply.
+    struct LoggedShard {
+        shard: usize,
+        engine: EngineHandle,
+        log: Arc<Mutex<Vec<String>>>,
+    }
+
+    struct LoggedReply {
+        shard: usize,
+        inner: Box<dyn ExtremeReply>,
+        log: Arc<Mutex<Vec<String>>>,
+    }
+
+    impl ShardBackend for LoggedShard {
+        fn n_providers(&self) -> usize {
+            ShardBackend::n_providers(&self.engine)
+        }
+
+        fn bounds(&self) -> Vec<ProviderBounds> {
+            ShardBackend::bounds(&self.engine)
+        }
+
+        fn begin(&self, specs: &[FragmentSpec]) -> Result<Box<dyn FragmentBatch>> {
+            self.engine.begin(specs)
+        }
+
+        fn extreme(&self, spec: &ExtremeFragmentSpec) -> Result<Box<dyn ExtremeReply>> {
+            self.log
+                .lock()
+                .unwrap()
+                .push(format!("send {}", self.shard));
+            Ok(Box::new(LoggedReply {
+                shard: self.shard,
+                inner: self.engine.extreme(spec)?,
+                log: Arc::clone(&self.log),
+            }))
+        }
+    }
+
+    impl ExtremeReply for LoggedReply {
+        fn answer(&mut self) -> Result<(Value, Duration)> {
+            self.log
+                .lock()
+                .unwrap()
+                .push(format!("read {}", self.shard));
+            self.inner.answer()
+        }
+    }
+
+    /// MIN/MAX scatters before it gathers: every shard has its fragment
+    /// before the first reply is read, and the fold is the 1-shard one.
+    #[test]
+    fn extreme_fragments_reach_every_shard_before_any_reply_is_read() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let engines = two_engines();
+        let shards: Vec<Box<dyn ShardBackend>> = engines
+            .iter()
+            .enumerate()
+            .map(|(shard, engine)| {
+                Box::new(LoggedShard {
+                    shard,
+                    engine: engine.handle(),
+                    log: Arc::clone(&log),
+                }) as Box<dyn ShardBackend>
+            })
+            .collect();
+        let coordinator =
+            ShardedFederation::from_backends(config(0xFEDA), schema(), shards).unwrap();
+        let plan = plans().swap_remove(5);
+        let sharded = coordinator.run_plan(&plan).unwrap();
+        assert_eq!(
+            *log.lock().unwrap(),
+            ["send 0", "send 1", "read 0", "read 1"]
+        );
+        let unsharded = Federation::build(config(0xFEDA), schema(), partitions())
+            .unwrap()
+            .with_engine(|e| e.run_plan(&plan))
+            .unwrap();
+        assert_eq!(sharded.result, unsharded.result);
+        for engine in engines {
+            engine.shutdown();
+        }
+    }
+
+    /// A live shard whose fourth fragment partial is held back until a
+    /// gate opens.
+    struct GatedShard {
+        engine: EngineHandle,
+        gate: Arc<(Mutex<bool>, std::sync::Condvar)>,
+    }
+
+    struct GatedBatch {
+        inner: Box<dyn FragmentBatch>,
+        gathered: usize,
+        gate: Arc<(Mutex<bool>, std::sync::Condvar)>,
+    }
+
+    impl ShardBackend for GatedShard {
+        fn n_providers(&self) -> usize {
+            ShardBackend::n_providers(&self.engine)
+        }
+
+        fn bounds(&self) -> Vec<ProviderBounds> {
+            ShardBackend::bounds(&self.engine)
+        }
+
+        fn begin(&self, specs: &[FragmentSpec]) -> Result<Box<dyn FragmentBatch>> {
+            Ok(Box::new(GatedBatch {
+                inner: self.engine.begin(specs)?,
+                gathered: 0,
+                gate: Arc::clone(&self.gate),
+            }))
+        }
+
+        fn extreme(&self, spec: &ExtremeFragmentSpec) -> Result<Box<dyn ExtremeReply>> {
+            self.engine.extreme(spec)
+        }
+    }
+
+    impl FragmentBatch for GatedBatch {
+        fn summaries(&mut self) -> Result<Vec<FragmentSummaries>> {
+            self.inner.summaries()
+        }
+
+        fn allocate(&mut self, allocations: &[Vec<u64>]) -> Result<()> {
+            self.inner.allocate(allocations)
+        }
+
+        fn partial(&mut self) -> Result<FragmentPartial> {
+            if self.gathered == 3 {
+                let (open, cond) = &*self.gate;
+                let mut open = open.lock().unwrap();
+                while !*open {
+                    open = cond.wait(open).unwrap();
+                }
+            }
+            self.gathered += 1;
+            self.inner.partial()
+        }
+    }
+
+    /// An online plan is one batch, yet it still streams: its first
+    /// snapshot is delivered while its last round's partials are held
+    /// back (the hook that sees round 1 is what releases them), and the
+    /// rounds are byte-identical to the 1-engine run.
+    #[test]
+    fn an_online_plan_through_a_coordinator_streams_before_its_last_round() {
+        let plan = QueryPlan::Online {
+            query: count(100, 900),
+            sampling_rate: 0.4,
+            epsilon: 4.0,
+            delta: 1e-3,
+            rounds: 4,
+        };
+        let unsharded = Federation::build(config(0xFEDA), schema(), partitions())
+            .unwrap()
+            .with_engine(|e| e.run_plan(&plan))
+            .unwrap();
+        let (done, finished) = std::sync::mpsc::channel();
+        let streamed = plan.clone();
+        std::thread::spawn(move || {
+            let gate = Arc::new((Mutex::new(false), std::sync::Condvar::new()));
+            let engines = two_engines();
+            let shards: Vec<Box<dyn ShardBackend>> = engines
+                .iter()
+                .map(|engine| {
+                    Box::new(GatedShard {
+                        engine: engine.handle(),
+                        gate: Arc::clone(&gate),
+                    }) as Box<dyn ShardBackend>
+                })
+                .collect();
+            let coordinator =
+                ShardedFederation::from_backends(config(0xFEDA), schema(), shards).unwrap();
+            let answer = coordinator
+                .submit_plan(&streamed)
+                .unwrap()
+                .wait_streaming(|snapshot| {
+                    if snapshot.round == 1 {
+                        *gate.0.lock().unwrap() = true;
+                        gate.1.notify_all();
+                    }
+                })
+                .unwrap();
+            for engine in engines {
+                engine.shutdown();
+            }
+            done.send(answer).unwrap();
+        });
+        let sharded = finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the first snapshot waited for the last round");
+        assert_eq!(sharded.result, unsharded.result);
     }
 
     #[test]

@@ -37,9 +37,9 @@
 //!   epoch; an accepted `Ingest` batch takes the write side between
 //!   handlers.
 //! * **Shard** ([`FederationServer::bind_shard`]) — only the fragment
-//!   frames, to an upstream coordinator, one fragment lifecycle per
-//!   connection, with *no* budget directory: fragments arrive already
-//!   charged at the coordinator, the single ξ authority (see
+//!   frames, to an upstream coordinator, one fragment batch's lifecycle
+//!   at a time per connection, with *no* budget directory: fragments
+//!   arrive already charged at the coordinator, the single ξ authority (see
 //!   `docs/privacy-model.md`). The analyst roles symmetrically refuse
 //!   fragment frames — serving a fragment to an arbitrary analyst would
 //!   bypass the budget ledger and hand out occurrence-differencing
@@ -77,10 +77,10 @@ use fedaqp_obs as obs;
 
 use crate::wire::{
     calibration_code, read_frame, write_frame, BudgetStatus, ErrorCode, ErrorFrame,
-    ExplainAnswerFrame, ExtremePartialFrame, FragmentPartialFrame, FragmentSummariesFrame, Frame,
-    HelloAck, IngestAckFrame, MetricsAnswerFrame, OnlineDoneFrame, OnlinePlanRequest,
-    OnlineSnapshotFrame, PlanAnswerFrame, ShardBoundsFrame, WireDimension, WireGroup, WireMetric,
-    WirePartialRow, WirePlanResult, WireProviderBounds, WireSummary, VERSION,
+    ExplainAnswerFrame, ExtremePartialFrame, FragmentPartialFrame, Frame, HelloAck, IngestAckFrame,
+    MetricsAnswerFrame, OnlineDoneFrame, OnlinePlanRequest, OnlineSnapshotFrame, PlanAnswerFrame,
+    ShardBoundsFrame, WireDimension, WireGroup, WireMetric, WirePartialRow, WirePlanResult,
+    WireProviderBounds, WireSummaries, WireSummary, VERSION,
 };
 use crate::{NetError, Result};
 
@@ -425,11 +425,11 @@ struct Connection {
     /// Requests answered on this connection (what an uncapped
     /// `BudgetStatus` reports).
     answered: u64,
-    /// The shard role's fragment in flight: a connection carries at most
-    /// one lifecycle at a time. Dropping the connection mid-fragment
-    /// aborts it ([`PendingFragment`]'s drop unparks the workers), so a
-    /// vanished coordinator never wedges the shard.
-    fragment: Option<PendingFragment>,
+    /// The shard role's fragment batch in flight: a connection carries at
+    /// most one lifecycle at a time. Dropping the connection mid-batch
+    /// aborts it ([`PendingFragment`]'s drop), so a vanished coordinator
+    /// costs the shard nothing more.
+    batch: Option<ShardBatch>,
 }
 
 /// One connection of any role, served to completion.
@@ -502,7 +502,7 @@ fn handshake<B: Backend>(
         ledger: directory.map(|directory| directory.accountant(&hello.analyst)),
         analyst: hello.analyst,
         answered: 0,
-        fragment: None,
+        batch: None,
     }))
 }
 
@@ -614,13 +614,13 @@ fn dispatch<B: Backend>(conn: &mut Connection, backend: &B, frame: Frame) -> Res
         }
         // The gate admits nothing else but the fragment family, and that
         // only on the shard role's engine.
-        frame => {
-            let reply = match backend.fragment_engine() {
-                Some(engine) => fragment_reply(engine, &mut conn.fragment, frame),
-                None => error_reply(0, ErrorCode::Internal, "this backend runs no fragments"),
-            };
-            write_frame(&mut conn.stream, &reply)
-        }
+        frame => match backend.fragment_engine() {
+            Some(engine) => serve_fragment(engine, &mut conn.batch, frame, &mut conn.stream),
+            None => write_frame(
+                &mut conn.stream,
+                &error_reply(0, ErrorCode::Internal, "this backend runs no fragments"),
+            ),
+        },
     }
 }
 
@@ -653,17 +653,26 @@ fn count_answer(answered: &mut u64) {
     obs::counter_add(obs::names::SERVER_QUERIES, 1);
 }
 
-/// Serves one frame of the coordinator → shard family: `Fragment`
-/// (summaries ⇒ allocation ⇒ partial) or the single-round
-/// `ExtremeFragment` / `ShardBoundsRequest`. No budget is involved by
-/// construction: the upstream coordinator charged the whole plan before
-/// scattering.
-fn fragment_reply(
+/// A shard connection's fragment batch: its engine fragments in batch
+/// order, and whether their allocations were delivered.
+struct ShardBatch {
+    fragments: Vec<PendingFragment>,
+    allocated: bool,
+}
+
+/// Serves one frame of the coordinator → shard family, writing its
+/// replies: a `Fragment` batch (queued without a reply; summaries ⇒
+/// allocations ⇒ one partial per fragment, streamed in batch order as
+/// each resolves) or the single-round `ExtremeFragment` /
+/// `ShardBoundsRequest`. No budget is involved by construction: the
+/// upstream coordinator charged the whole plan before scattering.
+fn serve_fragment(
     engine: &EngineHandle,
-    fragment: &mut Option<PendingFragment>,
+    batch: &mut Option<ShardBatch>,
     frame: Frame,
-) -> Frame {
-    /// The typed reply to a lifecycle frame with no fragment in flight.
+    stream: &mut TcpStream,
+) -> Result<()> {
+    /// The typed reply to a lifecycle frame with no batch in flight.
     fn no_fragment() -> Frame {
         error_reply(
             0,
@@ -671,31 +680,50 @@ fn fragment_reply(
             "no fragment in flight on this connection",
         )
     }
-    match frame {
-        Frame::Fragment(_) if fragment.is_some() => error_reply(
+    let reply = match frame {
+        Frame::Fragment(_) if batch.is_some() => error_reply(
             0,
             ErrorCode::BadRequest,
-            "one shard connection carries one fragment at a time",
+            "one shard connection carries one fragment batch at a time",
         ),
-        Frame::Fragment(req) => {
-            let budget = QueryBudget {
-                eps_o: req.eps_o,
-                eps_s: req.eps_s,
-                eps_e: req.eps_e,
-                delta: req.delta,
-            };
-            match engine.submit_fragment(&req.query, req.sampling_rate, &budget, req.occurrence) {
-                Ok(pending) => {
-                    *fragment = Some(pending);
-                    Frame::FragmentQueued
+        Frame::Fragment(specs) if specs.is_empty() => error_reply(
+            0,
+            ErrorCode::BadRequest,
+            "a fragment batch needs at least one fragment",
+        ),
+        Frame::Fragment(specs) => {
+            let begun = specs
+                .iter()
+                .map(|req| {
+                    let budget = QueryBudget {
+                        eps_o: req.eps_o,
+                        eps_s: req.eps_s,
+                        eps_e: req.eps_e,
+                        delta: req.delta,
+                    };
+                    engine.submit_fragment(&req.query, req.sampling_rate, &budget, req.occurrence)
+                })
+                .collect::<fedaqp_core::Result<Vec<_>>>();
+            match begun {
+                // Queued: the coordinator's next frame asks for the
+                // summaries, and nothing waits for an acknowledgement.
+                Ok(fragments) => {
+                    *batch = Some(ShardBatch {
+                        fragments,
+                        allocated: false,
+                    });
+                    return Ok(());
                 }
                 Err(e) => core_error_reply(0, &e),
             }
         }
-        Frame::FragmentSummariesRequest => {
-            match fragment.as_ref().map(PendingFragment::summaries) {
-                Some(Ok((summaries, summary_time))) => {
-                    Frame::FragmentSummaries(FragmentSummariesFrame {
+        Frame::FragmentSummariesRequest => match batch.as_ref() {
+            Some(batch) => batch
+                .fragments
+                .iter()
+                .map(|fragment| {
+                    let (summaries, summary_time) = fragment.summaries()?;
+                    Ok(WireSummaries {
                         summaries: summaries
                             .iter()
                             .map(|s| WireSummary {
@@ -705,47 +733,81 @@ fn fragment_reply(
                             .collect(),
                         summary_us: summary_time.as_micros() as u64,
                     })
-                }
-                Some(Err(e)) => core_error_reply(0, &e),
-                None => no_fragment(),
-            }
-        }
-        Frame::FragmentAllocation(frame) => {
-            match fragment
-                .as_ref()
-                .map(|pending| pending.provide_allocation(frame.allocations))
-            {
-                Some(Ok(())) => Frame::FragmentAllocated,
-                Some(Err(e)) => core_error_reply(0, &e),
-                None => no_fragment(),
-            }
-        }
-        Frame::FragmentPartialRequest => match fragment.as_ref().map(PendingFragment::partial) {
-            Some(Ok(partial)) => {
-                // The partial completes the lifecycle; the connection is
-                // free for the next fragment.
-                *fragment = None;
-                Frame::FragmentPartial(FragmentPartialFrame {
-                    rows: partial
-                        .rows
-                        .iter()
-                        .map(|r| WirePartialRow {
-                            released: r.released,
-                            variance: r.variance,
-                            approximated: r.approximated,
-                            clusters_scanned: r.clusters_scanned,
-                            n_covering: r.n_covering,
-                        })
-                        .collect(),
-                    execution_us: partial.execution.as_micros() as u64,
                 })
+                .collect::<fedaqp_core::Result<Vec<_>>>()
+                .map_or_else(|e| core_error_reply(0, &e), Frame::FragmentSummaries),
+            None => no_fragment(),
+        },
+        Frame::FragmentAllocation(sets) => match batch.as_mut() {
+            Some(current) => {
+                let delivered = if sets.len() == current.fragments.len() {
+                    current
+                        .fragments
+                        .iter()
+                        .zip(sets)
+                        .try_for_each(|(fragment, set)| {
+                            fragment.provide_allocation(set.allocations)
+                        })
+                } else {
+                    Err(CoreError::ProtocolViolation(
+                        "fragment allocations do not match the batch",
+                    ))
+                };
+                match delivered {
+                    Ok(()) => {
+                        current.allocated = true;
+                        Frame::FragmentAllocated
+                    }
+                    // A rejected allocation aborts the batch, so a partial
+                    // request pipelined behind it is told so instead of
+                    // waiting on turns that will never run.
+                    Err(e) => {
+                        *batch = None;
+                        core_error_reply(0, &e)
+                    }
+                }
             }
-            Some(Err(e)) => core_error_reply(0, &e),
+            None => no_fragment(),
+        },
+        Frame::FragmentPartialRequest => match batch.take() {
+            Some(ShardBatch {
+                allocated: false, ..
+            }) => error_reply(
+                0,
+                ErrorCode::BadRequest,
+                "the fragment batch has no allocations yet",
+            ),
+            // One partial per fragment, each written as it resolves; the
+            // last completes the lifecycle and frees the connection for
+            // the next batch.
+            Some(ShardBatch { fragments, .. }) => {
+                for fragment in &fragments {
+                    let reply = match fragment.partial() {
+                        Ok(partial) => Frame::FragmentPartial(FragmentPartialFrame {
+                            rows: partial
+                                .rows
+                                .iter()
+                                .map(|r| WirePartialRow {
+                                    released: r.released,
+                                    variance: r.variance,
+                                    approximated: r.approximated,
+                                    clusters_scanned: r.clusters_scanned,
+                                    n_covering: r.n_covering,
+                                })
+                                .collect(),
+                            execution_us: partial.execution.as_micros() as u64,
+                        }),
+                        Err(e) => return write_frame(stream, &core_error_reply(0, &e)),
+                    };
+                    write_frame(stream, &reply)?;
+                }
+                return Ok(());
+            }
             None => no_fragment(),
         },
         Frame::FragmentAbort => {
-            // Dropping the pending fragment unparks its workers.
-            *fragment = None;
+            // Dropping the pending fragments aborts them.
+            *batch = None;
             Frame::FragmentAborted
         }
         Frame::ExtremeFragment(req) => {
@@ -772,7 +834,8 @@ fn fragment_reply(
                 .collect(),
         }),
         _ => error_reply(0, ErrorCode::BadRequest, "unexpected frame kind"),
-    }
+    };
+    write_frame(stream, &reply)
 }
 
 /// The [`QueryPlan`] an [`OnlinePlanRequest`] compiles to — the variant an

@@ -7,29 +7,33 @@
 //! server's lifetime) and drops that connection; fragments then run over
 //! a small pool of idle, already-handshaken connections.
 //!
-//! **Connection lifecycle.** A connection carries one fragment at a time
-//! (the server enforces it). [`ShardBackend::begin`] and
-//! [`ShardBackend::extreme`] check one out of the idle list — or open and
-//! handshake a fresh one when the list is empty — and it goes back **only
-//! after a complete lifecycle**: the `FragmentPartial` / `ExtremePartial`
-//! was read, so nothing is unread on the stream. A failed, aborted or
-//! dropped fragment closes its connection instead, which maps exactly
-//! onto the fragment-abort semantics the engine already has (the server's
+//! **Connection lifecycle.** A connection carries one fragment batch at a
+//! time (the server enforces it) — every sub-query one plan submitted
+//! together. [`ShardBackend::begin`] and [`ShardBackend::extreme`] check
+//! one out of the idle list — or open and handshake a fresh one when the
+//! list is empty — and it goes back **only after a complete lifecycle**:
+//! the batch's last `FragmentPartial`, or the `ExtremePartial`, was read,
+//! so nothing is unread on the stream. A failed, aborted or dropped batch
+//! closes its connection instead, which maps exactly onto the
+//! fragment-abort semantics the engine already has (the server's
 //! [`fedaqp_core::PendingFragment`] aborts on drop) and means one slow or
-//! dying fragment can never desynchronize a sibling's stream.
+//! dying batch can never desynchronize a sibling's stream. A batch too
+//! wide for one frame ([`fragment_runs`]) runs as several lifecycles,
+//! each on its own connection.
 //!
-//! **Pipelining.** The server answers frames in arrival order, so the
-//! lifecycle is two writes and two reads per shard: `Fragment` +
-//! `FragmentSummariesRequest` leave in one write (replies `FragmentQueued`,
-//! `FragmentSummaries`), then `FragmentAllocation` +
-//! `FragmentPartialRequest` in one write (replies `FragmentAllocated`,
-//! `FragmentPartial`). The `FragmentQueued` ack is read by
-//! [`FragmentHandle::queued`], which the coordinator calls inside its
-//! scatter lock — see the deadlock discipline in [`fedaqp_core::shard`].
-//! A rejected allocation would leave the pipelined partial request
-//! blocking the server's connection thread, so the only way a correct
-//! coordinator could send one — a shard restarted with a different
-//! provider count — is refused at the handshake of every fresh connection.
+//! **Pipelining.** The server answers frames in arrival order, so a batch
+//! of any size is two writes and two rounds of reads per shard. `Fragment`
+//! and `FragmentSummariesRequest` leave in one write, with one reply:
+//! `FragmentSummaries`, an entry per fragment (the `Fragment` itself is
+//! never acknowledged, since no worker waits on queue order). Then
+//! `FragmentAllocation` and `FragmentPartialRequest` leave in one write,
+//! answered by `FragmentAllocated` and one `FragmentPartial` per fragment
+//! in batch order, each read when the coordinator gathers that sub-query. A
+//! rejected allocation aborts the server's batch, so the pipelined
+//! partial request is answered with a typed error, never a wait; a
+//! correct coordinator sends none anyway — a shard restarted with a
+//! different provider count is refused at the handshake of every fresh
+//! connection.
 //!
 //! **Stale connections.** An idle connection can die unnoticed (a shard
 //! restart). When the *first* write or the *first* read on a pooled
@@ -56,23 +60,23 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use fedaqp_core::{
-    CoreError, ExtremeFragmentSpec, FragmentHandle, FragmentPartial, FragmentSpec, PartialRow,
-    ProviderBounds, ProviderSummary, ShardBackend,
+    CoreError, ExtremeFragmentSpec, ExtremeReply, FragmentBatch, FragmentPartial, FragmentSpec,
+    FragmentSummaries, PartialRow, ProviderBounds, ProviderSummary, ShardBackend,
 };
 use fedaqp_model::Value;
 use fedaqp_smc::CostModel;
 
 use crate::wire::{
-    encode_frame, read_frame, write_frame, ErrorCode, ExtremeFragmentRequest,
-    FragmentAllocationFrame, FragmentRequest, Frame, Hello, VERSION,
+    encode_frame, fragment_runs, read_frame, write_frame, ErrorCode, ExtremeFragmentRequest,
+    FragmentRequest, Frame, Hello, WireAllocation, VERSION,
 };
 use crate::{NetError, Result};
 
-/// Idle connections kept per shard: enough that a wide group-by (one
-/// connection per group, all in flight at once) or sixteen analysts'
-/// scalars find theirs waiting. Beyond it a completed fragment's
-/// connection is simply closed — each idle one also pins a thread on the
-/// shard, so the cap is what the pool costs in memory.
+/// Idle connections kept per shard: enough that sixteen analysts' plans
+/// (one connection per plan in flight) find theirs waiting. Beyond it a
+/// completed batch's connection is simply closed — each idle one also
+/// pins a thread on the shard, so the cap is what the pool costs in
+/// memory.
 const MAX_IDLE: usize = 16;
 
 /// A simulated shard→coordinator uplink, for experiments: every
@@ -81,7 +85,7 @@ const MAX_IDLE: usize = 16;
 /// at a time. The link is a virtual clock (`busy_until`), not a lock held
 /// across a sleep: a reply *reserves* its slot and learns when it will
 /// have arrived, and the coordinator sleeps once, until the latest
-/// arrival across shards ([`FragmentHandle::ready_at`]). Clones share the
+/// arrival across shards ([`FragmentBatch::ready_at`]). Clones share the
 /// link. Real deployments use none — the real socket *is* the uplink.
 #[derive(Debug, Clone)]
 pub struct Uplink {
@@ -178,9 +182,10 @@ impl ShardBackend for RemoteShard {
         self.bounds.clone()
     }
 
-    fn begin(&self, spec: &FragmentSpec) -> fedaqp_core::Result<Box<dyn FragmentHandle>> {
-        let request = encode(&[
-            Frame::Fragment(FragmentRequest {
+    fn begin(&self, specs: &[FragmentSpec]) -> fedaqp_core::Result<Box<dyn FragmentBatch>> {
+        let mut requests: Vec<FragmentRequest> = specs
+            .iter()
+            .map(|spec| FragmentRequest {
                 query: spec.query.clone(),
                 sampling_rate: spec.sampling_rate,
                 eps_o: spec.budget.eps_o,
@@ -188,20 +193,30 @@ impl ShardBackend for RemoteShard {
                 eps_e: spec.budget.eps_e,
                 delta: spec.budget.delta,
                 occurrence: spec.occurrence,
-            }),
-            Frame::FragmentSummariesRequest,
-        ])
-        .map_err(|e| unavailable(&e))?;
-        let sent = self.pool.send(request).map_err(|e| unavailable(&e))?;
-        Ok(Box::new(RemoteFragment {
-            sent: Some(sent),
+            })
+            .collect();
+        let runs = fragment_runs(&requests, self.pool.n_providers)
+            .into_iter()
+            .map(|len| {
+                let run = requests.drain(..len).collect();
+                let request = encode(&[Frame::Fragment(run), Frame::FragmentSummariesRequest])?;
+                Ok(Run {
+                    sent: Some(self.pool.send(request)?),
+                    len,
+                    gathered: 0,
+                })
+            })
+            .collect::<Result<Vec<_>>>()
+            .map_err(|e| unavailable(&e))?;
+        Ok(Box::new(RemoteBatch {
+            runs,
             pool: Arc::clone(&self.pool),
             uplink: self.uplink.clone(),
             ready_at: None,
         }))
     }
 
-    fn extreme(&self, spec: &ExtremeFragmentSpec) -> fedaqp_core::Result<(Value, Duration)> {
+    fn extreme(&self, spec: &ExtremeFragmentSpec) -> fedaqp_core::Result<Box<dyn ExtremeReply>> {
         let request = encode_frame(&Frame::ExtremeFragment(ExtremeFragmentRequest {
             dim: spec.dim as u32,
             extreme: spec.extreme,
@@ -209,152 +224,166 @@ impl ShardBackend for RemoteShard {
             occurrence: spec.occurrence,
         }))
         .map_err(|e| unavailable(&e))?;
-        let mut sent = self.pool.send(request).map_err(|e| unavailable(&e))?;
-        match self
-            .pool
-            .first_reply(&mut sent)
-            .map_err(|e| unavailable(&e))?
-        {
-            Frame::ExtremePartial(partial) => {
-                self.pool.put_back(sent.conn);
-                if let Some(uplink) = &self.uplink {
-                    // Extreme fragments run one shard at a time, so the
-                    // arrival is waited out right here.
-                    let arrival = uplink.reserve_frame(&Frame::ExtremePartial(partial));
-                    std::thread::sleep(arrival.saturating_duration_since(Instant::now()));
-                }
-                Ok((partial.value, Duration::from_micros(partial.execution_us)))
-            }
-            _ => Err(shard_fault(
-                "shard answered the extreme fragment with an unexpected frame",
-            )),
-        }
+        let sent = self.pool.send(request).map_err(|e| unavailable(&e))?;
+        Ok(Box::new(RemoteExtreme {
+            sent: Some(sent),
+            pool: Arc::clone(&self.pool),
+            uplink: self.uplink.clone(),
+            ready_at: None,
+        }))
     }
 }
 
-/// What a lifecycle call after the partial was read gets told.
+/// What a lifecycle call after the last partial was read gets told.
 const FINISHED: &str = "fragment lifecycle is already complete";
 
-/// One fragment lifecycle on a checked-out connection.
-struct RemoteFragment {
-    /// The connection, until the lifecycle completes and it goes back to
-    /// the pool; dropping it here instead closes it.
-    sent: Option<Sent>,
+/// One fragment batch on one shard: a lifecycle per run of the batch,
+/// in batch order.
+struct RemoteBatch {
+    runs: Vec<Run>,
     pool: Arc<Pool>,
     uplink: Option<Uplink>,
     /// When the reply read last finishes crossing the simulated uplink.
     ready_at: Option<Instant>,
 }
 
-impl RemoteFragment {
-    fn sent(&mut self) -> fedaqp_core::Result<&mut Sent> {
-        self.sent.as_mut().ok_or(shard_fault(FINISHED))
-    }
+/// One run's lifecycle on a checked-out connection.
+struct Run {
+    /// The connection, until the run's last partial was read and it went
+    /// back to the pool; dropping it here instead closes it.
+    sent: Option<Sent>,
+    /// Fragments in the run.
+    len: usize,
+    /// Partials read so far.
+    gathered: usize,
+}
 
-    fn recv(&mut self) -> fedaqp_core::Result<Frame> {
-        self.sent()?.conn.recv().map_err(|e| unavailable(&e))
-    }
-
-    fn reserve_uplink(&mut self, frame: &Frame) {
-        self.ready_at = self.uplink.as_ref().map(|u| u.reserve_frame(frame));
+impl Run {
+    /// Reads the run's next reply (the first one through the pool's
+    /// stale-connection re-send). A failure closes the connection, so a
+    /// later call is told the lifecycle is over instead of reading a
+    /// desynchronized stream.
+    fn recv(&mut self, pool: &Pool) -> fedaqp_core::Result<Frame> {
+        let sent = self.sent.as_mut().ok_or(shard_fault(FINISHED))?;
+        pool.reply(sent).map_err(|e| {
+            self.sent = None;
+            unavailable(&e)
+        })
     }
 }
 
-impl FragmentHandle for RemoteFragment {
-    fn queued(&mut self) -> fedaqp_core::Result<()> {
-        // Field by field, so the pool stays borrowable beside the connection.
-        let sent = self.sent.as_mut().ok_or(shard_fault(FINISHED))?;
-        match self.pool.first_reply(sent).map_err(|e| unavailable(&e))? {
-            Frame::FragmentQueued => Ok(()),
-            _ => Err(shard_fault(
-                "shard answered the fragment with an unexpected frame",
-            )),
+impl RemoteBatch {
+    fn reserve_uplink(&mut self, frame: &Frame) {
+        if let Some(uplink) = &self.uplink {
+            self.ready_at = Some(uplink.reserve_frame(frame));
         }
     }
+}
 
-    fn summaries(&mut self) -> fedaqp_core::Result<(Vec<ProviderSummary>, Duration)> {
-        match self.recv()? {
-            Frame::FragmentSummaries(frame) => {
-                let summaries = frame
+impl FragmentBatch for RemoteBatch {
+    fn summaries(&mut self) -> fedaqp_core::Result<Vec<FragmentSummaries>> {
+        let mut all = Vec::new();
+        for i in 0..self.runs.len() {
+            let sets = match self.runs[i].recv(&self.pool)? {
+                Frame::FragmentSummaries(sets) if sets.len() == self.runs[i].len => sets,
+                _ => {
+                    return Err(shard_fault(
+                        "shard answered the summaries request with an unexpected frame",
+                    ))
+                }
+            };
+            // Local provider ids; the coordinator remaps them to the
+            // shard's global offset.
+            all.extend(sets.iter().map(|set| {
+                let summaries = set
                     .summaries
                     .iter()
                     .enumerate()
-                    // Local provider ids; the coordinator remaps them to
-                    // the shard's global offset.
                     .map(|(i, s)| ProviderSummary {
                         provider: i,
                         noisy_n_q: s.noisy_n_q,
                         noisy_avg_r: s.noisy_avg_r,
                     })
                     .collect();
-                let summary_time = Duration::from_micros(frame.summary_us);
-                self.reserve_uplink(&Frame::FragmentSummaries(frame));
-                Ok((summaries, summary_time))
-            }
-            _ => Err(shard_fault(
-                "shard answered the summaries request with an unexpected frame",
-            )),
+                (summaries, Duration::from_micros(set.summary_us))
+            }));
+            self.reserve_uplink(&Frame::FragmentSummaries(sets));
         }
+        Ok(all)
     }
 
-    fn allocate(&mut self, allocations: &[u64]) -> fedaqp_core::Result<()> {
-        // The partial request rides behind the allocation, so the server
-        // must not be able to reject the allocation (see the module docs).
-        if allocations.len() != self.pool.n_providers {
+    fn allocate(&mut self, allocations: &[Vec<u64>]) -> fedaqp_core::Result<()> {
+        // The partial request rides behind the allocations, so the server
+        // must not be able to reject them (see the module docs).
+        let fragments: usize = self.runs.iter().map(|run| run.len).sum();
+        if allocations.len() != fragments
+            || allocations.iter().any(|a| a.len() != self.pool.n_providers)
+        {
             return Err(CoreError::ProtocolViolation(
-                "fragment allocation length does not match shard providers",
+                "fragment allocations do not match the shard's batch",
             ));
         }
-        let request = encode(&[
-            Frame::FragmentAllocation(FragmentAllocationFrame {
-                allocations: allocations.to_vec(),
-            }),
-            Frame::FragmentPartialRequest,
-        ])
-        .map_err(|e| unavailable(&e))?;
-        self.sent()?
-            .conn
-            .write(&request)
-            .map_err(|e| unavailable(&e))
+        let mut rest = allocations;
+        for run in &mut self.runs {
+            let (mine, later) = rest.split_at(run.len);
+            rest = later;
+            let sets = mine
+                .iter()
+                .map(|allocations| WireAllocation {
+                    allocations: allocations.clone(),
+                })
+                .collect();
+            let request = encode(&[
+                Frame::FragmentAllocation(sets),
+                Frame::FragmentPartialRequest,
+            ])
+            .map_err(|e| unavailable(&e))?;
+            let sent = run.sent.as_mut().ok_or(shard_fault(FINISHED))?;
+            sent.conn.write(&request).map_err(|e| unavailable(&e))?;
+        }
+        Ok(())
     }
 
     fn partial(&mut self) -> fedaqp_core::Result<FragmentPartial> {
-        match self.recv()? {
-            Frame::FragmentAllocated => {}
-            _ => {
-                return Err(shard_fault(
-                    "shard answered the allocation with an unexpected frame",
-                ))
-            }
+        let run = self
+            .runs
+            .iter_mut()
+            .find(|run| run.gathered < run.len)
+            .ok_or(shard_fault(FINISHED))?;
+        if run.gathered == 0 && !matches!(run.recv(&self.pool)?, Frame::FragmentAllocated) {
+            return Err(shard_fault(
+                "shard answered the allocation with an unexpected frame",
+            ));
         }
-        match self.recv()? {
-            Frame::FragmentPartial(frame) => {
-                // Four requests, four replies: the stream is clean, so
-                // the connection can carry another fragment.
-                if let Some(sent) = self.sent.take() {
-                    self.pool.put_back(sent.conn);
-                }
-                let partial = FragmentPartial {
-                    rows: frame
-                        .rows
-                        .iter()
-                        .map(|r| PartialRow {
-                            released: r.released,
-                            variance: r.variance,
-                            approximated: r.approximated,
-                            clusters_scanned: r.clusters_scanned,
-                            n_covering: r.n_covering,
-                        })
-                        .collect(),
-                    execution: Duration::from_micros(frame.execution_us),
-                };
-                self.reserve_uplink(&Frame::FragmentPartial(frame));
-                Ok(partial)
-            }
-            _ => Err(shard_fault(
+        let Frame::FragmentPartial(frame) = run.recv(&self.pool)? else {
+            return Err(shard_fault(
                 "shard answered the partial request with an unexpected frame",
-            )),
+            ));
+        };
+        run.gathered += 1;
+        if run.gathered == run.len {
+            // Every request answered: the stream is clean, so the
+            // connection can carry another batch.
+            if let Some(sent) = run.sent.take() {
+                self.pool.put_back(sent.conn);
+            }
         }
+        let partial = FragmentPartial {
+            rows: frame
+                .rows
+                .iter()
+                .map(|r| PartialRow {
+                    released: r.released,
+                    variance: r.variance,
+                    approximated: r.approximated,
+                    clusters_scanned: r.clusters_scanned,
+                    n_covering: r.n_covering,
+                })
+                .collect(),
+            execution: Duration::from_micros(frame.execution_us),
+        };
+        self.reserve_uplink(&Frame::FragmentPartial(frame));
+        Ok(partial)
     }
 
     fn ready_at(&self) -> Option<Instant> {
@@ -362,16 +391,49 @@ impl FragmentHandle for RemoteFragment {
     }
 }
 
-impl Drop for RemoteFragment {
+impl Drop for Run {
     fn drop(&mut self) {
-        // Best-effort graceful abort for an incomplete fragment; if the
-        // frame never arrives, the closing socket aborts it anyway (the
-        // server's `PendingFragment` unparks its workers on drop).
+        // Best-effort graceful abort for an incomplete run; if the frame
+        // never arrives, the closing socket aborts it anyway (the
+        // server's `PendingFragment`s abort on drop).
         if let Some(mut sent) = self.sent.take() {
             if let Ok(abort) = encode_frame(&Frame::FragmentAbort) {
                 let _ = sent.conn.write(&abort);
             }
         }
+    }
+}
+
+/// One MIN/MAX fragment on a checked-out connection, its reply unread.
+struct RemoteExtreme {
+    /// The connection, until the reply was read and it went back to the
+    /// pool; dropping it here instead closes it.
+    sent: Option<Sent>,
+    pool: Arc<Pool>,
+    uplink: Option<Uplink>,
+    ready_at: Option<Instant>,
+}
+
+impl ExtremeReply for RemoteExtreme {
+    fn answer(&mut self) -> fedaqp_core::Result<(Value, Duration)> {
+        let mut sent = self.sent.take().ok_or(shard_fault(FINISHED))?;
+        match self.pool.reply(&mut sent).map_err(|e| unavailable(&e))? {
+            Frame::ExtremePartial(partial) => {
+                self.pool.put_back(sent.conn);
+                self.ready_at = self
+                    .uplink
+                    .as_ref()
+                    .map(|uplink| uplink.reserve_frame(&Frame::ExtremePartial(partial)));
+                Ok((partial.value, Duration::from_micros(partial.execution_us)))
+            }
+            _ => Err(shard_fault(
+                "shard answered the extreme fragment with an unexpected frame",
+            )),
+        }
+    }
+
+    fn ready_at(&self) -> Option<Instant> {
+        self.ready_at
     }
 }
 
@@ -457,10 +519,10 @@ impl Pool {
         Ok(Sent { conn, resend: None })
     }
 
-    /// Reads the first reply to `sent`'s request. A pooled connection
-    /// that dies here was stale: the idle list goes with it and the
-    /// request is re-sent, once, on a fresh connection.
-    fn first_reply(&self, sent: &mut Sent) -> Result<Frame> {
+    /// Reads the next reply to `sent`'s request. A pooled connection that
+    /// dies before its first reply was stale: the idle list goes with it
+    /// and the request is re-sent, once, on a fresh connection.
+    fn reply(&self, sent: &mut Sent) -> Result<Frame> {
         match (sent.conn.recv(), sent.resend.take()) {
             (Err(NetError::Disconnected | NetError::Io(_)), Some(request)) => {
                 self.idle().clear();
@@ -634,7 +696,11 @@ mod tests {
         for occurrence in 0..3 {
             // Each answer's connection goes back to the pool, and is dead
             // by the next call: the server hung up behind the answer.
-            let (value, _) = shard.extreme(&extreme(occurrence)).unwrap();
+            let (value, _) = shard
+                .extreme(&extreme(occurrence))
+                .unwrap()
+                .answer()
+                .unwrap();
             assert_eq!(value, occurrence as i64, "the spec is re-sent verbatim");
             assert_eq!(shard.pool.idle().len(), 1);
         }
@@ -655,8 +721,8 @@ mod tests {
         let shard = RemoteShard::connect(&server.addr).unwrap();
         assert_eq!(shard.n_providers(), 1, "the bounds frame said one provider");
         assert_eq!(
-            shard.extreme(&extreme(0)),
-            Err(shard_fault("shard protocol error"))
+            shard.extreme(&extreme(0)).err(),
+            Some(shard_fault("shard protocol error"))
         );
         assert_eq!(server.answered.load(Ordering::SeqCst), 0);
     }

@@ -23,8 +23,8 @@
 //! [`NetError::UnsupportedVersion`] *before* any payload is read, and
 //! servers answer it with a typed [`ErrorCode::UnsupportedVersion`] frame
 //! (whose `index` field carries the server's version, as does
-//! [`HelloAck::max_version`]) instead of hanging up bare. Kind bytes 3, 4
-//! and 5 are retired holes, never reused; decoding one is the ordinary
+//! [`HelloAck::max_version`]) instead of hanging up bare. Kind bytes 3, 4,
+//! 5 and 14 are retired holes, never reused; decoding one is the ordinary
 //! [`NetError::UnknownKind`].
 //!
 //! Conversation shape (client ⇒ server unless noted):
@@ -65,15 +65,19 @@
 //!
 //! **Shard fragment frames (coordinator ⇒ shard).** A server started
 //! in *shard mode* serves a scatter–gather coordinator instead of
-//! analysts: one connection carries one fragment through its lifecycle —
-//! [`Frame::Fragment`] ⇒ [`Frame::FragmentQueued`];
+//! analysts: one connection carries one *batch* of fragments — the
+//! sub-queries one plan submitted together — through its lifecycle.
+//! [`Frame::Fragment`] (one spec per fragment, each with its explicit
+//! occurrence index) gets no reply: the fragments are queued, and
+//! nothing the coordinator does waits for that. Then
 //! [`Frame::FragmentSummariesRequest`] ⇒ [`Frame::FragmentSummaries`]
-//! (per-provider DP summaries, local provider order);
-//! [`Frame::FragmentAllocation`] (the coordinator's globally solved
-//! slice) ⇒ [`Frame::FragmentAllocated`];
-//! [`Frame::FragmentPartialRequest`] ⇒ [`Frame::FragmentPartial`] (the
-//! mergeable per-provider releases). [`Frame::FragmentAbort`] ⇒
-//! [`Frame::FragmentAborted`] tears a begun fragment down.
+//! (per fragment, the per-provider DP summaries in local provider
+//! order); [`Frame::FragmentAllocation`] (per fragment, the
+//! coordinator's globally solved slice) ⇒ [`Frame::FragmentAllocated`];
+//! [`Frame::FragmentPartialRequest`] ⇒ one [`Frame::FragmentPartial`]
+//! per fragment (the mergeable per-provider releases), in batch order,
+//! each written as its fragment resolves. [`Frame::FragmentAbort`] ⇒
+//! [`Frame::FragmentAborted`] tears a begun batch down.
 //! [`Frame::ExtremeFragment`] ⇒ [`Frame::ExtremePartial`] runs a MIN/MAX
 //! fragment in one round trip, and [`Frame::ShardBoundsRequest`] ⇒
 //! [`Frame::ShardBounds`] publishes the shard's offline pruning metadata
@@ -128,6 +132,8 @@ const MAX_GROUPS: usize = 4096;
 /// derived statistic fans out to three sub-queries per key plus the
 /// shared base probe.
 const MAX_SUBQUERIES: usize = 3 * MAX_GROUPS + 1;
+/// Cap on fragments in one batch: one per sub-query of a plan.
+const MAX_FRAGMENTS: usize = MAX_SUBQUERIES;
 /// Cap on samples in a metrics answer (static catalog + labeled families
 /// stay far below this).
 const MAX_METRICS: usize = 4096;
@@ -156,7 +162,11 @@ mod lists {
     // Label length + pruned count + cost + reuse tag + order.
     pub const SUBQUERIES: List   = List(U32, MAX_SUBQUERIES, 2 + 4 + 8 + 1 + 8, "declared sub-query count too large");
     pub const PRUNED: List       = List(U32, MAX_ALLOCATIONS, 8, "declared pruned count too large");
+    // The six floats and the occurrence, the aggregate, the range count.
+    pub const FRAGMENTS: List    = List(U32, MAX_FRAGMENTS, FRAGMENT_BYTES, "declared fragment count too large");
+    pub const SUMMARY_SETS: List = List(U32, MAX_FRAGMENTS, U32 + 8, "declared summary set count too large"); // summary count + timing
     pub const SUMMARIES: List    = List(U32, MAX_ALLOCATIONS, 8 + 8, "declared summary count too large");
+    pub const ALLOCATION_SETS: List = List(U32, MAX_FRAGMENTS, U32, "declared allocation set count too large"); // allocation count
     pub const ALLOCATIONS: List  = List(U32, MAX_ALLOCATIONS, 8, "declared allocation count too large");
     // Released + option tag + flag + two counters.
     pub const PARTIAL_ROWS: List = List(U32, MAX_ALLOCATIONS, 8 + 1 + 1 + 8 + 8, "declared partial row count too large");
@@ -167,6 +177,12 @@ mod lists {
     pub const ROW_VALUES: List   = List(U16, MAX_DIMS, 8, "declared ingest row too large");
 }
 use lists::*;
+
+/// Encoded bytes of one fragment spec with no ranges: five floats, the
+/// occurrence, the aggregate and the range count.
+const FRAGMENT_BYTES: usize = 6 * 8 + 1 + U16;
+/// Encoded bytes of one range of a query.
+const RANGE_BYTES: usize = 4 + 8 + 8;
 
 const KIND_HELLO: u8 = 1;
 const KIND_HELLO_ACK: u8 = 2;
@@ -179,7 +195,6 @@ const KIND_PLAN_ANSWER: u8 = 10;
 const KIND_EXPLAIN: u8 = 11;
 const KIND_EXPLAIN_ANSWER: u8 = 12;
 const KIND_FRAGMENT: u8 = 13;
-const KIND_FRAGMENT_QUEUED: u8 = 14;
 const KIND_FRAGMENT_SUMMARIES_REQUEST: u8 = 15;
 const KIND_FRAGMENT_SUMMARIES: u8 = 16;
 const KIND_FRAGMENT_ALLOCATION: u8 = 17;
@@ -401,11 +416,11 @@ pub struct PlanAnswerFrame {
     pub network_us: u64,
 }
 
-/// One fragment submission (coordinator → shard): everything a shard
-/// needs to run its slice of one private sub-query. The budget arrives
-/// pre-split (the coordinator already validated and charged it), and the
-/// occurrence index comes from the coordinator's ledger — the shard's own
-/// ledger is never consulted for fragments.
+/// One fragment of a [`Frame::Fragment`] batch (coordinator → shard):
+/// everything a shard needs to run its slice of one private sub-query.
+/// The budget arrives pre-split (the coordinator already validated and
+/// charged it), and the occurrence index comes from the coordinator's
+/// ledger — the shard's own ledger is never consulted for fragments.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FragmentRequest {
     /// The range query.
@@ -424,7 +439,7 @@ pub struct FragmentRequest {
     pub occurrence: u64,
 }
 
-/// One provider's DP summary inside a [`FragmentSummariesFrame`].
+/// One provider's DP summary inside a [`WireSummaries`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WireSummary {
     /// Noisy covering-set size `Ñ^Q` (Eq. 5).
@@ -433,22 +448,52 @@ pub struct WireSummary {
     pub noisy_avg_r: f64,
 }
 
-/// The shard's step-2 summaries (shard → coordinator), in local
-/// provider order.
+/// One fragment's step-2 summaries inside a [`Frame::FragmentSummaries`]
+/// (shard → coordinator), in local provider order.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FragmentSummariesFrame {
+pub struct WireSummaries {
     /// One summary per local provider.
     pub summaries: Vec<WireSummary>,
     /// Wall time of the shard's slowest provider's summary, microseconds.
     pub summary_us: u64,
 }
 
-/// The coordinator's globally solved allocation slice for this shard
-/// (coordinator → shard), in local provider order.
+/// One fragment's globally solved allocation slice for this shard inside
+/// a [`Frame::FragmentAllocation`] (coordinator → shard), in local
+/// provider order.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FragmentAllocationFrame {
+pub struct WireAllocation {
     /// Per-provider sample sizes `s_i`.
     pub allocations: Vec<u64>,
+}
+
+/// Splits a batch of fragment specs into consecutive runs whose frames
+/// each fit the wire for a shard of `n_providers`, returning the run
+/// lengths: the `Fragment` frame of a run, and the `FragmentSummaries`
+/// and `FragmentAllocation` frames answering it, stay under
+/// [`MAX_PAYLOAD`] and the lists' caps. Any plan's batch but the very
+/// widest is one run.
+pub fn fragment_runs(specs: &[FragmentRequest], n_providers: usize) -> Vec<usize> {
+    // The larger of one fragment's summary set and its allocation set.
+    let per_reply = (U32 + n_providers * 16 + 8).max(U32 + n_providers * 8);
+    let mut runs = Vec::new();
+    let (mut start, mut bytes) = (0, U32);
+    for (i, spec) in specs.iter().enumerate() {
+        let spec_bytes = FRAGMENT_BYTES + spec.query.ranges().len() * RANGE_BYTES;
+        let n = i - start;
+        let full = n == MAX_FRAGMENTS
+            || bytes + spec_bytes > MAX_PAYLOAD as usize
+            || U32 + (n + 1) * per_reply > MAX_PAYLOAD as usize;
+        if n > 0 && full {
+            runs.push(n);
+            (start, bytes) = (i, U32);
+        }
+        bytes += spec_bytes;
+    }
+    if start < specs.len() {
+        runs.push(specs.len() - start);
+    }
+    runs
 }
 
 /// One provider's row of a fragment partial — the wire projection of
@@ -668,25 +713,27 @@ pub enum Frame {
     Explain(ExplainRequest),
     /// One explain answer (server → client).
     ExplainAnswer(ExplainAnswerFrame),
-    /// One fragment submission (coordinator → shard).
-    Fragment(FragmentRequest),
-    /// Fragment accepted and queued (shard → coordinator).
-    FragmentQueued,
-    /// Ask for the fragment's summaries (coordinator → shard).
+    /// One batch of fragments, in batch order (coordinator → shard; no
+    /// reply).
+    Fragment(Vec<FragmentRequest>),
+    /// Ask for the batch's summaries (coordinator → shard).
     FragmentSummariesRequest,
-    /// The fragment's per-provider summaries (shard → coordinator).
-    FragmentSummaries(FragmentSummariesFrame),
-    /// The globally solved allocation slice (coordinator → shard).
-    FragmentAllocation(FragmentAllocationFrame),
-    /// Allocation delivered to the workers (shard → coordinator).
+    /// Each fragment's per-provider summaries, in batch order (shard →
+    /// coordinator).
+    FragmentSummaries(Vec<WireSummaries>),
+    /// Each fragment's globally solved allocation slice, in batch order
+    /// (coordinator → shard).
+    FragmentAllocation(Vec<WireAllocation>),
+    /// Allocations delivered to the workers (shard → coordinator).
     FragmentAllocated,
-    /// Ask for the fragment's partial (coordinator → shard).
+    /// Ask for the batch's partials (coordinator → shard).
     FragmentPartialRequest,
-    /// The fragment's mergeable partial (shard → coordinator).
+    /// One fragment's mergeable partial; a batch's come in batch order
+    /// (shard → coordinator).
     FragmentPartial(FragmentPartialFrame),
-    /// Abort a begun fragment (coordinator → shard).
+    /// Abort a begun batch (coordinator → shard).
     FragmentAbort,
-    /// Fragment torn down (shard → coordinator).
+    /// Batch torn down (shard → coordinator).
     FragmentAborted,
     /// One MIN/MAX fragment (coordinator → shard).
     ExtremeFragment(ExtremeFragmentRequest),
@@ -1009,31 +1056,37 @@ fn encode_payload(frame: &Frame) -> Result<(u8, BytesMut)> {
             put_explanation(&mut buf, &a.explanation)?;
             KIND_EXPLAIN_ANSWER
         }
-        Frame::Fragment(r) => {
-            buf.put_f64_le(r.sampling_rate);
-            buf.put_f64_le(r.eps_o);
-            buf.put_f64_le(r.eps_s);
-            buf.put_f64_le(r.eps_e);
-            buf.put_f64_le(r.delta);
-            buf.put_u64_le(r.occurrence);
-            put_range_query(&mut buf, &r.query)?;
+        Frame::Fragment(specs) => {
+            put_list(&mut buf, &FRAGMENTS, specs, |buf, r| {
+                buf.put_f64_le(r.sampling_rate);
+                buf.put_f64_le(r.eps_o);
+                buf.put_f64_le(r.eps_s);
+                buf.put_f64_le(r.eps_e);
+                buf.put_f64_le(r.delta);
+                buf.put_u64_le(r.occurrence);
+                put_range_query(buf, &r.query)
+            })?;
             KIND_FRAGMENT
         }
-        Frame::FragmentQueued => KIND_FRAGMENT_QUEUED,
         Frame::FragmentSummariesRequest => KIND_FRAGMENT_SUMMARIES_REQUEST,
-        Frame::FragmentSummaries(s) => {
-            put_list(&mut buf, &SUMMARIES, &s.summaries, |buf, summary| {
-                buf.put_f64_le(summary.noisy_n_q);
-                buf.put_f64_le(summary.noisy_avg_r);
+        Frame::FragmentSummaries(sets) => {
+            put_list(&mut buf, &SUMMARY_SETS, sets, |buf, set| {
+                put_list(buf, &SUMMARIES, &set.summaries, |buf, summary| {
+                    buf.put_f64_le(summary.noisy_n_q);
+                    buf.put_f64_le(summary.noisy_avg_r);
+                    Ok(())
+                })?;
+                buf.put_u64_le(set.summary_us);
                 Ok(())
             })?;
-            buf.put_u64_le(s.summary_us);
             KIND_FRAGMENT_SUMMARIES
         }
-        Frame::FragmentAllocation(a) => {
-            put_list(&mut buf, &ALLOCATIONS, &a.allocations, |buf, &s| {
-                buf.put_u64_le(s);
-                Ok(())
+        Frame::FragmentAllocation(sets) => {
+            put_list(&mut buf, &ALLOCATION_SETS, sets, |buf, set| {
+                put_list(buf, &ALLOCATIONS, &set.allocations, |buf, &s| {
+                    buf.put_u64_le(s);
+                    Ok(())
+                })
             })?;
             KIND_FRAGMENT_ALLOCATION
         }
@@ -1486,7 +1539,7 @@ fn decode_payload(kind: u8, mut data: &[u8]) -> Result<Frame> {
                 explanation: get_explanation(&mut data)?,
             })
         }
-        KIND_FRAGMENT => {
+        KIND_FRAGMENT => Frame::Fragment(get_list(&mut data, &FRAGMENTS, |data| {
             need(data, 5 * 8 + 8, "fragment header truncated")?;
             let sampling_rate = data.get_f64_le();
             let eps_o = data.get_f64_le();
@@ -1494,8 +1547,8 @@ fn decode_payload(kind: u8, mut data: &[u8]) -> Result<Frame> {
             let eps_e = data.get_f64_le();
             let delta = data.get_f64_le();
             let occurrence = data.get_u64_le();
-            Frame::Fragment(FragmentRequest {
-                query: get_range_query(&mut data)?,
+            Ok(FragmentRequest {
+                query: get_range_query(data)?,
                 sampling_rate,
                 eps_o,
                 eps_s,
@@ -1503,25 +1556,30 @@ fn decode_payload(kind: u8, mut data: &[u8]) -> Result<Frame> {
                 delta,
                 occurrence,
             })
-        }
-        KIND_FRAGMENT_QUEUED => Frame::FragmentQueued,
+        })?),
         KIND_FRAGMENT_SUMMARIES_REQUEST => Frame::FragmentSummariesRequest,
         KIND_FRAGMENT_SUMMARIES => {
-            let summaries = get_list(&mut data, &SUMMARIES, |data| {
-                Ok(WireSummary {
-                    noisy_n_q: data.get_f64_le(),
-                    noisy_avg_r: data.get_f64_le(),
+            Frame::FragmentSummaries(get_list(&mut data, &SUMMARY_SETS, |data| {
+                let summaries = get_list(data, &SUMMARIES, |data| {
+                    Ok(WireSummary {
+                        noisy_n_q: data.get_f64_le(),
+                        noisy_avg_r: data.get_f64_le(),
+                    })
+                })?;
+                need(data, 8, "summary timing truncated")?;
+                Ok(WireSummaries {
+                    summaries,
+                    summary_us: data.get_u64_le(),
                 })
-            })?;
-            need(data, 8, "summary timing truncated")?;
-            Frame::FragmentSummaries(FragmentSummariesFrame {
-                summaries,
-                summary_us: data.get_u64_le(),
-            })
+            })?)
         }
-        KIND_FRAGMENT_ALLOCATION => Frame::FragmentAllocation(FragmentAllocationFrame {
-            allocations: get_list(&mut data, &ALLOCATIONS, |data| Ok(data.get_u64_le()))?,
-        }),
+        KIND_FRAGMENT_ALLOCATION => {
+            Frame::FragmentAllocation(get_list(&mut data, &ALLOCATION_SETS, |data| {
+                Ok(WireAllocation {
+                    allocations: get_list(data, &ALLOCATIONS, |data| Ok(data.get_u64_le()))?,
+                })
+            })?)
+        }
         KIND_FRAGMENT_ALLOCATED => Frame::FragmentAllocated,
         KIND_FRAGMENT_PARTIAL_REQUEST => Frame::FragmentPartialRequest,
         KIND_FRAGMENT_PARTIAL => {
@@ -1856,7 +1914,7 @@ mod tests {
                 index: 4,
                 explanation: sample_explanation(),
             }),
-            Frame::Fragment(FragmentRequest {
+            Frame::Fragment(vec![FragmentRequest {
                 query: query(10, 60),
                 sampling_rate: 0.2,
                 eps_o: 0.3,
@@ -1864,10 +1922,9 @@ mod tests {
                 eps_e: 0.4,
                 delta: 1e-3,
                 occurrence: 7,
-            }),
-            Frame::FragmentQueued,
+            }]),
             Frame::FragmentSummariesRequest,
-            Frame::FragmentSummaries(FragmentSummariesFrame {
+            Frame::FragmentSummaries(vec![WireSummaries {
                 summaries: vec![
                     WireSummary {
                         noisy_n_q: 812.5,
@@ -1879,10 +1936,10 @@ mod tests {
                     },
                 ],
                 summary_us: 130,
-            }),
-            Frame::FragmentAllocation(FragmentAllocationFrame {
+            }]),
+            Frame::FragmentAllocation(vec![WireAllocation {
                 allocations: vec![3, 9],
-            }),
+            }]),
             Frame::FragmentAllocated,
             Frame::FragmentPartialRequest,
             Frame::FragmentPartial(FragmentPartialFrame {
@@ -2060,6 +2117,63 @@ mod tests {
         }
     }
 
+    /// A batch too wide for one frame splits into runs, in order and
+    /// whole, whose every frame fits the cap; an ordinary batch is one run.
+    #[test]
+    fn fragment_batches_split_into_runs_whose_frames_fit() {
+        let spec = |query: RangeQuery, occurrence| FragmentRequest {
+            query,
+            sampling_rate: 0.2,
+            eps_o: 0.3,
+            eps_s: 0.3,
+            eps_e: 0.4,
+            delta: 1e-3,
+            occurrence,
+        };
+        let fits = |frame: Frame| {
+            let bytes = encode_frame(&frame).unwrap();
+            assert!(bytes.len() <= HEADER_BYTES + MAX_PAYLOAD as usize);
+            assert_eq!(read_frame(&mut &bytes[..]).unwrap(), frame);
+        };
+        let narrow: Vec<_> = (0..40).map(|i| spec(query(10, 60), i)).collect();
+        let wide_query = RangeQuery::new(
+            Aggregate::Count,
+            (0..MAX_RANGES)
+                .map(|d| Range::new(d, 0, 9).unwrap())
+                .collect(),
+        )
+        .unwrap();
+        let wide: Vec<_> = (0..120).map(|i| spec(wide_query.clone(), i)).collect();
+        assert_eq!(fragment_runs(&narrow, 4), [narrow.len()]);
+        // Summary sets of the widest shard, and queries of the most ranges.
+        for (specs, n_providers) in [(&narrow, MAX_ALLOCATIONS), (&wide, 4)] {
+            let lengths = fragment_runs(specs, n_providers);
+            assert!(lengths.len() > 1);
+            assert_eq!(lengths.iter().sum::<usize>(), specs.len());
+            let mut rest = &specs[..];
+            for len in lengths {
+                let (run, later) = rest.split_at(len);
+                rest = later;
+                fits(Frame::Fragment(run.to_vec()));
+                let summaries = WireSummaries {
+                    summaries: vec![
+                        WireSummary {
+                            noisy_n_q: 1.0,
+                            noisy_avg_r: 0.5,
+                        };
+                        n_providers
+                    ],
+                    summary_us: 0,
+                };
+                fits(Frame::FragmentSummaries(vec![summaries; run.len()]));
+                let allocation = WireAllocation {
+                    allocations: vec![1; n_providers],
+                };
+                fits(Frame::FragmentAllocation(vec![allocation; run.len()]));
+            }
+        }
+    }
+
     #[test]
     fn none_ci_and_unlimited_budget_round_trip() {
         let mut answer = sample_answer();
@@ -2192,11 +2306,11 @@ mod tests {
         ));
 
         // An allocation slice claiming u32::MAX entries.
-        let mut bytes = encode_frame(&Frame::FragmentAllocation(FragmentAllocationFrame {
+        let mut bytes = encode_frame(&Frame::FragmentAllocation(vec![WireAllocation {
             allocations: vec![],
-        }))
+        }]))
         .unwrap();
-        bytes[HEADER_BYTES..].copy_from_slice(&u32::MAX.to_le_bytes());
+        bytes[HEADER_BYTES + 4..].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             read_frame(&mut &bytes[..]),
             Err(NetError::Malformed("declared allocation count too large"))
@@ -2686,47 +2800,68 @@ mod proptests {
                 },
             )
             .boxed();
-        let fragment = (
-            arb_query(),
-            (0.001f64..10.0, 0.001f64..10.0, 0.001f64..10.0, 0.0f64..0.1),
-            any::<u64>(),
+        let fragment = proptest::collection::vec(
+            (
+                arb_query(),
+                (0.001f64..10.0, 0.001f64..10.0, 0.001f64..10.0, 0.0f64..0.1),
+                any::<u64>(),
+            ),
+            0..5,
         )
-            .prop_map(
-                |((query, sampling_rate), (eps_o, eps_s, eps_e, delta), occurrence)| {
-                    Frame::Fragment(FragmentRequest {
-                        query,
-                        sampling_rate,
-                        eps_o,
-                        eps_s,
-                        eps_e,
-                        delta,
-                        occurrence,
-                    })
-                },
+        .prop_map(|raw| {
+            Frame::Fragment(
+                raw.into_iter()
+                    .map(
+                        |((query, sampling_rate), (eps_o, eps_s, eps_e, delta), occurrence)| {
+                            FragmentRequest {
+                                query,
+                                sampling_rate,
+                                eps_o,
+                                eps_s,
+                                eps_e,
+                                delta,
+                                occurrence,
+                            }
+                        },
+                    )
+                    .collect(),
             )
-            .boxed();
-        let fragment_summaries = (
-            proptest::collection::vec((any::<f64>(), any::<f64>()), 0..8),
-            any::<u64>(),
+        })
+        .boxed();
+        let fragment_summaries = proptest::collection::vec(
+            (
+                proptest::collection::vec((any::<f64>(), any::<f64>()), 0..8),
+                any::<u64>(),
+            ),
+            0..5,
         )
-            .prop_map(|(raw, summary_us)| {
-                Frame::FragmentSummaries(FragmentSummariesFrame {
-                    summaries: raw
-                        .into_iter()
-                        .map(|(noisy_n_q, noisy_avg_r)| WireSummary {
-                            noisy_n_q,
-                            noisy_avg_r,
-                        })
-                        .collect(),
-                    summary_us,
+        .prop_map(|raw| {
+            Frame::FragmentSummaries(
+                raw.into_iter()
+                    .map(|(summaries, summary_us)| WireSummaries {
+                        summaries: summaries
+                            .into_iter()
+                            .map(|(noisy_n_q, noisy_avg_r)| WireSummary {
+                                noisy_n_q,
+                                noisy_avg_r,
+                            })
+                            .collect(),
+                        summary_us,
+                    })
+                    .collect(),
+            )
+        })
+        .boxed();
+        let fragment_allocation =
+            proptest::collection::vec(proptest::collection::vec(any::<u64>(), 0..8), 0..5)
+                .prop_map(|raw| {
+                    Frame::FragmentAllocation(
+                        raw.into_iter()
+                            .map(|allocations| WireAllocation { allocations })
+                            .collect(),
+                    )
                 })
-            })
-            .boxed();
-        let fragment_allocation = proptest::collection::vec(any::<u64>(), 0..8)
-            .prop_map(|allocations| {
-                Frame::FragmentAllocation(FragmentAllocationFrame { allocations })
-            })
-            .boxed();
+                .boxed();
         let fragment_partial = (
             proptest::collection::vec(
                 (
@@ -2806,7 +2941,6 @@ mod proptests {
         })
         .boxed();
         let fragment_signals = prop_oneof![
-            Just(Frame::FragmentQueued),
             Just(Frame::FragmentSummariesRequest),
             Just(Frame::FragmentAllocated),
             Just(Frame::FragmentPartialRequest),

@@ -639,8 +639,17 @@ fn connect_and_bind_failures_are_clean() {
 /// shards, each behind its own shard-mode loopback server. Returns the
 /// engines (kept alive for shutdown) alongside their servers.
 fn spawn_shard_grid(n_shards: usize) -> (Vec<FederationEngine>, Vec<LoopbackServer>) {
+    spawn_grid(plan_schema(), plan_partitions(), n_shards)
+}
+
+/// [`spawn_shard_grid`] over any schema and partitions.
+fn spawn_grid(
+    schema: Schema,
+    partitions: Vec<Vec<Row>>,
+    n_shards: usize,
+) -> (Vec<FederationEngine>, Vec<LoopbackServer>) {
     let cfg = plan_config(1.0);
-    let mut partitions = plan_partitions().into_iter();
+    let mut partitions = partitions.into_iter();
     let (base, extra) = (cfg.n_providers / n_shards, cfg.n_providers % n_shards);
     let mut offset = 0usize;
     let mut engines = Vec::with_capacity(n_shards);
@@ -652,7 +661,7 @@ fn spawn_shard_grid(n_shards: usize) -> (Vec<FederationEngine>, Vec<LoopbackServ
         shard_cfg.provider_lane_base = cfg.provider_lane_base + offset as u64;
         let shard_partitions: Vec<Vec<Row>> = partitions.by_ref().take(k).collect();
         let engine = FederationEngine::start(
-            Federation::build(shard_cfg, plan_schema(), shard_partitions).unwrap(),
+            Federation::build(shard_cfg, schema.clone(), shard_partitions).unwrap(),
         );
         servers.push(LoopbackServer::shard(engine.handle()).unwrap());
         engines.push(engine);
@@ -792,13 +801,12 @@ fn shutdown_grid(engines: Vec<FederationEngine>, servers: Vec<LoopbackServer>) {
     }
 }
 
-/// The ordering invariant, as a liveness test: every shard's
-/// `FragmentQueued` ack is read inside the coordinator's scatter lock, so
-/// the shards' worker queues agree on fragment order. Were an ack read
-/// outside it, two analysts' sub-queries could be enqueued `[P, Q]` on
-/// one shard and `[Q, P]` on the other, and each engine would park at its
-/// first job's allocation barrier forever. Four analyst connections
-/// hammering a 2-shard grid with the mixed plans (group-bys fan out)
+/// Liveness without ordering: shard workers never park at a fragment's
+/// allocation barrier — a summary turn leaves its carry in the fragment
+/// and the allocation queues the execute turns — so the shards' queues
+/// may see two analysts' batches as `[P, Q]` on one shard and `[Q, P]` on
+/// the other, and both still drain. Four analyst connections hammering a
+/// 2-shard grid with the mixed plans (group-bys batch many fragments)
 /// must finish — and a hang must fail this test, not wedge the run.
 #[test]
 fn concurrent_analysts_on_a_shard_grid_never_deadlock() {
@@ -879,6 +887,152 @@ fn pooled_connections_are_reused_and_the_frame_count_is_unchanged() {
         std::thread::sleep(std::time::Duration::from_millis(100));
     }
     shutdown_grid(engines, shard_servers);
+}
+
+/// A remote shard that counts the coordinator's writes to it — each one
+/// round trip: a batch begun (its fragments and the summaries request go
+/// out, the summaries come back), its allocations delivered (the
+/// allocations and the partial request go out, the partials stream back).
+struct CountingShard {
+    inner: RemoteShard,
+    writes: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+}
+
+struct CountingBatch {
+    inner: Box<dyn fedaqp_core::FragmentBatch>,
+    writes: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+}
+
+impl fedaqp_core::ShardBackend for CountingShard {
+    fn n_providers(&self) -> usize {
+        self.inner.n_providers()
+    }
+
+    fn bounds(&self) -> Vec<fedaqp_core::ProviderBounds> {
+        self.inner.bounds()
+    }
+
+    fn begin(
+        &self,
+        specs: &[fedaqp_core::FragmentSpec],
+    ) -> fedaqp_core::Result<Box<dyn fedaqp_core::FragmentBatch>> {
+        self.writes
+            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        Ok(Box::new(CountingBatch {
+            inner: self.inner.begin(specs)?,
+            writes: std::sync::Arc::clone(&self.writes),
+        }))
+    }
+
+    fn extreme(
+        &self,
+        spec: &fedaqp_core::ExtremeFragmentSpec,
+    ) -> fedaqp_core::Result<Box<dyn fedaqp_core::ExtremeReply>> {
+        self.writes
+            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        self.inner.extreme(spec)
+    }
+}
+
+impl fedaqp_core::FragmentBatch for CountingBatch {
+    fn summaries(&mut self) -> fedaqp_core::Result<Vec<fedaqp_core::FragmentSummaries>> {
+        self.inner.summaries()
+    }
+
+    fn allocate(&mut self, allocations: &[Vec<u64>]) -> fedaqp_core::Result<()> {
+        self.writes
+            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        self.inner.allocate(allocations)
+    }
+
+    fn partial(&mut self) -> fedaqp_core::Result<fedaqp_core::FragmentPartial> {
+        self.inner.partial()
+    }
+}
+
+/// A plan crosses the shard wire once: a GROUP BY over 8 groups — eight
+/// sub-queries — costs each shard of a 2-shard loopback grid exactly the
+/// round trips of a scalar (its fragments travel as one batch), and
+/// still answers byte-identically to one engine.
+#[test]
+fn a_group_by_costs_each_shard_the_round_trips_of_a_scalar() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    let schema = Schema::new(vec![
+        Dimension::new("x", Domain::new(0, 999).unwrap()),
+        Dimension::new("g", Domain::new(0, 7).unwrap()),
+    ])
+    .unwrap();
+    let partitions: Vec<Vec<Row>> = (0..4)
+        .map(|p| {
+            (0..800)
+                .map(|i| {
+                    Row::cell(
+                        vec![((i * 7 + p * 13) % 1000) as i64, ((i + p) % 8) as i64],
+                        1,
+                    )
+                })
+                .collect()
+        })
+        .collect();
+    let (engines, servers) = spawn_grid(schema.clone(), partitions.clone(), 2);
+    let writes: Vec<Arc<AtomicUsize>> = servers.iter().map(|_| Arc::default()).collect();
+    let shards: Vec<Box<dyn fedaqp_core::ShardBackend>> = servers
+        .iter()
+        .zip(&writes)
+        .map(|(server, writes)| {
+            Box::new(CountingShard {
+                inner: RemoteShard::connect(server.addr()).unwrap(),
+                writes: Arc::clone(writes),
+            }) as Box<dyn fedaqp_core::ShardBackend>
+        })
+        .collect();
+    let coordinator =
+        fedaqp_core::ShardedFederation::from_backends(plan_config(1.0), schema.clone(), shards)
+            .unwrap();
+    let scalar = QueryPlan::Scalar {
+        query: count_query(100, 800),
+        sampling_rate: 0.2,
+        epsilon: 1.0,
+        delta: 1e-3,
+    };
+    let group_by = QueryPlan::GroupBy {
+        base: count_query(0, 999),
+        statistic: None,
+        group_dim: 1,
+        threshold: 0.0,
+        sampling_rate: 0.2,
+        epsilon: 4.0,
+        delta: 1e-3,
+    };
+    let round_trips = |plan: &QueryPlan| {
+        let before: Vec<usize> = writes.iter().map(|w| w.load(Ordering::SeqCst)).collect();
+        let answer = coordinator.run_plan(plan).unwrap();
+        let trips: Vec<usize> = writes
+            .iter()
+            .zip(before)
+            .map(|(w, before)| w.load(Ordering::SeqCst) - before)
+            .collect();
+        (answer, trips)
+    };
+    let (_, scalar_trips) = round_trips(&scalar);
+    let (grouped, group_trips) = round_trips(&group_by);
+    assert_eq!(scalar_trips, [2, 2]);
+    assert_eq!(group_trips, scalar_trips, "8 groups, one batch per shard");
+    let fedaqp_core::PlanResult::Groups { groups, suppressed } = &grouped.result else {
+        panic!("a group-by answers groups: {:?}", grouped.result);
+    };
+    assert_eq!(groups.len() as u64 + suppressed, 8);
+
+    let expected = Federation::build(plan_config(1.0), schema, partitions)
+        .unwrap()
+        .with_engine(|engine| {
+            engine.run_plan(&scalar).unwrap();
+            engine.run_plan(&group_by).unwrap()
+        });
+    assert_eq!(grouped.result, expected.result);
+    shutdown_grid(engines, servers);
 }
 
 /// Reuse preserves bytes: the seeded mixed plans run twice through one
@@ -1461,11 +1615,11 @@ struct GateCase {
 }
 
 /// Every request frame kind, in an order that is also a valid shard
-/// fragment lifecycle (queue, summaries, allocation, partial, abort).
+/// fragment lifecycle (batch, summaries, allocations, partials, abort).
 fn gate_cases() -> Vec<GateCase> {
     use fedaqp_net::wire::{
-        ExplainRequest, ExtremeFragmentRequest, FragmentAllocationFrame, FragmentRequest, Frame,
-        IngestRequest, OnlinePlanRequest, PlanRequest, WireRow,
+        ExplainRequest, ExtremeFragmentRequest, FragmentRequest, Frame, IngestRequest,
+        OnlinePlanRequest, PlanRequest, WireAllocation, WireRow,
     };
 
     const ANALYST: &[&str] = &["engine", "coordinator", "live"];
@@ -1522,7 +1676,7 @@ fn gate_cases() -> Vec<GateCase> {
             &["IngestAck"],
         ),
         case(
-            Frame::Fragment(FragmentRequest {
+            Frame::Fragment(vec![FragmentRequest {
                 query: count_query(100, 800),
                 sampling_rate: 0.2,
                 eps_o: 0.1,
@@ -1530,10 +1684,10 @@ fn gate_cases() -> Vec<GateCase> {
                 eps_e: 0.5,
                 delta: 1e-3,
                 occurrence: 0,
-            }),
+            }]),
             SHARD,
             0.0,
-            &["FragmentQueued"],
+            &[],
         ),
         case(
             Frame::FragmentSummariesRequest,
@@ -1542,9 +1696,9 @@ fn gate_cases() -> Vec<GateCase> {
             &["FragmentSummaries"],
         ),
         case(
-            Frame::FragmentAllocation(FragmentAllocationFrame {
+            Frame::FragmentAllocation(vec![WireAllocation {
                 allocations: vec![2; 4],
-            }),
+            }]),
             SHARD,
             0.0,
             &["FragmentAllocated"],

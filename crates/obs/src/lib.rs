@@ -77,13 +77,14 @@ pub mod names {
     pub const OPTIMIZER_REUSED: &str = "fedaqp_optimizer_reused_subqueries_total";
     /// Plans whose sub-query submission order was cost-reordered.
     pub const OPTIMIZER_REORDERED: &str = "fedaqp_optimizer_reordered_plans_total";
-    /// Sharded queries coordinated (scatter/gather cycles).
+    /// Sharded sub-queries coordinated.
     pub const SHARD_QUERIES: &str = "fedaqp_shard_queries_total";
-    /// Histogram: scatter fan-out latency per sharded query.
+    /// Histogram: scatter latency per batch (the sub-queries one plan
+    /// scatters together).
     pub const SHARD_SCATTER: &str = "fedaqp_shard_scatter_seconds";
-    /// Histogram: gather fan-in latency per sharded query.
+    /// Histogram: gather fan-in latency per sharded sub-query.
     pub const SHARD_GATHER: &str = "fedaqp_shard_gather_seconds";
-    /// Fragment submissions retried after a shard error.
+    /// Fragment batches retried after a shard error.
     pub const SHARD_RETRIES: &str = "fedaqp_shard_fragment_retries_total";
     /// Scatter attempts that found a shard unavailable.
     pub const SHARD_UNAVAILABLE: &str = "fedaqp_shard_unavailable_total";

@@ -57,7 +57,9 @@ impl Cluster {
                 capacity,
             });
         }
-        let mut cols = vec![Vec::with_capacity(rows.len()); arity];
+        // One allocation per column: `vec![v; arity]` would clone `v`, and a
+        // clone of an empty `Vec` has no capacity.
+        let mut cols: Vec<Vec<i64>> = (0..arity).map(|_| Vec::with_capacity(rows.len())).collect();
         let mut measures = Vec::with_capacity(rows.len());
         for row in rows {
             debug_assert_eq!(row.values().len(), arity);
@@ -219,6 +221,20 @@ mod tests {
         assert_eq!(c.column(1), &[100, 200, 300]);
         assert_eq!(c.measures(), &[2, 3, 5]);
         assert_eq!(c.total_measure(), 10);
+    }
+
+    /// Every column is allocated once at its final size — none grows by
+    /// doubling into slack.
+    #[test]
+    fn every_column_is_allocated_at_its_length() {
+        let rows: Vec<Row> = (0..37)
+            .map(|i| Row::cell((0..10).map(|d| i * 10 + d).collect(), 1))
+            .collect();
+        let c = Cluster::from_rows(0, 10, &rows, 64).unwrap();
+        for (d, col) in c.cols.iter().enumerate() {
+            assert_eq!(col.capacity(), col.len(), "column {d}");
+        }
+        assert_eq!(c.measures.capacity(), c.measures.len());
     }
 
     #[test]
