@@ -4,8 +4,7 @@
 //! cargo run -p fedaqp-bench --release --bin repro -- <experiment> [flags]
 //!
 //! experiments: all, fig1, fig4, fig5, fig6, fig7, fig8, table1,
-//!              table1-dims, metadata, ablation, throughput, accuracy,
-//!              plot
+//!              table1-dims, metadata, ablation, throughput, accuracy
 //! flags:
 //!   --quick             smoke-test scale (small data, few queries)
 //!   --out <dir>         CSV output directory        (default: results)

@@ -11,7 +11,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod metadata;
 pub mod net;
-pub mod plotting;
 pub mod shard;
 pub mod stream;
 pub mod table1;
@@ -106,11 +105,6 @@ pub fn registry() -> Vec<(&'static str, &'static str, ExperimentFn)> {
             "attack",
             "NBC attack over live TCP — accuracy/AUC vs xi, single analyst + coalition (CI gate)",
             attack::run as ExperimentFn,
-        ),
-        (
-            "plot",
-            "render figure CSVs in the results directory to SVG charts",
-            plotting::run as ExperimentFn,
         ),
     ]
 }

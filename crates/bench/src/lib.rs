@@ -27,7 +27,6 @@
 
 pub mod experiments;
 pub mod gate;
-pub mod plot;
 pub mod report;
 pub mod setup;
 

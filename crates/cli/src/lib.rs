@@ -9,7 +9,7 @@ pub mod ops;
 pub use manifest::Manifest;
 pub use ops::{
     batch, coordinate, generate, ingest, inspect, parse_calibration, parse_extreme,
-    parse_shard_slice, parse_stat, query, serve, shutdown_summary, stats, BatchArgs,
-    CoordinateArgs, GenerateArgs, IngestArgs, QueryArgs, RunningCoordinator, RunningServer,
-    ServeArgs, StatsArgs,
+    parse_shard_slice, parse_stat, query, render_answer, serve, shutdown_summary, stats,
+    write_data_dir, BatchArgs, CoordinateArgs, GenerateArgs, IngestArgs, QueryArgs,
+    RunningCoordinator, RunningServer, ServeArgs, StatsArgs,
 };

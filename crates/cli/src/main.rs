@@ -7,8 +7,11 @@
 //!                 "SELECT COUNT(*) FROM T WHERE 25 <= age <= 60"
 //! ```
 
+use std::fmt::Display;
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use fedaqp_cli::{
     batch, coordinate, generate, ingest, inspect, parse_calibration, parse_extreme,
@@ -16,6 +19,7 @@ use fedaqp_cli::{
     CoordinateArgs, GenerateArgs, IngestArgs, QueryArgs, ServeArgs, StatsArgs,
 };
 use fedaqp_core::EstimatorCalibration;
+use fedaqp_net::FederationServer;
 
 const USAGE: &str = "\
 fedaqp — private approximate queries over horizontal data federations
@@ -91,6 +95,31 @@ fn take_value(args: &[String], i: &mut usize, flag: &str) -> Result<String, Stri
         .ok_or_else(|| format!("flag {flag} needs a value"))
 }
 
+/// Takes `flag`'s value and parses it; a malformed value is refused as
+/// `FLAG: why`.
+fn take_parsed<T: FromStr>(args: &[String], i: &mut usize, flag: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    take_value(args, i, flag)?
+        .parse()
+        .map_err(|e| format!("{flag}: {e}"))
+}
+
+/// Privacy parameters and release mode are fixed by the server; a flag
+/// that silently did nothing would let the analyst believe they ran a
+/// different query than they did.
+fn refuse_server_side(remote: bool, server_side: &[&str]) -> Result<(), String> {
+    if remote && !server_side.is_empty() {
+        return Err(format!(
+            "{} {} set by the server and cannot be used with --remote",
+            server_side.join(", "),
+            if server_side.len() == 1 { "is" } else { "are" },
+        ));
+    }
+    Ok(())
+}
+
 fn cmd_generate(args: &[String]) -> Result<String, String> {
     let mut out = GenerateArgs {
         dataset: String::new(),
@@ -104,26 +133,10 @@ fn cmd_generate(args: &[String]) -> Result<String, String> {
     while i < args.len() {
         match args[i].as_str() {
             "--dataset" => out.dataset = take_value(args, &mut i, "--dataset")?,
-            "--rows" => {
-                out.rows = take_value(args, &mut i, "--rows")?
-                    .parse()
-                    .map_err(|e| format!("--rows: {e}"))?
-            }
-            "--providers" => {
-                out.providers = take_value(args, &mut i, "--providers")?
-                    .parse()
-                    .map_err(|e| format!("--providers: {e}"))?
-            }
-            "--capacity" => {
-                out.capacity = take_value(args, &mut i, "--capacity")?
-                    .parse()
-                    .map_err(|e| format!("--capacity: {e}"))?
-            }
-            "--seed" => {
-                out.seed = take_value(args, &mut i, "--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
+            "--rows" => out.rows = take_parsed(args, &mut i, "--rows")?,
+            "--providers" => out.providers = take_parsed(args, &mut i, "--providers")?,
+            "--capacity" => out.capacity = take_parsed(args, &mut i, "--capacity")?,
+            "--seed" => out.seed = take_parsed(args, &mut i, "--seed")?,
             "--out" => out.out = PathBuf::from(take_value(args, &mut i, "--out")?),
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -166,21 +179,13 @@ fn cmd_query(args: &[String]) -> Result<String, String> {
                 q.calibration = parse_calibration(&take_value(args, &mut i, "--calibration")?)?;
                 server_side.push("--calibration");
             }
-            "--rate" => {
-                q.rate = take_value(args, &mut i, "--rate")?
-                    .parse()
-                    .map_err(|e| format!("--rate: {e}"))?
-            }
+            "--rate" => q.rate = take_parsed(args, &mut i, "--rate")?,
             "--epsilon" => {
-                q.epsilon = take_value(args, &mut i, "--epsilon")?
-                    .parse()
-                    .map_err(|e| format!("--epsilon: {e}"))?;
+                q.epsilon = take_parsed(args, &mut i, "--epsilon")?;
                 server_side.push("--epsilon");
             }
             "--delta" => {
-                q.delta = take_value(args, &mut i, "--delta")?
-                    .parse()
-                    .map_err(|e| format!("--delta: {e}"))?;
+                q.delta = take_parsed(args, &mut i, "--delta")?;
                 server_side.push("--delta");
             }
             "--smc" => {
@@ -194,18 +199,8 @@ fn cmd_query(args: &[String]) -> Result<String, String> {
             "--extreme" => {
                 q.extreme = Some(parse_extreme(&take_value(args, &mut i, "--extreme")?)?)
             }
-            "--threshold" => {
-                q.threshold = take_value(args, &mut i, "--threshold")?
-                    .parse()
-                    .map_err(|e| format!("--threshold: {e}"))?
-            }
-            "--online" => {
-                q.online = Some(
-                    take_value(args, &mut i, "--online")?
-                        .parse()
-                        .map_err(|e| format!("--online: {e}"))?,
-                )
-            }
+            "--threshold" => q.threshold = take_parsed(args, &mut i, "--threshold")?,
+            "--online" => q.online = Some(take_parsed(args, &mut i, "--online")?),
             sql if !sql.starts_with("--") => q.sql = sql.to_owned(),
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -214,16 +209,7 @@ fn cmd_query(args: &[String]) -> Result<String, String> {
     if q.data.as_os_str().is_empty() && q.remote.is_none() {
         return Err("--data or --remote is required".into());
     }
-    // Privacy parameters and release mode are fixed by the server; a flag
-    // that silently did nothing would let the analyst believe they ran a
-    // different query than they did.
-    if q.remote.is_some() && !server_side.is_empty() {
-        return Err(format!(
-            "{} {} set by the server and cannot be used with --remote",
-            server_side.join(", "),
-            if server_side.len() == 1 { "is" } else { "are" },
-        ));
-    }
+    refuse_server_side(q.remote.is_some(), &server_side)?;
     if q.sql.is_empty() && q.extreme.is_none() {
         return Err("a SQL query argument is required".into());
     }
@@ -231,19 +217,7 @@ fn cmd_query(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<fedaqp_cli::RunningServer, String> {
-    let mut s = ServeArgs {
-        data: PathBuf::new(),
-        listen: "127.0.0.1:4751".into(),
-        epsilon: 1.0,
-        delta: 1e-3,
-        xi: None,
-        psi: None,
-        smc: false,
-        calibration: EstimatorCalibration::EmCalibrated,
-        shard: None,
-        live: false,
-        max_stale_rows: None,
-    };
+    let mut s = ServeArgs::default();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -252,39 +226,15 @@ fn cmd_serve(args: &[String]) -> Result<fedaqp_cli::RunningServer, String> {
             "--calibration" => {
                 s.calibration = parse_calibration(&take_value(args, &mut i, "--calibration")?)?
             }
-            "--epsilon" => {
-                s.epsilon = take_value(args, &mut i, "--epsilon")?
-                    .parse()
-                    .map_err(|e| format!("--epsilon: {e}"))?
-            }
-            "--delta" => {
-                s.delta = take_value(args, &mut i, "--delta")?
-                    .parse()
-                    .map_err(|e| format!("--delta: {e}"))?
-            }
-            "--xi" => {
-                s.xi = Some(
-                    take_value(args, &mut i, "--xi")?
-                        .parse()
-                        .map_err(|e| format!("--xi: {e}"))?,
-                )
-            }
-            "--psi" => {
-                s.psi = Some(
-                    take_value(args, &mut i, "--psi")?
-                        .parse()
-                        .map_err(|e| format!("--psi: {e}"))?,
-                )
-            }
+            "--epsilon" => s.epsilon = take_parsed(args, &mut i, "--epsilon")?,
+            "--delta" => s.delta = take_parsed(args, &mut i, "--delta")?,
+            "--xi" => s.xi = Some(take_parsed(args, &mut i, "--xi")?),
+            "--psi" => s.psi = Some(take_parsed(args, &mut i, "--psi")?),
             "--smc" => s.smc = true,
             "--shard" => s.shard = Some(parse_shard_slice(&take_value(args, &mut i, "--shard")?)?),
             "--live" => s.live = true,
             "--max-stale-rows" => {
-                s.max_stale_rows = Some(
-                    take_value(args, &mut i, "--max-stale-rows")?
-                        .parse()
-                        .map_err(|e| format!("--max-stale-rows: {e}"))?,
-                )
+                s.max_stale_rows = Some(take_parsed(args, &mut i, "--max-stale-rows")?)
             }
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -297,16 +247,7 @@ fn cmd_serve(args: &[String]) -> Result<fedaqp_cli::RunningServer, String> {
 }
 
 fn cmd_coordinate(args: &[String]) -> Result<fedaqp_cli::RunningCoordinator, String> {
-    let mut c = CoordinateArgs {
-        data: PathBuf::new(),
-        shards: Vec::new(),
-        listen: "127.0.0.1:4750".into(),
-        epsilon: 1.0,
-        delta: 1e-3,
-        xi: None,
-        psi: None,
-        calibration: EstimatorCalibration::EmCalibrated,
-    };
+    let mut c = CoordinateArgs::default();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -322,30 +263,10 @@ fn cmd_coordinate(args: &[String]) -> Result<fedaqp_cli::RunningCoordinator, Str
             "--calibration" => {
                 c.calibration = parse_calibration(&take_value(args, &mut i, "--calibration")?)?
             }
-            "--epsilon" => {
-                c.epsilon = take_value(args, &mut i, "--epsilon")?
-                    .parse()
-                    .map_err(|e| format!("--epsilon: {e}"))?
-            }
-            "--delta" => {
-                c.delta = take_value(args, &mut i, "--delta")?
-                    .parse()
-                    .map_err(|e| format!("--delta: {e}"))?
-            }
-            "--xi" => {
-                c.xi = Some(
-                    take_value(args, &mut i, "--xi")?
-                        .parse()
-                        .map_err(|e| format!("--xi: {e}"))?,
-                )
-            }
-            "--psi" => {
-                c.psi = Some(
-                    take_value(args, &mut i, "--psi")?
-                        .parse()
-                        .map_err(|e| format!("--psi: {e}"))?,
-                )
-            }
+            "--epsilon" => c.epsilon = take_parsed(args, &mut i, "--epsilon")?,
+            "--delta" => c.delta = take_parsed(args, &mut i, "--delta")?,
+            "--xi" => c.xi = Some(take_parsed(args, &mut i, "--xi")?),
+            "--psi" => c.psi = Some(take_parsed(args, &mut i, "--psi")?),
             other => return Err(format!("unknown flag `{other}`")),
         }
         i += 1;
@@ -371,22 +292,10 @@ fn cmd_ingest(args: &[String]) -> Result<String, String> {
     while i < args.len() {
         match args[i].as_str() {
             "--remote" => g.remote = take_value(args, &mut i, "--remote")?,
-            "--provider" => {
-                g.provider = take_value(args, &mut i, "--provider")?
-                    .parse()
-                    .map_err(|e| format!("--provider: {e}"))?
-            }
+            "--provider" => g.provider = take_parsed(args, &mut i, "--provider")?,
             "--dataset" => g.dataset = take_value(args, &mut i, "--dataset")?,
-            "--rows" => {
-                g.rows = take_value(args, &mut i, "--rows")?
-                    .parse()
-                    .map_err(|e| format!("--rows: {e}"))?
-            }
-            "--seed" => {
-                g.seed = take_value(args, &mut i, "--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
+            "--rows" => g.rows = take_parsed(args, &mut i, "--rows")?,
+            "--seed" => g.seed = take_parsed(args, &mut i, "--seed")?,
             other => return Err(format!("unknown flag `{other}`")),
         }
         i += 1;
@@ -438,42 +347,18 @@ fn cmd_batch(args: &[String]) -> Result<String, String> {
                 server_side.push("--calibration");
             }
             "--queries" => b.queries = PathBuf::from(take_value(args, &mut i, "--queries")?),
-            "--rate" => {
-                b.rate = take_value(args, &mut i, "--rate")?
-                    .parse()
-                    .map_err(|e| format!("--rate: {e}"))?
-            }
+            "--rate" => b.rate = take_parsed(args, &mut i, "--rate")?,
             "--epsilon" => {
-                b.epsilon = take_value(args, &mut i, "--epsilon")?
-                    .parse()
-                    .map_err(|e| format!("--epsilon: {e}"))?;
+                b.epsilon = take_parsed(args, &mut i, "--epsilon")?;
                 server_side.push("--epsilon");
             }
             "--delta" => {
-                b.delta = take_value(args, &mut i, "--delta")?
-                    .parse()
-                    .map_err(|e| format!("--delta: {e}"))?;
+                b.delta = take_parsed(args, &mut i, "--delta")?;
                 server_side.push("--delta");
             }
-            "--analysts" => {
-                b.analysts = take_value(args, &mut i, "--analysts")?
-                    .parse()
-                    .map_err(|e| format!("--analysts: {e}"))?
-            }
-            "--xi" => {
-                b.xi = Some(
-                    take_value(args, &mut i, "--xi")?
-                        .parse()
-                        .map_err(|e| format!("--xi: {e}"))?,
-                )
-            }
-            "--psi" => {
-                b.psi = Some(
-                    take_value(args, &mut i, "--psi")?
-                        .parse()
-                        .map_err(|e| format!("--psi: {e}"))?,
-                )
-            }
+            "--analysts" => b.analysts = take_parsed(args, &mut i, "--analysts")?,
+            "--xi" => b.xi = Some(take_parsed(args, &mut i, "--xi")?),
+            "--psi" => b.psi = Some(take_parsed(args, &mut i, "--psi")?),
             "--smc" => {
                 b.smc = true;
                 server_side.push("--smc");
@@ -485,63 +370,36 @@ fn cmd_batch(args: &[String]) -> Result<String, String> {
     if b.data.as_os_str().is_empty() && b.remote.is_none() {
         return Err("--data or --remote is required".into());
     }
-    if b.remote.is_some() && !server_side.is_empty() {
-        return Err(format!(
-            "{} {} set by the server and cannot be used with --remote",
-            server_side.join(", "),
-            if server_side.len() == 1 { "is" } else { "are" },
-        ));
-    }
+    refuse_server_side(b.remote.is_some(), &server_side)?;
     if b.queries.as_os_str().is_empty() {
         return Err("--queries is required".into());
     }
     batch(&b)
 }
 
+/// Prints a server's banner, then blocks on its accept loop for the life
+/// of the process (Ctrl-C stops it). A clean shutdown leaves an
+/// operational record of what this process served before the registry
+/// vanishes.
+fn serve_until_stopped(banner: &str, server: FederationServer) -> String {
+    print!("{banner}");
+    std::io::stdout().flush().ok();
+    server.join();
+    shutdown_summary()
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // Any setup failure of serve or coordinate — bad data dir, unbindable
+    // address, invalid budget — exits non-zero with a one-line message
+    // like every other command.
     let result = match args.first().map(String::as_str) {
         Some("generate") => cmd_generate(&args[1..]),
         Some("batch") => cmd_batch(&args[1..]),
-        Some("serve") => {
-            // Serve prints its banner, then blocks on the accept loop for
-            // the life of the process (Ctrl-C stops it). Any setup failure
-            // — bad data dir, unbindable address, invalid budget — exits
-            // non-zero with a one-line message like every other command.
-            return match cmd_serve(&args[1..]) {
-                Ok(running) => {
-                    print!("{}", running.banner);
-                    use std::io::Write as _;
-                    std::io::stdout().flush().ok();
-                    running.server.join();
-                    // Clean shutdown: leave an operational record of what
-                    // this process served before the registry vanishes.
-                    print!("{}", shutdown_summary());
-                    ExitCode::SUCCESS
-                }
-                Err(msg) => {
-                    eprintln!("error: {msg}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        Some("coordinate") => {
-            // Like serve: print the banner, then block on the accept loop.
-            return match cmd_coordinate(&args[1..]) {
-                Ok(running) => {
-                    print!("{}", running.banner);
-                    use std::io::Write as _;
-                    std::io::stdout().flush().ok();
-                    running.server.join();
-                    print!("{}", shutdown_summary());
-                    ExitCode::SUCCESS
-                }
-                Err(msg) => {
-                    eprintln!("error: {msg}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
+        Some("serve") => cmd_serve(&args[1..])
+            .map(|running| serve_until_stopped(&running.banner, running.server)),
+        Some("coordinate") => cmd_coordinate(&args[1..])
+            .map(|running| serve_until_stopped(&running.banner, running.server)),
         Some("stats") => cmd_stats(&args[1..]),
         Some("ingest") => cmd_ingest(&args[1..]),
         Some("inspect") => match args.get(1) {

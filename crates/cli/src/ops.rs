@@ -14,7 +14,7 @@ use fedaqp_data::{
 };
 use fedaqp_model::{
     parse_sql, parse_sql_statement, DerivedStatistic, Extreme, PlanParams, QueryPlan, RangeQuery,
-    Schema,
+    Row, Schema,
 };
 use fedaqp_net::{FederationServer, RemoteFederation, RemoteShard, ServeOptions};
 use fedaqp_obs as obs;
@@ -73,20 +73,6 @@ pub fn generate(args: &GenerateArgs) -> Result<String, String> {
     } else {
         args.capacity
     };
-    std::fs::create_dir_all(&args.out).map_err(|e| e.to_string())?;
-    let mut total_bytes = 0usize;
-    for (i, rows) in partitions.into_iter().enumerate() {
-        let store = ClusterStore::build(
-            dataset.schema.clone(),
-            rows,
-            capacity,
-            PartitionStrategy::SortedBy(0),
-        )
-        .map_err(|e| e.to_string())?;
-        let blob = encode_store(&store);
-        total_bytes += blob.len();
-        std::fs::write(args.out.join(Manifest::store_file(i)), &blob).map_err(|e| e.to_string())?;
-    }
     let manifest = Manifest {
         dataset: args.dataset.clone(),
         providers: args.providers,
@@ -94,7 +80,7 @@ pub fn generate(args: &GenerateArgs) -> Result<String, String> {
         seed: args.seed,
         rows: dataset.raw_rows,
     };
-    manifest.save(&args.out)?;
+    let total_bytes = write_data_dir(&args.out, &manifest, &dataset.schema, partitions)?;
     Ok(format!(
         "wrote {} provider stores ({} bytes total) to {} — {}",
         manifest.providers,
@@ -102,6 +88,29 @@ pub fn generate(args: &GenerateArgs) -> Result<String, String> {
         args.out.display(),
         manifest
     ))
+}
+
+/// Writes a data directory: each provider's rows clustered into its store
+/// at the manifest's capacity, then the manifest. Returns the bytes of
+/// store written.
+pub fn write_data_dir(
+    out: &Path,
+    manifest: &Manifest,
+    schema: &Schema,
+    partitions: Vec<Vec<Row>>,
+) -> Result<usize, String> {
+    std::fs::create_dir_all(out).map_err(|e| e.to_string())?;
+    let mut total_bytes = 0usize;
+    for (i, rows) in partitions.into_iter().enumerate() {
+        let strategy = PartitionStrategy::SortedBy(0);
+        let store = ClusterStore::build(schema.clone(), rows, manifest.capacity, strategy)
+            .map_err(|e| e.to_string())?;
+        let blob = encode_store(&store);
+        total_bytes += blob.len();
+        std::fs::write(out.join(Manifest::store_file(i)), &blob).map_err(|e| e.to_string())?;
+    }
+    manifest.save(out)?;
+    Ok(total_bytes)
 }
 
 /// `fedaqp inspect`: print statistics of one persisted store.
@@ -376,7 +385,7 @@ fn round_line(s: &PlanSnapshot) -> String {
 /// snapshots or extreme), the privacy cost and, for a scalar, the
 /// estimator. Online rounds already printed as their frames arrived
 /// (`rounds_printed`) are not repeated.
-fn render_answer(
+pub fn render_answer(
     out: &mut String,
     schema: &Schema,
     plan: &QueryPlan,
@@ -905,6 +914,26 @@ pub struct ServeArgs {
     pub max_stale_rows: Option<usize>,
 }
 
+/// The flags' defaults: serve on `127.0.0.1:4751` at `(ε, δ) = (1, 1e-3)`,
+/// uncapped, local-DP, EM-calibrated, frozen and unsharded.
+impl Default for ServeArgs {
+    fn default() -> Self {
+        Self {
+            data: PathBuf::new(),
+            listen: "127.0.0.1:4751".into(),
+            epsilon: 1.0,
+            delta: 1e-3,
+            xi: None,
+            psi: None,
+            smc: false,
+            calibration: EstimatorCalibration::EmCalibrated,
+            shard: None,
+            live: false,
+            max_stale_rows: None,
+        }
+    }
+}
+
 /// A running `fedaqp serve` instance. Keep both fields alive for the
 /// lifetime of the service; the binary blocks on
 /// [`FederationServer::join`], tests call
@@ -1043,6 +1072,11 @@ fn serve_live(args: &ServeArgs, budget: Option<(f64, f64)>) -> Result<RunningSer
 pub fn serve(args: &ServeArgs) -> Result<RunningServer, String> {
     if args.live && args.shard.is_some() {
         return Err("--live does not combine with --shard: shards are frozen slices".into());
+    }
+    if args.max_stale_rows.is_some() && !args.live {
+        return Err(
+            "--max-stale-rows tunes a --live server's metadata refresh; pass --live".into(),
+        );
     }
     let budget = session_budget(args.xi, args.psi)?;
     if let Some((index, count)) = args.shard {
@@ -1243,6 +1277,23 @@ pub struct CoordinateArgs {
     pub psi: Option<f64>,
     /// Hansen–Hurwitz calibration — must match the shards'.
     pub calibration: EstimatorCalibration,
+}
+
+/// The flags' defaults: listen on `127.0.0.1:4750` at `(ε, δ) = (1, 1e-3)`,
+/// uncapped and EM-calibrated.
+impl Default for CoordinateArgs {
+    fn default() -> Self {
+        Self {
+            data: PathBuf::new(),
+            shards: Vec::new(),
+            listen: "127.0.0.1:4750".into(),
+            epsilon: 1.0,
+            delta: 1e-3,
+            xi: None,
+            psi: None,
+            calibration: EstimatorCalibration::EmCalibrated,
+        }
+    }
 }
 
 /// A running `fedaqp coordinate` instance: the scatter–gather TCP
@@ -1618,19 +1669,12 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    fn serve_args(dir: PathBuf) -> ServeArgs {
+    fn serve_args(data: PathBuf) -> ServeArgs {
         ServeArgs {
-            data: dir,
+            data,
             listen: "127.0.0.1:0".into(),
             epsilon: 5.0,
-            delta: 1e-3,
-            xi: None,
-            psi: None,
-            smc: false,
-            calibration: EstimatorCalibration::EmCalibrated,
-            shard: None,
-            live: false,
-            max_stale_rows: None,
+            ..ServeArgs::default()
         }
     }
 
@@ -1986,6 +2030,17 @@ mod tests {
         assert!(serve(&args).unwrap_err().contains("not shardable"), "smc");
     }
 
+    #[test]
+    fn max_stale_rows_needs_live() {
+        let mut args = serve_args(PathBuf::from("/nonexistent"));
+        args.max_stale_rows = Some(100);
+        let err = serve(&args).unwrap_err();
+        assert!(
+            err.contains("--max-stale-rows") && err.contains("--live"),
+            "{err}"
+        );
+    }
+
     /// The README's 2-shard walkthrough, end to end: two `serve --shard`
     /// servers over one generated data directory, a `coordinate` server
     /// federating them, and `query --remote` against the coordinator —
@@ -2020,19 +2075,13 @@ mod tests {
         let shard1 = serve(&shard1_args).unwrap();
         assert!(shard1.banner.contains("lanes 2..4"), "{}", shard1.banner);
 
-        let running = coordinate(&CoordinateArgs {
-            data: dir.clone(),
-            shards: vec![
+        let running = coordinate(&coordinate_args(
+            dir.clone(),
+            vec![
                 shard0.server.local_addr().to_string(),
                 shard1.server.local_addr().to_string(),
             ],
-            listen: "127.0.0.1:0".into(),
-            epsilon: 5.0,
-            delta: 1e-3,
-            xi: None,
-            psi: None,
-            calibration: EstimatorCalibration::EmCalibrated,
-        })
+        ))
         .unwrap();
         assert!(
             running
@@ -2261,17 +2310,21 @@ mod tests {
         assert!(err.contains("--psi") && err.contains("--xi"), "{err}");
     }
 
+    fn coordinate_args(data: PathBuf, shards: Vec<String>) -> CoordinateArgs {
+        CoordinateArgs {
+            data,
+            shards,
+            listen: "127.0.0.1:0".into(),
+            epsilon: 5.0,
+            ..CoordinateArgs::default()
+        }
+    }
+
     #[test]
     fn coordinate_refuses_psi_without_xi() {
         let err = coordinate(&CoordinateArgs {
-            data: PathBuf::from("/nonexistent"),
-            shards: vec!["127.0.0.1:1".into()],
-            listen: "127.0.0.1:0".into(),
-            epsilon: 5.0,
-            delta: 1e-3,
-            xi: None,
             psi: Some(0.1),
-            calibration: EstimatorCalibration::EmCalibrated,
+            ..coordinate_args(PathBuf::from("/nonexistent"), vec!["127.0.0.1:1".into()])
         })
         .unwrap_err();
         assert!(err.contains("--psi") && err.contains("--xi"), "{err}");
@@ -2280,17 +2333,7 @@ mod tests {
     #[test]
     fn coordinate_fails_cleanly_on_bad_inputs() {
         // No shards.
-        let err = coordinate(&CoordinateArgs {
-            data: PathBuf::from("/nonexistent"),
-            shards: vec![],
-            listen: "127.0.0.1:0".into(),
-            epsilon: 5.0,
-            delta: 1e-3,
-            xi: None,
-            psi: None,
-            calibration: EstimatorCalibration::EmCalibrated,
-        })
-        .unwrap_err();
+        let err = coordinate(&coordinate_args(PathBuf::from("/nonexistent"), vec![])).unwrap_err();
         assert!(err.contains("at least one"), "{err}");
 
         // A dead shard address is a one-line connect error.
@@ -2300,16 +2343,10 @@ mod tests {
             let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap().port()
         };
-        let err = coordinate(&CoordinateArgs {
-            data: dir.clone(),
-            shards: vec![format!("127.0.0.1:{port}")],
-            listen: "127.0.0.1:0".into(),
-            epsilon: 5.0,
-            delta: 1e-3,
-            xi: None,
-            psi: None,
-            calibration: EstimatorCalibration::EmCalibrated,
-        })
+        let err = coordinate(&coordinate_args(
+            dir.clone(),
+            vec![format!("127.0.0.1:{port}")],
+        ))
         .unwrap_err();
         assert!(err.contains(&port.to_string()), "{err}");
         assert!(!err.contains('\n'), "one line: {err}");

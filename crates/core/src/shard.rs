@@ -1031,67 +1031,6 @@ mod tests {
         }
     }
 
-    /// The tentpole privacy property of the obs crate: telemetry is
-    /// observation-only. With the same seeds, every plan kind, and 1/2/4
-    /// shards, the released answers with telemetry enabled are
-    /// bit-identical to the answers with telemetry disabled — recording
-    /// counters, gauges, histograms, and spans touches no RNG lane, no
-    /// occurrence ledger, and no release arithmetic.
-    ///
-    /// This is the only core test that toggles the global telemetry
-    /// flag; every other test is flag-agnostic, so the toggle cannot
-    /// race a sibling's assertions.
-    #[test]
-    fn released_bytes_identical_with_telemetry_on_and_off() {
-        let run = |enabled: bool, seed: u64, n_shards: usize| -> Vec<PlanAnswer> {
-            obs::set_enabled(enabled);
-            let coordinator =
-                ShardedFederation::in_process(config(seed), schema(), partitions(), n_shards)
-                    .unwrap();
-            let answers = plans()
-                .iter()
-                .map(|p| coordinator.run_plan(p))
-                .collect::<Result<Vec<_>>>()
-                .unwrap();
-            coordinator.shutdown();
-            answers
-        };
-        for seed in [0xFEDA_u64, 7] {
-            for n_shards in [1usize, 2, 4] {
-                let with_telemetry = run(true, seed, n_shards);
-                let without = run(false, seed, n_shards);
-                for ((on, off), plan) in with_telemetry.iter().zip(&without).zip(plans()) {
-                    assert_eq!(
-                        on.result, off.result,
-                        "seed {seed:#x}, {n_shards} shards, plan {plan:?}"
-                    );
-                    assert_eq!(on.cost, off.cost);
-                }
-            }
-        }
-        obs::set_enabled(true);
-    }
-
-    #[test]
-    fn coordinator_ledger_advances_like_the_engine() {
-        let plan = QueryPlan::Scalar {
-            query: count(100, 900),
-            sampling_rate: 0.3,
-            epsilon: 2.0,
-            delta: 1e-3,
-        };
-        let (first, second) = Federation::build(config(0xFEDA), schema(), partitions())
-            .unwrap()
-            .with_engine(|e| (e.run_plan(&plan).unwrap(), e.run_plan(&plan).unwrap()));
-        let coordinator =
-            ShardedFederation::in_process(config(0xFEDA), schema(), partitions(), 2).unwrap();
-        assert_eq!(coordinator.run_plan(&plan).unwrap().result, first.result);
-        assert_eq!(coordinator.run_plan(&plan).unwrap().result, second.result);
-        // The ledger really advanced: a repeat draws fresh noise.
-        assert_ne!(first.result, second.result);
-        coordinator.shutdown();
-    }
-
     #[test]
     fn unshardable_configurations_are_rejected() {
         let mut smc = config(1);

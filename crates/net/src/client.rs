@@ -23,8 +23,8 @@ use fedaqp_model::{Dimension, Domain, RangeQuery, Row, Schema};
 
 use crate::wire::{
     calibration_from_code, read_frame, write_frame, BudgetStatus, ErrorCode, ExplainRequest, Frame,
-    Hello, IngestAckFrame, IngestRequest, OnlinePlanRequest, PlanAnswerFrame, PlanRequest,
-    WireMetric, WirePlanResult, WireRow, VERSION,
+    Hello, HelloAck, IngestAckFrame, IngestRequest, OnlinePlanRequest, PlanAnswerFrame,
+    PlanRequest, WireMetric, WirePlanResult, WireRow, VERSION,
 };
 use crate::{NetError, Result};
 
@@ -90,6 +90,41 @@ fn plan_answer_from_wire(frame: PlanAnswerFrame) -> PlanAnswer {
     }
 }
 
+/// Connects to `addr`, turns Nagle off and says `Hello` as `identity`:
+/// the one way the analyst client and the coordinator's shard pool open
+/// a connection. A server on another version answers with a typed
+/// negotiation error, surfaced as [`NetError::UnsupportedVersion`]
+/// carrying both versions.
+pub(crate) fn handshake(addr: &str, identity: &str) -> Result<(TcpStream, HelloAck)> {
+    let mut stream = TcpStream::connect(addr).map_err(|e| NetError::Connect {
+        addr: addr.to_owned(),
+        message: e.to_string(),
+    })?;
+    stream.set_nodelay(true).ok();
+    write_frame(
+        &mut stream,
+        &Frame::Hello(Hello {
+            analyst: identity.to_owned(),
+        }),
+    )?;
+    match read_frame(&mut stream)? {
+        Frame::HelloAck(ack) => Ok((stream, ack)),
+        // The error frame's index carries the server's maximum version
+        // (see the wire-module docs).
+        Frame::Error(e) if e.code == ErrorCode::UnsupportedVersion => {
+            Err(NetError::UnsupportedVersion {
+                requested: VERSION,
+                supported: e.index as u16,
+            })
+        }
+        Frame::Error(e) => Err(NetError::Remote {
+            code: e.code,
+            message: e.message,
+        }),
+        _ => Err(NetError::Handshake("expected HelloAck")),
+    }
+}
+
 impl RemoteFederation {
     /// Connects anonymously (all anonymous connections share one budget
     /// ledger on a budget-capped server — declare an identity with
@@ -106,35 +141,7 @@ impl RemoteFederation {
     /// error, surfaced as [`NetError::UnsupportedVersion`] carrying both
     /// versions.
     pub fn connect_as(addr: &str, analyst: &str) -> Result<Self> {
-        let mut stream = TcpStream::connect(addr).map_err(|e| NetError::Connect {
-            addr: addr.to_owned(),
-            message: e.to_string(),
-        })?;
-        stream.set_nodelay(true).ok();
-        write_frame(
-            &mut stream,
-            &Frame::Hello(Hello {
-                analyst: analyst.to_owned(),
-            }),
-        )?;
-        let ack = match read_frame(&mut stream)? {
-            Frame::HelloAck(ack) => ack,
-            Frame::Error(e) if e.code == ErrorCode::UnsupportedVersion => {
-                // The error frame's index carries the server's maximum
-                // version (see the wire-module docs).
-                return Err(NetError::UnsupportedVersion {
-                    requested: VERSION,
-                    supported: e.index as u16,
-                });
-            }
-            Frame::Error(e) => {
-                return Err(NetError::Remote {
-                    code: e.code,
-                    message: e.message,
-                })
-            }
-            _ => return Err(NetError::Handshake("expected HelloAck")),
-        };
+        let (stream, ack) = handshake(addr, analyst)?;
         let dimensions: Vec<Dimension> = ack
             .dimensions
             .iter()

@@ -66,9 +66,10 @@ use fedaqp_core::{
 use fedaqp_model::Value;
 use fedaqp_smc::CostModel;
 
+use crate::client::handshake;
 use crate::wire::{
-    encode_frame, fragment_runs, read_frame, write_frame, ErrorCode, ExtremeFragmentRequest,
-    FragmentRequest, Frame, Hello, WireAllocation, VERSION,
+    encode_frame, fragment_runs, read_frame, ExtremeFragmentRequest, FragmentRequest, Frame,
+    WireAllocation,
 };
 use crate::{NetError, Result};
 
@@ -553,34 +554,11 @@ struct ShardConn {
 
 impl ShardConn {
     fn open(addr: &str) -> Result<Self> {
-        let mut stream = TcpStream::connect(addr).map_err(|e| NetError::Connect {
-            addr: addr.to_owned(),
-            message: e.to_string(),
-        })?;
-        stream.set_nodelay(true).ok();
-        write_frame(
-            &mut stream,
-            &Frame::Hello(Hello {
-                analyst: "coordinator".to_owned(),
-            }),
-        )?;
-        match read_frame(&mut stream)? {
-            Frame::HelloAck(ack) => Ok(Self {
-                stream,
-                n_providers: ack.n_providers as usize,
-            }),
-            Frame::Error(e) if e.code == ErrorCode::UnsupportedVersion => {
-                Err(NetError::UnsupportedVersion {
-                    requested: VERSION,
-                    supported: e.index as u16,
-                })
-            }
-            Frame::Error(e) => Err(NetError::Remote {
-                code: e.code,
-                message: e.message,
-            }),
-            _ => Err(NetError::Handshake("expected HelloAck")),
-        }
+        let (stream, ack) = handshake(addr, "coordinator")?;
+        Ok(Self {
+            stream,
+            n_providers: ack.n_providers as usize,
+        })
     }
 
     /// Writes already-encoded frames in one go.
@@ -610,7 +588,9 @@ mod tests {
     use fedaqp_model::Extreme;
 
     use super::*;
-    use crate::wire::{ExtremePartialFrame, HelloAck, ShardBoundsFrame, WireProviderBounds};
+    use crate::wire::{
+        write_frame, ExtremePartialFrame, HelloAck, ShardBoundsFrame, WireProviderBounds, VERSION,
+    };
 
     /// A scripted shard server: handshakes declaring `ack_providers`,
     /// serves bounds for one provider, and **hangs up after answering

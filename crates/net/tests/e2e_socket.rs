@@ -1457,36 +1457,6 @@ fn live_servers_serve_ingest_and_queries_across_epochs() {
     server.shutdown();
 }
 
-/// The same scalar plan sent twice at epoch 0 is occurrence 0 then
-/// occurrence 1 on a live server exactly as on a frozen one: the live
-/// server's per-plan scopes share one per-epoch occurrence ledger, so a
-/// repeat draws fresh noise instead of replaying the first release.
-#[test]
-fn a_repeated_plan_is_its_next_occurrence_on_live_and_frozen_servers() {
-    use fedaqp_core::{LiveFederation, RefreshPolicy};
-
-    let engine = FederationEngine::start(federation(1.0));
-    let frozen = LoopbackServer::analyst(engine.handle(), ServeOptions::unlimited()).unwrap();
-    let live = LiveFederation::new(federation(1.0), RefreshPolicy::default());
-    let live = LoopbackServer::live(live, ServeOptions::unlimited()).unwrap();
-    let twice = |addr: &str| {
-        let mut client = RemoteFederation::connect(addr).unwrap();
-        [0, 1].map(|_| {
-            scalar(&mut client, &count_query(100, 800), 0.2)
-                .unwrap()
-                .to_bits()
-        })
-    };
-    let on_frozen = twice(frozen.addr());
-    let on_live = twice(live.addr());
-    assert_ne!(on_frozen[0], on_frozen[1], "a repeat draws fresh noise");
-    assert_eq!(on_live, on_frozen, "live and frozen repeats must agree");
-
-    drop(frozen);
-    drop(live);
-    engine.shutdown();
-}
-
 /// Ingest frames sent to a frozen analyst server get a typed refusal,
 /// not a hangup — only live-mode servers mutate their federation.
 #[test]
