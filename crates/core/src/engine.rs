@@ -12,11 +12,17 @@
 //!   provider, alive across queries — whose queues carry *turns*, not
 //!   jobs, so one provider interleaves the phases of many in-flight jobs.
 //! - A **scoped** engine ([`crate::Federation::with_engine`], borrowing the
-//!   providers) spawns nothing: a job runs to completion on the first
+//!   providers) spawns no worker: a job runs to completion on the first
 //!   thread that waits for it, every provider's turn in id order, and
 //!   any other waiter parks until it lands. Nothing runs at submission,
 //!   so a job nobody waits for costs nothing, and concurrency comes from
 //!   the analysts' own threads.
+//!
+//! Under either engine, a turn whose cluster read is large fans out for
+//! the length of that one read: [`fedaqp_storage::ClusterStore::evaluate_each`]
+//! shares it with the process's scan helpers beside the turn's own thread,
+//! never waits for them, and puts each cluster's count back in its place,
+//! so the released bytes do not depend on it.
 //!
 //! Owned-engine architecture:
 //!
@@ -850,8 +856,9 @@ enum Executor {
     /// An owned engine's per-provider worker pool: one turn queue per
     /// provider.
     Pool(Arc<Queues>),
-    /// A scoped engine: no threads of its own; the first thread to wait
-    /// for a job runs it.
+    /// A scoped engine: no worker threads of its own; the first thread to
+    /// wait for a job runs it (a large cluster read inside a turn still
+    /// fans out for its own length).
     Scope(Arc<Scope>),
 }
 
@@ -904,7 +911,7 @@ impl EngineHandle {
     }
 
     /// A scoped engine over `providers`, counting occurrences in
-    /// `occurrences`: it spawns nothing, and holds its share of the
+    /// `occurrences`: it spawns no worker, and holds its share of the
     /// providers until [`Self::close`].
     pub(crate) fn scoped(
         config: &FederationConfig,
@@ -1863,6 +1870,55 @@ mod tests {
                 }
             });
         });
+    }
+
+    /// A fanned-out scan that panics — on a helper or on the turn's own
+    /// thread — fails its job with the typed error through the panic
+    /// guard, never a hang or a short read, on both engines. The
+    /// federation's schema has a dimension its stores lack, so the plain
+    /// scan of a query on it passes validation and then indexes past the
+    /// stores' columns, on more than `FAN_OUT_CELLS` cells.
+    #[test]
+    fn a_panicking_fanned_out_scan_fails_its_job_with_the_typed_error() {
+        let mut cfg = config(1000);
+        cfg.n_providers = 2;
+        let rows_per = fedaqp_storage::FAN_OUT_CELLS / 3 + 1;
+        let providers = partitions(rows_per, 2)
+            .into_iter()
+            .enumerate()
+            .map(|(id, rows)| {
+                let store = fedaqp_storage::ClusterStore::build(
+                    schema(),
+                    rows,
+                    cfg.cluster_capacity,
+                    cfg.partition_strategy,
+                )
+                .unwrap();
+                DataProvider::from_store(id, store, &cfg)
+            })
+            .collect();
+        let mut dims = schema().dimensions().to_vec();
+        dims.push(Dimension::new("z", Domain::new(0, 9).unwrap()));
+        let fed = Federation::from_parts(cfg, Schema::new(dims).unwrap(), providers);
+        let q = RangeQuery::new(
+            Aggregate::Count,
+            vec![
+                Range::new(0, 0, 999).unwrap(),
+                Range::new(1, 0, 99).unwrap(),
+                Range::new(2, 0, 9).unwrap(),
+            ],
+        )
+        .unwrap();
+        let violation =
+            |answer: Result<PlainAnswer>| matches!(answer, Err(CoreError::ProtocolViolation(_)));
+        assert!(fed.with_engine(|engine| violation(engine.submit_plain(&q).unwrap().wait())));
+        let engine = FederationEngine::start(fed);
+        let handle = engine.handle();
+        assert!(violation(handle.submit_plain(&q).unwrap().wait()));
+        // The worker survived its turn's panic and keeps serving.
+        let narrow = count_query(100, 800);
+        assert!(handle.submit_plain(&narrow).unwrap().wait().is_ok());
+        engine.shutdown();
     }
 
     #[test]

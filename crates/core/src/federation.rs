@@ -182,9 +182,11 @@ impl Federation {
     }
 
     /// Runs `f` against a temporary engine that borrows this federation's
-    /// providers and spawns no thread: each job `f` submits runs, every
+    /// providers and spawns no worker: each job `f` submits runs, every
     /// provider's turn in id order, on the first thread that waits for it
-    /// (see [`crate::engine`]). Concurrency comes from `f`'s own threads.
+    /// (see [`crate::engine`]). Concurrency comes from `f`'s own threads,
+    /// and from a large cluster read, which fans out for its own length
+    /// ([`fedaqp_storage::ClusterStore::evaluate_each`]).
     /// This is the cheap way to run queries — including the plain
     /// baseline on the *same* threads as the private path — without giving
     /// up ownership of the federation; for a long-lived service with a

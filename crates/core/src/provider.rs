@@ -344,9 +344,6 @@ impl DataProvider {
         };
         let dp_score = delta_p(self.n_min);
         let sample = em_sample(rng, weights, s, budget.eps_s, dp_score)?;
-        // Scan each *distinct* drawn cluster once; repeats reuse the value.
-        let mut value_cache: Vec<Option<u64>> = vec![None; n_q];
-        let mut scanned = 0usize;
         let dr = delta_r_for(
             self.regime,
             self.meta.agreed_s(),
@@ -371,18 +368,25 @@ impl DataProvider {
             p_floor,
             self.calibration,
         );
+        // Scan each *distinct* drawn cluster once, in first-draw order, in
+        // one read (which fans out when it is large); repeats reuse the
+        // value.
+        let mut drawn = vec![false; n_q];
+        let distinct: Vec<usize> = sample
+            .chosen
+            .iter()
+            .copied()
+            .filter(|&pos| !std::mem::replace(&mut drawn[pos], true))
+            .collect();
+        let ids: Vec<ClusterId> = distinct.iter().map(|&pos| prep.covering[pos]).collect();
+        let mut value_at = vec![0u64; n_q];
+        for (&pos, v) in distinct.iter().zip(self.store.evaluate_each(query, &ids)?) {
+            value_at[pos] = v;
+        }
         let mut draws = Vec::with_capacity(s);
         let mut sens_inputs = Vec::with_capacity(s);
         for &pos in &sample.chosen {
-            let q_c = match value_cache[pos] {
-                Some(v) => v,
-                None => {
-                    let v = self.store.cluster(prep.covering[pos])?.evaluate(query);
-                    value_cache[pos] = Some(v);
-                    scanned += 1;
-                    v
-                }
-            };
+            let q_c = value_at[pos];
             let p = ctx.divisor(sample.pps[pos], sample.em_probabilities[pos]);
             draws.push(HansenHurwitz {
                 value: q_c as f64,
@@ -410,7 +414,7 @@ impl DataProvider {
             smooth_ls,
             variance,
             approximated: true,
-            clusters_scanned: scanned,
+            clusters_scanned: distinct.len(),
             n_covering: n_q,
         })
     }
@@ -604,6 +608,85 @@ mod tests {
             (mean - exact).abs() < 0.25 * exact,
             "mean estimate {mean} too far from exact {exact}"
         );
+    }
+
+    /// A turn whose distinct draws cross `FAN_OUT_CELLS` reads them in
+    /// one fanned-out read, and releases the bits a serial replay
+    /// computes: EM on a cloned lane, one `Cluster::evaluate` per draw,
+    /// `hh_estimate`, then the smooth release on the same lane.
+    #[test]
+    fn a_fanned_out_turn_releases_the_serial_replays_bits() {
+        let p = provider(200_000, 2000, 5);
+        let q = RangeQuery::new(
+            Aggregate::Sum,
+            vec![
+                Range::new(0, 0, 899).unwrap(),
+                Range::new(1, 10, 89).unwrap(),
+            ],
+        )
+        .unwrap();
+        let prep = p.prepare(&q);
+        let loose = QueryBudget::split(50.0, 1e-3, HyperParams::paper_default()).unwrap();
+        let allocation = 80;
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut lane = rng.clone();
+        let out = p
+            .execute_with_rng(&q, &prep, allocation, &loose, true, &mut rng)
+            .unwrap();
+        assert!(out.approximated);
+
+        let s = (allocation as usize).min(prep.n_q());
+        let sample = em_sample(&mut lane, &prep.proportions, s, loose.eps_s, delta_p(5)).unwrap();
+        let cluster = |pos: usize| p.store().cluster(prep.covering[pos]).unwrap();
+        let mut distinct = sample.chosen.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let cells = distinct
+            .iter()
+            .map(|&pos| cluster(pos).len())
+            .sum::<usize>()
+            * q.dimensionality();
+        assert!(
+            cells >= fedaqp_storage::FAN_OUT_CELLS,
+            "the draw must fan out: {cells} cells"
+        );
+        assert_eq!(out.clusters_scanned, distinct.len());
+
+        let delta_r = delta_r_for(p.regime, p.meta.agreed_s(), 2, q.dimensionality());
+        let p_floor = sample.min_draw_probability().unwrap();
+        let ctx = SensitivityContext::new(
+            prep.sum_r,
+            delta_r,
+            p.meta.agreed_s(),
+            p_floor,
+            p.calibration,
+        );
+        let (draws, sens): (Vec<HansenHurwitz>, Vec<ClusterSensitivityInput>) = sample
+            .chosen
+            .iter()
+            .map(|&pos| {
+                let q_c = cluster(pos).evaluate(&q) as f64;
+                let p = ctx.divisor(sample.pps[pos], sample.em_probabilities[pos]);
+                (
+                    HansenHurwitz {
+                        value: q_c,
+                        probability: p,
+                    },
+                    ClusterSensitivityInput {
+                        q_c,
+                        r: prep.proportions[pos],
+                        p,
+                    },
+                )
+            })
+            .unzip();
+        let estimate = hh_estimate(&draws).unwrap();
+        assert_eq!(estimate.to_bits(), out.estimate.to_bits());
+        let smooth = SmoothSensitivity::new(loose.eps_e, loose.delta).unwrap();
+        let smooth_ls = smooth_estimator_sensitivity(&smooth, &sens, &ctx);
+        assert_eq!(smooth_ls.to_bits(), out.smooth_ls.to_bits());
+        let released = smooth.release(&mut lane, estimate, smooth_ls);
+        assert_eq!(released.to_bits(), out.released.unwrap().to_bits());
     }
 
     #[test]

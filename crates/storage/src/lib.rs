@@ -27,7 +27,7 @@ pub use cluster::{Cluster, ClusterId};
 pub use codec::{declared_len_fits, decode_provider_meta, encode_provider_meta, MetaSpaceReport};
 pub use error::StorageError;
 pub use meta::{ClusterMeta, DimMeta, ProviderMeta};
-pub use store::{AppendOutcome, ClusterStore, PartitionStrategy};
+pub use store::{AppendOutcome, ClusterStore, PartitionStrategy, FAN_OUT_CELLS};
 pub use store_codec::{decode_store, encode_store};
 
 /// Crate-wide result alias.

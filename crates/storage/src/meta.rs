@@ -281,7 +281,7 @@ impl ProviderMeta {
         let clusters = store
             .clusters()
             .iter()
-            .map(ClusterMeta::from_cluster)
+            .map(|c| ClusterMeta::from_cluster(c))
             .collect();
         Self {
             agreed_s: agreed_s.max(1),
