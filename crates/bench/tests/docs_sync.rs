@@ -59,6 +59,50 @@ fn wire_version_lists_track_the_codec() {
     );
 }
 
+/// Kind bytes are retired, never reused: the holes listed by the wire
+/// module's docs and by the README must be exactly the gaps the frame
+/// table in `wire.rs` leaves below its highest byte. Retiring a kind
+/// without listing it, or reusing a listed one, fails here.
+#[test]
+fn retired_kind_lists_match_the_frame_table() {
+    let source = read("crates/net/src/wire.rs");
+    // The table's `KIND_NAME = byte => Variant` rows.
+    let kinds: Vec<u8> = source
+        .lines()
+        .filter_map(|line| {
+            let (name, rest) = line.trim().split_once(" = ")?;
+            let byte = rest.split_whitespace().next()?;
+            name.starts_with("KIND_").then(|| byte.parse().ok())?
+        })
+        .collect();
+    let highest = *kinds.iter().max().expect("wire.rs lost its frame table");
+    let holes: Vec<u8> = (1..highest).filter(|k| !kinds.contains(k)).collect();
+
+    // The numbers of the first `kind bytes … are retired` phrase, read
+    // across line breaks and module-doc markers.
+    let listed = |text: &str| -> Option<Vec<u8>> {
+        let flat = text
+            .lines()
+            .map(|l| l.trim_start().trim_start_matches("//!").trim())
+            .collect::<Vec<_>>()
+            .join(" ");
+        let start = flat.find("ind bytes ")? + "ind bytes ".len();
+        let end = start + flat[start..].find(" are retired")?;
+        flat[start..end]
+            .split(|c: char| !c.is_ascii_digit())
+            .filter(|word| !word.is_empty())
+            .map(|word| word.parse().ok())
+            .collect()
+    };
+    for file in ["crates/net/src/wire.rs", "README.md"] {
+        assert_eq!(
+            listed(&read(file)),
+            Some(holes.clone()),
+            "{file} should say `kind bytes {holes:?} are retired` (the frame table's gaps)"
+        );
+    }
+}
+
 /// Every experiment the registry marks `(CI gate)` must actually be run
 /// by the bench job and documented in the gate-by-gate page.
 #[test]

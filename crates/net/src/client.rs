@@ -11,6 +11,7 @@
 //!
 //! [`EngineHandle`]: fedaqp_core::EngineHandle
 
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -22,8 +23,8 @@ use fedaqp_dp::PrivacyCost;
 use fedaqp_model::{Dimension, Domain, RangeQuery, Row, Schema};
 
 use crate::wire::{
-    calibration_from_code, read_frame, write_frame, BudgetStatus, ErrorCode, ExplainRequest, Frame,
-    Hello, HelloAck, IngestAckFrame, IngestRequest, OnlinePlanRequest, PlanAnswerFrame,
+    calibration_from_code, encode_frame, read_frame, BudgetStatus, ErrorCode, ExplainRequest,
+    Frame, Hello, HelloAck, IngestAckFrame, IngestRequest, OnlinePlanRequest, PlanAnswerFrame,
     PlanRequest, WireMetric, WirePlanResult, WireRow, VERSION,
 };
 use crate::{NetError, Result};
@@ -31,7 +32,7 @@ use crate::{NetError, Result};
 /// A blocking connection to a [`crate::FederationServer`].
 #[derive(Debug)]
 pub struct RemoteFederation {
-    stream: TcpStream,
+    conn: Conn,
     schema: Schema,
     n_providers: usize,
     epsilon: f64,
@@ -44,12 +45,6 @@ pub struct RemoteFederation {
     /// stream (the next reply would otherwise be attributed to the wrong
     /// plan).
     outstanding: usize,
-}
-
-/// Any per-request reply frame the server can owe.
-enum Reply {
-    Plan(PlanAnswerFrame),
-    Explain(PlanExplanation),
 }
 
 fn plan_answer_from_wire(frame: PlanAnswerFrame) -> PlanAnswer {
@@ -90,38 +85,62 @@ fn plan_answer_from_wire(frame: PlanAnswerFrame) -> PlanAnswer {
     }
 }
 
-/// Connects to `addr`, turns Nagle off and says `Hello` as `identity`:
-/// the one way the analyst client and the coordinator's shard pool open
-/// a connection. A server on another version answers with a typed
-/// negotiation error, surfaced as [`NetError::UnsupportedVersion`]
-/// carrying both versions.
-pub(crate) fn handshake(addr: &str, identity: &str) -> Result<(TcpStream, HelloAck)> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| NetError::Connect {
-        addr: addr.to_owned(),
-        message: e.to_string(),
-    })?;
-    stream.set_nodelay(true).ok();
-    write_frame(
-        &mut stream,
-        &Frame::Hello(Hello {
+/// A blocking, handshaken connection: the one socket stack under both
+/// the analyst client and the coordinator's shard pool. Requests are
+/// written whole; every reply is read through [`Conn::recv`].
+#[derive(Debug)]
+pub(crate) struct Conn {
+    stream: TcpStream,
+}
+
+impl Conn {
+    /// Connects to `addr`, turns Nagle off and says `Hello` as
+    /// `identity`, returning the server's `HelloAck`.
+    pub(crate) fn open(addr: &str, identity: &str) -> Result<(Self, HelloAck)> {
+        let stream = TcpStream::connect(addr).map_err(|e| NetError::Connect {
+            addr: addr.to_owned(),
+            message: e.to_string(),
+        })?;
+        stream.set_nodelay(true).ok();
+        let mut conn = Self { stream };
+        conn.send(&Frame::Hello(Hello {
             analyst: identity.to_owned(),
-        }),
-    )?;
-    match read_frame(&mut stream)? {
-        Frame::HelloAck(ack) => Ok((stream, ack)),
-        // The error frame's index carries the server's maximum version
-        // (see the wire-module docs).
-        Frame::Error(e) if e.code == ErrorCode::UnsupportedVersion => {
-            Err(NetError::UnsupportedVersion {
-                requested: VERSION,
-                supported: e.index as u16,
-            })
+        }))?;
+        match conn.recv()? {
+            Frame::HelloAck(ack) => Ok((conn, ack)),
+            _ => Err(NetError::Handshake("expected HelloAck")),
         }
-        Frame::Error(e) => Err(NetError::Remote {
-            code: e.code,
-            message: e.message,
-        }),
-        _ => Err(NetError::Handshake("expected HelloAck")),
+    }
+
+    /// Writes already-encoded frames in one go.
+    pub(crate) fn write(&mut self, bytes: &[u8]) -> Result<()> {
+        self.stream.write_all(bytes)?;
+        Ok(())
+    }
+
+    /// Encodes and writes one frame.
+    pub(crate) fn send(&mut self, frame: &Frame) -> Result<()> {
+        self.write(&encode_frame(frame)?)
+    }
+
+    /// Reads the next reply. A typed error frame becomes
+    /// [`NetError::Remote`] — or, from a server on another version,
+    /// [`NetError::UnsupportedVersion`] carrying both versions (the frame's
+    /// index carries the server's; see the wire-module docs).
+    pub(crate) fn recv(&mut self) -> Result<Frame> {
+        match read_frame(&mut self.stream)? {
+            Frame::Error(e) if e.code == ErrorCode::UnsupportedVersion => {
+                Err(NetError::UnsupportedVersion {
+                    requested: VERSION,
+                    supported: e.index as u16,
+                })
+            }
+            Frame::Error(e) => Err(NetError::Remote {
+                code: e.code,
+                message: e.message,
+            }),
+            frame => Ok(frame),
+        }
     }
 }
 
@@ -141,7 +160,7 @@ impl RemoteFederation {
     /// error, surfaced as [`NetError::UnsupportedVersion`] carrying both
     /// versions.
     pub fn connect_as(addr: &str, analyst: &str) -> Result<Self> {
-        let (stream, ack) = handshake(addr, analyst)?;
+        let (conn, ack) = Conn::open(addr, analyst)?;
         let dimensions: Vec<Dimension> = ack
             .dimensions
             .iter()
@@ -153,7 +172,7 @@ impl RemoteFederation {
             .collect::<Result<_>>()?;
         let schema = Schema::new(dimensions).map_err(|_| NetError::Malformed("invalid schema"))?;
         Ok(Self {
-            stream,
+            conn,
             schema,
             n_providers: ack.n_providers as usize,
             epsilon: ack.epsilon,
@@ -204,12 +223,20 @@ impl RemoteFederation {
             self.outstanding -= 1;
             // A typed per-request Error frame is a valid (discarded)
             // reply; only connection-level failures propagate.
-            match self.read_reply_any() {
+            match self.conn.recv() {
                 Ok(_) | Err(NetError::Remote { .. }) => {}
                 Err(e) => return Err(e),
             }
         }
         Ok(())
+    }
+
+    /// Sends one request once every owed reply is drained, and reads its
+    /// reply.
+    fn request(&mut self, frame: &Frame) -> Result<Frame> {
+        self.drain_outstanding()?;
+        self.conn.send(frame)?;
+        self.conn.recv()
     }
 
     /// The scalar plan for `query` under the server's advertised default
@@ -233,10 +260,8 @@ impl RemoteFederation {
     /// request.
     pub fn submit_plan(&mut self, plan: &QueryPlan) -> Result<PendingRemotePlan<'_>> {
         self.drain_outstanding()?;
-        write_frame(
-            &mut self.stream,
-            &Frame::Plan(PlanRequest { plan: plan.clone() }),
-        )?;
+        self.conn
+            .send(&Frame::Plan(PlanRequest { plan: plan.clone() }))?;
         self.outstanding += 1;
         Ok(PendingRemotePlan { conn: self })
     }
@@ -251,27 +276,16 @@ impl RemoteFederation {
     /// `EngineHandle::explain_plan`. Nothing executes and no budget is
     /// charged, on either side.
     pub fn explain_plan(&mut self, plan: &QueryPlan) -> Result<PlanExplanation> {
-        self.drain_outstanding()?;
-        write_frame(
-            &mut self.stream,
-            &Frame::Explain(ExplainRequest { plan: plan.clone() }),
-        )?;
-        match self.read_reply_any()? {
-            Reply::Explain(explanation) => Ok(explanation),
+        match self.request(&Frame::Explain(ExplainRequest { plan: plan.clone() }))? {
+            Frame::ExplainAnswer(answer) => Ok(answer.explanation),
             _ => Err(NetError::Malformed("expected ExplainAnswer")),
         }
     }
 
     /// Asks the server for this analyst's session ledger.
     pub fn budget_status(&mut self) -> Result<BudgetStatus> {
-        self.drain_outstanding()?;
-        write_frame(&mut self.stream, &Frame::BudgetRequest)?;
-        match read_frame(&mut self.stream)? {
+        match self.request(&Frame::BudgetRequest)? {
             Frame::BudgetStatus(status) => Ok(status),
-            Frame::Error(e) => Err(NetError::Remote {
-                code: e.code,
-                message: e.message,
-            }),
             _ => Err(NetError::Malformed("expected BudgetStatus")),
         }
     }
@@ -281,14 +295,8 @@ impl RemoteFederation {
     /// histogram aggregates, all public-data-only by the `fedaqp-obs`
     /// provenance boundary.
     pub fn metrics(&mut self) -> Result<Vec<WireMetric>> {
-        self.drain_outstanding()?;
-        write_frame(&mut self.stream, &Frame::Metrics)?;
-        match read_frame(&mut self.stream)? {
+        match self.request(&Frame::Metrics)? {
             Frame::MetricsAnswer(answer) => Ok(answer.metrics),
-            Frame::Error(e) => Err(NetError::Remote {
-                code: e.code,
-                message: e.message,
-            }),
             _ => Err(NetError::Malformed("expected MetricsAnswer")),
         }
     }
@@ -314,19 +322,19 @@ impl RemoteFederation {
         mut on_snapshot: impl FnMut(&PlanSnapshot),
     ) -> Result<PlanAnswer> {
         self.drain_outstanding()?;
-        write_frame(
-            &mut self.stream,
-            &Frame::OnlinePlan(OnlinePlanRequest {
-                query: query.clone(),
-                sampling_rate,
-                epsilon,
-                delta,
-                rounds,
-            }),
-        )?;
+        self.conn.send(&Frame::OnlinePlan(OnlinePlanRequest {
+            query: query.clone(),
+            sampling_rate,
+            epsilon,
+            delta,
+            rounds,
+        }))?;
         let mut snapshots = Vec::new();
+        // A typed error closes the conversation — mid-stream it means an
+        // engine failure after the (kept, fail-closed) charge; before any
+        // snapshot it is an ordinary rejection.
         loop {
-            match read_frame(&mut self.stream)? {
+            match self.conn.recv()? {
                 Frame::OnlineSnapshot(frame) => {
                     let snapshot = PlanSnapshot {
                         round: frame.round as u64,
@@ -355,15 +363,6 @@ impl RemoteFederation {
                         },
                     });
                 }
-                // A typed error closes the conversation — mid-stream it
-                // means an engine failure after the (kept, fail-closed)
-                // charge; before any snapshot it is an ordinary rejection.
-                Frame::Error(e) => {
-                    return Err(NetError::Remote {
-                        code: e.code,
-                        message: e.message,
-                    })
-                }
                 _ => return Err(NetError::Malformed("expected OnlineSnapshot or OnlineDone")),
             }
         }
@@ -374,49 +373,16 @@ impl RemoteFederation {
     /// federation's new epoch and whether the batch triggered a full
     /// metadata recompute. Non-live servers refuse with a typed error.
     pub fn ingest(&mut self, provider: u32, rows: &[Row]) -> Result<IngestAckFrame> {
-        self.drain_outstanding()?;
-        write_frame(
-            &mut self.stream,
-            &Frame::Ingest(IngestRequest {
-                provider,
-                rows: rows
-                    .iter()
-                    .map(|r| WireRow {
-                        values: r.values().to_vec(),
-                        measure: r.measure(),
-                    })
-                    .collect(),
-            }),
-        )?;
-        match read_frame(&mut self.stream)? {
+        let rows = rows
+            .iter()
+            .map(|r| WireRow {
+                values: r.values().to_vec(),
+                measure: r.measure(),
+            })
+            .collect();
+        match self.request(&Frame::Ingest(IngestRequest { provider, rows }))? {
             Frame::IngestAck(ack) => Ok(ack),
-            Frame::Error(e) => Err(NetError::Remote {
-                code: e.code,
-                message: e.message,
-            }),
             _ => Err(NetError::Malformed("expected IngestAck")),
-        }
-    }
-
-    /// Reads whatever per-request reply the server owes next.
-    fn read_reply_any(&mut self) -> Result<Reply> {
-        match read_frame(&mut self.stream)? {
-            Frame::PlanAnswer(answer) => Ok(Reply::Plan(answer)),
-            Frame::ExplainAnswer(answer) => Ok(Reply::Explain(answer.explanation)),
-            Frame::Error(e) => Err(NetError::Remote {
-                code: e.code,
-                message: e.message,
-            }),
-            _ => Err(NetError::Malformed("expected a plan or explain answer")),
-        }
-    }
-
-    fn read_plan_reply(&mut self) -> Result<PlanAnswer> {
-        match self.read_reply_any()? {
-            Reply::Plan(answer) => Ok(plan_answer_from_wire(answer)),
-            _ => Err(NetError::Malformed(
-                "expected PlanAnswer, got another reply",
-            )),
         }
     }
 }
@@ -432,6 +398,9 @@ impl PendingRemotePlan<'_> {
     /// Blocks until the server's reply for this plan arrives.
     pub fn wait(self) -> Result<PlanAnswer> {
         self.conn.outstanding -= 1;
-        self.conn.read_plan_reply()
+        match self.conn.conn.recv()? {
+            Frame::PlanAnswer(answer) => Ok(plan_answer_from_wire(answer)),
+            _ => Err(NetError::Malformed("expected PlanAnswer")),
+        }
     }
 }

@@ -162,8 +162,8 @@ const OTHER_FRAMES: &str = "fedaqp_server_frames_total.other";
 impl Gate {
     /// The gate table: every request-frame kind and who serves it. `None`
     /// is a second `Hello` or a server-to-client frame, which no role
-    /// serves. (The whole coordinator → shard family is one lifecycle, so
-    /// one row.)
+    /// serves. (The coordinator → shard family — the batch's two requests,
+    /// the extreme fragment and the bounds fetch — shares one row.)
     #[rustfmt::skip]
     fn of(frame: &Frame) -> Option<Gate> {
         use Frame::*;
@@ -174,9 +174,7 @@ impl Gate {
             Metrics       => (ANALYST, "fedaqp_server_frames_total.metrics"),
             OnlinePlan(_) => (ANALYST, "fedaqp_server_frames_total.online"),
             Ingest(_)     => (LIVE,    "fedaqp_server_frames_total.ingest"),
-            Fragment(_) | FragmentSummariesRequest | FragmentAllocation(_)
-            | FragmentPartialRequest | FragmentAbort | ExtremeFragment(_)
-            | ShardBoundsRequest
+            Fragment(_) | FragmentAllocation(_) | ExtremeFragment(_) | ShardBoundsRequest
                           => (SHARD,   "fedaqp_server_frames_total.fragment"),
             _ => return None,
         };
@@ -425,11 +423,12 @@ struct Connection {
     /// Requests answered on this connection (what an uncapped
     /// `BudgetStatus` reports).
     answered: u64,
-    /// The shard role's fragment batch in flight: a connection carries at
-    /// most one lifecycle at a time. Dropping the connection mid-batch
-    /// aborts it ([`PendingFragment`]'s drop), so a vanished coordinator
-    /// costs the shard nothing more.
-    batch: Option<ShardBatch>,
+    /// The shard role's fragment batch between its two requests, in batch
+    /// order: a connection carries at most one batch at a time. Dropping
+    /// the connection mid-batch aborts it ([`PendingFragment`]'s drop), so
+    /// closing is how a coordinator aborts, and a vanished one costs the
+    /// shard nothing more.
+    batch: Option<Vec<PendingFragment>>,
 }
 
 /// One connection of any role, served to completion.
@@ -653,46 +652,29 @@ fn count_answer(answered: &mut u64) {
     obs::counter_add(obs::names::SERVER_QUERIES, 1);
 }
 
-/// A shard connection's fragment batch: its engine fragments in batch
-/// order, and whether their allocations were delivered.
-struct ShardBatch {
-    fragments: Vec<PendingFragment>,
-    allocated: bool,
-}
-
-/// Serves one frame of the coordinator → shard family, writing its
-/// replies: a `Fragment` batch (queued without a reply; summaries ⇒
-/// allocations ⇒ one partial per fragment, streamed in batch order as
-/// each resolves) or the single-round `ExtremeFragment` /
-/// `ShardBoundsRequest`. No budget is involved by construction: the
+/// Serves one request of the coordinator → shard family, writing its
+/// replies: a `Fragment` batch is queued and answered with its summaries;
+/// its `FragmentAllocation` is delivered and answered with one partial per
+/// fragment, streamed in batch order as each resolves (or one typed error,
+/// which ends the batch); `ExtremeFragment` and `ShardBoundsRequest` are
+/// single round trips. No budget is involved by construction: the
 /// upstream coordinator charged the whole plan before scattering.
 fn serve_fragment(
     engine: &EngineHandle,
-    batch: &mut Option<ShardBatch>,
+    batch: &mut Option<Vec<PendingFragment>>,
     frame: Frame,
     stream: &mut TcpStream,
 ) -> Result<()> {
-    /// The typed reply to a lifecycle frame with no batch in flight.
-    fn no_fragment() -> Frame {
-        error_reply(
-            0,
-            ErrorCode::BadRequest,
-            "no fragment in flight on this connection",
-        )
-    }
+    let bad_request = |message| error_reply(0, ErrorCode::BadRequest, message);
     let reply = match frame {
-        Frame::Fragment(_) if batch.is_some() => error_reply(
-            0,
-            ErrorCode::BadRequest,
-            "one shard connection carries one fragment batch at a time",
-        ),
-        Frame::Fragment(specs) if specs.is_empty() => error_reply(
-            0,
-            ErrorCode::BadRequest,
-            "a fragment batch needs at least one fragment",
-        ),
+        Frame::Fragment(_) if batch.is_some() => {
+            bad_request("one shard connection carries one fragment batch at a time")
+        }
+        Frame::Fragment(specs) if specs.is_empty() => {
+            bad_request("a fragment batch needs at least one fragment")
+        }
         Frame::Fragment(specs) => {
-            let begun = specs
+            let summaries = specs
                 .iter()
                 .map(|req| {
                     let budget = QueryBudget {
@@ -703,112 +685,61 @@ fn serve_fragment(
                     };
                     engine.submit_fragment(&req.query, req.sampling_rate, &budget, req.occurrence)
                 })
-                .collect::<fedaqp_core::Result<Vec<_>>>();
-            match begun {
-                // Queued: the coordinator's next frame asks for the
-                // summaries, and nothing waits for an acknowledgement.
-                Ok(fragments) => {
-                    *batch = Some(ShardBatch {
-                        fragments,
-                        allocated: false,
-                    });
-                    return Ok(());
-                }
-                Err(e) => core_error_reply(0, &e),
-            }
+                .collect::<fedaqp_core::Result<Vec<_>>>()
+                .and_then(|fragments| {
+                    let sets = fragments
+                        .iter()
+                        .map(wire_summaries)
+                        .collect::<fedaqp_core::Result<_>>()?;
+                    *batch = Some(fragments);
+                    Ok(sets)
+                });
+            summaries.map_or_else(|e| core_error_reply(0, &e), Frame::FragmentSummaries)
         }
-        Frame::FragmentSummariesRequest => match batch.as_ref() {
-            Some(batch) => batch
-                .fragments
-                .iter()
-                .map(|fragment| {
-                    let (summaries, summary_time) = fragment.summaries()?;
-                    Ok(WireSummaries {
-                        summaries: summaries
+        Frame::FragmentAllocation(sets) => {
+            let Some(fragments) = batch.take() else {
+                return write_frame(
+                    stream,
+                    &bad_request("no fragment in flight on this connection"),
+                );
+            };
+            let delivered = if sets.len() == fragments.len() {
+                fragments
+                    .iter()
+                    .zip(sets)
+                    .try_for_each(|(fragment, set)| fragment.provide_allocation(set.allocations))
+            } else {
+                Err(CoreError::ProtocolViolation(
+                    "fragment allocations do not match the batch",
+                ))
+            };
+            if let Err(e) = delivered {
+                return write_frame(stream, &core_error_reply(0, &e));
+            }
+            // One partial per fragment, each written as it resolves; the
+            // last completes the batch and frees the connection for the
+            // next one.
+            for fragment in &fragments {
+                let reply = match fragment.partial() {
+                    Ok(partial) => Frame::FragmentPartial(FragmentPartialFrame {
+                        rows: partial
+                            .rows
                             .iter()
-                            .map(|s| WireSummary {
-                                noisy_n_q: s.noisy_n_q,
-                                noisy_avg_r: s.noisy_avg_r,
+                            .map(|r| WirePartialRow {
+                                released: r.released,
+                                variance: r.variance,
+                                approximated: r.approximated,
+                                clusters_scanned: r.clusters_scanned,
+                                n_covering: r.n_covering,
                             })
                             .collect(),
-                        summary_us: summary_time.as_micros() as u64,
-                    })
-                })
-                .collect::<fedaqp_core::Result<Vec<_>>>()
-                .map_or_else(|e| core_error_reply(0, &e), Frame::FragmentSummaries),
-            None => no_fragment(),
-        },
-        Frame::FragmentAllocation(sets) => match batch.as_mut() {
-            Some(current) => {
-                let delivered = if sets.len() == current.fragments.len() {
-                    current
-                        .fragments
-                        .iter()
-                        .zip(sets)
-                        .try_for_each(|(fragment, set)| {
-                            fragment.provide_allocation(set.allocations)
-                        })
-                } else {
-                    Err(CoreError::ProtocolViolation(
-                        "fragment allocations do not match the batch",
-                    ))
+                        execution_us: partial.execution.as_micros() as u64,
+                    }),
+                    Err(e) => return write_frame(stream, &core_error_reply(0, &e)),
                 };
-                match delivered {
-                    Ok(()) => {
-                        current.allocated = true;
-                        Frame::FragmentAllocated
-                    }
-                    // A rejected allocation aborts the batch, so a partial
-                    // request pipelined behind it is told so instead of
-                    // waiting on turns that will never run.
-                    Err(e) => {
-                        *batch = None;
-                        core_error_reply(0, &e)
-                    }
-                }
+                write_frame(stream, &reply)?;
             }
-            None => no_fragment(),
-        },
-        Frame::FragmentPartialRequest => match batch.take() {
-            Some(ShardBatch {
-                allocated: false, ..
-            }) => error_reply(
-                0,
-                ErrorCode::BadRequest,
-                "the fragment batch has no allocations yet",
-            ),
-            // One partial per fragment, each written as it resolves; the
-            // last completes the lifecycle and frees the connection for
-            // the next batch.
-            Some(ShardBatch { fragments, .. }) => {
-                for fragment in &fragments {
-                    let reply = match fragment.partial() {
-                        Ok(partial) => Frame::FragmentPartial(FragmentPartialFrame {
-                            rows: partial
-                                .rows
-                                .iter()
-                                .map(|r| WirePartialRow {
-                                    released: r.released,
-                                    variance: r.variance,
-                                    approximated: r.approximated,
-                                    clusters_scanned: r.clusters_scanned,
-                                    n_covering: r.n_covering,
-                                })
-                                .collect(),
-                            execution_us: partial.execution.as_micros() as u64,
-                        }),
-                        Err(e) => return write_frame(stream, &core_error_reply(0, &e)),
-                    };
-                    write_frame(stream, &reply)?;
-                }
-                return Ok(());
-            }
-            None => no_fragment(),
-        },
-        Frame::FragmentAbort => {
-            // Dropping the pending fragments aborts them.
-            *batch = None;
-            Frame::FragmentAborted
+            return Ok(());
         }
         Frame::ExtremeFragment(req) => {
             match engine
@@ -833,9 +764,24 @@ fn serve_fragment(
                 })
                 .collect(),
         }),
-        _ => error_reply(0, ErrorCode::BadRequest, "unexpected frame kind"),
+        _ => bad_request("unexpected frame kind"),
     };
     write_frame(stream, &reply)
+}
+
+/// One fragment's step-2 summaries, as a shard sends them.
+fn wire_summaries(fragment: &PendingFragment) -> fedaqp_core::Result<WireSummaries> {
+    let (summaries, summary_time) = fragment.summaries()?;
+    Ok(WireSummaries {
+        summaries: summaries
+            .iter()
+            .map(|s| WireSummary {
+                noisy_n_q: s.noisy_n_q,
+                noisy_avg_r: s.noisy_avg_r,
+            })
+            .collect(),
+        summary_us: summary_time.as_micros() as u64,
+    })
 }
 
 /// The [`QueryPlan`] an [`OnlinePlanRequest`] compiles to — the variant an

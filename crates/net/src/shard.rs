@@ -13,27 +13,21 @@
 //! one out of the idle list — or open and handshake a fresh one when the
 //! list is empty — and it goes back **only after a complete lifecycle**:
 //! the batch's last `FragmentPartial`, or the `ExtremePartial`, was read,
-//! so nothing is unread on the stream. A failed, aborted or dropped batch
-//! closes its connection instead, which maps exactly onto the
-//! fragment-abort semantics the engine already has (the server's
-//! [`fedaqp_core::PendingFragment`] aborts on drop) and means one slow or
-//! dying batch can never desynchronize a sibling's stream. A batch too
-//! wide for one frame ([`fragment_runs`]) runs as several lifecycles,
-//! each on its own connection.
+//! so nothing is unread on the stream. A failed or dropped batch closes
+//! its connection instead, and closing *is* the abort: the server's
+//! [`fedaqp_core::PendingFragment`]s abort on drop, and one slow or dying
+//! batch can never desynchronize a sibling's stream. A batch too wide for
+//! one frame ([`fragment_runs`]) runs as several lifecycles, each on its
+//! own connection.
 //!
-//! **Pipelining.** The server answers frames in arrival order, so a batch
-//! of any size is two writes and two rounds of reads per shard. `Fragment`
-//! and `FragmentSummariesRequest` leave in one write, with one reply:
-//! `FragmentSummaries`, an entry per fragment (the `Fragment` itself is
-//! never acknowledged, since no worker waits on queue order). Then
-//! `FragmentAllocation` and `FragmentPartialRequest` leave in one write,
-//! answered by `FragmentAllocated` and one `FragmentPartial` per fragment
-//! in batch order, each read when the coordinator gathers that sub-query. A
-//! rejected allocation aborts the server's batch, so the pipelined
-//! partial request is answered with a typed error, never a wait; a
-//! correct coordinator sends none anyway — a shard restarted with a
-//! different provider count is refused at the handshake of every fresh
-//! connection.
+//! **One request, one reply.** A batch of any size is two writes and two
+//! rounds of reads per shard, every read answering one write: `Fragment`
+//! ⇒ `FragmentSummaries`, an entry per fragment; then
+//! `FragmentAllocation` ⇒ one `FragmentPartial` per fragment in batch
+//! order, each read when the coordinator gathers that sub-query — or one
+//! typed error, if the shard rejects the allocation, read in place of the
+//! first partial. A shard restarted with a different provider count is
+//! refused at the handshake of every fresh connection.
 //!
 //! **Stale connections.** An idle connection can die unnoticed (a shard
 //! restart). When the *first* write or the *first* read on a pooled
@@ -54,8 +48,6 @@
 //! configured seed plus the coordinator-assigned occurrence index in the
 //! fragment frames.
 
-use std::io::Write;
-use std::net::TcpStream;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -66,10 +58,9 @@ use fedaqp_core::{
 use fedaqp_model::Value;
 use fedaqp_smc::CostModel;
 
-use crate::client::handshake;
+use crate::client::Conn;
 use crate::wire::{
-    encode_frame, fragment_runs, read_frame, ExtremeFragmentRequest, FragmentRequest, Frame,
-    WireAllocation,
+    encode_frame, fragment_runs, ExtremeFragmentRequest, FragmentRequest, Frame, WireAllocation,
 };
 use crate::{NetError, Result};
 
@@ -137,8 +128,8 @@ impl RemoteShard {
     /// a shard that dies before its first fragment must be seen to be
     /// dead, and only a fresh connect can see it.
     pub fn connect(addr: &str) -> Result<Self> {
-        let mut conn = ShardConn::open(addr)?;
-        conn.write(&encode_frame(&Frame::ShardBoundsRequest)?)?;
+        let (mut conn, _) = Conn::open(addr, "coordinator")?;
+        conn.send(&Frame::ShardBoundsRequest)?;
         let providers = match conn.recv()? {
             Frame::ShardBounds(frame) => frame.providers,
             _ => return Err(NetError::Malformed("expected ShardBounds")),
@@ -200,7 +191,7 @@ impl ShardBackend for RemoteShard {
             .into_iter()
             .map(|len| {
                 let run = requests.drain(..len).collect();
-                let request = encode(&[Frame::Fragment(run), Frame::FragmentSummariesRequest])?;
+                let request = encode_frame(&Frame::Fragment(run))?;
                 Ok(Run {
                     sent: Some(self.pool.send(request)?),
                     len,
@@ -289,7 +280,7 @@ impl FragmentBatch for RemoteBatch {
                 Frame::FragmentSummaries(sets) if sets.len() == self.runs[i].len => sets,
                 _ => {
                     return Err(shard_fault(
-                        "shard answered the summaries request with an unexpected frame",
+                        "shard answered the fragment batch with an unexpected frame",
                     ))
                 }
             };
@@ -314,19 +305,13 @@ impl FragmentBatch for RemoteBatch {
     }
 
     fn allocate(&mut self, allocations: &[Vec<u64>]) -> fedaqp_core::Result<()> {
-        // The partial request rides behind the allocations, so the server
-        // must not be able to reject them (see the module docs).
-        let fragments: usize = self.runs.iter().map(|run| run.len).sum();
-        if allocations.len() != fragments
-            || allocations.iter().any(|a| a.len() != self.pool.n_providers)
-        {
-            return Err(CoreError::ProtocolViolation(
-                "fragment allocations do not match the shard's batch",
-            ));
-        }
+        // Each run takes its fragments' slices and the last run the rest,
+        // so the shard checks them all: a mismatch is its typed error.
         let mut rest = allocations;
-        for run in &mut self.runs {
-            let (mine, later) = rest.split_at(run.len);
+        let last = self.runs.len().saturating_sub(1);
+        for (i, run) in self.runs.iter_mut().enumerate() {
+            let take = if i == last { rest.len() } else { run.len };
+            let (mine, later) = rest.split_at(take.min(rest.len()));
             rest = later;
             let sets = mine
                 .iter()
@@ -334,13 +319,10 @@ impl FragmentBatch for RemoteBatch {
                     allocations: allocations.clone(),
                 })
                 .collect();
-            let request = encode(&[
-                Frame::FragmentAllocation(sets),
-                Frame::FragmentPartialRequest,
-            ])
-            .map_err(|e| unavailable(&e))?;
             let sent = run.sent.as_mut().ok_or(shard_fault(FINISHED))?;
-            sent.conn.write(&request).map_err(|e| unavailable(&e))?;
+            sent.conn
+                .send(&Frame::FragmentAllocation(sets))
+                .map_err(|e| unavailable(&e))?;
         }
         Ok(())
     }
@@ -351,14 +333,9 @@ impl FragmentBatch for RemoteBatch {
             .iter_mut()
             .find(|run| run.gathered < run.len)
             .ok_or(shard_fault(FINISHED))?;
-        if run.gathered == 0 && !matches!(run.recv(&self.pool)?, Frame::FragmentAllocated) {
-            return Err(shard_fault(
-                "shard answered the allocation with an unexpected frame",
-            ));
-        }
         let Frame::FragmentPartial(frame) = run.recv(&self.pool)? else {
             return Err(shard_fault(
-                "shard answered the partial request with an unexpected frame",
+                "shard answered the allocation with an unexpected frame",
             ));
         };
         run.gathered += 1;
@@ -389,19 +366,6 @@ impl FragmentBatch for RemoteBatch {
 
     fn ready_at(&self) -> Option<Instant> {
         self.ready_at
-    }
-}
-
-impl Drop for Run {
-    fn drop(&mut self) {
-        // Best-effort graceful abort for an incomplete run; if the frame
-        // never arrives, the closing socket aborts it anyway (the
-        // server's `PendingFragment`s abort on drop).
-        if let Some(mut sent) = self.sent.take() {
-            if let Ok(abort) = encode_frame(&Frame::FragmentAbort) {
-                let _ = sent.conn.write(&abort);
-            }
-        }
     }
 }
 
@@ -457,13 +421,6 @@ fn shard_fault(reason: &'static str) -> CoreError {
     CoreError::ShardUnavailable { shard: 0, reason }
 }
 
-/// Encodes two pipelined frames back to back, so they leave in one write.
-fn encode(frames: &[Frame; 2]) -> Result<Vec<u8>> {
-    let mut bytes = encode_frame(&frames[0])?;
-    bytes.extend(encode_frame(&frames[1])?);
-    Ok(bytes)
-}
-
 /// One shard's idle, already-handshaken connections.
 #[derive(Debug)]
 struct Pool {
@@ -471,12 +428,12 @@ struct Pool {
     /// The provider count the bounds were fetched with; every fresh
     /// connection's handshake must still declare it.
     n_providers: usize,
-    idle: Mutex<Vec<ShardConn>>,
+    idle: Mutex<Vec<Conn>>,
 }
 
 /// A request in flight whose first reply has not been read yet.
 struct Sent {
-    conn: ShardConn,
+    conn: Conn,
     /// The request's bytes, kept while `conn` came from the idle list
     /// and may yet prove stale; `None` on a fresh connection and once the
     /// first reply was read.
@@ -484,15 +441,15 @@ struct Sent {
 }
 
 impl Pool {
-    fn idle(&self) -> MutexGuard<'_, Vec<ShardConn>> {
+    fn idle(&self) -> MutexGuard<'_, Vec<Conn>> {
         self.idle.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The pool's miss path: connect, handshake, and check that the shard
     /// still holds the providers its bounds were fetched for.
-    fn fresh(&self) -> Result<ShardConn> {
-        let conn = ShardConn::open(&self.addr)?;
-        if conn.n_providers != self.n_providers {
+    fn fresh(&self) -> Result<Conn> {
+        let (conn, ack) = Conn::open(&self.addr, "coordinator")?;
+        if ack.n_providers as usize != self.n_providers {
             return Err(NetError::Handshake(
                 "shard's provider count changed since its bounds were fetched",
             ));
@@ -536,46 +493,10 @@ impl Pool {
     }
 
     /// Takes back the connection of a completed lifecycle.
-    fn put_back(&self, conn: ShardConn) {
+    fn put_back(&self, conn: Conn) {
         let mut idle = self.idle();
         if idle.len() < MAX_IDLE {
             idle.push(conn);
-        }
-    }
-}
-
-/// A blocking, handshaken connection to a shard-mode server.
-#[derive(Debug)]
-struct ShardConn {
-    stream: TcpStream,
-    /// The provider count the server's `HelloAck` declared.
-    n_providers: usize,
-}
-
-impl ShardConn {
-    fn open(addr: &str) -> Result<Self> {
-        let (stream, ack) = handshake(addr, "coordinator")?;
-        Ok(Self {
-            stream,
-            n_providers: ack.n_providers as usize,
-        })
-    }
-
-    /// Writes already-encoded frames in one go.
-    fn write(&mut self, bytes: &[u8]) -> Result<()> {
-        self.stream.write_all(bytes)?;
-        Ok(())
-    }
-
-    /// Reads the next reply, turning a typed error frame into
-    /// [`NetError::Remote`].
-    fn recv(&mut self) -> Result<Frame> {
-        match read_frame(&mut self.stream)? {
-            Frame::Error(e) => Err(NetError::Remote {
-                code: e.code,
-                message: e.message,
-            }),
-            frame => Ok(frame),
         }
     }
 }
@@ -589,7 +510,8 @@ mod tests {
 
     use super::*;
     use crate::wire::{
-        write_frame, ExtremePartialFrame, HelloAck, ShardBoundsFrame, WireProviderBounds, VERSION,
+        read_frame, write_frame, ExtremePartialFrame, HelloAck, ShardBoundsFrame,
+        WireProviderBounds, VERSION,
     };
 
     /// A scripted shard server: handshakes declaring `ack_providers`,
@@ -693,8 +615,8 @@ mod tests {
     }
 
     /// A shard that came back with a different provider count is refused
-    /// at the handshake of the fresh connection: its allocation slice
-    /// would be rejected with the partial request already behind it.
+    /// at the handshake of the fresh connection, before any fragment of a
+    /// batch whose allocation slices it would have to reject.
     #[test]
     fn a_shard_whose_provider_count_changed_is_refused_at_the_handshake() {
         let server = HangUpShard::spawn(2);

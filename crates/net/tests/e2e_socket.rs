@@ -841,8 +841,9 @@ fn concurrent_analysts_on_a_shard_grid_never_deadlock() {
 
 /// Connection reuse, as counts. After one warm-up pass, `K` further
 /// passes open **no** connection to any shard while the shards receive
-/// exactly the fragment frames the lifecycle is made of: four per shard
-/// per private sub-query, one per shard per extreme.
+/// exactly the fragment frames the lifecycle is made of: two per shard
+/// per private sub-query (the batch and its allocations), one per shard
+/// per extreme.
 ///
 /// The obs registry is process-global and sibling tests only ever push
 /// its counters *up*, so the measurement is retried until a window is
@@ -860,7 +861,7 @@ fn pooled_connections_are_reused_and_the_frame_count_is_unchanged() {
         coordinator.run_plan(&scalar).unwrap();
         coordinator.run_plan(&extreme).unwrap();
     };
-    let frames_per_pass = 2 * 4 + 2;
+    let frames_per_pass = 2 * 2 + 2;
     let counter = |name: &str| fedaqp_obs::global().counter(name).get();
     let connections = || counter("fedaqp_server_connections_total");
     let frames = || counter("fedaqp_server_frames_total.fragment");
@@ -890,9 +891,9 @@ fn pooled_connections_are_reused_and_the_frame_count_is_unchanged() {
 }
 
 /// A remote shard that counts the coordinator's writes to it — each one
-/// round trip: a batch begun (its fragments and the summaries request go
-/// out, the summaries come back), its allocations delivered (the
-/// allocations and the partial request go out, the partials stream back).
+/// round trip: a batch begun (its fragments go out, the summaries come
+/// back), its allocations delivered (the allocations go out, the partials
+/// stream back).
 struct CountingShard {
     inner: RemoteShard,
     writes: std::sync::Arc<std::sync::atomic::AtomicUsize>,
@@ -1157,7 +1158,10 @@ fn analyst_servers_refuse_fragment_frames() {
         Frame::HelloAck(_)
     ));
 
-    for frame in [Frame::ShardBoundsRequest, Frame::FragmentSummariesRequest] {
+    let allocation = Frame::FragmentAllocation(vec![wire::WireAllocation {
+        allocations: vec![1; 4],
+    }]);
+    for frame in [Frame::ShardBoundsRequest, allocation] {
         write_frame(&mut stream, &frame).unwrap();
         match read_frame(&mut stream).unwrap() {
             Frame::Error(e) => {
@@ -1219,7 +1223,10 @@ fn shard_servers_refuse_old_hellos_and_analyst_frames() {
     }
     // (c) Fragment-lifecycle frames with no fragment in flight are typed
     // too, and the connection survives both refusals.
-    write_frame(&mut stream, &Frame::FragmentPartialRequest).unwrap();
+    let allocation = Frame::FragmentAllocation(vec![wire::WireAllocation {
+        allocations: vec![1; 4],
+    }]);
+    write_frame(&mut stream, &allocation).unwrap();
     match read_frame(&mut stream).unwrap() {
         Frame::Error(e) => {
             assert_eq!(e.code, ErrorCode::BadRequest);
@@ -1232,6 +1239,91 @@ fn shard_servers_refuse_old_hellos_and_analyst_frames() {
         read_frame(&mut stream).unwrap(),
         Frame::ShardBounds(_)
     ));
+
+    drop(stream);
+    server.shutdown();
+    engine.shutdown();
+}
+
+/// Every arm of a shard connection's batch handling, on one raw
+/// connection: each misuse gets a typed error and the connection keeps
+/// answering `ShardBoundsRequest`; a rejected allocation leaves no batch
+/// behind, so the next `Fragment` on the same connection is served.
+#[test]
+fn shard_connections_answer_every_batch_misuse_and_keep_serving() {
+    use fedaqp_net::wire::{
+        read_frame, write_frame, FragmentRequest, Frame, Hello, WireAllocation,
+    };
+
+    let engine = FederationEngine::start(federation(1.0));
+    let server = LoopbackServer::shard(engine.handle()).unwrap();
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    let hello = Frame::Hello(Hello {
+        analyst: "coordinator".into(),
+    });
+    write_frame(&mut stream, &hello).unwrap();
+    assert!(matches!(
+        read_frame(&mut stream).unwrap(),
+        Frame::HelloAck(_)
+    ));
+
+    let batch = |n: u64| {
+        Frame::Fragment(
+            (0..n)
+                .map(|occurrence| FragmentRequest {
+                    query: count_query(100, 800),
+                    sampling_rate: 0.2,
+                    eps_o: 0.1,
+                    eps_s: 0.4,
+                    eps_e: 0.5,
+                    delta: 1e-3,
+                    occurrence,
+                })
+                .collect(),
+        )
+    };
+    let allocation = |entries: usize, providers: usize| {
+        let set = WireAllocation {
+            allocations: vec![2; providers],
+        };
+        Frame::FragmentAllocation(vec![set; entries])
+    };
+    // The four providers' batch of two, misused every way in turn: each
+    // step's reply kinds, or the typed error's message.
+    let steps: Vec<(Frame, Result<&[&str], &str>)> = vec![
+        (batch(0), Err("at least one fragment")),
+        (allocation(1, 4), Err("no fragment in flight")),
+        (batch(2), Ok(&["FragmentSummaries"])),
+        (batch(1), Err("one fragment batch at a time")),
+        (allocation(1, 4), Err("do not match the batch")),
+        (batch(2), Ok(&["FragmentSummaries"])),
+        (allocation(2, 3), Err("does not match shard providers")),
+        (batch(2), Ok(&["FragmentSummaries"])),
+        (
+            allocation(2, 4),
+            Ok(&["FragmentPartial", "FragmentPartial"]),
+        ),
+    ];
+    for (step, (frame, expected)) in steps.into_iter().enumerate() {
+        let what = format!("step {step} ({})", frame_kind(&frame));
+        write_frame(&mut stream, &frame).unwrap();
+        match expected {
+            Ok(kinds) => {
+                let got: Vec<String> = kinds
+                    .iter()
+                    .map(|_| frame_kind(&read_frame(&mut stream).unwrap()))
+                    .collect();
+                assert_eq!(got, kinds, "{what}");
+            }
+            Err(needle) => match read_frame(&mut stream).unwrap() {
+                Frame::Error(e) => assert!(e.message.contains(needle), "{what}: {}", e.message),
+                other => panic!("{what}: expected a typed error, got {other:?}"),
+            },
+        }
+        write_frame(&mut stream, &Frame::ShardBoundsRequest).unwrap();
+        let alive = read_frame(&mut stream).unwrap();
+        assert!(matches!(alive, Frame::ShardBounds(_)), "{what}: {alive:?}");
+    }
 
     drop(stream);
     server.shutdown();
@@ -1585,7 +1677,7 @@ struct GateCase {
 }
 
 /// Every request frame kind, in an order that is also a valid shard
-/// fragment lifecycle (batch, summaries, allocations, partials, abort).
+/// fragment lifecycle (a batch, then its allocations).
 fn gate_cases() -> Vec<GateCase> {
     use fedaqp_net::wire::{
         ExplainRequest, ExtremeFragmentRequest, FragmentRequest, Frame, IngestRequest,
@@ -1657,12 +1749,6 @@ fn gate_cases() -> Vec<GateCase> {
             }]),
             SHARD,
             0.0,
-            &[],
-        ),
-        case(
-            Frame::FragmentSummariesRequest,
-            SHARD,
-            0.0,
             &["FragmentSummaries"],
         ),
         case(
@@ -1671,15 +1757,8 @@ fn gate_cases() -> Vec<GateCase> {
             }]),
             SHARD,
             0.0,
-            &["FragmentAllocated"],
-        ),
-        case(
-            Frame::FragmentPartialRequest,
-            SHARD,
-            0.0,
             &["FragmentPartial"],
         ),
-        case(Frame::FragmentAbort, SHARD, 0.0, &["FragmentAborted"]),
         case(
             Frame::ExtremeFragment(ExtremeFragmentRequest {
                 dim: 0,

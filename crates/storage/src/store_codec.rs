@@ -125,9 +125,15 @@ pub fn decode_store(mut data: &[u8]) -> Result<ClusterStore> {
         for _ in 0..len {
             measures.push(get_uvarint(&mut data)?);
         }
-        let rows: Vec<Row> = (0..len)
-            .map(|i| Row::cell(cols.iter().map(|c| c[i]).collect(), measures[i]))
-            .collect();
+        // A store file is outside input: every cell must sit inside the
+        // domain its schema promises, or the file is refused.
+        let rows = (0..len)
+            .map(|i| {
+                let row = Row::cell(cols.iter().map(|c| c[i]).collect(), measures[i]);
+                schema.check_row(&row).map_err(StorageError::Model)?;
+                Ok(row)
+            })
+            .collect::<Result<Vec<Row>>>()?;
         rows_by_cluster.push((id, rows));
     }
     if data.has_remaining() {
@@ -179,7 +185,7 @@ fn get_uvarint(data: &mut &[u8]) -> Result<u64> {
 mod tests {
     use super::*;
     use crate::store::PartitionStrategy;
-    use fedaqp_model::{Aggregate, Range, RangeQuery};
+    use fedaqp_model::{Aggregate, ModelError, Range, RangeQuery};
 
     fn demo_store() -> ClusterStore {
         let schema = Schema::new(vec![
@@ -243,6 +249,27 @@ mod tests {
         let mut bad = blob.clone();
         bad.push(7);
         assert!(decode_store(&bad).is_err());
+    }
+
+    /// A cell patched outside its dimension's domain is refused, not
+    /// loaded behind a schema that promises it cannot exist.
+    #[test]
+    fn out_of_domain_cells_are_rejected() {
+        let store = demo_store();
+        let mut blob = encode_store(&store).to_vec();
+        // Cluster 0's first `alpha` cell sits after the header, both
+        // dimensions (name length + name + domain), the cluster count and
+        // the cluster's id and length.
+        let at = (4 + 2 + 8 + 2) + (2 + 5 + 16) + (2 + 4 + 16) + 4 + 4 + 4;
+        blob[at..at + 8].copy_from_slice(&501i64.to_le_bytes());
+        assert!(matches!(
+            decode_store(&blob),
+            Err(StorageError::Model(ModelError::ValueOutOfDomain {
+                dim: 0,
+                value: 501,
+                ..
+            }))
+        ));
     }
 
     #[test]
