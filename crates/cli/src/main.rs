@@ -59,15 +59,17 @@ usage:
                    analysts then connect to `fedaqp coordinate`, which
                    holds the single budget ledger, so --xi and --smc do
                    not combine with --shard. --live accepts `fedaqp
-                   ingest` batches while serving: every query pins one
-                   data epoch, incremental metadata maintains the cluster
+                   ingest` batches while serving: every query runs on
+                   the data epoch current when it arrived, incremental metadata maintains the cluster
                    tails, and --max-stale-rows bounds how stale they may
                    grow before a full recompute)
   fedaqp ingest   --remote HOST:PORT --provider I --dataset adult|amazon
                   [--rows N] [--seed X]
-                  (synthesize a batch of rows and append it atomically to
-                   provider I of a live server; the ack reports
-                   the new data epoch)
+                  (synthesize N rows and append them to provider I of a
+                   live server in Ingest frames of at most 4096 cells:
+                   each frame is atomic and starts its own data epoch,
+                   so a larger batch may land partly; the report gives
+                   the last epoch)
   fedaqp coordinate --data DIR --shards ADDR,ADDR,... 
                   [--listen HOST:PORT] [--epsilon E] [--delta D]
                   [--xi X] [--psi P] [--calibration em|pps]

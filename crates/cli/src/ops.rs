@@ -906,8 +906,9 @@ pub struct ServeArgs {
     /// instead of the analyst protocol.
     pub shard: Option<(usize, usize)>,
     /// Serve a live federation: accept `Ingest` frames that append
-    /// rows to a provider while analysts keep querying. Each query pins
-    /// one data epoch; ingest applies between queries.
+    /// rows to a provider while analysts keep querying. Each query runs
+    /// on the data epoch current when it arrived; an ingest starts the
+    /// next epoch without waiting for the queries in flight.
     pub live: bool,
     /// Live mode: trigger a full metadata recompute after this many
     /// stale rows (`None` = the default policy).
@@ -943,8 +944,8 @@ pub struct RunningServer {
     /// The TCP server (accept loop).
     pub server: FederationServer,
     /// The engine whose worker pool answers the queries. `None` in live
-    /// mode, where the server scopes an engine per request so ingest can
-    /// take the federation between queries.
+    /// mode, where each data epoch has a scoped engine of its own (see
+    /// [`LiveFederation`]).
     pub engine: Option<FederationEngine>,
     /// Human-readable startup report.
     pub banner: String,
@@ -1024,9 +1025,9 @@ fn serve_shard(args: &ServeArgs, index: usize, count: usize) -> Result<RunningSe
 
 /// `fedaqp serve --live`: rebuild the federation, wrap it in a
 /// [`LiveFederation`], and expose it with the ingest path enabled.
-/// Queries pin one data epoch each; `fedaqp ingest` appends rows between
-/// them, and the staleness policy decides when metadata is recomputed
-/// from scratch.
+/// Each query runs on the data epoch current when it arrived; `fedaqp
+/// ingest` starts a new epoch per frame without waiting for them, and the
+/// staleness policy decides when metadata is recomputed from scratch.
 fn serve_live(args: &ServeArgs, budget: Option<(f64, f64)>) -> Result<RunningServer, String> {
     let federation = load_federation(
         &args.data,

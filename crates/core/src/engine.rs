@@ -11,10 +11,10 @@
 //!   keeps a persistent per-provider worker pool — one OS thread per data
 //!   provider, alive across queries — whose queues carry *turns*, not
 //!   jobs, so one provider interleaves the phases of many in-flight jobs.
-//! - A **scoped** engine ([`crate::Federation::with_engine`], borrowing the
-//!   providers) spawns no worker: a job runs to completion on the first
-//!   thread that waits for it, every provider's turn in id order, and
-//!   any other waiter parks until it lands. Nothing runs at submission,
+//! - A **scoped** engine ([`crate::Federation::with_engine`], sharing the
+//!   providers' `Arc`) spawns no worker: a job runs to completion on the
+//!   first thread that waits for it, every provider's turn in id order,
+//!   and any other waiter parks until it lands. Nothing runs at submission,
 //!   so a job nobody waits for costs nothing, and concurrency comes from
 //!   the analysts' own threads.
 //!
@@ -99,7 +99,7 @@ fn derive_seed(seed: u64, index: u64, lane: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The error of a submission to (or a turn queued on) a closed engine.
+/// The error of a submission to (or a turn queued on) a shut-down pool.
 const SHUT_DOWN: CoreError = CoreError::ProtocolViolation("engine is shut down");
 
 /// RNG lane of the per-job aggregator (must differ from any provider id).
@@ -328,12 +328,6 @@ struct JobProgress {
     turns: Turns,
 }
 
-/// The providers a scoped engine borrows from its federation; `None` once
-/// the scope closed. A waiting thread holds the read side while it runs a
-/// job's turns, so closing waits those out and hands the federation its
-/// providers back unshared.
-type Scope = RwLock<Option<Arc<Vec<DataProvider>>>>;
-
 /// One in-flight query job, shared between the submitting analyst and
 /// whichever threads run its provider turns.
 #[derive(Debug)]
@@ -483,20 +477,13 @@ impl JobState {
         runnable.then(|| std::mem::replace(&mut progress.turns, Turns::Running))
     }
 
-    /// Runs claimed turns on the calling thread under the scope's read
-    /// side; a job waited after its scope closed fails instead.
+    /// Runs claimed turns on the calling thread, over the providers the
+    /// job's scoped engine was built on.
     fn run_here(&self, claimed: Turns) {
-        let Some(Executor::Scope(scope)) = &self.executor else {
+        let Some(Executor::Scope(providers)) = &self.executor else {
             unreachable!("only scoped jobs are claimed");
         };
-        let providers = scope.read().unwrap_or_else(PoisonError::into_inner);
-        match providers.as_deref() {
-            Some(providers) => contain(self, || run_scoped(self, providers, claimed)),
-            None => {
-                let mut progress = self.lock_progress();
-                self.fail(&mut progress, SHUT_DOWN);
-            }
-        }
+        contain(self, || run_scoped(self, providers, claimed));
     }
 }
 
@@ -843,11 +830,6 @@ impl OccurrenceLedger {
         *slot += 1;
         index
     }
-
-    /// Forgets every count (a live federation's epoch advanced).
-    pub(crate) fn clear(&self) {
-        self.counts().clear();
-    }
 }
 
 /// Who runs an engine's jobs; every job holds a clone.
@@ -856,10 +838,10 @@ enum Executor {
     /// An owned engine's per-provider worker pool: one turn queue per
     /// provider.
     Pool(Arc<Queues>),
-    /// A scoped engine: no worker threads of its own; the first thread to
-    /// wait for a job runs it (a large cluster read inside a turn still
-    /// fans out for its own length).
-    Scope(Arc<Scope>),
+    /// A scoped engine over a snapshot of the providers: no worker threads
+    /// of its own; the first thread to wait for a job runs it (a large
+    /// cluster read inside a turn still fans out for its own length).
+    Scope(Arc<Vec<DataProvider>>),
 }
 
 /// Shared interior of [`EngineHandle`].
@@ -872,7 +854,7 @@ struct HandleInner {
     /// by the optimizer (pruning, cost estimates, `EXPLAIN`) — offline
     /// Algorithm 1 metadata only, never sampled data.
     snapshot: MetaSnapshot,
-    occurrences: Arc<OccurrenceLedger>,
+    occurrences: OccurrenceLedger,
     /// Public scalar facets of each provider (id, `n_min`, regime, agreed
     /// smooth-sensitivity order, arity, SUM cap) — everything the
     /// noise-only turn of a *pruned* provider reads. Lets the engine
@@ -896,7 +878,6 @@ impl EngineHandle {
         schema: &Schema,
         providers: &[DataProvider],
         executor: Executor,
-        occurrences: Arc<OccurrenceLedger>,
     ) -> Self {
         Self {
             inner: Arc::new(HandleInner {
@@ -904,28 +885,26 @@ impl EngineHandle {
                 config: config.clone(),
                 schema: schema.clone(),
                 snapshot: MetaSnapshot::from_providers(providers),
-                occurrences,
+                occurrences: OccurrenceLedger::default(),
                 shadows: providers.iter().map(DataProvider::shadow).collect(),
             }),
         }
     }
 
-    /// A scoped engine over `providers`, counting occurrences in
-    /// `occurrences`: it spawns no worker, and holds its share of the
-    /// providers until [`Self::close`].
+    /// A scoped engine over `providers`, with a fresh occurrence ledger:
+    /// it spawns no worker, and every clone of it holds its share of the
+    /// providers, so it answers from this snapshot for as long as it
+    /// lives.
     pub(crate) fn scoped(
         config: &FederationConfig,
         schema: &Schema,
         providers: &Arc<Vec<DataProvider>>,
-        occurrences: Arc<OccurrenceLedger>,
     ) -> Self {
-        let scope = Arc::new(RwLock::new(Some(Arc::clone(providers))));
         Self::new(
             config,
             schema,
             providers,
-            Executor::Scope(scope),
-            occurrences,
+            Executor::Scope(Arc::clone(providers)),
         )
     }
 
@@ -957,24 +936,16 @@ impl EngineHandle {
         self.inner.config.query_budget()
     }
 
-    /// Closes the engine; later submissions on any clone of this handle
-    /// fail cleanly. An owned engine's workers run the turns already
-    /// queued and exit; a job whose execute turns were not queued yet
-    /// fails when its allocation lands. A scoped engine waits out any
-    /// turns a waiting thread is running and drops its share of the
-    /// providers; a job still unwaited then never runs (waiting for it is
-    /// an error).
-    pub(crate) fn close(&self) {
-        match &self.inner.executor {
-            Executor::Pool(queues) => {
-                queues
-                    .write()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .take();
-            }
-            Executor::Scope(scope) => {
-                scope.write().unwrap_or_else(PoisonError::into_inner).take();
-            }
+    /// Closes an owned engine's pool; later submissions on any clone of
+    /// this handle fail cleanly. The workers run the turns already queued
+    /// and exit; a job whose execute turns were not queued yet fails when
+    /// its allocation lands. A scoped engine has nothing to close.
+    fn close(&self) {
+        if let Executor::Pool(queues) = &self.inner.executor {
+            queues
+                .write()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
         }
     }
 
@@ -988,16 +959,7 @@ impl EngineHandle {
     fn launch(&self, mut job: JobState) -> Result<Arc<JobState>> {
         let executor = &self.inner.executor;
         let first = match (executor, &job.kind) {
-            (Executor::Scope(scope), _) => {
-                if scope
-                    .read()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .is_none()
-                {
-                    return Err(SHUT_DOWN);
-                }
-                None
-            }
+            (Executor::Scope(_), _) => None,
             (Executor::Pool(_), JobKind::Private { .. }) => {
                 let progress = job
                     .progress
@@ -1614,7 +1576,6 @@ impl FederationEngine {
             &schema,
             &providers,
             Executor::Pool(Arc::new(RwLock::new(Some(senders)))),
-            Arc::default(),
         );
         let workers = providers
             .into_iter()
@@ -1794,12 +1755,13 @@ mod tests {
 
     #[test]
     fn handle_clones_error_after_close() {
-        let fed = federation();
-        let escaped = fed.with_engine(|engine| engine.clone());
+        let engine = FederationEngine::start(federation());
+        let escaped = engine.handle();
+        engine.shutdown();
         let q = count_query(0, 999);
         assert!(matches!(
             escaped.submit(&q, 0.2),
-            Err(CoreError::ProtocolViolation(_))
+            Err(CoreError::ProtocolViolation("engine is shut down"))
         ));
     }
 
@@ -1923,10 +1885,9 @@ mod tests {
 
     #[test]
     fn panic_inside_with_engine_propagates_instead_of_hanging() {
-        // Regression: a panic in the closure used to skip handle.close(),
-        // leaving the scoped workers blocked in recv() while thread::scope
-        // waited to join them — a process-wide deadlock. The drop guard
-        // must close the pool on unwind so the panic propagates.
+        // A panic in the closure must propagate out of with_engine, never
+        // hang it (scoped engines once had workers left blocked in recv()
+        // while thread::scope waited to join them).
         let fed = federation();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             fed.with_engine(|_engine| panic!("analyst code failed"));
@@ -2190,13 +2151,20 @@ mod tests {
         assert_eq!(partials, scoped);
     }
 
+    /// A job that outlives its `with_engine` scope runs on the providers
+    /// its engine was built on, even after the federation changed them.
     #[test]
-    fn a_scoped_job_waited_after_its_scope_closed_is_an_error() {
-        let fed = federation();
-        let escaped = fed.with_engine(|engine| engine.submit(&count_query(0, 999), 0.2).unwrap());
-        assert!(matches!(
-            escaped.wait(),
-            Err(CoreError::ProtocolViolation("engine is shut down"))
-        ));
+    fn a_scoped_job_waited_after_its_scope_returned_answers_from_its_snapshot() {
+        let q = count_query(0, 999);
+        let inside = federation()
+            .with_engine(|engine| engine.submit(&q, 0.2).unwrap().wait())
+            .unwrap();
+        let mut fed = federation();
+        let escaped = fed.with_engine(|engine| engine.submit(&q, 0.2).unwrap());
+        fed.providers_mut()[0]
+            .append_row(Row::cell(vec![500, 50], 1))
+            .unwrap();
+        assert_ne!(fed.exact(&q), federation().exact(&q));
+        assert_eq!(bits(&escaped.wait().unwrap()), bits(&inside));
     }
 }

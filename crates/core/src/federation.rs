@@ -8,7 +8,7 @@ use fedaqp_model::{RangeQuery, Row, Schema};
 use fedaqp_storage::{ClusterStore, MetaSpaceReport};
 
 use crate::config::FederationConfig;
-use crate::engine::{EngineAnswer, EngineHandle, OccurrenceLedger};
+use crate::engine::{EngineAnswer, EngineHandle};
 use crate::provider::DataProvider;
 use crate::{CoreError, Result};
 
@@ -29,8 +29,8 @@ pub struct PlainAnswer {
 pub struct Federation {
     config: FederationConfig,
     schema: Schema,
-    /// Shared only with a [`Self::with_engine`] scope's handle, which
-    /// drops its share before the scope returns.
+    /// Shared with every scoped engine built over this federation, and
+    /// copied on write while one still holds it.
     providers: Arc<Vec<DataProvider>>,
 }
 
@@ -146,9 +146,10 @@ impl Federation {
     }
 
     /// Mutable provider access for the streaming-ingest layer
-    /// ([`crate::stream::LiveFederation`]).
+    /// ([`crate::stream::LiveFederation`]): copies the providers first if
+    /// an engine still holds them, which keeps answering from its copy.
     pub(crate) fn providers_mut(&mut self) -> &mut [DataProvider] {
-        Arc::get_mut(&mut self.providers).expect("no engine scope outlives with_engine")
+        Arc::make_mut(&mut self.providers).as_mut_slice()
     }
 
     /// Re-salts the noise seed — the streaming layer calls this once per
@@ -160,10 +161,10 @@ impl Federation {
     }
 
     /// Decomposes the federation so the engine can move each provider onto
-    /// its own worker thread.
+    /// its own worker thread (a copy of them, if a scoped engine still
+    /// holds them).
     pub(crate) fn into_parts(self) -> (FederationConfig, Schema, Vec<DataProvider>) {
-        let providers =
-            Arc::into_inner(self.providers).expect("no engine scope outlives with_engine");
+        let providers = Arc::try_unwrap(self.providers).unwrap_or_else(|shared| (*shared).clone());
         (self.config, self.schema, providers)
     }
 
@@ -181,7 +182,7 @@ impl Federation {
         }
     }
 
-    /// Runs `f` against a temporary engine that borrows this federation's
+    /// Runs `f` against a temporary engine that shares this federation's
     /// providers and spawns no worker: each job `f` submits runs, every
     /// provider's turn in id order, on the first thread that waits for it
     /// (see [`crate::engine`]). Concurrency comes from `f`'s own threads,
@@ -192,37 +193,17 @@ impl Federation {
     /// up ownership of the federation; for a long-lived service with a
     /// per-provider worker pool use [`crate::engine::FederationEngine`].
     ///
-    /// The scope is the lifetime of its occurrence ledger: a fresh scope
-    /// starts every content at occurrence 0.
+    /// The engine is the lifetime of its occurrence ledger: a fresh one
+    /// starts every content at occurrence 0. A clone of it that outlives
+    /// `f` keeps answering from this federation's providers as they were.
     pub fn with_engine<R>(&self, f: impl FnOnce(&EngineHandle) -> R) -> R {
-        self.with_engine_counting(Arc::default(), f)
+        f(&self.scoped_engine())
     }
 
-    /// [`Self::with_engine`] counting occurrences in `occurrences`, which
-    /// may outlive the scope (a live federation's per-epoch ledger).
-    pub(crate) fn with_engine_counting<R>(
-        &self,
-        occurrences: Arc<OccurrenceLedger>,
-        f: impl FnOnce(&EngineHandle) -> R,
-    ) -> R {
-        // Close the scope when the closure returns *or unwinds*: closing
-        // waits out any turns a waiting thread is running and drops the
-        // handle's share of the providers, so the federation is unshared
-        // again once this returns. Handle clones that outlive the closure
-        // turn into errors rather than hangs.
-        struct CloseOnDrop(EngineHandle);
-        impl Drop for CloseOnDrop {
-            fn drop(&mut self) {
-                self.0.close();
-            }
-        }
-        let guard = CloseOnDrop(EngineHandle::scoped(
-            &self.config,
-            &self.schema,
-            &self.providers,
-            occurrences,
-        ));
-        f(&guard.0)
+    /// A scoped engine over the providers as they are now, with a fresh
+    /// occurrence ledger.
+    pub(crate) fn scoped_engine(&self) -> EngineHandle {
+        EngineHandle::scoped(&self.config, &self.schema, &self.providers)
     }
 
     /// Runs one query under the configured default budget: one submission

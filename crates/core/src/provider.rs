@@ -164,7 +164,7 @@ fn provider_meta(store: &ClusterStore, config: &FederationConfig) -> ProviderMet
 }
 
 /// One data provider of the federation.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DataProvider {
     id: usize,
     store: ClusterStore,

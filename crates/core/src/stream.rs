@@ -12,38 +12,46 @@
 //!   bucketed metadata the min/max stay exact while interior tails drift.
 //! - **Staleness-bounded refresh.** A [`RefreshPolicy`] bounds that drift:
 //!   once `max_stale_rows` rows or `max_stale_age` wall time accumulate
-//!   since the last full recompute, the next ingest triggers Algorithm 1
-//!   from scratch (plus the configured coarsening) on every provider.
-//! - **One occurrence ledger per epoch.** Queries run through
-//!   [`LiveFederation::with_engine`], whose scoped engines all count in
-//!   the federation's one occurrence ledger, keyed by (epoch, content): a
-//!   plan repeated within an epoch draws its next occurrence, exactly as
-//!   on a frozen server's long-lived engine, and every epoch advance
-//!   clears the ledger, so it never holds more than one epoch's plans.
-//! - **Epoch-salted noise.** Every accepted batch bumps the data **epoch**
-//!   and re-derives the federation seed from the base seed and the epoch
-//!   (SplitMix64 finalizer). The cleared ledger starts every content at
-//!   occurrence 0 again, so without the salt an analyst could replay the
-//!   same query before and after an ingest, get *identical* noise on
-//!   *different* data, and subtract it — a differencing attack. Epoch 0
-//!   keeps the base seed bit-for-bit, so a frozen federation stays
-//!   byte-identical to every other deployment of the same seed.
-//! - **Snapshot consistency.** A scoped engine pins the provider set,
-//!   metadata snapshot, and seed for the whole scope — an in-flight plan
-//!   reads one consistent version. The TCP server wraps a
-//!   [`LiveFederation`] in a reader–writer lock: queries share the read
-//!   side, each on its own scope run by its connection's thread, and
-//!   ingest takes the write side between plans.
+//!   since the last full recompute, the next ingest recomputes Algorithm 1
+//!   metadata (plus the configured coarsening) on every provider, over the
+//!   clusters as they stand — nothing is re-clustered.
+//! - **One engine per epoch.** Every data **epoch** — the one
+//!   [`LiveFederation::new`] starts and each one an accepted batch or a
+//!   refresh advances to — gets one scoped [`EngineHandle`], built by the
+//!   epoch's first plan over that epoch's providers, metadata snapshot and
+//!   seed, with a fresh occurrence ledger: a plan repeated within an epoch
+//!   draws its next occurrence, exactly as on a frozen server's long-lived
+//!   engine.
+//! - **Epoch-salted noise.** Every epoch re-derives the federation seed
+//!   from the base seed and the epoch (SplitMix64 finalizer). Each epoch's
+//!   fresh ledger starts every content at occurrence 0 again, so without
+//!   the salt an analyst could replay the same query before and after an
+//!   ingest, get *identical* noise on *different* data, and subtract it —
+//!   a differencing attack. Epoch 0 keeps the base seed bit-for-bit, so a
+//!   frozen federation stays byte-identical to every other deployment of
+//!   the same seed.
+//! - **Snapshot consistency.** A plan runs on the handle it was submitted
+//!   to ([`LiveFederation::with_engine`]), so it reads one epoch from
+//!   start to finish. An ingest lets go of the current epoch's handle
+//!   before it touches the providers: they change in place when no plan
+//!   holds that epoch any more, and are copied first when one still does
+//!   — that plan finishes on the epoch it started in. The copy is shallow:
+//!   every cluster and its metadata stay shared behind their `Arc`s, and
+//!   an append copies only the tail cluster it touches. An ingest therefore
+//!   never waits for a plan, and a plan submitted after it returned sees
+//!   the new epoch. The TCP server takes its lock only to clone the
+//!   current epoch's handle or to apply one ingest.
 
-use std::sync::Arc;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use fedaqp_model::Row;
 use fedaqp_obs as obs;
 
-use crate::engine::{EngineHandle, OccurrenceLedger};
+use crate::engine::EngineHandle;
 use crate::error::CoreError;
 use crate::federation::Federation;
+use crate::provider::DataProvider;
 use crate::Result;
 
 /// Bounds on how stale incrementally-maintained metadata may get before an
@@ -80,11 +88,13 @@ pub struct IngestReport {
 #[derive(Debug)]
 pub struct LiveFederation {
     federation: Federation,
+    /// The current epoch's engine, once a plan asked for it.
+    engine: OnceLock<EngineHandle>,
     policy: RefreshPolicy,
     base_seed: u64,
+    /// The data epoch (0 until the first accepted batch).
     epoch: u64,
-    /// The occurrence ledger every scope of this epoch counts in.
-    occurrences: Arc<OccurrenceLedger>,
+    /// Rows appended since the last full metadata recompute.
     stale_rows: usize,
     last_refresh: Instant,
 }
@@ -104,55 +114,23 @@ fn epoch_seed(base: u64, epoch: u64) -> u64 {
 impl LiveFederation {
     /// Wraps a built federation for live serving under `policy`.
     pub fn new(federation: Federation, policy: RefreshPolicy) -> Self {
-        let base_seed = federation.config().seed;
         Self {
+            base_seed: federation.config().seed,
             federation,
+            engine: OnceLock::new(),
             policy,
-            base_seed,
             epoch: 0,
-            occurrences: Arc::default(),
             stale_rows: 0,
             last_refresh: Instant::now(),
         }
     }
 
-    /// Read access to the wrapped federation (queries, schema, oracle).
-    #[inline]
-    pub fn federation(&self) -> &Federation {
-        &self.federation
-    }
-
-    /// Runs `f` against a scoped engine over the current epoch (see
-    /// [`Federation::with_engine`]) that counts occurrences in this
-    /// federation's per-epoch ledger: a plan repeated within one epoch is
-    /// its next occurrence and draws fresh noise, as on a frozen server.
+    /// Runs `f` against the current epoch's engine (see the module docs).
+    /// A plan repeated within one epoch is its next occurrence and draws
+    /// fresh noise, as on a frozen server; a clone of the handle keeps
+    /// answering from its epoch after the next ingest.
     pub fn with_engine<R>(&self, f: impl FnOnce(&EngineHandle) -> R) -> R {
-        self.federation
-            .with_engine_counting(Arc::clone(&self.occurrences), f)
-    }
-
-    /// Unwraps the federation (e.g. to hand it to a long-lived engine).
-    pub fn into_inner(self) -> Federation {
-        self.federation
-    }
-
-    /// Current data epoch (0 until the first accepted batch).
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Rows appended since the last full metadata recompute.
-    #[inline]
-    #[cfg(test)]
-    fn stale_rows(&self) -> usize {
-        self.stale_rows
-    }
-
-    /// The staleness policy in force.
-    #[inline]
-    pub fn policy(&self) -> &RefreshPolicy {
-        &self.policy
+        f(self.engine.get_or_init(|| self.federation.scoped_engine()))
     }
 
     /// Appends `rows` to `provider`'s live store.
@@ -178,19 +156,17 @@ impl LiveFederation {
             self.federation.schema().check_row(row)?;
         }
         let accepted = rows.len() as u64;
+        let target = &mut self.next_epoch()[provider];
         for row in rows {
-            self.federation.providers_mut()[provider].append_row(row)?;
+            target.append_row(row)?;
         }
         obs::counter_add(obs::names::STREAM_INGESTED_ROWS, accepted);
         self.stale_rows += accepted as usize;
-        self.epoch += 1;
         let refreshed = self.stale_rows >= self.policy.max_stale_rows
             || self.last_refresh.elapsed() >= self.policy.max_stale_age;
         if refreshed {
-            obs::counter_add(obs::names::STREAM_REFRESHES, 1);
             self.recompute_meta();
         }
-        self.enter_epoch();
         Ok(IngestReport {
             accepted,
             epoch: self.epoch,
@@ -202,21 +178,25 @@ impl LiveFederation {
     /// Counts as a new epoch (the metadata — hence the sampling
     /// distribution — changes, so the noise seed is re-salted too).
     pub fn refresh(&mut self) {
-        obs::counter_add(obs::names::STREAM_REFRESHES, 1);
+        self.next_epoch();
         self.recompute_meta();
-        self.epoch += 1;
-        self.enter_epoch();
     }
 
-    /// Enters the (already bumped) epoch: re-salts the noise seed and
-    /// clears the occurrence ledger.
-    fn enter_epoch(&mut self) {
+    /// Enters the next epoch and hands out its providers to change. The
+    /// old epoch's engine goes first, so the providers are copied only
+    /// while a plan still holds that epoch (which finishes on it); the new
+    /// epoch's engine, over a fresh occurrence ledger and the re-salted
+    /// seed, is built by the first plan that asks for it.
+    fn next_epoch(&mut self) -> &mut [DataProvider] {
+        self.engine.take();
+        self.epoch += 1;
         self.federation
             .set_seed(epoch_seed(self.base_seed, self.epoch));
-        self.occurrences.clear();
+        self.federation.providers_mut()
     }
 
     fn recompute_meta(&mut self) {
+        obs::counter_add(obs::names::STREAM_REFRESHES, 1);
         let config = self.federation.config().clone();
         for p in self.federation.providers_mut() {
             p.rebuild_meta(&config);
@@ -230,7 +210,8 @@ impl LiveFederation {
 mod tests {
     use super::*;
     use crate::config::FederationConfig;
-    use fedaqp_model::{Aggregate, Dimension, Domain, Range, RangeQuery, Schema};
+    use crate::plan::{PlanAnswer, PlanResult};
+    use fedaqp_model::{Aggregate, Dimension, Domain, QueryPlan, Range, RangeQuery, Schema};
     use fedaqp_storage::ProviderMeta;
 
     fn schema() -> Schema {
@@ -261,15 +242,15 @@ mod tests {
         let fed = federation(None);
         let base = fed.config().seed;
         let live = LiveFederation::new(fed, RefreshPolicy::default());
-        assert_eq!(live.epoch(), 0);
-        assert_eq!(live.federation().config().seed, base);
+        assert_eq!(live.epoch, 0);
+        assert_eq!(live.federation.config().seed, base);
         assert_eq!(epoch_seed(base, 0), base);
     }
 
     #[test]
     fn ingest_appends_rows_and_maintains_exact_metadata() {
         let mut live = LiveFederation::new(federation(None), RefreshPolicy::default());
-        let before = live.federation().exact(&query());
+        let before = live.federation.exact(&query());
         let rows: Vec<Row> = (0..40)
             .map(|i| Row::cell(vec![(i % 71) as i64], 1))
             .collect();
@@ -277,16 +258,16 @@ mod tests {
         assert_eq!(report.accepted, 40);
         assert_eq!(report.epoch, 1);
         assert!(!report.refreshed);
-        assert!(live.federation().exact(&query()) > before);
+        assert!(live.federation.exact(&query()) > before);
         // Uncoarsened incremental metadata is exactly a full recompute.
-        let agreed_s = live.federation().config().agreed_s;
-        for p in live.federation().providers() {
+        let agreed_s = live.federation.config().agreed_s;
+        for p in live.federation.providers() {
             assert_eq!(p.meta(), &ProviderMeta::build(p.store(), agreed_s));
         }
         // Queries still run through the engine on the new version.
-        let budget = live.federation().default_budget().unwrap();
+        let budget = live.federation.default_budget().unwrap();
         let ans = live
-            .federation()
+            .federation
             .with_engine(|engine| engine.submit_with_budget(&query(), 0.3, &budget)?.wait())
             .unwrap();
         assert!(ans.value.is_finite());
@@ -295,14 +276,14 @@ mod tests {
     #[test]
     fn ingest_bumps_epoch_and_resalts_seed() {
         let mut live = LiveFederation::new(federation(None), RefreshPolicy::default());
-        let base = live.federation().config().seed;
+        let base = live.federation.config().seed;
         live.ingest(1, vec![Row::cell(vec![5], 1)]).unwrap();
-        assert_eq!(live.epoch(), 1);
-        let salted = live.federation().config().seed;
+        assert_eq!(live.epoch, 1);
+        let salted = live.federation.config().seed;
         assert_ne!(salted, base);
         assert_eq!(salted, epoch_seed(base, 1));
         live.ingest(1, vec![Row::cell(vec![6], 1)]).unwrap();
-        assert_eq!(live.federation().config().seed, epoch_seed(base, 2));
+        assert_eq!(live.federation.config().seed, epoch_seed(base, 2));
     }
 
     #[test]
@@ -316,16 +297,16 @@ mod tests {
             .ingest(0, (0..3).map(|i| Row::cell(vec![i], 1)).collect())
             .unwrap();
         assert!(!r1.refreshed);
-        assert_eq!(live.stale_rows(), 3);
+        assert_eq!(live.stale_rows, 3);
         let r2 = live
             .ingest(0, (0..3).map(|i| Row::cell(vec![i + 10], 1)).collect())
             .unwrap();
         assert!(r2.refreshed);
-        assert_eq!(live.stale_rows(), 0);
+        assert_eq!(live.stale_rows, 0);
         // After the refresh the metadata is exactly the from-scratch
         // coarsened build — no residual drift.
-        let cfg = live.federation().config().clone();
-        for p in live.federation().providers() {
+        let cfg = live.federation.config().clone();
+        for p in live.federation.providers() {
             let full = ProviderMeta::build(p.store(), cfg.agreed_s);
             assert_eq!(p.meta(), &full.coarsened(cfg.metadata_buckets.unwrap()));
         }
@@ -340,30 +321,30 @@ mod tests {
         let mut live = LiveFederation::new(federation(None), policy);
         let report = live.ingest(0, vec![Row::cell(vec![7], 1)]).unwrap();
         assert!(report.refreshed);
-        assert_eq!(live.stale_rows(), 0);
+        assert_eq!(live.stale_rows, 0);
     }
 
     #[test]
     fn manual_refresh_counts_as_an_epoch() {
         let mut live = LiveFederation::new(federation(Some(4)), RefreshPolicy::default());
-        let base = live.federation().config().seed;
+        let base = live.federation.config().seed;
         live.refresh();
-        assert_eq!(live.epoch(), 1);
-        assert_eq!(live.federation().config().seed, epoch_seed(base, 1));
+        assert_eq!(live.epoch, 1);
+        assert_eq!(live.federation.config().seed, epoch_seed(base, 1));
     }
 
     #[test]
     fn bad_batches_are_rejected_atomically() {
         let mut live = LiveFederation::new(federation(None), RefreshPolicy::default());
-        let before = live.federation().exact(&query());
+        let before = live.federation.exact(&query());
         // Unknown provider.
         assert!(live.ingest(9, vec![Row::cell(vec![5], 1)]).is_err());
         // Second row violates the schema: whole batch refused, nothing
         // appended, epoch unchanged.
         let bad = vec![Row::cell(vec![5], 1), Row::cell(vec![500], 1)];
         assert!(live.ingest(0, bad).is_err());
-        assert_eq!(live.epoch(), 0);
-        assert_eq!(live.federation().exact(&query()), before);
+        assert_eq!(live.epoch, 0);
+        assert_eq!(live.federation.exact(&query()), before);
     }
 
     #[test]
@@ -411,6 +392,43 @@ mod tests {
         let mut twin = LiveFederation::new(federation(None), RefreshPolicy::default());
         twin.refresh();
         assert_eq!(fresh_epoch, value(&twin));
+    }
+
+    /// A handle taken before an ingest answers its plan on the data and
+    /// seed of its own epoch, even when that plan is waited after the
+    /// ingest moved the federation on.
+    #[test]
+    fn an_epochs_engine_answers_from_its_epoch_after_the_next_ingest() {
+        let plan = QueryPlan::Scalar {
+            query: query(),
+            sampling_rate: 0.3,
+            epsilon: 1.0,
+            delta: 1e-6,
+        };
+        let released = |answer: PlanAnswer| match answer.result {
+            PlanResult::Value {
+                value,
+                ci_halfwidth,
+            } => (value.to_bits(), ci_halfwidth.map(f64::to_bits)),
+            other => panic!("expected a scalar result, got {other:?}"),
+        };
+        let batch = || -> Vec<Row> { (0..40).map(|i| Row::cell(vec![20 + i % 50], 1)).collect() };
+        let mut live = LiveFederation::new(federation(None), RefreshPolicy::default());
+        let epoch0 = live.with_engine(EngineHandle::clone);
+        let pending = epoch0.submit_plan(&plan).unwrap();
+        let before = live.federation.exact(&query());
+        live.ingest(0, batch()).unwrap();
+        assert_ne!(live.federation.exact(&query()), before);
+        let frozen = federation(None)
+            .with_engine(|engine| engine.run_plan(&plan))
+            .unwrap();
+        assert_eq!(released(pending.wait().unwrap()), released(frozen));
+        // A plan submitted after the ingest runs on the new epoch.
+        let after = live.with_engine(|engine| engine.run_plan(&plan)).unwrap();
+        let mut twin = LiveFederation::new(federation(None), RefreshPolicy::default());
+        twin.ingest(0, batch()).unwrap();
+        let twin_answer = twin.with_engine(|engine| engine.run_plan(&plan)).unwrap();
+        assert_eq!(released(after), released(twin_answer));
     }
 
     #[test]

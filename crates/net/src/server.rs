@@ -31,11 +31,13 @@
 //!   same frames, same typed errors, byte-identical answers.
 //! * **Live** ([`FederationServer::bind_live`]) — the analyst protocol
 //!   plus `Ingest`, over a [`LiveFederation`] behind one reader–writer
-//!   lock. A handler holds the read side (and a scoped engine, whose jobs
-//!   run on the connection's own thread) for its whole call, so a plan —
-//!   every round of an online plan included — conditions on exactly one
-//!   epoch; an accepted `Ingest` batch takes the write side between
-//!   handlers.
+//!   lock. A handler takes the read side only to clone the current
+//!   epoch's engine (a scoped one, whose jobs run on the connection's own
+//!   thread) and runs its plan on that clone, so a plan — every round of
+//!   an online plan included — conditions on exactly one epoch. An
+//!   accepted `Ingest` batch takes the write side just to apply itself:
+//!   it may be acked while an older epoch's plan is still running, and a
+//!   plan started after the ack runs on the new epoch.
 //! * **Shard** ([`FederationServer::bind_shard`]) — only the fragment
 //!   frames, to an upstream coordinator, one fragment batch's lifecycle
 //!   at a time per connection, with *no* budget directory: fragments
@@ -213,14 +215,11 @@ trait Backend: Clone + Send + 'static {
     /// The plan surface queries run on.
     type Plans: PlanBackend;
 
-    /// The public configuration and schema a `HelloAck` advertises.
-    fn with_public<R>(&self, f: impl FnOnce(&FederationConfig, &Schema) -> R) -> R;
-
-    /// Runs `f` against the plan surface. A frozen backend is its own
-    /// surface; the live backend holds the lock's read side and a scoped
-    /// engine for the whole call, pinning one epoch, data version and
-    /// seed for everything `f` does.
-    fn with_plans<R>(&self, f: impl FnOnce(&Self::Plans) -> R) -> R;
+    /// The plan surface for one request; its configuration and schema are
+    /// what a `HelloAck` advertises. A frozen backend is its own surface;
+    /// the live backend hands out its current epoch's engine, which pins
+    /// one epoch, data version and seed for everything run on it.
+    fn plans(&self) -> Self::Plans;
 
     /// Appends one ingest batch. Only a live federation moves; the gate
     /// table keeps `Ingest` frames from every other backend.
@@ -237,12 +236,8 @@ trait Backend: Clone + Send + 'static {
 impl Backend for EngineHandle {
     type Plans = EngineHandle;
 
-    fn with_public<R>(&self, f: impl FnOnce(&FederationConfig, &Schema) -> R) -> R {
-        f(self.config(), self.schema())
-    }
-
-    fn with_plans<R>(&self, f: impl FnOnce(&EngineHandle) -> R) -> R {
-        f(self)
+    fn plans(&self) -> EngineHandle {
+        self.clone()
     }
 
     fn fragment_engine(&self) -> Option<&EngineHandle> {
@@ -253,36 +248,32 @@ impl Backend for EngineHandle {
 impl Backend for ShardedFederation {
     type Plans = ShardedFederation;
 
-    fn with_public<R>(&self, f: impl FnOnce(&FederationConfig, &Schema) -> R) -> R {
-        f(self.config(), self.schema())
-    }
-
-    fn with_plans<R>(&self, f: impl FnOnce(&ShardedFederation) -> R) -> R {
-        f(self)
+    fn plans(&self) -> ShardedFederation {
+        self.clone()
     }
 }
 
-/// The live federation behind its reader–writer lock. Lock poisoning is
-/// survivable: the lock guards no invariant a panicked query could have
-/// broken (a query only *reads*; ingest applies its batch atomically
-/// before any unlock), so a poisoned lock is served rather than cascading
-/// the panic across every connection thread.
+/// The live federation behind its reader–writer lock, which is never held
+/// across a plan. Lock poisoning is survivable: the lock guards no
+/// invariant a panicked handler could have broken (a reader only clones
+/// the current epoch's engine; ingest applies its batch atomically before
+/// any unlock), so a poisoned lock is served rather than cascading the
+/// panic across every connection thread.
 impl Backend for Arc<RwLock<LiveFederation>> {
     type Plans = EngineHandle;
 
-    fn with_public<R>(&self, f: impl FnOnce(&FederationConfig, &Schema) -> R) -> R {
-        let live = self.read().unwrap_or_else(PoisonError::into_inner);
-        f(live.federation().config(), live.federation().schema())
+    /// Read side of the lock, just long enough to clone the current
+    /// epoch's engine (the epoch's first request builds it).
+    fn plans(&self) -> EngineHandle {
+        self.read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .with_engine(EngineHandle::clone)
     }
 
-    fn with_plans<R>(&self, f: impl FnOnce(&EngineHandle) -> R) -> R {
-        let live = self.read().unwrap_or_else(PoisonError::into_inner);
-        live.with_engine(f)
-    }
-
-    /// Write side of the lock: waits out in-flight handlers, applies the
-    /// batch atomically (append + incremental metadata + epoch bump + seed
-    /// re-salt), and releases before the ack is written.
+    /// Write side of the lock: applies the batch atomically (append +
+    /// incremental metadata + epoch bump + seed re-salt) and releases
+    /// before the ack is written. Plans running on the old epoch's engine
+    /// finish there.
     fn ingest(&self, provider: usize, rows: Vec<Row>) -> fedaqp_core::Result<IngestReport> {
         self.write()
             .unwrap_or_else(PoisonError::into_inner)
@@ -323,13 +314,13 @@ impl FederationServer {
     }
 
     /// Binds `addr` in live mode: the analyst protocol of [`Self::bind`]
-    /// plus the streaming-ingest path. Each query runs on a scoped
-    /// engine under the lock's read side (one consistent epoch per query,
-    /// one occurrence ledger per epoch);
-    /// an accepted [`Frame::Ingest`] batch takes the write side, appends
-    /// rows with incremental metadata maintenance, and re-salts the noise
-    /// seed (see [`LiveFederation`]). Non-live servers refuse `Ingest`
-    /// frames with a typed error.
+    /// plus the streaming-ingest path. Each query runs on the scoped
+    /// engine of the epoch current when it arrived (one consistent epoch
+    /// per query, one occurrence ledger per epoch); an accepted
+    /// [`Frame::Ingest`] batch appends rows with incremental metadata
+    /// maintenance, re-salts the noise seed and starts the next epoch
+    /// (see [`LiveFederation`]). Non-live servers refuse `Ingest` frames
+    /// with a typed error.
     pub fn bind_live(addr: &str, live: LiveFederation, options: ServeOptions) -> Result<Self> {
         let live = Arc::new(RwLock::new(live));
         Self::bind_role(addr, Role::Live, live, options.directory()?)
@@ -494,7 +485,8 @@ fn handshake<B: Backend>(
             return Err(error);
         }
     };
-    let ack = backend.with_public(|config, schema| hello_ack(config, schema, directory));
+    let plans = backend.plans();
+    let ack = hello_ack(plans.config(), plans.schema(), directory);
     write_frame(&mut stream, &Frame::HelloAck(ack))?;
     Ok(Some(Connection {
         stream,
@@ -540,15 +532,15 @@ fn dispatch<B: Backend>(conn: &mut Connection, backend: &B, frame: Frame) -> Res
             // Every sub-query is submitted (and the whole plan charged)
             // before the wait — the per-group fan-out pipelines on the
             // worker pool exactly as in-process plans do.
-            let reply = backend.with_plans(|plans| {
-                match submit_plan(plans, ledger, &request.plan).and_then(PendingPlan::wait) {
-                    Ok(answer) => {
-                        count_answer(&mut conn.answered);
-                        plan_answer_frame(0, &answer)
-                    }
-                    Err(e) => core_error_reply(0, &e),
+            let reply = match submit_plan(&backend.plans(), ledger, &request.plan)
+                .and_then(PendingPlan::wait)
+            {
+                Ok(answer) => {
+                    count_answer(&mut conn.answered);
+                    plan_answer_frame(0, &answer)
                 }
-            });
+                Err(e) => core_error_reply(0, &e),
+            };
             record_xi_spent(&conn.analyst, ledger);
             write_frame(&mut conn.stream, &reply)
         }
@@ -557,7 +549,7 @@ fn dispatch<B: Backend>(conn: &mut Connection, backend: &B, frame: Frame) -> Res
             // explanation is a pure function of the plan and the current
             // epoch's public offline metadata, so it bypasses the ledger
             // entirely (and `answered` stays put).
-            let reply = match backend.with_plans(|plans| plans.explain_plan(&request.plan)) {
+            let reply = match backend.plans().explain_plan(&request.plan) {
                 Ok(explanation) => Frame::ExplainAnswer(ExplainAnswerFrame {
                     index: 0,
                     explanation,
@@ -577,18 +569,14 @@ fn dispatch<B: Backend>(conn: &mut Connection, backend: &B, frame: Frame) -> Res
         Frame::OnlinePlan(request) => {
             // The whole plan's (ε, δ) is validated and charged atomically
             // before the first round dispatches (fail-closed); snapshots
-            // then push as rounds resolve, all inside one `with_plans` —
-            // on a live server every snapshot of the plan is computed
-            // against one epoch, and a racing ingest lands after the
-            // `OnlineDone`.
-            let pushed = backend.with_plans(|plans| {
-                match submit_plan(plans, ledger, &online_plan(&request)) {
-                    Ok(pending) => stream_online_answer(&mut conn.stream, pending),
-                    Err(e) => {
-                        write_frame(&mut conn.stream, &core_error_reply(0, &e)).map(|()| false)
-                    }
-                }
-            });
+            // then push as rounds resolve, every round on the one engine
+            // the plan was submitted to — on a live server every snapshot
+            // is computed against one epoch, even when an ingest is acked
+            // before the `OnlineDone`.
+            let pushed = match submit_plan(&backend.plans(), ledger, &online_plan(&request)) {
+                Ok(pending) => stream_online_answer(&mut conn.stream, pending),
+                Err(e) => write_frame(&mut conn.stream, &core_error_reply(0, &e)).map(|()| false),
+            };
             record_xi_spent(&conn.analyst, ledger);
             if pushed? {
                 count_answer(&mut conn.answered);
@@ -703,16 +691,25 @@ fn serve_fragment(
                     &bad_request("no fragment in flight on this connection"),
                 );
             };
-            let delivered = if sets.len() == fragments.len() {
-                fragments
-                    .iter()
-                    .zip(sets)
-                    .try_for_each(|(fragment, set)| fragment.provide_allocation(set.allocations))
+            // A malformed allocation is the peer's misuse, refused before
+            // any fragment of the batch gets one.
+            let refused = if sets.len() != fragments.len() {
+                Some("fragment allocations do not match the batch")
+            } else if sets
+                .iter()
+                .any(|set| set.allocations.len() != engine.n_providers())
+            {
+                Some("fragment allocation length does not match shard providers")
             } else {
-                Err(CoreError::ProtocolViolation(
-                    "fragment allocations do not match the batch",
-                ))
+                None
             };
+            if let Some(message) = refused {
+                return write_frame(stream, &bad_request(message));
+            }
+            let delivered = fragments
+                .iter()
+                .zip(sets)
+                .try_for_each(|(fragment, set)| fragment.provide_allocation(set.allocations));
             if let Err(e) = delivered {
                 return write_frame(stream, &core_error_reply(0, &e));
             }

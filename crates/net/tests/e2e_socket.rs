@@ -1246,9 +1246,10 @@ fn shard_servers_refuse_old_hellos_and_analyst_frames() {
 }
 
 /// Every arm of a shard connection's batch handling, on one raw
-/// connection: each misuse gets a typed error and the connection keeps
-/// answering `ShardBoundsRequest`; a rejected allocation leaves no batch
-/// behind, so the next `Fragment` on the same connection is served.
+/// connection: each misuse gets a typed `bad-request` error and the
+/// connection keeps answering `ShardBoundsRequest`; a rejected allocation
+/// leaves no batch behind, so the next `Fragment` on the same connection
+/// is served.
 #[test]
 fn shard_connections_answer_every_batch_misuse_and_keep_serving() {
     use fedaqp_net::wire::{
@@ -1289,7 +1290,8 @@ fn shard_connections_answer_every_batch_misuse_and_keep_serving() {
         Frame::FragmentAllocation(vec![set; entries])
     };
     // The four providers' batch of two, misused every way in turn: each
-    // step's reply kinds, or the typed error's message.
+    // step's reply kinds, or the typed error's message (every refusal is
+    // the peer's misuse, so every code is `bad-request`).
     let steps: Vec<(Frame, Result<&[&str], &str>)> = vec![
         (batch(0), Err("at least one fragment")),
         (allocation(1, 4), Err("no fragment in flight")),
@@ -1316,7 +1318,10 @@ fn shard_connections_answer_every_batch_misuse_and_keep_serving() {
                 assert_eq!(got, kinds, "{what}");
             }
             Err(needle) => match read_frame(&mut stream).unwrap() {
-                Frame::Error(e) => assert!(e.message.contains(needle), "{what}: {}", e.message),
+                Frame::Error(e) => {
+                    assert!(e.message.contains(needle), "{what}: {}", e.message);
+                    assert_eq!(e.code, ErrorCode::BadRequest, "{what}: {}", e.message);
+                }
                 other => panic!("{what}: expected a typed error, got {other:?}"),
             },
         }

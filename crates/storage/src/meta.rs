@@ -18,6 +18,8 @@
 //! tail of the *successor* value, preserving the inclusive semantics the
 //! rest of the paper (and plain SQL) uses. DESIGN.md records the delta.
 
+use std::sync::Arc;
+
 use fedaqp_model::value::succ;
 use fedaqp_model::{Range, RangeQuery, Row, Value};
 
@@ -269,10 +271,14 @@ impl ClusterMeta {
 /// when *normalizing* proportions, so that `Avg(R̂)` values are comparable
 /// across providers during allocation (§5.1, §7). It may exceed the local
 /// store's physical capacity.
+///
+/// Each cluster's metadata sits behind its own `Arc`, as the store's
+/// clusters do: a clone shares them all, and an append to a tail cluster
+/// a clone still holds copies that one cluster first.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProviderMeta {
     agreed_s: usize,
-    clusters: Vec<ClusterMeta>,
+    clusters: Vec<Arc<ClusterMeta>>,
 }
 
 impl ProviderMeta {
@@ -281,7 +287,7 @@ impl ProviderMeta {
         let clusters = store
             .clusters()
             .iter()
-            .map(|c| ClusterMeta::from_cluster(c))
+            .map(|c| Arc::new(ClusterMeta::from_cluster(c)))
             .collect();
         Self {
             agreed_s: agreed_s.max(1),
@@ -291,6 +297,7 @@ impl ProviderMeta {
 
     /// Rebuilds from codec parts.
     pub(crate) fn from_parts(agreed_s: usize, clusters: Vec<ClusterMeta>) -> Self {
+        let clusters = clusters.into_iter().map(Arc::new).collect();
         Self { agreed_s, clusters }
     }
 
@@ -302,7 +309,7 @@ impl ProviderMeta {
 
     /// Per-cluster metadata, indexed by cluster id.
     #[inline]
-    pub fn clusters(&self) -> &[ClusterMeta] {
+    pub fn clusters(&self) -> &[Arc<ClusterMeta>] {
         &self.clusters
     }
 
@@ -344,13 +351,13 @@ impl ProviderMeta {
     pub fn append_row(&mut self, cluster: ClusterId, new_cluster: bool, row: &Row, arity: usize) {
         if new_cluster {
             debug_assert_eq!(cluster as usize, self.clusters.len());
-            self.clusters.push(ClusterMeta {
+            self.clusters.push(Arc::new(ClusterMeta {
                 id: cluster,
                 len: 0,
                 dims: vec![DimMeta::from_column(&[]); arity],
-            });
+            }));
         }
-        self.clusters[cluster as usize].append_row(row);
+        Arc::make_mut(&mut self.clusters[cluster as usize]).append_row(row);
     }
 
     /// A histogram-resolution copy of the whole provider metadata: every
@@ -361,10 +368,12 @@ impl ProviderMeta {
             clusters: self
                 .clusters
                 .iter()
-                .map(|c| ClusterMeta {
-                    id: c.id,
-                    len: c.len,
-                    dims: c.dims.iter().map(|d| d.coarsened(buckets)).collect(),
+                .map(|c| {
+                    Arc::new(ClusterMeta {
+                        id: c.id,
+                        len: c.len,
+                        dims: c.dims.iter().map(|d| d.coarsened(buckets)).collect(),
+                    })
                 })
                 .collect(),
         }
