@@ -8,6 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::allocation::{allocate_greedy, AllocationInput};
+use crate::config::AllocationPolicy;
 use crate::protocol::{LocalOutcome, ProviderSummary};
 use crate::{CoreError, Result};
 
@@ -44,9 +45,24 @@ impl Aggregator {
         allocate_greedy(&inputs, sampling_rate)
     }
 
+    /// Protocol step 3 under `policy` — the one rule the engine and the
+    /// sharded coordinator both apply, so their allocations agree bit for
+    /// bit.
+    pub fn allocate_under(
+        &self,
+        policy: AllocationPolicy,
+        summaries: &[ProviderSummary],
+        sampling_rate: f64,
+    ) -> Result<Vec<u64>> {
+        match policy {
+            AllocationPolicy::Optimized => self.allocate(summaries, sampling_rate),
+            AllocationPolicy::LocalUniform => self.allocate_local_uniform(summaries, sampling_rate),
+        }
+    }
+
     /// Local-sampling baseline (§4, ablation): every provider receives
     /// `sr · Ñ^Q_i` with no cross-provider optimization.
-    pub fn allocate_local_uniform(
+    fn allocate_local_uniform(
         &self,
         summaries: &[ProviderSummary],
         sampling_rate: f64,

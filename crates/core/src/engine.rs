@@ -84,7 +84,10 @@ use crate::aggregator::Aggregator;
 use crate::config::{AllocationPolicy, FederationConfig, ReleaseMode};
 use crate::federation::{Federation, PlainAnswer};
 use crate::optimizer::MetaSnapshot;
-use crate::protocol::{query_bytes, LocalOutcome, PhaseTimings, ProviderSummary};
+use crate::plan::PlanBackend;
+use crate::protocol::{
+    extreme_network, private_network, query_bytes, LocalOutcome, PhaseTimings, ProviderSummary,
+};
 use crate::provider::{DataProvider, PreparedQuery, ProviderShadow};
 use crate::{CoreError, Result};
 
@@ -751,12 +754,7 @@ fn deliver_summary(
             derive_seed(job.seed, job.index, AGGREGATOR_LANE),
             job.cost_model,
         );
-        let allocated = match job.allocation_policy {
-            AllocationPolicy::Optimized => aggregator.allocate(&summaries, sampling_rate),
-            AllocationPolicy::LocalUniform => {
-                aggregator.allocate_local_uniform(&summaries, sampling_rate)
-            }
-        };
+        let allocated = aggregator.allocate_under(job.allocation_policy, &summaries, sampling_rate);
         progress.allocation_time = t.elapsed();
         match allocated {
             Ok(a) => {
@@ -992,24 +990,6 @@ impl EngineHandle {
         self.submit_with_budget(query, sampling_rate, &budget)
     }
 
-    /// Validates a submission without dispatching it: sampling rate in
-    /// `(0, 1)`, query dimensions in the schema, budget phases positive.
-    /// Stateless, so budget-charging sessions can check a request *before*
-    /// charging for it — a request the engine would reject touches no
-    /// data and must not cost budget.
-    pub fn validate(
-        &self,
-        query: &RangeQuery,
-        sampling_rate: f64,
-        budget: &QueryBudget,
-    ) -> Result<()> {
-        if !(sampling_rate.is_finite() && 0.0 < sampling_rate && sampling_rate < 1.0) {
-            return Err(CoreError::InvalidSamplingRate(sampling_rate));
-        }
-        query.check_schema(&self.inner.schema)?;
-        crate::plan::check_budget(budget)
-    }
-
     /// Submits one private query under an explicit per-query budget.
     ///
     /// Validation happens here, before any provider sees the job, so a
@@ -1020,7 +1000,7 @@ impl EngineHandle {
         sampling_rate: f64,
         budget: &QueryBudget,
     ) -> Result<PendingAnswer> {
-        self.validate(query, sampling_rate, budget)?;
+        self.validate_sub(query, sampling_rate, budget)?;
         let kind = JobKind::Private {
             query: query.clone(),
             sampling_rate,
@@ -1125,7 +1105,7 @@ impl EngineHandle {
         budget: &QueryBudget,
         occurrence: u64,
     ) -> Result<PendingFragment> {
-        self.validate(query, sampling_rate, budget)?;
+        self.validate_sub(query, sampling_rate, budget)?;
         let kind = JobKind::Private {
             query: query.clone(),
             sampling_rate,
@@ -1148,7 +1128,7 @@ impl EngineHandle {
         epsilon: f64,
         occurrence: u64,
     ) -> Result<PendingExtreme> {
-        self.validate_extreme(dim, epsilon)?;
+        self.validate_ext(dim, epsilon)?;
         let kind = JobKind::Extreme {
             dim,
             extreme,
@@ -1157,17 +1137,6 @@ impl EngineHandle {
         obs::counter_add(obs::names::ENGINE_EXTREMES, 1);
         let job = self.launch(JobState::new(kind, occurrence, &self.inner.config))?;
         Ok(PendingExtreme { job })
-    }
-
-    /// Validates an extreme-query submission without dispatching it.
-    pub fn validate_extreme(&self, dim: usize, epsilon: f64) -> Result<()> {
-        self.inner.schema.dimension(dim)?;
-        if !(epsilon.is_finite() && epsilon > 0.0) {
-            return Err(CoreError::BadConfig(
-                "extreme-query epsilon must be positive",
-            ));
-        }
-        Ok(())
     }
 
     /// Submits a private MIN/MAX of dimension `dim`: every provider runs
@@ -1180,7 +1149,7 @@ impl EngineHandle {
         extreme: Extreme,
         epsilon: f64,
     ) -> Result<PendingExtreme> {
-        self.validate_extreme(dim, epsilon)?;
+        self.validate_ext(dim, epsilon)?;
         let kind = JobKind::Extreme {
             dim,
             extreme,
@@ -1286,22 +1255,14 @@ impl PendingAnswer {
         );
         let t = Instant::now();
         let (value, smc_network) = match job.release_mode {
-            ReleaseMode::LocalDp => (aggregator.finalize_local(&outcomes)?, Duration::ZERO),
-            ReleaseMode::Smc => aggregator.finalize_smc(&outcomes, budget.eps_e)?,
+            ReleaseMode::LocalDp => (aggregator.finalize_local(&outcomes)?, None),
+            ReleaseMode::Smc => {
+                let (value, network) = aggregator.finalize_smc(&outcomes, budget.eps_e)?;
+                (value, Some(network))
+            }
         };
         let release_time = t.elapsed();
-
-        // Simulated network: broadcast, summaries, allocations, and (in
-        // local-DP mode) the result round; the SMC path accounts its own
-        // rounds in `smc_network`.
-        let cost_model = job.cost_model;
-        let mut network = cost_model.round_time(query_bytes(query))
-            + cost_model.round_time(16)
-            + cost_model.round_time(8);
-        network += match job.release_mode {
-            ReleaseMode::LocalDp => cost_model.round_time(16),
-            ReleaseMode::Smc => smc_network,
-        };
+        let network = private_network(job.cost_model, query, smc_network);
 
         let timings = PhaseTimings {
             summary: progress.summary_time,
@@ -1546,12 +1507,11 @@ impl PendingExtreme {
             Extreme::Min => selections.min(),
         }
         .expect("non-empty providers");
-        let network = job.cost_model.round_time(16) + job.cost_model.round_time(8);
         Ok(EngineExtreme {
             value,
             epsilon,
             execution: progress.execution_time,
-            network,
+            network: extreme_network(job.cost_model),
         })
     }
 }

@@ -176,8 +176,9 @@ pub struct SubQueryExplanation {
     /// Metadata cost estimate: clusters the step-1 walk still visits
     /// across surviving providers.
     pub estimated_cost: u64,
-    /// `Some(i)` when this sub-query is answered by re-reading sub-query
-    /// `i`'s release instead of executing (the dedup pass).
+    /// `Some(i)` when this sub-query is answered by re-reading the release
+    /// of row `i` of [`PlanExplanation::sub_queries`] instead of executing
+    /// (the dedup pass).
     pub reuses: Option<u64>,
     /// Position in the submission order after reordering (0 = first).
     pub order: u64,
@@ -190,7 +191,8 @@ pub struct SubQueryExplanation {
 /// transmitting) an explanation touches no data and costs no budget.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanExplanation {
-    /// Plan shape: `"scalar"`, `"derived"`, `"group-by"`, or `"extreme"`.
+    /// Plan shape: `"scalar"`, `"derived"`, `"group-by"`, `"online"`, or
+    /// `"extreme"`.
     pub plan_kind: String,
     /// Providers in the federation.
     pub n_providers: u64,
@@ -252,7 +254,7 @@ impl PlanExplanation {
             self.pruned_total(),
             self.reused_total(),
         ));
-        for s in &self.sub_queries {
+        for (row, s) in self.sub_queries.iter().enumerate() {
             let pruned = if s.pruned_providers.is_empty() {
                 "-".to_string()
             } else {
@@ -268,7 +270,7 @@ impl PlanExplanation {
             };
             out.push_str(&format!(
                 "  #{:<3} {:<18} order {:<3} pruned [{}]  {}\n",
-                s.order, s.label, s.order, pruned, mode
+                row, s.label, s.order, pruned, mode
             ));
         }
         out
@@ -359,5 +361,40 @@ mod tests {
         assert!(text.contains("group-by"));
         assert!(text.contains("pruned [1,3]"));
         assert!(text.contains("reuses #0"));
+
+        // A grouped VAR submitted costliest-first: group 1's cell goes out
+        // before group 0's. The `#` column is the row index — what
+        // `reuses #j` names — and `order` the cell's submission rank.
+        let row = |label: &str, reuses, order| SubQueryExplanation {
+            label: label.into(),
+            pruned_providers: vec![],
+            estimated_cost: 8,
+            reuses,
+            order,
+        };
+        let var = PlanExplanation {
+            sub_queries: vec![
+                row("group 0 count", None, 1),
+                row("group 0 sum", None, 1),
+                row("group 0 second-moment", Some(0), 1),
+                row("group 1 count", None, 0),
+                row("group 1 sum", None, 0),
+                row("group 1 second-moment", Some(3), 0),
+            ],
+            ..expl
+        };
+        let text = var.render();
+        let lines: Vec<&str> = text.lines().filter(|l| l.starts_with("  #")).collect();
+        assert_eq!(lines.len(), 6, "{text}");
+        for (i, line) in lines.iter().enumerate() {
+            assert!(line.starts_with(&format!("  #{i:<3} ")), "{line}");
+        }
+        assert!(lines[3].contains("group 1 count") && lines[3].contains("order 0  "));
+        assert!(lines[0].contains("order 1  "), "{}", lines[0]);
+        for (line, count) in [(lines[2], 0), (lines[5], 3)] {
+            let j: usize = line.rsplit('#').next().unwrap().trim().parse().unwrap();
+            assert_eq!(j, count, "{line}");
+            assert!(lines[j].contains(" count "), "{}", lines[j]);
+        }
     }
 }

@@ -6,6 +6,18 @@
 //! compiler, so the semantics (budget splits, suppression, noise
 //! derivation) cannot drift between layers.
 //!
+//! A plan is compiled once. One function, `compile`, turns a plan into
+//! its sub-queries: the budget split, group enumeration and its cap, the
+//! dedup decision, the cost order and the online round rates. It reads
+//! only the backend's configuration, schema and public metadata, and it
+//! validates every sub-query it produces. The three entry points of
+//! [`PlanBackend`] read the compiled plan:
+//! [`validate_plan`](PlanBackend::validate_plan) compiles and keeps
+//! nothing, [`submit_plan`](PlanBackend::submit_plan) submits the
+//! compiled sub-queries in one [`PlanBackend::submit_subs`] call, and
+//! [`explain_plan`](PlanBackend::explain_plan) renders the compiled
+//! shape, so `EXPLAIN` shows what submission sends.
+//!
 //! Compilation shape:
 //!
 //! * [`QueryPlan::Scalar`] → one private sub-query.
@@ -75,11 +87,12 @@
 //! coordinator.
 //!
 //! **Budget.** A plan's whole `(ε, δ)` is known up front
-//! ([`QueryPlan::total_cost`]), and [`EngineHandle::validate_plan`] is
-//! side-effect free, so budget-charging sessions validate first, charge
-//! the *entire* plan atomically, and only then submit — a plan the engine
-//! would reject costs nothing, and a plan that is accepted can never be
-//! half-charged (fail-closed once dispatched).
+//! ([`QueryPlan::total_cost`]), and compiling is side-effect free, so a
+//! budget-charging session compiles first (which validates), charges the
+//! compiled plan's *entire* cost atomically, and only then submits that
+//! same compiled plan — a plan the engine would reject costs nothing, and
+//! a plan that is accepted can never be half-charged (fail-closed once
+//! dispatched).
 
 use std::time::Duration;
 
@@ -302,9 +315,7 @@ pub trait PlanBackend: Clone {
         sampling_rate: f64,
         budget: &QueryBudget,
     ) -> Result<()> {
-        if !(sampling_rate.is_finite() && 0.0 < sampling_rate && sampling_rate < 1.0) {
-            return Err(CoreError::InvalidSamplingRate(sampling_rate));
-        }
+        check_sampling_rate(sampling_rate)?;
         query.check_schema(self.schema())?;
         check_budget(budget)
     }
@@ -312,36 +323,32 @@ pub trait PlanBackend: Clone {
     /// Validates one extreme submission without dispatching it.
     fn validate_ext(&self, dim: usize, epsilon: f64) -> Result<()> {
         self.schema().dimension(dim)?;
-        if !(epsilon.is_finite() && epsilon > 0.0) {
-            return Err(CoreError::BadConfig(
-                "extreme-query epsilon must be positive",
-            ));
-        }
-        Ok(())
+        check_positive(epsilon, "extreme-query epsilon must be positive")
     }
 
-    /// Validates a plan without dispatching (or charging) anything:
-    /// schema, sampling rate, budget positivity, and the group-domain cap.
-    /// Stateless, so sessions can check a plan *before* charging its
-    /// [`QueryPlan::total_cost`].
+    /// Validates a plan without dispatching (or charging) anything: it
+    /// compiles the plan, which checks every sub-query the plan would
+    /// submit — schema, sampling rate, budget positivity — and the
+    /// group-domain cap. Stateless, so sessions can check a plan *before*
+    /// charging its [`QueryPlan::total_cost`].
     fn validate_plan(&self, plan: &QueryPlan) -> Result<()> {
-        validate_plan_with(self, plan)
+        compile(self, plan).map(drop)
     }
 
     /// Compiles `plan` and submits **all** of its sub-queries before
     /// returning — a group-by's per-group queries are in flight together
-    /// by the time the caller first waits. Validation happens up front
-    /// ([`Self::validate_plan`]), so a rejected plan touches no data.
+    /// by the time the caller first waits. Compiling validates, so a
+    /// rejected plan touches no data.
     fn submit_plan(&self, plan: &QueryPlan) -> Result<PendingPlan<Self>> {
-        self.validate_plan(plan)?;
-        submit_plan_with(self, plan)
+        compile(self, plan)?.submit(self)
     }
 
-    /// `EXPLAIN`: the optimizer's decisions for `plan`, computed from the
-    /// plan and the public metadata snapshot alone — nothing is
-    /// dispatched, no data is touched, no budget is charged.
+    /// `EXPLAIN`: the compiled plan, rendered — what [`Self::submit_plan`]
+    /// submits, computed from the plan and the public metadata snapshot
+    /// alone. Nothing is dispatched, no data is touched, no budget is
+    /// charged.
     fn explain_plan(&self, plan: &QueryPlan) -> Result<PlanExplanation> {
-        explain_plan_with(self, plan)
+        Ok(compile(self, plan)?.explain(self))
     }
 }
 
@@ -357,9 +364,25 @@ pub struct SubQuery {
     pub budget: QueryBudget,
 }
 
-/// Budget-phase sanity shared by every backend (and by
-/// [`EngineHandle::validate`]).
-pub(crate) fn check_budget(budget: &QueryBudget) -> Result<()> {
+/// Sampling-rate sanity shared by every sub-query and by an online
+/// plan's terminal rate: `sr ∈ (0, 1)`.
+fn check_sampling_rate(sampling_rate: f64) -> Result<()> {
+    if !(sampling_rate.is_finite() && 0.0 < sampling_rate && sampling_rate < 1.0) {
+        return Err(CoreError::InvalidSamplingRate(sampling_rate));
+    }
+    Ok(())
+}
+
+/// A finite, positive `epsilon`, or the typed `message`.
+fn check_positive(epsilon: f64, message: &'static str) -> Result<()> {
+    if !(epsilon.is_finite() && epsilon > 0.0) {
+        return Err(CoreError::BadConfig(message));
+    }
+    Ok(())
+}
+
+/// Budget-phase sanity shared by every backend.
+fn check_budget(budget: &QueryBudget) -> Result<()> {
     let ok = |x: f64| x.is_finite() && x > 0.0;
     let valid = ok(budget.eps_o)
         && ok(budget.eps_s)
@@ -415,19 +438,6 @@ impl PlanBackend for EngineHandle {
             execution: extreme.execution,
             network: extreme.network,
         })
-    }
-
-    fn validate_sub(
-        &self,
-        query: &RangeQuery,
-        sampling_rate: f64,
-        budget: &QueryBudget,
-    ) -> Result<()> {
-        self.validate(query, sampling_rate, budget)
-    }
-
-    fn validate_ext(&self, dim: usize, epsilon: f64) -> Result<()> {
-        self.validate_extreme(dim, epsilon)
     }
 }
 
@@ -523,7 +533,8 @@ pub struct PendingPlan<B: PlanBackend = EngineHandle> {
 }
 
 /// A plan's shape over its sub-queries `S` (positions while compiling,
-/// in-flight handles once submitted) and its extreme selection `E`.
+/// in-flight handles once submitted) and its extreme selection `E` (the
+/// spec while compiling, the selection in flight once submitted).
 enum PendingKind<S, E> {
     Cell(Cell<S>),
     Groups {
@@ -542,23 +553,27 @@ enum PendingKind<S, E> {
 }
 
 impl<S, E> PendingKind<S, E> {
-    fn map<T>(self, mut f: impl FnMut(S) -> T) -> PendingKind<T, E> {
-        match self {
-            PendingKind::Cell(cell) => PendingKind::Cell(cell.map(f)),
+    fn map<T, F>(
+        self,
+        mut sub: impl FnMut(S) -> T,
+        ext: impl FnOnce(E) -> Result<F>,
+    ) -> Result<PendingKind<T, F>> {
+        Ok(match self {
+            PendingKind::Cell(cell) => PendingKind::Cell(cell.map(sub)),
             PendingKind::Groups {
                 keys,
                 cells,
                 threshold,
             } => PendingKind::Groups {
                 keys,
-                cells: cells.into_iter().map(|cell| cell.map(&mut f)).collect(),
+                cells: cells.into_iter().map(|cell| cell.map(&mut sub)).collect(),
                 threshold,
             },
             PendingKind::Online { subs } => PendingKind::Online {
-                subs: subs.into_iter().map(f).collect(),
+                subs: subs.into_iter().map(sub).collect(),
             },
-            PendingKind::Extreme(ext) => PendingKind::Extreme(ext),
-        }
+            PendingKind::Extreme(spec) => PendingKind::Extreme(ext(spec)?),
+        })
     }
 }
 
@@ -578,19 +593,12 @@ impl<B: PlanBackend> PendingPlan<B> {
     ///
     /// [`wait`]: PendingPlan::wait
     pub fn wait_streaming(self, mut on_snapshot: impl FnMut(&PlanSnapshot)) -> Result<PlanAnswer> {
-        let cost = self.cost;
         let backend = &self.backend;
-        match self.kind {
+        let mut timings = PhaseTimings::default();
+        let result = match self.kind {
             PendingKind::Online { subs } => {
                 let rounds = subs.len() as u64;
                 let mut snapshots = Vec::with_capacity(subs.len());
-                let mut timings = PhaseTimings {
-                    summary: Duration::ZERO,
-                    allocation: Duration::ZERO,
-                    execution: Duration::ZERO,
-                    release: Duration::ZERO,
-                    network: Duration::ZERO,
-                };
                 for (i, sub) in subs.into_iter().enumerate() {
                     let round = i as u64 + 1;
                     let outcome = backend.wait_sub(sub)?;
@@ -606,22 +614,15 @@ impl<B: PlanBackend> PendingPlan<B> {
                     on_snapshot(&snapshot);
                     snapshots.push(snapshot);
                 }
-                Ok(PlanAnswer {
-                    result: PlanResult::Snapshots { snapshots },
-                    cost,
-                    timings,
-                })
+                PlanResult::Snapshots { snapshots }
             }
             PendingKind::Cell(cell) => {
-                let (value, ci_halfwidth, timings) = cell.wait(backend)?;
-                Ok(PlanAnswer {
-                    result: PlanResult::Value {
-                        value,
-                        ci_halfwidth,
-                    },
-                    cost,
-                    timings,
-                })
+                let (value, ci_halfwidth, cell_timings) = cell.wait(backend)?;
+                timings = cell_timings;
+                PlanResult::Value {
+                    value,
+                    ci_halfwidth,
+                }
             }
             PendingKind::Groups {
                 keys,
@@ -630,13 +631,6 @@ impl<B: PlanBackend> PendingPlan<B> {
             } => {
                 let mut groups = Vec::with_capacity(keys.len());
                 let mut suppressed = 0u64;
-                let mut timings = PhaseTimings {
-                    summary: Duration::ZERO,
-                    allocation: Duration::ZERO,
-                    execution: Duration::ZERO,
-                    release: Duration::ZERO,
-                    network: Duration::ZERO,
-                };
                 for (key, cell) in keys.into_iter().zip(cells) {
                     let (value, ci_halfwidth, cell_timings) = cell.wait(backend)?;
                     merge_timings(&mut timings, &cell_timings);
@@ -650,29 +644,21 @@ impl<B: PlanBackend> PendingPlan<B> {
                         suppressed += 1;
                     }
                 }
-                Ok(PlanAnswer {
-                    result: PlanResult::Groups { groups, suppressed },
-                    cost,
-                    timings,
-                })
+                PlanResult::Groups { groups, suppressed }
             }
             PendingKind::Extreme(pending) => {
                 let extreme = backend.wait_ext(pending)?;
-                Ok(PlanAnswer {
-                    result: PlanResult::Extreme {
-                        value: extreme.value,
-                    },
-                    cost,
-                    timings: PhaseTimings {
-                        summary: Duration::ZERO,
-                        allocation: Duration::ZERO,
-                        execution: extreme.execution,
-                        release: Duration::ZERO,
-                        network: extreme.network,
-                    },
-                })
+                (timings.execution, timings.network) = (extreme.execution, extreme.network);
+                PlanResult::Extreme {
+                    value: extreme.value,
+                }
             }
-        }
+        };
+        Ok(PlanAnswer {
+            result,
+            cost: self.cost,
+            timings,
+        })
     }
 }
 
@@ -682,17 +668,11 @@ impl<B: PlanBackend> PendingPlan<B> {
 /// group-domain cap).
 const MAX_ONLINE_ROUNDS: usize = 1024;
 
-/// The per-round budget of an online plan: the plan's `(ε, δ)` split
-/// evenly over its rounds (sequential composition — progressive samples
-/// of the same data are *not* disjoint), then phase-split.
-fn online_budget(
-    hyperparams: HyperParams,
-    epsilon: f64,
-    delta: f64,
-    rounds: usize,
-) -> Result<QueryBudget> {
-    let k = rounds as f64;
-    Ok(QueryBudget::split(epsilon / k, delta / k, hyperparams)?)
+/// A sub-query's budget: `(ε, δ)` split evenly over `n` sub-queries
+/// (sequential composition — a plan's sub-queries read the same data),
+/// then phase-split.
+fn share(hyperparams: HyperParams, epsilon: f64, delta: f64, n: f64) -> Result<QueryBudget> {
+    Ok(QueryBudget::split(epsilon / n, delta / n, hyperparams)?)
 }
 
 /// The sampling rate of round `round` (1-based) of `rounds`: the terminal
@@ -702,18 +682,6 @@ fn online_budget(
 fn online_round_rate(sampling_rate: f64, round: usize, rounds: usize) -> f64 {
     let fraction = round as f64 / rounds as f64;
     (sampling_rate * fraction).clamp(f64::MIN_POSITIVE, 0.999)
-}
-
-/// The sub-query budget of one derived cell: the cell's `(ε, δ)` split
-/// evenly over the statistic's sub-queries, then phase-split.
-fn derived_budget(
-    hyperparams: HyperParams,
-    statistic: DerivedStatistic,
-    epsilon: f64,
-    delta: f64,
-) -> Result<QueryBudget> {
-    let n = statistic.sub_queries() as f64;
-    Ok(QueryBudget::split(epsilon / n, delta / n, hyperparams)?)
 }
 
 /// The enumerated `(key, point query)` pairs of a GROUP-BY plan, ascending
@@ -726,15 +694,6 @@ fn compile_groups(base: &RangeQuery, group_dim: usize, keys: &[Value]) -> Result
             Ok(RangeQuery::new(base.aggregate(), ranges)?)
         })
         .collect()
-}
-
-/// The COUNT and SUM (and cost-only second moment) sub-queries of one
-/// derived cell over `ranges`.
-fn derived_queries(query: &RangeQuery) -> Result<(RangeQuery, RangeQuery, RangeQuery)> {
-    let count = RangeQuery::new(Aggregate::Count, query.ranges().to_vec())?;
-    let sum = RangeQuery::new(Aggregate::Sum, query.ranges().to_vec())?;
-    let second = RangeQuery::new(Aggregate::Count, query.ranges().to_vec())?;
-    Ok((count, sum, second))
 }
 
 /// The keys a GROUP-BY plan enumerates, after the domain-size guard:
@@ -751,85 +710,6 @@ fn group_keys<B: PlanBackend>(backend: &B, group_dim: usize) -> Result<Vec<Value
         });
     }
     Ok(domain.iter().collect())
-}
-
-/// Validates a plan on any backend without dispatching (or charging)
-/// anything: schema, sampling rate, budget positivity, and the
-/// group-domain cap. Stateless, so sessions can check a plan *before*
-/// charging its [`QueryPlan::total_cost`].
-fn validate_plan_with<B: PlanBackend>(backend: &B, plan: &QueryPlan) -> Result<()> {
-    let hyperparams = backend.config().hyperparams;
-    match plan {
-        QueryPlan::Scalar {
-            query,
-            sampling_rate,
-            epsilon,
-            delta,
-        } => {
-            let budget = QueryBudget::split(*epsilon, *delta, hyperparams)?;
-            backend.validate_sub(query, *sampling_rate, &budget)
-        }
-        QueryPlan::Derived {
-            query,
-            statistic,
-            sampling_rate,
-            epsilon,
-            delta,
-        } => {
-            if !(epsilon.is_finite() && *epsilon > 0.0) {
-                return Err(CoreError::BadConfig("derived epsilon must be positive"));
-            }
-            let budget = derived_budget(hyperparams, *statistic, *epsilon, *delta)?;
-            backend.validate_sub(query, *sampling_rate, &budget)
-        }
-        QueryPlan::GroupBy {
-            base,
-            statistic,
-            group_dim,
-            sampling_rate,
-            epsilon,
-            delta,
-            ..
-        } => {
-            if !(epsilon.is_finite() && *epsilon > 0.0) {
-                return Err(CoreError::BadConfig("group-by epsilon must be positive"));
-            }
-            if base.dims().any(|d| d == *group_dim) {
-                return Err(CoreError::BadConfig(
-                    "filter ranges must not constrain the grouped dimension",
-                ));
-            }
-            let keys = group_keys(backend, *group_dim)?;
-            let k = keys.len() as f64;
-            let budget = match statistic {
-                Some(statistic) => derived_budget(hyperparams, *statistic, epsilon / k, delta / k)?,
-                None => QueryBudget::split(epsilon / k, delta / k, hyperparams)?,
-            };
-            backend.validate_sub(base, *sampling_rate, &budget)
-        }
-        QueryPlan::Online {
-            query,
-            sampling_rate,
-            epsilon,
-            delta,
-            rounds,
-        } => {
-            if *rounds == 0 {
-                return Err(CoreError::BadConfig("online aggregation needs >= 1 round"));
-            }
-            if *rounds > MAX_ONLINE_ROUNDS {
-                return Err(CoreError::BadConfig(
-                    "online aggregation is capped at 1024 rounds",
-                ));
-            }
-            if !(epsilon.is_finite() && *epsilon > 0.0) {
-                return Err(CoreError::BadConfig("online epsilon must be positive"));
-            }
-            let budget = online_budget(hyperparams, *epsilon, *delta, *rounds)?;
-            backend.validate_sub(query, *sampling_rate, &budget)
-        }
-        QueryPlan::Extreme { dim, epsilon, .. } => backend.validate_ext(*dim, *epsilon),
-    }
 }
 
 /// Appends one sub-query to a plan's submission, returning its position.
@@ -849,33 +729,28 @@ fn push(
 
 /// Compiles one derived cell: COUNT, SUM, and for VAR/STD the cost-only
 /// second moment, appended to the plan's submission in that order.
-fn derived_cell<B: PlanBackend>(
-    backend: &B,
+fn derived_cell(
     subs: &mut Vec<SubQuery>,
+    dedup: bool,
     query: &RangeQuery,
     statistic: DerivedStatistic,
     sampling_rate: f64,
     budget: QueryBudget,
 ) -> Result<Cell<usize>> {
-    let (count_q, sum_q, second_q) = derived_queries(query)?;
-    let count = push(subs, count_q, sampling_rate, budget);
-    let sum = push(subs, sum_q, sampling_rate, budget);
+    let of = |aggregate| RangeQuery::new(aggregate, query.ranges().to_vec());
+    let count = push(subs, of(Aggregate::Count)?, sampling_rate, budget);
+    let sum = push(subs, of(Aggregate::Sum)?, sampling_rate, budget);
     let second_moment = match statistic {
         DerivedStatistic::Average => None,
+        // The second moment is *cost-only*: its released value is never
+        // read (the dispersion proxy of the module docs), and its content
+        // is identical to the cell's COUNT. The dedup pass re-reads the
+        // COUNT's release instead of executing a third sub-query —
+        // post-processing, zero extra ξ — while the plan still declares
+        // (and sessions still charge) the full three-way split.
+        DerivedStatistic::Variance | DerivedStatistic::StdDev if dedup => Some(count),
         DerivedStatistic::Variance | DerivedStatistic::StdDev => {
-            // The second moment is *cost-only*: its released value is
-            // never read (the dispersion proxy of the module docs), and
-            // its content is identical to the cell's COUNT. The dedup
-            // pass re-reads the COUNT's release instead of executing a
-            // third sub-query — post-processing, zero extra ξ — while
-            // the plan still declares (and sessions still charge) the
-            // full three-way split.
-            if backend.config().optimizer.dedup_subqueries {
-                obs::counter_add(obs::names::OPTIMIZER_REUSED, 1);
-                Some(count)
-            } else {
-                Some(push(subs, second_q, sampling_rate, budget))
-            }
+            Some(push(subs, of(Aggregate::Count)?, sampling_rate, budget))
         }
     };
     Ok(Cell::Derived {
@@ -886,20 +761,31 @@ fn derived_cell<B: PlanBackend>(
     })
 }
 
-/// Compiles `plan` on `backend` and submits **all** of its sub-queries —
-/// in one [`PlanBackend::submit_subs`] call — before returning. Assumes
-/// `plan` already passed [`validate_plan_with`] — sessions validate,
-/// charge atomically, then submit; re-validating would re-enumerate a
-/// group-by's domain for nothing.
-pub(crate) fn submit_plan_with<B: PlanBackend>(
-    backend: &B,
-    plan: &QueryPlan,
-) -> Result<PendingPlan<B>> {
-    obs::counter_add(obs::names::OPTIMIZER_PLANS, 1);
-    let _span = obs::span("submit_plan", "optimizer", obs::SpanId::NONE);
-    let hyperparams = backend.config().hyperparams;
-    let (eps, delta) = plan.total_cost();
-    let cost = PrivacyCost { eps, delta };
+/// A [`QueryPlan`] compiled against one backend: the only form of a plan
+/// that validation, submission and `EXPLAIN` read, so the three cannot
+/// disagree about what the plan sends.
+pub(crate) struct Compiled {
+    /// The private sub-queries, in submission order.
+    subs: Vec<SubQuery>,
+    /// The plan's shape over positions in `subs` (a position two cells
+    /// share is the dedup pass's release reuse), with an extreme's
+    /// `(dim, extreme, ε)` inline.
+    shape: PendingKind<usize, (usize, Extreme, f64)>,
+    /// The declared cost ([`QueryPlan::total_cost`]): what a session
+    /// charges, whatever the optimizer saved.
+    pub(crate) cost: PrivacyCost,
+}
+
+/// Compiles `plan` on `backend`: the only code that turns a
+/// [`QueryPlan`] into sub-queries — budget splits, group enumeration and
+/// its cap, the dedup decision, cost-ordered submission and online round
+/// rates. It reads only the backend's configuration, schema and public
+/// metadata snapshot, and validates every sub-query it produces, so a
+/// plan that compiles is a plan the backend accepts.
+pub(crate) fn compile<B: PlanBackend>(backend: &B, plan: &QueryPlan) -> Result<Compiled> {
+    let config = backend.config();
+    let hyperparams = config.hyperparams;
+    let dedup = config.optimizer.dedup_subqueries;
     let mut subs = Vec::new();
     let shape = match plan {
         QueryPlan::Scalar {
@@ -908,13 +794,9 @@ pub(crate) fn submit_plan_with<B: PlanBackend>(
             epsilon,
             delta,
         } => {
-            let budget = QueryBudget::split(*epsilon, *delta, hyperparams)?;
-            PendingKind::Cell(Cell::Scalar(push(
-                &mut subs,
-                query.clone(),
-                *sampling_rate,
-                budget,
-            )))
+            let budget = share(hyperparams, *epsilon, *delta, 1.0)?;
+            let position = push(&mut subs, query.clone(), *sampling_rate, budget);
+            PendingKind::Cell(Cell::Scalar(position))
         }
         QueryPlan::Derived {
             query,
@@ -923,15 +805,15 @@ pub(crate) fn submit_plan_with<B: PlanBackend>(
             epsilon,
             delta,
         } => {
-            let budget = derived_budget(hyperparams, *statistic, *epsilon, *delta)?;
-            PendingKind::Cell(derived_cell(
-                backend,
-                &mut subs,
-                query,
-                *statistic,
-                *sampling_rate,
-                budget,
-            )?)
+            check_positive(*epsilon, "derived epsilon must be positive")?;
+            let budget = share(
+                hyperparams,
+                *epsilon,
+                *delta,
+                statistic.sub_queries().into(),
+            )?;
+            let cell = derived_cell(&mut subs, dedup, query, *statistic, *sampling_rate, budget)?;
+            PendingKind::Cell(cell)
         }
         QueryPlan::GroupBy {
             base,
@@ -942,8 +824,18 @@ pub(crate) fn submit_plan_with<B: PlanBackend>(
             epsilon,
             delta,
         } => {
+            check_positive(*epsilon, "group-by epsilon must be positive")?;
+            if base.dims().any(|d| d == *group_dim) {
+                return Err(CoreError::BadConfig(
+                    "filter ranges must not constrain the grouped dimension",
+                ));
+            }
             let keys = group_keys(backend, *group_dim)?;
+            // A group's share, then each of its sub-queries' (`ε/k/n`, not
+            // `ε/(k·n)`: the bits differ).
             let k = keys.len() as f64;
+            let n = statistic.map_or(1, |s| s.sub_queries());
+            let budget = share(hyperparams, epsilon / k, delta / k, n.into())?;
             let queries = compile_groups(base, *group_dim, &keys)?;
             // Cost-ordered submission: costliest cells (by metadata-
             // estimated surviving cluster count) are submitted first, so
@@ -956,32 +848,19 @@ pub(crate) fn submit_plan_with<B: PlanBackend>(
                 .iter()
                 .map(|q| backend.snapshot().estimated_cost(q))
                 .collect();
-            let order = submission_order(&costs, backend.config().optimizer.reorder_subqueries);
-            if order.iter().enumerate().any(|(pos, &cell)| pos != cell) {
-                obs::counter_add(obs::names::OPTIMIZER_REORDERED, 1);
-            }
-            let budget = match statistic {
-                Some(statistic) => derived_budget(hyperparams, *statistic, epsilon / k, delta / k)?,
-                None => QueryBudget::split(epsilon / k, delta / k, hyperparams)?,
-            };
-            let mut slots: Vec<Option<Cell<usize>>> = queries.iter().map(|_| None).collect();
-            for &i in &order {
+            let mut cells: Vec<Option<Cell<usize>>> = queries.iter().map(|_| None).collect();
+            for i in submission_order(&costs, config.optimizer.reorder_subqueries) {
                 let query = &queries[i];
-                slots[i] = Some(match statistic {
+                cells[i] = Some(match statistic {
                     None => Cell::Scalar(push(&mut subs, query.clone(), *sampling_rate, budget)),
-                    Some(statistic) => derived_cell(
-                        backend,
-                        &mut subs,
-                        query,
-                        *statistic,
-                        *sampling_rate,
-                        budget,
-                    )?,
+                    Some(statistic) => {
+                        derived_cell(&mut subs, dedup, query, *statistic, *sampling_rate, budget)?
+                    }
                 });
             }
             PendingKind::Groups {
                 keys,
-                cells: slots
+                cells: cells
                     .into_iter()
                     .map(|c| c.expect("every cell compiled"))
                     .collect(),
@@ -995,7 +874,19 @@ pub(crate) fn submit_plan_with<B: PlanBackend>(
             delta,
             rounds,
         } => {
-            let budget = online_budget(hyperparams, *epsilon, *delta, *rounds)?;
+            if *rounds == 0 {
+                return Err(CoreError::BadConfig("online aggregation needs >= 1 round"));
+            }
+            if *rounds > MAX_ONLINE_ROUNDS {
+                return Err(CoreError::BadConfig(
+                    "online aggregation is capped at 1024 rounds",
+                ));
+            }
+            check_positive(*epsilon, "online epsilon must be positive")?;
+            let budget = share(hyperparams, *epsilon, *delta, *rounds as f64)?;
+            // The rounds' clamped rates are always in range; the plan's
+            // own terminal rate must be too.
+            check_sampling_rate(*sampling_rate)?;
             // Every round is submitted before anything is awaited, so the
             // progressive samples pipeline across the provider pool. Each
             // round's distinct sampling rate gives it a distinct content
@@ -1017,152 +908,196 @@ pub(crate) fn submit_plan_with<B: PlanBackend>(
             dim,
             extreme,
             epsilon,
-        } => PendingKind::Extreme(backend.submit_ext(*dim, *extreme, *epsilon)?),
+        } => {
+            backend.validate_ext(*dim, *epsilon)?;
+            PendingKind::Extreme((*dim, *extreme, *epsilon))
+        }
     };
-    // A position shared by two cells (the dedup pass's reuse) becomes two
-    // sharers of one in-flight sub-query.
-    let submitted = backend.submit_subs(&subs)?;
-    Ok(PendingPlan {
-        backend: backend.clone(),
-        kind: shape.map(|i| backend.share_sub(&submitted[i])),
-        cost,
+    for sub in &subs {
+        backend.validate_sub(&sub.query, sub.sampling_rate, &sub.budget)?;
+    }
+    let (eps, delta) = plan.total_cost();
+    Ok(Compiled {
+        subs,
+        shape,
+        cost: PrivacyCost { eps, delta },
     })
 }
 
-/// `EXPLAIN` on any backend: the optimizer's decisions for `plan`,
-/// computed from the plan and the backend's public metadata snapshot
-/// alone — nothing is dispatched, no data is touched, and (because the
-/// inputs are the analyst's own query plus already-public Algorithm 1
-/// metadata) no budget is charged.
-fn explain_plan_with<B: PlanBackend>(backend: &B, plan: &QueryPlan) -> Result<PlanExplanation> {
-    validate_plan_with(backend, plan)?;
-    let opt = backend.config().optimizer;
-    let snap = backend.snapshot();
-    let sub =
-        |label: String, query: &RangeQuery, reuses: Option<u64>, order: u64| SubQueryExplanation {
-            label,
-            pruned_providers: if opt.prune_providers {
-                snap.pruned_flags(query)
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, &p)| p.then_some(i as u64))
-                    .collect()
-            } else {
-                Vec::new()
-            },
-            estimated_cost: snap.estimated_cost(query),
-            reuses,
-            order,
-        };
-    // One cell's sub-queries: COUNT, SUM, and for VAR/STD the second
-    // moment (marked as reusing the COUNT when dedup is on).
-    let derived_subs = |prefix: &str,
-                        query: &RangeQuery,
-                        statistic: DerivedStatistic,
-                        first_index: u64,
-                        order: u64|
-     -> Result<Vec<SubQueryExplanation>> {
-        let (count_q, sum_q, second_q) = derived_queries(query)?;
-        let mut subs = vec![
-            sub(format!("{prefix}count"), &count_q, None, order),
-            sub(format!("{prefix}sum"), &sum_q, None, order),
-        ];
-        if statistic.sub_queries() > 2 {
-            let reuses = opt.dedup_subqueries.then_some(first_index);
-            subs.push(sub(
-                format!("{prefix}second-moment"),
-                &second_q,
-                reuses,
-                order,
-            ));
+impl<E> PendingKind<usize, E> {
+    /// The plan's scalar and derived cells, in key order.
+    fn cells(&self) -> &[Cell<usize>] {
+        match self {
+            PendingKind::Cell(cell) => std::slice::from_ref(cell),
+            PendingKind::Groups { cells, .. } => cells,
+            PendingKind::Online { .. } | PendingKind::Extreme(_) => &[],
         }
-        Ok(subs)
-    };
-    let (plan_kind, sub_queries) = match plan {
-        QueryPlan::Scalar { query, .. } => ("scalar", vec![sub("query".into(), query, None, 0)]),
-        QueryPlan::Derived {
-            query, statistic, ..
-        } => ("derived", derived_subs("", query, *statistic, 0, 0)?),
-        QueryPlan::GroupBy {
-            base,
-            statistic,
-            group_dim,
-            ..
-        } => {
-            let keys = group_keys(backend, *group_dim)?;
-            let queries = compile_groups(base, *group_dim, &keys)?;
-            let costs: Vec<u64> = queries.iter().map(|q| snap.estimated_cost(q)).collect();
-            let order = submission_order(&costs, opt.reorder_subqueries);
-            // `order[pos] = cell` ⇒ cell's submission position.
-            let mut position = vec![0u64; order.len()];
-            for (pos, &cell) in order.iter().enumerate() {
-                position[cell] = pos as u64;
+    }
+}
+
+impl Cell<usize> {
+    /// The cell's first position: where its submission starts.
+    fn first(&self) -> usize {
+        match self {
+            Cell::Scalar(position) => *position,
+            Cell::Derived { count, .. } => *count,
+        }
+    }
+
+    /// Whether the second moment re-reads the COUNT's release (the dedup
+    /// pass).
+    fn reuses_count(&self) -> bool {
+        matches!(self, Cell::Derived { count, second_moment: Some(second), .. } if second == count)
+    }
+
+    /// Appends one `(label, position, order)` row per sub-query of the
+    /// cell — COUNT, SUM, second moment — labelled under `name` (empty
+    /// for a lone cell).
+    fn rows(&self, name: &str, order: usize, rows: &mut Vec<(String, usize, usize)>) {
+        match self {
+            Cell::Scalar(position) => {
+                let label = if name.is_empty() { "query" } else { name };
+                rows.push((label.into(), *position, order));
             }
-            let mut subs = Vec::new();
-            for (cell, (key, query)) in keys.iter().zip(&queries).enumerate() {
-                match statistic {
-                    None => subs.push(sub(format!("group {key}"), query, None, position[cell])),
-                    Some(statistic) => {
-                        let first = subs.len() as u64;
-                        subs.extend(derived_subs(
-                            &format!("group {key} "),
-                            query,
-                            *statistic,
-                            first,
-                            position[cell],
-                        )?);
-                    }
+            Cell::Derived {
+                count,
+                sum,
+                second_moment,
+                ..
+            } => {
+                let prefix = if name.is_empty() {
+                    String::new()
+                } else {
+                    format!("{name} ")
+                };
+                rows.push((format!("{prefix}count"), *count, order));
+                rows.push((format!("{prefix}sum"), *sum, order));
+                if let Some(position) = second_moment {
+                    rows.push((format!("{prefix}second-moment"), *position, order));
                 }
             }
-            ("group-by", subs)
         }
-        QueryPlan::Online { query, rounds, .. } => (
-            "online",
-            (1..=*rounds)
-                .map(|r| sub(format!("round {r}/{rounds}"), query, None, r as u64 - 1))
-                .collect(),
-        ),
+    }
+}
+
+impl Compiled {
+    /// Submits the compiled plan: every private sub-query in one
+    /// [`PlanBackend::submit_subs`] call (an extreme through
+    /// [`PlanBackend::submit_ext`]) before returning.
+    pub(crate) fn submit<B: PlanBackend>(self, backend: &B) -> Result<PendingPlan<B>> {
+        obs::counter_add(obs::names::OPTIMIZER_PLANS, 1);
+        let _span = obs::span("submit_plan", "optimizer", obs::SpanId::NONE);
+        let cells = self.shape.cells();
+        let reused = cells.iter().filter(|cell| cell.reuses_count()).count();
+        if reused > 0 {
+            obs::counter_add(obs::names::OPTIMIZER_REUSED, reused as u64);
+        }
+        if cells.windows(2).any(|w| w[0].first() > w[1].first()) {
+            obs::counter_add(obs::names::OPTIMIZER_REORDERED, 1);
+        }
+        let submitted = if self.subs.is_empty() {
+            Vec::new()
+        } else {
+            backend.submit_subs(&self.subs)?
+        };
+        // A position shared by two cells (the dedup pass's reuse) becomes
+        // two sharers of one in-flight sub-query.
+        let kind = self.shape.map(
+            |i| backend.share_sub(&submitted[i]),
+            |(dim, extreme, epsilon)| backend.submit_ext(dim, extreme, epsilon),
+        )?;
+        Ok(PendingPlan {
+            backend: backend.clone(),
+            kind,
+            cost: self.cost,
+        })
+    }
+
+    /// `EXPLAIN`: the compiled shape, walked in key order. A row's
+    /// `order` is its cell's submission rank; `reuses` names the first
+    /// row at the same position.
+    fn explain<B: PlanBackend>(&self, backend: &B) -> PlanExplanation {
+        let opt = backend.config().optimizer;
+        let snap = backend.snapshot();
+        let mut rows: Vec<(String, usize, usize)> = Vec::new();
+        let plan_kind = match &self.shape {
+            PendingKind::Cell(cell) => {
+                cell.rows("", 0, &mut rows);
+                match cell {
+                    Cell::Scalar(_) => "scalar",
+                    Cell::Derived { .. } => "derived",
+                }
+            }
+            PendingKind::Groups { keys, cells, .. } => {
+                let mut firsts: Vec<usize> = cells.iter().map(Cell::first).collect();
+                firsts.sort_unstable();
+                for (key, cell) in keys.iter().zip(cells) {
+                    let rank = firsts.partition_point(|&p| p < cell.first());
+                    cell.rows(&format!("group {key}"), rank, &mut rows);
+                }
+                "group-by"
+            }
+            // Each round is one sub-query, submitted in round order.
+            PendingKind::Online { subs } => {
+                for (r, &position) in subs.iter().enumerate() {
+                    rows.push((format!("round {}/{}", r + 1, subs.len()), position, r));
+                }
+                "online"
+            }
+            PendingKind::Extreme(_) => "extreme",
+        };
+        let mut first_row = vec![None; self.subs.len()];
+        let mut sub_queries: Vec<SubQueryExplanation> = rows
+            .into_iter()
+            .enumerate()
+            .map(|(row, (label, position, order))| {
+                let query = &self.subs[position].query;
+                let first = *first_row[position].get_or_insert(row);
+                SubQueryExplanation {
+                    label,
+                    pruned_providers: if opt.prune_providers {
+                        let flags = snap.pruned_flags(query).into_iter().enumerate();
+                        flags.filter_map(|(i, p)| p.then_some(i as u64)).collect()
+                    } else {
+                        Vec::new()
+                    },
+                    estimated_cost: snap.estimated_cost(query),
+                    reuses: (first != row).then_some(first as u64),
+                    order: order as u64,
+                }
+            })
+            .collect();
         // Extremes are answered from metadata by *every* provider's
         // Exponential-mechanism selection — pruning a provider would
         // change the released value, so the optimizer never does.
-        QueryPlan::Extreme { .. } => (
-            "extreme",
-            vec![SubQueryExplanation {
+        if let PendingKind::Extreme(_) = self.shape {
+            sub_queries.push(SubQueryExplanation {
                 label: "extreme".into(),
                 pruned_providers: Vec::new(),
                 estimated_cost: 0,
                 reuses: None,
                 order: 0,
-            }],
-        ),
-    };
-    let (eps, delta) = plan.total_cost();
-    Ok(PlanExplanation {
-        plan_kind: plan_kind.into(),
-        n_providers: backend.config().n_providers as u64,
-        optimizer: opt,
-        eps,
-        delta,
-        sub_queries,
-    })
+            });
+        }
+        PlanExplanation {
+            plan_kind: plan_kind.into(),
+            n_providers: backend.config().n_providers as u64,
+            optimizer: opt,
+            eps: self.cost.eps,
+            delta: self.cost.delta,
+            sub_queries,
+        }
+    }
 }
 
 impl EngineHandle {
-    /// Validates a plan without dispatching (or charging) anything:
-    /// schema, sampling rate, budget positivity, and the group-domain cap.
-    /// Stateless, so sessions can check a plan *before* charging its
-    /// [`QueryPlan::total_cost`].
-    pub fn validate_plan(&self, plan: &QueryPlan) -> Result<()> {
-        PlanBackend::validate_plan(self, plan)
-    }
-
     /// Compiles `plan` and submits **all** of its sub-queries before
     /// returning — on an owned engine a group-by's per-group queries are
     /// in flight together, pipelining across providers, by the time the
     /// caller first waits; a scoped engine runs each as it is awaited.
     ///
-    /// Validation happens up front ([`Self::validate_plan`]), so a
-    /// rejected plan touches no data and costs no budget.
+    /// Compiling validates, so a rejected plan touches no data and costs
+    /// no budget.
     pub fn submit_plan(&self, plan: &QueryPlan) -> Result<PendingPlan> {
         PlanBackend::submit_plan(self, plan)
     }
@@ -1204,8 +1139,9 @@ impl EngineHandle {
     /// plan and the engine's public metadata snapshot alone — nothing is
     /// dispatched, no data is touched, and (because the inputs are the
     /// analyst's own query plus already-public Algorithm 1 metadata) no
-    /// budget is charged. The reported pruning, reuse, and ordering are
-    /// exactly what [`Self::submit_plan`] would do under the current
+    /// budget is charged. It renders the plan [`Self::submit_plan`]
+    /// compiles, so the reported pruning, reuse, and ordering are what
+    /// submission does under the current
     /// [`crate::config::OptimizerConfig`].
     pub fn explain_plan(&self, plan: &QueryPlan) -> Result<PlanExplanation> {
         PlanBackend::explain_plan(self, plan)
@@ -1215,8 +1151,9 @@ impl EngineHandle {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::config::FederationConfig;
+    use crate::config::{FederationConfig, OptimizerConfig};
     use crate::federation::Federation;
+    use crate::shard::ShardedFederation;
     use fedaqp_model::{Dimension, Domain, Extreme, Row, Schema};
 
     /// The shared plan fixture (also driven by the shape-specific tests in
@@ -1461,5 +1398,203 @@ pub(crate) mod tests {
         }
         assert_eq!(answer.cost.eps, 100.0);
         assert_eq!(answer.cost.delta, 0.0);
+    }
+
+    /// A backend that records every submission it forwards: `Some(subs)`
+    /// per [`PlanBackend::submit_subs`] call, `None` per extreme.
+    #[derive(Clone)]
+    struct Recording<B> {
+        inner: B,
+        calls: std::sync::Arc<std::sync::Mutex<Vec<Option<Vec<SubQuery>>>>>,
+    }
+
+    impl<B: PlanBackend> PlanBackend for Recording<B> {
+        type Sub = B::Sub;
+        type Ext = B::Ext;
+
+        fn config(&self) -> &FederationConfig {
+            self.inner.config()
+        }
+        fn schema(&self) -> &Schema {
+            self.inner.schema()
+        }
+        fn snapshot(&self) -> &MetaSnapshot {
+            self.inner.snapshot()
+        }
+        fn submit_subs(&self, subs: &[SubQuery]) -> Result<Vec<B::Sub>> {
+            self.calls.lock().unwrap().push(Some(subs.to_vec()));
+            self.inner.submit_subs(subs)
+        }
+        fn share_sub(&self, sub: &B::Sub) -> B::Sub {
+            self.inner.share_sub(sub)
+        }
+        fn wait_sub(&self, sub: B::Sub) -> Result<ShardedAnswer> {
+            self.inner.wait_sub(sub)
+        }
+        fn submit_ext(&self, dim: usize, extreme: Extreme, epsilon: f64) -> Result<B::Ext> {
+            self.calls.lock().unwrap().push(None);
+            self.inner.submit_ext(dim, extreme, epsilon)
+        }
+        fn wait_ext(&self, ext: B::Ext) -> Result<ExtremeOutcome> {
+            self.inner.wait_ext(ext)
+        }
+    }
+
+    /// EXPLAIN lists what submission sends: one `submit_subs` call
+    /// carrying every row that does not reuse another, in the rows'
+    /// `order`, each row's cost, pruning, group key, aggregate and round
+    /// rate matching the sub-query at its rank.
+    fn explain_lists_what_is_submitted<B: PlanBackend>(backend: B, plan: &QueryPlan) {
+        let calls = Default::default();
+        let rec = Recording {
+            inner: backend,
+            calls: std::sync::Arc::clone(&calls),
+        };
+        let explanation = rec.explain_plan(plan).unwrap();
+        assert!(calls.lock().unwrap().is_empty(), "EXPLAIN submitted");
+        rec.submit_plan(plan).unwrap().wait().unwrap();
+        let calls = std::mem::take(&mut *calls.lock().unwrap());
+        let rows = &explanation.sub_queries;
+        let [Some(subs)] = &calls[..] else {
+            assert!(matches!(plan, QueryPlan::Extreme { .. }), "{calls:?}");
+            assert_eq!((calls.len(), calls[0].is_none(), rows.len()), (1, true, 1));
+            return;
+        };
+        let reused = explanation.reused_total() as usize;
+        assert_eq!(subs.len(), rows.len() - reused, "{explanation:?}");
+        let mut executed: Vec<&SubQueryExplanation> =
+            rows.iter().filter(|row| row.reuses.is_none()).collect();
+        executed.sort_by_key(|row| row.order);
+        let snap = rec.snapshot();
+        for (sub, row) in subs.iter().zip(executed) {
+            let query = &sub.query;
+            assert_eq!(snap.estimated_cost(query), row.estimated_cost, "{row:?}");
+            if rec.config().optimizer.prune_providers {
+                let pruned = snap.pruned_flags(query).into_iter().enumerate();
+                let pruned: Vec<u64> = pruned.filter_map(|(i, p)| p.then_some(i as u64)).collect();
+                assert_eq!(pruned, row.pruned_providers, "{row:?}");
+            }
+            let words: Vec<&str> = row.label.split(' ').collect();
+            if let ["group", key, ..] = words[..] {
+                let key: Value = key.parse().unwrap();
+                assert!(query.ranges().contains(&Range::new(0, key, key).unwrap()));
+            }
+            let aggregate = match words.last() {
+                Some(&"sum") => Aggregate::Sum,
+                _ => Aggregate::Count,
+            };
+            assert_eq!(query.aggregate(), aggregate, "{row:?}");
+            if let (["round", r], QueryPlan::Online { sampling_rate, .. }) = (&words[..], plan) {
+                let (r, rounds) = r.split_once('/').unwrap();
+                let rate =
+                    online_round_rate(*sampling_rate, r.parse().unwrap(), rounds.parse().unwrap());
+                assert_eq!(sub.sampling_rate, rate);
+            }
+        }
+        // A reused second moment re-reads its own cell's COUNT.
+        for row in rows.iter().filter(|row| row.reuses.is_some()) {
+            let count = &rows[row.reuses.unwrap() as usize];
+            assert_eq!(row.label.replace("second-moment", "count"), count.label);
+            assert_eq!(count.reuses, None);
+        }
+    }
+
+    #[test]
+    fn explain_lists_what_submission_sends_on_every_backend() {
+        // Provider `p` holds only `g = p`, with more rows (so more
+        // clusters) the higher `p`: grouping by `g` prunes three providers
+        // per group, and the cost order reverses the key order.
+        let schema = Schema::new(vec![
+            Dimension::new("g", Domain::new(0, 3).unwrap()),
+            Dimension::new("x", Domain::new(0, 99).unwrap()),
+        ])
+        .unwrap();
+        let partitions: Vec<Vec<Row>> = (0..4)
+            .map(|p| {
+                let row = |i| Row::cell(vec![p, (i * 7 + p) % 100], 1 + (i % 3) as u64);
+                (0..150 * (p + 1)).map(row).collect()
+            })
+            .collect();
+        let x = RangeQuery::new(Aggregate::Count, vec![Range::new(1, 5, 90).unwrap()]).unwrap();
+        let derived = |statistic| QueryPlan::Derived {
+            query: x.clone(),
+            statistic,
+            sampling_rate: 0.3,
+            epsilon: 3.0,
+            delta: 1e-3,
+        };
+        let grouped = |statistic| QueryPlan::GroupBy {
+            base: x.clone(),
+            statistic,
+            group_dim: 0,
+            threshold: f64::NEG_INFINITY,
+            sampling_rate: 0.3,
+            epsilon: 8.0,
+            delta: 1e-3,
+        };
+        let plans = [
+            QueryPlan::Scalar {
+                query: x.clone(),
+                sampling_rate: 0.3,
+                epsilon: 1.0,
+                delta: 1e-3,
+            },
+            derived(DerivedStatistic::Average),
+            derived(DerivedStatistic::Variance),
+            derived(DerivedStatistic::StdDev),
+            grouped(None),
+            grouped(Some(DerivedStatistic::Average)),
+            grouped(Some(DerivedStatistic::Variance)),
+            QueryPlan::Online {
+                query: x.clone(),
+                sampling_rate: 0.3,
+                epsilon: 3.0,
+                delta: 1e-3,
+                rounds: 3,
+            },
+            QueryPlan::Extreme {
+                dim: 1,
+                extreme: Extreme::Max,
+                epsilon: 2.0,
+            },
+        ];
+        for optimizer in [OptimizerConfig::enabled(), OptimizerConfig::disabled()] {
+            let mut cfg = FederationConfig::paper_default(32);
+            cfg.cost_model = fedaqp_smc::CostModel::zero();
+            cfg.optimizer = optimizer;
+            let fed = Federation::build(cfg.clone(), schema.clone(), partitions.clone()).unwrap();
+            let coordinator =
+                ShardedFederation::in_process(cfg, schema.clone(), partitions.clone(), 2).unwrap();
+            for plan in &plans {
+                fed.with_engine(|engine| explain_lists_what_is_submitted(engine.clone(), plan));
+                explain_lists_what_is_submitted(coordinator.clone(), plan);
+            }
+            // The cost order is live here: the grouped VAR goes out
+            // costliest group first.
+            let explanation = fed.with_engine(|e| e.explain_plan(&plans[6])).unwrap();
+            let orders: Vec<u64> = explanation.sub_queries.iter().map(|s| s.order).collect();
+            let reordered = optimizer.reorder_subqueries;
+            let want = if reordered {
+                [3, 2, 1, 0]
+            } else {
+                [0, 1, 2, 3]
+            };
+            assert_eq!(
+                orders,
+                want.iter().flat_map(|&o| [o; 3]).collect::<Vec<_>>()
+            );
+            coordinator.shutdown();
+        }
+        // An online plan's terminal rate is validated as the plan's own,
+        // not as the clamped rates its rounds run at.
+        let mut online = plans[7].clone();
+        if let QueryPlan::Online { sampling_rate, .. } = &mut online {
+            *sampling_rate = 1.5;
+        }
+        let err = federation(1.0).with_engine(|e| e.validate_plan(&online));
+        assert!(
+            matches!(err, Err(CoreError::InvalidSamplingRate(_))),
+            "{err:?}"
+        );
     }
 }

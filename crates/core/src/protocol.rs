@@ -3,11 +3,33 @@
 use std::time::Duration;
 
 use fedaqp_model::RangeQuery;
+use fedaqp_smc::CostModel;
 
 /// Approximate wire size of a range query (protocol accounting): what the
 /// private and the plain job both charge for the simulated broadcast.
 pub(crate) fn query_bytes(query: &RangeQuery) -> u64 {
     16 + 24 * query.ranges().len() as u64
+}
+
+/// Simulated network time of one private query: the query broadcast, the
+/// summary and allocation rounds, then the release — the local-DP result
+/// round, or `smc`, the rounds an SMC release timed itself. The engine
+/// and the sharded coordinator both charge this one sum.
+pub(crate) fn private_network(
+    cost_model: CostModel,
+    query: &RangeQuery,
+    smc: Option<Duration>,
+) -> Duration {
+    cost_model.round_time(query_bytes(query))
+        + cost_model.round_time(16)
+        + cost_model.round_time(8)
+        + smc.unwrap_or_else(|| cost_model.round_time(16))
+}
+
+/// Simulated network time of one MIN/MAX selection: the request and the
+/// selection rounds (engine and coordinator alike).
+pub(crate) fn extreme_network(cost_model: CostModel) -> Duration {
+    cost_model.round_time(16) + cost_model.round_time(8)
 }
 
 /// The DP summary a provider releases for the allocation phase (Eq. 5):

@@ -17,9 +17,7 @@ use fedaqp_model::{QueryPlan, RangeQuery};
 
 use crate::engine::EngineHandle;
 use crate::optimizer::PlanExplanation;
-use crate::plan::{
-    submit_plan_with, PendingPlan, PlanAnswer, PlanBackend, ShardedAnswer, SubQuery,
-};
+use crate::plan::{compile, PendingPlan, PlanAnswer, PlanBackend, ShardedAnswer, SubQuery};
 use crate::shard::ShardedFederation;
 use crate::{CoreError, Result};
 
@@ -42,11 +40,12 @@ pub enum SessionPlan {
 /// coordinator ([`ShardedSession`]): the §5.4 budget semantics, safe to
 /// clone across analyst threads.
 ///
-/// This is the one enforcement site of the budget discipline: validate →
-/// charge → submit. The accountant sits behind a [`SharedAccountant`], so
-/// the affordability check and the charge are one atomic step: N racing
-/// queries can never jointly drive the session past its `(ξ, ψ)` — losers
-/// of the race are rejected *before* any provider touches data. A charge
+/// This is the one enforcement site of the budget discipline: compile
+/// (which validates) → charge → submit. The accountant sits behind a
+/// [`SharedAccountant`], so the affordability check and the charge are
+/// one atomic step: N racing queries can never jointly drive the session
+/// past its `(ξ, ψ)` — losers of the race are rejected *before* any
+/// provider touches data. A charge
 /// is kept even if the query subsequently fails downstream (fail-closed,
 /// the conservative direction for privacy: a mid-plan shard failure must
 /// not refund, because released fragments may already have leaked their
@@ -177,17 +176,18 @@ impl<B: PlanBackend> Session<B> {
         self.backend.wait_sub(self.submit(query, sampling_rate)?)
     }
 
-    /// Atomically charges a plan's *entire* declared
-    /// [`QueryPlan::total_cost`] up front, then compiles and submits every
-    /// sub-query without waiting — so a group-by's per-group queries
-    /// pipeline on the worker pool while the budget ledger already covers
-    /// all of them (racing plans cannot jointly overspend `(ξ, ψ)`, and a
-    /// plan can never be half-charged).
+    /// Compiles `plan` once, atomically charges its *entire* declared
+    /// [`QueryPlan::total_cost`], then submits every compiled sub-query
+    /// without waiting — so a group-by's per-group queries pipeline on
+    /// the worker pool while the budget ledger already covers all of them
+    /// (racing plans cannot jointly overspend `(ξ, ψ)`, and a plan can
+    /// never be half-charged).
     ///
-    /// A plan the backend would reject is validated *before* the charge —
-    /// it touches no data, so it must not cost budget. Once dispatched,
-    /// the whole charge is kept even if a sub-query later fails or a
-    /// shard drops mid-plan (fail-closed — pinned by tests).
+    /// Compiling validates, so a plan the backend would reject fails
+    /// *before* the charge — it touches no data, so it must not cost
+    /// budget. Once dispatched, the whole charge is kept even if a
+    /// sub-query later fails or a shard drops mid-plan (fail-closed —
+    /// pinned by tests).
     ///
     /// A plan always charges its *declared* cost: unlike [`Self::submit`],
     /// whose per-query `(ε, δ)` comes from the session's [`SessionPlan`]
@@ -197,12 +197,11 @@ impl<B: PlanBackend> Session<B> {
     /// opened with — the sequential-composition accounting, which is never
     /// an undercharge.
     pub fn submit_plan(&self, plan: &QueryPlan) -> Result<PendingPlan<B>> {
-        self.backend.validate_plan(plan)?;
-        let (eps, delta) = plan.total_cost();
+        let compiled = compile(&self.backend, plan)?;
         self.accountant
-            .charge(PrivacyCost { eps, delta })
+            .charge(compiled.cost)
             .map_err(CoreError::Dp)?;
-        submit_plan_with(&self.backend, plan)
+        compiled.submit(&self.backend)
     }
 
     /// Answers one plan, atomically charging its whole cost first.

@@ -96,7 +96,7 @@ use fedaqp_model::{Extreme, QueryPlan, RangeQuery, Row, Schema, Value};
 use fedaqp_obs as obs;
 
 use crate::aggregator::Aggregator;
-use crate::config::{AllocationPolicy, FederationConfig, ReleaseMode};
+use crate::config::{FederationConfig, ReleaseMode};
 use crate::engine::{
     extreme_content_hash, private_content_hash, EngineHandle, FederationEngine, OccurrenceLedger,
     PendingExtreme, PendingFragment,
@@ -105,7 +105,8 @@ use crate::federation::Federation;
 use crate::optimizer::{MetaSnapshot, PlanExplanation, ProviderBounds};
 use crate::plan::{ExtremeOutcome, PendingPlan, PlanAnswer, PlanBackend, ShardedAnswer, SubQuery};
 use crate::protocol::{
-    combined_ci_halfwidth, query_bytes, LocalOutcome, PhaseTimings, ProviderSummary,
+    combined_ci_halfwidth, extreme_network, private_network, LocalOutcome, PhaseTimings,
+    ProviderSummary,
 };
 use crate::{CoreError, Result};
 
@@ -511,12 +512,6 @@ impl ShardedFederation {
         }
     }
 
-    /// Validates a plan without dispatching (or charging) anything —
-    /// the sharded twin of [`EngineHandle::validate_plan`].
-    pub fn validate_plan(&self, plan: &QueryPlan) -> Result<()> {
-        PlanBackend::validate_plan(self, plan)
-    }
-
     /// Compiles `plan` and scatters **all** of its sub-queries before
     /// returning — the sharded twin of [`EngineHandle::submit_plan`].
     pub fn submit_plan(&self, plan: &QueryPlan) -> Result<PendingPlan<ShardedFederation>> {
@@ -637,18 +632,12 @@ impl ShardedFederation {
         let mut scattered = VecDeque::with_capacity(specs.len());
         for ((spec, summaries), summary_time) in specs.iter().zip(&summaries).zip(summary_times) {
             let t = Instant::now();
-            let allocations = match inner.config.allocation_policy {
-                AllocationPolicy::Optimized => {
-                    aggregator.allocate(summaries, spec.sampling_rate)?
-                }
-                AllocationPolicy::LocalUniform => {
-                    aggregator.allocate_local_uniform(summaries, spec.sampling_rate)?
-                }
-            };
+            let policy = inner.config.allocation_policy;
+            let allocations = aggregator.allocate_under(policy, summaries, spec.sampling_rate)?;
             scattered.push_back(Scattered {
                 summary_time,
                 allocation_time: t.elapsed(),
-                query_bytes: query_bytes(&spec.query),
+                network: private_network(inner.config.cost_model, &spec.query, None),
                 allocations,
                 cost: spec.budget.cost(),
             });
@@ -685,7 +674,7 @@ impl ShardedFederation {
         let Scattered {
             summary_time,
             allocation_time,
-            query_bytes,
+            network,
             allocations,
             cost,
         } = gather
@@ -728,11 +717,6 @@ impl ShardedFederation {
         let aggregator = Aggregator::new(0, inner.config.cost_model);
         let value = aggregator.finalize_local(&outcomes)?;
         let release = t.elapsed();
-        // Same simulated-network accounting as the 1-shard engine's
-        // local-DP path: broadcast + summary + allocation + release.
-        let cm = inner.config.cost_model;
-        let network =
-            cm.round_time(query_bytes) + cm.round_time(16) + cm.round_time(8) + cm.round_time(16);
         obs::observe_duration(obs::names::SHARD_GATHER, gather_start.elapsed());
         Ok(ShardedAnswer {
             value,
@@ -809,7 +793,8 @@ struct Gather {
 struct Scattered {
     summary_time: Duration,
     allocation_time: Duration,
-    query_bytes: u64,
+    /// The 1-shard engine's simulated local-DP network time.
+    network: Duration,
     allocations: Vec<u64>,
     cost: PrivacyCost,
 }
@@ -890,11 +875,10 @@ impl PlanBackend for ShardedFederation {
             });
         }
         sleep_until(replies.iter().filter_map(|r| r.ready_at()).max());
-        let cm = self.inner.config.cost_model;
         Ok(ExtremeOutcome {
             value: value.expect("coordinator has at least one shard"),
             execution,
-            network: cm.round_time(16) + cm.round_time(8),
+            network: extreme_network(self.inner.config.cost_model),
         })
     }
 
