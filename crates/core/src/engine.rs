@@ -37,8 +37,8 @@
 //!
 //! **No worker ever parks.** A summary turn leaves its carry (covering
 //! set, RNG lane mid-stream) in the job and returns; whoever lands the
-//! allocation — the last summary in, or
-//! [`PendingFragment::provide_allocation`] for a shard's fragment —
+//! allocation — the last summary in, or the coordinator's, through
+//! [`crate::FragmentBatch::allocate`], for a shard's fragment —
 //! queues every un-pruned provider's execute turn (a worker that lands it
 //! runs its own at once). A worker only ever waits on its own queue, so
 //! no queue order can deadlock the pool: a shard can hold any number of
@@ -84,11 +84,12 @@ use crate::aggregator::Aggregator;
 use crate::config::{AllocationPolicy, FederationConfig, ReleaseMode};
 use crate::federation::{Federation, PlainAnswer};
 use crate::optimizer::MetaSnapshot;
-use crate::plan::PlanBackend;
+use crate::plan::{check_sub, ExtremeQuery, SubQuery};
 use crate::protocol::{
     extreme_network, private_network, query_bytes, LocalOutcome, PhaseTimings, ProviderSummary,
 };
 use crate::provider::{DataProvider, PreparedQuery, ProviderShadow};
+use crate::shard::FragmentSpec;
 use crate::{CoreError, Result};
 
 /// SplitMix64 finalizer over `(seed, index, lane)` — the per-job RNG
@@ -992,24 +993,58 @@ impl EngineHandle {
 
     /// Submits one private query under an explicit per-query budget.
     ///
-    /// Validation happens here, before any provider sees the job, so a
-    /// malformed query costs nothing.
+    /// The query is checked here, once, before any provider sees the job,
+    /// so a malformed query costs nothing.
     pub fn submit_with_budget(
         &self,
         query: &RangeQuery,
         sampling_rate: f64,
         budget: &QueryBudget,
     ) -> Result<PendingAnswer> {
-        self.validate_sub(query, sampling_rate, budget)?;
+        check_sub(&self.inner.schema, query, sampling_rate, budget)?;
+        let job = self.launch_sub(query, sampling_rate, budget, None)?;
+        Ok(PendingAnswer { job })
+    }
+
+    /// Submits a sub-query `compile` built, and so already checked.
+    pub(crate) fn submit_sub(&self, sub: &SubQuery) -> Result<PendingAnswer> {
+        let job = self.launch_sub(&sub.query, sub.sampling_rate, &sub.budget, None)?;
+        Ok(PendingAnswer { job })
+    }
+
+    /// Submits one *fragment* of a sharded private query, already checked
+    /// at the shard's entry ([`crate::ShardBackend::begin`]).
+    pub(crate) fn submit_fragment(&self, spec: &FragmentSpec) -> Result<PendingFragment> {
+        let (query, rate, budget) = (&spec.query, spec.sampling_rate, &spec.budget);
+        let job = self.launch_sub(query, rate, budget, Some(spec.occurrence))?;
+        Ok(PendingFragment { job })
+    }
+
+    /// Launches a checked private sub-query at its next occurrence on this
+    /// engine — or, a shard's fragment, at the coordinator's `occurrence`
+    /// (the coordinator sees the whole analyst stream, a shard only its
+    /// fragments), step 3 left to the coordinator: until
+    /// [`PendingFragment::provide_allocation`] delivers its slice, a
+    /// fragment holds its providers' carries, not their workers. With the
+    /// 1-shard seed and its global lane offset, a shard draws exactly the
+    /// noise of the providers it replaced.
+    fn launch_sub(
+        &self,
+        query: &RangeQuery,
+        sampling_rate: f64,
+        budget: &QueryBudget,
+        occurrence: Option<u64>,
+    ) -> Result<Arc<JobState>> {
         let kind = JobKind::Private {
             query: query.clone(),
             sampling_rate,
             budget: *budget,
         };
-        let index = self.next_occurrence(&kind);
+        let index = occurrence.unwrap_or_else(|| self.next_occurrence(&kind));
+        let mut job = JobState::new(kind, index, &self.inner.config);
+        job.external_allocation = occurrence.is_some();
         let _span = obs::span("submit", "engine", obs::SpanId::NONE);
-        let job = self.launch_private(JobState::new(kind, index, &self.inner.config))?;
-        Ok(PendingAnswer { job })
+        self.launch_private(job)
     }
 
     /// Launches a validated private job after the pruning pass: providers
@@ -1083,79 +1118,23 @@ impl EngineHandle {
         }
     }
 
-    /// Submits one *fragment* of a sharded private query: the same job as
-    /// [`Self::submit_with_budget`], except that (a) the occurrence index
-    /// comes from the coordinator's ledger (this engine's own ledger is
-    /// untouched — in a sharded deployment the coordinator sees the full
-    /// analyst stream, the shards only their fragments), and (b) step 3 is
-    /// externalized: the execute turns run once the coordinator feeds back
-    /// the globally solved allocation through
-    /// [`PendingFragment::provide_allocation`]. Until then the fragment
-    /// holds its providers' carries, not their workers: a shard serves any
-    /// number of fragments in any order.
-    ///
-    /// Because the job seed is content-derived and the provider lanes are
-    /// `lane_base + id`, a shard configured with the 1-shard seed and its
-    /// global lane offset produces byte-identical noise to the providers
-    /// it replaced.
-    pub fn submit_fragment(
-        &self,
-        query: &RangeQuery,
-        sampling_rate: f64,
-        budget: &QueryBudget,
-        occurrence: u64,
-    ) -> Result<PendingFragment> {
-        self.validate_sub(query, sampling_rate, budget)?;
-        let kind = JobKind::Private {
-            query: query.clone(),
-            sampling_rate,
-            budget: *budget,
-        };
-        let mut job = JobState::new(kind, occurrence, &self.inner.config);
-        job.external_allocation = true;
-        let _span = obs::span("submit_fragment", "engine", obs::SpanId::NONE);
-        let job = self.launch_private(job)?;
-        Ok(PendingFragment { job })
-    }
-
-    /// Submits one fragment of a sharded MIN/MAX: identical to
-    /// [`Self::submit_extreme`] except the occurrence index is supplied by
-    /// the coordinator's ledger instead of this engine's.
-    pub fn submit_extreme_fragment(
-        &self,
-        dim: usize,
-        extreme: Extreme,
-        epsilon: f64,
-        occurrence: u64,
-    ) -> Result<PendingExtreme> {
-        self.validate_ext(dim, epsilon)?;
-        let kind = JobKind::Extreme {
-            dim,
-            extreme,
-            epsilon,
-        };
-        obs::counter_add(obs::names::ENGINE_EXTREMES, 1);
-        let job = self.launch(JobState::new(kind, occurrence, &self.inner.config))?;
-        Ok(PendingExtreme { job })
-    }
-
-    /// Submits a private MIN/MAX of dimension `dim`: every provider runs
-    /// one Exponential-mechanism selection over the domain (from metadata
+    /// Launches a checked private MIN/MAX at its next occurrence on this
+    /// engine, or — a shard's fragment — at the coordinator's
+    /// `occurrence`: every provider runs one
+    /// Exponential-mechanism selection over the domain (from metadata
     /// alone) under its job-derived RNG, so extreme queries are
     /// deterministic and concurrent like every other job.
-    pub fn submit_extreme(
+    pub(crate) fn launch_extreme(
         &self,
-        dim: usize,
-        extreme: Extreme,
-        epsilon: f64,
+        ext: ExtremeQuery,
+        occurrence: Option<u64>,
     ) -> Result<PendingExtreme> {
-        self.validate_ext(dim, epsilon)?;
         let kind = JobKind::Extreme {
-            dim,
-            extreme,
-            epsilon,
+            dim: ext.dim,
+            extreme: ext.extreme,
+            epsilon: ext.epsilon,
         };
-        let index = self.next_occurrence(&kind);
+        let index = occurrence.unwrap_or_else(|| self.next_occurrence(&kind));
         obs::counter_add(obs::names::ENGINE_EXTREMES, 1);
         let job = self.launch(JobState::new(kind, index, &self.inner.config))?;
         Ok(PendingExtreme { job })
@@ -1312,24 +1291,24 @@ pub(crate) fn private_content_hash(
 }
 
 /// Content hash of an extreme job (coordinator occurrence-ledger key).
-pub(crate) fn extreme_content_hash(dim: usize, extreme: Extreme, epsilon: f64) -> u64 {
+pub(crate) fn extreme_content_hash(ext: &ExtremeQuery) -> u64 {
     JobKind::Extreme {
-        dim,
-        extreme,
-        epsilon,
+        dim: ext.dim,
+        extreme: ext.extreme,
+        epsilon: ext.epsilon,
     }
     .content_hash()
 }
 
 /// One shard's half of a sharded private query: summaries out, allocation
-/// in, partial out. Created by [`EngineHandle::submit_fragment`];
+/// in, partial out. Created by `EngineHandle::submit_fragment`;
 /// dropping it before the allocation lands aborts the job, so the summary
 /// turns still queued skip their work for a coordinator that gave up (a
 /// failed sibling shard, a dropped connection). On a scoped engine
 /// [`Self::summaries`] runs the summary turns on the calling thread and
 /// [`Self::partial`] the execute turns.
 #[derive(Debug)]
-pub struct PendingFragment {
+pub(crate) struct PendingFragment {
     job: Arc<JobState>,
 }
 
@@ -1337,7 +1316,7 @@ impl PendingFragment {
     /// Blocks until every local provider delivered its step-2 summary,
     /// then returns them in local provider order together with the
     /// slowest provider's summary time.
-    pub fn summaries(&self) -> Result<(Vec<ProviderSummary>, Duration)> {
+    pub(crate) fn summaries(&self) -> Result<(Vec<ProviderSummary>, Duration)> {
         let job = &self.job;
         let progress = job.settle(|p| p.summaries_done == job.n_providers);
         if let Some(error) = progress.error.clone() {
@@ -1352,15 +1331,11 @@ impl PendingFragment {
     }
 
     /// Feeds the coordinator's globally solved allocation (this shard's
-    /// slice, in local provider order) to the execute turns — on a pool,
-    /// by queueing them, once every summary is in.
-    pub fn provide_allocation(&self, allocations: Vec<u64>) -> Result<()> {
+    /// slice, in local provider order, its length checked by the batch) to
+    /// the execute turns — on a pool, by queueing them, once every summary
+    /// is in.
+    pub(crate) fn provide_allocation(&self, allocations: Vec<u64>) -> Result<()> {
         let job = &self.job;
-        if allocations.len() != job.n_providers {
-            return Err(CoreError::ProtocolViolation(
-                "fragment allocation length does not match shard providers",
-            ));
-        }
         let due = {
             let mut progress = job.lock_progress();
             if progress.allocations.is_some() {
@@ -1382,7 +1357,7 @@ impl PendingFragment {
     /// shard's mergeable partial (per-provider released values in local
     /// provider order — the coordinator re-runs the 1-shard release fold
     /// over the global concatenation, so merging is bit-exact).
-    pub fn partial(&self) -> Result<crate::shard::FragmentPartial> {
+    pub(crate) fn partial(&self) -> Result<crate::shard::FragmentPartial> {
         let job = &self.job;
         let progress = job.settle(|p| p.done == job.n_providers);
         if let Some(error) = progress.error.clone() {
@@ -1481,12 +1456,7 @@ impl PendingExtreme {
     /// Blocks until every provider selected, then combines the per-provider
     /// DP selections by post-processing (max of outputs for MAX, min for
     /// MIN — Thm. 3.3, free).
-    pub fn wait(self) -> Result<EngineExtreme> {
-        self.result()
-    }
-
-    /// [`Self::wait`] without giving the job up.
-    pub(crate) fn result(&self) -> Result<EngineExtreme> {
+    pub fn wait(&self) -> Result<EngineExtreme> {
         let job = &self.job;
         let progress = job.settle(|p| p.done == job.n_providers);
         if let Some(error) = progress.error.clone() {
@@ -2081,8 +2051,13 @@ mod tests {
             let budget = engine.default_budget().unwrap();
             let fragments: Vec<_> = (0..4)
                 .map(|i| {
-                    let query = count_query(50 * i, 600 + 50 * i);
-                    engine.submit_fragment(&query, 0.2, &budget, 0).unwrap()
+                    let spec = crate::shard::FragmentSpec {
+                        query: count_query(50 * i, 600 + 50 * i),
+                        sampling_rate: 0.2,
+                        budget,
+                        occurrence: 0,
+                    };
+                    engine.submit_fragment(&spec).unwrap()
                 })
                 .collect();
             let summaries: Vec<_> = fragments.iter().map(|f| f.summaries().unwrap()).collect();
@@ -2122,7 +2097,7 @@ mod tests {
         let mut fed = federation();
         let escaped = fed.with_engine(|engine| engine.submit(&q, 0.2).unwrap());
         fed.providers_mut()[0]
-            .append_row(Row::cell(vec![500, 50], 1))
+            .append_row(&Row::cell(vec![500, 50], 1))
             .unwrap();
         assert_ne!(fed.exact(&q), federation().exact(&q));
         assert_eq!(bits(&escaped.wait().unwrap()), bits(&inside));

@@ -11,7 +11,7 @@
 //! min for MIN).
 //!
 //! This module is the per-provider half: a [`fedaqp_model::QueryPlan::Extreme`]
-//! compiles to one [`crate::engine::EngineHandle::submit_extreme`] job, so
+//! compiles to one metadata-only engine job, so
 //! every provider's selection runs as its own turn under the
 //! per-`(query, provider)` derived RNG — deterministic regardless of how
 //! jobs interleave, and identical whether the plan arrives in-process or

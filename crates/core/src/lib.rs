@@ -61,7 +61,7 @@ pub use config::{
 };
 pub use engine::{
     EngineAnswer, EngineExtreme, EngineHandle, FederationEngine, PendingAnswer, PendingExtreme,
-    PendingFragment, PendingPlain, QueryBatch, QuerySpec,
+    PendingPlain, QueryBatch, QuerySpec,
 };
 pub use error::CoreError;
 pub use fedaqp_model::{DerivedStatistic, Extreme};
@@ -69,8 +69,8 @@ pub use federation::{Federation, PlainAnswer};
 pub use online::combine_snapshots;
 pub use optimizer::{MetaSnapshot, PlanExplanation, ProviderBounds, SubQueryExplanation};
 pub use plan::{
-    ExtremeOutcome, PendingPlan, PlanAnswer, PlanBackend, PlanGroup, PlanResult, PlanSnapshot,
-    QueryPlan, ShardedAnswer, SubQuery,
+    ExtremeOutcome, ExtremeQuery, PendingPlan, PlanAnswer, PlanBackend, PlanGroup, PlanResult,
+    PlanSnapshot, QueryPlan, ShardedAnswer, SubQuery,
 };
 pub use protocol::{relative_error, LocalOutcome, PhaseTimings, ProviderSummary};
 pub use provider::DataProvider;

@@ -47,7 +47,7 @@ use crate::provider::DataProvider;
 /// `[v_min, v_max]` (the elementwise min/max over its clusters' Algorithm 1
 /// bands) plus its cluster count. Metadata coarsening keeps first/last
 /// values exact, so these bounds are exact at any resolution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProviderBounds {
     /// Per-dimension bounds; `None` when no cluster has values there.
     dims: Vec<Option<(Value, Value)>>,

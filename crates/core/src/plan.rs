@@ -55,8 +55,7 @@
 //!   `ε/rounds`; snapshots stream out through
 //!   [`PendingPlan::wait_streaming`] as rounds resolve, and
 //!   [`crate::combine_snapshots`] post-processes them into one estimate.
-//! * [`QueryPlan::Extreme`] → one metadata-only engine job
-//!   ([`EngineHandle::submit_extreme`]): a rank-target
+//! * [`QueryPlan::Extreme`] → one metadata-only engine job: a rank-target
 //!   Exponential-mechanism selection over the dimension's public domain
 //!   per provider (see [`crate::extremes`]), combined by post-processing;
 //!   `ε` is the federation-wide cost by parallel composition over
@@ -302,29 +301,9 @@ pub trait PlanBackend: Clone {
     fn wait_sub(&self, sub: Self::Sub) -> Result<ShardedAnswer>;
 
     /// Submits one private MIN/MAX without waiting.
-    fn submit_ext(&self, dim: usize, extreme: Extreme, epsilon: f64) -> Result<Self::Ext>;
+    fn submit_ext(&self, ext: ExtremeQuery) -> Result<Self::Ext>;
     /// Blocks until the selection resolved.
     fn wait_ext(&self, ext: Self::Ext) -> Result<ExtremeOutcome>;
-
-    /// Validates one sub-query submission without dispatching it:
-    /// sampling rate in `(0, 1)`, query dimensions in the schema, budget
-    /// phases positive. Stateless.
-    fn validate_sub(
-        &self,
-        query: &RangeQuery,
-        sampling_rate: f64,
-        budget: &QueryBudget,
-    ) -> Result<()> {
-        check_sampling_rate(sampling_rate)?;
-        query.check_schema(self.schema())?;
-        check_budget(budget)
-    }
-
-    /// Validates one extreme submission without dispatching it.
-    fn validate_ext(&self, dim: usize, epsilon: f64) -> Result<()> {
-        self.schema().dimension(dim)?;
-        check_positive(epsilon, "extreme-query epsilon must be positive")
-    }
 
     /// Validates a plan without dispatching (or charging) anything: it
     /// compiles the plan, which checks every sub-query the plan would
@@ -353,15 +332,55 @@ pub trait PlanBackend: Clone {
 }
 
 /// One private sub-query of a plan, as the compiler hands it to
-/// [`PlanBackend::submit_subs`].
+/// [`PlanBackend::submit_subs`]. Only this crate builds one, and only
+/// after the compiler's check passed it, so a backend submits it
+/// unchecked.
 #[derive(Debug, Clone)]
 pub struct SubQuery {
     /// The range query.
-    pub query: RangeQuery,
+    pub(crate) query: RangeQuery,
     /// The sampling rate `sr ∈ (0, 1)`.
-    pub sampling_rate: f64,
+    pub(crate) sampling_rate: f64,
     /// The sub-query's share of the plan budget.
-    pub budget: QueryBudget,
+    pub(crate) budget: QueryBudget,
+}
+
+/// A plan's private MIN/MAX, as the compiler hands it to
+/// [`PlanBackend::submit_ext`]: only this crate builds one, checked.
+#[derive(Debug, Clone, Copy)]
+pub struct ExtremeQuery {
+    /// The selected dimension.
+    pub(crate) dim: usize,
+    /// MIN or MAX.
+    pub(crate) extreme: Extreme,
+    /// Per-provider EM budget.
+    pub(crate) epsilon: f64,
+}
+
+impl ExtremeQuery {
+    /// Checks one MIN/MAX — the dimension is in the schema, `ε` positive.
+    pub(crate) fn new(schema: &Schema, dim: usize, extreme: Extreme, epsilon: f64) -> Result<Self> {
+        schema.dimension(dim)?;
+        check_positive(epsilon, "extreme-query epsilon must be positive")?;
+        Ok(Self {
+            dim,
+            extreme,
+            epsilon,
+        })
+    }
+}
+
+/// Checks one private sub-query — sampling rate in `(0, 1)`, dimensions
+/// in the schema, budget phases positive — once per engine it enters.
+pub(crate) fn check_sub(
+    schema: &Schema,
+    query: &RangeQuery,
+    sampling_rate: f64,
+    budget: &QueryBudget,
+) -> Result<()> {
+    check_sampling_rate(sampling_rate)?;
+    query.check_schema(schema)?;
+    check_budget(budget)
 }
 
 /// Sampling-rate sanity shared by every sub-query and by an online
@@ -414,9 +433,7 @@ impl PlanBackend for EngineHandle {
     }
 
     fn submit_subs(&self, subs: &[SubQuery]) -> Result<Vec<PendingAnswer>> {
-        subs.iter()
-            .map(|sub| self.submit_with_budget(&sub.query, sub.sampling_rate, &sub.budget))
-            .collect()
+        subs.iter().map(|sub| self.submit_sub(sub)).collect()
     }
 
     fn share_sub(&self, sub: &PendingAnswer) -> PendingAnswer {
@@ -427,8 +444,8 @@ impl PlanBackend for EngineHandle {
         sub.wait().map(ShardedAnswer::from)
     }
 
-    fn submit_ext(&self, dim: usize, extreme: Extreme, epsilon: f64) -> Result<PendingExtreme> {
-        self.submit_extreme(dim, extreme, epsilon)
+    fn submit_ext(&self, ext: ExtremeQuery) -> Result<PendingExtreme> {
+        self.launch_extreme(ext, None)
     }
 
     fn wait_ext(&self, ext: PendingExtreme) -> Result<ExtremeOutcome> {
@@ -768,9 +785,8 @@ pub(crate) struct Compiled {
     /// The private sub-queries, in submission order.
     subs: Vec<SubQuery>,
     /// The plan's shape over positions in `subs` (a position two cells
-    /// share is the dedup pass's release reuse), with an extreme's
-    /// `(dim, extreme, ε)` inline.
-    shape: PendingKind<usize, (usize, Extreme, f64)>,
+    /// share is the dedup pass's release reuse), with an extreme inline.
+    shape: PendingKind<usize, ExtremeQuery>,
     /// The declared cost ([`QueryPlan::total_cost`]): what a session
     /// charges, whatever the optimizer saved.
     pub(crate) cost: PrivacyCost,
@@ -908,13 +924,15 @@ pub(crate) fn compile<B: PlanBackend>(backend: &B, plan: &QueryPlan) -> Result<C
             dim,
             extreme,
             epsilon,
-        } => {
-            backend.validate_ext(*dim, *epsilon)?;
-            PendingKind::Extreme((*dim, *extreme, *epsilon))
-        }
+        } => PendingKind::Extreme(ExtremeQuery::new(
+            backend.schema(),
+            *dim,
+            *extreme,
+            *epsilon,
+        )?),
     };
     for sub in &subs {
-        backend.validate_sub(&sub.query, sub.sampling_rate, &sub.budget)?;
+        check_sub(backend.schema(), &sub.query, sub.sampling_rate, &sub.budget)?;
     }
     let (eps, delta) = plan.total_cost();
     Ok(Compiled {
@@ -1004,7 +1022,7 @@ impl Compiled {
         // two sharers of one in-flight sub-query.
         let kind = self.shape.map(
             |i| backend.share_sub(&submitted[i]),
-            |(dim, extreme, epsilon)| backend.submit_ext(dim, extreme, epsilon),
+            |ext| backend.submit_ext(ext),
         )?;
         Ok(PendingPlan {
             backend: backend.clone(),
@@ -1431,9 +1449,9 @@ pub(crate) mod tests {
         fn wait_sub(&self, sub: B::Sub) -> Result<ShardedAnswer> {
             self.inner.wait_sub(sub)
         }
-        fn submit_ext(&self, dim: usize, extreme: Extreme, epsilon: f64) -> Result<B::Ext> {
+        fn submit_ext(&self, ext: ExtremeQuery) -> Result<B::Ext> {
             self.calls.lock().unwrap().push(None);
-            self.inner.submit_ext(dim, extreme, epsilon)
+            self.inner.submit_ext(ext)
         }
         fn wait_ext(&self, ext: B::Ext) -> Result<ExtremeOutcome> {
             self.inner.wait_ext(ext)

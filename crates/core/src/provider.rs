@@ -231,11 +231,11 @@ impl DataProvider {
     /// rebuild; on bucketed metadata the min/max stay exact while interior
     /// tails drift, which is why [`crate::stream::LiveFederation`] bounds
     /// staleness with a full-recompute policy.
-    pub(crate) fn append_row(&mut self, row: Row) -> Result<()> {
+    pub(crate) fn append_row(&mut self, row: &Row) -> Result<()> {
         let arity = self.store.schema().arity();
-        let outcome = self.store.append_row(row.clone())?;
+        let outcome = self.store.append_row(row)?;
         self.meta
-            .append_row(outcome.cluster, outcome.new_cluster, &row, arity);
+            .append_row(outcome.cluster, outcome.new_cluster, row, arity);
         Ok(())
     }
 

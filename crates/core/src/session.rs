@@ -150,12 +150,12 @@ impl<B: PlanBackend> Session<B> {
     /// analyst's queries.
     ///
     /// A request the backend would reject up front (bad sampling rate,
-    /// unknown dimension) is validated *before* the charge — it touches
-    /// no data, so it must not cost budget. Once a query is dispatched,
-    /// the charge is kept even if it later fails downstream (fail-closed).
+    /// unknown dimension) is checked, once, *before* the charge — it
+    /// touches no data, so it must not cost budget. Once a query is
+    /// dispatched, the charge is kept even if it later fails downstream
+    /// (fail-closed).
     pub fn submit(&self, query: &RangeQuery, sampling_rate: f64) -> Result<B::Sub> {
-        self.backend
-            .validate_sub(query, sampling_rate, &self.per_query)?;
+        crate::plan::check_sub(self.backend.schema(), query, sampling_rate, &self.per_query)?;
         self.accountant
             .charge(self.per_query.cost())
             .map_err(CoreError::Dp)?;

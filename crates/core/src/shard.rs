@@ -37,11 +37,15 @@
 //!
 //! The global allocation program (Eq. 6) runs at the coordinator over
 //! the concatenated summaries: step 3 is *externalized* on every shard
-//! ([`crate::engine::PendingFragment`]), which holds its providers'
-//! carries — not their workers — until the coordinator feeds the globally
-//! solved slice back. [`Aggregator::allocate`] is RNG-free, so the
-//! coordinator's solution is identical to the one the 1-shard aggregator
-//! would compute.
+//! (a [`FragmentBatch`]), which holds its providers' carries — not their
+//! workers — until the coordinator feeds the globally solved slice back.
+//! [`Aggregator::allocate`] is RNG-free, so the coordinator's solution is
+//! identical to the one the 1-shard aggregator would compute.
+//!
+//! **One shard, both ends of the socket.** [`EngineHandle`]'s
+//! [`ShardBackend`] is the only shard: an in-process coordinator calls it,
+//! and so does a shard-mode server, once per frame. It checks each
+//! fragment as it enters — a shard cannot know who compiled it.
 //!
 //! **Single-ξ authority.** The coordinator (its sessions, or the serving
 //! endpoint's `BudgetDirectory`) is the *only* place analyst budgets are
@@ -103,7 +107,10 @@ use crate::engine::{
 };
 use crate::federation::Federation;
 use crate::optimizer::{MetaSnapshot, PlanExplanation, ProviderBounds};
-use crate::plan::{ExtremeOutcome, PendingPlan, PlanAnswer, PlanBackend, ShardedAnswer, SubQuery};
+use crate::plan::{
+    check_sub, ExtremeOutcome, ExtremeQuery, PendingPlan, PlanAnswer, PlanBackend, ShardedAnswer,
+    SubQuery,
+};
 use crate::protocol::{
     combined_ci_halfwidth, extreme_network, private_network, LocalOutcome, PhaseTimings,
     ProviderSummary,
@@ -144,21 +151,24 @@ pub struct FragmentPartial {
 
 /// Everything a shard needs to run one private fragment. The occurrence
 /// index comes from the coordinator's ledger (mechanism 2 of the
-/// determinism contract); the shard's own ledger is untouched.
-#[derive(Debug, Clone)]
+/// determinism contract); the shard's own ledger is untouched. The
+/// coordinator charged the budget before it scattered; the shard checks
+/// the spec at [`ShardBackend::begin`], its entry.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FragmentSpec {
     /// The range query.
     pub query: RangeQuery,
     /// The sampling rate `sr ∈ (0, 1)`.
     pub sampling_rate: f64,
-    /// The per-query budget (already validated and charged upstream).
+    /// The per-query budget.
     pub budget: QueryBudget,
     /// Coordinator-assigned occurrence index for the noise derivation.
     pub occurrence: u64,
 }
 
-/// Everything a shard needs to run one MIN/MAX fragment.
-#[derive(Debug, Clone, Copy)]
+/// Everything a shard needs to run one MIN/MAX fragment, checked at
+/// [`ShardBackend::extreme`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExtremeFragmentSpec {
     /// The selected dimension.
     pub dim: usize,
@@ -178,16 +188,16 @@ pub type FragmentSummaries = (Vec<ProviderSummary>, Duration);
 /// a plan submitted before its first wait, in submission order. Called
 /// in order: summaries once, allocate once, then one partial per fragment
 /// in batch order. Dropping an unfinished batch must abort its fragments
-/// (the in-process implementation inherits this from
-/// [`PendingFragment`]'s `Drop`; a wire-backed implementation aborts on
-/// connection close).
+/// (the in-process implementation's fragments abort on drop; a
+/// wire-backed implementation aborts on connection close).
 pub trait FragmentBatch: Send {
     /// Blocks until every local provider delivered its step-2 summary for
     /// every fragment; one entry per fragment, in batch order.
     fn summaries(&mut self) -> Result<Vec<FragmentSummaries>>;
     /// Delivers the coordinator's globally solved allocations: this
     /// shard's slice (local provider order) of each fragment's, in batch
-    /// order.
+    /// order. A batch refuses the wrong number of slices, or a slice of
+    /// the wrong length, before any fragment gets its own.
     fn allocate(&mut self, allocations: &[Vec<u64>]) -> Result<()>;
     /// Blocks until the next fragment, in batch order, executed; returns
     /// its mergeable partial.
@@ -237,38 +247,33 @@ impl ShardBackend for EngineHandle {
         self.meta_snapshot().providers().to_vec()
     }
 
+    /// Checks every spec, then launches them all: a batch with a bad
+    /// spec launches nothing.
     fn begin(&self, specs: &[FragmentSpec]) -> Result<Box<dyn FragmentBatch>> {
-        let fragments = specs
-            .iter()
-            .map(|spec| {
-                self.submit_fragment(
-                    &spec.query,
-                    spec.sampling_rate,
-                    &spec.budget,
-                    spec.occurrence,
-                )
-            })
-            .collect::<Result<Vec<_>>>()?;
+        for spec in specs {
+            check_sub(self.schema(), &spec.query, spec.sampling_rate, &spec.budget)?;
+        }
         Ok(Box::new(LocalBatch {
-            fragments,
+            fragments: specs
+                .iter()
+                .map(|spec| self.submit_fragment(spec))
+                .collect::<Result<_>>()?,
+            providers: EngineHandle::n_providers(self),
             gathered: 0,
         }))
     }
 
     fn extreme(&self, spec: &ExtremeFragmentSpec) -> Result<Box<dyn ExtremeReply>> {
-        Ok(Box::new(self.submit_extreme_fragment(
-            spec.dim,
-            spec.extreme,
-            spec.epsilon,
-            spec.occurrence,
-        )?))
+        let ext = ExtremeQuery::new(self.schema(), spec.dim, spec.extreme, spec.epsilon)?;
+        Ok(Box::new(self.launch_extreme(ext, Some(spec.occurrence))?))
     }
 }
 
-/// An in-process shard's batch: its engine's fragments, and how many
-/// partials were read.
+/// An in-process shard's batch: its engine's fragments, the engine's
+/// provider count, and how many partials were read.
 struct LocalBatch {
     fragments: Vec<PendingFragment>,
+    providers: usize,
     gathered: usize,
 }
 
@@ -280,10 +285,20 @@ impl FragmentBatch for LocalBatch {
             .collect()
     }
 
+    /// The one check of an allocation's shape, before any fragment gets
+    /// its slice: a refused batch holds no allocation.
     fn allocate(&mut self, allocations: &[Vec<u64>]) -> Result<()> {
         if allocations.len() != self.fragments.len() {
-            return Err(CoreError::ProtocolViolation(
-                "fragment batch allocations do not match the batch",
+            return Err(CoreError::BadConfig(
+                "fragment allocations do not match the batch",
+            ));
+        }
+        if allocations
+            .iter()
+            .any(|slice| slice.len() != self.providers)
+        {
+            return Err(CoreError::BadConfig(
+                "fragment allocation length does not match shard providers",
             ));
         }
         self.fragments
@@ -306,7 +321,7 @@ impl FragmentBatch for LocalBatch {
 
 impl ExtremeReply for PendingExtreme {
     fn answer(&mut self) -> Result<(Value, Duration)> {
-        let answer = self.result()?;
+        let answer = self.wait()?;
         Ok((answer.value, answer.execution))
     }
 }
@@ -546,9 +561,6 @@ impl ShardedFederation {
     /// allocation, and feed every shard its slices — synchronously, so the
     /// returned sub-queries only have partials left to gather.
     fn scatter(&self, subs: &[SubQuery]) -> Result<Vec<ShardedSub>> {
-        for sub in subs {
-            self.validate_sub(&sub.query, sub.sampling_rate, &sub.budget)?;
-        }
         if subs.is_empty() {
             return Ok(Vec::new());
         }
@@ -839,22 +851,18 @@ impl PlanBackend for ShardedFederation {
         gather.answers[sub.index].clone()
     }
 
-    fn submit_ext(&self, dim: usize, extreme: Extreme, epsilon: f64) -> Result<ExtremeOutcome> {
+    fn submit_ext(&self, ext: ExtremeQuery) -> Result<ExtremeOutcome> {
         // Extreme fragments carry no allocation barrier and resolve
         // blocking right here. Every shard's fragment is written before
         // any reply is read, so the shards select concurrently; the
         // shard-local MIN/MAX folds are combined exactly (integer
         // domain), reproducing the 1-shard post-processing bit-for-bit.
-        self.validate_ext(dim, epsilon)?;
         obs::counter_add(obs::names::SHARD_QUERIES, 1);
         let spec = ExtremeFragmentSpec {
-            dim,
-            extreme,
-            epsilon,
-            occurrence: self
-                .inner
-                .occurrences
-                .next(extreme_content_hash(dim, extreme, epsilon)),
+            dim: ext.dim,
+            extreme: ext.extreme,
+            epsilon: ext.epsilon,
+            occurrence: self.inner.occurrences.next(extreme_content_hash(&ext)),
         };
         let mut replies = self
             .inner
@@ -868,7 +876,7 @@ impl PlanBackend for ShardedFederation {
         for (s, reply) in replies.iter_mut().enumerate() {
             let (v, t) = reply.answer().map_err(|e| self.shard_error(s, e))?;
             execution = execution.max(t);
-            value = Some(match (value, extreme) {
+            value = Some(match (value, ext.extreme) {
                 (None, _) => v,
                 (Some(a), Extreme::Max) => a.max(v),
                 (Some(a), Extreme::Min) => a.min(v),
@@ -1432,6 +1440,50 @@ mod tests {
             .recv_timeout(Duration::from_secs(60))
             .expect("the first snapshot waited for the last round");
         assert_eq!(sharded.result, unsharded.result);
+    }
+
+    /// An in-process batch checks an allocation's whole shape before any
+    /// fragment gets its slice: refused for a short second slice, it holds
+    /// no allocation, so the right one is taken afterwards and releases
+    /// what a batch allocated right the first time releases.
+    #[test]
+    fn a_refused_allocation_leaves_every_fragment_unallocated() {
+        let fed = Federation::build(config(0xFEDA), schema(), partitions()).unwrap();
+        let partials = |refuse_first: bool| {
+            fed.with_engine(|engine| {
+                let budget = engine.default_budget().unwrap();
+                let specs: Vec<FragmentSpec> = [count(100, 900), count(0, 500)]
+                    .into_iter()
+                    .map(|query| FragmentSpec {
+                        query,
+                        sampling_rate: 0.3,
+                        budget,
+                        occurrence: 0,
+                    })
+                    .collect();
+                let mut batch = ShardBackend::begin(engine, &specs).unwrap();
+                let aggregator = Aggregator::new(0, CostModel::zero());
+                let allocations: Vec<Vec<u64>> = batch
+                    .summaries()
+                    .unwrap()
+                    .iter()
+                    .map(|(summaries, _)| aggregator.allocate(summaries, 0.3).unwrap())
+                    .collect();
+                if refuse_first {
+                    let mut short = allocations.clone();
+                    short[1].pop();
+                    assert_eq!(
+                        batch.allocate(&short),
+                        Err(CoreError::BadConfig(
+                            "fragment allocation length does not match shard providers"
+                        ))
+                    );
+                }
+                batch.allocate(&allocations).unwrap();
+                [batch.partial().unwrap().rows, batch.partial().unwrap().rows]
+            })
+        };
+        assert_eq!(partials(true), partials(false));
     }
 
     #[test]

@@ -157,7 +157,7 @@ impl LiveFederation {
         }
         let accepted = rows.len() as u64;
         let target = &mut self.next_epoch()[provider];
-        for row in rows {
+        for row in &rows {
             target.append_row(row)?;
         }
         obs::counter_add(obs::names::STREAM_INGESTED_ROWS, accepted);

@@ -42,10 +42,12 @@
 //!   frames, to an upstream coordinator, one fragment batch's lifecycle
 //!   at a time per connection, with *no* budget directory: fragments
 //!   arrive already charged at the coordinator, the single ξ authority (see
-//!   `docs/privacy-model.md`). The analyst roles symmetrically refuse
-//!   fragment frames — serving a fragment to an arbitrary analyst would
-//!   bypass the budget ledger and hand out occurrence-differencing
-//!   oracles.
+//!   `docs/privacy-model.md`). Each shard frame is one call on the
+//!   engine's own [`ShardBackend`] — the implementation an in-process
+//!   coordinator calls — which checks each fragment as it enters. The
+//!   analyst roles symmetrically refuse fragment frames — serving a
+//!   fragment to an arbitrary analyst would bypass the budget ledger and
+//!   hand out occurrence-differencing oracles.
 //!
 //! Budget enforcement: with [`ServeOptions::with_budget`], a connection's
 //! ledger is the [`SharedAccountant`] a [`BudgetDirectory`] keeps for the
@@ -69,20 +71,19 @@ use std::sync::{Arc, PoisonError, RwLock};
 use std::thread::JoinHandle;
 
 use fedaqp_core::{
-    CoreError, EngineHandle, FederationConfig, IngestReport, LiveFederation, PendingExtreme,
-    PendingFragment, PendingPlan, PlanAnswer, PlanBackend, PlanResult, PlanSnapshot, QueryPlan,
-    Session, SessionPlan, ShardedFederation,
+    CoreError, EngineHandle, FederationConfig, FragmentBatch, IngestReport, LiveFederation,
+    PendingPlan, PlanAnswer, PlanBackend, PlanResult, PlanSnapshot, QueryPlan, Session,
+    SessionPlan, ShardBackend, ShardedFederation,
 };
-use fedaqp_dp::{BudgetDirectory, DpError, QueryBudget, SharedAccountant};
+use fedaqp_dp::{BudgetDirectory, DpError, SharedAccountant};
 use fedaqp_model::{Row, Schema};
 use fedaqp_obs as obs;
 
 use crate::wire::{
     calibration_code, read_frame, write_frame, BudgetStatus, ErrorCode, ErrorFrame,
-    ExplainAnswerFrame, ExtremePartialFrame, FragmentPartialFrame, Frame, HelloAck, IngestAckFrame,
-    MetricsAnswerFrame, OnlineDoneFrame, OnlinePlanRequest, OnlineSnapshotFrame, PlanAnswerFrame,
-    ShardBoundsFrame, WireDimension, WireGroup, WireMetric, WirePartialRow, WirePlanResult,
-    WireProviderBounds, WireSummaries, WireSummary, VERSION,
+    ExplainAnswerFrame, Frame, HelloAck, IngestAckFrame, MetricsAnswerFrame, OnlineDoneFrame,
+    OnlinePlanRequest, OnlineSnapshotFrame, PlanAnswerFrame, WireDimension, WireGroup, WireMetric,
+    WirePlanResult, VERSION,
 };
 use crate::{NetError, Result};
 
@@ -209,8 +210,9 @@ fn refusal(role: Role, gate: Option<&Gate>) -> Option<&'static str> {
 }
 
 /// How handlers reach the engine behind a listener. Three impls: the
-/// long-lived [`EngineHandle`] (engine and shard roles), the
-/// [`ShardedFederation`] coordinator, and the live federation's lock.
+/// long-lived [`EngineHandle`] (engine and shard roles; the shard role
+/// reaches it as its [`ShardBackend`]), the [`ShardedFederation`]
+/// coordinator, and the live federation's lock.
 trait Backend: Clone + Send + 'static {
     /// The plan surface queries run on.
     type Plans: PlanBackend;
@@ -227,8 +229,8 @@ trait Backend: Clone + Send + 'static {
         Err(CoreError::BadConfig("this server's federation is frozen"))
     }
 
-    /// The worker pool fragment frames run on; only an engine has one.
-    fn fragment_engine(&self) -> Option<&EngineHandle> {
+    /// The shard fragment frames run on; only an engine is one.
+    fn fragment_engine(&self) -> Option<&dyn ShardBackend> {
         None
     }
 }
@@ -240,7 +242,7 @@ impl Backend for EngineHandle {
         self.clone()
     }
 
-    fn fragment_engine(&self) -> Option<&EngineHandle> {
+    fn fragment_engine(&self) -> Option<&dyn ShardBackend> {
         Some(self)
     }
 }
@@ -414,12 +416,12 @@ struct Connection {
     /// Requests answered on this connection (what an uncapped
     /// `BudgetStatus` reports).
     answered: u64,
-    /// The shard role's fragment batch between its two requests, in batch
-    /// order: a connection carries at most one batch at a time. Dropping
-    /// the connection mid-batch aborts it ([`PendingFragment`]'s drop), so
+    /// The shard role's fragment batch between its two requests, and its
+    /// length: a connection carries at most one batch at a time. Dropping
+    /// the connection mid-batch drops the batch, which aborts it, so
     /// closing is how a coordinator aborts, and a vanished one costs the
     /// shard nothing more.
-    batch: Option<Vec<PendingFragment>>,
+    batch: Option<(Box<dyn FragmentBatch>, usize)>,
 }
 
 /// One connection of any role, served to completion.
@@ -602,7 +604,7 @@ fn dispatch<B: Backend>(conn: &mut Connection, backend: &B, frame: Frame) -> Res
         // The gate admits nothing else but the fragment family, and that
         // only on the shard role's engine.
         frame => match backend.fragment_engine() {
-            Some(engine) => serve_fragment(engine, &mut conn.batch, frame, &mut conn.stream),
+            Some(shard) => serve_fragment(shard, &mut conn.batch, frame, &mut conn.stream),
             None => write_frame(
                 &mut conn.stream,
                 &error_reply(0, ErrorCode::Internal, "this backend runs no fragments"),
@@ -640,16 +642,19 @@ fn count_answer(answered: &mut u64) {
     obs::counter_add(obs::names::SERVER_QUERIES, 1);
 }
 
-/// Serves one request of the coordinator → shard family, writing its
-/// replies: a `Fragment` batch is queued and answered with its summaries;
-/// its `FragmentAllocation` is delivered and answered with one partial per
-/// fragment, streamed in batch order as each resolves (or one typed error,
-/// which ends the batch); `ExtremeFragment` and `ShardBoundsRequest` are
-/// single round trips. No budget is involved by construction: the
-/// upstream coordinator charged the whole plan before scattering.
+/// Serves one request of the coordinator → shard family through the
+/// shard's [`ShardBackend`], writing its replies: a `Fragment` batch is
+/// begun and answered with its summaries; its `FragmentAllocation` is
+/// delivered and answered with one partial per fragment, streamed in batch
+/// order as each resolves (or one typed error, which ends the batch);
+/// `ExtremeFragment` and `ShardBoundsRequest` are single round trips. The
+/// shard checks each fragment as it enters and each allocation's shape;
+/// this loop keeps only the connection's own order. No budget is involved
+/// by construction: the upstream coordinator charged the whole plan before
+/// scattering.
 fn serve_fragment(
-    engine: &EngineHandle,
-    batch: &mut Option<Vec<PendingFragment>>,
+    shard: &dyn ShardBackend,
+    batch: &mut Option<(Box<dyn FragmentBatch>, usize)>,
     frame: Frame,
     stream: &mut TcpStream,
 ) -> Result<()> {
@@ -662,123 +667,42 @@ fn serve_fragment(
             bad_request("a fragment batch needs at least one fragment")
         }
         Frame::Fragment(specs) => {
-            let summaries = specs
-                .iter()
-                .map(|req| {
-                    let budget = QueryBudget {
-                        eps_o: req.eps_o,
-                        eps_s: req.eps_s,
-                        eps_e: req.eps_e,
-                        delta: req.delta,
-                    };
-                    engine.submit_fragment(&req.query, req.sampling_rate, &budget, req.occurrence)
-                })
-                .collect::<fedaqp_core::Result<Vec<_>>>()
-                .and_then(|fragments| {
-                    let sets = fragments
-                        .iter()
-                        .map(wire_summaries)
-                        .collect::<fedaqp_core::Result<_>>()?;
-                    *batch = Some(fragments);
-                    Ok(sets)
-                });
-            summaries.map_or_else(|e| core_error_reply(0, &e), Frame::FragmentSummaries)
+            let begun = shard.begin(&specs).and_then(|mut fragments| {
+                let summaries = fragments.summaries()?;
+                *batch = Some((fragments, specs.len()));
+                Ok(summaries)
+            });
+            begun.map_or_else(|e| core_error_reply(0, &e), Frame::FragmentSummaries)
         }
-        Frame::FragmentAllocation(sets) => {
-            let Some(fragments) = batch.take() else {
+        Frame::FragmentAllocation(allocations) => {
+            let Some((mut fragments, len)) = batch.take() else {
                 return write_frame(
                     stream,
                     &bad_request("no fragment in flight on this connection"),
                 );
             };
-            // A malformed allocation is the peer's misuse, refused before
-            // any fragment of the batch gets one.
-            let refused = if sets.len() != fragments.len() {
-                Some("fragment allocations do not match the batch")
-            } else if sets
-                .iter()
-                .any(|set| set.allocations.len() != engine.n_providers())
-            {
-                Some("fragment allocation length does not match shard providers")
-            } else {
-                None
-            };
-            if let Some(message) = refused {
-                return write_frame(stream, &bad_request(message));
-            }
-            let delivered = fragments
-                .iter()
-                .zip(sets)
-                .try_for_each(|(fragment, set)| fragment.provide_allocation(set.allocations));
-            if let Err(e) = delivered {
+            if let Err(e) = fragments.allocate(&allocations) {
                 return write_frame(stream, &core_error_reply(0, &e));
             }
             // One partial per fragment, each written as it resolves; the
             // last completes the batch and frees the connection for the
             // next one.
-            for fragment in &fragments {
-                let reply = match fragment.partial() {
-                    Ok(partial) => Frame::FragmentPartial(FragmentPartialFrame {
-                        rows: partial
-                            .rows
-                            .iter()
-                            .map(|r| WirePartialRow {
-                                released: r.released,
-                                variance: r.variance,
-                                approximated: r.approximated,
-                                clusters_scanned: r.clusters_scanned,
-                                n_covering: r.n_covering,
-                            })
-                            .collect(),
-                        execution_us: partial.execution.as_micros() as u64,
-                    }),
+            for _ in 0..len {
+                match fragments.partial() {
+                    Ok(partial) => write_frame(stream, &Frame::FragmentPartial(partial))?,
                     Err(e) => return write_frame(stream, &core_error_reply(0, &e)),
-                };
-                write_frame(stream, &reply)?;
+                }
             }
             return Ok(());
         }
-        Frame::ExtremeFragment(req) => {
-            match engine
-                .submit_extreme_fragment(req.dim as usize, req.extreme, req.epsilon, req.occurrence)
-                .and_then(PendingExtreme::wait)
-            {
-                Ok(answer) => Frame::ExtremePartial(ExtremePartialFrame {
-                    value: answer.value,
-                    execution_us: answer.execution.as_micros() as u64,
-                }),
-                Err(e) => core_error_reply(0, &e),
-            }
-        }
-        Frame::ShardBoundsRequest => Frame::ShardBounds(ShardBoundsFrame {
-            providers: engine
-                .meta_snapshot()
-                .providers()
-                .iter()
-                .map(|b| WireProviderBounds {
-                    dims: b.dims().to_vec(),
-                    n_clusters: b.n_clusters() as u64,
-                })
-                .collect(),
-        }),
+        Frame::ExtremeFragment(spec) => match shard.extreme(&spec).and_then(|mut r| r.answer()) {
+            Ok(answer) => Frame::ExtremePartial(answer),
+            Err(e) => core_error_reply(0, &e),
+        },
+        Frame::ShardBoundsRequest => Frame::ShardBounds(shard.bounds()),
         _ => bad_request("unexpected frame kind"),
     };
     write_frame(stream, &reply)
-}
-
-/// One fragment's step-2 summaries, as a shard sends them.
-fn wire_summaries(fragment: &PendingFragment) -> fedaqp_core::Result<WireSummaries> {
-    let (summaries, summary_time) = fragment.summaries()?;
-    Ok(WireSummaries {
-        summaries: summaries
-            .iter()
-            .map(|s| WireSummary {
-                noisy_n_q: s.noisy_n_q,
-                noisy_avg_r: s.noisy_avg_r,
-            })
-            .collect(),
-        summary_us: summary_time.as_micros() as u64,
-    })
 }
 
 /// The [`QueryPlan`] an [`OnlinePlanRequest`] compiles to — the variant an

@@ -14,11 +14,11 @@
 //! list is empty — and it goes back **only after a complete lifecycle**:
 //! the batch's last `FragmentPartial`, or the `ExtremePartial`, was read,
 //! so nothing is unread on the stream. A failed or dropped batch closes
-//! its connection instead, and closing *is* the abort: the server's
-//! [`fedaqp_core::PendingFragment`]s abort on drop, and one slow or dying
-//! batch can never desynchronize a sibling's stream. A batch too wide for
-//! one frame ([`fragment_runs`]) runs as several lifecycles, each on its
-//! own connection.
+//! its connection instead, and closing *is* the abort: the server drops
+//! its in-process batch, whose fragments abort on drop, and one slow or
+//! dying batch can never desynchronize a sibling's stream. A batch too
+//! wide for one frame ([`fragment_runs`]) runs as several lifecycles, each
+//! on its own connection.
 //!
 //! **One request, one reply.** A batch of any size is two writes and two
 //! rounds of reads per shard, every read answering one write: `Fragment`
@@ -28,6 +28,14 @@
 //! typed error, if the shard rejects the allocation, read in place of the
 //! first partial. A shard restarted with a different provider count is
 //! refused at the handshake of every fresh connection.
+//!
+//! **The core's own types.** The frames carry the [`ShardBackend`] types
+//! themselves — [`FragmentSpec`] out, [`FragmentSummaries`] and
+//! [`FragmentPartial`] back, the [`ExtremeFragmentSpec`] and its
+//! `(value, execution)` answer, the [`ProviderBounds`] — so neither this
+//! client nor the server on the far end, which drives the engine's own
+//! [`ShardBackend`], converts anything. The shard checks each fragment as
+//! it enters and each allocation's shape; this client forwards both.
 //!
 //! **Stale connections.** An idle connection can die unnoticed (a shard
 //! restart). When the *first* write or the *first* read on a pooled
@@ -53,15 +61,13 @@ use std::time::{Duration, Instant};
 
 use fedaqp_core::{
     CoreError, ExtremeFragmentSpec, ExtremeReply, FragmentBatch, FragmentPartial, FragmentSpec,
-    FragmentSummaries, PartialRow, ProviderBounds, ProviderSummary, ShardBackend,
+    FragmentSummaries, ProviderBounds, ShardBackend,
 };
 use fedaqp_model::Value;
 use fedaqp_smc::CostModel;
 
 use crate::client::Conn;
-use crate::wire::{
-    encode_frame, fragment_runs, ExtremeFragmentRequest, FragmentRequest, Frame, WireAllocation,
-};
+use crate::wire::{encode_frame, fragment_runs, Frame};
 use crate::{NetError, Result};
 
 /// Idle connections kept per shard: enough that sixteen analysts' plans
@@ -130,14 +136,9 @@ impl RemoteShard {
     pub fn connect(addr: &str) -> Result<Self> {
         let (mut conn, _) = Conn::open(addr, "coordinator")?;
         conn.send(&Frame::ShardBoundsRequest)?;
-        let providers = match conn.recv()? {
-            Frame::ShardBounds(frame) => frame.providers,
-            _ => return Err(NetError::Malformed("expected ShardBounds")),
+        let Frame::ShardBounds(bounds) = conn.recv()? else {
+            return Err(NetError::Malformed("expected ShardBounds"));
         };
-        let bounds: Vec<_> = providers
-            .into_iter()
-            .map(|b| ProviderBounds::new(b.dims, b.n_clusters as usize))
-            .collect();
         Ok(Self {
             pool: Arc::new(Pool {
                 addr: addr.to_owned(),
@@ -175,23 +176,13 @@ impl ShardBackend for RemoteShard {
     }
 
     fn begin(&self, specs: &[FragmentSpec]) -> fedaqp_core::Result<Box<dyn FragmentBatch>> {
-        let mut requests: Vec<FragmentRequest> = specs
-            .iter()
-            .map(|spec| FragmentRequest {
-                query: spec.query.clone(),
-                sampling_rate: spec.sampling_rate,
-                eps_o: spec.budget.eps_o,
-                eps_s: spec.budget.eps_s,
-                eps_e: spec.budget.eps_e,
-                delta: spec.budget.delta,
-                occurrence: spec.occurrence,
-            })
-            .collect();
-        let runs = fragment_runs(&requests, self.pool.n_providers)
+        let mut rest = specs;
+        let runs = fragment_runs(specs, self.pool.n_providers)
             .into_iter()
             .map(|len| {
-                let run = requests.drain(..len).collect();
-                let request = encode_frame(&Frame::Fragment(run))?;
+                let (run, later) = rest.split_at(len);
+                rest = later;
+                let request = encode_frame(&Frame::Fragment(run.to_vec()))?;
                 Ok(Run {
                     sent: Some(self.pool.send(request)?),
                     len,
@@ -209,13 +200,7 @@ impl ShardBackend for RemoteShard {
     }
 
     fn extreme(&self, spec: &ExtremeFragmentSpec) -> fedaqp_core::Result<Box<dyn ExtremeReply>> {
-        let request = encode_frame(&Frame::ExtremeFragment(ExtremeFragmentRequest {
-            dim: spec.dim as u32,
-            extreme: spec.extreme,
-            epsilon: spec.epsilon,
-            occurrence: spec.occurrence,
-        }))
-        .map_err(|e| unavailable(&e))?;
+        let request = encode_frame(&Frame::ExtremeFragment(*spec)).map_err(|e| unavailable(&e))?;
         let sent = self.pool.send(request).map_err(|e| unavailable(&e))?;
         Ok(Box::new(RemoteExtreme {
             sent: Some(sent),
@@ -276,30 +261,20 @@ impl FragmentBatch for RemoteBatch {
     fn summaries(&mut self) -> fedaqp_core::Result<Vec<FragmentSummaries>> {
         let mut all = Vec::new();
         for i in 0..self.runs.len() {
-            let sets = match self.runs[i].recv(&self.pool)? {
-                Frame::FragmentSummaries(sets) if sets.len() == self.runs[i].len => sets,
+            let reply = self.runs[i].recv(&self.pool)?;
+            self.reserve_uplink(&reply);
+            // Local provider ids; the coordinator remaps them to the
+            // shard's global offset.
+            match reply {
+                Frame::FragmentSummaries(sets) if sets.len() == self.runs[i].len => {
+                    all.extend(sets)
+                }
                 _ => {
                     return Err(shard_fault(
                         "shard answered the fragment batch with an unexpected frame",
                     ))
                 }
-            };
-            // Local provider ids; the coordinator remaps them to the
-            // shard's global offset.
-            all.extend(sets.iter().map(|set| {
-                let summaries = set
-                    .summaries
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| ProviderSummary {
-                        provider: i,
-                        noisy_n_q: s.noisy_n_q,
-                        noisy_avg_r: s.noisy_avg_r,
-                    })
-                    .collect();
-                (summaries, Duration::from_micros(set.summary_us))
-            }));
-            self.reserve_uplink(&Frame::FragmentSummaries(sets));
+            }
         }
         Ok(all)
     }
@@ -313,15 +288,9 @@ impl FragmentBatch for RemoteBatch {
             let take = if i == last { rest.len() } else { run.len };
             let (mine, later) = rest.split_at(take.min(rest.len()));
             rest = later;
-            let sets = mine
-                .iter()
-                .map(|allocations| WireAllocation {
-                    allocations: allocations.clone(),
-                })
-                .collect();
             let sent = run.sent.as_mut().ok_or(shard_fault(FINISHED))?;
             sent.conn
-                .send(&Frame::FragmentAllocation(sets))
+                .send(&Frame::FragmentAllocation(mine.to_vec()))
                 .map_err(|e| unavailable(&e))?;
         }
         Ok(())
@@ -333,7 +302,11 @@ impl FragmentBatch for RemoteBatch {
             .iter_mut()
             .find(|run| run.gathered < run.len)
             .ok_or(shard_fault(FINISHED))?;
-        let Frame::FragmentPartial(frame) = run.recv(&self.pool)? else {
+        let reply = run.recv(&self.pool)?;
+        if let Some(uplink) = &self.uplink {
+            self.ready_at = Some(uplink.reserve_frame(&reply));
+        }
+        let Frame::FragmentPartial(partial) = reply else {
             return Err(shard_fault(
                 "shard answered the allocation with an unexpected frame",
             ));
@@ -346,21 +319,6 @@ impl FragmentBatch for RemoteBatch {
                 self.pool.put_back(sent.conn);
             }
         }
-        let partial = FragmentPartial {
-            rows: frame
-                .rows
-                .iter()
-                .map(|r| PartialRow {
-                    released: r.released,
-                    variance: r.variance,
-                    approximated: r.approximated,
-                    clusters_scanned: r.clusters_scanned,
-                    n_covering: r.n_covering,
-                })
-                .collect(),
-            execution: Duration::from_micros(frame.execution_us),
-        };
-        self.reserve_uplink(&Frame::FragmentPartial(frame));
         Ok(partial)
     }
 
@@ -383,13 +341,13 @@ impl ExtremeReply for RemoteExtreme {
     fn answer(&mut self) -> fedaqp_core::Result<(Value, Duration)> {
         let mut sent = self.sent.take().ok_or(shard_fault(FINISHED))?;
         match self.pool.reply(&mut sent).map_err(|e| unavailable(&e))? {
-            Frame::ExtremePartial(partial) => {
+            Frame::ExtremePartial(answer) => {
                 self.pool.put_back(sent.conn);
                 self.ready_at = self
                     .uplink
                     .as_ref()
-                    .map(|uplink| uplink.reserve_frame(&Frame::ExtremePartial(partial)));
-                Ok((partial.value, Duration::from_micros(partial.execution_us)))
+                    .map(|uplink| uplink.reserve_frame(&Frame::ExtremePartial(answer)));
+                Ok(answer)
             }
             _ => Err(shard_fault(
                 "shard answered the extreme fragment with an unexpected frame",
@@ -509,10 +467,7 @@ mod tests {
     use fedaqp_model::Extreme;
 
     use super::*;
-    use crate::wire::{
-        read_frame, write_frame, ExtremePartialFrame, HelloAck, ShardBoundsFrame,
-        WireProviderBounds, VERSION,
-    };
+    use crate::wire::{read_frame, write_frame, HelloAck, VERSION};
 
     /// A scripted shard server: handshakes declaring `ack_providers`,
     /// serves bounds for one provider, and **hangs up after answering
@@ -548,18 +503,12 @@ mod tests {
                                 session_budget: None,
                                 max_version: VERSION,
                             }),
-                            Frame::ShardBoundsRequest => Frame::ShardBounds(ShardBoundsFrame {
-                                providers: vec![WireProviderBounds {
-                                    dims: vec![None],
-                                    n_clusters: 1,
-                                }],
-                            }),
-                            Frame::ExtremeFragment(request) => {
+                            Frame::ShardBoundsRequest => {
+                                Frame::ShardBounds(vec![ProviderBounds::new(vec![None], 1)])
+                            }
+                            Frame::ExtremeFragment(spec) => {
                                 answers.fetch_add(1, Ordering::SeqCst);
-                                Frame::ExtremePartial(ExtremePartialFrame {
-                                    value: request.occurrence as i64,
-                                    execution_us: 0,
-                                })
+                                Frame::ExtremePartial((spec.occurrence as i64, Duration::ZERO))
                             }
                             other => panic!("unscripted frame {other:?}"),
                         };

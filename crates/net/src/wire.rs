@@ -19,9 +19,11 @@
 //! exactly or it is an error. Each payload states its field order once:
 //! one private `Wire` impl per type carries both directions, derived by
 //! one `wire_struct!` row for a plain struct and written by hand, the two
-//! directions side by side, for the few types that check an invariant
-//! (a range, a plan, a plan result). One frame table maps every
-//! [`Frame`] variant to its kind byte.
+//! directions side by side, for the few types that check an invariant or
+//! keep fields private (a range, a plan, a plan result, a duration in
+//! microseconds, a fragment's summaries, an allocation slice, a
+//! provider's bounds). One frame table maps every [`Frame`] variant to
+//! its kind byte.
 //!
 //! **One version.** Every frame is stamped [`VERSION`] and nothing else
 //! decodes: a header declaring any other version fails with
@@ -72,11 +74,14 @@
 //! in *shard mode* serves a scatter–gather coordinator instead of
 //! analysts: one connection carries one *batch* of fragments — the
 //! sub-queries one plan submitted together — through the paper's two
-//! rounds, each one request and its reply. [`Frame::Fragment`] (one spec
-//! per fragment, each with its explicit occurrence index) ⇒
-//! [`Frame::FragmentSummaries`] (per fragment, the per-provider DP
-//! summaries in local provider order). [`Frame::FragmentAllocation`] (per
-//! fragment, the coordinator's globally solved slice) ⇒ one
+//! rounds, each one request and its reply. The frames carry the core's
+//! shard types ([`fedaqp_core::ShardBackend`]) as they are, each with its
+//! field order stated once below. [`Frame::Fragment`] (one
+//! [`FragmentSpec`] per fragment, each with its explicit occurrence
+//! index) ⇒ [`Frame::FragmentSummaries`] (per fragment, the per-provider
+//! DP summaries in local provider order), or one typed [`Frame::Error`]
+//! when the shard refuses a spec at its entry. [`Frame::FragmentAllocation`]
+//! (per fragment, the coordinator's globally solved slice) ⇒ one
 //! [`Frame::FragmentPartial`] per fragment (the mergeable per-provider
 //! releases), in batch order, each written as its fragment resolves — or
 //! one typed [`Frame::Error`] when the allocation is rejected, which ends
@@ -99,10 +104,16 @@
 //! the suppressed groups' noisy values.
 
 use std::io::{Read, Write};
+use std::time::Duration;
 
 use bytes::{Buf, BufMut};
-use fedaqp_core::{EstimatorCalibration, OptimizerConfig, PlanExplanation, SubQueryExplanation};
-use fedaqp_model::{Aggregate, DerivedStatistic, Extreme, QueryPlan, Range, RangeQuery};
+use fedaqp_core::{
+    EstimatorCalibration, ExtremeFragmentSpec, FragmentPartial, FragmentSpec, FragmentSummaries,
+    OptimizerConfig, PartialRow, PlanExplanation, ProviderBounds, ProviderSummary,
+    SubQueryExplanation,
+};
+use fedaqp_dp::QueryBudget;
+use fedaqp_model::{Aggregate, DerivedStatistic, Extreme, QueryPlan, Range, RangeQuery, Value};
 use fedaqp_storage::declared_len_fits;
 
 use crate::{NetError, Result};
@@ -361,64 +372,13 @@ pub struct PlanAnswerFrame {
     pub network_us: u64,
 }
 
-/// One fragment of a [`Frame::Fragment`] batch (coordinator → shard):
-/// everything a shard needs to run its slice of one private sub-query.
-/// The budget arrives pre-split (the coordinator already validated and
-/// charged it), and the occurrence index comes from the coordinator's
-/// ledger — the shard's own ledger is never consulted for fragments.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FragmentRequest {
-    /// The range query.
-    pub query: RangeQuery,
-    /// Sampling rate `sr ∈ (0, 1)`.
-    pub sampling_rate: f64,
-    /// Allocation-phase budget `ε_O`.
-    pub eps_o: f64,
-    /// Sampling-phase budget `ε_S`.
-    pub eps_s: f64,
-    /// Estimation-phase budget `ε_E`.
-    pub eps_e: f64,
-    /// Failure probability `δ`.
-    pub delta: f64,
-    /// Coordinator-assigned occurrence index for the noise derivation.
-    pub occurrence: u64,
-}
-
-/// One provider's DP summary inside a [`WireSummaries`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WireSummary {
-    /// Noisy covering-set size `Ñ^Q` (Eq. 5).
-    pub noisy_n_q: f64,
-    /// Noisy average cluster proportion `Avg(R̂)~`.
-    pub noisy_avg_r: f64,
-}
-
-/// One fragment's step-2 summaries inside a [`Frame::FragmentSummaries`]
-/// (shard → coordinator), in local provider order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireSummaries {
-    /// One summary per local provider.
-    pub summaries: Vec<WireSummary>,
-    /// Wall time of the shard's slowest provider's summary, microseconds.
-    pub summary_us: u64,
-}
-
-/// One fragment's globally solved allocation slice for this shard inside
-/// a [`Frame::FragmentAllocation`] (coordinator → shard), in local
-/// provider order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireAllocation {
-    /// Per-provider sample sizes `s_i`.
-    pub allocations: Vec<u64>,
-}
-
 /// Splits a batch of fragment specs into consecutive runs whose frames
 /// each fit the wire for a shard of `n_providers`, returning the run
 /// lengths: the `Fragment` frame of a run, and the `FragmentSummaries`
 /// and `FragmentAllocation` frames answering it, stay under
 /// [`MAX_PAYLOAD`] and the lists' caps. Any plan's batch but the very
 /// widest is one run.
-pub fn fragment_runs(specs: &[FragmentRequest], n_providers: usize) -> Vec<usize> {
+pub fn fragment_runs(specs: &[FragmentSpec], n_providers: usize) -> Vec<usize> {
     // The larger of one fragment's summary set and its allocation set.
     let per_reply = (U32 + n_providers * 16 + 8).max(U32 + n_providers * 8);
     let mut runs = Vec::new();
@@ -439,75 +399,6 @@ pub fn fragment_runs(specs: &[FragmentRequest], n_providers: usize) -> Vec<usize
         runs.push(specs.len() - start);
     }
     runs
-}
-
-/// One provider's row of a fragment partial — the wire projection of
-/// `fedaqp_core::PartialRow`. Only the *released* value crosses the
-/// wire; raw estimates and smooth sensitivities stay on the shard.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WirePartialRow {
-    /// The provider's locally noised release.
-    pub released: f64,
-    /// Hansen–Hurwitz variance, when estimable (public CI accounting).
-    pub variance: Option<f64>,
-    /// Whether the provider approximated.
-    pub approximated: bool,
-    /// Clusters scanned.
-    pub clusters_scanned: u64,
-    /// Covering-set size `N^Q`.
-    pub n_covering: u64,
-}
-
-/// The shard's mergeable partial (shard → coordinator), in local
-/// provider order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FragmentPartialFrame {
-    /// One row per local provider.
-    pub rows: Vec<WirePartialRow>,
-    /// Wall time of the shard's slowest provider, microseconds.
-    pub execution_us: u64,
-}
-
-/// One MIN/MAX fragment (coordinator → shard); the shard answers
-/// with an [`ExtremePartialFrame`] in the same round trip.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExtremeFragmentRequest {
-    /// The selected dimension.
-    pub dim: u32,
-    /// MIN or MAX.
-    pub extreme: Extreme,
-    /// Per-provider EM budget.
-    pub epsilon: f64,
-    /// Coordinator-assigned occurrence index.
-    pub occurrence: u64,
-}
-
-/// The shard-local MIN/MAX selection (shard → coordinator).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExtremePartialFrame {
-    /// The shard's combined selection over its providers.
-    pub value: i64,
-    /// Wall time of the shard's slowest provider, microseconds.
-    pub execution_us: u64,
-}
-
-/// One provider's public pruning bounds inside a [`ShardBoundsFrame`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireProviderBounds {
-    /// Per-dimension `(min, max)` over the provider's data; `None` for a
-    /// dimension without metadata (never prunable on it).
-    pub dims: Vec<Option<(i64, i64)>>,
-    /// The provider's cluster count (the optimizer's cost unit).
-    pub n_clusters: u64,
-}
-
-/// The shard's offline pruning metadata (shard → coordinator), in
-/// local provider order — what the coordinator concatenates into the
-/// global snapshot at construction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardBoundsFrame {
-    /// One bounds entry per local provider.
-    pub providers: Vec<WireProviderBounds>,
 }
 
 /// One metric sample inside a [`MetricsAnswerFrame`]: a flat name/value
@@ -660,25 +551,29 @@ pub enum Frame {
     ExplainAnswer(ExplainAnswerFrame),
     /// One batch of fragments, in batch order (coordinator → shard),
     /// answered by one [`Frame::FragmentSummaries`].
-    Fragment(Vec<FragmentRequest>),
-    /// Each fragment's per-provider summaries, in batch order (shard →
+    Fragment(Vec<FragmentSpec>),
+    /// Each fragment's per-provider summaries, in local provider order,
+    /// and its slowest summary time; fragments in batch order (shard →
     /// coordinator).
-    FragmentSummaries(Vec<WireSummaries>),
-    /// Each fragment's globally solved allocation slice, in batch order
-    /// (coordinator → shard), answered by one [`Frame::FragmentPartial`]
-    /// per fragment.
-    FragmentAllocation(Vec<WireAllocation>),
+    FragmentSummaries(Vec<FragmentSummaries>),
+    /// Each fragment's globally solved allocation slice, in local provider
+    /// order; fragments in batch order (coordinator → shard), answered by
+    /// one [`Frame::FragmentPartial`] per fragment.
+    FragmentAllocation(Vec<Vec<u64>>),
     /// One fragment's mergeable partial; a batch's come in batch order
-    /// (shard → coordinator).
-    FragmentPartial(FragmentPartialFrame),
+    /// (shard → coordinator). Only released values cross: raw estimates
+    /// and smooth sensitivities stay on the shard.
+    FragmentPartial(FragmentPartial),
     /// One MIN/MAX fragment (coordinator → shard).
-    ExtremeFragment(ExtremeFragmentRequest),
-    /// The shard-local MIN/MAX selection (shard → coordinator).
-    ExtremePartial(ExtremePartialFrame),
+    ExtremeFragment(ExtremeFragmentSpec),
+    /// The shard-local MIN/MAX selection and the slowest provider's time
+    /// (shard → coordinator).
+    ExtremePartial((Value, Duration)),
     /// Ask for the shard's pruning metadata (coordinator → shard).
     ShardBoundsRequest,
-    /// The shard's pruning metadata (shard → coordinator).
-    ShardBounds(ShardBoundsFrame),
+    /// The shard's pruning metadata, one entry per local provider (shard →
+    /// coordinator).
+    ShardBounds(Vec<ProviderBounds>),
     /// Telemetry snapshot inquiry (client → server; empty payload).
     Metrics,
     /// The server's telemetry snapshot (server → client).
@@ -941,16 +836,11 @@ wire_struct! {
     PlanExplanation { plan_kind, n_providers, optimizer, eps, delta, sub_queries: SUBQUERIES }
     OptimizerConfig { prune_providers, dedup_subqueries, reorder_subqueries }
     SubQueryExplanation { label, pruned_providers: PRUNED, estimated_cost, reuses, order }
-    FragmentRequest { sampling_rate, eps_o, eps_s, eps_e, delta, occurrence, query }
-    WireSummaries { summaries: SUMMARIES, summary_us }
-    WireSummary { noisy_n_q, noisy_avg_r }
-    WireAllocation { allocations: ALLOCATIONS }
-    FragmentPartialFrame { rows: PARTIAL_ROWS, execution_us }
-    WirePartialRow { released, variance, approximated, clusters_scanned, n_covering }
-    ExtremeFragmentRequest { dim, extreme, epsilon, occurrence }
-    ExtremePartialFrame { value, execution_us }
-    ShardBoundsFrame { providers: BOUNDS }
-    WireProviderBounds { dims: BOUND_DIMS, n_clusters }
+    FragmentSpec { sampling_rate, budget, occurrence, query }
+    QueryBudget { eps_o, eps_s, eps_e, delta }
+    FragmentPartial { rows: PARTIAL_ROWS, execution }
+    PartialRow { released, variance, approximated, clusters_scanned, n_covering }
+    ExtremeFragmentSpec { dim, extreme, epsilon, occurrence }
     MetricsAnswerFrame { metrics: METRICS }
     WireMetric { name, value }
     OnlinePlanRequest { sampling_rate, epsilon, delta, rounds, query }
@@ -959,6 +849,71 @@ wire_struct! {
     IngestRequest { provider, rows: INGEST_ROWS }
     WireRow { values: ROW_VALUES, measure }
     IngestAckFrame { accepted, epoch, refreshed }
+}
+
+/// A duration travels as whole microseconds.
+impl Wire for Duration {
+    fn put(&self, buf: &mut Vec<u8>) -> Result<()> {
+        (self.as_micros() as u64).put(buf)
+    }
+
+    fn get(data: &mut &[u8]) -> Result<Self> {
+        u64::get(data).map(Duration::from_micros)
+    }
+}
+
+/// One fragment's step-2 summaries: each local provider's two noisy
+/// values, its id being its place in the list, then the slowest
+/// provider's summary time.
+impl Wire for FragmentSummaries {
+    fn put(&self, buf: &mut Vec<u8>) -> Result<()> {
+        let (summaries, time) = self;
+        let values: Vec<(f64, f64)> = summaries
+            .iter()
+            .map(|s| (s.noisy_n_q, s.noisy_avg_r))
+            .collect();
+        put_list(buf, &SUMMARIES, &values)?;
+        time.put(buf)
+    }
+
+    fn get(data: &mut &[u8]) -> Result<Self> {
+        let values: Vec<(f64, f64)> = get_list(data, &SUMMARIES)?;
+        let summaries = values
+            .into_iter()
+            .enumerate()
+            .map(|(provider, (noisy_n_q, noisy_avg_r))| ProviderSummary {
+                provider,
+                noisy_n_q,
+                noisy_avg_r,
+            })
+            .collect();
+        Ok((summaries, Wire::get(data)?))
+    }
+}
+
+/// One fragment's allocation slice: each local provider's sample size.
+impl Wire for Vec<u64> {
+    fn put(&self, buf: &mut Vec<u8>) -> Result<()> {
+        put_list(buf, &ALLOCATIONS, self)
+    }
+
+    fn get(data: &mut &[u8]) -> Result<Self> {
+        get_list(data, &ALLOCATIONS)
+    }
+}
+
+/// One provider's public pruning bounds: per dimension its `(min, max)`,
+/// or none, then its cluster count.
+impl Wire for ProviderBounds {
+    fn put(&self, buf: &mut Vec<u8>) -> Result<()> {
+        put_list(buf, &BOUND_DIMS, self.dims())?;
+        (self.n_clusters() as u64).put(buf)
+    }
+
+    fn get(data: &mut &[u8]) -> Result<Self> {
+        let dims = get_list(data, &BOUND_DIMS)?;
+        Ok(ProviderBounds::new(dims, u64::get(data)? as usize))
+    }
 }
 
 /// A range decodes only if it is non-empty.
@@ -1202,11 +1157,11 @@ frames! {
     KIND_FRAGMENT = 13             => Fragment[FRAGMENTS],
     KIND_FRAGMENT_SUMMARIES = 16   => FragmentSummaries[SUMMARY_SETS],
     KIND_FRAGMENT_ALLOCATION = 17  => FragmentAllocation[ALLOCATION_SETS],
-    KIND_FRAGMENT_PARTIAL = 20     => FragmentPartial(FragmentPartialFrame),
-    KIND_EXTREME_FRAGMENT = 23     => ExtremeFragment(ExtremeFragmentRequest),
-    KIND_EXTREME_PARTIAL = 24      => ExtremePartial(ExtremePartialFrame),
+    KIND_FRAGMENT_PARTIAL = 20     => FragmentPartial(FragmentPartial),
+    KIND_EXTREME_FRAGMENT = 23     => ExtremeFragment(ExtremeFragmentSpec),
+    KIND_EXTREME_PARTIAL = 24      => ExtremePartial((Value, Duration)),
     KIND_SHARD_BOUNDS_REQUEST = 25 => ShardBoundsRequest,
-    KIND_SHARD_BOUNDS = 26         => ShardBounds(ShardBoundsFrame),
+    KIND_SHARD_BOUNDS = 26         => ShardBounds[BOUNDS],
     KIND_METRICS = 27              => Metrics,
     KIND_METRICS_ANSWER = 28       => MetricsAnswer(MetricsAnswerFrame),
     KIND_ONLINE_PLAN = 29          => OnlinePlan(OnlinePlanRequest),
@@ -1293,6 +1248,20 @@ mod tests {
 
     fn query(lo: i64, hi: i64) -> RangeQuery {
         RangeQuery::new(Aggregate::Count, vec![Range::new(0, lo, hi).unwrap()]).unwrap()
+    }
+
+    fn spec(query: RangeQuery, occurrence: u64) -> FragmentSpec {
+        FragmentSpec {
+            query,
+            sampling_rate: 0.2,
+            budget: QueryBudget {
+                eps_o: 0.3,
+                eps_s: 0.3,
+                eps_e: 0.4,
+                delta: 1e-3,
+            },
+            occurrence,
+        }
     }
 
     fn sample_answer() -> Frame {
@@ -1416,41 +1385,33 @@ mod tests {
                 index: 4,
                 explanation: sample_explanation(),
             }),
-            Frame::Fragment(vec![FragmentRequest {
-                query: query(10, 60),
-                sampling_rate: 0.2,
-                eps_o: 0.3,
-                eps_s: 0.3,
-                eps_e: 0.4,
-                delta: 1e-3,
-                occurrence: 7,
-            }]),
-            Frame::FragmentSummaries(vec![WireSummaries {
-                summaries: vec![
-                    WireSummary {
+            Frame::Fragment(vec![spec(query(10, 60), 7)]),
+            Frame::FragmentSummaries(vec![(
+                vec![
+                    ProviderSummary {
+                        provider: 0,
                         noisy_n_q: 812.5,
                         noisy_avg_r: 0.41,
                     },
-                    WireSummary {
+                    ProviderSummary {
+                        provider: 1,
                         noisy_n_q: 17.25,
                         noisy_avg_r: 0.03,
                     },
                 ],
-                summary_us: 130,
-            }]),
-            Frame::FragmentAllocation(vec![WireAllocation {
-                allocations: vec![3, 9],
-            }]),
-            Frame::FragmentPartial(FragmentPartialFrame {
+                Duration::from_micros(130),
+            )]),
+            Frame::FragmentAllocation(vec![vec![3, 9]]),
+            Frame::FragmentPartial(FragmentPartial {
                 rows: vec![
-                    WirePartialRow {
+                    PartialRow {
                         released: 812.5,
                         variance: Some(14.5),
                         approximated: true,
                         clusters_scanned: 9,
                         n_covering: 40,
                     },
-                    WirePartialRow {
+                    PartialRow {
                         released: -3.25,
                         variance: None,
                         approximated: false,
@@ -1458,31 +1419,20 @@ mod tests {
                         n_covering: 2,
                     },
                 ],
-                execution_us: 1400,
+                execution: Duration::from_micros(1400),
             }),
-            Frame::ExtremeFragment(ExtremeFragmentRequest {
+            Frame::ExtremeFragment(ExtremeFragmentSpec {
                 dim: 1,
                 extreme: Extreme::Max,
                 epsilon: 0.5,
                 occurrence: 2,
             }),
-            Frame::ExtremePartial(ExtremePartialFrame {
-                value: 97,
-                execution_us: 300,
-            }),
+            Frame::ExtremePartial((97, Duration::from_micros(300))),
             Frame::ShardBoundsRequest,
-            Frame::ShardBounds(ShardBoundsFrame {
-                providers: vec![
-                    WireProviderBounds {
-                        dims: vec![Some((0, 249)), None],
-                        n_clusters: 12,
-                    },
-                    WireProviderBounds {
-                        dims: vec![Some((250, 499)), Some((0, 4))],
-                        n_clusters: 12,
-                    },
-                ],
-            }),
+            Frame::ShardBounds(vec![
+                ProviderBounds::new(vec![Some((0, 249)), None], 12),
+                ProviderBounds::new(vec![Some((250, 499)), Some((0, 4))], 12),
+            ]),
             Frame::Metrics,
             Frame::MetricsAnswer(MetricsAnswerFrame {
                 metrics: vec![
@@ -1618,15 +1568,6 @@ mod tests {
     /// whole, whose every frame fits the cap; an ordinary batch is one run.
     #[test]
     fn fragment_batches_split_into_runs_whose_frames_fit() {
-        let spec = |query: RangeQuery, occurrence| FragmentRequest {
-            query,
-            sampling_rate: 0.2,
-            eps_o: 0.3,
-            eps_s: 0.3,
-            eps_e: 0.4,
-            delta: 1e-3,
-            occurrence,
-        };
         let fits = |frame: Frame| {
             let bytes = encode_frame(&frame).unwrap();
             assert!(bytes.len() <= HEADER_BYTES + MAX_PAYLOAD as usize);
@@ -1652,20 +1593,16 @@ mod tests {
                 let (run, later) = rest.split_at(len);
                 rest = later;
                 fits(Frame::Fragment(run.to_vec()));
-                let summaries = WireSummaries {
-                    summaries: vec![
-                        WireSummary {
-                            noisy_n_q: 1.0,
-                            noisy_avg_r: 0.5,
-                        };
-                        n_providers
-                    ],
-                    summary_us: 0,
-                };
-                fits(Frame::FragmentSummaries(vec![summaries; run.len()]));
-                let allocation = WireAllocation {
-                    allocations: vec![1; n_providers],
-                };
+                let summaries = (0..n_providers)
+                    .map(|provider| ProviderSummary {
+                        provider,
+                        noisy_n_q: 1.0,
+                        noisy_avg_r: 0.5,
+                    })
+                    .collect();
+                let set = (summaries, Duration::ZERO);
+                fits(Frame::FragmentSummaries(vec![set; run.len()]));
+                let allocation = vec![1; n_providers];
                 fits(Frame::FragmentAllocation(vec![allocation; run.len()]));
             }
         }
@@ -1822,10 +1759,7 @@ mod tests {
         ));
 
         // An allocation slice claiming u32::MAX entries.
-        let mut bytes = encode_frame(&Frame::FragmentAllocation(vec![WireAllocation {
-            allocations: vec![],
-        }]))
-        .unwrap();
+        let mut bytes = encode_frame(&Frame::FragmentAllocation(vec![vec![]])).unwrap();
         bytes[HEADER_BYTES + 4..].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             read_frame(&mut &bytes[..]),
@@ -2329,13 +2263,15 @@ mod proptests {
                 raw.into_iter()
                     .map(
                         |((query, sampling_rate), (eps_o, eps_s, eps_e, delta), occurrence)| {
-                            FragmentRequest {
+                            FragmentSpec {
                                 query,
                                 sampling_rate,
-                                eps_o,
-                                eps_s,
-                                eps_e,
-                                delta,
+                                budget: QueryBudget {
+                                    eps_o,
+                                    eps_s,
+                                    eps_e,
+                                    delta,
+                                },
                                 occurrence,
                             }
                         },
@@ -2354,15 +2290,17 @@ mod proptests {
         .prop_map(|raw| {
             Frame::FragmentSummaries(
                 raw.into_iter()
-                    .map(|(summaries, summary_us)| WireSummaries {
-                        summaries: summaries
+                    .map(|(summaries, summary_us)| {
+                        let summaries = summaries
                             .into_iter()
-                            .map(|(noisy_n_q, noisy_avg_r)| WireSummary {
+                            .enumerate()
+                            .map(|(provider, (noisy_n_q, noisy_avg_r))| ProviderSummary {
+                                provider,
                                 noisy_n_q,
                                 noisy_avg_r,
                             })
-                            .collect(),
-                        summary_us,
+                            .collect();
+                        (summaries, Duration::from_micros(summary_us))
                     })
                     .collect(),
             )
@@ -2370,13 +2308,7 @@ mod proptests {
         .boxed();
         let fragment_allocation =
             proptest::collection::vec(proptest::collection::vec(any::<u64>(), 0..8), 0..5)
-                .prop_map(|raw| {
-                    Frame::FragmentAllocation(
-                        raw.into_iter()
-                            .map(|allocations| WireAllocation { allocations })
-                            .collect(),
-                    )
-                })
+                .prop_map(Frame::FragmentAllocation)
                 .boxed();
         let fragment_partial = (
             proptest::collection::vec(
@@ -2392,12 +2324,12 @@ mod proptests {
             any::<u64>(),
         )
             .prop_map(|(raw, execution_us)| {
-                Frame::FragmentPartial(FragmentPartialFrame {
+                Frame::FragmentPartial(FragmentPartial {
                     rows: raw
                         .into_iter()
                         .map(
                             |(released, variance, approximated, clusters_scanned, n_covering)| {
-                                WirePartialRow {
+                                PartialRow {
                                     released,
                                     variance,
                                     approximated,
@@ -2407,7 +2339,7 @@ mod proptests {
                             },
                         )
                         .collect(),
-                    execution_us,
+                    execution: Duration::from_micros(execution_us),
                 })
             })
             .boxed();
@@ -2418,8 +2350,8 @@ mod proptests {
             any::<u64>(),
         )
             .prop_map(|(dim, extreme, epsilon, occurrence)| {
-                Frame::ExtremeFragment(ExtremeFragmentRequest {
-                    dim,
+                Frame::ExtremeFragment(ExtremeFragmentSpec {
+                    dim: dim as usize,
                     extreme,
                     epsilon,
                     occurrence,
@@ -2428,10 +2360,7 @@ mod proptests {
             .boxed();
         let extreme_partial = (any::<i64>(), any::<u64>())
             .prop_map(|(value, execution_us)| {
-                Frame::ExtremePartial(ExtremePartialFrame {
-                    value,
-                    execution_us,
-                })
+                Frame::ExtremePartial((value, Duration::from_micros(execution_us)))
             })
             .boxed();
         let shard_bounds = proptest::collection::vec(
@@ -2442,18 +2371,17 @@ mod proptests {
             0..6,
         )
         .prop_map(|raw| {
-            Frame::ShardBounds(ShardBoundsFrame {
-                providers: raw
-                    .into_iter()
-                    .map(|(dims, n_clusters)| WireProviderBounds {
-                        dims: dims
+            Frame::ShardBounds(
+                raw.into_iter()
+                    .map(|(dims, n_clusters)| {
+                        let dims = dims
                             .into_iter()
                             .map(|(some, lo, width)| some.then_some((lo, lo + width)))
-                            .collect(),
-                        n_clusters,
+                            .collect();
+                        ProviderBounds::new(dims, n_clusters as usize)
                     })
                     .collect(),
-            })
+            )
         })
         .boxed();
         let fragment_signals = prop_oneof![Just(Frame::ShardBoundsRequest)].boxed();

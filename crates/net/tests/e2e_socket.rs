@@ -8,7 +8,9 @@
 //! * budget exhaustion surfaces as a typed `Error` frame (the connection
 //!   survives), and reconnecting cannot reset a spent budget.
 
-use fedaqp_core::{Federation, FederationConfig, FederationEngine, QueryBatch};
+use fedaqp_core::{
+    ExtremeFragmentSpec, Federation, FederationConfig, FederationEngine, FragmentSpec, QueryBatch,
+};
 use fedaqp_model::{
     Aggregate, DerivedStatistic, Dimension, Domain, Extreme, QueryPlan, Range, RangeQuery, Row,
     Schema,
@@ -56,6 +58,21 @@ fn federation(epsilon: f64) -> Federation {
 
 fn count_query(lo: i64, hi: i64) -> RangeQuery {
     RangeQuery::new(Aggregate::Count, vec![Range::new(0, lo, hi).unwrap()]).unwrap()
+}
+
+/// A shard fragment of `query` under a fixed, valid budget.
+fn fragment_spec(query: RangeQuery, sampling_rate: f64, occurrence: u64) -> FragmentSpec {
+    FragmentSpec {
+        query,
+        sampling_rate,
+        budget: fedaqp_dp::QueryBudget {
+            eps_o: 0.1,
+            eps_s: 0.4,
+            eps_e: 0.5,
+            delta: 1e-3,
+        },
+        occurrence,
+    }
 }
 
 fn batch() -> QueryBatch {
@@ -1158,9 +1175,7 @@ fn analyst_servers_refuse_fragment_frames() {
         Frame::HelloAck(_)
     ));
 
-    let allocation = Frame::FragmentAllocation(vec![wire::WireAllocation {
-        allocations: vec![1; 4],
-    }]);
+    let allocation = Frame::FragmentAllocation(vec![vec![1; 4]]);
     for frame in [Frame::ShardBoundsRequest, allocation] {
         write_frame(&mut stream, &frame).unwrap();
         match read_frame(&mut stream).unwrap() {
@@ -1223,9 +1238,7 @@ fn shard_servers_refuse_old_hellos_and_analyst_frames() {
     }
     // (c) Fragment-lifecycle frames with no fragment in flight are typed
     // too, and the connection survives both refusals.
-    let allocation = Frame::FragmentAllocation(vec![wire::WireAllocation {
-        allocations: vec![1; 4],
-    }]);
+    let allocation = Frame::FragmentAllocation(vec![vec![1; 4]]);
     write_frame(&mut stream, &allocation).unwrap();
     match read_frame(&mut stream).unwrap() {
         Frame::Error(e) => {
@@ -1252,9 +1265,7 @@ fn shard_servers_refuse_old_hellos_and_analyst_frames() {
 /// is served.
 #[test]
 fn shard_connections_answer_every_batch_misuse_and_keep_serving() {
-    use fedaqp_net::wire::{
-        read_frame, write_frame, FragmentRequest, Frame, Hello, WireAllocation,
-    };
+    use fedaqp_net::wire::{read_frame, write_frame, Frame, Hello};
 
     let engine = FederationEngine::start(federation(1.0));
     let server = LoopbackServer::shard(engine.handle()).unwrap();
@@ -1268,38 +1279,42 @@ fn shard_connections_answer_every_batch_misuse_and_keep_serving() {
         Frame::HelloAck(_)
     ));
 
-    let batch = |n: u64| {
-        Frame::Fragment(
-            (0..n)
-                .map(|occurrence| FragmentRequest {
-                    query: count_query(100, 800),
-                    sampling_rate: 0.2,
-                    eps_o: 0.1,
-                    eps_s: 0.4,
-                    eps_e: 0.5,
-                    delta: 1e-3,
-                    occurrence,
-                })
-                .collect(),
-        )
+    let spec = |occurrence| fragment_spec(count_query(100, 800), 0.2, occurrence);
+    let batch = |n: u64| Frame::Fragment((0..n).map(spec).collect());
+    // A batch of two whose second spec is one the shard's entry refuses.
+    let bad_second = |bad: fn(&mut FragmentSpec)| {
+        let mut second = spec(1);
+        bad(&mut second);
+        Frame::Fragment(vec![spec(0), second])
     };
     let allocation = |entries: usize, providers: usize| {
-        let set = WireAllocation {
-            allocations: vec![2; providers],
-        };
-        Frame::FragmentAllocation(vec![set; entries])
+        Frame::FragmentAllocation(vec![vec![2; providers]; entries])
     };
+    let bad = |needle| Err((ErrorCode::BadRequest, needle));
     // The four providers' batch of two, misused every way in turn: each
-    // step's reply kinds, or the typed error's message (every refusal is
-    // the peer's misuse, so every code is `bad-request`).
-    let steps: Vec<(Frame, Result<&[&str], &str>)> = vec![
-        (batch(0), Err("at least one fragment")),
-        (allocation(1, 4), Err("no fragment in flight")),
+    // step's reply kinds, or the typed error's code and message. A refused
+    // batch leaves nothing in flight, so the next batch is served.
+    type Expected = Result<&'static [&'static str], (ErrorCode, &'static str)>;
+    let steps: Vec<(Frame, Expected)> = vec![
+        (batch(0), bad("at least one fragment")),
+        (allocation(1, 4), bad("no fragment in flight")),
         (batch(2), Ok(&["FragmentSummaries"])),
-        (batch(1), Err("one fragment batch at a time")),
-        (allocation(1, 4), Err("do not match the batch")),
+        (batch(1), bad("one fragment batch at a time")),
+        (allocation(1, 4), bad("do not match the batch")),
         (batch(2), Ok(&["FragmentSummaries"])),
-        (allocation(2, 3), Err("does not match shard providers")),
+        (allocation(2, 3), bad("does not match shard providers")),
+        (
+            bad_second(|s| s.sampling_rate = 1.5),
+            Err((ErrorCode::InvalidSamplingRate, "1.5")),
+        ),
+        (
+            bad_second(|s| {
+                s.query =
+                    RangeQuery::new(Aggregate::Count, vec![Range::new(7, 0, 9).unwrap()]).unwrap()
+            }),
+            Err((ErrorCode::InvalidQuery, "7")),
+        ),
+        (bad_second(|s| s.budget.eps_o = 0.0), bad("budget phases")),
         (batch(2), Ok(&["FragmentSummaries"])),
         (
             allocation(2, 4),
@@ -1317,10 +1332,10 @@ fn shard_connections_answer_every_batch_misuse_and_keep_serving() {
                     .collect();
                 assert_eq!(got, kinds, "{what}");
             }
-            Err(needle) => match read_frame(&mut stream).unwrap() {
+            Err((code, needle)) => match read_frame(&mut stream).unwrap() {
                 Frame::Error(e) => {
                     assert!(e.message.contains(needle), "{what}: {}", e.message);
-                    assert_eq!(e.code, ErrorCode::BadRequest, "{what}: {}", e.message);
+                    assert_eq!(e.code, code, "{what}: {}", e.message);
                 }
                 other => panic!("{what}: expected a typed error, got {other:?}"),
             },
@@ -1685,8 +1700,7 @@ struct GateCase {
 /// fragment lifecycle (a batch, then its allocations).
 fn gate_cases() -> Vec<GateCase> {
     use fedaqp_net::wire::{
-        ExplainRequest, ExtremeFragmentRequest, FragmentRequest, Frame, IngestRequest,
-        OnlinePlanRequest, PlanRequest, WireAllocation, WireRow,
+        ExplainRequest, Frame, IngestRequest, OnlinePlanRequest, PlanRequest, WireRow,
     };
 
     const ANALYST: &[&str] = &["engine", "coordinator", "live"];
@@ -1743,29 +1757,19 @@ fn gate_cases() -> Vec<GateCase> {
             &["IngestAck"],
         ),
         case(
-            Frame::Fragment(vec![FragmentRequest {
-                query: count_query(100, 800),
-                sampling_rate: 0.2,
-                eps_o: 0.1,
-                eps_s: 0.4,
-                eps_e: 0.5,
-                delta: 1e-3,
-                occurrence: 0,
-            }]),
+            Frame::Fragment(vec![fragment_spec(count_query(100, 800), 0.2, 0)]),
             SHARD,
             0.0,
             &["FragmentSummaries"],
         ),
         case(
-            Frame::FragmentAllocation(vec![WireAllocation {
-                allocations: vec![2; 4],
-            }]),
+            Frame::FragmentAllocation(vec![vec![2; 4]]),
             SHARD,
             0.0,
             &["FragmentPartial"],
         ),
         case(
-            Frame::ExtremeFragment(ExtremeFragmentRequest {
+            Frame::ExtremeFragment(ExtremeFragmentSpec {
                 dim: 0,
                 extreme: Extreme::Max,
                 epsilon: 1.0,

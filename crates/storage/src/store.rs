@@ -1,5 +1,6 @@
 //! A provider's local table stored as a set of clusters.
 
+use std::borrow::Borrow;
 use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -179,11 +180,14 @@ impl ClusterStore {
     /// layout): a store built with a sorted strategy keeps the locality of
     /// its existing clusters and grows a sequential tail, which is exactly
     /// the drift a staleness-bounded rebuild policy exists to cap.
-    pub fn append_row(&mut self, row: Row) -> Result<AppendOutcome> {
-        self.schema.check_row(&row)?;
+    ///
+    /// The row is only read, so a caller that keeps it passes a borrow.
+    pub fn append_row(&mut self, row: impl Borrow<Row>) -> Result<AppendOutcome> {
+        let row = row.borrow();
+        self.schema.check_row(row)?;
         match self.clusters.last_mut() {
             Some(tail) if tail.len() < self.capacity => {
-                Arc::make_mut(tail).append_row(&row);
+                Arc::make_mut(tail).append_row(row);
                 Ok(AppendOutcome {
                     cluster: tail.id(),
                     new_cluster: false,
@@ -194,7 +198,7 @@ impl ClusterStore {
                 self.clusters.push(Arc::new(Cluster::from_rows(
                     id,
                     self.schema.arity(),
-                    std::slice::from_ref(&row),
+                    std::slice::from_ref(row),
                     self.capacity,
                 )?));
                 Ok(AppendOutcome {
