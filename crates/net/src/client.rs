@@ -25,7 +25,7 @@ use fedaqp_model::{Dimension, Domain, RangeQuery, Row, Schema};
 use crate::wire::{
     calibration_from_code, encode_frame, read_frame, BudgetStatus, ErrorCode, ExplainRequest,
     Frame, Hello, HelloAck, IngestAckFrame, IngestRequest, OnlinePlanRequest, PlanAnswerFrame,
-    PlanRequest, WireMetric, WirePlanResult, WireRow, VERSION,
+    PlanRequest, WireMetric, WirePlanResult, VERSION,
 };
 use crate::{NetError, Result};
 
@@ -373,13 +373,7 @@ impl RemoteFederation {
     /// federation's new epoch and whether the batch triggered a full
     /// metadata recompute. Non-live servers refuse with a typed error.
     pub fn ingest(&mut self, provider: u32, rows: &[Row]) -> Result<IngestAckFrame> {
-        let rows = rows
-            .iter()
-            .map(|r| WireRow {
-                values: r.values().to_vec(),
-                measure: r.measure(),
-            })
-            .collect();
+        let rows = rows.to_vec();
         match self.request(&Frame::Ingest(IngestRequest { provider, rows }))? {
             Frame::IngestAck(ack) => Ok(ack),
             _ => Err(NetError::Malformed("expected IngestAck")),

@@ -586,12 +586,7 @@ fn dispatch<B: Backend>(conn: &mut Connection, backend: &B, frame: Frame) -> Res
             Ok(())
         }
         Frame::Ingest(request) => {
-            let rows = request
-                .rows
-                .iter()
-                .map(|r| Row::cell(r.values.clone(), r.measure))
-                .collect();
-            let reply = match backend.ingest(request.provider as usize, rows) {
+            let reply = match backend.ingest(request.provider as usize, request.rows) {
                 Ok(report) => Frame::IngestAck(IngestAckFrame {
                     accepted: report.accepted,
                     epoch: report.epoch,

@@ -20,9 +20,9 @@
 //! one private `Wire` impl per type carries both directions, derived by
 //! one `wire_struct!` row for a plain struct and written by hand, the two
 //! directions side by side, for the few types that check an invariant or
-//! keep fields private (a range, a plan, a plan result, a duration in
-//! microseconds, a fragment's summaries, an allocation slice, a
-//! provider's bounds). One frame table maps every [`Frame`] variant to
+//! keep fields private (a range, a plan, a plan result, an ingested row,
+//! a duration in microseconds, a fragment's summaries, an allocation
+//! slice, a provider's bounds). One frame table maps every [`Frame`] variant to
 //! its kind byte.
 //!
 //! **One version.** Every frame is stamped [`VERSION`] and nothing else
@@ -113,7 +113,9 @@ use fedaqp_core::{
     SubQueryExplanation,
 };
 use fedaqp_dp::QueryBudget;
-use fedaqp_model::{Aggregate, DerivedStatistic, Extreme, QueryPlan, Range, RangeQuery, Value};
+use fedaqp_model::{
+    Aggregate, DerivedStatistic, Extreme, QueryPlan, Range, RangeQuery, Row, Value,
+};
 use fedaqp_storage::declared_len_fits;
 
 use crate::{NetError, Result};
@@ -481,15 +483,6 @@ pub struct OnlineDoneFrame {
     pub network_us: u64,
 }
 
-/// One row of an ingest batch: dimension values plus the cell measure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireRow {
-    /// Per-dimension values, schema order.
-    pub values: Vec<i64>,
-    /// The cell measure (1 for a raw tabular row).
-    pub measure: u64,
-}
-
 /// One streaming-ingest batch (client → server): rows to append to
 /// one provider of a live federation. The batch is atomic server-side.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -497,7 +490,7 @@ pub struct IngestRequest {
     /// The target provider (federation-local id).
     pub provider: u32,
     /// The rows to append.
-    pub rows: Vec<WireRow>,
+    pub rows: Vec<Row>,
 }
 
 /// The server's ingest receipt (server → client).
@@ -847,8 +840,21 @@ wire_struct! {
     OnlineSnapshotFrame { index, round, rounds, sample_fraction, value, ci_halfwidth, clusters_scanned }
     OnlineDoneFrame { index, eps, delta, value, summary_us, allocation_us, execution_us, release_us, network_us }
     IngestRequest { provider, rows: INGEST_ROWS }
-    WireRow { values: ROW_VALUES, measure }
     IngestAckFrame { accepted, epoch, refreshed }
+}
+
+/// An ingested row: its dimension values in schema order, then its
+/// measure (1 for a raw tabular row).
+impl Wire for Row {
+    fn put(&self, buf: &mut Vec<u8>) -> Result<()> {
+        put_list(buf, &ROW_VALUES, self.values())?;
+        self.measure().put(buf)
+    }
+
+    fn get(data: &mut &[u8]) -> Result<Self> {
+        let values = get_list(data, &ROW_VALUES)?;
+        Ok(Row::cell(values, u64::get(data)?))
+    }
 }
 
 /// A duration travels as whole microseconds.
@@ -1484,16 +1490,7 @@ mod tests {
             }),
             Frame::Ingest(IngestRequest {
                 provider: 2,
-                rows: vec![
-                    WireRow {
-                        values: vec![17, -4],
-                        measure: 1,
-                    },
-                    WireRow {
-                        values: vec![90, 3],
-                        measure: 12,
-                    },
-                ],
+                rows: vec![Row::cell(vec![17, -4], 1), Row::cell(vec![90, 3], 12)],
             }),
             Frame::IngestAck(IngestAckFrame {
                 accepted: 2,
@@ -2454,7 +2451,7 @@ mod proptests {
                     provider,
                     rows: raw
                         .into_iter()
-                        .map(|(values, measure)| WireRow { values, measure })
+                        .map(|(values, measure)| Row::cell(values, measure))
                         .collect(),
                 })
             })

@@ -1699,9 +1699,7 @@ struct GateCase {
 /// Every request frame kind, in an order that is also a valid shard
 /// fragment lifecycle (a batch, then its allocations).
 fn gate_cases() -> Vec<GateCase> {
-    use fedaqp_net::wire::{
-        ExplainRequest, Frame, IngestRequest, OnlinePlanRequest, PlanRequest, WireRow,
-    };
+    use fedaqp_net::wire::{ExplainRequest, Frame, IngestRequest, OnlinePlanRequest, PlanRequest};
 
     const ANALYST: &[&str] = &["engine", "coordinator", "live"];
     const SHARD: &[&str] = &["shard"];
@@ -1747,10 +1745,7 @@ fn gate_cases() -> Vec<GateCase> {
         case(
             Frame::Ingest(IngestRequest {
                 provider: 0,
-                rows: vec![WireRow {
-                    values: vec![1, 2],
-                    measure: 1,
-                }],
+                rows: vec![Row::cell(vec![1, 2], 1)],
             }),
             &["live"],
             0.0,

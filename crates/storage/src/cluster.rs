@@ -76,6 +76,20 @@ impl Cluster {
         })
     }
 
+    /// A cluster over columns already laid out, `cols[d][i]` being row
+    /// `i`'s value on dimension `d` and every column as long as
+    /// `measures` (the store's build writes them in place). The capacity
+    /// bound is the caller's.
+    pub(crate) fn from_columns(id: ClusterId, cols: Vec<Vec<i64>>, measures: Vec<u64>) -> Self {
+        debug_assert!(cols.iter().all(|c| c.len() == measures.len()));
+        Self {
+            id,
+            len: measures.len(),
+            cols,
+            measures,
+        }
+    }
+
     /// The cluster's id.
     #[inline]
     pub fn id(&self) -> ClusterId {

@@ -24,10 +24,16 @@ use fedaqp_model::value::succ;
 use fedaqp_model::{Range, RangeQuery, Row, Value};
 
 use crate::cluster::{Cluster, ClusterId};
-use crate::store::ClusterStore;
+use crate::store::{radix_digits, radix_sort, ClusterStore};
 
 /// Per-dimension metadata of one cluster: sorted distinct values with
 /// suffix (tail) row counts.
+///
+/// Algorithm 1 builds it in time linear in the column, with no comparison
+/// sort: one counting table over the column's offsets from its minimum
+/// when the span fits one radix digit (every column of the repo's
+/// schemas), a radix sort of those offsets otherwise, then one ascending
+/// walk that assigns each distinct value the rows not yet passed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DimMeta {
     values: Vec<Value>,
@@ -36,27 +42,48 @@ pub struct DimMeta {
 }
 
 impl DimMeta {
-    /// Builds the tail structure from one cluster column.
+    /// Builds the tail structure from one cluster column, without a
+    /// comparison sort: each value is keyed by its offset from the
+    /// column's minimum, and the distinct values are visited in ascending
+    /// order with their counts, each tail being the rows not yet passed.
+    /// When one [`radix_digits`] digit covers the column's span (every
+    /// column of the repo's schemas), that digit's counting table holds
+    /// every value's count; a wider column is put in order by
+    /// [`radix_sort`] and counted run by run.
     fn from_column(col: &[Value]) -> Self {
-        let mut sorted: Vec<Value> = col.to_vec();
-        sorted.sort_unstable();
-        let mut values = Vec::new();
-        let mut counts: Vec<u32> = Vec::new();
-        for &v in &sorted {
-            match values.last() {
-                Some(&last) if last == v => *counts.last_mut().expect("non-empty") += 1,
-                _ => {
-                    values.push(v);
-                    counts.push(1);
+        let (mut values, mut tails) = (Vec::new(), Vec::new());
+        let Some(&first) = col.first() else {
+            return Self { values, tails };
+        };
+        let (min, max) = col
+            .iter()
+            .fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+        let span = max.wrapping_sub(min) as u64;
+        let mut at_or_above = col.len() as u32;
+        let mut run = |offset: u64, count: u32| {
+            values.push(min.wrapping_add(offset as Value));
+            tails.push(at_or_above);
+            at_or_above -= count;
+        };
+        if radix_digits(col.len(), span).0 <= 1 {
+            let mut counts = vec![0u32; span as usize + 1];
+            for &v in col {
+                counts[v.wrapping_sub(min) as usize] += 1;
+            }
+            for (offset, &count) in counts.iter().enumerate() {
+                if count > 0 {
+                    run(offset as u64, count);
                 }
             }
-        }
-        // Suffix-sum the per-value counts into tails.
-        let mut tails = counts;
-        let mut acc = 0u32;
-        for t in tails.iter_mut().rev() {
-            acc += *t;
-            *t = acc;
+        } else {
+            let mut offsets: Vec<u64> = col.iter().map(|&v| v.wrapping_sub(min) as u64).collect();
+            radix_sort(&mut offsets, span, |k| k);
+            let mut rest = &offsets[..];
+            while let Some(&offset) = rest.first() {
+                let count = rest.iter().take_while(|&&k| k == offset).count();
+                run(offset, count as u32);
+                rest = &rest[count..];
+            }
         }
         Self { values, tails }
     }
@@ -617,6 +644,74 @@ mod coarsen_tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The comparison-sort tail build that [`DimMeta::from_column`]
+    /// replaced, kept as its oracle.
+    fn sorted_tails(col: &[Value]) -> DimMeta {
+        let mut sorted: Vec<Value> = col.to_vec();
+        sorted.sort_unstable();
+        let mut values = Vec::new();
+        let mut counts: Vec<u32> = Vec::new();
+        for &v in &sorted {
+            match values.last() {
+                Some(&last) if last == v => *counts.last_mut().expect("non-empty") += 1,
+                _ => {
+                    values.push(v);
+                    counts.push(1);
+                }
+            }
+        }
+        let mut tails = counts;
+        let mut acc = 0u32;
+        for t in tails.iter_mut().rev() {
+            acc += *t;
+            *t = acc;
+        }
+        DimMeta { values, tails }
+    }
+
+    #[test]
+    fn full_width_columns_match_the_sorted_oracle() {
+        for col in [
+            vec![],
+            vec![i64::MAX, i64::MIN, 0, -1, i64::MAX, 1, i64::MIN],
+            vec![i64::MIN; 5],
+            vec![-3, 3, -3, 0, i64::MIN + 7, 1 << 62],
+        ] {
+            assert_eq!(DimMeta::from_column(&col), sorted_tails(&col), "{col:?}");
+        }
+    }
+
+    proptest! {
+        /// The radix tail build is the sort-based one, tail for tail:
+        /// empty columns, many equal values, columns straddling zero and
+        /// columns whose span needs one to four radix passes (up to all
+        /// of `i64`).
+        #[test]
+        fn from_column_equals_the_sorted_oracle(
+            pool in proptest::collection::vec(any::<i64>(), 1..8),
+            picks in proptest::collection::vec(any::<u64>(), 0..300),
+            shift in 0u32..64,
+            pooled in any::<bool>(),
+        ) {
+            let col: Vec<Value> = picks
+                .iter()
+                .map(|&p| match pooled {
+                    true => pool[p as usize % pool.len()] >> shift,
+                    false => (p as i64) >> shift,
+                })
+                .collect();
+            prop_assert_eq!(DimMeta::from_column(&col), sorted_tails(&col));
+        }
+
+        /// The same on narrow columns around zero, where ties are dense.
+        #[test]
+        fn narrow_columns_equal_the_sorted_oracle(
+            col in proptest::collection::vec(-300i64..300, 0..500),
+        ) {
+            prop_assert_eq!(DimMeta::from_column(&col), sorted_tails(&col));
+        }
+    }
 
     proptest! {
         /// `tail_count` matches a brute-force scan for arbitrary columns and

@@ -18,6 +18,10 @@ use crate::{Result, StorageError};
 /// which is exactly what distribution-aware sampling exploits: "the
 /// assumption of a uniform distribution of rows among all clusters is rarely
 /// valid in real databases" (§4).
+///
+/// Each strategy is an order of the input rows; [`ClusterStore::build`]
+/// cuts that order into clusters of `capacity` rows. No strategy compares
+/// rows: the sorted ones are radix sorts over public domain offsets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionStrategy {
     /// Keep input order and chunk. With generator output this approximates
@@ -25,13 +29,19 @@ pub enum PartitionStrategy {
     Sequential,
     /// Sort by one dimension, then chunk — models a clustered index /
     /// naturally ordered pages; produces strong per-cluster locality and is
-    /// the evaluation default.
+    /// the evaluation default. The sort is a stable radix sort (ties keep
+    /// input order) keyed by `value − min` of the dimension's domain: one
+    /// pass for every schema of the repo.
     SortedBy(usize),
     /// Sort lexicographically by all dimensions, then chunk — the layout a
-    /// count tensor materialized in dimension order would have.
+    /// count tensor materialized in dimension order would have. One stable
+    /// radix sort per dimension, the last dimension first.
     SortedLex,
     /// Round-robin rows across clusters — the adversarial, *uniform* layout
     /// where cluster sampling has nothing to exploit (ablation baseline).
+    /// Row `i` joins bucket `i % N` (`N` = the cluster count), and the
+    /// buckets, laid end to end, are chunked like any other order; when
+    /// the buckets are not all full, a chunk boundary can fall inside one.
     RoundRobin,
 }
 
@@ -60,9 +70,18 @@ pub struct ClusterStore {
 impl ClusterStore {
     /// Partitions `rows` into clusters of at most `capacity` cells using
     /// `strategy`.
+    ///
+    /// The strategy decides only each row's place `p` in the store's
+    /// layout, which puts the row at slot `p % capacity` of cluster
+    /// `p / capacity` (every cluster full but the last). One pass then
+    /// reads the rows in input order and writes each row's values and
+    /// measure straight into its cluster's pre-sized columns. The layout
+    /// is the one a stable sort of the rows followed by chunking gives,
+    /// but the sorted strategies reach it with a radix sort over each
+    /// value's offset in its public domain, not with a comparison sort.
     pub fn build(
         schema: Schema,
-        mut rows: Vec<Row>,
+        rows: Vec<Row>,
         capacity: usize,
         strategy: PartitionStrategy,
     ) -> Result<Self> {
@@ -72,41 +91,38 @@ impl ClusterStore {
         for r in &rows {
             schema.check_row(r)?;
         }
-        match strategy {
-            PartitionStrategy::Sequential => {}
-            PartitionStrategy::SortedBy(d) => {
-                if d >= schema.arity() {
-                    return Err(fedaqp_model::ModelError::DimensionIndexOutOfBounds {
-                        index: d,
-                        len: schema.arity(),
-                    }
-                    .into());
-                }
-                rows.sort_by_key(|r| r.value(d));
-            }
+        let n = rows.len();
+        let places = match strategy {
+            PartitionStrategy::Sequential => (0..n).collect(),
+            PartitionStrategy::SortedBy(d) => places_of(&sorted_order(&schema, &rows, &[d])?),
             PartitionStrategy::SortedLex => {
-                rows.sort_by(|a, b| a.values().cmp(b.values()));
+                let dims: Vec<usize> = (0..schema.arity()).collect();
+                places_of(&sorted_order(&schema, &rows, &dims)?)
             }
-            PartitionStrategy::RoundRobin => {
-                let n_clusters = rows.len().div_ceil(capacity).max(1);
-                // Stable round-robin: row i goes to cluster i % n_clusters.
-                let mut buckets: Vec<Vec<Row>> = vec![Vec::new(); n_clusters];
-                for (i, r) in rows.drain(..).enumerate() {
-                    buckets[i % n_clusters].push(r);
-                }
-                rows = buckets.into_iter().flatten().collect();
-            }
-        }
+            PartitionStrategy::RoundRobin => round_robin_places(n, capacity),
+        };
         let arity = schema.arity();
-        let mut clusters = Vec::with_capacity(rows.len().div_ceil(capacity));
-        for (i, chunk) in rows.chunks(capacity.max(1)).enumerate() {
-            clusters.push(Arc::new(Cluster::from_rows(
-                i as ClusterId,
-                arity,
-                chunk,
-                capacity,
-            )?));
+        let mut parts: Vec<(Vec<Vec<i64>>, Vec<u64>)> = (0..n.div_ceil(capacity))
+            .map(|c| {
+                let len = capacity.min(n - c * capacity);
+                ((0..arity).map(|_| vec![0; len]).collect(), vec![0; len])
+            })
+            .collect();
+        for (row, &place) in rows.iter().zip(&places) {
+            let (cols, measures) = &mut parts[place / capacity];
+            let slot = place % capacity;
+            for (col, &v) in cols.iter_mut().zip(row.values()) {
+                col[slot] = v;
+            }
+            measures[slot] = row.measure();
         }
+        let clusters = parts
+            .into_iter()
+            .enumerate()
+            .map(|(id, (cols, measures))| {
+                Arc::new(Cluster::from_columns(id as ClusterId, cols, measures))
+            })
+            .collect();
         Ok(Self {
             schema,
             capacity,
@@ -251,6 +267,90 @@ impl ClusterStore {
             .collect::<Result<Vec<_>>>()?;
         Ok(scan_each(query, &clusters))
     }
+}
+
+/// The stable order of `rows` by their values on `dims`, the first
+/// dimension the most significant: one [`radix_sort`] per dimension, the
+/// last first, keyed by each value's offset from its domain's minimum.
+fn sorted_order(schema: &Schema, rows: &[Row], dims: &[usize]) -> Result<Vec<usize>> {
+    let mut order: Vec<usize> = (0..rows.len()).collect();
+    let mut keys = vec![0u64; rows.len()];
+    for &d in dims.iter().rev() {
+        let domain = schema.domain(d)?;
+        let offset = |v: i64| v.wrapping_sub(domain.min()) as u64;
+        for (key, row) in keys.iter_mut().zip(rows) {
+            *key = offset(row.value(d));
+        }
+        radix_sort(&mut order, offset(domain.max()), |i| keys[i]);
+    }
+    Ok(order)
+}
+
+/// Each row's place in the layout, given the rows in layout order.
+fn places_of(order: &[usize]) -> Vec<usize> {
+    let mut places = vec![0; order.len()];
+    for (place, &row) in order.iter().enumerate() {
+        places[row] = place;
+    }
+    places
+}
+
+/// Each row's place under [`PartitionStrategy::RoundRobin`]: row `i`
+/// joins bucket `i % buckets`, one bucket per cluster, and the buckets
+/// are laid end to end, the first `n % buckets` of them one row longer.
+fn round_robin_places(n: usize, capacity: usize) -> Vec<usize> {
+    let buckets = n.div_ceil(capacity).max(1);
+    let (short, longer) = (n / buckets, n % buckets);
+    (0..n)
+        .map(|i| {
+            let b = i % buckets;
+            b * short + b.min(longer) + i / buckets
+        })
+        .collect()
+}
+
+/// The digits [`radix_sort`] splits keys of up to `max_key` into for `n`
+/// items, as `(passes, width)`: as few passes as the key's bits need,
+/// with digits no wider than 16 bits or `n`'s own bit length (but at
+/// least 8), split evenly. So a counting table has at most
+/// `min(65,536, max(256, 2n))` entries, and a key of up to 8 bits (every
+/// public domain of the repo's schemas) is one pass.
+pub(crate) fn radix_digits(n: usize, max_key: u64) -> (u32, u32) {
+    let bits = u64::BITS - max_key.leading_zeros();
+    let passes = bits.div_ceil((usize::BITS - n.leading_zeros()).clamp(8, 16));
+    (passes, bits.div_ceil(passes.max(1)))
+}
+
+/// Stably sorts `items` by `key`, no key exceeding `max_key`: a
+/// least-significant-digit radix sort, one counting pass per digit of
+/// [`radix_digits`].
+pub(crate) fn radix_sort<T: Copy>(items: &mut Vec<T>, max_key: u64, key: impl Fn(T) -> u64) {
+    let (passes, width) = radix_digits(items.len(), max_key);
+    if passes == 0 || items.len() < 2 {
+        return;
+    }
+    let mask = (1u64 << width) - 1;
+    let mut counts = vec![0usize; 1 << width];
+    let mut from = std::mem::take(items);
+    let mut to = from.clone();
+    for pass in 0..passes {
+        let digit = |x: T| ((key(x) >> (pass * width)) & mask) as usize;
+        counts.fill(0);
+        for &x in &from {
+            counts[digit(x)] += 1;
+        }
+        let mut at = 0;
+        for count in &mut counts {
+            (at, *count) = (at + *count, at);
+        }
+        for &x in &from {
+            let slot = &mut counts[digit(x)];
+            to[*slot] = x;
+            *slot += 1;
+        }
+        std::mem::swap(&mut from, &mut to);
+    }
+    *items = from;
 }
 
 /// Cells (cluster rows × query dimensions) from which one read of many
@@ -628,6 +728,103 @@ mod proptests {
         ClusterStore::build(schema, rows, capacity, PartitionStrategy::Sequential).unwrap()
     }
 
+    /// The comparison-sort build that [`ClusterStore::build`] replaced,
+    /// kept as its oracle: a stable sort of the rows (or a bucket copy for
+    /// round-robin), then chunks of `capacity`.
+    fn sort_then_chunk(
+        schema: Schema,
+        mut rows: Vec<Row>,
+        capacity: usize,
+        strategy: PartitionStrategy,
+    ) -> Result<ClusterStore> {
+        if capacity == 0 {
+            return Err(StorageError::ZeroCapacity);
+        }
+        for r in &rows {
+            schema.check_row(r)?;
+        }
+        match strategy {
+            PartitionStrategy::Sequential => {}
+            PartitionStrategy::SortedBy(d) => {
+                if d >= schema.arity() {
+                    return Err(fedaqp_model::ModelError::DimensionIndexOutOfBounds {
+                        index: d,
+                        len: schema.arity(),
+                    }
+                    .into());
+                }
+                rows.sort_by_key(|r| r.value(d));
+            }
+            PartitionStrategy::SortedLex => {
+                rows.sort_by(|a, b| a.values().cmp(b.values()));
+            }
+            PartitionStrategy::RoundRobin => {
+                let n_clusters = rows.len().div_ceil(capacity).max(1);
+                let mut buckets: Vec<Vec<Row>> = vec![Vec::new(); n_clusters];
+                for (i, r) in rows.drain(..).enumerate() {
+                    buckets[i % n_clusters].push(r);
+                }
+                rows = buckets.into_iter().flatten().collect();
+            }
+        }
+        let clusters = rows
+            .chunks(capacity)
+            .enumerate()
+            .map(|(i, chunk)| {
+                Cluster::from_rows(i as ClusterId, schema.arity(), chunk, capacity).map(Arc::new)
+            })
+            .collect::<Result<_>>()?;
+        Ok(ClusterStore {
+            schema,
+            capacity,
+            clusters,
+        })
+    }
+
+    const STRATEGIES: [PartitionStrategy; 4] = [
+        PartitionStrategy::Sequential,
+        PartitionStrategy::SortedBy(0),
+        PartitionStrategy::SortedLex,
+        PartitionStrategy::RoundRobin,
+    ];
+
+    /// A domain of one of five shapes: small and non-negative, straddling
+    /// zero, wider than one radix pass, the full width of `i64`, or a
+    /// single value.
+    fn domain(shape: u8, at: i64) -> Domain {
+        let (min, max) = match shape {
+            0 => (0, 9),
+            1 => (-(at & 0xFF) - 1, at & 0xFF),
+            2 => (at >> 2, (at >> 2).saturating_add(1 << 40)),
+            3 => (i64::MIN, i64::MAX),
+            _ => (at, at),
+        };
+        Domain::new(min, max).unwrap()
+    }
+
+    /// The value `h` lands on in `domain`.
+    fn value_in(domain: Domain, h: u64) -> i64 {
+        let span = domain.max().wrapping_sub(domain.min()) as u64;
+        let offset = match span.checked_add(1) {
+            Some(size) => h % size,
+            None => h,
+        };
+        domain.min().wrapping_add(offset as i64)
+    }
+
+    #[test]
+    fn an_empty_input_builds_no_cluster_under_every_strategy() {
+        let schema = Schema::new(vec![Dimension::new("a", domain(1, 3))]).unwrap();
+        for strategy in STRATEGIES {
+            for capacity in [1, 4] {
+                let s = ClusterStore::build(schema.clone(), vec![], capacity, strategy);
+                assert_eq!(s.as_ref().map(ClusterStore::n_clusters), Ok(0));
+                let oracle = sort_then_chunk(schema.clone(), vec![], capacity, strategy);
+                assert_eq!(s.unwrap().clusters, oracle.unwrap().clusters);
+            }
+        }
+    }
+
     /// The serial read: one [`Cluster::evaluate`] per id, in order.
     fn serial(s: &ClusterStore, q: &RangeQuery, ids: &[ClusterId]) -> Result<Vec<u64>> {
         ids.iter()
@@ -679,5 +876,82 @@ mod proptests {
             let full: u64 = serial(&s, &q, &all).unwrap().into_iter().sum();
             prop_assert_eq!(s.evaluate_full(&q), full);
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The radix-and-scatter build is the sort-then-chunk build,
+        /// cluster for cluster: every strategy (and a sort dimension out
+        /// of range), capacity 1, `n`, above `n` or random, empty inputs,
+        /// rows drawn from a pool of a few values (ties, kept in input
+        /// order: each row's measure is its own), and domains that are
+        /// small, straddle zero, need several radix passes or span all of
+        /// `i64`.
+        #[test]
+        fn build_equals_the_sort_then_chunk_oracle(
+            shapes in collection::vec((0u8..5, any::<i64>()), 1..4),
+            pool in collection::vec(any::<u64>(), 1..6),
+            picks in collection::vec(any::<u64>(), 0..120),
+            pooled in any::<bool>(),
+            capacity in (0u8..4, 1usize..40),
+            strategy in 0usize..4,
+            sort_dim in 0usize..4,
+        ) {
+            let domains: Vec<Domain> = shapes.iter().map(|&(s, at)| domain(s, at)).collect();
+            let schema = Schema::new(
+                domains
+                    .iter()
+                    .enumerate()
+                    .map(|(d, &domain)| Dimension::new(format!("d{d}"), domain))
+                    .collect(),
+            )
+            .unwrap();
+            let rows: Vec<Row> = picks
+                .iter()
+                .enumerate()
+                .map(|(i, &pick)| {
+                    let h = if pooled { pool[pick as usize % pool.len()] } else { pick };
+                    let values = domains
+                        .iter()
+                        .enumerate()
+                        .map(|(d, &dom)| {
+                            value_in(dom, h.rotate_left(13 * d as u32).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                        })
+                        .collect();
+                    Row::cell(values, i as u64 + 1)
+                })
+                .collect();
+            let n = rows.len();
+            let capacity = match capacity {
+                (0, _) => 1,
+                (1, _) => n.max(1),
+                (2, extra) => n + extra,
+                (_, c) => c,
+            };
+            let strategy = match STRATEGIES[strategy] {
+                PartitionStrategy::SortedBy(_) => PartitionStrategy::SortedBy(sort_dim),
+                other => other,
+            };
+            let built = ClusterStore::build(schema.clone(), rows.clone(), capacity, strategy);
+            let oracle = sort_then_chunk(schema, rows, capacity, strategy);
+            match (built, oracle) {
+                (Ok(built), Ok(oracle)) => {
+                    prop_assert_eq!(built.capacity, oracle.capacity);
+                    prop_assert_eq!(built.clusters, oracle.clusters);
+                }
+                (built, oracle) => prop_assert_eq!(built.err(), oracle.err()),
+            }
+        }
+    }
+
+    #[test]
+    fn radix_sort_orders_full_width_keys_stably() {
+        let keys = [u64::MAX, 0, 1 << 63, 7, u64::MAX, 1 << 20, 0, (1 << 48) + 3];
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        radix_sort(&mut order, u64::MAX, |i| keys[i]);
+        let mut expected: Vec<usize> = (0..keys.len()).collect();
+        expected.sort_by_key(|&i| keys[i]);
+        assert_eq!(order, expected);
     }
 }
