@@ -220,8 +220,11 @@ fn proportion_ablation(ctx: &ExperimentContext) -> Table {
         let mut times = Vec::new();
         for q in &queries {
             let ans = testbed.federation.run(q, 0.15).expect("run");
-            errors.push(relative_error(testbed.federation.exact(q), ans.value));
-            times.push(ans.timings.total().as_secs_f64() * 1e3);
+            errors.push(relative_error(
+                testbed.federation.exact(q),
+                ans.answer.value,
+            ));
+            times.push(ans.answer.timings.total().as_secs_f64() * 1e3);
         }
         table.push_row(vec![
             label.into(),
@@ -290,7 +293,7 @@ fn correlation_ablation(ctx: &ExperimentContext) -> Table {
             let mut errors = Vec::new();
             for q in &queries {
                 let ans = federation.run(q, 0.15).expect("run");
-                errors.push(relative_error(federation.exact(q), ans.value));
+                errors.push(relative_error(federation.exact(q), ans.answer.value));
             }
             table.push_row(vec![
                 if correlated {

@@ -181,7 +181,7 @@ pub fn run(ctx: &ExperimentContext) -> Vec<Table> {
                 for (r, &rate) in RATES.iter().enumerate() {
                     let ans = fed.run_with_budget(&query, rate, &budget).expect("run");
                     let raw = (ans.raw_estimate - exact) / exact;
-                    let released = (ans.value - exact) / exact;
+                    let released = (ans.answer.value - exact) / exact;
                     let cell = &mut cells[c][e][r];
                     cell.raw_sq += raw * raw;
                     cell.released_sq += released * released;

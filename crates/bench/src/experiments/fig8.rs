@@ -7,7 +7,7 @@
 //! has a visibly tighter noise range than local-DP (whose four independent
 //! noises may accumulate), at a small speed-up penalty.
 
-use fedaqp_core::{PendingAnswer, PendingPlain, ReleaseMode};
+use fedaqp_core::{PendingPlain, ReleaseMode};
 use fedaqp_model::Aggregate;
 
 use crate::report::{fmt_f, Table};
@@ -49,6 +49,7 @@ pub fn run(ctx: &ExperimentContext) -> Vec<Table> {
         // scope per repeat would replay occurrence 0 and collapse every
         // noise range to a point).
         testbed.federation.with_engine(|engine| {
+            let budget = engine.default_budget().expect("budget");
             for (i, q) in queries.iter().enumerate() {
                 let mut noises = Vec::with_capacity(ITERATIONS);
                 for _ in 0..ITERATIONS {
@@ -56,14 +57,10 @@ pub fn run(ctx: &ExperimentContext) -> Vec<Table> {
                         .submit_plain(q)
                         .and_then(PendingPlain::wait)
                         .expect("plain");
-                    let ans = engine
-                        .submit(q, sr)
-                        .and_then(PendingAnswer::wait)
-                        .expect("private");
-                    noises.push(ans.value - ans.raw_estimate);
-                    speedups.push(
-                        plain.duration.as_secs_f64() / ans.timings.total().as_secs_f64().max(1e-9),
-                    );
+                    let ans = engine.run_oracle(q, sr, &budget).expect("private");
+                    noises.push(ans.answer.value - ans.raw_estimate);
+                    let private = ans.answer.timings.total().as_secs_f64();
+                    speedups.push(plain.duration.as_secs_f64() / private.max(1e-9));
                 }
                 let min = noises.iter().cloned().fold(f64::INFINITY, f64::min);
                 let max = noises.iter().cloned().fold(f64::NEG_INFINITY, f64::max);

@@ -23,7 +23,7 @@
 use std::time::Instant;
 
 use fedaqp_core::{
-    EngineHandle, Federation, FederationConfig, FederationEngine, OptimizerConfig, PendingAnswer,
+    EngineHandle, Federation, FederationConfig, FederationEngine, OptimizerConfig, ShardedSub,
 };
 use fedaqp_dp::QueryBudget;
 use fedaqp_model::{Aggregate, QueryPlan, Range, RangeQuery, Row};
@@ -136,7 +136,7 @@ fn run_mixed(federation: &Federation, plans: &[QueryPlan]) -> MixedTrial {
         let one_at_a_time = |query: &RangeQuery, sampling_rate: f64, budget: &QueryBudget| {
             let ans = engine
                 .submit_with_budget(query, sampling_rate, budget)
-                .and_then(PendingAnswer::wait)
+                .and_then(ShardedSub::wait)
                 .expect("serial sub-query");
             std::thread::sleep(ans.timings.network);
         };
@@ -341,7 +341,7 @@ fn skewed_qps(engine: &EngineHandle, queries: &[RangeQuery], sampling_rate: f64)
                     for q in queries.iter().skip(analyst).step_by(PRUNE_ANALYSTS) {
                         engine
                             .submit_with_budget(q, sampling_rate, budget)
-                            .and_then(PendingAnswer::wait)
+                            .and_then(ShardedSub::wait)
                             .expect("skewed run");
                     }
                 }
@@ -511,7 +511,7 @@ pub fn run(ctx: &ExperimentContext) -> Vec<Table> {
                 let t = Instant::now();
                 let ans = engine
                     .submit_with_budget(q, sampling_rate, &budget)
-                    .and_then(PendingAnswer::wait)
+                    .and_then(ShardedSub::wait)
                     .expect("serial run");
                 std::thread::sleep(ans.timings.network);
                 latencies.record_duration(t.elapsed());
@@ -548,7 +548,7 @@ pub fn run(ctx: &ExperimentContext) -> Vec<Table> {
                                 let t = Instant::now();
                                 let ans = engine
                                     .submit_with_budget(q, sampling_rate, &budget)
-                                    .and_then(fedaqp_core::PendingAnswer::wait)
+                                    .and_then(fedaqp_core::ShardedSub::wait)
                                     .expect("engine run");
                                 // Each analyst waits out its own query's
                                 // transit; other analysts' queries keep the

@@ -261,7 +261,7 @@ pub fn run_workload_with_epsilon(
                 .expect("plain run");
             let ans = engine
                 .submit_with_budget(q, sampling_rate, &budget)
-                .and_then(fedaqp_core::PendingAnswer::wait)
+                .and_then(fedaqp_core::ShardedSub::wait)
                 .expect("private run");
             errors.push(fedaqp_core::relative_error(plain.value, ans.value));
             let private = ans.timings.total().as_secs_f64().max(1e-9);

@@ -5,9 +5,9 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use fedaqp_core::{
-    relative_error, ConcurrentSession, EstimatorCalibration, Federation, FederationConfig,
-    FederationEngine, LiveFederation, PendingAnswer, PendingPlain, PlanAnswer, PlanResult,
-    PlanSnapshot, RefreshPolicy, ReleaseMode, SessionPlan,
+    relative_error, EstimatorCalibration, Federation, FederationConfig, FederationEngine,
+    LiveFederation, PendingPlain, PlanAnswer, PlanResult, PlanSnapshot, RefreshPolicy, ReleaseMode,
+    Session, SessionPlan, ShardedSub,
 };
 use fedaqp_data::{
     partition_rows, AdultConfig, AdultSynth, AmazonConfig, AmazonSynth, PartitionMode,
@@ -678,7 +678,7 @@ pub struct BatchArgs {
     /// Concurrent analyst threads submitting queries.
     pub analysts: usize,
     /// Optional session budget ξ: when set, queries run inside one
-    /// `ConcurrentSession` and stop being answered once `(ξ, ψ)` is spent.
+    /// `Session` and stop being answered once `(ξ, ψ)` is spent.
     pub xi: Option<f64>,
     /// Session failure budget ψ (default 1e-2); refused without
     /// `xi`.
@@ -845,7 +845,7 @@ pub fn batch(args: &BatchArgs) -> Result<String, String> {
     let handle = engine.handle();
     let session = budget
         .map(|(xi, psi)| {
-            ConcurrentSession::open(handle.clone(), xi, psi, SessionPlan::PayAsYouGo)
+            Session::open(handle.clone(), xi, psi, SessionPlan::PayAsYouGo)
                 .map_err(|e| e.to_string())
         })
         .transpose()?;
@@ -858,7 +858,7 @@ pub fn batch(args: &BatchArgs) -> Result<String, String> {
                 Some(s) => s.submit(q, args.rate),
                 None => handle.submit(q, args.rate),
             }
-            .and_then(PendingAnswer::wait)
+            .and_then(ShardedSub::wait)
             .map(|a| a.value)
             .map_err(|e| format!("error: {e}"))
         },

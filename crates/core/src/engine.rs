@@ -1,22 +1,26 @@
-//! The concurrent multi-query federation engine — the one implementation
-//! of protocol steps 1–7.
+//! The concurrent multi-query federation engine: the providers' half of
+//! the protocol, protocol steps 1–2 and 4–6.
 //!
-//! A [`crate::Federation`] is data at rest; every query runs here, as a
-//! *job* of per-provider *turns* — a private job's summary turn (steps
-//! 1–2) and execute turn (steps 4–6) around the allocation barrier
-//! (step 3) that synchronizes only its own job. Two engines hand out the
-//! same [`EngineHandle`] and differ only in which thread runs a turn:
+//! A [`crate::Federation`] is data at rest; every private query runs
+//! here as a *job* of per-provider *turns* — a summary turn (steps 1–2)
+//! and an execute turn (steps 4–6) around the allocation barrier (step
+//! 3), which synchronizes only its own job. The engine never solves step
+//! 3 or finalizes step 7: every [`EngineHandle`] is a one-shard
+//! [`crate::ShardedFederation`] over its own engine, and that coordinator
+//! is the one place both steps run, for every deployment (see
+//! [`crate::shard`]). Two engines hand out the same [`EngineHandle`] and
+//! differ only in which thread runs a turn:
 //!
 //! - An **owned** engine ([`FederationEngine`], a long-lived service)
 //!   keeps a persistent per-provider worker pool — one OS thread per data
 //!   provider, alive across queries — whose queues carry *turns*, not
 //!   jobs, so one provider interleaves the phases of many in-flight jobs.
 //! - A **scoped** engine ([`crate::Federation::with_engine`], sharing the
-//!   providers' `Arc`) spawns no worker: a job runs to completion on the
-//!   first thread that waits for it, every provider's turn in id order,
-//!   and any other waiter parks until it lands. Nothing runs at submission,
-//!   so a job nobody waits for costs nothing, and concurrency comes from
-//!   the analysts' own threads.
+//!   providers' `Arc`) spawns no worker: the thread that reads a batch's
+//!   summaries runs its summary turns, and the first thread to wait for a
+//!   fragment's outcomes runs its execute turns, every provider in id
+//!   order; any other waiter parks until they land. Concurrency comes
+//!   from the analysts' own threads.
 //!
 //! Under either engine, a turn whose cluster read is large fans out for
 //! the length of that one read: [`fedaqp_storage::ClusterStore::evaluate_each`]
@@ -27,22 +31,20 @@
 //! Owned-engine architecture:
 //!
 //! ```text
-//!  analysts ──submit──▶ EngineHandle ──summary turns──▶ provider queues
-//!     ▲                                                   │ carry stays in the job
-//!     │                                                   ▼
-//!     │        last summary (or the coordinator) lands the allocation
-//!     │                                                   │ execute turns queued
-//!     └──── PendingAnswer::wait ◀──(job fan-in)───────────┘ finalize
+//!  coordinator ──batch──▶ engine ──summary turns──▶ provider queues
+//!     ▲  │                                            │ carry stays in the job
+//!     │  └──── allocation (Eq. 6) ──▶ execute turns queued
+//!     │                                               ▼
+//!     └──── outcomes (job fan-in) ◀───────────────────┘  coordinator folds
 //! ```
 //!
 //! **No worker ever parks.** A summary turn leaves its carry (covering
-//! set, RNG lane mid-stream) in the job and returns; whoever lands the
-//! allocation — the last summary in, or the coordinator's, through
-//! [`crate::FragmentBatch::allocate`], for a shard's fragment —
-//! queues every un-pruned provider's execute turn (a worker that lands it
-//! runs its own at once). A worker only ever waits on its own queue, so
-//! no queue order can deadlock the pool: a shard can hold any number of
-//! fragments whose allocations are still being solved elsewhere.
+//! set, RNG lane mid-stream) in the job and returns; the coordinator's
+//! allocation, when it lands through [`crate::FragmentBatch::allocate`],
+//! queues every un-pruned provider's execute turn. A worker only ever
+//! waits on its own queue, so no queue order can deadlock the pool: an
+//! engine can hold any number of fragments whose allocations are still
+//! being solved.
 //!
 //! Workers and waiting threads call the same turn functions, contained by
 //! the same panic guard, so where a turn ran never changes what it
@@ -50,9 +52,10 @@
 //!
 //! Determinism: every `(query, provider)` pair draws from an RNG derived
 //! from `(config.seed, job content, occurrence, provider id)`, where
-//! *occurrence* counts how many times this exact job content has been
-//! submitted on this engine (an engine — scoped or owned — is the
-//! lifetime of its occurrence ledger). Distinct requests therefore have noise
+//! *occurrence* counts how many times this exact job content was
+//! submitted to the coordinator in front of the engine (its occurrence
+//! ledger is the only one; an engine — scoped or owned — is its
+//! lifetime). Distinct requests therefore have noise
 //! streams that are fully determined by their content — independent of
 //! global submission order, of which connection carried them, and of how
 //! queries interleave on the shared providers — so a seeded workload of
@@ -64,32 +67,30 @@
 //!
 //! Privacy: each query runs under a validated [`QueryBudget`] and costs
 //! exactly `budget.cost()`; session-level budgets are
-//! enforced by [`crate::session::ConcurrentSession`], whose
+//! enforced by [`crate::session::Session`], whose
 //! [`fedaqp_dp::SharedAccountant`] makes check-and-charge atomic so racing
 //! queries cannot jointly overspend `(ξ, ψ)`.
 
-use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use fedaqp_dp::{PrivacyCost, QueryBudget};
-use fedaqp_model::{Extreme, RangeQuery, Schema};
+use fedaqp_dp::QueryBudget;
+use fedaqp_model::{Extreme, RangeQuery, Schema, Value};
 use fedaqp_obs as obs;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::aggregator::Aggregator;
-use crate::config::{AllocationPolicy, FederationConfig, ReleaseMode};
-use crate::federation::{Federation, PlainAnswer};
-use crate::optimizer::MetaSnapshot;
-use crate::plan::{check_sub, ExtremeQuery, SubQuery};
-use crate::protocol::{
-    extreme_network, private_network, query_bytes, LocalOutcome, PhaseTimings, ProviderSummary,
-};
+use crate::config::{FederationConfig, ReleaseMode};
+use crate::federation::{Federation, OracleAnswer, PlainAnswer};
+use crate::optimizer::{MetaSnapshot, ProviderBounds};
+use crate::protocol::{query_bytes, LocalOutcome, ProviderSummary};
 use crate::provider::{DataProvider, PreparedQuery, ProviderShadow};
-use crate::shard::FragmentSpec;
+use crate::shard::{
+    ExtremeFragmentSpec, ExtremeReply, FragmentBatch, FragmentPartial, FragmentSpec,
+    FragmentSummaries, PartialRow, ShardedFederation, ShardedSub,
+};
 use crate::{CoreError, Result};
 
 /// SplitMix64 finalizer over `(seed, index, lane)` — the per-job RNG
@@ -122,102 +123,10 @@ fn fnv1a(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// One query of a [`QueryBatch`].
-#[derive(Debug, Clone)]
-pub struct QuerySpec {
-    /// The range query.
-    pub query: RangeQuery,
-    /// The sampling rate `sr ∈ (0, 1)`.
-    pub sampling_rate: f64,
-}
-
-/// An ordered set of queries submitted together. Noise is derived from
-/// each query's content and occurrence count, so `run_batch` and
-/// `run_batch_serial` are comparable draw-for-draw; only the relative
-/// order of *repeated identical* queries affects which draw each one gets.
-#[derive(Debug, Clone, Default)]
-pub struct QueryBatch {
-    specs: Vec<QuerySpec>,
-}
-
-impl QueryBatch {
-    /// An empty batch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends one query at `sampling_rate`.
-    pub fn push(&mut self, query: RangeQuery, sampling_rate: f64) {
-        self.specs.push(QuerySpec {
-            query,
-            sampling_rate,
-        });
-    }
-
-    /// The batch contents, in submission order.
-    pub fn specs(&self) -> &[QuerySpec] {
-        &self.specs
-    }
-
-    /// Number of queries in the batch.
-    pub fn len(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// Whether the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
-}
-
-impl FromIterator<QuerySpec> for QueryBatch {
-    fn from_iter<T: IntoIterator<Item = QuerySpec>>(iter: T) -> Self {
-        Self {
-            specs: iter.into_iter().collect(),
-        }
-    }
-}
-
-/// The engine's answer to one private query.
-///
-/// It carries no exact oracle / relative error: the engine is the serving
-/// path, and computing the exact answer would scan every provider per
-/// query. Experiments that need the oracle ask for it —
-/// [`crate::Federation::exact`], or a plain job on the same engine —
-/// and compare with [`crate::protocol::relative_error`].
-#[derive(Debug, Clone)]
-pub struct EngineAnswer {
-    /// The DP-released answer.
-    pub value: f64,
-    /// The `(ε, δ)` charged for this query.
-    pub cost: PrivacyCost,
-    /// Per-phase latency breakdown (providers run on dedicated servers in
-    /// parallel, §6.1: per-provider phases are charged the slowest
-    /// provider's time).
-    pub timings: PhaseTimings,
-    /// Total clusters scanned across providers.
-    pub clusters_scanned: usize,
-    /// Total covering-set size across providers (`Σ N^Q_i`).
-    pub covering_total: usize,
-    /// How many providers took the approximate path.
-    pub approximated_providers: usize,
-    /// The per-provider sample-size allocations.
-    pub allocations: Vec<u64>,
-    /// Σ of the providers' raw (pre-noise) estimates (simulation-boundary
-    /// diagnostic; never released to an analyst).
-    pub raw_estimate: f64,
-    /// Per-provider smooth sensitivities (simulation-boundary diagnostic).
-    pub smooth_ls: Vec<f64>,
-    /// 95% confidence half-width of `raw_estimate` from the providers'
-    /// Hansen–Hurwitz variances; `None` when any provider's variance was
-    /// inestimable (single draw).
-    pub ci_halfwidth: Option<f64>,
-}
-
 /// What a job asks of the providers.
 #[derive(Debug)]
 enum JobKind {
-    /// The full private protocol.
+    /// The providers' half of the private protocol.
     Private {
         query: RangeQuery,
         sampling_rate: f64,
@@ -241,13 +150,14 @@ impl JobKind {
     ///
     /// Folded into the job seed so that *different* requests never share
     /// a noise stream — differencing two different releases must face
-    /// independent draws, not cancelling ones. It also keys the engine's
-    /// per-content occurrence counter, which replaces a global submission
-    /// index: a request's noise depends only on its content and on how
-    /// many identical copies preceded it, never on unrelated traffic, so
-    /// concurrent multi-analyst workloads of distinct queries are
-    /// bit-reproducible. Repeated identical requests still advance the
-    /// counter and draw fresh noise (each is charged, each is noisy).
+    /// independent draws, not cancelling ones. It also keys the
+    /// coordinator's per-content occurrence counter, which replaces a
+    /// global submission index: a request's noise depends only on its
+    /// content and on how many identical copies preceded it, never on
+    /// unrelated traffic, so concurrent multi-analyst workloads of
+    /// distinct queries are bit-reproducible. Repeated identical requests
+    /// still advance the counter and draw fresh noise (each is charged,
+    /// each is noisy).
     fn content_hash(&self) -> u64 {
         let mut h: u64 = 0xCBF2_9CE4_8422_2325;
         let put_u64 = |h: &mut u64, v: u64| fnv1a(h, &v.to_le_bytes());
@@ -299,7 +209,7 @@ enum Turns {
     Running,
     /// Summary turns ran: each un-pruned provider's carry waits here for
     /// the allocation — a scoped fragment's all at once, an owned
-    /// engine's private job's one per summary turn.
+    /// engine's one per summary turn.
     Summarized(Vec<Option<Carry>>),
 }
 
@@ -327,7 +237,6 @@ struct JobProgress {
     done: usize,
     error: Option<CoreError>,
     summary_time: Duration,
-    allocation_time: Duration,
     execution_time: Duration,
     turns: Turns,
 }
@@ -353,12 +262,6 @@ pub(crate) struct JobState {
     /// draws from lane `lane_base + id`, so a shard holding global
     /// providers `[o, o+k)` reproduces exactly the 1-shard streams.
     lane_base: u64,
-    /// When set, step 3 is solved *outside* this engine: the last summary
-    /// only wakes the fragment's waiter, and the execute turns run once
-    /// [`PendingFragment::provide_allocation`] delivers the coordinator's
-    /// globally solved allocation.
-    external_allocation: bool,
-    allocation_policy: AllocationPolicy,
     release_mode: ReleaseMode,
     cost_model: fedaqp_smc::CostModel,
     progress: Mutex<JobProgress>,
@@ -380,8 +283,6 @@ impl JobState {
             pruned: Vec::new(),
             n_providers: n,
             lane_base: config.provider_lane_base,
-            external_allocation: false,
-            allocation_policy: config.allocation_policy,
             release_mode: config.release_mode,
             cost_model: config.cost_model,
             progress: Mutex::new(JobProgress {
@@ -392,7 +293,6 @@ impl JobState {
                 done: 0,
                 error: None,
                 summary_time: Duration::ZERO,
-                allocation_time: Duration::ZERO,
                 execution_time: Duration::ZERO,
                 turns: Turns::Pending,
             }),
@@ -416,13 +316,9 @@ impl JobState {
     }
 
     /// The request of a private job.
-    fn private(&self) -> (&RangeQuery, f64, &QueryBudget) {
+    fn private(&self) -> (&RangeQuery, &QueryBudget) {
         match &self.kind {
-            JobKind::Private {
-                query,
-                sampling_rate,
-                budget,
-            } => (query, *sampling_rate, budget),
+            JobKind::Private { query, budget, .. } => (query, budget),
             _ => unreachable!("only private jobs take summary and execute turns"),
         }
     }
@@ -447,10 +343,11 @@ impl JobState {
     }
 
     /// Blocks until `ready` holds or the job failed, returning the locked
-    /// progress. On a scoped engine the first thread here claims the
-    /// job's turns and runs them itself ([`run_scoped`]); any other
-    /// waiter parks on the condvar until they land.
-    fn settle(&self, ready: impl Fn(&JobProgress) -> bool) -> MutexGuard<'_, JobProgress> {
+    /// progress, or the job's error. On a scoped engine the first thread
+    /// here claims the job's runnable turns and runs them itself
+    /// ([`run_scoped`]); any other waiter parks on the condvar until they
+    /// land.
+    fn settle(&self, ready: impl Fn(&JobProgress) -> bool) -> Result<MutexGuard<'_, JobProgress>> {
         let mut progress = self.lock_progress();
         while progress.error.is_none() && !ready(&progress) {
             match self.claim(&mut progress) {
@@ -462,7 +359,15 @@ impl JobState {
                 None => progress = self.wait_on(progress),
             }
         }
-        progress
+        match progress.error.clone() {
+            Some(error) => Err(error),
+            None => Ok(progress),
+        }
+    }
+
+    /// Blocks until every provider reported.
+    fn settle_done(&self) -> Result<MutexGuard<'_, JobProgress>> {
+        self.settle(|p| p.done == self.n_providers)
     }
 
     /// Claims the job's runnable turns for the calling thread: the whole
@@ -509,12 +414,11 @@ fn contain(job: &JobState, turns: impl FnOnce()) {
 }
 
 /// Runs a scoped job's provider turns on the waiting thread, in provider
-/// id order: every un-pruned provider's steps 1–2, the step-3 allocation
-/// (solved by the last summary in, as on a pool — or, for a fragment,
-/// delivered by the coordinator), then every provider's steps 4–6. Each
-/// turn draws from its own content-derived lane and is timed alone, so
-/// the released bytes and the slowest-provider phase timings are the
-/// pool's.
+/// id order: every un-pruned provider's steps 1–2, then — once the
+/// coordinator delivered the step-3 allocation — every provider's steps
+/// 4–6. Each turn draws from its own content-derived lane and is timed
+/// alone, so the released bytes and the slowest-provider phase timings
+/// are the pool's.
 fn run_scoped(job: &JobState, providers: &[DataProvider], claimed: Turns) {
     let carried = match claimed {
         Turns::Summarized(carried) => carried,
@@ -549,7 +453,7 @@ fn run_scoped(job: &JobState, providers: &[DataProvider], claimed: Turns) {
 
 /// One turn of a job on an owned engine's provider worker. No turn waits
 /// for another: a summary turn leaves its carry in the job and returns,
-/// and the execute turns are queued by whoever lands the allocation
+/// and the execute turns are queued when the allocation lands
 /// ([`queue`]). A failed or aborted job's turns return at once.
 fn run_turn(job: &Arc<JobState>, provider: &DataProvider, turn: Turn) {
     let id = provider.id();
@@ -623,25 +527,25 @@ fn queue(job: &Arc<JobState>, turn: Turn, except: Option<usize>) -> Result<()> {
 
 /// Steps 1–2 of a private job for one provider: prepare, then the DP
 /// summary, delivered into the job. Returns the provider's carry, and
-/// whether this summary landed the job's allocation (see
-/// [`deliver_summary`]). A provider the optimizer pruned never takes this
-/// turn — the engine answers its noise-only turn inline at submission
-/// (see [`EngineHandle::answer_for_pruned`]).
+/// whether its execute turns are due (see [`deliver_summary`]). A
+/// provider the optimizer pruned never takes this turn — the engine
+/// answers its noise-only turn inline at submission (see
+/// [`Engine::answer_for_pruned`]).
 fn summary_turn(job: &JobState, provider: &DataProvider) -> (Carry, bool) {
-    let (query, sampling_rate, budget) = job.private();
+    let (query, budget) = job.private();
     let id = provider.id();
     let mut rng = job.provider_rng(id);
     let t = Instant::now();
     let prep = provider.prepare(query);
     let summary = provider.summary_with_rng(query, &prep, budget.eps_o, &mut rng);
-    let due = deliver_summary(job, id, summary, t.elapsed(), sampling_rate);
+    let due = deliver_summary(job, id, summary, t.elapsed());
     ((prep, rng), due)
 }
 
 /// Steps 4–6 of a private job for one provider, once its allocation is
 /// known: local execution and release, delivered into the job.
 fn execute_turn(job: &JobState, provider: &DataProvider, carry: Carry, allocation: u64) {
-    let (query, _, budget) = job.private();
+    let (query, budget) = job.private();
     let (prep, mut rng) = carry;
     let release_local = job.release_mode == ReleaseMode::LocalDp;
     let t = Instant::now();
@@ -712,19 +616,19 @@ fn single_turn(job: &JobState, provider: &DataProvider) {
     }
 }
 
-/// Delivers provider `id`'s step-2 summary into the job. The last summary
-/// in solves the allocation program (Eq. 6) for everyone — the step-3
-/// barrier needs no dedicated coordinator thread. Shared by the summary
-/// turn and the inline pruned path so both feed the barrier identically.
+/// Delivers provider `id`'s step-2 summary into the job. Shared by the
+/// summary turn and the inline pruned path so both feed the barrier
+/// identically. Step 3 is the coordinator's: the last summary in wakes
+/// the batch gathering the summaries.
 ///
-/// Returns whether this summary landed the job's allocation: the job's
-/// execute turns are then due, and a pool caller [`queue`]s them.
+/// Returns whether the job's execute turns are due — the allocation
+/// landed before this last summary did — so a pool caller [`queue`]s
+/// them; otherwise [`LocalBatch::allocate`] does.
 fn deliver_summary(
     job: &JobState,
     id: usize,
     summary: Result<ProviderSummary>,
     elapsed: Duration,
-    sampling_rate: f64,
 ) -> bool {
     let mut progress = job.lock_progress();
     progress.summary_time = progress.summary_time.max(elapsed);
@@ -733,38 +637,9 @@ fn deliver_summary(
         Err(e) => job.fail(&mut progress, e),
     }
     progress.summaries_done += 1;
-    // ---- Step 3: the last provider in solves the allocation program
-    // (Eq. 6) for everyone. ----
     if progress.summaries_done == job.n_providers && progress.error.is_none() {
-        if job.external_allocation {
-            // A fragment's allocation is solved by the coordinator over
-            // *every* shard's summaries: wake the fragment waiter gathering
-            // them. The execute turns are due now only if the allocation
-            // already landed; otherwise
-            // [`PendingFragment::provide_allocation`] queues them.
-            job.cond.notify_all();
-            return progress.allocations.is_some();
-        }
-        let summaries: Vec<ProviderSummary> = progress
-            .summaries
-            .iter()
-            .map(|s| s.expect("all summaries delivered"))
-            .collect();
-        let t = Instant::now();
-        let aggregator = Aggregator::new(
-            derive_seed(job.seed, job.index, AGGREGATOR_LANE),
-            job.cost_model,
-        );
-        let allocated = aggregator.allocate_under(job.allocation_policy, &summaries, sampling_rate);
-        progress.allocation_time = t.elapsed();
-        match allocated {
-            Ok(a) => {
-                progress.allocations = Some(Arc::new(a));
-                job.cond.notify_all();
-                return true;
-            }
-            Err(e) => job.fail(&mut progress, e),
-        }
+        job.cond.notify_all();
+        return progress.allocations.is_some();
     }
     false
 }
@@ -808,29 +683,6 @@ impl Drop for ObsGaugeDecOnDrop {
     }
 }
 
-/// Per-content submission counts, keyed by [`JobKind::content_hash`]. The
-/// job index for a submission is the number of identical submissions that
-/// preceded it, so noise derivation is independent of unrelated traffic
-/// (see the module docs).
-#[derive(Debug, Default)]
-pub(crate) struct OccurrenceLedger(Mutex<HashMap<u64, u64>>);
-
-impl OccurrenceLedger {
-    fn counts(&self) -> MutexGuard<'_, HashMap<u64, u64>> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Fetch-and-increment the count for `key`: the returned index is the
-    /// number of identical submissions seen before this one.
-    pub(crate) fn next(&self, key: u64) -> u64 {
-        let mut counts = self.counts();
-        let slot = counts.entry(key).or_insert(0);
-        let index = *slot;
-        *slot += 1;
-        index
-    }
-}
-
 /// Who runs an engine's jobs; every job holds a clone.
 #[derive(Debug, Clone)]
 enum Executor {
@@ -843,9 +695,9 @@ enum Executor {
     Scope(Arc<Vec<DataProvider>>),
 }
 
-/// Shared interior of [`EngineHandle`].
+/// Shared interior of [`Engine`].
 #[derive(Debug)]
-struct HandleInner {
+struct EngineInner {
     executor: Executor,
     config: FederationConfig,
     schema: Schema,
@@ -853,25 +705,23 @@ struct HandleInner {
     /// by the optimizer (pruning, cost estimates, `EXPLAIN`) — offline
     /// Algorithm 1 metadata only, never sampled data.
     snapshot: MetaSnapshot,
-    occurrences: OccurrenceLedger,
     /// Public scalar facets of each provider (id, `n_min`, regime, agreed
     /// smooth-sensitivity order, arity, SUM cap) — everything the
     /// noise-only turn of a *pruned* provider reads. Lets the engine
     /// answer for pruned providers inline instead of running a turn for a
-    /// provably empty covering set (see
-    /// [`EngineHandle`]'s pruning notes on `submit_with_budget`).
+    /// provably empty covering set (see [`Engine::answer_for_pruned`]).
     shadows: Vec<ProviderShadow>,
 }
 
-/// A cloneable, thread-safe handle analysts use to submit queries to an
-/// engine. All clones share one per-content occurrence ledger (the noise
-/// derivation) and one executor.
+/// The providers' half of an engine, as its coordinator holds it: jobs
+/// launched at the coordinator's occurrences, allocations taken from
+/// outside. Every clone shares one executor.
 #[derive(Debug, Clone)]
-pub struct EngineHandle {
-    inner: Arc<HandleInner>,
+pub(crate) struct Engine {
+    inner: Arc<EngineInner>,
 }
 
-impl EngineHandle {
+impl Engine {
     fn new(
         config: &FederationConfig,
         schema: &Schema,
@@ -879,64 +729,33 @@ impl EngineHandle {
         executor: Executor,
     ) -> Self {
         Self {
-            inner: Arc::new(HandleInner {
+            inner: Arc::new(EngineInner {
                 executor,
                 config: config.clone(),
                 schema: schema.clone(),
                 snapshot: MetaSnapshot::from_providers(providers),
-                occurrences: OccurrenceLedger::default(),
                 shadows: providers.iter().map(DataProvider::shadow).collect(),
             }),
         }
     }
 
-    /// A scoped engine over `providers`, with a fresh occurrence ledger:
-    /// it spawns no worker, and every clone of it holds its share of the
-    /// providers, so it answers from this snapshot for as long as it
-    /// lives.
-    pub(crate) fn scoped(
-        config: &FederationConfig,
-        schema: &Schema,
-        providers: &Arc<Vec<DataProvider>>,
-    ) -> Self {
-        Self::new(
-            config,
-            schema,
-            providers,
-            Executor::Scope(Arc::clone(providers)),
-        )
-    }
-
     /// The federation configuration the engine serves.
-    pub fn config(&self) -> &FederationConfig {
+    pub(crate) fn config(&self) -> &FederationConfig {
         &self.inner.config
     }
 
     /// The public table schema.
-    pub fn schema(&self) -> &Schema {
+    pub(crate) fn schema(&self) -> &Schema {
         &self.inner.schema
     }
 
-    /// Number of providers behind this engine.
-    pub fn n_providers(&self) -> usize {
-        self.inner.config.n_providers
-    }
-
-    /// The engine's public metadata snapshot: per-provider pruning bounds
-    /// captured at start-up. Offline Algorithm 1 metadata only — reading
-    /// (or publishing) it reveals nothing beyond the one-time metadata
-    /// release the protocol already accounts for.
-    pub fn meta_snapshot(&self) -> &MetaSnapshot {
-        &self.inner.snapshot
-    }
-
-    /// The default per-query budget from the configuration.
-    pub fn default_budget(&self) -> Result<QueryBudget> {
-        self.inner.config.query_budget()
+    /// The providers' public pruning bounds, in local provider order.
+    pub(crate) fn bounds(&self) -> Vec<ProviderBounds> {
+        self.inner.snapshot.providers().to_vec()
     }
 
     /// Closes an owned engine's pool; later submissions on any clone of
-    /// this handle fail cleanly. The workers run the turns already queued
+    /// this engine fail cleanly. The workers run the turns already queued
     /// and exit; a job whose execute turns were not queued yet fails when
     /// its allocation lands. A scoped engine has nothing to close.
     fn close(&self) {
@@ -977,84 +796,42 @@ impl EngineHandle {
         Ok(job)
     }
 
-    /// Fetch-and-increment the occurrence count for `kind`'s content: the
-    /// returned index is the number of identical submissions seen before
-    /// this one, which (with the content hash) fully determines the job's
-    /// noise streams.
-    fn next_occurrence(&self, kind: &JobKind) -> u64 {
-        self.inner.occurrences.next(kind.content_hash())
-    }
-
-    /// Submits one private query under the configured default budget.
-    pub fn submit(&self, query: &RangeQuery, sampling_rate: f64) -> Result<PendingAnswer> {
-        let budget = self.default_budget()?;
-        self.submit_with_budget(query, sampling_rate, &budget)
-    }
-
-    /// Submits one private query under an explicit per-query budget.
-    ///
-    /// The query is checked here, once, before any provider sees the job,
-    /// so a malformed query costs nothing.
-    pub fn submit_with_budget(
-        &self,
-        query: &RangeQuery,
-        sampling_rate: f64,
-        budget: &QueryBudget,
-    ) -> Result<PendingAnswer> {
-        check_sub(&self.inner.schema, query, sampling_rate, budget)?;
-        let job = self.launch_sub(query, sampling_rate, budget, None)?;
-        Ok(PendingAnswer { job })
-    }
-
-    /// Submits a sub-query `compile` built, and so already checked.
-    pub(crate) fn submit_sub(&self, sub: &SubQuery) -> Result<PendingAnswer> {
-        let job = self.launch_sub(&sub.query, sub.sampling_rate, &sub.budget, None)?;
-        Ok(PendingAnswer { job })
-    }
-
-    /// Submits one *fragment* of a sharded private query, already checked
-    /// at the shard's entry ([`crate::ShardBackend::begin`]).
-    pub(crate) fn submit_fragment(&self, spec: &FragmentSpec) -> Result<PendingFragment> {
-        let (query, rate, budget) = (&spec.query, spec.sampling_rate, &spec.budget);
-        let job = self.launch_sub(query, rate, budget, Some(spec.occurrence))?;
-        Ok(PendingFragment { job })
-    }
-
-    /// Launches a checked private sub-query at its next occurrence on this
-    /// engine — or, a shard's fragment, at the coordinator's `occurrence`
-    /// (the coordinator sees the whole analyst stream, a shard only its
-    /// fragments), step 3 left to the coordinator: until
-    /// [`PendingFragment::provide_allocation`] delivers its slice, a
-    /// fragment holds its providers' carries, not their workers. With the
-    /// 1-shard seed and its global lane offset, a shard draws exactly the
-    /// noise of the providers it replaced.
-    fn launch_sub(
-        &self,
-        query: &RangeQuery,
-        sampling_rate: f64,
-        budget: &QueryBudget,
-        occurrence: Option<u64>,
-    ) -> Result<Arc<JobState>> {
-        let kind = JobKind::Private {
-            query: query.clone(),
-            sampling_rate,
-            budget: *budget,
-        };
-        let index = occurrence.unwrap_or_else(|| self.next_occurrence(&kind));
-        let mut job = JobState::new(kind, index, &self.inner.config);
-        job.external_allocation = occurrence.is_some();
+    /// Launches a batch of private fragments, checked by whoever built
+    /// them, each at the coordinator's occurrence (the coordinator sees
+    /// the whole analyst stream, an engine only its fragments). Until
+    /// [`LocalBatch::allocate`] delivers its slice, a fragment holds its
+    /// providers' carries, not their workers. With the coordinator's
+    /// seed and its global lane offset, an engine draws exactly the noise
+    /// of the providers it holds in a one-engine deployment.
+    pub(crate) fn begin(&self, specs: &[FragmentSpec]) -> Result<LocalBatch> {
         let _span = obs::span("submit", "engine", obs::SpanId::NONE);
-        self.launch_private(job)
+        // Built one job at a time, so a failed launch drops (and aborts)
+        // the jobs launched before it.
+        let mut batch = LocalBatch {
+            jobs: Vec::with_capacity(specs.len()),
+            providers: self.inner.config.n_providers,
+            gathered: 0,
+        };
+        for spec in specs {
+            batch.jobs.push(self.launch_private(spec)?);
+        }
+        Ok(batch)
     }
 
-    /// Launches a validated private job after the pruning pass: providers
+    /// Launches one private fragment after the pruning pass: providers
     /// whose public bounds prove an empty covering set skip the step-1
     /// metadata walk. An O(dims) check per provider against start-up
     /// bounds — never the per-cluster walk it avoids, and never anything
     /// data-derived.
-    fn launch_private(&self, mut job: JobState) -> Result<Arc<JobState>> {
+    fn launch_private(&self, spec: &FragmentSpec) -> Result<Arc<JobState>> {
+        let kind = JobKind::Private {
+            query: spec.query.clone(),
+            sampling_rate: spec.sampling_rate,
+            budget: spec.budget,
+        };
+        let mut job = JobState::new(kind, spec.occurrence, &self.inner.config);
         if self.inner.config.optimizer.prune_providers {
-            job.pruned = self.inner.snapshot.pruned_flags(job.private().0);
+            job.pruned = self.inner.snapshot.pruned_flags(&spec.query);
         }
         obs::counter_add(
             obs::names::OPTIMIZER_PRUNED,
@@ -1078,10 +855,9 @@ impl EngineHandle {
     ///
     /// Free of the barrier: the empty-prep execution ignores its
     /// allocation, so the inline path delivers its summary *and* outcome
-    /// immediately — waiting for the allocation would block `submit` and
-    /// deadlock the all-pruned case, where no provider turn ever runs.
-    /// When the last summary in is an inline one, it queues the un-pruned
-    /// providers' execute turns like any summary that lands an allocation.
+    /// immediately — waiting for the allocation would block the
+    /// submission and deadlock the all-pruned case, where no provider
+    /// turn ever runs.
     fn answer_for_pruned(&self, job: &Arc<JobState>) {
         if !job.pruned.iter().any(|&p| p) {
             return;
@@ -1090,7 +866,7 @@ impl EngineHandle {
             obs::names::ENGINE_PRUNED_INLINE,
             job.pruned.iter().filter(|&&p| p).count() as u64,
         );
-        let (query, sampling_rate, budget) = job.private();
+        let (query, budget) = job.private();
         let release_local = job.release_mode == ReleaseMode::LocalDp;
         let empty = PreparedQuery {
             covering: Vec::new(),
@@ -1105,7 +881,7 @@ impl EngineHandle {
             let mut rng = job.provider_rng(id);
             let t = Instant::now();
             let summary = shadow.summary(query, &empty, budget.eps_o, &mut rng);
-            if deliver_summary(job, id, summary, t.elapsed(), sampling_rate) {
+            if deliver_summary(job, id, summary, t.elapsed()) {
                 let _ = queue(job, Turn::Execute, None);
             }
             // A failed job releases nothing more.
@@ -1118,165 +894,39 @@ impl EngineHandle {
         }
     }
 
-    /// Launches a checked private MIN/MAX at its next occurrence on this
-    /// engine, or — a shard's fragment — at the coordinator's
-    /// `occurrence`: every provider runs one
+    /// Launches a private MIN/MAX, checked by whoever built it, at the
+    /// coordinator's occurrence: every provider runs one
     /// Exponential-mechanism selection over the domain (from metadata
     /// alone) under its job-derived RNG, so extreme queries are
     /// deterministic and concurrent like every other job.
-    pub(crate) fn launch_extreme(
-        &self,
-        ext: ExtremeQuery,
-        occurrence: Option<u64>,
-    ) -> Result<PendingExtreme> {
+    pub(crate) fn launch_extreme(&self, spec: &ExtremeFragmentSpec) -> Result<PendingExtreme> {
         let kind = JobKind::Extreme {
-            dim: ext.dim,
-            extreme: ext.extreme,
-            epsilon: ext.epsilon,
+            dim: spec.dim,
+            extreme: spec.extreme,
+            epsilon: spec.epsilon,
         };
-        let index = occurrence.unwrap_or_else(|| self.next_occurrence(&kind));
         obs::counter_add(obs::names::ENGINE_EXTREMES, 1);
-        let job = self.launch(JobState::new(kind, index, &self.inner.config))?;
-        Ok(PendingExtreme { job })
+        let job = JobState::new(kind, spec.occurrence, &self.inner.config);
+        Ok(PendingExtreme {
+            job: self.launch(job)?,
+        })
     }
 
-    /// Submits a plain (non-private, exact) execution of `query` on the
-    /// same engine — the like-for-like baseline of the speed-up metric:
-    /// both paths run on the same threads and are charged the slowest
-    /// provider's time.
-    pub fn submit_plain(&self, query: &RangeQuery) -> Result<PendingPlain> {
+    /// Launches a plain scan. It draws no noise, so it takes no
+    /// occurrence.
+    fn submit_plain(&self, query: &RangeQuery) -> Result<PendingPlain> {
         query.check_schema(&self.inner.schema)?;
         let kind = JobKind::Plain {
             query: query.clone(),
         };
-        let index = self.next_occurrence(&kind);
         obs::counter_add(obs::names::ENGINE_PLAIN, 1);
-        let job = self.launch(JobState::new(kind, index, &self.inner.config))?;
+        let job = self.launch(JobState::new(kind, 0, &self.inner.config))?;
         Ok(PendingPlain { job })
-    }
-
-    /// Runs a batch: every query is submitted before any answer is
-    /// awaited, so an owned engine's workers pipeline across queries (a
-    /// scoped engine runs each in turn as it is awaited).
-    pub fn run_batch(&self, batch: &QueryBatch) -> Vec<Result<EngineAnswer>> {
-        let pending: Vec<Result<PendingAnswer>> = batch
-            .specs()
-            .iter()
-            .map(|spec| self.submit(&spec.query, spec.sampling_rate))
-            .collect();
-        pending
-            .into_iter()
-            .map(|p| p.and_then(PendingAnswer::wait))
-            .collect()
-    }
-
-    /// Runs a batch one query at a time (each answer awaited before the
-    /// next submission). Under a fixed seed this returns exactly the same
-    /// answers as [`Self::run_batch`] — the determinism contract of the
-    /// per-job RNG derivation.
-    pub fn run_batch_serial(&self, batch: &QueryBatch) -> Vec<Result<EngineAnswer>> {
-        batch
-            .specs()
-            .iter()
-            .map(|spec| {
-                self.submit(&spec.query, spec.sampling_rate)
-                    .and_then(PendingAnswer::wait)
-            })
-            .collect()
-    }
-}
-
-/// A private query in flight on an engine.
-#[derive(Debug)]
-pub struct PendingAnswer {
-    job: Arc<JobState>,
-}
-
-impl PendingAnswer {
-    /// A second waiter on the same in-flight job — the dedup pass's
-    /// release reuse. The job's turns run once, whichever sharer waits
-    /// first; [`Self::wait`] then only reads job progress and
-    /// *recomputes* the release from the job's derived aggregator seed,
-    /// so every sharer observes byte-identical answers; nothing is
-    /// resubmitted, re-noised, or re-charged.
-    pub(crate) fn share(&self) -> PendingAnswer {
-        PendingAnswer {
-            job: Arc::clone(&self.job),
-        }
-    }
-
-    /// Blocks until every provider reported — on a scoped engine, by
-    /// running the providers' turns on this thread if no other waiter
-    /// has — then finalizes the release (protocol step 6/7) on the
-    /// calling thread.
-    pub fn wait(self) -> Result<EngineAnswer> {
-        let job = &self.job;
-        let progress = job.settle(|p| p.done == job.n_providers);
-        if let Some(error) = progress.error.clone() {
-            return Err(error);
-        }
-        let outcomes: Vec<LocalOutcome> = progress
-            .outcomes
-            .iter()
-            .map(|o| o.expect("all providers reported"))
-            .collect();
-        let allocations = progress
-            .allocations
-            .as_ref()
-            .expect("allocation computed")
-            .to_vec();
-        let (query, _, &budget) = job.private();
-
-        // ---- Step 6/7: release ----
-        let mut aggregator = Aggregator::new(
-            derive_seed(job.seed, job.index, AGGREGATOR_LANE),
-            job.cost_model,
-        );
-        let t = Instant::now();
-        let (value, smc_network) = match job.release_mode {
-            ReleaseMode::LocalDp => (aggregator.finalize_local(&outcomes)?, None),
-            ReleaseMode::Smc => {
-                let (value, network) = aggregator.finalize_smc(&outcomes, budget.eps_e)?;
-                (value, Some(network))
-            }
-        };
-        let release_time = t.elapsed();
-        let network = private_network(job.cost_model, query, smc_network);
-
-        let timings = PhaseTimings {
-            summary: progress.summary_time,
-            allocation: progress.allocation_time,
-            execution: progress.execution_time,
-            release: release_time,
-            network,
-        };
-        // Telemetry reads *only* phase wall-times — public by the threat
-        // model (the analyst observes them anyway). Never estimates or
-        // sensitivities.
-        obs::observe_duration(obs::names::PHASE_SUMMARY, timings.summary);
-        obs::observe_duration(obs::names::PHASE_ALLOCATION, timings.allocation);
-        obs::observe_duration(obs::names::PHASE_EXECUTION, timings.execution);
-        obs::observe_duration(obs::names::PHASE_RELEASE, timings.release);
-        obs::observe_duration(obs::names::PHASE_NETWORK, timings.network);
-
-        Ok(EngineAnswer {
-            value,
-            cost: budget.cost(),
-            timings,
-            clusters_scanned: outcomes.iter().map(|o| o.clusters_scanned).sum(),
-            covering_total: outcomes.iter().map(|o| o.n_covering).sum(),
-            approximated_providers: outcomes.iter().filter(|o| o.approximated).count(),
-            allocations,
-            raw_estimate: outcomes.iter().map(|o| o.estimate).sum(),
-            smooth_ls: outcomes.iter().map(|o| o.smooth_ls).collect(),
-            ci_halfwidth: crate::protocol::combined_ci_halfwidth(&outcomes),
-        })
     }
 }
 
 /// Content hash of a private job — the coordinator's occurrence-ledger
-/// key. Identical to the key the 1-shard engine uses internally, so the
-/// coordinator's occurrence indices reproduce the 1-shard indices exactly.
+/// key and the job's seed material.
 pub(crate) fn private_content_hash(
     query: &RangeQuery,
     sampling_rate: f64,
@@ -1291,87 +941,134 @@ pub(crate) fn private_content_hash(
 }
 
 /// Content hash of an extreme job (coordinator occurrence-ledger key).
-pub(crate) fn extreme_content_hash(ext: &ExtremeQuery) -> u64 {
+pub(crate) fn extreme_content_hash(dim: usize, extreme: Extreme, epsilon: f64) -> u64 {
     JobKind::Extreme {
-        dim: ext.dim,
-        extreme: ext.extreme,
-        epsilon: ext.epsilon,
+        dim,
+        extreme,
+        epsilon,
     }
     .content_hash()
 }
 
-/// One shard's half of a sharded private query: summaries out, allocation
-/// in, partial out. Created by `EngineHandle::submit_fragment`;
-/// dropping it before the allocation lands aborts the job, so the summary
-/// turns still queued skip their work for a coordinator that gave up (a
-/// failed sibling shard, a dropped connection). On a scoped engine
-/// [`Self::summaries`] runs the summary turns on the calling thread and
-/// [`Self::partial`] the execute turns.
-#[derive(Debug)]
-pub(crate) struct PendingFragment {
-    job: Arc<JobState>,
+/// The seed of a private job's aggregator: the lane beside the providers'
+/// of the job `(seed, content, occurrence)` launches — what an SMC
+/// release draws its shares and its single noise from.
+pub(crate) fn aggregator_seed(seed: u64, content: u64, occurrence: u64) -> u64 {
+    derive_seed(
+        derive_seed(seed, content, CONTENT_LANE),
+        occurrence,
+        AGGREGATOR_LANE,
+    )
 }
 
-impl PendingFragment {
-    /// Blocks until every local provider delivered its step-2 summary,
-    /// then returns them in local provider order together with the
-    /// slowest provider's summary time.
-    pub(crate) fn summaries(&self) -> Result<(Vec<ProviderSummary>, Duration)> {
-        let job = &self.job;
-        let progress = job.settle(|p| p.summaries_done == job.n_providers);
-        if let Some(error) = progress.error.clone() {
-            return Err(error);
-        }
-        let summaries = progress
-            .summaries
-            .iter()
-            .map(|s| s.expect("all summaries delivered"))
-            .collect();
-        Ok((summaries, progress.summary_time))
-    }
+/// A batch of private fragments in flight on one engine: summaries out,
+/// allocation in, outcomes out, in batch order. Dropping it before the
+/// allocation lands aborts its jobs, so the summary turns still queued
+/// skip their work for a coordinator that gave up (a failed sibling
+/// shard, a dropped connection). On a scoped engine
+/// [`FragmentBatch::summaries`] runs the summary turns on the calling
+/// thread and [`Self::outcomes`] the execute turns.
+#[derive(Debug)]
+pub(crate) struct LocalBatch {
+    jobs: Vec<Arc<JobState>>,
+    /// The engine's provider count: the length of every allocation slice.
+    providers: usize,
+    /// Fragments whose outcomes were read.
+    gathered: usize,
+}
 
-    /// Feeds the coordinator's globally solved allocation (this shard's
-    /// slice, in local provider order, its length checked by the batch) to
-    /// the execute turns — on a pool, by queueing them, once every summary
-    /// is in.
-    pub(crate) fn provide_allocation(&self, allocations: Vec<u64>) -> Result<()> {
-        let job = &self.job;
-        let due = {
-            let mut progress = job.lock_progress();
-            if progress.allocations.is_some() {
-                return Err(CoreError::ProtocolViolation(
-                    "fragment allocation delivered twice",
-                ));
-            }
-            progress.allocations = Some(Arc::new(allocations));
-            job.cond.notify_all();
-            progress.summaries_done == job.n_providers && progress.error.is_none()
-        };
-        if due {
-            queue(job, Turn::Execute, None)?;
-        }
-        Ok(())
-    }
-
-    /// Blocks until every local provider executed, then returns the
-    /// shard's mergeable partial (per-provider released values in local
-    /// provider order — the coordinator re-runs the 1-shard release fold
-    /// over the global concatenation, so merging is bit-exact).
-    pub(crate) fn partial(&self) -> Result<crate::shard::FragmentPartial> {
-        let job = &self.job;
-        let progress = job.settle(|p| p.done == job.n_providers);
-        if let Some(error) = progress.error.clone() {
-            return Err(error);
-        }
-        let rows = progress
+impl LocalBatch {
+    /// Blocks until the next fragment, in batch order, executed; returns
+    /// its raw per-provider outcomes in local provider order and its
+    /// slowest provider's execution time. An in-process value only: no
+    /// `Wire` impl carries a [`LocalOutcome`], so a coordinator reads
+    /// these only from an engine in its own process.
+    pub(crate) fn outcomes(&mut self) -> Result<(Vec<LocalOutcome>, Duration)> {
+        let job = self
+            .jobs
+            .get(self.gathered)
+            .ok_or(CoreError::ProtocolViolation(
+                "every fragment of the batch was gathered",
+            ))?;
+        self.gathered += 1;
+        let progress = job.settle_done()?;
+        let outcomes = progress
             .outcomes
             .iter()
+            .map(|o| o.expect("all providers reported"))
+            .collect();
+        Ok((outcomes, progress.execution_time))
+    }
+}
+
+impl FragmentBatch for LocalBatch {
+    fn summaries(&mut self) -> Result<Vec<FragmentSummaries>> {
+        self.jobs
+            .iter()
+            .map(|job| {
+                let progress = job.settle(|p| p.summaries_done == job.n_providers)?;
+                let summaries = progress
+                    .summaries
+                    .iter()
+                    .map(|s| s.expect("all summaries delivered"))
+                    .collect();
+                Ok((summaries, progress.summary_time))
+            })
+            .collect()
+    }
+
+    /// The one check of an allocation's shape, before any fragment gets
+    /// its slice: a refused batch holds no allocation. Each slice then
+    /// moves into its fragment, which (on a pool) queues its execute
+    /// turns once every summary is in.
+    fn allocate(&mut self, allocations: Vec<Vec<u64>>) -> Result<()> {
+        if allocations.len() != self.jobs.len() {
+            return Err(CoreError::BadConfig(
+                "fragment allocations do not match the batch",
+            ));
+        }
+        if allocations
+            .iter()
+            .any(|slice| slice.len() != self.providers)
+        {
+            return Err(CoreError::BadConfig(
+                "fragment allocation length does not match shard providers",
+            ));
+        }
+        self.jobs
+            .iter()
+            .zip(allocations)
+            .try_for_each(|(job, allocation)| {
+                let due = {
+                    let mut progress = job.lock_progress();
+                    if progress.allocations.is_some() {
+                        return Err(CoreError::ProtocolViolation(
+                            "fragment allocation delivered twice",
+                        ));
+                    }
+                    progress.allocations = Some(Arc::new(allocation));
+                    job.cond.notify_all();
+                    progress.summaries_done == job.n_providers && progress.error.is_none()
+                };
+                if due {
+                    queue(job, Turn::Execute, None)?;
+                }
+                Ok(())
+            })
+    }
+
+    /// The next fragment's mergeable partial: its providers' released
+    /// values, never their raw estimates. An SMC engine releases nothing
+    /// per provider, so its fragments cannot leave the process.
+    fn partial(&mut self) -> Result<FragmentPartial> {
+        let (outcomes, execution) = self.outcomes()?;
+        let rows = outcomes
+            .iter()
             .map(|o| {
-                let o = o.expect("all providers reported");
                 let released = o.released.ok_or(CoreError::ProtocolViolation(
-                    "fragment provider withheld its release (SMC mode is not shardable)",
+                    "fragment provider withheld its release (an SMC release is finalized only in process)",
                 ))?;
-                Ok(crate::shard::PartialRow {
+                Ok(PartialRow {
                     released,
                     variance: o.variance,
                     approximated: o.approximated,
@@ -1380,24 +1077,23 @@ impl PendingFragment {
                 })
             })
             .collect::<Result<Vec<_>>>()?;
-        Ok(crate::shard::FragmentPartial {
-            rows,
-            execution: progress.execution_time,
-        })
+        Ok(FragmentPartial { rows, execution })
     }
 }
 
-impl Drop for PendingFragment {
+impl Drop for LocalBatch {
     fn drop(&mut self) {
-        // Abort an incomplete fragment: its queued summary turns skip, and
+        // Abort an incomplete batch: its queued summary turns skip, and
         // its execute turns are never queued. Allocated fragments finish
         // on their own; failed ones are already settled.
-        let mut progress = self.job.lock_progress();
-        if progress.allocations.is_none() && progress.error.is_none() {
-            self.job.fail(
-                &mut progress,
-                CoreError::ProtocolViolation("fragment aborted before allocation"),
-            );
+        for job in &self.jobs {
+            let mut progress = job.lock_progress();
+            if progress.allocations.is_none() && progress.error.is_none() {
+                job.fail(
+                    &mut progress,
+                    CoreError::ProtocolViolation("fragment aborted before allocation"),
+                );
+            }
         }
     }
 }
@@ -1412,10 +1108,7 @@ impl PendingPlain {
     /// Blocks until every provider scanned, then combines the exact sum.
     pub fn wait(self) -> Result<PlainAnswer> {
         let job = &self.job;
-        let progress = job.settle(|p| p.done == job.n_providers);
-        if let Some(error) = progress.error.clone() {
-            return Err(error);
-        }
+        let progress = job.settle_done()?;
         let value: u64 = progress
             .outcomes
             .iter()
@@ -1433,56 +1126,158 @@ impl PendingPlain {
     }
 }
 
-/// The engine's answer to one private MIN/MAX job.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EngineExtreme {
-    /// The combined (post-processed) selection across providers.
-    pub value: fedaqp_model::Value,
-    /// ε charged (per provider; parallel composition across providers).
-    pub epsilon: f64,
-    /// Wall time of the slowest provider's selection.
-    pub execution: Duration,
-    /// Simulated network time (query broadcast + one result round).
-    pub network: Duration,
-}
-
 /// A private extreme query in flight on an engine.
 #[derive(Debug)]
-pub struct PendingExtreme {
+pub(crate) struct PendingExtreme {
     job: Arc<JobState>,
 }
 
-impl PendingExtreme {
+impl ExtremeReply for PendingExtreme {
     /// Blocks until every provider selected, then combines the per-provider
     /// DP selections by post-processing (max of outputs for MAX, min for
     /// MIN — Thm. 3.3, free).
-    pub fn wait(&self) -> Result<EngineExtreme> {
+    fn answer(&mut self) -> Result<(Value, Duration)> {
         let job = &self.job;
-        let progress = job.settle(|p| p.done == job.n_providers);
-        if let Some(error) = progress.error.clone() {
-            return Err(error);
-        }
-        let (extreme, epsilon) = match &job.kind {
-            JobKind::Extreme {
-                extreme, epsilon, ..
-            } => (*extreme, *epsilon),
-            _ => unreachable!("only extreme jobs resolve via PendingExtreme"),
+        let progress = job.settle_done()?;
+        let JobKind::Extreme { extreme, .. } = &job.kind else {
+            unreachable!("only extreme jobs resolve via PendingExtreme");
         };
         let selections = progress
             .outcomes
             .iter()
-            .map(|o| o.expect("all providers reported").estimate as fedaqp_model::Value);
+            .map(|o| o.expect("all providers reported").estimate as Value);
         let value = match extreme {
             Extreme::Max => selections.max(),
             Extreme::Min => selections.min(),
         }
         .expect("non-empty providers");
-        Ok(EngineExtreme {
-            value,
-            epsilon,
-            execution: progress.execution_time,
-            network: extreme_network(job.cost_model),
-        })
+        Ok((value, progress.execution_time))
+    }
+}
+
+/// A cloneable, thread-safe handle analysts use to submit queries to an
+/// engine: the engine, and the one-shard coordinator in front of it. All
+/// clones share one occurrence ledger (the coordinator's: the noise
+/// derivation) and one executor.
+#[derive(Debug, Clone)]
+pub struct EngineHandle {
+    pub(crate) engine: Engine,
+    coordinator: ShardedFederation,
+}
+
+impl EngineHandle {
+    fn new(
+        config: &FederationConfig,
+        schema: &Schema,
+        providers: &[DataProvider],
+        executor: Executor,
+    ) -> Self {
+        let engine = Engine::new(config, schema, providers, executor);
+        Self {
+            coordinator: ShardedFederation::over_engine(engine.clone()),
+            engine,
+        }
+    }
+
+    /// A scoped engine over `providers`, with a fresh occurrence ledger:
+    /// it spawns no worker, and every clone of it holds its share of the
+    /// providers, so it answers from this snapshot for as long as it
+    /// lives.
+    pub(crate) fn scoped(
+        config: &FederationConfig,
+        schema: &Schema,
+        providers: &Arc<Vec<DataProvider>>,
+    ) -> Self {
+        Self::new(
+            config,
+            schema,
+            providers,
+            Executor::Scope(Arc::clone(providers)),
+        )
+    }
+
+    /// The one-shard coordinator every plan and private query on this
+    /// engine runs through.
+    pub(crate) fn coordinator(&self) -> &ShardedFederation {
+        &self.coordinator
+    }
+
+    /// The federation configuration the engine serves.
+    pub fn config(&self) -> &FederationConfig {
+        self.engine.config()
+    }
+
+    /// The public table schema.
+    pub fn schema(&self) -> &Schema {
+        self.engine.schema()
+    }
+
+    /// Number of providers behind this engine.
+    pub fn n_providers(&self) -> usize {
+        self.config().n_providers
+    }
+
+    /// The engine's public metadata snapshot: per-provider pruning bounds
+    /// captured at start-up. Offline Algorithm 1 metadata only — reading
+    /// (or publishing) it reveals nothing beyond the one-time metadata
+    /// release the protocol already accounts for.
+    pub fn meta_snapshot(&self) -> &MetaSnapshot {
+        &self.engine.inner.snapshot
+    }
+
+    /// The default per-query budget from the configuration.
+    pub fn default_budget(&self) -> Result<QueryBudget> {
+        self.config().query_budget()
+    }
+
+    /// Submits one private query under the configured default budget.
+    pub fn submit(&self, query: &RangeQuery, sampling_rate: f64) -> Result<ShardedSub> {
+        let budget = self.default_budget()?;
+        self.submit_with_budget(query, sampling_rate, &budget)
+    }
+
+    /// Submits one private query under an explicit per-query budget,
+    /// through the engine's coordinator. The query is checked once,
+    /// before any provider sees it, so a malformed query costs nothing.
+    pub fn submit_with_budget(
+        &self,
+        query: &RangeQuery,
+        sampling_rate: f64,
+        budget: &QueryBudget,
+    ) -> Result<ShardedSub> {
+        self.coordinator
+            .submit_with_budget(query, sampling_rate, budget)
+    }
+
+    /// Runs one private query through the engine's coordinator — the
+    /// next occurrence of its content, as [`Self::submit_with_budget`] —
+    /// and answers with the in-process oracle's diagnostics. Only an
+    /// engine in this process has them.
+    pub fn run_oracle(
+        &self,
+        query: &RangeQuery,
+        sampling_rate: f64,
+        budget: &QueryBudget,
+    ) -> Result<OracleAnswer> {
+        self.submit_with_budget(query, sampling_rate, budget)?
+            .wait_oracle()
+    }
+
+    /// Submits a plain (non-private, exact) execution of `query` on the
+    /// same engine — the like-for-like baseline of the speed-up metric:
+    /// both paths run on the same threads and are charged the slowest
+    /// provider's time. It is not the protocol, so no coordinator takes
+    /// part.
+    pub fn submit_plain(&self, query: &RangeQuery) -> Result<PendingPlain> {
+        self.engine.submit_plain(query)
+    }
+}
+
+impl From<EngineHandle> for ShardedFederation {
+    /// The engine's own one-shard coordinator, sharing its occurrence
+    /// ledger.
+    fn from(handle: EngineHandle) -> Self {
+        handle.coordinator
     }
 }
 
@@ -1528,7 +1323,7 @@ impl FederationEngine {
     /// Drains in-flight jobs, stops the workers, and reassembles the
     /// federation (providers return in id order).
     pub fn shutdown(self) -> Federation {
-        self.handle.close();
+        self.handle.engine.close();
         let mut providers: Vec<DataProvider> = self
             .workers
             .into_iter()
@@ -1544,9 +1339,20 @@ impl FederationEngine {
 }
 
 #[cfg(test)]
+impl LocalBatch {
+    /// How many summary and execute turns fragment `index` ran.
+    pub(crate) fn turns_run(&self, index: usize) -> (usize, usize) {
+        let progress = self.jobs[index].lock_progress();
+        (progress.summaries_done, progress.done)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregator::Aggregator;
     use crate::config::FederationConfig;
+    use crate::shard::ShardBackend;
     use fedaqp_model::{Aggregate, Dimension, Domain, Range, Row};
     use fedaqp_smc::CostModel;
 
@@ -1586,28 +1392,30 @@ mod tests {
         RangeQuery::new(Aggregate::Count, vec![Range::new(0, lo, hi).unwrap()]).unwrap()
     }
 
-    fn batch() -> QueryBatch {
-        let mut batch = QueryBatch::new();
-        for i in 0..6 {
-            batch.push(count_query(50 * i, 500 + 50 * i), 0.2);
-        }
-        batch
+    fn batch() -> Vec<RangeQuery> {
+        (0..6).map(|i| count_query(50 * i, 500 + 50 * i)).collect()
+    }
+
+    /// The oracle of one private query on `engine` at rate 0.2, under the
+    /// default budget.
+    fn oracle(engine: &EngineHandle, query: &RangeQuery) -> OracleAnswer {
+        let budget = engine.default_budget().unwrap();
+        engine.run_oracle(query, 0.2, &budget).unwrap()
     }
 
     #[test]
     fn scoped_engine_answers_are_consistent() {
         let fed = federation();
         let q = count_query(100, 800);
-        let ans = fed
-            .with_engine(|engine| engine.submit(&q, 0.2).unwrap().wait())
-            .unwrap();
+        let oracle = fed.with_engine(|engine| oracle(engine, &q));
+        let ans = &oracle.answer;
         assert!(ans.value.is_finite());
         assert_eq!(ans.allocations.len(), 4);
-        assert_eq!(ans.smooth_ls.len(), 4);
+        assert_eq!(oracle.smooth_ls.len(), 4);
         assert!(ans.clusters_scanned > 0);
         assert!(ans.covering_total >= ans.clusters_scanned);
         assert!((ans.cost.eps - 1.0).abs() < 1e-9);
-        assert!(ans.raw_estimate.is_finite());
+        assert!(oracle.raw_estimate.is_finite());
     }
 
     #[test]
@@ -1623,20 +1431,29 @@ mod tests {
 
     #[test]
     fn batch_is_deterministic_serial_vs_concurrent() {
-        let serial: Vec<_> = federation()
-            .with_engine(|engine| engine.run_batch_serial(&batch()))
-            .into_iter()
-            .map(|r| r.unwrap())
-            .collect();
-        let concurrent: Vec<_> = federation()
-            .with_engine(|engine| engine.run_batch(&batch()))
-            .into_iter()
-            .map(|r| r.unwrap())
-            .collect();
+        // Serial: each query waited before the next is submitted.
+        // Concurrent: every query submitted before the first wait (on a
+        // pool, the turns of all six interleave on the workers).
+        let serial: Vec<_> =
+            federation().with_engine(|engine| batch().iter().map(|q| oracle(engine, q)).collect());
+        let concurrent: Vec<_> = {
+            let engine = FederationEngine::start(federation());
+            let handle = engine.handle();
+            let pending: Vec<_> = batch()
+                .iter()
+                .map(|q| handle.submit(q, 0.2).unwrap())
+                .collect();
+            let answers = pending
+                .into_iter()
+                .map(|p| p.wait_oracle().unwrap())
+                .collect();
+            engine.shutdown();
+            answers
+        };
         assert_eq!(serial.len(), concurrent.len());
         for (a, b) in serial.iter().zip(&concurrent) {
-            assert_eq!(a.value, b.value);
-            assert_eq!(a.allocations, b.allocations);
+            assert_eq!(a.answer.value, b.answer.value);
+            assert_eq!(a.answer.allocations, b.answer.allocations);
             assert_eq!(a.raw_estimate, b.raw_estimate);
             assert_eq!(a.smooth_ls, b.smooth_ls);
         }
@@ -1710,7 +1527,7 @@ mod tests {
             assert_eq!(p.id(), i);
         }
         let again = fed.run(&q, 0.2).unwrap();
-        assert!(again.value.is_finite());
+        assert!(again.answer.value.is_finite());
         // The handle is dead after shutdown.
         assert!(handle.submit(&q, 0.2).is_err());
     }
@@ -1884,10 +1701,8 @@ mod tests {
         // Two fresh scoped engines over identical federations: index 0 on
         // both, but the queries differ, so the realized noise must too.
         let noise_of = |lo: i64, hi: i64| {
-            let ans = federation()
-                .with_engine(|engine| engine.submit(&count_query(lo, hi), 0.2).unwrap().wait())
-                .unwrap();
-            ans.value - ans.raw_estimate
+            let ans = federation().run(&count_query(lo, hi), 0.2).unwrap();
+            ans.answer.value - ans.raw_estimate
         };
         assert_ne!(noise_of(0, 500).to_bits(), noise_of(1, 500).to_bits());
     }
@@ -1905,12 +1720,8 @@ mod tests {
                     .iter()
                     .map(|&i| {
                         let lo = 10 * i as i64;
-                        let ans = engine
-                            .submit(&count_query(lo, 700), 0.2)
-                            .unwrap()
-                            .wait()
-                            .unwrap();
-                        (lo, ans.value, ans.raw_estimate)
+                        let ans = oracle(engine, &count_query(lo, 700));
+                        (lo, ans.answer.value, ans.raw_estimate)
                     })
                     .collect()
             });
@@ -1930,9 +1741,11 @@ mod tests {
         let fed = federation();
         let (first, second) = fed.with_engine(|engine| {
             let q = count_query(100, 800);
-            let a = engine.submit(&q, 0.2).unwrap().wait().unwrap();
-            let b = engine.submit(&q, 0.2).unwrap().wait().unwrap();
-            (a.value - a.raw_estimate, b.value - b.raw_estimate)
+            let (a, b) = (oracle(engine, &q), oracle(engine, &q));
+            (
+                a.answer.value - a.raw_estimate,
+                b.answer.value - b.raw_estimate,
+            )
         });
         assert_ne!(first.to_bits(), second.to_bits(), "repeat reused noise");
     }
@@ -1946,31 +1759,19 @@ mod tests {
         assert!(a != b && a != c && a != d && b != c);
     }
 
-    #[test]
-    fn batch_builder_basics() {
-        let mut b = QueryBatch::new();
-        assert!(b.is_empty());
-        b.push(count_query(0, 10), 0.1);
-        assert_eq!(b.len(), 1);
-        let collected: QueryBatch = b.specs().to_vec().into_iter().collect();
-        assert_eq!(collected.len(), 1);
-    }
-
     /// The bits of an answer a byte-identity check compares.
-    fn bits(answer: &EngineAnswer) -> (u64, u64, Vec<u64>) {
+    fn bits(oracle: &OracleAnswer) -> (u64, u64, Vec<u64>) {
         (
-            answer.value.to_bits(),
-            answer.raw_estimate.to_bits(),
-            answer.allocations.clone(),
+            oracle.answer.value.to_bits(),
+            oracle.raw_estimate.to_bits(),
+            oracle.answer.allocations.clone(),
         )
     }
 
     #[test]
     fn concurrent_waiters_on_a_shared_scoped_job_run_it_once() {
         let q = count_query(100, 800);
-        let lone = federation()
-            .with_engine(|engine| engine.submit(&q, 0.2).unwrap().wait())
-            .unwrap();
+        let lone = federation().run(&q, 0.2).unwrap();
         let fed = federation();
         let (answers, turns) = fed.with_engine(|engine| {
             let pending = engine.submit(&q, 0.2).unwrap();
@@ -1983,7 +1784,7 @@ mod tests {
                         let start = &start;
                         scope.spawn(move || {
                             start.wait();
-                            p.wait().unwrap()
+                            p.wait_oracle().unwrap()
                         })
                     })
                     .collect();
@@ -1992,8 +1793,7 @@ mod tests {
                     .map(|w| w.join().unwrap())
                     .collect::<Vec<_>>()
             });
-            let progress = probe.job.lock_progress();
-            (answers, (progress.summaries_done, progress.done))
+            (answers, probe.turns_run())
         });
         assert_eq!(turns, (4, 4), "every provider's turns ran exactly once");
         for answer in &answers {
@@ -2004,20 +1804,16 @@ mod tests {
     #[test]
     fn a_scoped_batch_waited_in_reverse_matches_in_order_waits() {
         let in_order: Vec<_> = federation()
-            .with_engine(|engine| engine.run_batch_serial(&batch()))
-            .into_iter()
-            .map(|r| bits(&r.unwrap()))
-            .collect();
+            .with_engine(|engine| batch().iter().map(|q| bits(&oracle(engine, q))).collect());
         let mut reversed: Vec<_> = federation().with_engine(|engine| {
             let pending: Vec<_> = batch()
-                .specs()
                 .iter()
-                .map(|spec| engine.submit(&spec.query, spec.sampling_rate).unwrap())
+                .map(|q| engine.submit(q, 0.2).unwrap())
                 .collect();
             pending
                 .into_iter()
                 .rev()
-                .map(|p| bits(&p.wait().unwrap()))
+                .map(|p| bits(&p.wait_oracle().unwrap()))
                 .collect()
         });
         reversed.reverse();
@@ -2028,13 +1824,14 @@ mod tests {
     fn a_scoped_answer_dropped_unwaited_still_consumes_its_occurrence() {
         let q = count_query(100, 800);
         let second_draw = federation().with_engine(|engine| {
-            engine.submit(&q, 0.2).unwrap().wait().unwrap();
-            engine.submit(&q, 0.2).unwrap().wait().unwrap()
+            oracle(engine, &q);
+            oracle(engine, &q)
         });
-        // The dropped job never runs, and the scope returns without it.
+        // The dropped job's execute turns never run, and the scope returns
+        // without them.
         let after_drop = federation().with_engine(|engine| {
             drop(engine.submit(&q, 0.2).unwrap());
-            engine.submit(&q, 0.2).unwrap().wait().unwrap()
+            oracle(engine, &q)
         });
         assert_eq!(bits(&after_drop), bits(&second_draw));
     }
@@ -2047,30 +1844,29 @@ mod tests {
     /// allocation barrier, the second fragment's summaries never come.)
     #[test]
     fn an_owned_engine_completes_a_fragment_batch_whose_summaries_are_read_first() {
-        fn run(engine: &EngineHandle) -> Vec<Vec<crate::shard::PartialRow>> {
+        fn run(engine: &EngineHandle) -> Vec<Vec<PartialRow>> {
             let budget = engine.default_budget().unwrap();
-            let fragments: Vec<_> = (0..4)
-                .map(|i| {
-                    let spec = crate::shard::FragmentSpec {
-                        query: count_query(50 * i, 600 + 50 * i),
-                        sampling_rate: 0.2,
-                        budget,
-                        occurrence: 0,
-                    };
-                    engine.submit_fragment(&spec).unwrap()
+            let specs: Vec<_> = (0..4)
+                .map(|i| FragmentSpec {
+                    query: count_query(50 * i, 600 + 50 * i),
+                    sampling_rate: 0.2,
+                    budget,
+                    occurrence: 0,
                 })
                 .collect();
-            let summaries: Vec<_> = fragments.iter().map(|f| f.summaries().unwrap()).collect();
-            for (fragment, (summaries, _)) in fragments.iter().zip(&summaries) {
-                let allocation = Aggregator::new(0, CostModel::zero())
-                    .allocate(summaries, 0.2)
-                    .unwrap();
-                fragment.provide_allocation(allocation).unwrap();
-            }
-            fragments
+            let mut batch = ShardBackend::begin(engine, &specs).unwrap();
+            let allocations = batch
+                .summaries()
+                .unwrap()
                 .iter()
-                .map(|f| f.partial().unwrap().rows)
-                .collect()
+                .map(|(summaries, _)| {
+                    Aggregator::new(0, CostModel::zero())
+                        .allocate(summaries, 0.2)
+                        .unwrap()
+                })
+                .collect();
+            batch.allocate(allocations).unwrap();
+            (0..4).map(|_| batch.partial().unwrap().rows).collect()
         }
         let scoped = federation().with_engine(run);
         let (done, finished) = std::sync::mpsc::channel();
@@ -2091,15 +1887,13 @@ mod tests {
     #[test]
     fn a_scoped_job_waited_after_its_scope_returned_answers_from_its_snapshot() {
         let q = count_query(0, 999);
-        let inside = federation()
-            .with_engine(|engine| engine.submit(&q, 0.2).unwrap().wait())
-            .unwrap();
+        let inside = federation().run(&q, 0.2).unwrap();
         let mut fed = federation();
         let escaped = fed.with_engine(|engine| engine.submit(&q, 0.2).unwrap());
         fed.providers_mut()[0]
             .append_row(&Row::cell(vec![500, 50], 1))
             .unwrap();
         assert_ne!(fed.exact(&q), federation().exact(&q));
-        assert_eq!(bits(&escaped.wait().unwrap()), bits(&inside));
+        assert_eq!(bits(&escaped.wait_oracle().unwrap()), bits(&inside));
     }
 }

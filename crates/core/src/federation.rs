@@ -8,7 +8,8 @@ use fedaqp_model::{RangeQuery, Row, Schema};
 use fedaqp_storage::{ClusterStore, MetaSpaceReport};
 
 use crate::config::FederationConfig;
-use crate::engine::{EngineAnswer, EngineHandle};
+use crate::engine::EngineHandle;
+use crate::plan::ShardedAnswer;
 use crate::provider::DataProvider;
 use crate::{CoreError, Result};
 
@@ -20,6 +21,22 @@ pub struct PlainAnswer {
     pub value: u64,
     /// Wall-clock latency (parallel scans) plus simulated network rounds.
     pub duration: Duration,
+}
+
+/// One private query answered in process, with the simulation-boundary
+/// diagnostics no served answer carries: the experiments' oracle.
+///
+/// The raw estimate and the smooth sensitivities are read from the one
+/// engine's own outcomes, in the coordinator that released `answer`; no
+/// remote shard is ever asked for them, and no wire frame can carry them.
+#[derive(Debug, Clone)]
+pub struct OracleAnswer {
+    /// What an analyst would have been released.
+    pub answer: ShardedAnswer,
+    /// Σ of the providers' raw (pre-noise) estimates.
+    pub raw_estimate: f64,
+    /// Per-provider smooth sensitivities, in provider order.
+    pub smooth_ls: Vec<f64>,
 }
 
 /// A federation at rest: the configuration, the public schema and the `n`
@@ -207,14 +224,15 @@ impl Federation {
     }
 
     /// Runs one query under the configured default budget: one submission
-    /// on a fresh [`Self::with_engine`] scope.
+    /// on a fresh [`Self::with_engine`] scope, answered with the in-process
+    /// oracle's diagnostics.
     ///
     /// A scope owns its occurrence ledger, so every call is occurrence 0
     /// of its content: calling this twice with the same query releases the
     /// same bytes twice (a replay reveals nothing new). A loop that needs
     /// independent draws opens **one** scope and submits inside it.
-    pub fn run(&self, query: &RangeQuery, sampling_rate: f64) -> Result<EngineAnswer> {
-        self.with_engine(|engine| engine.submit(query, sampling_rate)?.wait())
+    pub fn run(&self, query: &RangeQuery, sampling_rate: f64) -> Result<OracleAnswer> {
+        self.run_with_budget(query, sampling_rate, &self.default_budget()?)
     }
 
     /// [`Self::run`] under an explicit per-query budget (the analyst's
@@ -225,12 +243,8 @@ impl Federation {
         query: &RangeQuery,
         sampling_rate: f64,
         budget: &QueryBudget,
-    ) -> Result<EngineAnswer> {
-        self.with_engine(|engine| {
-            engine
-                .submit_with_budget(query, sampling_rate, budget)?
-                .wait()
-        })
+    ) -> Result<OracleAnswer> {
+        self.with_engine(|engine| engine.run_oracle(query, sampling_rate, budget))
     }
 
     /// Plain federated execution: every provider scans its full partition
@@ -326,13 +340,13 @@ mod tests {
         let fed = Federation::build(config(50), schema(), partitions(2000, 4)).unwrap();
         let q = count_query(100, 800);
         let ans = fed.run(&q, 0.2).unwrap();
-        assert!(ans.value.is_finite());
+        assert!(ans.answer.value.is_finite());
         assert!(ans.raw_estimate.is_finite());
-        assert_eq!(ans.allocations.len(), 4);
-        assert!(ans.clusters_scanned > 0);
-        assert!(ans.covering_total >= ans.clusters_scanned);
-        assert!((ans.cost.eps - 1.0).abs() < 1e-9);
-        assert_eq!(ans.cost.delta, 1e-3);
+        assert_eq!(ans.answer.allocations.len(), 4);
+        assert!(ans.answer.clusters_scanned > 0);
+        assert!(ans.answer.covering_total >= ans.answer.clusters_scanned);
+        assert!((ans.answer.cost.eps - 1.0).abs() < 1e-9);
+        assert_eq!(ans.answer.cost.delta, 1e-3);
     }
 
     #[test]
@@ -340,12 +354,12 @@ mod tests {
         let fed = Federation::build(config(50), schema(), partitions(5000, 4)).unwrap();
         let q = count_query(0, 999);
         let ans = fed.run(&q, 0.1).unwrap();
-        assert_eq!(ans.approximated_providers, 4);
+        assert_eq!(ans.answer.approximated_providers, 4);
         assert!(
-            (ans.clusters_scanned as f64) < 0.5 * ans.covering_total as f64,
+            (ans.answer.clusters_scanned as f64) < 0.5 * ans.answer.covering_total as f64,
             "scanned {} of {}",
-            ans.clusters_scanned,
-            ans.covering_total
+            ans.answer.clusters_scanned,
+            ans.answer.covering_total
         );
     }
 
@@ -357,7 +371,7 @@ mod tests {
         cfg.epsilon = 100.0;
         let fed = Federation::build(cfg, schema(), partitions(5000, 4)).unwrap();
         let q = count_query(0, 999);
-        let err = relative_error(fed.exact(&q), fed.run(&q, 0.2).unwrap().value);
+        let err = relative_error(fed.exact(&q), fed.run(&q, 0.2).unwrap().answer.value);
         assert!(err < 0.2, "relative error {err} too large");
     }
 
@@ -369,8 +383,8 @@ mod tests {
         let fed = Federation::build(cfg, schema(), partitions(5000, 4)).unwrap();
         let q = count_query(0, 999);
         let ans = fed.run(&q, 0.2).unwrap();
-        assert!(ans.value.is_finite());
-        let err = relative_error(fed.exact(&q), ans.value);
+        assert!(ans.answer.value.is_finite());
+        let err = relative_error(fed.exact(&q), ans.answer.value);
         assert!(err < 0.2, "err {err}");
     }
 
@@ -382,9 +396,9 @@ mod tests {
         let fed = Federation::build(cfg, schema(), partitions(2000, 4)).unwrap();
         let q = count_query(100, 900);
         let ans = fed.run(&q, 0.2).unwrap();
-        assert_eq!(ans.approximated_providers, 0);
+        assert_eq!(ans.answer.approximated_providers, 0);
         // Exact path + loose budget ⇒ tiny error.
-        let err = relative_error(fed.exact(&q), ans.value);
+        let err = relative_error(fed.exact(&q), ans.answer.value);
         assert!(err < 0.05, "err {err}");
         assert!(!fed.triggers_approximation(&q));
     }

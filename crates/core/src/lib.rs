@@ -2,10 +2,11 @@
 //! contribution (§5).
 //!
 //! A [`federation::Federation`] holds `n` [`provider::DataProvider`]s; an
-//! [`engine`] over it (an owned engine runs one worker per provider, a
-//! scoped one runs each job on the thread that waits for it; either way a
-//! per-query [`aggregator`]) is the one implementation of the query
-//! lifecycle of Fig. 3:
+//! [`engine`] over it runs the providers' turns (an owned engine on one
+//! worker per provider, a scoped one on the threads that wait), and a
+//! [`shard`] coordinator in front of every engine — one engine or many —
+//! runs the [`aggregator`]'s steps. Together they are the one
+//! implementation of the query lifecycle of Fig. 3:
 //!
 //! 1. The aggregator broadcasts the query; each provider identifies its
 //!    covering clusters `C^Q` and their approximate proportions `R̂` from
@@ -59,22 +60,19 @@ pub use config::{
     AllocationPolicy, EstimatorCalibration, FederationConfig, OptimizerConfig, ProportionSource,
     ReleaseMode, SamplingPolicy, SensitivityRegime,
 };
-pub use engine::{
-    EngineAnswer, EngineExtreme, EngineHandle, FederationEngine, PendingAnswer, PendingExtreme,
-    PendingPlain, QueryBatch, QuerySpec,
-};
+pub use engine::{EngineHandle, FederationEngine, PendingPlain};
 pub use error::CoreError;
 pub use fedaqp_model::{DerivedStatistic, Extreme};
-pub use federation::{Federation, PlainAnswer};
+pub use federation::{Federation, OracleAnswer, PlainAnswer};
 pub use online::combine_snapshots;
 pub use optimizer::{MetaSnapshot, PlanExplanation, ProviderBounds, SubQueryExplanation};
 pub use plan::{
-    ExtremeOutcome, ExtremeQuery, PendingPlan, PlanAnswer, PlanBackend, PlanGroup, PlanResult,
-    PlanSnapshot, QueryPlan, ShardedAnswer, SubQuery,
+    ExtremeOutcome, ExtremeQuery, PendingPlan, PlanAnswer, PlanGroup, PlanResult, PlanSnapshot,
+    QueryPlan, ShardedAnswer, SubQuery,
 };
 pub use protocol::{relative_error, LocalOutcome, PhaseTimings, ProviderSummary};
 pub use provider::DataProvider;
-pub use session::{ConcurrentSession, Session, SessionPlan, ShardedSession};
+pub use session::{Session, SessionPlan};
 pub use shard::{
     ExtremeFragmentSpec, ExtremeReply, FragmentBatch, FragmentPartial, FragmentSpec,
     FragmentSummaries, PartialRow, ShardBackend, ShardedFederation, ShardedSub,

@@ -9,13 +9,13 @@
 //! A plan is compiled once. One function, `compile`, turns a plan into
 //! its sub-queries: the budget split, group enumeration and its cap, the
 //! dedup decision, the cost order and the online round rates. It reads
-//! only the backend's configuration, schema and public metadata, and it
-//! validates every sub-query it produces. The three entry points of
-//! [`PlanBackend`] read the compiled plan:
-//! [`validate_plan`](PlanBackend::validate_plan) compiles and keeps
-//! nothing, [`submit_plan`](PlanBackend::submit_plan) submits the
-//! compiled sub-queries in one [`PlanBackend::submit_subs`] call, and
-//! [`explain_plan`](PlanBackend::explain_plan) renders the compiled
+//! only the coordinator's configuration, schema and public metadata, and
+//! it validates every sub-query it produces. The coordinator's three
+//! entry points read the compiled plan:
+//! [`validate_plan`](ShardedFederation::validate_plan) compiles and keeps
+//! nothing, [`submit_plan`](ShardedFederation::submit_plan) scatters the
+//! compiled sub-queries as one batch, and
+//! [`explain_plan`](ShardedFederation::explain_plan) renders the compiled
 //! shape, so `EXPLAIN` shows what submission sends.
 //!
 //! Compilation shape:
@@ -61,18 +61,17 @@
 //!   `ε` is the federation-wide cost by parallel composition over
 //!   disjoint providers.
 //!
-//! **Backends.** The compiler is generic over a [`PlanBackend`]: the thing
-//! that actually runs a sub-query. [`EngineHandle`] is the in-process
-//! backend (the default, and what every pre-sharding caller uses);
-//! [`crate::shard::ShardedFederation`] is the scatter–gather coordinator
-//! backend. Both run the *same* compilation, budget-split, suppression,
-//! and post-processing code below — which is what makes the sharded
-//! determinism contract checkable: only the sub-query transport differs.
+//! **One coordinator.** Every plan runs on a [`ShardedFederation`]: an
+//! [`EngineHandle`] is a one-shard coordinator over its own engine, so
+//! the compilation, budget-split, suppression and post-processing code
+//! below is the only copy — which is what makes the sharded determinism
+//! contract checkable: only the shards behind the coordinator differ.
 //!
-//! **Concurrency.** [`EngineHandle::submit_plan`] submits *every*
+//! **Concurrency.** [`ShardedFederation::submit_plan`] submits *every*
 //! sub-query before anything is awaited, so on an owned engine a
 //! group-by's `k` point queries pipeline across the provider worker pool
-//! (a scoped engine runs each as it is awaited) — under a WAN cost model
+//! (a scoped engine runs each one's execute turns as it is awaited) —
+//! under a WAN cost model
 //! their transits overlap, which is why
 //! [`PlanAnswer::timings`] reports per-phase *maxima* over the concurrent
 //! sub-queries rather than sums.
@@ -100,10 +99,10 @@ pub use fedaqp_model::QueryPlan;
 use fedaqp_model::{Aggregate, DerivedStatistic, Extreme, Range, RangeQuery, Schema, Value};
 use fedaqp_obs as obs;
 
-use crate::config::FederationConfig;
-use crate::engine::{EngineAnswer, EngineHandle, PendingAnswer, PendingExtreme};
-use crate::optimizer::{submission_order, MetaSnapshot, PlanExplanation, SubQueryExplanation};
+use crate::engine::EngineHandle;
+use crate::optimizer::{submission_order, PlanExplanation, SubQueryExplanation};
 use crate::protocol::PhaseTimings;
+use crate::shard::{ShardedFederation, ShardedSub};
 use crate::{CoreError, Result};
 
 /// One released group of a GROUP-BY plan.
@@ -212,16 +211,15 @@ impl PlanAnswer {
     }
 }
 
-/// The analyst-visible answer to one private scalar query: everything an
-/// analyst is allowed to see of an [`EngineAnswer`], and nothing else —
-/// the simulation-boundary diagnostics (`raw_estimate`, `smooth_ls`) have
-/// no field here: the [`From`] projection drops them, and a coordinator
-/// never receives them from its shards in the first place.
+/// The analyst-visible answer to one private scalar query, and nothing
+/// else: the simulation-boundary diagnostics (`raw_estimate`,
+/// `smooth_ls`) have no field here — only the in-process oracle
+/// ([`crate::OracleAnswer`]) carries them, and a coordinator never
+/// receives them from a remote shard in the first place.
 ///
-/// Every [`PlanBackend`] resolves a sub-query to this one type, so the
-/// plan compiler, the budget sessions and the wire's `Answer` frame read
-/// the same fields whether an engine or a coordinator ran the query (the
-/// name is the coordinator's, where the projection originated).
+/// The coordinator resolves every sub-query to this one type, so the plan
+/// compiler, the budget sessions and the wire's answer frames read the
+/// same fields in every deployment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedAnswer {
     /// The DP-released answer (byte-identical across deployments).
@@ -243,21 +241,6 @@ pub struct ShardedAnswer {
     pub allocations: Vec<u64>,
 }
 
-impl From<EngineAnswer> for ShardedAnswer {
-    fn from(answer: EngineAnswer) -> Self {
-        Self {
-            value: answer.value,
-            cost: answer.cost,
-            timings: answer.timings,
-            ci_halfwidth: answer.ci_halfwidth,
-            clusters_scanned: answer.clusters_scanned,
-            covering_total: answer.covering_total,
-            approximated_providers: answer.approximated_providers,
-            allocations: answer.allocations,
-        }
-    }
-}
-
 /// What one resolved extreme selection hands back to the plan compiler.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExtremeOutcome {
@@ -269,71 +252,9 @@ pub struct ExtremeOutcome {
     pub network: Duration,
 }
 
-/// A sub-query transport the plan compiler can run on: the in-process
-/// [`EngineHandle`] or the sharded scatter–gather coordinator
-/// ([`crate::shard::ShardedFederation`]). Everything *semantic* — budget
-/// splits, group enumeration, suppression, derived post-processing,
-/// optimizer decisions — lives in the shared generic functions of this
-/// module; a backend only moves sub-queries and answers.
-pub trait PlanBackend: Clone {
-    /// A private scalar sub-query in flight.
-    type Sub;
-    /// A private MIN/MAX selection in flight.
-    type Ext;
-
-    /// The federation configuration this backend serves.
-    fn config(&self) -> &FederationConfig;
-    /// The public table schema.
-    fn schema(&self) -> &Schema;
-    /// The public pruning-bounds snapshot (whole federation).
-    fn snapshot(&self) -> &MetaSnapshot;
-
-    /// Submits a plan's private sub-queries without waiting — all of them
-    /// at once, in order, one in-flight handle each. The engine submits
-    /// them one by one; the coordinator sends them to each shard as one
-    /// batch.
-    fn submit_subs(&self, subs: &[SubQuery]) -> Result<Vec<Self::Sub>>;
-    /// A second waiter on the same in-flight sub-query (the dedup pass's
-    /// release reuse): both waiters must observe byte-identical outcomes
-    /// without resubmitting, re-noising, or re-charging.
-    fn share_sub(&self, sub: &Self::Sub) -> Self::Sub;
-    /// Blocks until the sub-query resolved.
-    fn wait_sub(&self, sub: Self::Sub) -> Result<ShardedAnswer>;
-
-    /// Submits one private MIN/MAX without waiting.
-    fn submit_ext(&self, ext: ExtremeQuery) -> Result<Self::Ext>;
-    /// Blocks until the selection resolved.
-    fn wait_ext(&self, ext: Self::Ext) -> Result<ExtremeOutcome>;
-
-    /// Validates a plan without dispatching (or charging) anything: it
-    /// compiles the plan, which checks every sub-query the plan would
-    /// submit — schema, sampling rate, budget positivity — and the
-    /// group-domain cap. Stateless, so sessions can check a plan *before*
-    /// charging its [`QueryPlan::total_cost`].
-    fn validate_plan(&self, plan: &QueryPlan) -> Result<()> {
-        compile(self, plan).map(drop)
-    }
-
-    /// Compiles `plan` and submits **all** of its sub-queries before
-    /// returning — a group-by's per-group queries are in flight together
-    /// by the time the caller first waits. Compiling validates, so a
-    /// rejected plan touches no data.
-    fn submit_plan(&self, plan: &QueryPlan) -> Result<PendingPlan<Self>> {
-        compile(self, plan)?.submit(self)
-    }
-
-    /// `EXPLAIN`: the compiled plan, rendered — what [`Self::submit_plan`]
-    /// submits, computed from the plan and the public metadata snapshot
-    /// alone. Nothing is dispatched, no data is touched, no budget is
-    /// charged.
-    fn explain_plan(&self, plan: &QueryPlan) -> Result<PlanExplanation> {
-        Ok(compile(self, plan)?.explain(self))
-    }
-}
-
-/// One private sub-query of a plan, as the compiler hands it to
-/// [`PlanBackend::submit_subs`]. Only this crate builds one, and only
-/// after the compiler's check passed it, so a backend submits it
+/// One private sub-query of a plan, as the compiler hands it to the
+/// coordinator's scatter. Only this crate builds one, and only after the
+/// compiler's check passed it, so the coordinator's own engines run it
 /// unchecked.
 #[derive(Debug, Clone)]
 pub struct SubQuery {
@@ -345,8 +266,8 @@ pub struct SubQuery {
     pub(crate) budget: QueryBudget,
 }
 
-/// A plan's private MIN/MAX, as the compiler hands it to
-/// [`PlanBackend::submit_ext`]: only this crate builds one, checked.
+/// A plan's private MIN/MAX, as the compiler hands it to the
+/// coordinator: only this crate builds one, checked.
 #[derive(Debug, Clone, Copy)]
 pub struct ExtremeQuery {
     /// The selected dimension.
@@ -400,7 +321,7 @@ fn check_positive(epsilon: f64, message: &'static str) -> Result<()> {
     Ok(())
 }
 
-/// Budget-phase sanity shared by every backend.
+/// Budget-phase sanity shared by every sub-query.
 fn check_budget(budget: &QueryBudget) -> Result<()> {
     let ok = |x: f64| x.is_finite() && x > 0.0;
     let valid = ok(budget.eps_o)
@@ -414,48 +335,6 @@ fn check_budget(budget: &QueryBudget) -> Result<()> {
         ));
     }
     Ok(())
-}
-
-impl PlanBackend for EngineHandle {
-    type Sub = PendingAnswer;
-    type Ext = PendingExtreme;
-
-    fn config(&self) -> &FederationConfig {
-        EngineHandle::config(self)
-    }
-
-    fn schema(&self) -> &Schema {
-        EngineHandle::schema(self)
-    }
-
-    fn snapshot(&self) -> &MetaSnapshot {
-        self.meta_snapshot()
-    }
-
-    fn submit_subs(&self, subs: &[SubQuery]) -> Result<Vec<PendingAnswer>> {
-        subs.iter().map(|sub| self.submit_sub(sub)).collect()
-    }
-
-    fn share_sub(&self, sub: &PendingAnswer) -> PendingAnswer {
-        sub.share()
-    }
-
-    fn wait_sub(&self, sub: PendingAnswer) -> Result<ShardedAnswer> {
-        sub.wait().map(ShardedAnswer::from)
-    }
-
-    fn submit_ext(&self, ext: ExtremeQuery) -> Result<PendingExtreme> {
-        self.launch_extreme(ext, None)
-    }
-
-    fn wait_ext(&self, ext: PendingExtreme) -> Result<ExtremeOutcome> {
-        let extreme = ext.wait()?;
-        Ok(ExtremeOutcome {
-            value: extreme.value,
-            execution: extreme.execution,
-            network: extreme.network,
-        })
-    }
 }
 
 /// Merges per-phase timings under the overlap model (element-wise max).
@@ -499,17 +378,16 @@ impl<S> Cell<S> {
             },
         }
     }
+}
 
+impl Cell<ShardedSub> {
     /// Waits out the cell's sub-queries and post-processes the statistic.
     /// Noisy denominators are clamped to ≥ 1 so the post-processing stays
     /// finite; variance is clamped at ≥ 0.
-    fn wait<B: PlanBackend<Sub = S>>(
-        self,
-        backend: &B,
-    ) -> Result<(f64, Option<f64>, PhaseTimings)> {
+    fn wait(self) -> Result<(f64, Option<f64>, PhaseTimings)> {
         match self {
             Cell::Scalar(pending) => {
-                let answer = backend.wait_sub(pending)?;
+                let answer = pending.wait()?;
                 Ok((answer.value, answer.ci_halfwidth, answer.timings))
             }
             Cell::Derived {
@@ -518,12 +396,12 @@ impl<S> Cell<S> {
                 sum,
                 second_moment,
             } => {
-                let count = backend.wait_sub(count)?;
-                let sum = backend.wait_sub(sum)?;
+                let count = count.wait()?;
+                let sum = sum.wait()?;
                 let mut timings = count.timings;
                 merge_timings(&mut timings, &sum.timings);
                 if let Some(pending) = second_moment {
-                    let heavy = backend.wait_sub(pending)?;
+                    let heavy = pending.wait()?;
                     merge_timings(&mut timings, &heavy.timings);
                 }
                 let noisy_count = count.value.max(1.0);
@@ -539,19 +417,19 @@ impl<S> Cell<S> {
     }
 }
 
-/// A [`QueryPlan`] in flight on a backend: every sub-query has been
-/// submitted; [`wait`] collects and post-processes. The default backend is the in-process engine.
+/// A [`QueryPlan`] in flight on a coordinator: every sub-query has been
+/// submitted (an extreme already resolved); [`wait`] collects and
+/// post-processes.
 ///
 /// [`wait`]: PendingPlan::wait
-pub struct PendingPlan<B: PlanBackend = EngineHandle> {
-    backend: B,
-    kind: PendingKind<B::Sub, B::Ext>,
+pub struct PendingPlan {
+    kind: PendingKind<ShardedSub, ExtremeOutcome>,
     cost: PrivacyCost,
 }
 
 /// A plan's shape over its sub-queries `S` (positions while compiling,
 /// in-flight handles once submitted) and its extreme selection `E` (the
-/// spec while compiling, the selection in flight once submitted).
+/// spec while compiling, the selection once submitted).
 enum PendingKind<S, E> {
     Cell(Cell<S>),
     Groups {
@@ -594,7 +472,7 @@ impl<S, E> PendingKind<S, E> {
     }
 }
 
-impl<B: PlanBackend> PendingPlan<B> {
+impl PendingPlan {
     /// Blocks until every sub-query resolved, then assembles the plan's
     /// uniform answer.
     pub fn wait(self) -> Result<PlanAnswer> {
@@ -610,7 +488,6 @@ impl<B: PlanBackend> PendingPlan<B> {
     ///
     /// [`wait`]: PendingPlan::wait
     pub fn wait_streaming(self, mut on_snapshot: impl FnMut(&PlanSnapshot)) -> Result<PlanAnswer> {
-        let backend = &self.backend;
         let mut timings = PhaseTimings::default();
         let result = match self.kind {
             PendingKind::Online { subs } => {
@@ -618,7 +495,7 @@ impl<B: PlanBackend> PendingPlan<B> {
                 let mut snapshots = Vec::with_capacity(subs.len());
                 for (i, sub) in subs.into_iter().enumerate() {
                     let round = i as u64 + 1;
-                    let outcome = backend.wait_sub(sub)?;
+                    let outcome = sub.wait()?;
                     merge_timings(&mut timings, &outcome.timings);
                     let snapshot = PlanSnapshot {
                         round,
@@ -634,7 +511,7 @@ impl<B: PlanBackend> PendingPlan<B> {
                 PlanResult::Snapshots { snapshots }
             }
             PendingKind::Cell(cell) => {
-                let (value, ci_halfwidth, cell_timings) = cell.wait(backend)?;
+                let (value, ci_halfwidth, cell_timings) = cell.wait()?;
                 timings = cell_timings;
                 PlanResult::Value {
                     value,
@@ -649,7 +526,7 @@ impl<B: PlanBackend> PendingPlan<B> {
                 let mut groups = Vec::with_capacity(keys.len());
                 let mut suppressed = 0u64;
                 for (key, cell) in keys.into_iter().zip(cells) {
-                    let (value, ci_halfwidth, cell_timings) = cell.wait(backend)?;
+                    let (value, ci_halfwidth, cell_timings) = cell.wait()?;
                     merge_timings(&mut timings, &cell_timings);
                     if value >= threshold {
                         groups.push(PlanGroup {
@@ -663,8 +540,7 @@ impl<B: PlanBackend> PendingPlan<B> {
                 }
                 PlanResult::Groups { groups, suppressed }
             }
-            PendingKind::Extreme(pending) => {
-                let extreme = backend.wait_ext(pending)?;
+            PendingKind::Extreme(extreme) => {
                 (timings.execution, timings.network) = (extreme.execution, extreme.network);
                 PlanResult::Extreme {
                     value: extreme.value,
@@ -694,7 +570,7 @@ fn share(hyperparams: HyperParams, epsilon: f64, delta: f64, n: f64) -> Result<Q
 
 /// The sampling rate of round `round` (1-based) of `rounds`: the terminal
 /// rate scaled by `round/rounds`, clamped into the engine's valid open
-/// interval. Every backend derives round rates from this one function,
+/// interval. Every deployment derives round rates from this one function,
 /// which is what keeps the deployments byte-identical.
 fn online_round_rate(sampling_rate: f64, round: usize, rounds: usize) -> f64 {
     let fraction = round as f64 / rounds as f64;
@@ -717,9 +593,9 @@ fn compile_groups(base: &RangeQuery, group_dim: usize, keys: &[Value]) -> Result
 /// a grouped dimension whose public domain exceeds
 /// [`crate::FederationConfig::max_group_domain`] is rejected with a
 /// typed error instead of iterating an enormous domain.
-fn group_keys<B: PlanBackend>(backend: &B, group_dim: usize) -> Result<Vec<Value>> {
-    let domain = backend.schema().dimension(group_dim)?.domain();
-    let cap = backend.config().max_group_domain;
+fn group_keys(coordinator: &ShardedFederation, group_dim: usize) -> Result<Vec<Value>> {
+    let domain = coordinator.schema().dimension(group_dim)?.domain();
+    let cap = coordinator.config().max_group_domain;
     if domain.size() > cap {
         return Err(CoreError::GroupDomainTooLarge {
             size: domain.size(),
@@ -778,7 +654,7 @@ fn derived_cell(
     })
 }
 
-/// A [`QueryPlan`] compiled against one backend: the only form of a plan
+/// A [`QueryPlan`] compiled against one coordinator: the only form of a plan
 /// that validation, submission and `EXPLAIN` read, so the three cannot
 /// disagree about what the plan sends.
 pub(crate) struct Compiled {
@@ -792,14 +668,14 @@ pub(crate) struct Compiled {
     pub(crate) cost: PrivacyCost,
 }
 
-/// Compiles `plan` on `backend`: the only code that turns a
+/// Compiles `plan` on `coordinator`: the only code that turns a
 /// [`QueryPlan`] into sub-queries — budget splits, group enumeration and
 /// its cap, the dedup decision, cost-ordered submission and online round
-/// rates. It reads only the backend's configuration, schema and public
-/// metadata snapshot, and validates every sub-query it produces, so a
-/// plan that compiles is a plan the backend accepts.
-pub(crate) fn compile<B: PlanBackend>(backend: &B, plan: &QueryPlan) -> Result<Compiled> {
-    let config = backend.config();
+/// rates. It reads only the coordinator's configuration, schema and
+/// public metadata snapshot, and validates every sub-query it produces,
+/// so a plan that compiles is a plan every shard accepts.
+pub(crate) fn compile(coordinator: &ShardedFederation, plan: &QueryPlan) -> Result<Compiled> {
+    let config = coordinator.config();
     let hyperparams = config.hyperparams;
     let dedup = config.optimizer.dedup_subqueries;
     let mut subs = Vec::new();
@@ -846,7 +722,7 @@ pub(crate) fn compile<B: PlanBackend>(backend: &B, plan: &QueryPlan) -> Result<C
                     "filter ranges must not constrain the grouped dimension",
                 ));
             }
-            let keys = group_keys(backend, *group_dim)?;
+            let keys = group_keys(coordinator, *group_dim)?;
             // A group's share, then each of its sub-queries' (`ε/k/n`, not
             // `ε/(k·n)`: the bits differ).
             let k = keys.len() as f64;
@@ -862,7 +738,7 @@ pub(crate) fn compile<B: PlanBackend>(backend: &B, plan: &QueryPlan) -> Result<C
             // byte-identical in any submission order.
             let costs: Vec<u64> = queries
                 .iter()
-                .map(|q| backend.snapshot().estimated_cost(q))
+                .map(|q| coordinator.meta_snapshot().estimated_cost(q))
                 .collect();
             let mut cells: Vec<Option<Cell<usize>>> = queries.iter().map(|_| None).collect();
             for i in submission_order(&costs, config.optimizer.reorder_subqueries) {
@@ -907,7 +783,7 @@ pub(crate) fn compile<B: PlanBackend>(backend: &B, plan: &QueryPlan) -> Result<C
             // progressive samples pipeline across the provider pool. Each
             // round's distinct sampling rate gives it a distinct content
             // hash (an independent noise lane); rounds whose clamped rates
-            // collide are disambiguated by the backend's occurrence
+            // collide are disambiguated by the coordinator's occurrence
             // counter — exactly the scalar-query derivation, so the final
             // round is byte-identical to a standalone `Scalar` plan under
             // the same per-round budget.
@@ -925,14 +801,19 @@ pub(crate) fn compile<B: PlanBackend>(backend: &B, plan: &QueryPlan) -> Result<C
             extreme,
             epsilon,
         } => PendingKind::Extreme(ExtremeQuery::new(
-            backend.schema(),
+            coordinator.schema(),
             *dim,
             *extreme,
             *epsilon,
         )?),
     };
     for sub in &subs {
-        check_sub(backend.schema(), &sub.query, sub.sampling_rate, &sub.budget)?;
+        check_sub(
+            coordinator.schema(),
+            &sub.query,
+            sub.sampling_rate,
+            &sub.budget,
+        )?;
     }
     let (eps, delta) = plan.total_cost();
     Ok(Compiled {
@@ -1000,9 +881,8 @@ impl Cell<usize> {
 
 impl Compiled {
     /// Submits the compiled plan: every private sub-query in one
-    /// [`PlanBackend::submit_subs`] call (an extreme through
-    /// [`PlanBackend::submit_ext`]) before returning.
-    pub(crate) fn submit<B: PlanBackend>(self, backend: &B) -> Result<PendingPlan<B>> {
+    /// scattered batch (an extreme run to its answer) before returning.
+    pub(crate) fn submit(self, coordinator: &ShardedFederation) -> Result<PendingPlan> {
         obs::counter_add(obs::names::OPTIMIZER_PLANS, 1);
         let _span = obs::span("submit_plan", "optimizer", obs::SpanId::NONE);
         let cells = self.shape.cells();
@@ -1013,19 +893,13 @@ impl Compiled {
         if cells.windows(2).any(|w| w[0].first() > w[1].first()) {
             obs::counter_add(obs::names::OPTIMIZER_REORDERED, 1);
         }
-        let submitted = if self.subs.is_empty() {
-            Vec::new()
-        } else {
-            backend.submit_subs(&self.subs)?
-        };
+        let submitted = coordinator.scatter(&self.subs)?;
         // A position shared by two cells (the dedup pass's reuse) becomes
         // two sharers of one in-flight sub-query.
-        let kind = self.shape.map(
-            |i| backend.share_sub(&submitted[i]),
-            |ext| backend.submit_ext(ext),
-        )?;
+        let kind = self
+            .shape
+            .map(|i| submitted[i].share(), |ext| coordinator.run_extreme(ext))?;
         Ok(PendingPlan {
-            backend: backend.clone(),
             kind,
             cost: self.cost,
         })
@@ -1034,9 +908,9 @@ impl Compiled {
     /// `EXPLAIN`: the compiled shape, walked in key order. A row's
     /// `order` is its cell's submission rank; `reuses` names the first
     /// row at the same position.
-    fn explain<B: PlanBackend>(&self, backend: &B) -> PlanExplanation {
-        let opt = backend.config().optimizer;
-        let snap = backend.snapshot();
+    pub(crate) fn explain(&self, coordinator: &ShardedFederation) -> PlanExplanation {
+        let opt = coordinator.config().optimizer;
+        let snap = coordinator.meta_snapshot();
         let mut rows: Vec<(String, usize, usize)> = Vec::new();
         let plan_kind = match &self.shape {
             PendingKind::Cell(cell) => {
@@ -1099,7 +973,7 @@ impl Compiled {
         }
         PlanExplanation {
             plan_kind: plan_kind.into(),
-            n_providers: backend.config().n_providers as u64,
+            n_providers: coordinator.config().n_providers as u64,
             optimizer: opt,
             eps: self.cost.eps,
             delta: self.cost.delta,
@@ -1109,15 +983,21 @@ impl Compiled {
 }
 
 impl EngineHandle {
-    /// Compiles `plan` and submits **all** of its sub-queries before
-    /// returning — on an owned engine a group-by's per-group queries are
-    /// in flight together, pipelining across providers, by the time the
-    /// caller first waits; a scoped engine runs each as it is awaited.
+    /// [`ShardedFederation::validate_plan`] on the engine's coordinator.
+    pub fn validate_plan(&self, plan: &QueryPlan) -> Result<()> {
+        self.coordinator().validate_plan(plan)
+    }
+
+    /// Compiles `plan` and submits **all** of its sub-queries through the
+    /// engine's coordinator before returning — on an owned engine a
+    /// group-by's per-group queries are in flight together, pipelining
+    /// across providers, by the time the caller first waits; a scoped
+    /// engine runs each one's execute turns as it is awaited.
     ///
     /// Compiling validates, so a rejected plan touches no data and costs
     /// no budget.
     pub fn submit_plan(&self, plan: &QueryPlan) -> Result<PendingPlan> {
-        PlanBackend::submit_plan(self, plan)
+        self.coordinator().submit_plan(plan)
     }
 
     /// Submits a plan and waits it out (submit + wait).
@@ -1150,7 +1030,7 @@ impl EngineHandle {
     /// assert_eq!(answer.cost.eps, 1.0);
     /// ```
     pub fn run_plan(&self, plan: &QueryPlan) -> Result<PlanAnswer> {
-        self.submit_plan(plan)?.wait()
+        self.coordinator().run_plan(plan)
     }
 
     /// `EXPLAIN`: the optimizer's decisions for `plan`, computed from the
@@ -1162,7 +1042,7 @@ impl EngineHandle {
     /// submission does under the current
     /// [`crate::config::OptimizerConfig`].
     pub fn explain_plan(&self, plan: &QueryPlan) -> Result<PlanExplanation> {
-        PlanBackend::explain_plan(self, plan)
+        self.coordinator().explain_plan(plan)
     }
 }
 
@@ -1171,8 +1051,12 @@ pub(crate) mod tests {
     use super::*;
     use crate::config::{FederationConfig, OptimizerConfig};
     use crate::federation::Federation;
-    use crate::shard::ShardedFederation;
+    use crate::optimizer::ProviderBounds;
+    use crate::shard::{
+        ExtremeFragmentSpec, ExtremeReply, FragmentBatch, FragmentSpec, ShardBackend,
+    };
     use fedaqp_model::{Dimension, Domain, Extreme, Row, Schema};
+    use std::sync::{Arc, Mutex};
 
     /// The shared plan fixture (also driven by the shape-specific tests in
     /// `groupby`/`derived`): five categories of 2000/1000/400/40/0 cells
@@ -1418,64 +1302,65 @@ pub(crate) mod tests {
         assert_eq!(answer.cost.delta, 0.0);
     }
 
-    /// A backend that records every submission it forwards: `Some(subs)`
-    /// per [`PlanBackend::submit_subs`] call, `None` per extreme.
-    #[derive(Clone)]
-    struct Recording<B> {
-        inner: B,
-        calls: std::sync::Arc<std::sync::Mutex<Vec<Option<Vec<SubQuery>>>>>,
+    /// Every batch a coordinator begins on a [`Recording`] shard:
+    /// `Some(specs)` per `begin`, `None` per extreme.
+    type Calls = Arc<Mutex<Vec<Option<Vec<FragmentSpec>>>>>;
+
+    /// A shard that records what the coordinator sends it, then forwards
+    /// it to its engine.
+    struct Recording {
+        engine: EngineHandle,
+        calls: Calls,
     }
 
-    impl<B: PlanBackend> PlanBackend for Recording<B> {
-        type Sub = B::Sub;
-        type Ext = B::Ext;
-
-        fn config(&self) -> &FederationConfig {
-            self.inner.config()
+    impl ShardBackend for Recording {
+        fn n_providers(&self) -> usize {
+            ShardBackend::n_providers(&self.engine)
         }
-        fn schema(&self) -> &Schema {
-            self.inner.schema()
+        fn bounds(&self) -> Vec<ProviderBounds> {
+            ShardBackend::bounds(&self.engine)
         }
-        fn snapshot(&self) -> &MetaSnapshot {
-            self.inner.snapshot()
+        fn begin(&self, specs: &[FragmentSpec]) -> Result<Box<dyn FragmentBatch>> {
+            self.calls.lock().unwrap().push(Some(specs.to_vec()));
+            self.engine.begin(specs)
         }
-        fn submit_subs(&self, subs: &[SubQuery]) -> Result<Vec<B::Sub>> {
-            self.calls.lock().unwrap().push(Some(subs.to_vec()));
-            self.inner.submit_subs(subs)
-        }
-        fn share_sub(&self, sub: &B::Sub) -> B::Sub {
-            self.inner.share_sub(sub)
-        }
-        fn wait_sub(&self, sub: B::Sub) -> Result<ShardedAnswer> {
-            self.inner.wait_sub(sub)
-        }
-        fn submit_ext(&self, ext: ExtremeQuery) -> Result<B::Ext> {
+        fn extreme(&self, spec: &ExtremeFragmentSpec) -> Result<Box<dyn ExtremeReply>> {
             self.calls.lock().unwrap().push(None);
-            self.inner.submit_ext(ext)
-        }
-        fn wait_ext(&self, ext: B::Ext) -> Result<ExtremeOutcome> {
-            self.inner.wait_ext(ext)
+            self.engine.extreme(spec)
         }
     }
 
-    /// EXPLAIN lists what submission sends: one `submit_subs` call
+    /// EXPLAIN lists what submission sends: on every shard, one `begin`
     /// carrying every row that does not reuse another, in the rows'
     /// `order`, each row's cost, pruning, group key, aggregate and round
     /// rate matching the sub-query at its rank.
-    fn explain_lists_what_is_submitted<B: PlanBackend>(backend: B, plan: &QueryPlan) {
-        let calls = Default::default();
-        let rec = Recording {
-            inner: backend,
-            calls: std::sync::Arc::clone(&calls),
-        };
-        let explanation = rec.explain_plan(plan).unwrap();
+    fn explain_lists_what_is_submitted(
+        config: &FederationConfig,
+        engines: &[EngineHandle],
+        plan: &QueryPlan,
+    ) {
+        let calls = Calls::default();
+        let shards = engines
+            .iter()
+            .map(|engine| {
+                Box::new(Recording {
+                    engine: engine.clone(),
+                    calls: Arc::clone(&calls),
+                }) as Box<dyn ShardBackend>
+            })
+            .collect();
+        let schema = engines[0].schema().clone();
+        let coordinator = ShardedFederation::from_backends(config.clone(), schema, shards).unwrap();
+        let explanation = coordinator.explain_plan(plan).unwrap();
         assert!(calls.lock().unwrap().is_empty(), "EXPLAIN submitted");
-        rec.submit_plan(plan).unwrap().wait().unwrap();
+        coordinator.submit_plan(plan).unwrap().wait().unwrap();
         let calls = std::mem::take(&mut *calls.lock().unwrap());
+        assert_eq!(calls.len(), engines.len(), "one call per shard: {calls:?}");
+        assert!(calls.iter().all(|call| *call == calls[0]), "{calls:?}");
         let rows = &explanation.sub_queries;
-        let [Some(subs)] = &calls[..] else {
+        let Some(subs) = &calls[0] else {
             assert!(matches!(plan, QueryPlan::Extreme { .. }), "{calls:?}");
-            assert_eq!((calls.len(), calls[0].is_none(), rows.len()), (1, true, 1));
+            assert_eq!(rows.len(), 1);
             return;
         };
         let reused = explanation.reused_total() as usize;
@@ -1483,11 +1368,11 @@ pub(crate) mod tests {
         let mut executed: Vec<&SubQueryExplanation> =
             rows.iter().filter(|row| row.reuses.is_none()).collect();
         executed.sort_by_key(|row| row.order);
-        let snap = rec.snapshot();
+        let snap = coordinator.meta_snapshot();
         for (sub, row) in subs.iter().zip(executed) {
             let query = &sub.query;
             assert_eq!(snap.estimated_cost(query), row.estimated_cost, "{row:?}");
-            if rec.config().optimizer.prune_providers {
+            if config.optimizer.prune_providers {
                 let pruned = snap.pruned_flags(query).into_iter().enumerate();
                 let pruned: Vec<u64> = pruned.filter_map(|(i, p)| p.then_some(i as u64)).collect();
                 assert_eq!(pruned, row.pruned_providers, "{row:?}");
@@ -1581,11 +1466,23 @@ pub(crate) mod tests {
             cfg.cost_model = fedaqp_smc::CostModel::zero();
             cfg.optimizer = optimizer;
             let fed = Federation::build(cfg.clone(), schema.clone(), partitions.clone()).unwrap();
-            let coordinator =
-                ShardedFederation::in_process(cfg, schema.clone(), partitions.clone(), 2).unwrap();
+            // The same providers as two engines, as a 2-shard deployment
+            // splits them.
+            let halves: Vec<EngineHandle> = (0..2)
+                .map(|s| {
+                    let mut half = cfg.clone();
+                    half.n_providers = 2;
+                    half.provider_lane_base = 2 * s as u64;
+                    let rows = partitions[2 * s..2 * s + 2].to_vec();
+                    let engine = Federation::build(half, schema.clone(), rows).unwrap();
+                    engine.with_engine(EngineHandle::clone)
+                })
+                .collect();
             for plan in &plans {
-                fed.with_engine(|engine| explain_lists_what_is_submitted(engine.clone(), plan));
-                explain_lists_what_is_submitted(coordinator.clone(), plan);
+                fed.with_engine(|engine| {
+                    explain_lists_what_is_submitted(&cfg, std::slice::from_ref(engine), plan)
+                });
+                explain_lists_what_is_submitted(&cfg, &halves, plan);
             }
             // The cost order is live here: the grouped VAR goes out
             // costliest group first.
@@ -1601,7 +1498,6 @@ pub(crate) mod tests {
                 orders,
                 want.iter().flat_map(|&o| [o; 3]).collect::<Vec<_>>()
             );
-            coordinator.shutdown();
         }
         // An online plan's terminal rate is validated as the plan's own,
         // not as the clamped rates its rounds run at.

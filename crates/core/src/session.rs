@@ -3,7 +3,8 @@
 //! "In the online query answering settings under DP, the end user is
 //! limited by a total privacy budget of (ξ, ψ). … The analyst can continue
 //! sending queries until their total budget is consumed." A [`Session`]
-//! bundles a [`PlanBackend`] with a [`SharedAccountant`] and charges every
+//! bundles a coordinator ([`ShardedFederation`]) with a
+//! [`SharedAccountant`] and charges every
 //! query *before* touching data. Two budget plans are offered:
 //!
 //! * [`SessionPlan::PayAsYouGo`] — every query costs the federation's
@@ -15,10 +16,9 @@
 use fedaqp_dp::{advanced_per_query, PrivacyCost, QueryBudget, SharedAccountant};
 use fedaqp_model::{QueryPlan, RangeQuery};
 
-use crate::engine::EngineHandle;
 use crate::optimizer::PlanExplanation;
-use crate::plan::{compile, PendingPlan, PlanAnswer, PlanBackend, ShardedAnswer, SubQuery};
-use crate::shard::ShardedFederation;
+use crate::plan::{check_sub, compile, PendingPlan, PlanAnswer, ShardedAnswer};
+use crate::shard::{ShardedFederation, ShardedSub};
 use crate::{CoreError, Result};
 
 /// How the session stretches the analyst's `(ξ, ψ)`.
@@ -35,10 +35,11 @@ pub enum SessionPlan {
     },
 }
 
-/// An analyst session over any [`PlanBackend`] — the in-process
-/// [`EngineHandle`] ([`ConcurrentSession`]) or the scatter–gather
-/// coordinator ([`ShardedSession`]): the §5.4 budget semantics, safe to
-/// clone across analyst threads.
+/// An analyst session over a coordinator — an engine's own
+/// ([`crate::EngineHandle`] converts into it) or a sharded one: the §5.4
+/// budget semantics, safe to clone across analyst threads. In a sharded
+/// deployment it is the single ξ authority (downstream shards run
+/// fragments budget-unchecked).
 ///
 /// This is the one enforcement site of the budget discipline: compile
 /// (which validates) → charge → submit. The accountant sits behind a
@@ -51,23 +52,21 @@ pub enum SessionPlan {
 /// not refund, because released fragments may already have leaked their
 /// sub-answers' budget worth).
 #[derive(Debug, Clone)]
-pub struct Session<B: PlanBackend> {
-    backend: B,
+pub struct Session {
+    backend: ShardedFederation,
     accountant: SharedAccountant,
     plan: SessionPlan,
     per_query: QueryBudget,
 }
 
-/// A [`Session`] over the in-process concurrent engine.
-pub type ConcurrentSession = Session<EngineHandle>;
-
-/// A [`Session`] over the sharded coordinator — the single ξ authority of
-/// a sharded deployment (downstream shards run fragments budget-unchecked).
-pub type ShardedSession = Session<ShardedFederation>;
-
-impl<B: PlanBackend> Session<B> {
+impl Session {
     /// Opens a session with total budget `(xi, psi)` under `plan`.
-    pub fn open(backend: B, xi: f64, psi: f64, plan: SessionPlan) -> Result<Self> {
+    pub fn open(
+        backend: impl Into<ShardedFederation>,
+        xi: f64,
+        psi: f64,
+        plan: SessionPlan,
+    ) -> Result<Self> {
         let accountant = SharedAccountant::new(xi, psi).map_err(CoreError::Dp)?;
         Self::open_with_accountant(backend, accountant, plan)
     }
@@ -80,10 +79,11 @@ impl<B: PlanBackend> Session<B> {
     /// analyst's `(ξ, ψ)`: every session opened on the same accountant
     /// charges the same atomic ledger.
     pub fn open_with_accountant(
-        backend: B,
+        backend: impl Into<ShardedFederation>,
         accountant: SharedAccountant,
         plan: SessionPlan,
     ) -> Result<Self> {
+        let backend = backend.into();
         let config = backend.config();
         let per_query = match plan {
             SessionPlan::PayAsYouGo => config.query_budget()?,
@@ -133,9 +133,8 @@ impl<B: PlanBackend> Session<B> {
         self.accountant.can_afford(self.per_query.cost())
     }
 
-    /// The backend handle (engine or coordinator) this session queries
-    /// through.
-    pub fn handle(&self) -> &B {
+    /// The coordinator this session queries through.
+    pub fn handle(&self) -> &ShardedFederation {
         &self.backend
     }
 
@@ -154,26 +153,19 @@ impl<B: PlanBackend> Session<B> {
     /// touches no data, so it must not cost budget. Once a query is
     /// dispatched, the charge is kept even if it later fails downstream
     /// (fail-closed).
-    pub fn submit(&self, query: &RangeQuery, sampling_rate: f64) -> Result<B::Sub> {
-        crate::plan::check_sub(self.backend.schema(), query, sampling_rate, &self.per_query)?;
+    pub fn submit(&self, query: &RangeQuery, sampling_rate: f64) -> Result<ShardedSub> {
+        check_sub(self.backend.schema(), query, sampling_rate, &self.per_query)?;
         self.accountant
             .charge(self.per_query.cost())
             .map_err(CoreError::Dp)?;
-        let sub = SubQuery {
-            query: query.clone(),
-            sampling_rate,
-            budget: self.per_query,
-        };
-        let mut submitted = self.backend.submit_subs(&[sub])?;
-        Ok(submitted
-            .pop()
-            .expect("one sub-query submitted, one handle"))
+        self.backend
+            .submit_checked(query, sampling_rate, &self.per_query)
     }
 
     /// Answers one private query, atomically charging the session budget
     /// first.
     pub fn query(&self, query: &RangeQuery, sampling_rate: f64) -> Result<ShardedAnswer> {
-        self.backend.wait_sub(self.submit(query, sampling_rate)?)
+        self.submit(query, sampling_rate)?.wait()
     }
 
     /// Compiles `plan` once, atomically charges its *entire* declared
@@ -196,7 +188,7 @@ impl<B: PlanBackend> Session<B> {
     /// [`QueryPlan::total_cost`] regardless of the plan the session was
     /// opened with — the sequential-composition accounting, which is never
     /// an undercharge.
-    pub fn submit_plan(&self, plan: &QueryPlan) -> Result<PendingPlan<B>> {
+    pub fn submit_plan(&self, plan: &QueryPlan) -> Result<PendingPlan> {
         let compiled = compile(&self.backend, plan)?;
         self.accountant
             .charge(compiled.cost)
@@ -250,8 +242,7 @@ mod tests {
     fn pay_as_you_go_exhausts_after_xi_over_eps_queries() {
         federation(1.0).with_engine(|engine| {
             let session =
-                ConcurrentSession::open(engine.clone(), 3.0, 1e-2, SessionPlan::PayAsYouGo)
-                    .unwrap();
+                Session::open(engine.clone(), 3.0, 1e-2, SessionPlan::PayAsYouGo).unwrap();
             let mut answered = 0;
             while session.can_query() {
                 session.query(&query(), 0.2).unwrap();
@@ -268,7 +259,7 @@ mod tests {
     fn advanced_plan_gives_larger_per_query_epsilon() {
         let n = 1000u64;
         let per_query = federation(1.0).with_engine(|engine| {
-            ConcurrentSession::open(
+            Session::open(
                 engine.clone(),
                 10.0,
                 1e-4,
@@ -289,8 +280,7 @@ mod tests {
     fn failed_charge_leaves_budget_untouched() {
         federation(5.0).with_engine(|engine| {
             let session =
-                ConcurrentSession::open(engine.clone(), 1.0, 1e-3, SessionPlan::PayAsYouGo)
-                    .unwrap();
+                Session::open(engine.clone(), 1.0, 1e-3, SessionPlan::PayAsYouGo).unwrap();
             // ε per query = 5 > ξ = 1: first query already unaffordable.
             assert!(!session.can_query());
             assert!(session.query(&query(), 0.2).is_err());
@@ -304,8 +294,7 @@ mod tests {
         // here two sub-queries at the session's per-query ε.
         federation(1.0).with_engine(|engine| {
             let session =
-                ConcurrentSession::open(engine.clone(), 10.0, 1e-2, SessionPlan::PayAsYouGo)
-                    .unwrap();
+                Session::open(engine.clone(), 10.0, 1e-2, SessionPlan::PayAsYouGo).unwrap();
             let per_query = session.per_query_cost();
             let before = session.remaining().eps;
             session
@@ -333,18 +322,14 @@ mod tests {
         let fed = federation(1.0);
         fed.with_engine(|engine| {
             let ledger = SharedAccountant::new(2.0, 1e-2).unwrap();
-            let s1 = ConcurrentSession::open_with_accountant(
+            let s1 = Session::open_with_accountant(
                 engine.clone(),
                 ledger.clone(),
                 SessionPlan::PayAsYouGo,
             )
             .unwrap();
-            let s2 = ConcurrentSession::open_with_accountant(
-                engine.clone(),
-                ledger,
-                SessionPlan::PayAsYouGo,
-            )
-            .unwrap();
+            let s2 = Session::open_with_accountant(engine.clone(), ledger, SessionPlan::PayAsYouGo)
+                .unwrap();
             s1.query(&query(), 0.2).unwrap();
             s2.query(&query(), 0.2).unwrap();
             assert!(s1.query(&query(), 0.2).is_err());
@@ -359,8 +344,7 @@ mod tests {
         let fed = federation(1.0);
         fed.with_engine(|engine| {
             let session =
-                ConcurrentSession::open(engine.clone(), 1.0, 1e-2, SessionPlan::PayAsYouGo)
-                    .unwrap();
+                Session::open(engine.clone(), 1.0, 1e-2, SessionPlan::PayAsYouGo).unwrap();
             let pending = session.submit(&query(), 0.2).unwrap();
             // The charge landed at submission time, before the wait.
             assert!((session.spent().eps - 1.0).abs() < 1e-9);
@@ -378,8 +362,7 @@ mod tests {
         let fed = federation(1.0);
         fed.with_engine(|engine| {
             let session =
-                ConcurrentSession::open(engine.clone(), 2.0, 1e-2, SessionPlan::PayAsYouGo)
-                    .unwrap();
+                Session::open(engine.clone(), 2.0, 1e-2, SessionPlan::PayAsYouGo).unwrap();
             assert!(matches!(
                 session.submit(&query(), 1.5),
                 Err(CoreError::InvalidSamplingRate(_))
@@ -400,14 +383,10 @@ mod tests {
         // The ledger outlives the engine scope the session queried through.
         let ledger = SharedAccountant::new(5.0, 1e-2).unwrap();
         federation(1.0).with_engine(|engine| {
-            ConcurrentSession::open_with_accountant(
-                engine.clone(),
-                ledger.clone(),
-                SessionPlan::PayAsYouGo,
-            )
-            .unwrap()
-            .query(&query(), 0.2)
-            .unwrap();
+            Session::open_with_accountant(engine.clone(), ledger.clone(), SessionPlan::PayAsYouGo)
+                .unwrap()
+                .query(&query(), 0.2)
+                .unwrap();
         });
         assert!((ledger.spent().eps - 1.0).abs() < 1e-9);
     }

@@ -1,18 +1,19 @@
-//! Sharded federation: plan fragmentation + the scatter–gather
-//! coordinator.
+//! The coordinator: protocol steps 3 and 7, for every deployment.
 //!
-//! A single [`crate::FederationEngine`] runs every provider in one
-//! process. This module partitions the providers across *N engine
-//! shards* — each a full worker pool of its own, in-process or behind a
-//! wire connection — and puts a **coordinator** in front that speaks the
-//! analyst surface of an engine while scattering each sub-query as
-//! per-shard *fragments* and gathering the mergeable partials back:
+//! Every plan and private query runs through a [`ShardedFederation`],
+//! which partitions the providers across *N engine shards* — in process,
+//! or behind a wire connection — scatters each sub-query as per-shard
+//! *fragments*, solves the Eq. 6 allocation over every shard's summaries
+//! (step 3), and folds the gathered outcomes into the release (step 7).
+//! An [`EngineHandle`] is a one-shard coordinator over its own engine, so
+//! a scoped engine, an owned engine and a live epoch's engine plan here
+//! too; the engine itself only runs the providers' turns:
 //!
 //! ```text
 //!  analysts ──plans──▶ ShardedFederation ──fragments──▶ shard 0 (providers 0..k)
 //!     ▲                 │ occurrence ledger             shard 1 (providers k..m)
 //!     │                 │ global allocation (Eq. 6)       …
-//!     └── PlanAnswer ◀──┴── merge partials (serial fold, global order)
+//!     └── PlanAnswer ◀──┴── merge (serial fold or SMC sum, global order)
 //! ```
 //!
 //! **Determinism contract.** A seeded plan is byte-identical between the
@@ -24,28 +25,38 @@
 //!    its local providers `0..k` draw from exactly the RNG lanes the
 //!    1-shard engine gives providers `o..o+k`.
 //! 2. *One occurrence ledger.* The coordinator owns the per-content
-//!    occurrence counters (the same content hash the engine uses) and
-//!    passes each fragment its explicit occurrence index — shards never
-//!    consult their own ledgers for fragments, so a shard serving two
-//!    coordinators (or analyst traffic on the side) cannot skew the
-//!    noise streams. See the differencing note in [`crate::engine`].
+//!    occurrence counters — the only ledger of the deployment — and
+//!    passes each fragment its explicit occurrence index, so a shard
+//!    serving two coordinators (or analyst traffic on the side) cannot
+//!    skew the noise streams. See the differencing note in
+//!    [`crate::engine`].
 //! 3. *Serial merge fold.* f64 addition is not associative, so partials
-//!    carry *per-provider* released values and the coordinator re-runs
-//!    the 1-shard release fold ([`Aggregator::finalize_local`]) over the
-//!    global concatenation, in global provider order — bit-exact, not
-//!    merely close. MIN/MAX fragments fold exactly (integer domain).
+//!    carry *per-provider* released values and the coordinator runs the
+//!    release fold ([`Aggregator::finalize_local`]) over the global
+//!    concatenation, in global provider order — bit-exact, not merely
+//!    close. MIN/MAX fragments fold exactly (integer domain).
 //!
-//! The global allocation program (Eq. 6) runs at the coordinator over
-//! the concatenated summaries: step 3 is *externalized* on every shard
-//! (a [`FragmentBatch`]), which holds its providers' carries — not their
-//! workers — until the coordinator feeds the globally solved slice back.
-//! [`Aggregator::allocate`] is RNG-free, so the coordinator's solution is
-//! identical to the one the 1-shard aggregator would compute.
+//! Every shard holds its providers' carries — not their workers — until
+//! the coordinator feeds the globally solved allocation slice back
+//! ([`FragmentBatch::allocate`]). [`Aggregator::allocate`] is RNG-free,
+//! so the solution depends only on the summaries.
 //!
 //! **One shard, both ends of the socket.** [`EngineHandle`]'s
-//! [`ShardBackend`] is the only shard: an in-process coordinator calls it,
-//! and so does a shard-mode server, once per frame. It checks each
-//! fragment as it enters — a shard cannot know who compiled it.
+//! [`ShardBackend`] is the only shard a remote coordinator reaches: a
+//! shard-mode server calls it once per frame. It checks each fragment as
+//! it enters — a shard cannot know who compiled it. A coordinator the
+//! crate builds over its own in-process engines skips that check: it
+//! compiled the fragments itself.
+//!
+//! **SMC release stays in process.** [`ReleaseMode::Smc`] sums every
+//! provider's raw estimate obliviously, so the shares must meet in one
+//! place. Only a coordinator over exactly one in-process engine accepts
+//! it: it reads that engine's raw per-provider outcomes as an in-process
+//! value ([`crate::protocol::LocalOutcome`], which has no `Wire` impl),
+//! and finalizes the SMC sum in its merge, with the aggregator seed of
+//! the job. Every other coordinator is refused at construction with a
+//! typed [`CoreError::BadConfig`], and no fragment frame can ask a remote
+//! shard for a raw estimate.
 //!
 //! **Single-ξ authority.** The coordinator (its sessions, or the serving
 //! endpoint's `BudgetDirectory`) is the *only* place analyst budgets are
@@ -72,13 +83,13 @@
 //! needs no lock and no acknowledgement to scatter.
 //!
 //! **One batch per plan.** A plan hands the coordinator every sub-query
-//! it submits before its first wait in one [`PlanBackend::submit_subs`]
-//! call. The coordinator numbers them on its one occurrence ledger, in
-//! submission order, and sends them to each shard as one
-//! [`FragmentBatch`]: one round trip for every fragment's summaries, then
-//! the solved allocations in one write; the partials come back one per
-//! fragment, in batch order, so each sub-query (each round of an online
-//! plan) resolves as soon as its own partials are in.
+//! it submits before its first wait in one call. The coordinator numbers
+//! them on its occurrence ledger, in submission order, and sends them to
+//! each shard as one [`FragmentBatch`]: one round trip for every
+//! fragment's summaries, then the solved allocations in one write; the
+//! outcomes come back one fragment at a time, in batch order, so each
+//! sub-query (each round of an online plan) resolves as soon as its own
+//! outcomes are in.
 //!
 //! **No threads.** By the time a reply is read, every shard already has
 //! its request, so reading the replies in shard order waits for the
@@ -86,29 +97,25 @@
 //! reports when its reply will have arrived
 //! ([`FragmentBatch::ready_at`]) and the coordinator sleeps once, until
 //! the latest arrival across shards.
-//!
-//! SMC release ([`ReleaseMode::Smc`]) is not shardable — its oblivious
-//! sum needs every provider's secret shares in one place — and is
-//! rejected at construction with a typed error.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use fedaqp_dp::{PrivacyCost, QueryBudget};
+use fedaqp_dp::QueryBudget;
 use fedaqp_model::{Extreme, QueryPlan, RangeQuery, Row, Schema, Value};
 use fedaqp_obs as obs;
 
 use crate::aggregator::Aggregator;
 use crate::config::{FederationConfig, ReleaseMode};
 use crate::engine::{
-    extreme_content_hash, private_content_hash, EngineHandle, FederationEngine, OccurrenceLedger,
-    PendingExtreme, PendingFragment,
+    aggregator_seed, extreme_content_hash, private_content_hash, Engine, EngineHandle,
+    FederationEngine, LocalBatch,
 };
-use crate::federation::Federation;
+use crate::federation::{Federation, OracleAnswer};
 use crate::optimizer::{MetaSnapshot, PlanExplanation, ProviderBounds};
 use crate::plan::{
-    check_sub, ExtremeOutcome, ExtremeQuery, PendingPlan, PlanAnswer, PlanBackend, ShardedAnswer,
+    check_sub, compile, ExtremeOutcome, ExtremeQuery, PendingPlan, PlanAnswer, ShardedAnswer,
     SubQuery,
 };
 use crate::protocol::{
@@ -151,9 +158,9 @@ pub struct FragmentPartial {
 
 /// Everything a shard needs to run one private fragment. The occurrence
 /// index comes from the coordinator's ledger (mechanism 2 of the
-/// determinism contract); the shard's own ledger is untouched. The
-/// coordinator charged the budget before it scattered; the shard checks
-/// the spec at [`ShardBackend::begin`], its entry.
+/// determinism contract). The coordinator charged the budget before it
+/// scattered; a shard checks the spec at [`ShardBackend::begin`], its
+/// entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FragmentSpec {
     /// The range query.
@@ -198,7 +205,7 @@ pub trait FragmentBatch: Send {
     /// shard's slice (local provider order) of each fragment's, in batch
     /// order. A batch refuses the wrong number of slices, or a slice of
     /// the wrong length, before any fragment gets its own.
-    fn allocate(&mut self, allocations: &[Vec<u64>]) -> Result<()>;
+    fn allocate(&mut self, allocations: Vec<Vec<u64>>) -> Result<()>;
     /// Blocks until the next fragment, in batch order, executed; returns
     /// its mergeable partial.
     fn partial(&mut self) -> Result<FragmentPartial>;
@@ -244,7 +251,7 @@ impl ShardBackend for EngineHandle {
     }
 
     fn bounds(&self) -> Vec<ProviderBounds> {
-        self.meta_snapshot().providers().to_vec()
+        self.engine.bounds()
     }
 
     /// Checks every spec, then launches them all: a batch with a bad
@@ -253,76 +260,116 @@ impl ShardBackend for EngineHandle {
         for spec in specs {
             check_sub(self.schema(), &spec.query, spec.sampling_rate, &spec.budget)?;
         }
-        Ok(Box::new(LocalBatch {
-            fragments: specs
-                .iter()
-                .map(|spec| self.submit_fragment(spec))
-                .collect::<Result<_>>()?,
-            providers: EngineHandle::n_providers(self),
-            gathered: 0,
-        }))
+        Ok(Box::new(self.engine.begin(specs)?))
     }
 
     fn extreme(&self, spec: &ExtremeFragmentSpec) -> Result<Box<dyn ExtremeReply>> {
-        let ext = ExtremeQuery::new(self.schema(), spec.dim, spec.extreme, spec.epsilon)?;
-        Ok(Box::new(self.launch_extreme(ext, Some(spec.occurrence))?))
+        ExtremeQuery::new(self.schema(), spec.dim, spec.extreme, spec.epsilon)?;
+        Ok(Box::new(self.engine.launch_extreme(spec)?))
     }
 }
 
-/// An in-process shard's batch: its engine's fragments, the engine's
-/// provider count, and how many partials were read.
-struct LocalBatch {
-    fragments: Vec<PendingFragment>,
-    providers: usize,
-    gathered: usize,
+/// One shard of a coordinator: an engine in this process, whose raw
+/// outcomes the merge may read, or any backend.
+enum Shard {
+    Engine(Engine),
+    Backend(Box<dyn ShardBackend>),
 }
 
-impl FragmentBatch for LocalBatch {
-    fn summaries(&mut self) -> Result<Vec<FragmentSummaries>> {
-        self.fragments
-            .iter()
-            .map(PendingFragment::summaries)
-            .collect()
-    }
-
-    /// The one check of an allocation's shape, before any fragment gets
-    /// its slice: a refused batch holds no allocation.
-    fn allocate(&mut self, allocations: &[Vec<u64>]) -> Result<()> {
-        if allocations.len() != self.fragments.len() {
-            return Err(CoreError::BadConfig(
-                "fragment allocations do not match the batch",
-            ));
+impl Shard {
+    fn bounds(&self) -> Vec<ProviderBounds> {
+        match self {
+            Shard::Engine(engine) => engine.bounds(),
+            Shard::Backend(backend) => backend.bounds(),
         }
-        if allocations
-            .iter()
-            .any(|slice| slice.len() != self.providers)
-        {
-            return Err(CoreError::BadConfig(
-                "fragment allocation length does not match shard providers",
-            ));
-        }
-        self.fragments
-            .iter()
-            .zip(allocations)
-            .try_for_each(|(fragment, allocation)| fragment.provide_allocation(allocation.clone()))
     }
 
-    fn partial(&mut self) -> Result<FragmentPartial> {
-        let fragment = self
-            .fragments
-            .get(self.gathered)
-            .ok_or(CoreError::ProtocolViolation(
-                "every fragment of the batch was gathered",
-            ))?;
-        self.gathered += 1;
-        fragment.partial()
+    fn begin(&self, specs: &[FragmentSpec]) -> Result<Batch> {
+        match self {
+            Shard::Engine(engine) => engine.begin(specs).map(Batch::Local),
+            Shard::Backend(backend) => backend.begin(specs).map(Batch::Backend),
+        }
+    }
+
+    fn extreme(&self, spec: &ExtremeFragmentSpec) -> Result<Box<dyn ExtremeReply>> {
+        match self {
+            Shard::Engine(engine) => Ok(Box::new(engine.launch_extreme(spec)?)),
+            Shard::Backend(backend) => backend.extreme(spec),
+        }
     }
 }
 
-impl ExtremeReply for PendingExtreme {
-    fn answer(&mut self) -> Result<(Value, Duration)> {
-        let answer = self.wait()?;
-        Ok((answer.value, answer.execution))
+/// One shard's batch, as [`Shard::begin`] returned it.
+enum Batch {
+    Local(LocalBatch),
+    Backend(Box<dyn FragmentBatch>),
+}
+
+impl Batch {
+    fn fragments(&mut self) -> &mut dyn FragmentBatch {
+        match self {
+            Batch::Local(batch) => batch,
+            Batch::Backend(batch) => batch.as_mut(),
+        }
+    }
+
+    fn ready_at(&self) -> Option<Instant> {
+        match self {
+            Batch::Local(batch) => batch.ready_at(),
+            Batch::Backend(batch) => batch.ready_at(),
+        }
+    }
+
+    /// The next fragment's per-provider outcomes, in local provider
+    /// order, and the shard's slowest execution: an engine's raw
+    /// outcomes, or a backend's released rows (which carry no raw
+    /// estimate and no smooth sensitivity).
+    fn outcomes(&mut self) -> Result<(Vec<LocalOutcome>, Duration)> {
+        match self {
+            Batch::Local(batch) => batch.outcomes(),
+            Batch::Backend(batch) => {
+                let partial = batch.partial()?;
+                let outcomes = partial
+                    .rows
+                    .iter()
+                    .enumerate()
+                    .map(|(provider, row)| LocalOutcome {
+                        provider,
+                        released: Some(row.released),
+                        estimate: 0.0,
+                        smooth_ls: 0.0,
+                        variance: row.variance,
+                        approximated: row.approximated,
+                        clusters_scanned: row.clusters_scanned as usize,
+                        n_covering: row.n_covering as usize,
+                    })
+                    .collect();
+                Ok((outcomes, partial.execution))
+            }
+        }
+    }
+}
+
+/// Per-content submission counts, keyed by the engine's content hash.
+/// The occurrence of a submission is the number of identical submissions
+/// that preceded it, so noise derivation is independent of unrelated
+/// traffic (see [`crate::engine`]).
+#[derive(Debug, Default)]
+struct OccurrenceLedger(Mutex<HashMap<u64, u64>>);
+
+impl OccurrenceLedger {
+    fn counts(&self) -> MutexGuard<'_, HashMap<u64, u64>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Fetch-and-increment the count for `key`: the returned index is the
+    /// number of identical submissions seen before this one.
+    fn next(&self, key: u64) -> u64 {
+        let mut counts = self.counts();
+        let slot = counts.entry(key).or_insert(0);
+        let index = *slot;
+        *slot += 1;
+        index
     }
 }
 
@@ -336,12 +383,12 @@ struct CoordinatorInner {
     /// Global pruning snapshot: the shards' bounds concatenated in shard
     /// order == global provider order.
     snapshot: MetaSnapshot,
-    shards: Vec<Box<dyn ShardBackend>>,
-    /// Global provider offset of each shard (prefix sums).
+    shards: Vec<Shard>,
+    /// Global provider offset of each shard, then the provider total:
+    /// shard `s` holds providers `offsets[s]..offsets[s + 1]`.
     offsets: Vec<usize>,
     /// THE per-content occurrence ledger of the deployment (mechanism 2
-    /// of the determinism contract) — same content-hash keys as the
-    /// engine's own ledger.
+    /// of the determinism contract).
     occurrences: OccurrenceLedger,
     /// Each shard's `(scatter, gather)` latency metric names — the
     /// labeled families `{base}.shard{s}`, built once.
@@ -351,11 +398,11 @@ struct CoordinatorInner {
     engines: Mutex<Vec<FederationEngine>>,
 }
 
-/// A cloneable, thread-safe handle onto a sharded federation — the
-/// scatter–gather coordinator. Implements [`PlanBackend`], so the *same*
-/// plan compiler (budget splits, group enumeration, suppression, dedup,
-/// cost-ordered submission) that drives [`EngineHandle`] drives the
-/// sharded deployment; only the sub-query transport differs.
+/// A cloneable, thread-safe handle onto a coordinator — the only code
+/// that plans, allocates (step 3) and releases (step 7). The plan
+/// compiler (budget splits, group enumeration, suppression, dedup,
+/// cost-ordered submission) runs here for every deployment, from a
+/// one-shard coordinator over one engine to a grid of remote shards.
 #[derive(Clone)]
 pub struct ShardedFederation {
     inner: Arc<CoordinatorInner>,
@@ -375,7 +422,7 @@ impl ShardedFederation {
     /// global provider) are split contiguously across `n_shards` worker
     /// pools, each configured with the *same* seed and its global lane
     /// offset — the setup under which N-shard answers are byte-identical
-    /// to the 1-shard run.
+    /// to the 1-shard run. Only one shard may release through SMC.
     pub fn in_process(
         config: FederationConfig,
         schema: Schema,
@@ -383,7 +430,6 @@ impl ShardedFederation {
         n_shards: usize,
     ) -> Result<Self> {
         config.validate()?;
-        reject_unshardable(&config)?;
         if n_shards == 0 || n_shards > config.n_providers {
             return Err(CoreError::BadConfig(
                 "shard count must be in [1, n_providers]",
@@ -396,7 +442,7 @@ impl ShardedFederation {
             });
         }
         let mut partitions = partitions.into_iter();
-        let mut shards: Vec<Box<dyn ShardBackend>> = Vec::with_capacity(n_shards);
+        let mut shards = Vec::with_capacity(n_shards);
         let mut engines = Vec::with_capacity(n_shards);
         let (base, extra) = (config.n_providers / n_shards, config.n_providers % n_shards);
         let mut offset = 0usize;
@@ -411,7 +457,7 @@ impl ShardedFederation {
                 schema.clone(),
                 shard_partitions,
             )?);
-            shards.push(Box::new(engine.handle()));
+            shards.push(Shard::Engine(engine.handle().engine));
             engines.push(engine);
             offset += k;
         }
@@ -420,44 +466,57 @@ impl ShardedFederation {
 
     /// Builds a coordinator over externally provided shard backends (the
     /// net crate federates remote `fedaqp-net` servers this way).
-    /// `config.n_providers` must equal the shard total.
+    /// `config.n_providers` must equal the shard total. SMC release is
+    /// refused: no backend hands over raw estimates.
     pub fn from_backends(
         config: FederationConfig,
         schema: Schema,
         shards: Vec<Box<dyn ShardBackend>>,
     ) -> Result<Self> {
         config.validate()?;
-        reject_unshardable(&config)?;
         if shards.is_empty() {
             return Err(CoreError::BadConfig("coordinator needs at least one shard"));
         }
+        let shards = shards.into_iter().map(Shard::Backend).collect();
         Self::assemble(config, schema, shards, Vec::new())
+    }
+
+    /// The one-shard coordinator in front of `engine`, under the engine's
+    /// own configuration.
+    pub(crate) fn over_engine(engine: Engine) -> Self {
+        let (config, schema) = (engine.config().clone(), engine.schema().clone());
+        Self::assemble(config, schema, vec![Shard::Engine(engine)], Vec::new())
+            .expect("an engine's bounds match its providers")
     }
 
     fn assemble(
         config: FederationConfig,
         schema: Schema,
-        shards: Vec<Box<dyn ShardBackend>>,
+        shards: Vec<Shard>,
         engines: Vec<FederationEngine>,
     ) -> Result<Self> {
-        let mut offsets = Vec::with_capacity(shards.len());
+        if config.release_mode == ReleaseMode::Smc && !matches!(&shards[..], [Shard::Engine(_)]) {
+            return Err(CoreError::BadConfig(
+                "SMC release needs exactly one in-process engine: the oblivious sum needs every provider's shares in one place",
+            ));
+        }
+        let mut offsets = vec![0];
         let mut bounds = Vec::with_capacity(config.n_providers);
-        let mut offset = 0usize;
         for shard in &shards {
-            offsets.push(offset);
-            let k = shard.n_providers();
             let shard_bounds = shard.bounds();
-            if shard_bounds.len() != k {
-                return Err(CoreError::ProtocolViolation(
-                    "shard bounds do not match its provider count",
-                ));
+            if let Shard::Backend(backend) = shard {
+                if shard_bounds.len() != backend.n_providers() {
+                    return Err(CoreError::ProtocolViolation(
+                        "shard bounds do not match its provider count",
+                    ));
+                }
             }
             bounds.extend(shard_bounds);
-            offset += k;
+            offsets.push(bounds.len());
         }
-        if offset != config.n_providers {
+        if bounds.len() != config.n_providers {
             return Err(CoreError::PartitionMismatch {
-                partitions: offset,
+                partitions: bounds.len(),
                 providers: config.n_providers,
             });
         }
@@ -527,10 +586,21 @@ impl ShardedFederation {
         }
     }
 
-    /// Compiles `plan` and scatters **all** of its sub-queries before
-    /// returning — the sharded twin of [`EngineHandle::submit_plan`].
-    pub fn submit_plan(&self, plan: &QueryPlan) -> Result<PendingPlan<ShardedFederation>> {
-        PlanBackend::submit_plan(self, plan)
+    /// Validates a plan without dispatching (or charging) anything: it
+    /// compiles the plan, which checks every sub-query the plan would
+    /// submit — schema, sampling rate, budget positivity — and the
+    /// group-domain cap. Stateless, so sessions can check a plan *before*
+    /// charging its [`QueryPlan::total_cost`].
+    pub fn validate_plan(&self, plan: &QueryPlan) -> Result<()> {
+        compile(self, plan).map(drop)
+    }
+
+    /// Compiles `plan` and submits **all** of its sub-queries before
+    /// returning — a group-by's per-group queries are in flight together
+    /// by the time the caller first waits. Compiling validates, so a
+    /// rejected plan touches no data and costs no budget.
+    pub fn submit_plan(&self, plan: &QueryPlan) -> Result<PendingPlan> {
+        compile(self, plan)?.submit(self)
     }
 
     /// Submits a plan and waits it out.
@@ -538,10 +608,43 @@ impl ShardedFederation {
         self.submit_plan(plan)?.wait()
     }
 
-    /// `EXPLAIN` on the coordinator: identical decisions to the 1-shard
-    /// engine (same optimizer code over the same concatenated bounds).
+    /// `EXPLAIN`: the compiled plan, rendered — what [`Self::submit_plan`]
+    /// submits, computed from the plan and the public metadata snapshot
+    /// alone. Nothing is dispatched, no data is touched, no budget is
+    /// charged; a coordinator over any number of shards reaches the
+    /// 1-engine decisions over the same concatenated bounds.
     pub fn explain_plan(&self, plan: &QueryPlan) -> Result<PlanExplanation> {
-        PlanBackend::explain_plan(self, plan)
+        Ok(compile(self, plan)?.explain(self))
+    }
+
+    /// Submits one private query under `budget` without waiting, checked
+    /// once here, so a malformed query costs nothing.
+    pub fn submit_with_budget(
+        &self,
+        query: &RangeQuery,
+        sampling_rate: f64,
+        budget: &QueryBudget,
+    ) -> Result<ShardedSub> {
+        check_sub(&self.inner.schema, query, sampling_rate, budget)?;
+        self.submit_checked(query, sampling_rate, budget)
+    }
+
+    /// Submits one private query the caller already checked.
+    pub(crate) fn submit_checked(
+        &self,
+        query: &RangeQuery,
+        sampling_rate: f64,
+        budget: &QueryBudget,
+    ) -> Result<ShardedSub> {
+        let sub = SubQuery {
+            query: query.clone(),
+            sampling_rate,
+            budget: *budget,
+        };
+        let mut submitted = self.scatter(&[sub])?;
+        Ok(submitted
+            .pop()
+            .expect("one sub-query submitted, one handle"))
     }
 
     /// Rebinds a shard-reported error to the coordinator's shard index.
@@ -558,9 +661,10 @@ impl ShardedFederation {
     /// The scatter half of a plan's private sub-queries: number them on
     /// the occurrence ledger, begin them as one batch on every shard,
     /// gather and concatenate each one's summaries, solve each global
-    /// allocation, and feed every shard its slices — synchronously, so the
-    /// returned sub-queries only have partials left to gather.
-    fn scatter(&self, subs: &[SubQuery]) -> Result<Vec<ShardedSub>> {
+    /// allocation (step 3), and feed every shard its slices —
+    /// synchronously, so the returned sub-queries only have outcomes left
+    /// to gather.
+    pub(crate) fn scatter(&self, subs: &[SubQuery]) -> Result<Vec<ShardedSub>> {
         if subs.is_empty() {
             return Ok(Vec::new());
         }
@@ -568,17 +672,19 @@ impl ShardedFederation {
         let _span = obs::span("scatter", "shard", obs::SpanId::NONE);
         let scatter_start = Instant::now();
         let inner = &*self.inner;
+        let mut seeds = Vec::with_capacity(subs.len());
         let specs: Vec<FragmentSpec> = subs
             .iter()
-            .map(|sub| FragmentSpec {
-                query: sub.query.clone(),
-                sampling_rate: sub.sampling_rate,
-                budget: sub.budget,
-                occurrence: inner.occurrences.next(private_content_hash(
-                    &sub.query,
-                    sub.sampling_rate,
-                    &sub.budget,
-                )),
+            .map(|sub| {
+                let content = private_content_hash(&sub.query, sub.sampling_rate, &sub.budget);
+                let occurrence = inner.occurrences.next(content);
+                seeds.push(aggregator_seed(inner.config.seed, content, occurrence));
+                FragmentSpec {
+                    query: sub.query.clone(),
+                    sampling_rate: sub.sampling_rate,
+                    budget: sub.budget,
+                    occurrence,
+                }
             })
             .collect();
         // Write the batch to every shard before reading any reply.
@@ -619,59 +725,64 @@ impl ShardedFederation {
                     "fragment summaries do not match the batch",
                 ));
             }
+            let offset = inner.offsets[s];
             for ((mut fragment, time), (all, summary_time)) in shard_summaries
                 .into_iter()
                 .zip(summaries.iter_mut().zip(&mut summary_times))
             {
-                if fragment.len() != shard.n_providers() {
+                if fragment.len() != inner.offsets[s + 1] - offset {
                     return Err(CoreError::ProtocolViolation(
                         "fragment summaries do not match the shard's provider count",
                     ));
                 }
                 *summary_time = (*summary_time).max(time);
                 for (i, summary) in fragment.iter_mut().enumerate() {
-                    summary.provider = inner.offsets[s] + i;
+                    summary.provider = offset + i;
                 }
                 all.extend(fragment);
             }
             batches.push(batch);
         }
-        sleep_until_ready(&batches);
-        // Step 3, globally: each fragment's allocation program over *all*
-        // its summaries. `allocate` is RNG-free, so any aggregator seed
-        // reproduces the 1-shard solution exactly.
+        sleep_until(batches.iter().filter_map(Batch::ready_at).max());
+        // Step 3: each fragment's allocation program over *all* its
+        // summaries. `allocate` is RNG-free, so no seed is needed.
         let aggregator = Aggregator::new(0, inner.config.cost_model);
         let mut scattered = VecDeque::with_capacity(specs.len());
-        for ((spec, summaries), summary_time) in specs.iter().zip(&summaries).zip(summary_times) {
+        for (spec, ((summaries, summary_time), seed)) in specs
+            .into_iter()
+            .zip(summaries.iter().zip(summary_times).zip(seeds))
+        {
             let t = Instant::now();
             let policy = inner.config.allocation_policy;
             let allocations = aggregator.allocate_under(policy, summaries, spec.sampling_rate)?;
             scattered.push_back(Scattered {
+                spec,
+                seed,
                 summary_time,
                 allocation_time: t.elapsed(),
-                network: private_network(inner.config.cost_model, &spec.query, None),
                 allocations,
-                cost: spec.budget.cost(),
             });
         }
         for (s, batch) in batches.iter_mut().enumerate() {
-            let o = inner.offsets[s];
-            let k = inner.shards[s].n_providers();
-            let slices: Vec<Vec<u64>> = scattered
+            let shard = inner.offsets[s]..inner.offsets[s + 1];
+            let slices = scattered
                 .iter()
-                .map(|sub| sub.allocations[o..o + k].to_vec())
+                .map(|sub| sub.allocations[shard.clone()].to_vec())
                 .collect();
             batch
-                .allocate(&slices)
+                .fragments()
+                .allocate(slices)
                 .map_err(|e| self.shard_error(s, e))?;
         }
         obs::observe_duration(obs::names::SHARD_SCATTER, scatter_start.elapsed());
+        let n = scattered.len();
         let gather = Arc::new(Mutex::new(Gather {
+            coordinator: self.clone(),
             batches,
             scattered,
-            answers: Vec::with_capacity(specs.len()),
+            answers: Vec::with_capacity(n),
         }));
-        Ok((0..specs.len())
+        Ok((0..n)
             .map(|index| ShardedSub {
                 gather: Arc::clone(&gather),
                 index,
@@ -679,190 +790,22 @@ impl ShardedFederation {
             .collect())
     }
 
-    /// The gather half of the batch's next sub-query: fetch every shard's
-    /// next partial, rebuild the global outcome rows, and re-run the
-    /// 1-shard release fold.
-    fn gather_next(&self, gather: &mut Gather) -> Result<ShardedAnswer> {
-        let Scattered {
-            summary_time,
-            allocation_time,
-            network,
-            allocations,
-            cost,
-        } = gather
-            .scattered
-            .pop_front()
-            .expect("one scattered sub-query per answer still to gather");
-        let _span = obs::span("gather", "shard", obs::SpanId::NONE);
-        let gather_start = Instant::now();
-        let inner = &*self.inner;
-        let mut outcomes = Vec::with_capacity(inner.config.n_providers);
-        let mut execution = Duration::ZERO;
-        for (s, batch) in gather.batches.iter_mut().enumerate() {
-            let wait = Instant::now();
-            let partial = batch.partial().map_err(|e| self.shard_error(s, e))?;
-            obs::observe_duration(&inner.shard_metrics[s].1, wait.elapsed());
-            if partial.rows.len() != inner.shards[s].n_providers() {
-                return Err(CoreError::ProtocolViolation(
-                    "fragment partial does not match the shard's provider count",
-                ));
-            }
-            execution = execution.max(partial.execution);
-            for (i, row) in partial.rows.iter().enumerate() {
-                // Raw estimates and smooth sensitivities never cross the
-                // shard boundary; the fold below reads only `released`
-                // (and the public variances for the CI).
-                outcomes.push(LocalOutcome {
-                    provider: inner.offsets[s] + i,
-                    released: Some(row.released),
-                    estimate: 0.0,
-                    smooth_ls: 0.0,
-                    variance: row.variance,
-                    approximated: row.approximated,
-                    clusters_scanned: row.clusters_scanned as usize,
-                    n_covering: row.n_covering as usize,
-                });
-            }
-        }
-        sleep_until_ready(&gather.batches);
-        let t = Instant::now();
-        let aggregator = Aggregator::new(0, inner.config.cost_model);
-        let value = aggregator.finalize_local(&outcomes)?;
-        let release = t.elapsed();
-        obs::observe_duration(obs::names::SHARD_GATHER, gather_start.elapsed());
-        Ok(ShardedAnswer {
-            value,
-            cost,
-            timings: PhaseTimings {
-                summary: summary_time,
-                allocation: allocation_time,
-                execution,
-                release,
-                network,
-            },
-            ci_halfwidth: combined_ci_halfwidth(&outcomes),
-            clusters_scanned: outcomes.iter().map(|o| o.clusters_scanned).sum(),
-            covering_total: outcomes.iter().map(|o| o.n_covering).sum(),
-            approximated_providers: outcomes.iter().filter(|o| o.approximated).count(),
-            allocations,
-        })
-    }
-}
-
-/// Reads a just-begun batch's summaries, passing the batch through.
-fn summarized(
-    batch: Result<Box<dyn FragmentBatch>>,
-) -> Result<(Box<dyn FragmentBatch>, Vec<FragmentSummaries>)> {
-    let mut batch = batch?;
-    let summaries = batch.summaries()?;
-    Ok((batch, summaries))
-}
-
-/// Sleeps until the replies just read from `batches` have all crossed
-/// their simulated links; returns at once when (as in every real
-/// deployment) no backend simulates one.
-fn sleep_until_ready(batches: &[Box<dyn FragmentBatch>]) {
-    sleep_until(batches.iter().filter_map(|b| b.ready_at()).max());
-}
-
-fn sleep_until(latest: Option<Instant>) {
-    if let Some(latest) = latest {
-        std::thread::sleep(latest.saturating_duration_since(Instant::now()));
-    }
-}
-
-/// Rejects configurations the coordinator cannot serve.
-fn reject_unshardable(config: &FederationConfig) -> Result<()> {
-    if config.release_mode == ReleaseMode::Smc {
-        return Err(CoreError::BadConfig(
-            "SMC release is not shardable: the oblivious sum needs every provider's shares in one place",
-        ));
-    }
-    Ok(())
-}
-
-/// A private sub-query in flight across the shards: its position in the
-/// batch it was scattered with. Cloning via [`PlanBackend::share_sub`]
-/// shares the gather, so dedup'd sub-queries resolve once and every
-/// sharer reads the memoized merge.
-pub struct ShardedSub {
-    gather: Arc<Mutex<Gather>>,
-    index: usize,
-}
-
-/// One scattered batch's gather, shared by its sub-queries: the shards'
-/// batches, and the answers gathered so far, in batch order — a
-/// sub-query's partials are read after every earlier one's.
-struct Gather {
-    batches: Vec<Box<dyn FragmentBatch>>,
-    /// The sub-queries not gathered yet, in batch order.
-    scattered: VecDeque<Scattered>,
-    answers: Vec<Result<ShardedAnswer>>,
-}
-
-/// A scattered sub-query whose fragments hold their allocations: what its
-/// answer needs besides the partials.
-struct Scattered {
-    summary_time: Duration,
-    allocation_time: Duration,
-    /// The 1-shard engine's simulated local-DP network time.
-    network: Duration,
-    allocations: Vec<u64>,
-    cost: PrivacyCost,
-}
-
-impl PlanBackend for ShardedFederation {
-    type Sub = ShardedSub;
-    type Ext = ExtremeOutcome;
-
-    fn config(&self) -> &FederationConfig {
-        &self.inner.config
-    }
-
-    fn schema(&self) -> &Schema {
-        &self.inner.schema
-    }
-
-    fn snapshot(&self) -> &MetaSnapshot {
-        &self.inner.snapshot
-    }
-
-    fn submit_subs(&self, subs: &[SubQuery]) -> Result<Vec<ShardedSub>> {
-        self.scatter(subs)
-    }
-
-    fn share_sub(&self, sub: &ShardedSub) -> ShardedSub {
-        ShardedSub {
-            gather: Arc::clone(&sub.gather),
-            index: sub.index,
-        }
-    }
-
-    /// Resolves a sharded sub-query — gathering, in batch order, every
-    /// sub-query of its batch up to it — and memoizes each merge, so
-    /// every sharer (the dedup pass) observes byte-identical answers
-    /// without re-gathering.
-    fn wait_sub(&self, sub: ShardedSub) -> Result<ShardedAnswer> {
-        let mut gather = sub.gather.lock().unwrap_or_else(PoisonError::into_inner);
-        while gather.answers.len() <= sub.index {
-            let answer = self.gather_next(&mut gather);
-            gather.answers.push(answer);
-        }
-        gather.answers[sub.index].clone()
-    }
-
-    fn submit_ext(&self, ext: ExtremeQuery) -> Result<ExtremeOutcome> {
-        // Extreme fragments carry no allocation barrier and resolve
-        // blocking right here. Every shard's fragment is written before
-        // any reply is read, so the shards select concurrently; the
-        // shard-local MIN/MAX folds are combined exactly (integer
-        // domain), reproducing the 1-shard post-processing bit-for-bit.
+    /// Runs one private MIN/MAX, blocking: extremes carry no allocation
+    /// barrier. Every shard's fragment is written before any reply is
+    /// read, so the shards select concurrently; the shard-local MIN/MAX
+    /// folds are combined exactly (integer domain), reproducing the
+    /// 1-shard post-processing bit for bit.
+    pub(crate) fn run_extreme(&self, ext: ExtremeQuery) -> Result<ExtremeOutcome> {
         obs::counter_add(obs::names::SHARD_QUERIES, 1);
         let spec = ExtremeFragmentSpec {
             dim: ext.dim,
             extreme: ext.extreme,
             epsilon: ext.epsilon,
-            occurrence: self.inner.occurrences.next(extreme_content_hash(&ext)),
+            occurrence: self.inner.occurrences.next(extreme_content_hash(
+                ext.dim,
+                ext.extreme,
+                ext.epsilon,
+            )),
         };
         let mut replies = self
             .inner
@@ -889,16 +832,195 @@ impl PlanBackend for ShardedFederation {
             network: extreme_network(self.inner.config.cost_model),
         })
     }
+}
 
-    fn wait_ext(&self, ext: ExtremeOutcome) -> Result<ExtremeOutcome> {
-        Ok(ext)
+/// Reads a just-begun batch's summaries, passing the batch through.
+fn summarized(batch: Result<Batch>) -> Result<(Batch, Vec<FragmentSummaries>)> {
+    let mut batch = batch?;
+    let summaries = batch.fragments().summaries()?;
+    Ok((batch, summaries))
+}
+
+/// Sleeps until `latest`, the moment the replies just read have all
+/// crossed their simulated links; returns at once when (as in every real
+/// deployment) no backend simulates one.
+fn sleep_until(latest: Option<Instant>) {
+    if let Some(latest) = latest {
+        std::thread::sleep(latest.saturating_duration_since(Instant::now()));
+    }
+}
+
+/// A private sub-query in flight across the shards: its position in the
+/// batch it was scattered with. A shared copy shares the gather, so
+/// dedup'd sub-queries resolve once and every sharer reads the memoized
+/// merge.
+pub struct ShardedSub {
+    gather: Arc<Mutex<Gather>>,
+    index: usize,
+}
+
+impl ShardedSub {
+    /// Blocks until the sub-query resolved: gathers, in batch order,
+    /// every sub-query of its batch up to it, and memoizes each merge, so
+    /// every sharer (the dedup pass) observes byte-identical answers
+    /// without re-gathering.
+    pub fn wait(self) -> Result<ShardedAnswer> {
+        self.resolve(|(answer, _)| answer.clone())
+    }
+
+    /// [`Self::wait`], with the simulation-boundary diagnostics of the
+    /// providers' raw outcomes — the experiments' oracle, in process only
+    /// ([`crate::Federation::run`]).
+    pub(crate) fn wait_oracle(self) -> Result<OracleAnswer> {
+        self.resolve(|(answer, outcomes)| OracleAnswer {
+            answer: answer.clone(),
+            raw_estimate: outcomes.iter().map(|o| o.estimate).sum(),
+            smooth_ls: outcomes.iter().map(|o| o.smooth_ls).collect(),
+        })
+    }
+
+    /// A second waiter on the same in-flight sub-query (the dedup pass's
+    /// release reuse): nothing is resubmitted, re-noised or re-charged.
+    pub(crate) fn share(&self) -> ShardedSub {
+        ShardedSub {
+            gather: Arc::clone(&self.gather),
+            index: self.index,
+        }
+    }
+
+    fn resolve<T>(&self, read: impl FnOnce(&Gathered) -> T) -> Result<T> {
+        let mut gather = self.gather.lock().unwrap_or_else(PoisonError::into_inner);
+        while gather.answers.len() <= self.index {
+            let answer = gather.next();
+            gather.answers.push(answer);
+        }
+        gather.answers[self.index]
+            .as_ref()
+            .map(read)
+            .map_err(Clone::clone)
+    }
+}
+
+/// A merged sub-query: its answer, and the global outcome rows it was
+/// folded from.
+type Gathered = (ShardedAnswer, Vec<LocalOutcome>);
+
+/// One scattered batch's gather, shared by its sub-queries: the shards'
+/// batches, and the answers gathered so far, in batch order — a
+/// sub-query's outcomes are read after every earlier one's.
+struct Gather {
+    coordinator: ShardedFederation,
+    batches: Vec<Batch>,
+    /// The sub-queries not gathered yet, in batch order.
+    scattered: VecDeque<Scattered>,
+    answers: Vec<Result<Gathered>>,
+}
+
+/// A scattered sub-query whose fragments hold their allocations: what its
+/// answer needs besides the outcomes.
+struct Scattered {
+    spec: FragmentSpec,
+    /// The job's aggregator seed, which an SMC release draws from.
+    seed: u64,
+    summary_time: Duration,
+    allocation_time: Duration,
+    allocations: Vec<u64>,
+}
+
+impl Gather {
+    /// The gather half of the batch's next sub-query: fetch every shard's
+    /// next outcomes, concatenate them in global provider order, and
+    /// release (step 7) — the serial fold of the providers' releases, or
+    /// the SMC sum of their raw estimates.
+    fn next(&mut self) -> Result<Gathered> {
+        let Scattered {
+            spec,
+            seed,
+            summary_time,
+            allocation_time,
+            allocations,
+        } = self
+            .scattered
+            .pop_front()
+            .expect("one scattered sub-query per answer still to gather");
+        let _span = obs::span("gather", "shard", obs::SpanId::NONE);
+        let gather_start = Instant::now();
+        let coordinator = &self.coordinator;
+        let inner = &*coordinator.inner;
+        let mut outcomes = Vec::with_capacity(inner.config.n_providers);
+        let mut execution = Duration::ZERO;
+        for (s, batch) in self.batches.iter_mut().enumerate() {
+            let wait = Instant::now();
+            let (rows, time) = batch
+                .outcomes()
+                .map_err(|e| coordinator.shard_error(s, e))?;
+            obs::observe_duration(&inner.shard_metrics[s].1, wait.elapsed());
+            if rows.len() != inner.offsets[s + 1] - inner.offsets[s] {
+                return Err(CoreError::ProtocolViolation(
+                    "fragment partial does not match the shard's provider count",
+                ));
+            }
+            execution = execution.max(time);
+            outcomes.extend(rows);
+        }
+        sleep_until(self.batches.iter().filter_map(Batch::ready_at).max());
+        let cost_model = inner.config.cost_model;
+        let mut aggregator = Aggregator::new(seed, cost_model);
+        let t = Instant::now();
+        let (value, smc_network) = match inner.config.release_mode {
+            ReleaseMode::LocalDp => (aggregator.finalize_local(&outcomes)?, None),
+            ReleaseMode::Smc => {
+                let (value, network) = aggregator.finalize_smc(&outcomes, spec.budget.eps_e)?;
+                (value, Some(network))
+            }
+        };
+        let timings = PhaseTimings {
+            summary: summary_time,
+            allocation: allocation_time,
+            execution,
+            release: t.elapsed(),
+            network: private_network(cost_model, &spec.query, smc_network),
+        };
+        // Telemetry reads *only* phase wall-times — public by the threat
+        // model (the analyst observes them anyway). Never estimates or
+        // sensitivities.
+        obs::observe_duration(obs::names::PHASE_SUMMARY, timings.summary);
+        obs::observe_duration(obs::names::PHASE_ALLOCATION, timings.allocation);
+        obs::observe_duration(obs::names::PHASE_EXECUTION, timings.execution);
+        obs::observe_duration(obs::names::PHASE_RELEASE, timings.release);
+        obs::observe_duration(obs::names::PHASE_NETWORK, timings.network);
+        obs::observe_duration(obs::names::SHARD_GATHER, gather_start.elapsed());
+        let answer = ShardedAnswer {
+            value,
+            cost: spec.budget.cost(),
+            timings,
+            ci_halfwidth: combined_ci_halfwidth(&outcomes),
+            clusters_scanned: outcomes.iter().map(|o| o.clusters_scanned).sum(),
+            covering_total: outcomes.iter().map(|o| o.n_covering).sum(),
+            approximated_providers: outcomes.iter().filter(|o| o.approximated).count(),
+            allocations,
+        };
+        Ok((answer, outcomes))
+    }
+}
+
+#[cfg(test)]
+impl ShardedSub {
+    /// How many summary and execute turns the sub-query's fragment ran on
+    /// the first shard, an in-process engine.
+    pub(crate) fn turns_run(&self) -> (usize, usize) {
+        let gather = self.gather.lock().unwrap();
+        let Batch::Local(batch) = &gather.batches[0] else {
+            panic!("the first shard is not an in-process engine");
+        };
+        batch.turns_run(self.index)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{SessionPlan, ShardedSession};
+    use crate::session::{Session, SessionPlan};
     use fedaqp_model::{Aggregate, DerivedStatistic, Dimension, Domain, Range};
     use fedaqp_smc::CostModel;
 
@@ -1028,9 +1150,23 @@ mod tests {
         let mut smc = config(1);
         smc.release_mode = ReleaseMode::Smc;
         assert!(matches!(
-            ShardedFederation::in_process(smc, schema(), partitions(), 2),
+            ShardedFederation::in_process(smc.clone(), schema(), partitions(), 2),
             Err(CoreError::BadConfig(_))
         ));
+        // A backend hands over no raw estimate, even an in-process engine
+        // behind the trait: SMC needs the coordinator over one engine.
+        let engine = Federation::build(smc.clone(), schema(), partitions())
+            .unwrap()
+            .with_engine(EngineHandle::clone);
+        assert!(matches!(
+            ShardedFederation::from_backends(smc.clone(), schema(), vec![Box::new(engine)]),
+            Err(CoreError::BadConfig(_))
+        ));
+        // One in-process engine is the coordinator SMC runs on.
+        let one = ShardedFederation::in_process(smc, schema(), partitions(), 1).unwrap();
+        let plan = plans().swap_remove(0);
+        assert!(one.run_plan(&plan).unwrap().value().unwrap().is_finite());
+        one.shutdown();
         assert!(matches!(
             ShardedFederation::in_process(config(1), schema(), partitions(), 0),
             Err(CoreError::BadConfig(_))
@@ -1086,8 +1222,7 @@ mod tests {
             vec![Box::new(live.handle()), Box::new(DeadShard { n: 2 })],
         )
         .unwrap();
-        let session =
-            ShardedSession::open(coordinator, 100.0, 0.5, SessionPlan::PayAsYouGo).unwrap();
+        let session = Session::open(coordinator, 100.0, 0.5, SessionPlan::PayAsYouGo).unwrap();
         let plan = QueryPlan::Scalar {
             query: count(100, 900),
             sampling_rate: 0.3,
@@ -1167,7 +1302,7 @@ mod tests {
             Ok(summaries)
         }
 
-        fn allocate(&mut self, allocations: &[Vec<u64>]) -> Result<()> {
+        fn allocate(&mut self, allocations: Vec<Vec<u64>>) -> Result<()> {
             self.inner.allocate(allocations)
         }
 
@@ -1371,7 +1506,7 @@ mod tests {
             self.inner.summaries()
         }
 
-        fn allocate(&mut self, allocations: &[Vec<u64>]) -> Result<()> {
+        fn allocate(&mut self, allocations: Vec<Vec<u64>>) -> Result<()> {
             self.inner.allocate(allocations)
         }
 
@@ -1473,13 +1608,13 @@ mod tests {
                     let mut short = allocations.clone();
                     short[1].pop();
                     assert_eq!(
-                        batch.allocate(&short),
+                        batch.allocate(short),
                         Err(CoreError::BadConfig(
                             "fragment allocation length does not match shard providers"
                         ))
                     );
                 }
-                batch.allocate(&allocations).unwrap();
+                batch.allocate(allocations).unwrap();
                 [batch.partial().unwrap().rows, batch.partial().unwrap().rows]
             })
         };
@@ -1491,7 +1626,7 @@ mod tests {
         let coordinator =
             ShardedFederation::in_process(config(0xFEDA), schema(), partitions(), 2).unwrap();
         let session =
-            ShardedSession::open(coordinator.clone(), 100.0, 0.5, SessionPlan::PayAsYouGo).unwrap();
+            Session::open(coordinator.clone(), 100.0, 0.5, SessionPlan::PayAsYouGo).unwrap();
         let answer = session.query(&count(100, 900), 0.3).unwrap();
         assert_eq!(answer.cost, session.per_query_cost());
         assert_eq!(session.spent(), session.per_query_cost());

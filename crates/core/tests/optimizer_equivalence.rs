@@ -14,8 +14,8 @@
 //! * `EXPLAIN` through a budgeted session costs nothing.
 
 use fedaqp_core::{
-    ConcurrentSession, Federation, FederationConfig, OptimizerConfig, PlanAnswer, PlanResult,
-    QueryPlan, SessionPlan,
+    Federation, FederationConfig, OptimizerConfig, PlanAnswer, PlanResult, QueryPlan, Session,
+    SessionPlan,
 };
 use fedaqp_model::{
     Aggregate, DerivedStatistic, Dimension, Domain, Range, RangeQuery, Row, Schema,
@@ -68,8 +68,7 @@ fn federation(seed: u64, band: usize, optimizer: OptimizerConfig) -> Federation 
 /// the same noise indices against each other.
 fn run_all(federation: &Federation, plans: &[QueryPlan]) -> Vec<PlanAnswer> {
     federation.with_engine(|handle| {
-        let session =
-            ConcurrentSession::open(handle.clone(), 1e6, 0.5, SessionPlan::PayAsYouGo).unwrap();
+        let session = Session::open(handle.clone(), 1e6, 0.5, SessionPlan::PayAsYouGo).unwrap();
         plans.iter().map(|p| session.run_plan(p).unwrap()).collect()
     })
 }
@@ -261,8 +260,7 @@ fn all_pruned_query_completes_and_matches_exhaustive() {
 fn explain_through_a_session_costs_no_budget() {
     let fed = federation(3, 250, OptimizerConfig::enabled());
     fed.with_engine(|handle| {
-        let session =
-            ConcurrentSession::open(handle.clone(), 10.0, 1e-3, SessionPlan::PayAsYouGo).unwrap();
+        let session = Session::open(handle.clone(), 10.0, 1e-3, SessionPlan::PayAsYouGo).unwrap();
         let plans = plan_mix(100, 220, 0.25);
         for plan in &plans {
             session.explain_plan(plan).unwrap();

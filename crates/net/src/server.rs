@@ -72,8 +72,8 @@ use std::thread::JoinHandle;
 
 use fedaqp_core::{
     CoreError, EngineHandle, FederationConfig, FragmentBatch, IngestReport, LiveFederation,
-    PendingPlan, PlanAnswer, PlanBackend, PlanResult, PlanSnapshot, QueryPlan, Session,
-    SessionPlan, ShardBackend, ShardedFederation,
+    PendingPlan, PlanAnswer, PlanResult, PlanSnapshot, QueryPlan, Session, SessionPlan,
+    ShardBackend, ShardedFederation,
 };
 use fedaqp_dp::{BudgetDirectory, DpError, SharedAccountant};
 use fedaqp_model::{Row, Schema};
@@ -214,14 +214,12 @@ fn refusal(role: Role, gate: Option<&Gate>) -> Option<&'static str> {
 /// reaches it as its [`ShardBackend`]), the [`ShardedFederation`]
 /// coordinator, and the live federation's lock.
 trait Backend: Clone + Send + 'static {
-    /// The plan surface queries run on.
-    type Plans: PlanBackend;
-
-    /// The plan surface for one request; its configuration and schema are
-    /// what a `HelloAck` advertises. A frozen backend is its own surface;
-    /// the live backend hands out its current epoch's engine, which pins
-    /// one epoch, data version and seed for everything run on it.
-    fn plans(&self) -> Self::Plans;
+    /// The coordinator one request plans on; its configuration and schema
+    /// are what a `HelloAck` advertises. An engine's is its own one-shard
+    /// coordinator; the live backend hands out its current epoch's
+    /// engine's, which pins one epoch, data version and seed for
+    /// everything run on it.
+    fn plans(&self) -> ShardedFederation;
 
     /// Appends one ingest batch. Only a live federation moves; the gate
     /// table keeps `Ingest` frames from every other backend.
@@ -236,10 +234,8 @@ trait Backend: Clone + Send + 'static {
 }
 
 impl Backend for EngineHandle {
-    type Plans = EngineHandle;
-
-    fn plans(&self) -> EngineHandle {
-        self.clone()
+    fn plans(&self) -> ShardedFederation {
+        self.clone().into()
     }
 
     fn fragment_engine(&self) -> Option<&dyn ShardBackend> {
@@ -248,8 +244,6 @@ impl Backend for EngineHandle {
 }
 
 impl Backend for ShardedFederation {
-    type Plans = ShardedFederation;
-
     fn plans(&self) -> ShardedFederation {
         self.clone()
     }
@@ -262,14 +256,13 @@ impl Backend for ShardedFederation {
 /// any unlock), so a poisoned lock is served rather than cascading the
 /// panic across every connection thread.
 impl Backend for Arc<RwLock<LiveFederation>> {
-    type Plans = EngineHandle;
-
     /// Read side of the lock, just long enough to clone the current
     /// epoch's engine (the epoch's first request builds it).
-    fn plans(&self) -> EngineHandle {
+    fn plans(&self) -> ShardedFederation {
         self.read()
             .unwrap_or_else(PoisonError::into_inner)
             .with_engine(EngineHandle::clone)
+            .into()
     }
 
     /// Write side of the lock: applies the batch atomically (append +
@@ -610,21 +603,18 @@ fn dispatch<B: Backend>(conn: &mut Connection, backend: &B, frame: Frame) -> Res
 
 /// A transient [`Session`] over the analyst's durable ledger: the session
 /// object is per-request, the ledger it charges is not.
-fn session<P: PlanBackend>(
-    plans: &P,
-    ledger: &SharedAccountant,
-) -> fedaqp_core::Result<Session<P>> {
+fn session(plans: &ShardedFederation, ledger: &SharedAccountant) -> fedaqp_core::Result<Session> {
     Session::open_with_accountant(plans.clone(), ledger.clone(), SessionPlan::PayAsYouGo)
 }
 
 /// Submits a whole plan: with a ledger, the plan's entire declared
 /// `(ε, δ)` is validated and charged atomically before any sub-query is
 /// dispatched (validate-before-charge, whole-plan ξ accounting).
-fn submit_plan<P: PlanBackend>(
-    plans: &P,
+fn submit_plan(
+    plans: &ShardedFederation,
     ledger: Option<&SharedAccountant>,
     plan: &QueryPlan,
-) -> fedaqp_core::Result<PendingPlan<P>> {
+) -> fedaqp_core::Result<PendingPlan> {
     match ledger {
         Some(ledger) => session(plans, ledger)?.submit_plan(plan),
         None => plans.submit_plan(plan),
@@ -676,7 +666,7 @@ fn serve_fragment(
                     &bad_request("no fragment in flight on this connection"),
                 );
             };
-            if let Err(e) = fragments.allocate(&allocations) {
+            if let Err(e) = fragments.allocate(allocations) {
                 return write_frame(stream, &core_error_reply(0, &e));
             }
             // One partial per fragment, each written as it resolves; the
@@ -719,10 +709,7 @@ fn online_plan(request: &OnlinePlanRequest) -> QueryPlan {
 /// a typed error frame (an engine failure mid-stream, returns `false` —
 /// the budget stays spent either way, fail-closed). Transport failures
 /// propagate as [`NetError`] and tear the connection down.
-fn stream_online_answer<P: PlanBackend>(
-    stream: &mut TcpStream,
-    pending: PendingPlan<P>,
-) -> Result<bool> {
+fn stream_online_answer(stream: &mut TcpStream, pending: PendingPlan) -> Result<bool> {
     let mut write_err: Option<NetError> = None;
     let outcome = pending.wait_streaming(|snapshot: &PlanSnapshot| {
         if write_err.is_some() {

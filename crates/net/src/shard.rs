@@ -67,7 +67,7 @@ use fedaqp_model::Value;
 use fedaqp_smc::CostModel;
 
 use crate::client::Conn;
-use crate::wire::{encode_frame, fragment_runs, Frame};
+use crate::wire::{encode_fragment, encode_frame, fragment_runs, Frame};
 use crate::{NetError, Result};
 
 /// Idle connections kept per shard: enough that sixteen analysts' plans
@@ -182,7 +182,7 @@ impl ShardBackend for RemoteShard {
             .map(|len| {
                 let (run, later) = rest.split_at(len);
                 rest = later;
-                let request = encode_frame(&Frame::Fragment(run.to_vec()))?;
+                let request = encode_fragment(run)?;
                 Ok(Run {
                     sent: Some(self.pool.send(request)?),
                     len,
@@ -279,18 +279,20 @@ impl FragmentBatch for RemoteBatch {
         Ok(all)
     }
 
-    fn allocate(&mut self, allocations: &[Vec<u64>]) -> fedaqp_core::Result<()> {
+    fn allocate(&mut self, mut allocations: Vec<Vec<u64>>) -> fedaqp_core::Result<()> {
         // Each run takes its fragments' slices and the last run the rest,
         // so the shard checks them all: a mismatch is its typed error.
-        let mut rest = allocations;
         let last = self.runs.len().saturating_sub(1);
         for (i, run) in self.runs.iter_mut().enumerate() {
-            let take = if i == last { rest.len() } else { run.len };
-            let (mine, later) = rest.split_at(take.min(rest.len()));
-            rest = later;
+            let take = if i == last {
+                allocations.len()
+            } else {
+                run.len.min(allocations.len())
+            };
+            let mine = allocations.drain(..take).collect();
             let sent = run.sent.as_mut().ok_or(shard_fault(FINISHED))?;
             sent.conn
-                .send(&Frame::FragmentAllocation(mine.to_vec()))
+                .send(&Frame::FragmentAllocation(mine))
                 .map_err(|e| unavailable(&e))?;
         }
         Ok(())

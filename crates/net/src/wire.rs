@@ -1179,12 +1179,26 @@ frames! {
 
 /// Encodes one frame (header + payload).
 pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>> {
+    encode_with(|out| encode_payload(frame, out))
+}
+
+/// The bytes of `Frame::Fragment(specs.to_vec())`, encoded from the
+/// borrowed specs.
+pub(crate) fn encode_fragment(specs: &[FragmentSpec]) -> Result<Vec<u8>> {
+    encode_with(|out| {
+        put_list(out, &FRAGMENTS, specs)?;
+        Ok(KIND_FRAGMENT)
+    })
+}
+
+/// A header, then the payload `payload` appends, returning its kind byte.
+fn encode_with(payload: impl FnOnce(&mut Vec<u8>) -> Result<u8>) -> Result<Vec<u8>> {
     let mut out = Vec::with_capacity(64);
     out.put_u32_le(MAGIC);
     out.put_u16_le(VERSION);
     // The kind and the payload length are patched in once known.
     out.resize(HEADER_BYTES, 0);
-    let kind = encode_payload(frame, &mut out)?;
+    let kind = payload(&mut out)?;
     out[6] = kind;
     let len = out.len() - HEADER_BYTES;
     if len > MAX_PAYLOAD as usize {
@@ -1590,6 +1604,12 @@ mod tests {
                 let (run, later) = rest.split_at(len);
                 rest = later;
                 fits(Frame::Fragment(run.to_vec()));
+                // What a remote shard sends, encoded from the borrowed run.
+                let borrowed = encode_fragment(run).unwrap();
+                assert_eq!(
+                    borrowed,
+                    encode_frame(&Frame::Fragment(run.to_vec())).unwrap()
+                );
                 let summaries = (0..n_providers)
                     .map(|provider| ProviderSummary {
                         provider,

@@ -7,9 +7,9 @@
 //!   reset through reconnecting, no leakage into other identities.
 //! * **Hygiene** — the only numbers that may cross the socket are
 //!   DP-released. Raw pre-noise estimates and smooth sensitivities exist
-//!   in the engine's [`EngineAnswer`] as simulation-boundary diagnostics;
-//!   their exact byte patterns must be absent from every captured answer
-//!   frame, while the released value's bytes are present (the positive
+//!   only in the in-process [`OracleAnswer`] as simulation-boundary
+//!   diagnostics; their exact byte patterns must be absent from every
+//!   captured answer frame, while the released value's bytes are present (the positive
 //!   control that the scan works). The same scan covers the telemetry
 //!   exposition: a `MetricsAnswer` frame is assembled inside the process
 //!   that holds those diagnostics in memory, so it gets the identical
@@ -23,7 +23,7 @@
 
 use std::io::Read as _;
 
-use fedaqp_core::{Federation, FederationConfig, FederationEngine, QueryBatch};
+use fedaqp_core::{Federation, FederationConfig, FederationEngine, OracleAnswer};
 use fedaqp_model::{Aggregate, Dimension, Domain, QueryPlan, Range, RangeQuery, Row, Schema};
 use fedaqp_net::wire::{
     read_frame, write_frame, Frame, Hello, IngestAckFrame, MetricsAnswerFrame, OnlineDoneFrame,
@@ -57,12 +57,25 @@ fn federation() -> Federation {
     Federation::build(cfg, schema(), partitions).unwrap()
 }
 
+/// The in-process oracle of each `(query, rate)` under the default
+/// budget, waited one at a time on one engine scope of [`federation`]:
+/// bit-identical to a served run of the same distinct queries, and
+/// exposing the diagnostics no frame may carry.
+fn in_process_oracle(runs: impl Iterator<Item = (RangeQuery, f64)>) -> Vec<OracleAnswer> {
+    let fed = federation();
+    let budget = fed.default_budget().unwrap();
+    fed.with_engine(|engine| {
+        runs.map(|(q, rate)| engine.run_oracle(&q, rate, &budget).unwrap())
+            .collect()
+    })
+}
+
 fn count_query(lo: i64, hi: i64) -> RangeQuery {
     RangeQuery::new(Aggregate::Count, vec![Range::new(0, lo, hi).unwrap()]).unwrap()
 }
 
 /// The scalar plan a probe sends: the federation's default `(ε, δ)`, so
-/// the served job is the one `run_batch_serial` runs in process.
+/// the served job is the one [`in_process_oracle`] runs.
 fn scalar_plan(query: &RangeQuery) -> QueryPlan {
     QueryPlan::Scalar {
         query: query.clone(),
@@ -242,26 +255,18 @@ fn answer_frames_never_carry_raw_estimates_or_sensitivities() {
     // noise derives from (seed, content, occurrence), so this run is
     // bit-identical to the served one and exposes the diagnostics the
     // wire must not carry.
-    let mut batch = QueryBatch::new();
-    for q in &queries {
-        batch.push(q.clone(), 0.2);
-    }
-    let in_process: Vec<_> = federation()
-        .with_engine(|engine| engine.run_batch_serial(&batch))
-        .into_iter()
-        .map(|r| r.unwrap())
-        .collect();
+    let in_process = in_process_oracle(queries.iter().map(|q| (q.clone(), 0.2)));
 
     for (q, oracle) in queries.iter().zip(&in_process) {
         let (bytes, released) = probe(&mut stream, q);
         assert_eq!(
             released.to_bits(),
-            oracle.value.to_bits(),
+            oracle.answer.value.to_bits(),
             "served and in-process runs diverged; the hygiene scan is void"
         );
         assert_ne!(
             oracle.raw_estimate.to_bits(),
-            oracle.value.to_bits(),
+            oracle.answer.value.to_bits(),
             "noise-free release would make the scan vacuous"
         );
         assert!(
@@ -319,22 +324,14 @@ fn metrics_frames_never_carry_raw_estimates_or_sensitivities() {
 
     // The bit-identical in-process oracle exposing the diagnostics the
     // metrics frame must not carry.
-    let mut batch = QueryBatch::new();
-    for q in &queries {
-        batch.push(q.clone(), 0.2);
-    }
-    let in_process: Vec<_> = federation()
-        .with_engine(|engine| engine.run_batch_serial(&batch))
-        .into_iter()
-        .map(|r| r.unwrap())
-        .collect();
+    let in_process = in_process_oracle(queries.iter().map(|q| (q.clone(), 0.2)));
 
     // Serve the workload, checking bit-identity so the oracle's
     // diagnostics are provably the served engine's own.
     for (q, oracle) in queries.iter().zip(&in_process) {
         assert_eq!(
             probe(&mut stream, q).1.to_bits(),
-            oracle.value.to_bits(),
+            oracle.answer.value.to_bits(),
             "served and in-process runs diverged; the hygiene scan is void"
         );
     }
@@ -368,7 +365,7 @@ fn metrics_frames_never_carry_raw_estimates_or_sensitivities() {
         // The total noise draw is `value − raw_estimate`; a telemetry
         // cell holding it would let an analyst denoise the release.
         assert!(
-            !contains_f64(&bytes, oracle.value - oracle.raw_estimate),
+            !contains_f64(&bytes, oracle.answer.value - oracle.raw_estimate),
             "noise draw leaked into a MetricsAnswer frame"
         );
         for &ls in &oracle.smooth_ls {
@@ -418,15 +415,9 @@ fn online_push_frames_never_carry_raw_estimates_or_sensitivities() {
     // the noise occurrence counter — so a plain serial batch at the
     // per-round rates exposes exactly the diagnostics the push frames
     // must not carry.
-    let mut batch = QueryBatch::new();
-    for round in 1..=rounds {
-        batch.push(query.clone(), 0.2 * round as f64 / rounds as f64);
-    }
-    let oracle: Vec<_> = federation()
-        .with_engine(|engine| engine.run_batch_serial(&batch))
-        .into_iter()
-        .map(|r| r.unwrap())
-        .collect();
+    let oracle = in_process_oracle(
+        (1..=rounds).map(|round| (query.clone(), 0.2 * round as f64 / rounds as f64)),
+    );
 
     write_frame(
         &mut stream,

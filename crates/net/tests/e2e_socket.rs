@@ -3,13 +3,13 @@
 //!
 //! Coverage targets:
 //! * seeded remote answers are **byte-identical** to the in-process
-//!   engine's `run_batch_serial` and `run_plan`,
+//!   engine's serial submissions and `run_plan`,
 //! * ≥ 4 concurrent clients are served without a dropped connection,
 //! * budget exhaustion surfaces as a typed `Error` frame (the connection
 //!   survives), and reconnecting cannot reset a spent budget.
 
 use fedaqp_core::{
-    ExtremeFragmentSpec, Federation, FederationConfig, FederationEngine, FragmentSpec, QueryBatch,
+    ExtremeFragmentSpec, Federation, FederationConfig, FederationEngine, FragmentSpec,
 };
 use fedaqp_model::{
     Aggregate, DerivedStatistic, Dimension, Domain, Extreme, QueryPlan, Range, RangeQuery, Row,
@@ -75,12 +75,8 @@ fn fragment_spec(query: RangeQuery, sampling_rate: f64, occurrence: u64) -> Frag
     }
 }
 
-fn batch() -> QueryBatch {
-    let mut batch = QueryBatch::new();
-    for i in 0..6 {
-        batch.push(count_query(50 * i, 500 + 50 * i), 0.2);
-    }
-    batch
+fn batch() -> Vec<RangeQuery> {
+    (0..6).map(|i| count_query(50 * i, 500 + 50 * i)).collect()
 }
 
 /// Two federations built from identical inputs: one served over TCP, one
@@ -99,19 +95,20 @@ fn remote_batch_is_byte_identical_to_in_process_serial() {
     assert_eq!(client.session_budget(), None);
     // One scalar plan per query, back to back on the one connection.
     let remote: Vec<_> = batch()
-        .specs()
         .iter()
-        .map(|spec| {
-            let plan = client.scalar_plan(&spec.query, spec.sampling_rate);
+        .map(|query| {
+            let plan = client.scalar_plan(query, 0.2);
             client.run_plan(&plan).unwrap()
         })
         .collect();
 
-    let in_process: Vec<_> = federation(1.0)
-        .with_engine(|engine| engine.run_batch_serial(&batch()))
-        .into_iter()
-        .map(|r| r.unwrap())
-        .collect();
+    // In process, each query is waited before the next is submitted.
+    let in_process: Vec<_> = federation(1.0).with_engine(|engine| {
+        batch()
+            .iter()
+            .map(|query| engine.submit(query, 0.2).unwrap().wait().unwrap())
+            .collect()
+    });
 
     assert_eq!(remote.len(), in_process.len());
     for (r, l) in remote.iter().zip(&in_process) {
@@ -306,10 +303,10 @@ fn batch_straddling_the_budget_gets_partial_answers() {
     let Frame::HelloAck(ack) = read_frame(&mut stream).unwrap() else {
         panic!("expected HelloAck");
     };
-    for spec in batch().specs() {
+    for query in batch() {
         let plan = QueryPlan::Scalar {
-            query: spec.query.clone(),
-            sampling_rate: spec.sampling_rate,
+            query,
+            sampling_rate: 0.2,
             epsilon: ack.epsilon,
             delta: ack.delta,
         };
@@ -719,13 +716,10 @@ fn two_remote_shards_serve_plans_byte_identical_to_one_engine() {
             .iter()
             .map(|plan| engine.run_plan(plan).unwrap())
             .collect();
-        let mut batch = QueryBatch::new();
-        batch.push(count_query(100, 800), 0.2);
         let scalar = engine
-            .run_batch_serial(&batch)
-            .into_iter()
-            .next()
+            .submit(&count_query(100, 800), 0.2)
             .unwrap()
+            .wait()
             .unwrap();
         (plans, scalar)
     });
@@ -957,7 +951,7 @@ impl fedaqp_core::FragmentBatch for CountingBatch {
         self.inner.summaries()
     }
 
-    fn allocate(&mut self, allocations: &[Vec<u64>]) -> fedaqp_core::Result<()> {
+    fn allocate(&mut self, allocations: Vec<Vec<u64>>) -> fedaqp_core::Result<()> {
         self.writes
             .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         self.inner.allocate(allocations)

@@ -96,7 +96,7 @@ pub fn decode_store(mut data: &[u8]) -> Result<ClusterStore> {
         return Err(StorageError::Corrupt("cluster count truncated"));
     }
     let n_clusters = data.get_u32_le() as usize;
-    let mut rows_by_cluster: Vec<(u32, Vec<Row>)> = Vec::with_capacity(n_clusters.min(1 << 20));
+    let mut clusters: Vec<Cluster> = Vec::with_capacity(n_clusters.min(1 << 20));
     for _ in 0..n_clusters {
         if data.remaining() < 8 {
             return Err(StorageError::Corrupt("cluster header truncated"));
@@ -126,31 +126,32 @@ pub fn decode_store(mut data: &[u8]) -> Result<ClusterStore> {
             measures.push(get_uvarint(&mut data)?);
         }
         // A store file is outside input: every cell must sit inside the
-        // domain its schema promises, or the file is refused.
-        let rows = (0..len)
-            .map(|i| {
-                let row = Row::cell(cols.iter().map(|c| c[i]).collect(), measures[i]);
+        // domain its schema promises, or the file is refused. Cells are
+        // checked row by row, each row's dimensions in order — the order
+        // of `Schema::check_row`, which then names the first bad cell.
+        for i in 0..len {
+            let inside = cols
+                .iter()
+                .zip(schema.dimensions())
+                .all(|(col, dim)| dim.domain().contains(col[i]));
+            if !inside {
+                let row = Row::raw(cols.iter().map(|col| col[i]).collect());
                 schema.check_row(&row).map_err(StorageError::Model)?;
-                Ok(row)
-            })
-            .collect::<Result<Vec<Row>>>()?;
-        rows_by_cluster.push((id, rows));
+            }
+        }
+        clusters.push(Cluster::from_columns(id, cols, measures));
     }
     if data.has_remaining() {
         return Err(StorageError::Corrupt("trailing bytes after store"));
     }
-    // Rebuild preserving the original cluster boundaries and ids: clusters
-    // were written in id order by `encode_store`; validate and flatten.
-    rows_by_cluster.sort_by_key(|(id, _)| *id);
-    for (expect, (id, _)) in rows_by_cluster.iter().enumerate() {
-        if *id != expect as u32 {
+    // Keep the original cluster boundaries and ids: clusters were written
+    // in id order by `encode_store`; validate.
+    clusters.sort_by_key(Cluster::id);
+    for (expect, cluster) in clusters.iter().enumerate() {
+        if cluster.id() != expect as u32 {
             return Err(StorageError::Corrupt("non-contiguous cluster ids"));
         }
     }
-    let clusters: Vec<Cluster> = rows_by_cluster
-        .into_iter()
-        .map(|(id, rows)| Cluster::from_rows(id, schema.arity(), &rows, capacity))
-        .collect::<Result<_>>()?;
     ClusterStore::from_parts(schema, capacity, clusters)
 }
 
@@ -268,6 +269,24 @@ mod tests {
                 dim: 0,
                 value: 501,
                 ..
+            }))
+        ));
+        // Two bad cells in later rows of cluster 0: `beta` of row 3, then
+        // `alpha` of row 5. The earlier row is named, though its bad cell
+        // sits in the later dimension, as `Schema::check_row` names it.
+        let mut blob = encode_store(&store).to_vec();
+        let len = store.clusters()[0].len();
+        assert!(len > 5, "cluster 0 holds {len} cells");
+        let cell = |dim: usize, row: usize| at + 8 * (dim * len + row);
+        blob[cell(1, 3)..cell(1, 3) + 8].copy_from_slice(&64i64.to_le_bytes());
+        blob[cell(0, 5)..cell(0, 5) + 8].copy_from_slice(&(-501i64).to_le_bytes());
+        assert!(matches!(
+            decode_store(&blob),
+            Err(StorageError::Model(ModelError::ValueOutOfDomain {
+                dim: 1,
+                value: 64,
+                lo: 0,
+                hi: 63,
             }))
         ));
     }

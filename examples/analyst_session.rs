@@ -7,8 +7,8 @@
 //! ```
 
 use fedaqp::core::{
-    relative_error, ConcurrentSession, DerivedStatistic, Extreme, Federation, FederationConfig,
-    QueryPlan, SessionPlan,
+    relative_error, DerivedStatistic, Extreme, Federation, FederationConfig, QueryPlan, Session,
+    SessionPlan,
 };
 use fedaqp::data::{partition_rows, AmazonConfig, AmazonSynth, PartitionMode};
 use fedaqp::model::{Aggregate, QueryBuilder};
@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
 
         // --- An interactive session: ξ = 6 at ε = 1 per query ---
-        let session = ConcurrentSession::open(engine.clone(), 6.0, 1e-2, SessionPlan::PayAsYouGo)?;
+        let session = Session::open(engine.clone(), 6.0, 1e-2, SessionPlan::PayAsYouGo)?;
         let per_query = session.per_query_cost();
         println!(
             "\nsession opened: per-query ε = {}, budget ξ = {}",

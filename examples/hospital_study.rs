@@ -11,7 +11,7 @@
 //! cargo run --release --example hospital_study
 //! ```
 
-use fedaqp::core::{relative_error, ConcurrentSession, Federation, FederationConfig, SessionPlan};
+use fedaqp::core::{relative_error, Federation, FederationConfig, Session, SessionPlan};
 use fedaqp::model::{Aggregate, Dimension, Domain, QueryBuilder, Row, Schema};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -101,7 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     federation.with_engine(|engine| -> Result<(), Box<dyn std::error::Error>> {
         // The epidemiologist's total budget: ξ = 5 → five ε = 1 queries. The
         // session charges before any provider touches data.
-        let session = ConcurrentSession::open(engine.clone(), 5.0, 1e-2, SessionPlan::PayAsYouGo)?;
+        let session = Session::open(engine.clone(), 5.0, 1e-2, SessionPlan::PayAsYouGo)?;
         for (title, query) in &studies {
             match session.query(query, 0.15) {
                 Ok(ans) => {

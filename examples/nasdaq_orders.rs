@@ -85,9 +85,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let exact = federation.exact(query);
             println!(
                 "{title:<34} exact {exact:>9}  private {:>11.0}  err {:>6.2}%  noise {:>+9.0}",
-                ans.value,
-                100.0 * relative_error(exact, ans.value),
-                ans.value - ans.raw_estimate,
+                ans.answer.value,
+                100.0 * relative_error(exact, ans.answer.value),
+                ans.answer.value - ans.raw_estimate,
             );
         }
     }

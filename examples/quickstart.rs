@@ -46,24 +46,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let answer = federation.run(&query, 0.10)?;
 
     println!("exact answer        : {}", plain.value);
-    println!("private answer      : {:.0}", answer.value);
+    println!("private answer      : {:.0}", answer.answer.value);
     println!(
         "relative error      : {:.2}%",
-        100.0 * relative_error(plain.value, answer.value)
+        100.0 * relative_error(plain.value, answer.answer.value)
     );
     println!(
         "privacy cost        : (ε = {:.2}, δ = {:.0e})",
-        answer.cost.eps, answer.cost.delta
+        answer.answer.cost.eps, answer.answer.cost.delta
     );
     println!(
         "clusters scanned    : {} of {} covering",
-        answer.clusters_scanned, answer.covering_total
+        answer.answer.clusters_scanned, answer.answer.covering_total
     );
     println!(
         "latency             : private {:?} vs plain {:?} (speed-up {:.2}x)",
-        answer.timings.total(),
+        answer.answer.timings.total(),
         plain.duration,
-        plain.duration.as_secs_f64() / answer.timings.total().as_secs_f64()
+        plain.duration.as_secs_f64() / answer.answer.timings.total().as_secs_f64()
     );
     Ok(())
 }

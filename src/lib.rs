@@ -41,11 +41,12 @@
 //! let query = QueryBuilder::new(federation.schema(), Aggregate::Count)
 //!     .range("age", 25, 60).unwrap()
 //!     .build().unwrap();
-//! // One query on a fresh engine scope; the answer is an `EngineAnswer`.
-//! let answer = federation.run(&query, 0.2).unwrap();
-//! assert!(answer.value.is_finite());
+//! // One query on a fresh engine scope; `answer` is what an analyst is
+//! // released, beside the in-process oracle's diagnostics.
+//! let oracle = federation.run(&query, 0.2).unwrap();
+//! assert!(oracle.answer.value.is_finite());
 //! // The exact answer is the experiment oracle, asked for explicitly.
-//! let error = fedaqp::core::relative_error(federation.exact(&query), answer.value);
+//! let error = fedaqp::core::relative_error(federation.exact(&query), oracle.answer.value);
 //! assert!(error >= 0.0);
 //! ```
 

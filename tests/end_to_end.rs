@@ -1,7 +1,10 @@
 //! End-to-end integration tests: dataset generation → partitioning →
 //! federation → private query answering, across release modes and paths.
 
-use fedaqp::core::{relative_error, Federation, FederationConfig, ReleaseMode};
+use fedaqp::core::{
+    relative_error, EngineHandle, Federation, FederationConfig, FederationEngine, QueryPlan,
+    ReleaseMode,
+};
 use fedaqp::data::{partition_rows, AdultConfig, AdultSynth, PartitionMode};
 use fedaqp::dp::{BudgetAccountant, QueryBudget};
 use fedaqp::model::{Aggregate, QueryBuilder, RangeQuery, Row, Schema};
@@ -52,11 +55,11 @@ fn private_answer_is_reasonable_under_loose_budget() {
     let (fed, _) = small_federation(2, |cfg| cfg.epsilon = 200.0);
     let q = broad_count(fed.schema());
     let ans = fed.run(&q, 0.3).expect("run");
-    assert!(ans.value.is_finite());
-    let err = relative_error(fed.exact(&q), ans.value);
+    assert!(ans.answer.value.is_finite());
+    let err = relative_error(fed.exact(&q), ans.answer.value);
     assert!(err < 0.35, "relative error {err} too large under eps=200");
-    assert!(ans.clusters_scanned < ans.covering_total);
-    assert_eq!(ans.approximated_providers, 4);
+    assert!(ans.answer.clusters_scanned < ans.answer.covering_total);
+    assert_eq!(ans.answer.approximated_providers, 4);
 }
 
 #[test]
@@ -84,8 +87,8 @@ fn sum_and_count_share_the_pipeline() {
     assert_eq!(fed.exact(&sum_q), sum_exact);
     assert!(sum_exact >= fed.exact(&count_q));
     // Both aggregates come out of the same pipeline, near their truths.
-    assert!(relative_error(sum_exact, sum_ans.value) < 0.35);
-    assert!(relative_error(fed.exact(&count_q), count_ans.value) < 0.35);
+    assert!(relative_error(sum_exact, sum_ans.answer.value) < 0.35);
+    assert!(relative_error(fed.exact(&count_q), count_ans.answer.value) < 0.35);
 }
 
 #[test]
@@ -102,14 +105,14 @@ fn smc_release_mode_matches_local_dp_in_expectation() {
         });
         let q = q_of(&fed_l);
         let a = fed_l.run(&q, 0.3).expect("local");
-        local_sum += a.value;
+        local_sum += a.answer.value;
         exact = fed_l.exact(&q);
         let (fed_s, _) = small_federation(100 + t, |cfg| {
             cfg.release_mode = ReleaseMode::Smc;
             cfg.epsilon = 5.0;
         });
         let b = fed_s.run(&q, 0.3).expect("smc");
-        smc_sum += b.value;
+        smc_sum += b.answer.value;
     }
     let local_mean = local_sum / trials as f64;
     let smc_mean = smc_sum / trials as f64;
@@ -128,8 +131,8 @@ fn exact_path_taken_when_covering_below_threshold() {
     });
     let q = broad_count(fed.schema());
     let ans = fed.run(&q, 0.2).expect("run");
-    assert_eq!(ans.approximated_providers, 0);
-    assert_eq!(ans.clusters_scanned, ans.covering_total);
+    assert_eq!(ans.answer.approximated_providers, 0);
+    assert_eq!(ans.answer.clusters_scanned, ans.answer.covering_total);
     assert!((ans.raw_estimate - fed.exact(&q) as f64).abs() < 1e-6);
 }
 
@@ -158,8 +161,8 @@ fn explicit_budget_overrides_default() {
     let q = broad_count(fed.schema());
     let tight = QueryBudget::paper_split(0.1, 1e-4).expect("budget");
     let ans = fed.run_with_budget(&q, 0.2, &tight).expect("run");
-    assert!((ans.cost.eps - 0.1).abs() < 1e-12);
-    assert_eq!(ans.cost.delta, 1e-4);
+    assert!((ans.answer.cost.eps - 0.1).abs() < 1e-12);
+    assert_eq!(ans.answer.cost.delta, 1e-4);
 }
 
 #[test]
@@ -167,7 +170,7 @@ fn deterministic_given_identical_seeds() {
     let run_once = |seed: u64| {
         let (fed, _) = small_federation(seed, |_| {});
         let q = broad_count(fed.schema());
-        fed.run(&q, 0.2).expect("run").value
+        fed.run(&q, 0.2).expect("run").answer.value
     };
     assert_eq!(run_once(42), run_once(42));
     assert_ne!(run_once(42), run_once(43));
@@ -180,9 +183,9 @@ fn timings_and_network_are_populated() {
     });
     let q = broad_count(fed.schema());
     let ans = fed.run(&q, 0.2).expect("run");
-    assert!(ans.timings.total() > std::time::Duration::ZERO);
+    assert!(ans.answer.timings.total() > std::time::Duration::ZERO);
     // 4 protocol rounds under LAN latency (0.5 ms each) dominate.
-    assert!(ans.timings.network >= std::time::Duration::from_millis(2));
+    assert!(ans.answer.timings.network >= std::time::Duration::from_millis(2));
     let plain = fed.run_plain(&q).expect("plain");
     assert!(plain.duration > std::time::Duration::ZERO);
 }
@@ -208,9 +211,53 @@ fn weighted_partitions_still_answer_correctly() {
     let fed = Federation::build(cfg, dataset.schema.clone(), partitions).expect("federation");
     let q = broad_count(fed.schema());
     let ans = fed.run(&q, 0.3).expect("run");
-    let err = relative_error(fed.exact(&q), ans.value);
+    let err = relative_error(fed.exact(&q), ans.answer.value);
     assert!(err < 0.5, "error {err}");
     // The heavy provider must receive the lion's share of the allocation.
-    let max_alloc = *ans.allocations.iter().max().expect("allocations");
-    assert_eq!(ans.allocations[0], max_alloc);
+    let max_alloc = *ans.answer.allocations.iter().max().expect("allocations");
+    assert_eq!(ans.answer.allocations[0], max_alloc);
+}
+
+/// An SMC release keeps its bits: a seeded scalar plan and its repeat
+/// (occurrence 1) on a scoped and an owned engine — each value and the
+/// simulated network time it charges — and the in-process oracle's raw
+/// estimate, pinned as the engine computed them before the coordinator
+/// took over the SMC merge.
+#[test]
+fn smc_releases_keep_their_pinned_bits() {
+    let (fed, _) = small_federation(7, |cfg| {
+        cfg.release_mode = ReleaseMode::Smc;
+        cfg.epsilon = 2.0;
+        cfg.cost_model = fedaqp::smc::CostModel::lan();
+    });
+    let q = broad_count(fed.schema());
+    let plan = QueryPlan::Scalar {
+        query: q.clone(),
+        sampling_rate: 0.3,
+        epsilon: 2.0,
+        delta: 1e-3,
+    };
+    let run_twice = |engine: &EngineHandle| -> Vec<(u64, u128)> {
+        (0..2)
+            .map(|_| {
+                let answer = engine.run_plan(&plan).expect("plan");
+                let value = answer.value().expect("scalar").to_bits();
+                (value, answer.timings.network.as_nanos())
+            })
+            .collect()
+    };
+    let scoped = fed.with_engine(run_twice);
+    let raw_estimate = fed.run(&q, 0.3).expect("run").raw_estimate.to_bits();
+    let engine = FederationEngine::start(fed);
+    let owned = run_twice(&engine.handle());
+    engine.shutdown();
+    // (value bits, simulated network ns) of occurrences 0 and 1.
+    const PINNED_RELEASES: [(u64, u128); 2] = [
+        (4_667_886_958_505_118_391, 4_184_344),
+        (4_667_715_751_613_924_669, 4_184_344),
+    ];
+    const PINNED_RAW_ESTIMATE: u64 = 4_667_662_487_186_716_638;
+    assert_eq!(scoped, owned, "scoped and owned engines diverged");
+    assert_eq!(scoped, PINNED_RELEASES);
+    assert_eq!(raw_estimate, PINNED_RAW_ESTIMATE);
 }

@@ -110,7 +110,7 @@ fn relative_error_falls_with_scale() {
             let (fed, _) = federation(n_rows, 1_300 + t, 1.0);
             let q = broad_query(&fed);
             let ans = fed.run(&q, 0.2).expect("run");
-            acc += relative_error(fed.exact(&q), ans.value);
+            acc += relative_error(fed.exact(&q), ans.answer.value);
         }
         acc / trials as f64
     };

@@ -4,8 +4,8 @@
 //! §5 protocol.
 
 use fedaqp::core::{
-    combine_snapshots, relative_error, ConcurrentSession, DerivedStatistic, Extreme, Federation,
-    FederationConfig, QueryPlan, SessionPlan,
+    combine_snapshots, relative_error, DerivedStatistic, Extreme, Federation, FederationConfig,
+    QueryPlan, Session, SessionPlan,
 };
 use fedaqp::data::{partition_rows, AdultConfig, AdultSynth, PartitionMode};
 use fedaqp::model::{Aggregate, QueryBuilder, RangeQuery};
@@ -42,8 +42,8 @@ fn session_lifecycle_with_mixed_query_types() {
     let fed = federation(1, 1.0);
     let q = age_query(&fed);
     fed.with_engine(|engine| {
-        let session = ConcurrentSession::open(engine.clone(), 10.0, 1e-2, SessionPlan::PayAsYouGo)
-            .expect("session");
+        let session =
+            Session::open(engine.clone(), 10.0, 1e-2, SessionPlan::PayAsYouGo).expect("session");
         let plain = session.query(&q, 0.2).expect("plain query");
         assert!(plain.value.is_finite());
         // A derived statistic is a plan; it charges its declared total —
@@ -177,7 +177,7 @@ fn advanced_session_supports_many_cheap_queries() {
     let fed = federation(7, 1.0);
     let q = age_query(&fed);
     fed.with_engine(|engine| {
-        let session = ConcurrentSession::open(
+        let session = Session::open(
             engine.clone(),
             20.0,
             1e-3,

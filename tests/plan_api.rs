@@ -6,7 +6,7 @@
 use std::time::{Duration, Instant};
 
 use fedaqp::core::{
-    ConcurrentSession, Federation, FederationConfig, FederationEngine, QueryPlan, SessionPlan,
+    Federation, FederationConfig, FederationEngine, QueryPlan, Session, SessionPlan,
 };
 use fedaqp::model::{
     Aggregate, DerivedStatistic, Dimension, Domain, Extreme, Range, RangeQuery, Row, Schema,
@@ -195,8 +195,7 @@ proptest! {
 fn sessions_charge_whole_plans_atomically() {
     let fed = federation(fedaqp::smc::CostModel::zero());
     fed.with_engine(|engine| {
-        let session =
-            ConcurrentSession::open(engine.clone(), 5.0, 1e-2, SessionPlan::PayAsYouGo).unwrap();
+        let session = Session::open(engine.clone(), 5.0, 1e-2, SessionPlan::PayAsYouGo).unwrap();
         let pending = session.submit_plan(&group_plan()).unwrap();
         // The whole 2.5ε is on the ledger before the first group resolves.
         assert!((session.spent().eps - 2.5).abs() < 1e-9);

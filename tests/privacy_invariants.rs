@@ -1,8 +1,7 @@
 //! Statistical privacy/mechanism invariants across the whole stack.
 
 use fedaqp::core::{
-    ConcurrentSession, Federation, FederationConfig, FederationEngine, QueryBatch, QueryPlan,
-    SessionPlan,
+    Federation, FederationConfig, FederationEngine, QueryPlan, Session, SessionPlan,
 };
 use fedaqp::data::{partition_rows, AmazonConfig, AmazonSynth, PartitionMode};
 use fedaqp::dp::QueryBudget;
@@ -42,11 +41,12 @@ fn demo_query(fed: &Federation) -> RangeQuery {
 /// engine scope is the lifetime of an occurrence ledger, so the repeats are
 /// occurrences `0..trials` of one content and draw independent noise.
 fn repeated_noise(fed: &Federation, q: &RangeQuery, trials: usize) -> Vec<f64> {
+    let budget = fed.default_budget().expect("budget");
     fed.with_engine(|engine| {
         (0..trials)
             .map(|_| {
-                let ans = engine.submit(q, 0.2).expect("submit").wait().expect("run");
-                ans.value - ans.raw_estimate
+                let ans = engine.run_oracle(q, 0.2, &budget).expect("run");
+                ans.answer.value - ans.raw_estimate
             })
             .collect()
     })
@@ -96,12 +96,12 @@ fn an_engine_scope_is_the_lifetime_of_the_occurrence_ledger() {
     let fresh_scope = fed_b.run(&q, 0.2).expect("run");
     assert_eq!(
         in_one_scope[0].value.to_bits(),
-        fresh_scope.value.to_bits(),
+        fresh_scope.answer.value.to_bits(),
         "occurrence 0 of identically seeded federations must agree"
     );
     assert_eq!(
-        fed_a.run(&q, 0.2).expect("run").value.to_bits(),
-        fresh_scope.value.to_bits(),
+        fed_a.run(&q, 0.2).expect("run").answer.value.to_bits(),
+        fresh_scope.answer.value.to_bits(),
         "two separate runs replay occurrence 0"
     );
 }
@@ -166,8 +166,8 @@ fn query_cost_is_phase_sum() {
     let (fed, _) = federation(4, 1.4);
     let q = demo_query(&fed);
     let ans = fed.run_with_budget(&q, 0.2, &budget).expect("run");
-    assert!((ans.cost.eps - 1.4).abs() < 1e-12);
-    assert_eq!(ans.cost.delta, 1e-3);
+    assert!((ans.answer.cost.eps - 1.4).abs() < 1e-12);
+    assert_eq!(ans.answer.cost.delta, 1e-3);
 }
 
 /// Smooth sensitivities are strictly positive on the approximate path and
@@ -192,8 +192,7 @@ fn smooth_sensitivities_are_sane() {
 fn concurrent_session_never_overspends_budget() {
     let (fed, _) = federation(8, 1.0);
     let engine = FederationEngine::start(fed);
-    let session =
-        ConcurrentSession::open(engine.handle(), 5.0, 1e-2, SessionPlan::PayAsYouGo).unwrap();
+    let session = Session::open(engine.handle(), 5.0, 1e-2, SessionPlan::PayAsYouGo).unwrap();
     // 8 threads × 3 attempts = 24 queries racing for ⌊ξ/ε⌋ = 5 slots.
     let answered: u64 = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
@@ -230,8 +229,7 @@ fn concurrent_session_never_overspends_budget() {
 fn online_plans_charge_their_whole_cost_up_front_or_not_at_all() {
     let (fed, _) = federation(10, 1.0);
     let engine = FederationEngine::start(fed);
-    let session =
-        ConcurrentSession::open(engine.handle(), 2.0, 1e-2, SessionPlan::PayAsYouGo).unwrap();
+    let session = Session::open(engine.handle(), 2.0, 1e-2, SessionPlan::PayAsYouGo).unwrap();
     let q = demo_query_for(session.handle().schema());
     let plan = |epsilon: f64| QueryPlan::Online {
         query: q.clone(),
@@ -272,48 +270,57 @@ fn demo_query_for(schema: &fedaqp::model::Schema) -> RangeQuery {
         .expect("query")
 }
 
-/// Determinism invariant: a seeded `QueryBatch` returns bit-identical
-/// answers whether its queries run one at a time or all concurrently —
-/// every `(query, provider)` pair derives its own RNG, so noise cannot
-/// depend on how queries interleave on the shared providers.
+/// Determinism invariant: a seeded batch of queries returns bit-identical
+/// answers whether its queries run one at a time or all concurrently, one
+/// analyst thread each, on one engine — every `(query, provider)` pair
+/// derives its own RNG, so noise cannot depend on how queries interleave
+/// on the shared providers.
 #[test]
 fn seeded_batch_identical_serial_vs_concurrent() {
-    let batch_for = |fed: &Federation| {
-        let mut batch = QueryBatch::new();
-        for i in 0..6 {
-            let q = QueryBuilder::new(fed.schema(), Aggregate::Count)
-                .range("rating", 1, 4)
-                .expect("range")
-                .range("week", 10 + 5 * i, 150 + 10 * i)
-                .expect("range")
-                .build()
-                .expect("query");
-            batch.push(q, 0.15);
-        }
-        batch
+    let batch_for = |fed: &Federation| -> Vec<RangeQuery> {
+        (0..6)
+            .map(|i| {
+                QueryBuilder::new(fed.schema(), Aggregate::Count)
+                    .range("rating", 1, 4)
+                    .expect("range")
+                    .range("week", 10 + 5 * i, 150 + 10 * i)
+                    .expect("range")
+                    .build()
+                    .expect("query")
+            })
+            .collect()
     };
     let (fed_a, _) = federation(9, 1.0);
     let (fed_b, _) = federation(9, 1.0);
-    let serial: Vec<_> = fed_a
-        .with_engine(|engine| engine.run_batch_serial(&batch_for(&fed_a)))
-        .into_iter()
-        .map(|r| r.expect("serial batch"))
-        .collect();
-    let concurrent: Vec<_> = fed_b
-        .with_engine(|engine| engine.run_batch(&batch_for(&fed_b)))
-        .into_iter()
-        .map(|r| r.expect("concurrent batch"))
-        .collect();
+    let budget = fed_a.default_budget().expect("budget");
+    let serial: Vec<_> = fed_a.with_engine(|engine| {
+        batch_for(&fed_a)
+            .iter()
+            .map(|q| engine.run_oracle(q, 0.15, &budget).expect("serial batch"))
+            .collect()
+    });
+    let concurrent: Vec<_> = fed_b.with_engine(|engine| {
+        std::thread::scope(|scope| {
+            let analysts: Vec<_> = batch_for(&fed_b)
+                .into_iter()
+                .map(|q| scope.spawn(move || engine.run_oracle(&q, 0.15, &budget)))
+                .collect();
+            analysts
+                .into_iter()
+                .map(|a| a.join().expect("analyst").expect("concurrent batch"))
+                .collect()
+        })
+    });
     assert_eq!(serial.len(), concurrent.len());
     for (a, b) in serial.iter().zip(&concurrent) {
         assert_eq!(
-            a.value, b.value,
+            a.answer.value, b.answer.value,
             "released value must not depend on interleaving"
         );
-        assert_eq!(a.allocations, b.allocations);
+        assert_eq!(a.answer.allocations, b.answer.allocations);
         assert_eq!(a.raw_estimate, b.raw_estimate);
         assert_eq!(a.smooth_ls, b.smooth_ls);
-        assert_eq!(a.cost.eps, b.cost.eps);
+        assert_eq!(a.answer.cost.eps, b.answer.cost.eps);
     }
 }
 

@@ -78,10 +78,10 @@ proptest! {
     fn private_pipeline_total(partitions in arb_partitions(), q in arb_query(), seed in any::<u64>()) {
         let fed = build_federation(partitions, seed);
         let ans = fed.run(&q, 0.25).expect("run");
-        prop_assert!(ans.value.is_finite());
+        prop_assert!(ans.answer.value.is_finite());
         prop_assert!(ans.raw_estimate.is_finite());
-        prop_assert_eq!(ans.allocations.len(), 4);
-        prop_assert!(ans.clusters_scanned <= ans.covering_total.max(ans.clusters_scanned));
+        prop_assert_eq!(ans.answer.allocations.len(), 4);
+        prop_assert!(ans.answer.clusters_scanned <= ans.answer.covering_total.max(ans.answer.clusters_scanned));
         for &s in &ans.smooth_ls {
             prop_assert!(s.is_finite() && s >= 0.0);
         }
@@ -131,6 +131,6 @@ proptest! {
         let ans = fed.run(&q, 0.25).expect("run");
         // Each provider clamps its allocation to its covering set, so no
         // provider scans more clusters than it covers.
-        prop_assert!(ans.clusters_scanned <= ans.covering_total + 4);
+        prop_assert!(ans.answer.clusters_scanned <= ans.answer.covering_total + 4);
     }
 }
